@@ -6,12 +6,19 @@ evaluation section: it runs the relevant experiment on the SIMX
 with the published values, and asserts the qualitative shape (who wins, how
 the trend moves).  Experiments are cached per configuration so a benchmark
 invocation never repeats a simulation.
+
+Test runs only print the tables.  The committed ``benchmark_tables.txt`` is
+regenerated (overwritten, one copy) by an explicit command::
+
+    PYTHONPATH=src python -m benchmarks.harness
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from collections.abc import Iterable
+from pathlib import Path
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.kernels import KERNELS
@@ -85,13 +92,17 @@ def run_texture(mode: str, use_hw: bool, num_cores: int = 1) -> ExecutionReport:
     return run.report
 
 
-#: File the regenerated tables are appended to (next to the benchmark run),
-#: so the rows survive pytest's output capture of passing tests.
-TABLES_PATH = "benchmark_tables.txt"
+_BENCHMARKS_DIR = Path(__file__).resolve().parent
+
+#: The committed copy of the regenerated tables (written only by :func:`main`).
+TABLES_PATH = _BENCHMARKS_DIR.parent / "benchmark_tables.txt"
+
+#: Every table rendered in this process, in order — what :func:`main` writes out.
+RENDERED_TABLES: list[str] = []
 
 
 def print_table(title: str, headers: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Print one regenerated table/figure and append it to ``benchmark_tables.txt``."""
+    """Print one regenerated table/figure (and remember it for :func:`main`)."""
     headers = list(headers)
     rows = [[_fmt(cell) for cell in row] for row in rows]
     widths = [
@@ -104,14 +115,30 @@ def print_table(title: str, headers: Iterable[str], rows: Iterable[Iterable]) ->
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     text = "\n".join(lines)
     print(text)
-    try:
-        with open(TABLES_PATH, "a", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError:
-        pass  # the on-disk copy is best-effort; stdout remains authoritative
+    RENDERED_TABLES.append(text)
 
 
 def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
+
+
+def main() -> int:
+    """Run the figure/table benchmarks once and overwrite ``benchmark_tables.txt``."""
+    import pytest
+
+    status = int(pytest.main(["-q", str(_BENCHMARKS_DIR)]))
+    if status == 0:
+        TABLES_PATH.write_text("\n".join(RENDERED_TABLES) + "\n", encoding="utf-8")
+        print(f"wrote {TABLES_PATH}")
+    return status
+
+
+if __name__ == "__main__":
+    # Under ``python -m`` this file is ``__main__`` while the benchmarks render
+    # into the importable ``benchmarks.harness``; run that module's ``main``
+    # so it reads the list they filled.
+    from benchmarks.harness import main as _main
+
+    sys.exit(_main())

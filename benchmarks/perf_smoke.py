@@ -260,76 +260,6 @@ def measure_timing_scenario(
     }
 
 
-# -- retry wall: batched request path + fast-forward vs the per-lane ticked path ----------
-
-#: Port-limited retry-wall scenarios: (name, kernel, size, warps, threads).
-#: One dcache port against 32-thread warps is the regime where the per-lane
-#: request loop made ~88 Python send attempts per cycle.
-RETRY_WALL_SCENARIOS = (
-    ("simx_sgemm_1p32t", "sgemm", 16 * 16, 8, 32),
-    ("simx_sfilter_1p32t", "sfilter", 16 * 16, 8, 32),
-)
-
-#: The pre-optimization request path: per-lane sends, every cycle ticked.
-RETRY_WALL_BASELINE_DRIVER = "simx:fastforward=off,requests=perlane"
-
-
-def _retry_wall_config(warps: int, threads: int) -> VortexConfig:
-    """Deep inside the retry wall: one virtual port, long-latency memory.
-
-    The single port serializes each warp's 32 lanes into bank-conflict
-    retries and the long fill latency keeps the write-through queue
-    backed up against DRAM — the regime the batched per-bank path and the
-    event-driven fast-forward attack.
-    """
-    return VortexConfig(
-        dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
-        memory=MemoryConfig(latency=800, bandwidth=4),
-    ).with_warps_threads(warps, threads)
-
-
-def measure_retry_wall_scenario(
-    name: str, kernel: str, size: int, warps: int, threads: int, reps: int
-) -> dict[str, Any]:
-    """Best-of-N: optimized path (batched + fast-forward) vs per-lane ticked.
-
-    Both runs use the vectorized execution engine — the axis measured here
-    is the request/fast-forward path, not the engine — and the reports must
-    be bit-identical in cycles and every perf counter.
-    """
-    from repro.engine.session import diff_execution_reports
-
-    config = _retry_wall_config(warps, threads)
-    baseline_best = optimized_best = float("inf")
-    baseline_report = optimized_report = None
-    for _ in range(reps):
-        wall, baseline_report = _run_timing_once(
-            RETRY_WALL_BASELINE_DRIVER, kernel, size, config
-        )
-        baseline_best = min(baseline_best, wall)
-        wall, optimized_report = _run_timing_once("simx", kernel, size, config)
-        optimized_best = min(optimized_best, wall)
-
-    mismatches = diff_execution_reports(baseline_report, optimized_report)
-    return {
-        "scenario": name,
-        "kernel": kernel,
-        "size": size,
-        "warps": warps,
-        "threads": threads,
-        "cycles": optimized_report.cycles,
-        "instructions": optimized_report.instructions,
-        "ipc": round(optimized_report.ipc, 4),
-        "baseline_driver": RETRY_WALL_BASELINE_DRIVER,
-        "baseline_seconds": round(baseline_best, 4),
-        "optimized_seconds": round(optimized_best, 4),
-        "baseline_cycles_per_second": round(baseline_report.cycles / baseline_best, 1),
-        "optimized_cycles_per_second": round(optimized_report.cycles / optimized_best, 1),
-        "speedup": round(baseline_best / optimized_best, 2),
-        "identical_counters": not mismatches,
-    }
-
-
 # -- scheduler policies: the wavefront-scheduling design-space axis -----------------------
 
 #: Scenario swept across every scheduler policy: (kernel, size, warps, threads).
@@ -390,16 +320,6 @@ def run_timing_benchmark(reps: int, out_path: Path) -> None:
             f"scalar={row['scalar_seconds']:7.3f}s vector={row['vector_seconds']:7.3f}s "
             f"({row['scalar_cycles_per_second']:,.0f} vs "
             f"{row['vector_cycles_per_second']:,.0f} cycles/s) "
-            f"speedup={row['speedup']:5.2f}x identical={row['identical_counters']}"
-        )
-    for name, kernel, size, warps, threads in RETRY_WALL_SCENARIOS:
-        row = measure_retry_wall_scenario(name, kernel, size, warps, threads, reps)
-        results.append(row)
-        print(
-            f"timing {row['scenario']:24s} cycles={row['cycles']:7d} "
-            f"perlane={row['baseline_seconds']:7.3f}s batched+ff={row['optimized_seconds']:7.3f}s "
-            f"({row['baseline_cycles_per_second']:,.0f} vs "
-            f"{row['optimized_cycles_per_second']:,.0f} cycles/s) "
             f"speedup={row['speedup']:5.2f}x identical={row['identical_counters']}"
         )
     payload = {

@@ -264,7 +264,6 @@ PURE_PREDICATES = (
     "next_response_cycle",
     "refusal_horizon",
     "write_refusal_horizon",
-    "_arbitration_refusal",
     "_warp_would_stall",
     "_schedulable_mask",
     "probe",
@@ -304,7 +303,6 @@ MUTATING_METHODS = frozenset(
         "merge",
         "update_from",
         "send",
-        "send_raw",
         "send_batch",
         "request_fill",
         "request_write",

@@ -12,7 +12,7 @@ signal, never letting the memory request queue fill) are respected.
 
 from repro.cache.mshr import Mshr, MshrEntry
 from repro.cache.bank import CacheBank, BankRequest
-from repro.cache.cache import NonBlockingCache, CacheRequest, CacheResponse
+from repro.cache.cache import NonBlockingCache, CacheResponse
 from repro.cache.sharedmem import SharedMemory
 from repro.cache.hierarchy import MemorySubsystem
 
@@ -22,7 +22,6 @@ __all__ = [
     "CacheBank",
     "BankRequest",
     "NonBlockingCache",
-    "CacheRequest",
     "CacheResponse",
     "SharedMemory",
     "MemorySubsystem",

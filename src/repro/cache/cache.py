@@ -17,22 +17,13 @@ overcommitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 from repro.cache.bank import BankRequest, CacheBank
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
-
-
-@dataclass
-class CacheRequest:
-    """A core-side request presented to the cache."""
-
-    address: int
-    is_write: bool = False
-    tag: Any = None
 
 
 @dataclass
@@ -85,9 +76,9 @@ class NonBlockingCache:
     """Multi-banked, non-blocking, virtually multi-ported cache."""
 
     #: Counter schema (vxlint VX003): every literal key charged against this
-    #: component's ``perf``/``_counters``.  The scalar and batched request
-    #: paths must stay within this set — bit-identical counters between them
-    #: are the repo-wide contract.
+    #: component's ``perf``/``_counters``.  :meth:`send` and
+    #: :meth:`send_batch` must stay within this set — bit-identical counters
+    #: between them are the repo-wide contract.
     COUNTERS = frozenset(
         {
             "attempts",
@@ -138,7 +129,7 @@ class NonBlockingCache:
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}
         self._responses: list[CacheResponse] = []
-        # Hot-path bindings: :meth:`send_raw` runs once per request *attempt*
+        # Hot-path bindings: the send paths run once per request *attempt*
         # (the cycle-level core retries refusals every cycle), so the
         # per-attempt constants and the raw counter dict are prebound.
         self._line_size = config.line_size
@@ -157,95 +148,53 @@ class NonBlockingCache:
     # -- front-end: bank selector ----------------------------------------------------------
 
     @hot_path
-    def _arbitration_refusal(self, bank_id: int, line: int, is_write: bool) -> str | None:
-        """The one arbitration predicate every request path shares.
-
-        Returns the refusal counter name (``"bank_conflicts"`` /
-        ``"mshr_stalls"``) when the bank selector would refuse a request for
-        ``line`` this cycle, or ``None`` when it would proceed to the
-        hit/miss path.  Side-effect free: the probes (:meth:`can_accept`,
-        :meth:`can_accept_batch`) call it directly, :meth:`send_raw` charges
-        the returned counter, and :meth:`send_batch` inlines exactly this
-        logic (keep them in sync — the batched/per-lane property test in
-        ``tests/test_cache.py`` holds them to it).  Lower-level
-        backpressure (``memq_stalls``) is not predicted here because probing
-        it without side effects would require the lower level's cooperation.
-        """
-        accepted = self._accepts_this_cycle.get(bank_id)
-        if accepted is not None:
-            first_line, count = accepted
-            if count >= self._num_ports or first_line != line:
-                return "bank_conflicts"
-        if not is_write and self.banks[bank_id].mshr.almost_full:
-            return "mshr_stalls"
-        return None
-
-    @hot_path
-    def can_accept(self, request: CacheRequest) -> bool:
-        """Check whether ``send`` would succeed this cycle (no side effects)."""
-        line = request.address // self._line_size
-        return self._arbitration_refusal(line % self._num_banks, line, request.is_write) is None
-
-    @hot_path
-    def can_accept_batch(self, addresses: Sequence[int], is_write: bool = False) -> list[bool]:
-        """Side-effect-free bulk probe: would ``send`` accept each address *now*?
-
-        Every address is judged against the cache's current-cycle accept
-        state (the probe mutates nothing, so earlier addresses in the batch
-        do not shadow later ones) through the same
-        :meth:`_arbitration_refusal` predicate the send paths use.
-        """
-        line_size = self._line_size
-        num_banks = self._num_banks
-        refusal = self._arbitration_refusal
-        results: list[bool] = []
-        for address in addresses:
-            line = address // line_size
-            results.append(refusal(line % num_banks, line, is_write) is None)
-        return results
-
-    def send(self, request: CacheRequest) -> bool:
+    def send(self, address: int, is_write: bool = False, tag: Any = None) -> bool:
         """Present one request to the bank selector.
 
         Returns True when the request is accepted this cycle; the response
         arrives later through :meth:`tick`.  A False return means the
         requester must retry next cycle (bank conflict, MSHR early-full, or
-        lower-level backpressure).
-        """
-        return self.send_raw(request.address, request.is_write, request.tag)
+        lower-level backpressure).  No request record is allocated per
+        attempt: a :class:`~repro.cache.bank.BankRequest` is only built once
+        the request is actually accepted into a bank.
 
-    @hot_path
-    def send_raw(self, address: int, is_write: bool, tag: Any) -> bool:
-        """:meth:`send` without the :class:`CacheRequest` wrapper.
-
-        The cycle-level core retries refused requests every cycle, so the
-        hot path avoids allocating a request record per attempt; a
-        :class:`~repro.cache.bank.BankRequest` is only built once the
-        request is actually accepted into a bank.
+        This is the single-request path (instruction fetches, L1→L2/L3
+        traffic) and the per-request oracle :meth:`send_batch` is held to by
+        the property tests in ``tests/test_cache.py``.
         """
         counters = self._counters
         counters["attempts"] += 1
         trace = self.trace
         line = address // self._line_size
         bank_id = line % self._num_banks
-        refusal = self._arbitration_refusal(bank_id, line, is_write)
-        if refusal is not None:
-            # The key is the predicate's return value, which is drawn from the
-            # schema by construction ("bank_conflicts"/"mshr_stalls" literals
-            # in _arbitration_refusal) — safe despite being non-literal here.
-            counters[refusal] += 1  # vxlint: disable=VX003
+        accepted = self._accepts_this_cycle.get(bank_id)
+        if accepted is not None:
+            first_line, count = accepted
+            if count >= self._num_ports or first_line != line:
+                counters["bank_conflicts"] += 1
+                if trace is not None:
+                    trace.emit(
+                        self._cycle,
+                        self.trace_core,
+                        NO_WARP,
+                        self.trace_channel,
+                        "conflict",
+                        {"bank": bank_id, "line": line, "write": is_write},
+                    )
+                return False
+        bank = self.banks[bank_id]
+        if not is_write and bank.mshr.almost_full:
+            counters["mshr_stalls"] += 1
             if trace is not None:
-                kind = "conflict" if refusal == "bank_conflicts" else "mshr-stall"
                 trace.emit(
                     self._cycle,
                     self.trace_core,
                     NO_WARP,
                     self.trace_channel,
-                    kind,
-                    {"bank": bank_id, "line": line, "write": is_write},
+                    "mshr-stall",
+                    {"bank": bank_id, "line": line, "write": False},
                 )
             return False
-        bank = self.banks[bank_id]
 
         hit = bank.probe(line)
 
@@ -345,7 +294,6 @@ class NonBlockingCache:
                     payload,
                 )
 
-        accepted = self._accepts_this_cycle.get(bank_id)
         count = 0 if accepted is None else accepted[1]
         self._accepts_this_cycle[bank_id] = (line, count + 1)
         counters["accepted"] += 1
@@ -363,16 +311,15 @@ class NonBlockingCache:
         every retry attempt.  Requests are attempted strictly in order while
         ``budget`` (the LSU's per-thread ports) lasts; a refused attempt
         keeps its tuple in the returned retry list and does *not* consume
-        budget, exactly like the per-lane ``send_raw`` loop.
+        budget, exactly like a loop of :meth:`send` calls.
 
         Returns ``(accepted, refused, budget)`` where ``refused`` preserves
         order: refused attempts first, then the un-attempted tail once the
         budget ran out.  Counter updates are aggregated in locals and
         flushed once, but count per-attempt outcomes identically to
-        ``send_raw`` — bit-identical counters are the contract
+        :meth:`send` — bit-identical counters are the contract
         (``tests/test_cache.py`` holds both paths to it with a property
-        test).  The arbitration logic is :meth:`_arbitration_refusal`
-        inlined; keep them in sync.
+        test).
         """
         counters = self._counters
         accepts = self._accepts_this_cycle
@@ -650,7 +597,7 @@ class NonBlockingCache:
                     break
 
         # Flush the aggregated counts; only-touched-when-nonzero keeps the
-        # counter key sets identical to the per-lane path's.
+        # counter key sets identical to :meth:`send`'s.
         if attempts:
             counters["attempts"] += attempts
         if bank_conflicts:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cache.cache import CacheRequest, CacheResponse, LowerPort, NonBlockingCache
+from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.mem.dram import DramModel, MemRequest
@@ -60,14 +60,10 @@ class _CachePort(LowerPort):
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
         # ``line_address`` is expressed in the *upper* cache's line units.
         byte_address = line_address * cache.config.line_size
-        return self.lower_cache.send(
-            CacheRequest(address=byte_address, is_write=False, tag=("fill", cache, line_address))
-        )
+        return self.lower_cache.send(byte_address, False, ("fill", cache, line_address))
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
-        return self.lower_cache.send(
-            CacheRequest(address=address, is_write=True, tag=("wt", cache, address))
-        )
+        return self.lower_cache.send(address, True, ("wt", cache, address))
 
 
 class MemorySubsystem:

@@ -179,17 +179,12 @@ class TimingProcessor(_GlobalBarrierMixin):
         config: VortexConfig | None = None,
         memory: MainMemory | None = None,
         engine: str = "vector",
-        fast_forward: bool = True,
-        batch_requests: bool = True,
         trace: Any = None,
     ):
         self.config = config or VortexConfig()
         self.memory = memory or MainMemory()
         self.memsys = MemorySubsystem(self.config)
         self.engine = engine
-        #: Event-driven cycle fast-forward: jump over provably idle cycle
-        #: runs instead of ticking through them (bit-identical results).
-        self.fast_forward = fast_forward
         #: Observability bus (:class:`~repro.trace.bus.TraceBus` or None):
         #: threaded into every core and memory level at construction.
         self.trace = trace
@@ -202,7 +197,6 @@ class TimingProcessor(_GlobalBarrierMixin):
                 self.memsys,
                 processor=self,
                 engine=engine,
-                batch_requests=batch_requests,
                 trace=trace,
             )
             for core_id in range(self.config.num_cores)
@@ -222,7 +216,11 @@ class TimingProcessor(_GlobalBarrierMixin):
         return all(core.done for core in self.cores) and not self.memsys.busy
 
     def tick(self) -> None:
-        """Advance the whole processor by one cycle."""
+        """Advance the whole processor by one cycle.
+
+        ``reset(entry_pc)`` followed by ``while not done: tick()`` is the
+        cycle-by-cycle reference that :meth:`run`'s fast-forward must equal.
+        """
         self.cycle += 1
         responses = self.memsys.tick()
         for core in self.cores:
@@ -233,9 +231,9 @@ class TimingProcessor(_GlobalBarrierMixin):
 
     # -- checkpoint/restore ---------------------------------------------------------------
 
-    #: Configuration identity and run-mode flags; fixed at construction
-    #: (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "engine", "fast_forward", "trace"})
+    #: Configuration identity and the execution engine; fixed at
+    #: construction (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "engine", "trace"})
 
     def snapshot(self) -> dict:
         """Serialize the whole cycle-level processor at a cycle boundary."""
@@ -329,23 +327,25 @@ class TimingProcessor(_GlobalBarrierMixin):
                         )
                 else:
                     idle_cycles = 0
-                if self.fast_forward:
-                    skip = self._idle_cycles_to_skip(max_cycles)
-                    if skip and stop_cycle is not None:
-                        # Never jump past the requested pause point: the
-                        # skipped cycles are provably idle either way, so
-                        # capping changes nothing but where the run stops.
-                        skip = min(skip, stop_cycle - self.cycle)
-                    if skip > 0:
-                        self._skip_idle(skip)
-                        # Mirror the per-tick watchdog bookkeeping above: a
-                        # skipped cycle retires nothing, so it counts toward
-                        # the no-progress window unless memory traffic is in
-                        # flight (in which case each tick would have reset it).
-                        if not self.memsys.busy:
-                            idle_cycles += skip
-                        else:
-                            idle_cycles = 0
+                # Event-driven fast-forward: jump over provably idle cycle
+                # runs instead of ticking through them (bit-identical to a
+                # ``tick()`` loop in cycles, counters and expanded traces).
+                skip = self._idle_cycles_to_skip(max_cycles)
+                if skip and stop_cycle is not None:
+                    # Never jump past the requested pause point: the
+                    # skipped cycles are provably idle either way, so
+                    # capping changes nothing but where the run stops.
+                    skip = min(skip, stop_cycle - self.cycle)
+                if skip > 0:
+                    self._skip_idle(skip)
+                    # Mirror the per-tick watchdog bookkeeping above: a
+                    # skipped cycle retires nothing, so it counts toward
+                    # the no-progress window unless memory traffic is in
+                    # flight (in which case each tick would have reset it).
+                    if not self.memsys.busy:
+                        idle_cycles += skip
+                    else:
+                        idle_cycles = 0
         self.perf.set("cycles", self.cycle)
         return self.cycle
 

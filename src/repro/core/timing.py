@@ -28,8 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.cache.cache import CacheRequest, CacheResponse, NonBlockingCache
-from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory, is_shared_address
+from repro.cache.cache import CacheResponse, NonBlockingCache
+from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.core.core import SimtCore
@@ -46,10 +46,9 @@ BRANCH_PENALTY = 2
 class _PendingMemOp:
     """A memory (or texture) instruction waiting for its cache responses.
 
-    ``to_send`` holds one entry per outstanding request.  On the per-lane
-    path entries are ``(address, to_smem)``; on the batched path they are
-    ``(address, line, bank_id, to_smem)`` with the cache geometry
-    precomputed once at charge time so retry cycles never re-derive it.
+    ``to_send`` holds one ``(address, line, bank_id, to_smem)`` entry per
+    outstanding request, with the cache geometry precomputed once at charge
+    time so retry cycles never re-derive it.
     """
 
     op_id: int
@@ -102,7 +101,6 @@ class TimingCore:
         memsys: Any,
         processor: Any = None,
         engine: str = "vector",
-        batch_requests: bool = True,
         trace: Any = None,
     ):
         if engine not in ("scalar", "vector"):
@@ -110,10 +108,6 @@ class TimingCore:
         self.core_id = core_id
         self.config = config
         self.engine = engine
-        #: Send memory/texture traffic through the batched per-bank path
-        #: (default) instead of per-lane ``send`` calls; bit-identical in
-        #: cycles and counters, only host wall-clock differs.
-        self.batch_requests = batch_requests
         if engine == "vector":
             # Imported lazily: repro.engine.vector_core imports the processor
             # module, which imports this one.
@@ -153,7 +147,7 @@ class TimingCore:
         self._warp_ready_cycle: dict[int, int] = {w: 0 for w in range(core_cfg.num_warps)}
         self._writebacks: list[tuple[int, int, int, bool]] = []  # (cycle, warp, rd, float)
         self._pending_ops: dict[int, _PendingMemOp] = {}
-        self._store_queue: list[tuple[int, bool]] = []  # fire-and-forget stores
+        self._store_queue: list[tuple[Any, ...]] = []  # fire-and-forget stores
         self._next_op_id = 0
         self._warm_ilines: set[int] = set()
         self._pending_ifetch: dict[int, int] = {}  # warp_id -> line address awaited
@@ -161,7 +155,7 @@ class TimingCore:
         # Per-PC cache of the registers the decoded instruction touches
         # (purely a function of the decode; dropped with the decode cache).
         self._registers_by_pc: dict[int, list[tuple[int, bool]] | None] = {}
-        # Cache geometry prebound for the batched request precompute and the
+        # Cache geometry prebound for the request precompute and the
         # fast-forward stall probe.
         self._dcache_line_size = self.dcache.config.line_size
         self._dcache_num_banks = self.dcache.config.num_banks
@@ -200,7 +194,6 @@ class TimingCore:
             "core_id",
             "config",
             "engine",
-            "batch_requests",
             "icache",
             "dcache",
             "trace",
@@ -497,12 +490,8 @@ class TimingCore:
         if self._ifetch_to_send:
             still_waiting: list[tuple[int, int]] = []
             for warp_id, line_byte_address in self._ifetch_to_send:
-                request = CacheRequest(
-                    address=line_byte_address,
-                    is_write=False,
-                    tag=("ifetch", warp_id, line_byte_address // self.config.icache.line_size),
-                )
-                if not self.icache.send(request):
+                tag = ("ifetch", warp_id, line_byte_address // self._icache_line_size)
+                if not self.icache.send(line_byte_address, False, tag):
                     still_waiting.append((warp_id, line_byte_address))
             self._ifetch_to_send = still_waiting
 
@@ -512,18 +501,6 @@ class TimingCore:
         # monotonically), so plain iteration is oldest-first; operations
         # merely waiting on outstanding responses have nothing to send.
         budget = self.config.core.num_threads
-        if self.batch_requests:
-            if self._pending_ops:
-                for op in list(self._pending_ops.values()):
-                    if budget <= 0:
-                        break
-                    if op.to_send:
-                        budget = self._send_for_op_batched(op, budget)
-            if budget > 0 and self._store_queue:
-                self._store_queue, budget, _ = self._send_batch_segments(
-                    self._store_queue, budget, True, None
-                )
-            return
         if self._pending_ops:
             for op in list(self._pending_ops.values()):
                 if budget <= 0:
@@ -531,45 +508,12 @@ class TimingCore:
                 if op.to_send:
                     budget = self._send_for_op(op, budget)
         if budget > 0 and self._store_queue:
-            remaining_stores: list[tuple[int, bool]] = []
-            for address, to_smem in self._store_queue:
-                if budget <= 0:
-                    remaining_stores.append((address, to_smem))
-                    continue
-                accepted = self._send_data_request(address, True, None, to_smem)
-                if accepted:
-                    budget -= 1
-                else:
-                    remaining_stores.append((address, to_smem))
-            self._store_queue = remaining_stores
+            self._store_queue, budget, _ = self._send_batch_segments(
+                self._store_queue, budget, True, None
+            )
 
     @hot_path
     def _send_for_op(self, op: _PendingMemOp, budget: int) -> int:
-        remaining: list[tuple[int, bool]] = []
-        for index, (address, to_smem) in enumerate(op.to_send):
-            if budget <= 0:
-                remaining.extend(op.to_send[index:])
-                break
-            accepted = self._send_data_request(address, False, ("op", op.op_id), to_smem)
-            if accepted:
-                op.outstanding += 1
-                budget -= 1
-            else:
-                remaining.append((address, to_smem))
-        op.to_send = remaining
-        self._maybe_complete_op(op)
-        return budget
-
-    @hot_path
-    def _send_data_request(self, address: int, is_write: bool, tag: Any, to_smem: bool) -> bool:
-        if to_smem:
-            return self.smem.send(address, is_write, tag)
-        return self.dcache.send_raw(address, is_write, tag)
-
-    # -- batched request path ---------------------------------------------------------------
-
-    @hot_path
-    def _send_for_op_batched(self, op: _PendingMemOp, budget: int) -> int:
         refused, budget, accepted = self._send_batch_segments(
             op.to_send, budget, False, ("op", op.op_id)
         )
@@ -587,8 +531,8 @@ class TimingCore:
 
         Consecutive same-destination entries go down in one ``send_batch``
         call (one call per warp memory instruction in the common all-global
-        case); the live budget threads through so the global attempt order
-        and budget-cutoff point match the per-lane loop bit for bit.
+        case); the live budget threads through so the attempt order and the
+        budget-cutoff point are those of one lane-by-lane pass.
         Returns ``(refused, budget, accepted)`` with ``refused`` preserving
         retry order.
         """
@@ -625,8 +569,8 @@ class TimingCore:
         Runs once per memory instruction (not per retry attempt); wide
         traces go through numpy, narrow ones through a plain loop (numpy's
         per-call overhead loses below a handful of lanes).  ``.tolist()``
-        keeps every field a Python int so downstream dict keys and tags
-        behave exactly like the per-lane path's.
+        keeps every field a Python int, so dict keys, tags and snapshots
+        never see numpy scalars.
         """
         line_size = self._dcache_line_size
         num_banks = self._dcache_num_banks
@@ -742,10 +686,7 @@ class TimingCore:
             self.scheduler.note_memory_issue(
                 warp.warp_id, int(addresses[0]) // self._dcache_line_size
             )
-        if self.batch_requests:
-            to_send = self._request_entries(addresses)
-        else:
-            to_send = [(address, is_shared_address(address)) for address in addresses]
+        to_send = self._request_entries(addresses)
         if is_store:
             self._store_queue.extend(to_send)
             self.perf.incr("stores", len(addresses))
@@ -835,8 +776,8 @@ class TimingCore:
             horizon = self.dcache.write_refusal_horizon()
             if horizon is None or horizon <= cycle + 1:
                 return cycle + 1
-            for entry in self._store_queue:
-                if entry[-1]:  # a scratchpad store would be accepted
+            for _address, _line, _bank, to_smem in self._store_queue:
+                if to_smem:  # a scratchpad store would be accepted
                     return cycle + 1
         result: int | None = None
         ready_cycles = self._warp_ready_cycle
@@ -877,7 +818,8 @@ class TimingCore:
         With tracing on, a synthesized ``core/skip`` marker stamps the
         window and the per-cycle scheduler/refusal events are emitted
         exactly as the ticked path would have — ``expand_skips`` on the
-        resulting stream reproduces the fastforward-off trace bit for bit.
+        resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
+        for bit.
         """
         base = self.cycle
         self.cycle += cycles
@@ -942,18 +884,9 @@ class TimingCore:
             return
         channel = dcache.trace_channel
         core = dcache.trace_core
-        line_size = self._dcache_line_size
-        num_banks = self._dcache_num_banks
-        entries = []
-        for entry in self._store_queue:
-            if len(entry) >= 4:  # batched entries carry (address, line, bank, to_smem)
-                entries.append((entry[2], entry[1]))
-            else:  # per-lane entries are (address, to_smem)
-                line = entry[0] // line_size
-                entries.append((line % num_banks, line))
         for offset in range(cycles):
             cycle = base + 1 + offset
-            for bank, line in entries:
+            for _address, line, bank, _to_smem in self._store_queue:
                 dtrace.emit(
                     cycle, core, NO_WARP, channel, "refusal",
                     {"bank": bank, "line": line, "write": True},

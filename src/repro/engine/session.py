@@ -39,7 +39,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.config import VortexConfig
@@ -87,8 +87,7 @@ class KernelJob:
 
     ``driver`` is a driver spec — a canonical spec string
     (``"simx"``, ``"simx:engine=scalar"``) or a
-    :class:`~repro.runtime.registry.DriverSpec`; the legacy suffix strings
-    still parse (with a :class:`DeprecationWarning`).  ``engine``
+    :class:`~repro.runtime.registry.DriverSpec`.  ``engine``
     optionally pins the execution engine on top of the spec: ``None``
     keeps the spec's selection (the vectorized engine by default),
     ``"scalar"`` the per-thread reference path, ``"vector"`` is explicit
@@ -144,10 +143,10 @@ class KernelJob:
         both launch identically), the verification flag, the full config
         payload, the resolved driver spec and the launch options — via the
         canonical encodings of :mod:`repro.runtime.serialize`.  Equal jobs
-        hash equal even when constructed differently (legacy suffix driver
-        strings normalize to their canonical spec; ``engine=None`` resolves
-        to the simulator's default engine); any semantic field perturbation
-        changes the key.
+        hash equal even when constructed differently (spec strings and
+        :class:`DriverSpec` instances parse to one spec; ``engine=None``
+        resolves to the simulator's default engine); any semantic field
+        perturbation changes the key.
 
         ``label`` is deliberately excluded: it is presentation metadata and
         does not change the computed result, so relabeled resubmissions of
@@ -231,6 +230,39 @@ class JobResult:
         }
 
 
+def _run_enveloped(
+    job: KernelJob, body: Callable[[], tuple[ExecutionReport, bool]]
+) -> JobResult:
+    """Time ``body`` and wrap its ``(report, passed)`` in a :class:`JobResult`.
+
+    The one job-execution envelope: any exception ``body`` raises becomes an
+    error result (``error`` text plus machine-readable ``error_type``)
+    instead of propagating, so one bad point never takes down a batch or a
+    worker process.
+    """
+    started = time.time()
+    clock = time.perf_counter()
+    try:
+        report, passed = body()
+    except Exception as exc:
+        return JobResult(
+            job=job,
+            wall_seconds=time.perf_counter() - clock,
+            started_at=started,
+            finished_at=time.time(),
+            error=f"{type(exc).__name__}: {exc}",
+            error_type=type(exc).__name__,
+        )
+    return JobResult(
+        job=job,
+        report=report,
+        passed=passed,
+        wall_seconds=time.perf_counter() - clock,
+        started_at=started,
+        finished_at=time.time(),
+    )
+
+
 def execute_job(job: KernelJob) -> JobResult:
     """Run one job on a fresh device (module-level: picklable for pools)."""
     from repro.kernels import KERNELS
@@ -238,31 +270,14 @@ def execute_job(job: KernelJob) -> JobResult:
 
     if job.restart_midpoint:
         return execute_job_restart(job)
-    started = time.time()
-    clock = time.perf_counter()
-    try:
+
+    def body() -> tuple[ExecutionReport, bool]:
         kernel_cls = KERNELS[job.kernel]
         device = VortexDevice(job.config, driver=job.spec)
         run = kernel_cls().run(device, size=job.size, verify=job.verify, options=job.options)
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=run.report,
-            passed=run.passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
-    except Exception as exc:  # pragma: no cover - exercised via error-path test
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-        )
+        return run.report, run.passed
+
+    return _run_enveloped(job, body)
 
 
 #: Midpoint at which restart-leg jobs pause and checkpoint: cycles on the
@@ -307,9 +322,7 @@ def execute_job_restart(job: KernelJob) -> JobResult:
     from repro.kernels import KERNELS
     from repro.runtime.device import VortexDevice
 
-    started = time.time()
-    clock = time.perf_counter()
-    try:
+    def body() -> tuple[ExecutionReport, bool]:
         kernel = KERNELS[job.kernel]()
         size = job.size if job.size is not None else kernel.default_size()
         device = VortexDevice(job.config, driver=job.spec)
@@ -334,25 +347,9 @@ def execute_job_restart(job: KernelJob) -> JobResult:
             _rebind_buffers(context, device)
             report = device.driver.run(None, options=job.options, resume=True)
         passed = kernel.verify(device, context) if job.verify else True
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=report,
-            passed=passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
-    except Exception as exc:
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-        )
+        return report, passed
+
+    return _run_enveloped(job, body)
 
 
 def execute_job_checkpointed(
@@ -375,9 +372,7 @@ def execute_job_checkpointed(
     from repro.kernels import KERNELS
     from repro.runtime.device import VortexDevice
 
-    started = time.time()
-    clock = time.perf_counter()
-    try:
+    def body() -> tuple[ExecutionReport, bool]:
         kernel = KERNELS[job.kernel]()
         size = job.size if job.size is not None else kernel.default_size()
         device = VortexDevice(job.config, driver=job.spec)
@@ -400,25 +395,9 @@ def execute_job_checkpointed(
             resume=resume_from is not None,
         )
         passed = kernel.verify(device, context) if job.verify else True
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            report=report,
-            passed=passed,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-        )
-    except Exception as exc:
-        wall = time.perf_counter() - clock
-        return JobResult(
-            job=job,
-            wall_seconds=wall,
-            started_at=started,
-            finished_at=time.time(),
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-        )
+        return report, passed
+
+    return _run_enveloped(job, body)
 
 
 class JobQueue:

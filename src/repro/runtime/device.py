@@ -17,11 +17,9 @@ code and the benchmark harness use:
 
 Driver selection goes through the spec registry
 (:mod:`repro.runtime.registry`): strings are parsed into a
-:class:`DriverSpec`, unknown simulators/engines raise with the available
-options listed, and the legacy ``"simx-scalar"`` / ``"funcsim-scalar"``
-suffix strings normalize with a :class:`DeprecationWarning`.  Launch
-parameters are the uniform :class:`~repro.runtime.launch.LaunchOptions`
-record every driver accepts.
+:class:`DriverSpec`, and unknown simulators/engines/options raise with the
+available ones listed.  Launch parameters are the uniform
+:class:`~repro.runtime.launch.LaunchOptions` record every driver accepts.
 """
 
 from __future__ import annotations

@@ -1,18 +1,13 @@
 """Spec-based driver registry: one structured way to name a simulator.
 
-The runtime historically selected backends by string mutation —
-``"simx-scalar"``-style suffixes whose arithmetic was re-implemented by the
-device facade, the session layer and every test that toggled an engine.
-This module replaces that with structured data:
+Backends are selected by structured data, never by mutating name strings:
 
 * :class:`DriverSpec` — a parsed ``(simulator, engine, options)`` triple.
   The canonical spec-string syntax is ``"<simulator>"`` or
   ``"<simulator>:key=value[,key=value...]"``; the engine rides in the
   options as ``engine=<name>`` (``"simx:engine=scalar"``).
 * :func:`parse_driver_spec` — string / :class:`DriverSpec` → validated
-  :class:`DriverSpec`.  The legacy ``"simx-scalar"`` / ``"funcsim-scalar"``
-  suffix strings are still accepted (normalized with a
-  :class:`DeprecationWarning`).
+  :class:`DriverSpec`.
 * :func:`register_driver` — the hook third-party simulators use to plug
   into :class:`~repro.runtime.device.VortexDevice` and the session layer.
 * :func:`create_driver` — spec → constructed driver instance.
@@ -24,7 +19,6 @@ engine.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -116,9 +110,6 @@ class DriverEntry:
 
 _REGISTRY: dict[str, DriverEntry] = {}
 
-#: Legacy suffix strings accepted for back-compat, mapped to their specs.
-_LEGACY_ALIASES: dict[str, DriverSpec] = {}
-
 
 def register_driver(
     simulator: str,
@@ -199,10 +190,7 @@ def _validate_options(entry: DriverEntry, keys: Iterable[str]) -> None:
 def parse_driver_spec(spec: str | DriverSpec) -> DriverSpec:
     """Parse and validate a driver spec string (or pass a spec through).
 
-    Accepts the canonical ``"sim"`` / ``"sim:engine=scalar,key=value"``
-    syntax and the deprecated legacy suffix strings (``"simx-scalar"``,
-    ``"funcsim-scalar"``), which normalize to their structured equivalents
-    with a :class:`DeprecationWarning`.
+    Accepts the ``"sim"`` / ``"sim:engine=scalar,key=value"`` syntax.
     """
     if isinstance(spec, DriverSpec):
         entry = _registry_entry(spec.simulator)
@@ -212,15 +200,6 @@ def parse_driver_spec(spec: str | DriverSpec) -> DriverSpec:
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"driver spec must be a string or DriverSpec, got {type(spec).__name__}")
-
-    legacy = _LEGACY_ALIASES.get(spec)
-    if legacy is not None:
-        warnings.warn(
-            f"driver string {spec!r} is deprecated; use {legacy.driver_name!r}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy
 
     simulator, _, option_text = spec.partition(":")
     entry = _registry_entry(simulator)
@@ -274,7 +253,7 @@ def _register_builtin_drivers() -> None:
         SimxDriver,
         engines=("vector", "scalar"),
         default_engine="vector",
-        options=("fastforward", "requests", "trace", "trace_file", "trace_channels"),
+        options=("trace", "trace_file", "trace_channels"),
     )
     register_driver(
         "funcsim",
@@ -283,8 +262,6 @@ def _register_builtin_drivers() -> None:
         default_engine="vector",
         options=(),
     )
-    _LEGACY_ALIASES["simx-scalar"] = DriverSpec("simx", engine="scalar")
-    _LEGACY_ALIASES["funcsim-scalar"] = DriverSpec("funcsim", engine="scalar")
 
 
 _register_builtin_drivers()

@@ -17,10 +17,8 @@ Canonicalization rules (the cache-key contract):
 * **Spec** — the parsed spec with the engine *resolved*: ``engine=None``
   (the simulator's default) encodes as the registered default engine, so
   ``"simx"`` and ``"simx:engine=vector"`` are the same identity — they run
-  the exact same simulation.  Legacy suffix strings (``"simx-scalar"``)
-  normalize through :func:`~repro.runtime.registry.parse_driver_spec` first
-  and therefore share the key of their canonical spelling.  Spec options
-  are already sorted by :class:`DriverSpec` itself.
+  the exact same simulation.  Spec options are already sorted by
+  :class:`DriverSpec` itself.
 * **Options** — ``options=None`` encodes as the all-default
   :class:`LaunchOptions` record (they launch identically).
 """

@@ -42,17 +42,6 @@ def _build_trace_sink(mode: str, trace_file: str | None) -> TraceSink:
     return JsonlSink(trace_file)
 
 
-def _parse_toggle(name: str, value: object, on_word: str, off_word: str) -> bool:
-    """Parse a driver-spec toggle: a bool, or its on/off spelling as a string."""
-    if isinstance(value, bool):
-        return value
-    if value == on_word:
-        return True
-    if value == off_word:
-        return False
-    raise ValueError(f"unknown {name} value {value!r} (use {on_word!r} or {off_word!r})")
-
-
 class SimxDriver:
     """Runs kernels on the cycle-level multi-core processor.
 
@@ -67,16 +56,7 @@ class SimxDriver:
     performance counter — ``tests/test_timing_differential.py`` holds both
     engines to that; only host wall-clock differs.
 
-    Two further host-speed knobs share that bit-exactness contract (both
-    reachable from driver specs, e.g. ``"simx:fastforward=off"``):
-
-    * ``fastforward`` — ``"on"`` (default) jumps over provably idle cycle
-      runs (event-driven fast-forward); ``"off"`` ticks every cycle,
-    * ``requests`` — ``"batched"`` (default) resolves warp memory traffic
-      through the per-bank batch path; ``"perlane"`` issues one Python
-      ``send`` per lane per retry.
-
-    Observability rides on three more spec options (see ``repro.trace``):
+    Observability rides on three spec options (see ``repro.trace``):
 
     * ``trace`` — ``"off"`` (default), or a sink format: ``"vcd"``,
       ``"csv"``, ``"jsonl"`` (all need ``trace_file``) or ``"mem"``
@@ -85,9 +65,8 @@ class SimxDriver:
     * ``trace_channels`` — ``"+"``-separated channel filter
       (``trace_channels=scheduler+dcache``); default is every channel.
 
-    Tracing composes with both host-speed knobs: the fast-forward emits
-    synthesized skip/replay events, so a traced ``fastforward=on`` run
-    produces the same expanded event stream as ``fastforward=off``.
+    The fast-forward emits synthesized skip/replay events, so the expanded
+    event stream of a traced run equals that of a ``processor.tick()`` loop.
     """
 
     name = "simx"
@@ -97,8 +76,6 @@ class SimxDriver:
         config: VortexConfig | None = None,
         memory: MainMemory | None = None,
         engine: str = "vector",
-        fastforward: object = "on",
-        requests: str = "batched",
         trace: str = "off",
         trace_file: str | None = None,
         trace_channels: str | None = None,
@@ -106,8 +83,6 @@ class SimxDriver:
         self.config = config or VortexConfig()
         self.memory = memory if memory is not None else MainMemory()
         self.engine = engine
-        self.fastforward = _parse_toggle("fastforward", fastforward, "on", "off")
-        self.batch_requests = _parse_toggle("requests", requests, "batched", "perlane")
         if trace not in TRACE_MODES:
             raise ValueError(f"unknown trace mode {trace!r} (use one of {TRACE_MODES})")
         self.trace_sink: TraceSink | None = None
@@ -119,12 +94,7 @@ class SimxDriver:
         elif trace_file is not None or trace_channels is not None:
             raise ValueError("trace_file/trace_channels require a trace= mode")
         self.processor = TimingProcessor(
-            self.config,
-            self.memory,
-            engine=engine,
-            fast_forward=self.fastforward,
-            batch_requests=self.batch_requests,
-            trace=self.trace_bus,
+            self.config, self.memory, engine=engine, trace=self.trace_bus
         )
 
     def invalidate_decode_caches(self) -> None:

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 import warnings
 from collections.abc import Callable
 from multiprocessing.connection import Connection
 from typing import Any
 
-from repro.engine.session import JobResult, KernelJob
+from repro.engine.session import JobResult, KernelJob, _run_enveloped, execute_job
+from repro.runtime.report import ExecutionReport
 
 #: Test seam: when not ``None``, called with each job inside the worker
 #: before execution.  With the ``fork`` start method a monkeypatched value
@@ -121,34 +121,15 @@ class WarmPool:
         transport, which warm reuse would short-circuit.
         """
         if job.restart_midpoint:
-            from repro.engine.session import execute_job
-
             return execute_job(job)
-        started = time.time()
-        clock = time.perf_counter()
-        try:
+
+        def body() -> tuple[ExecutionReport, bool]:
             kernel = self.kernel(job.kernel)
             device = self.device(job)
             run = kernel.run(device, size=job.size, verify=job.verify, options=job.options)
-            wall = time.perf_counter() - clock
-            return JobResult(
-                job=job,
-                report=run.report,
-                passed=run.passed,
-                wall_seconds=wall,
-                started_at=started,
-                finished_at=time.time(),
-            )
-        except Exception as exc:
-            wall = time.perf_counter() - clock
-            return JobResult(
-                job=job,
-                wall_seconds=wall,
-                started_at=started,
-                finished_at=time.time(),
-                error=f"{type(exc).__name__}: {exc}",
-                error_type=type(exc).__name__,
-            )
+            return run.report, run.passed
+
+        return _run_enveloped(job, body)
 
 
 def worker_main(conn: Connection) -> None:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
+from repro.kernels import KERNELS
 from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
 
@@ -35,3 +37,29 @@ def funcsim_device(small_config) -> VortexDevice:
 def simx_device(small_config) -> VortexDevice:
     """A device backed by the cycle-level driver."""
     return VortexDevice(small_config, driver="simx")
+
+
+@pytest.fixture
+def run_ticked():
+    """Launch a kernel by ``TimingProcessor.tick()`` alone.
+
+    ``reset(entry)`` + ``while not done: tick()`` is the cycle-by-cycle
+    reference that ``run()``'s event-driven fast-forward must equal in
+    cycles, counters and expanded traces.  Returns the finished device.
+    """
+
+    def run(kernel: str, size: int, config: VortexConfig, driver: str = "simx") -> VortexDevice:
+        device = VortexDevice(config, driver=driver)
+        instance = KERNELS[kernel]()
+        program = instance.build_program()
+        device.upload_program(program)
+        context = instance.setup(device, size)
+        processor = device.driver.processor
+        processor.reset(program.entry)
+        with np.errstate(all="ignore"):  # as TimingProcessor.run does for lane plans
+            while not processor.done:
+                processor.tick()
+        assert instance.verify(device, context)
+        return device
+
+    return run

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.bank import CacheBank
-from repro.cache.cache import CacheRequest, NonBlockingCache
+from repro.cache.cache import NonBlockingCache
 from repro.cache.mshr import Mshr
 from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
 from repro.common.config import CacheConfig
@@ -54,7 +54,7 @@ def test_cache_with_capacity_one_mshr_still_serves_reads():
     """End-to-end: a single-entry MSHR must accept a read miss, fill it and
     respond (the timing driver's watchdog used to fire here)."""
     cache, lower = _make_cache(mshr_size=1, num_banks=1)
-    assert cache.send(CacheRequest(address=0x80, tag="r"))
+    assert cache.send(0x80, tag="r")
     assert lower.fills == [cache.line_address(0x80)]
     cache.fill(cache.line_address(0x80))
     responses = []
@@ -171,7 +171,7 @@ def _make_cache(num_ports=1, num_banks=4, mshr_size=4):
 
 def test_read_miss_then_fill_then_hit():
     cache, lower = _make_cache()
-    assert cache.send(CacheRequest(address=0x100, tag="r0"))
+    assert cache.send(0x100, tag="r0")
     assert lower.fills == [cache.line_address(0x100)]
     # No response until the fill returns.
     for _ in range(5):
@@ -182,7 +182,7 @@ def test_read_miss_then_fill_then_hit():
         responses.extend(cache.tick())
     assert [resp.tag for resp in responses] == ["r0"]
     # Second access to the same line hits.
-    assert cache.send(CacheRequest(address=0x104, tag="r1"))
+    assert cache.send(0x104, tag="r1")
     responses = []
     for _ in range(3):
         responses.extend(cache.tick())
@@ -192,9 +192,9 @@ def test_read_miss_then_fill_then_hit():
 
 def test_miss_to_same_line_merges_in_mshr():
     cache, lower = _make_cache()
-    assert cache.send(CacheRequest(address=0x200, tag="a"))
+    assert cache.send(0x200, tag="a")
     cache.tick()
-    assert cache.send(CacheRequest(address=0x204, tag="b"))
+    assert cache.send(0x204, tag="b")
     assert len(lower.fills) == 1  # second miss merged
     cache.fill(cache.line_address(0x200))
     tags = []
@@ -206,8 +206,8 @@ def test_miss_to_same_line_merges_in_mshr():
 def test_bank_conflict_with_single_port():
     cache, _ = _make_cache(num_ports=1)
     line = 64 * cache.config.num_banks  # two addresses on different lines, same bank
-    assert cache.send(CacheRequest(address=0, tag="a"))
-    assert not cache.send(CacheRequest(address=line, tag="b"))
+    assert cache.send(0, tag="a")
+    assert not cache.send(line, tag="b")
     assert cache.perf.get("bank_conflicts") == 1
     assert cache.bank_utilization < 1.0
 
@@ -215,26 +215,26 @@ def test_bank_conflict_with_single_port():
 def test_virtual_ports_coalesce_same_line_only():
     cache, _ = _make_cache(num_ports=2)
     # Same line: both accepted in one cycle.
-    assert cache.send(CacheRequest(address=0x0, tag="a"))
-    assert cache.send(CacheRequest(address=0x4, tag="b"))
+    assert cache.send(0x0, tag="a")
+    assert cache.send(0x4, tag="b")
     # Third same-line request exceeds the two virtual ports.
-    assert not cache.send(CacheRequest(address=0x8, tag="c"))
+    assert not cache.send(0x8, tag="c")
     # Different line in the same bank still conflicts.
     other_line = 64 * cache.config.num_banks
-    assert not cache.send(CacheRequest(address=other_line, tag="d"))
+    assert not cache.send(other_line, tag="d")
 
 
 def test_requests_to_distinct_banks_proceed_in_parallel():
     cache, _ = _make_cache(num_ports=1, num_banks=4)
     for bank in range(4):
-        assert cache.send(CacheRequest(address=bank * 64, tag=bank))
+        assert cache.send(bank * 64, tag=bank)
     assert cache.perf.get("bank_conflicts") == 0
     assert cache.bank_utilization == 1.0
 
 
 def test_write_through_forwards_to_lower_level():
     cache, lower = _make_cache()
-    assert cache.send(CacheRequest(address=0x40, is_write=True, tag="w"))
+    assert cache.send(0x40, is_write=True, tag="w")
     assert lower.writes == [0x40]
     responses = []
     for _ in range(3):
@@ -244,10 +244,10 @@ def test_write_through_forwards_to_lower_level():
 
 def test_mshr_early_full_backpressures_reads():
     cache, _ = _make_cache(mshr_size=2, num_banks=1)
-    assert cache.send(CacheRequest(address=0 * 64, tag=0))
+    assert cache.send(0 * 64, tag=0)
     cache.tick()
     # The MSHR is now almost full (capacity 2, one used): next miss refused.
-    assert not cache.send(CacheRequest(address=1 * 64, tag=1))
+    assert not cache.send(1 * 64, tag=1)
     assert cache.perf.get("mshr_stalls") >= 1
 
 
@@ -262,14 +262,14 @@ class _RejectingLower:
 def test_lower_level_backpressure_rejects_request():
     config = CacheConfig(size=4 * 1024, num_banks=4)
     cache = NonBlockingCache("dcache", config, lower=_RejectingLower())
-    assert not cache.send(CacheRequest(address=0x300, tag="x"))
+    assert not cache.send(0x300, tag="x")
     assert cache.perf.get("memq_stalls") == 1
 
 
 def test_busy_reflects_outstanding_work():
     cache, _ = _make_cache()
     assert not cache.busy
-    cache.send(CacheRequest(address=0x500, tag="x"))
+    cache.send(0x500, tag="x")
     assert cache.busy
 
 
@@ -368,14 +368,14 @@ class _StickyQueueLower:
 
 
 def _perlane_reference(cache, entries, budget, is_write, tag):
-    """The timing core's per-lane retry loop, verbatim semantics."""
+    """One lane-by-lane pass over ``send`` — the oracle for ``send_batch``."""
     refused = []
     accepted = 0
     for entry in entries:
         if budget <= 0:
             refused.append(entry)
             continue
-        if cache.send_raw(entry[0], is_write, tag):
+        if cache.send(entry[0], is_write, tag):
             accepted += 1
             budget -= 1
         else:
@@ -506,27 +506,6 @@ def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, r
         assert _drain_responses(reference, 1) == _drain_responses(batched, 1)
     assert _drain_responses(reference) == _drain_responses(batched)
     assert _cache_state(reference) == _cache_state(batched)
-
-
-def test_can_accept_batch_is_side_effect_free():
-    cache, lower = _make_cache(num_ports=1, num_banks=2)
-    # Occupy bank 0's port so the probe has a refusal to predict.
-    assert cache.send(CacheRequest(address=0x0, tag="a"))
-    before_counters = cache.perf.as_dict()
-    before_accepts = dict(cache._accepts_this_cycle)
-    addresses = [0x0, 0x4, 64 * 2, 64 * 1, 64 * 3]
-    probed = cache.can_accept_batch(addresses)
-    # No counters charged, no accept state mutated, no lower traffic.
-    assert cache.perf.as_dict() == before_counters
-    assert dict(cache._accepts_this_cycle) == before_accepts
-    assert lower.fills == [cache.line_address(0x0)]
-    # Same-line coalescing is port-limited (1 port: 0x0/0x4 refuse), the
-    # conflicting bank refuses, free banks accept.
-    assert probed == [False, False, False, True, True]
-    # The probe agrees with what send_raw then actually does, in order.
-    for address, expected in zip(addresses, probed):
-        if cache.can_accept(CacheRequest(address=address)):
-            assert cache.send_raw(address, False, "x") == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,6 @@
 """Integration tests for the cache hierarchy (L1 / optional L2 / DRAM)."""
 
 
-from repro.cache.cache import CacheRequest
 from repro.cache.hierarchy import MemorySubsystem
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 
@@ -21,7 +20,7 @@ def test_l1_miss_fills_from_dram():
     config = VortexConfig(memory=MemoryConfig(latency=20, bandwidth=1))
     memsys = MemorySubsystem(config)
     dcache = memsys.dcache(0)
-    assert dcache.send(CacheRequest(address=0x1000, tag="load"))
+    assert dcache.send(0x1000, tag="load")
     responses = _drain(memsys, dcache)
     assert [resp.tag for resp in responses] == ["load"]
     assert memsys.dram.perf.get("reads") == 1
@@ -31,7 +30,7 @@ def test_latency_scales_with_memory_config():
     def measure(latency):
         config = VortexConfig(memory=MemoryConfig(latency=latency, bandwidth=1))
         memsys = MemorySubsystem(config)
-        memsys.dcache(0).send(CacheRequest(address=0x2000, tag="x"))
+        memsys.dcache(0).send(0x2000, tag="x")
         cycles = 0
         while True:
             cycles += 1
@@ -45,10 +44,10 @@ def test_second_access_hits_without_dram_traffic():
     config = VortexConfig(memory=MemoryConfig(latency=10, bandwidth=1))
     memsys = MemorySubsystem(config)
     dcache = memsys.dcache(0)
-    dcache.send(CacheRequest(address=0x3000, tag="first"))
+    dcache.send(0x3000, tag="first")
     _drain(memsys, dcache)
     reads_after_first = memsys.dram.perf.get("reads")
-    dcache.send(CacheRequest(address=0x3004, tag="second"))
+    dcache.send(0x3004, tag="second")
     responses = _drain(memsys, dcache)
     assert [resp.tag for resp in responses] == ["second"]
     assert memsys.dram.perf.get("reads") == reads_after_first
@@ -63,7 +62,7 @@ def test_l2_path_serves_l1_fills():
     memsys = MemorySubsystem(config)
     assert memsys.l2[0] is not None
     dcache = memsys.dcache(0)
-    dcache.send(CacheRequest(address=0x4000, tag="via_l2"))
+    dcache.send(0x4000, tag="via_l2")
     responses = _drain(memsys, dcache)
     assert [resp.tag for resp in responses] == ["via_l2"]
     # The L2 saw the fill request from the L1.
@@ -73,8 +72,8 @@ def test_l2_path_serves_l1_fills():
 def test_per_core_caches_are_private():
     config = VortexConfig(num_cores=2, memory=MemoryConfig(latency=10, bandwidth=2))
     memsys = MemorySubsystem(config)
-    memsys.dcache(0).send(CacheRequest(address=0x5000, tag="c0"))
-    memsys.dcache(1).send(CacheRequest(address=0x5000, tag="c1"))
+    memsys.dcache(0).send(0x5000, tag="c0")
+    memsys.dcache(1).send(0x5000, tag="c1")
     got = {0: [], 1: []}
     for _ in range(200):
         grouped = memsys.tick()
@@ -98,7 +97,7 @@ def test_counters_snapshot_contains_all_components():
 def test_icache_responses_routed_separately():
     config = VortexConfig(memory=MemoryConfig(latency=5, bandwidth=1))
     memsys = MemorySubsystem(config)
-    memsys.icache(0).send(CacheRequest(address=0x8000_0000, tag="fetch"))
+    memsys.icache(0).send(0x8000_0000, tag="fetch")
     fetched = []
     for _ in range(100):
         fetched.extend(memsys.tick().get(("i", 0), []))

@@ -251,13 +251,10 @@ def test_kernel_job_engine_selects_driver_variant():
         _ = KernelJob(kernel="vecadd", engine="turbo").driver_name
 
 
-def test_kernel_job_legacy_driver_string_still_resolves():
-    """Legacy suffix strings normalize (deprecated) to the structured spec."""
-    job = KernelJob(kernel="vecadd", driver="simx-scalar")
-    with pytest.deprecated_call():
-        assert job.driver_name == "simx:engine=scalar"
-    with pytest.deprecated_call():
-        assert KernelJob(kernel="vecadd", driver="funcsim-scalar").spec.engine == "scalar"
+def test_kernel_job_suffix_driver_string_is_an_unknown_simulator():
+    """The removed ``-scalar`` suffix spellings fail like any unknown name."""
+    with pytest.raises(ValueError, match="unknown simulator 'simx-scalar'"):
+        _ = KernelJob(kernel="vecadd", driver="simx-scalar").driver_name
 
 
 def test_session_batch_runs_vectorized_timing_engine_bit_identical():

@@ -1,8 +1,7 @@
 """Tests for the spec-based driver registry (`repro.runtime.registry`).
 
 Covers the satellite checklist: every registered spec string round-trips
-``parse_driver_spec`` → ``DriverSpec`` → ``driver_name``, the legacy
-``-scalar`` strings normalize with a ``DeprecationWarning``, unknown
+``parse_driver_spec`` → ``DriverSpec`` → ``driver_name``, unknown
 simulators/engines raise with the available options listed, and the
 ``register_driver`` hook plugs a third-party simulator into the device
 facade and the session layer.
@@ -17,7 +16,6 @@ from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
 from repro.runtime.launch import LaunchOptions, resolve_options
 from repro.runtime.registry import (
-    _LEGACY_ALIASES,
     _REGISTRY,
     DriverSpec,
     UnknownDriverOptionError,
@@ -57,10 +55,10 @@ def test_parse_accepts_spec_instances():
 
 
 def test_parse_declared_options_round_trip():
-    spec = parse_driver_spec("simx:engine=scalar,fastforward=off")
+    spec = parse_driver_spec("simx:trace=mem,engine=scalar")
     assert spec.engine == "scalar"
-    assert spec.options_dict == {"fastforward": "off"}
-    assert spec.driver_name == "simx:engine=scalar,fastforward=off"
+    assert spec.options_dict == {"trace": "mem"}
+    assert spec.driver_name == "simx:engine=scalar,trace=mem"
     assert parse_driver_spec(spec.driver_name) == spec
 
 
@@ -76,19 +74,13 @@ def test_unknown_options_raise_typed_error_listing_valid():
         parse_driver_spec(DriverSpec("simx", options=(("foo", "bar"),)))
     # funcsim declares no options at all.
     with pytest.raises(UnknownDriverOptionError, match=r"valid options: \[\]"):
-        parse_driver_spec("funcsim:fastforward=on")
+        parse_driver_spec("funcsim:trace=mem")
     # It is a ValueError subclass, so existing broad handlers still catch it.
     assert issubclass(UnknownDriverOptionError, ValueError)
 
 
 def test_registered_options_are_introspectable():
-    assert _REGISTRY["simx"].options == (
-        "fastforward",
-        "requests",
-        "trace",
-        "trace_file",
-        "trace_channels",
-    )
+    assert _REGISTRY["simx"].options == ("trace", "trace_file", "trace_channels")
     assert _REGISTRY["funcsim"].options == ()
 
 
@@ -98,34 +90,14 @@ def test_default_engine_is_not_spelled_out():
     assert spec.driver_name == "simx"
 
 
-@pytest.mark.parametrize(
-    "legacy,canonical",
-    [("simx-scalar", "simx:engine=scalar"), ("funcsim-scalar", "funcsim:engine=scalar")],
-)
-def test_legacy_strings_normalize_with_deprecation(legacy, canonical):
-    with pytest.deprecated_call():
-        spec = parse_driver_spec(legacy)
-    assert spec.driver_name == canonical
-    assert spec.engine == "scalar"
-
-
-@pytest.mark.parametrize("legacy", ["simx-scalar", "funcsim-scalar"])
-def test_legacy_strings_still_construct_working_devices(legacy):
-    from repro.kernels import VecAddKernel
-
-    with pytest.deprecated_call():
-        device = VortexDevice(VortexConfig(), driver=legacy)
-    run = VecAddKernel().run(device, size=32)
-    assert run.passed
-    assert run.report.engine.endswith("scalar")
-
-
 # -- error reporting ----------------------------------------------------------------------
 
 
-def test_unknown_simulator_lists_available():
-    with pytest.raises(ValueError, match=r"unknown simulator 'verilator'.*funcsim.*simx"):
-        parse_driver_spec("verilator")
+@pytest.mark.parametrize("name", ["verilator", "simx-scalar", "funcsim-scalar"])
+def test_unknown_simulator_lists_available(name):
+    """Includes the suffix spellings removed in favour of ``engine=scalar``."""
+    with pytest.raises(ValueError, match=rf"unknown simulator '{name}'.*funcsim.*simx"):
+        parse_driver_spec(name)
 
 
 def test_unknown_engine_lists_available():
@@ -373,7 +345,3 @@ def test_legacy_positional_budget_rejected_clearly():
     driver = SimxDriver(VortexConfig())
     with pytest.raises(TypeError, match="LaunchOptions"):
         driver.run(0x8000_0000, 500)
-
-
-def test_legacy_aliases_cover_only_known_strings():
-    assert set(_LEGACY_ALIASES) == {"simx-scalar", "funcsim-scalar"}

@@ -52,12 +52,10 @@ def test_cache_key_resolves_default_engine():
     )
 
 
-def test_cache_key_normalizes_legacy_driver_strings():
-    with pytest.deprecated_call():
-        legacy = KernelJob("vecadd", size=64, driver="simx-scalar").cache_key()
+def test_cache_key_same_for_spec_string_and_spec_instance():
     canonical = KernelJob("vecadd", size=64, driver="simx:engine=scalar").cache_key()
     spec = KernelJob("vecadd", size=64, driver=DriverSpec("simx", engine="scalar")).cache_key()
-    assert legacy == canonical == spec
+    assert canonical == spec
 
 
 def test_cache_key_ignores_label_and_default_size():

@@ -150,53 +150,48 @@ def test_cache_hierarchy_bit_identical(enable_l2, enable_l3):
     assert ("l3" in counters) == enable_l3
 
 
-# -- fast-forward / batched-request knobs: every combination agrees ------------------------
+# -- one timing path: run() is the tick() loop, and the old knobs are gone ------------------
 
 
-@pytest.mark.parametrize(
-    "driver",
-    [
-        "simx:fastforward=off",
-        "simx:requests=perlane",
-        "simx:fastforward=off,requests=perlane",
-    ],
-)
+@pytest.mark.parametrize("kernel,size", [("sgemm", 8 * 8), ("saxpy", 128)])
 @pytest.mark.parametrize("hierarchy", [False, True], ids=["l1", "l2l3"])
-def test_fastforward_and_request_knobs_bit_identical(driver, hierarchy):
-    """Toggling the batched path or the fast-forward must never change a
-    single cycle or counter — they are pure host-speed optimizations."""
+def test_run_equals_tick_loop(run_ticked, kernel, size, hierarchy):
+    """The event-driven fast-forward in ``run()`` must never change a cycle
+    or counter relative to advancing the same launch by ``tick()`` alone."""
     from repro.kernels import KERNELS
 
     config = _fig_config(num_warps=4, num_threads=32, dcache_ports=1)
     if hierarchy:
         config = config.with_cache_hierarchy(enable_l2=True, enable_l3=True)
+    ticked = run_ticked(kernel, size, config).driver.processor
 
-    def run(spec):
-        device = VortexDevice(config, driver=spec)
-        run = KERNELS["sgemm"]().run(device, size=8 * 8)
-        assert run.passed
-        return run.report
+    device = VortexDevice(config, driver="simx")
+    processor = device.driver.processor
+    ticks = 0
+    tick = processor.tick
 
-    assert diff_execution_reports(run(driver), run("simx")) == []
+    def counting_tick():
+        nonlocal ticks
+        ticks += 1
+        tick()
+
+    processor.tick = counting_tick
+    run = KERNELS[kernel]().run(device, size=size)
+    assert run.passed
+    assert ticks < run.report.cycles, "run() should have fast-forwarded some window"
+    assert run.report.cycles == ticked.cycle
+    assert run.report.instructions == ticked.total_instructions
+    assert run.report.thread_instructions == ticked.total_thread_instructions
+    assert run.report.counters == ticked.counters()
 
 
-def test_fastforward_and_request_knob_validation():
-    from repro.runtime.simx import SimxDriver
+@pytest.mark.parametrize("spec", ["simx:fastforward=off", "simx:requests=perlane"])
+def test_removed_knobs_fail_at_parse_time(spec):
+    from repro.runtime.registry import UnknownDriverOptionError, parse_driver_spec
 
-    config = _fig_config()
-    driver = SimxDriver(config, fastforward="off", requests="perlane")
-    assert driver.processor.fast_forward is False
-    assert driver.processor.cores[0].batch_requests is False
-    assert SimxDriver(config).processor.fast_forward is True
-    assert SimxDriver(config).processor.cores[0].batch_requests is True
-    with pytest.raises(ValueError):
-        SimxDriver(config, fastforward="sometimes")
-    with pytest.raises(ValueError):
-        SimxDriver(config, requests="vectorized")
-    # The knobs are reachable through a driver spec string as well.
-    device = VortexDevice(config, driver="simx:fastforward=off,requests=perlane")
-    assert device.driver.processor.fast_forward is False
-    assert device.driver.processor.cores[0].batch_requests is False
+    with pytest.raises(UnknownDriverOptionError) as excinfo:
+        parse_driver_spec(spec)
+    assert sorted(excinfo.value.valid) == ["trace", "trace_channels", "trace_file"]
 
 
 def test_timing_engine_knob_and_report_tagging():

@@ -6,9 +6,9 @@ Four contracts are enforced here:
   driver-spec options build the right sinks, validate loudly, and filter
   channels.
 * **Determinism matrix** — the expanded event stream is bit-identical
-  across {vector, scalar} × {fastforward on, off} on three kernels; the
-  fast-forward runs additionally carry synthesized ``core/skip`` markers
-  that expand away.
+  across the vector and scalar engines on three kernels, and equal to the
+  stream of a cycle-by-cycle ``tick()`` loop: ``run()`` additionally carries
+  synthesized ``core/skip`` markers that expand away.
 * **Reconciliation** — a full unfiltered trace reproduces every aggregate
   performance counter bit-exactly (:func:`repro.trace.attribution.reconcile`),
   including on a multi-core barrier workload.
@@ -142,27 +142,25 @@ MATRIX_KERNELS = [("vecadd", 64), ("sgemm", 8 * 8), ("bfs", 32)]
 
 class TestDeterminismMatrix:
     @pytest.mark.parametrize("kernel,size", MATRIX_KERNELS)
-    def test_streams_identical_across_engines_and_fastforward(self, kernel, size):
+    def test_streams_identical_across_engines(self, kernel, size):
         streams = {}
         for engine in ("vector", "scalar"):
-            for ff in ("on", "off"):
-                spec = f"simx:trace=mem,engine={engine},fastforward={ff}"
-                driver, events = _traced_run(kernel, size, spec)
-                # Full unfiltered trace reconciles against the live counters.
-                assert reconcile(events, driver.processor) == []
-                streams[(engine, ff)] = expand_skips(events)
-        baseline = streams[("vector", "on")]
-        assert baseline
-        for key, stream in streams.items():
-            assert stream == baseline, f"stream for {key} diverged"
+            driver, events = _traced_run(kernel, size, f"simx:trace=mem,engine={engine}")
+            # Full unfiltered trace reconciles against the live counters.
+            assert reconcile(events, driver.processor) == []
+            streams[engine] = expand_skips(events)
+        assert streams["vector"]
+        assert streams["scalar"] == streams["vector"]
 
-    def test_fastforward_emits_skip_markers_that_expand_away(self):
-        _, ticked = _traced_run("saxpy", 64, "simx:trace=mem,fastforward=off")
-        _, jumped = _traced_run("saxpy", 64, "simx:trace=mem,fastforward=on")
+    @pytest.mark.parametrize("kernel,size", [*MATRIX_KERNELS, ("saxpy", 64)])
+    def test_fastforward_emits_skip_markers_that_expand_away(self, run_ticked, kernel, size):
+        ticked = run_ticked(kernel, size, _config(), "simx:trace=mem").driver.trace_sink.events
+        _, jumped = _traced_run(kernel, size, "simx:trace=mem")
         skips = [e for e in jumped if e.channel == "core" and e.kind == "skip"]
         assert skips, "memory-bound run should fast-forward at least one window"
         assert all(e.payload["cycles"] > 0 for e in skips)
         assert not [e for e in ticked if e.kind == "skip"]
+        # (expand_skips also applies the canonical per-cycle sort to both sides)
         assert expand_skips(jumped) == expand_skips(ticked)
 
     def test_scheduler_channel_partitions_cycles(self):
