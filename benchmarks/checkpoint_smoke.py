@@ -1,19 +1,13 @@
-"""Checkpoint/restore smoke benchmark: warm-start, replay identity, sampling.
+"""Checkpoint/restore smoke benchmark: midpoint-replay identity.
 
-Three measurements, one payload (``BENCH_checkpoint.json``), every row
-carrying an ``identical_counters`` flag that CI gates with
+One payload (``BENCH_checkpoint.json``), every row carrying an
+``identical_counters`` flag that CI gates with
 ``benchmarks/check_regression.py --require-identical``:
 
-* **warm_start** — restoring a device from its pristine checkpoint (the
-  service :class:`~repro.service.worker.WarmPool` path) versus
-  constructing a fresh one, with the proof that a job run on the restored
-  device is bit-identical to one run on a brand-new device.
 * **restore_replay** — run-to-midpoint → checkpoint → pickle round-trip →
-  restore into a fresh device → finish, diffed counter-by-counter against
-  a straight-through run on both drivers.
-* **sampled** — the funcsim→SIMX :class:`~repro.runtime.sampling.SampledRun`
-  executed twice (interval counters must be deterministic) and compared to
-  a full cycle-level run for wall-clock and cycle-estimate context.
+  restore into a fresh device → finish (``KernelJob.restart_midpoint``),
+  diffed counter-by-counter against a straight-through run, for three
+  kernels on both drivers.
 
 Run with::
 
@@ -25,18 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
-from repro.engine.session import (
-    KernelJob,
-    diff_execution_reports,
-    execute_job,
-    execute_job_restart,
-)
-from repro.runtime.device import VortexDevice
-from repro.runtime.sampling import SampledRun
+from repro.engine.session import KernelJob, diff_execution_reports, execute_job
 
 CONFIG = VortexConfig(
     num_cores=1,
@@ -49,50 +36,11 @@ CONFIG = VortexConfig(
 REPLAY_POINTS = (("vecadd", 256), ("sgemm", 8 * 8), ("sfilter", 8 * 8))
 
 
-def measure_warm_start(repeats: int = 5) -> dict:
-    """Pristine-checkpoint restore versus device rebuild."""
-    device = VortexDevice(CONFIG, driver="simx")
-    pristine = device.checkpoint()
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        VortexDevice(CONFIG, driver="simx")
-    rebuild_seconds = (time.perf_counter() - start) / repeats
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        device.restore(pristine)
-    restore_seconds = (time.perf_counter() - start) / repeats
-
-    # Identity: a job on the restored device matches one on a new device.
-    job = KernelJob(kernel="vecadd", config=CONFIG, driver="simx", size=256)
-    reference = execute_job(job)
-    from repro.service.worker import WarmPool
-
-    pool = WarmPool()
-    pool.run_job(job)
-    warm = pool.run_job(job)  # second run goes through the restore path
-    identical = (
-        reference.ok
-        and warm.ok
-        and not diff_execution_reports(reference.report, warm.report)
-    )
-    return {
-        "scenario": "warm_start",
-        "rebuild_seconds": rebuild_seconds,
-        "restore_seconds": restore_seconds,
-        "restore_speedup": rebuild_seconds / restore_seconds if restore_seconds else None,
-        "restore_hits": pool.restore_hits,
-        "identical_counters": identical,
-        "errors": [e for e in (reference.error, warm.error) if e],
-    }
-
-
 def measure_restore_replay(kernel: str, size: int, driver: str) -> dict:
     """Midpoint checkpoint/restore versus straight-through, fully diffed."""
     job = KernelJob(kernel=kernel, config=CONFIG, driver=driver, size=size)
     straight = execute_job(job)
-    restarted = execute_job_restart(job)
+    restarted = execute_job(replace(job, restart_midpoint=True))
     mismatches: list[str] = []
     if straight.report is not None and restarted.report is not None:
         mismatches = diff_execution_reports(straight.report, restarted.report)
@@ -107,56 +55,21 @@ def measure_restore_replay(kernel: str, size: int, driver: str) -> dict:
     }
 
 
-def measure_sampled(kernel: str = "sgemm", size: int = 8 * 8) -> dict:
-    """Sampled-simulation determinism plus wall-clock versus full SIMX."""
-    kwargs = dict(sample_period=400, interval_cycles=800)
-    first = SampledRun(kernel, CONFIG, size, **kwargs).run()
-    second = SampledRun(kernel, CONFIG, size, **kwargs).run()
-    deterministic = first.passed and second.passed and len(first.intervals) == len(
-        second.intervals
-    )
-    if deterministic:
-        for a, b in zip(first.intervals, second.intervals):
-            if (
-                (a.cycles, a.instructions, a.thread_instructions) != (b.cycles, b.instructions, b.thread_instructions)
-                or a.counters != b.counters
-            ):
-                deterministic = False
-                break
-
-    start = time.perf_counter()
-    full = execute_job(KernelJob(kernel=kernel, config=CONFIG, driver="simx", size=size))
-    full_seconds = time.perf_counter() - start
-    return {
-        "scenario": f"sampled_{kernel}",
-        "identical_counters": deterministic,
-        "sampled_wall_seconds": first.wall_seconds,
-        "full_simx_wall_seconds": full_seconds,
-        "speedup": full_seconds / first.wall_seconds if first.wall_seconds else None,
-        "intervals": len(first.intervals),
-        "sampled_instructions": first.sampled_instructions,
-        "total_instructions": first.total_instructions,
-        "estimated_cycles": first.estimated_cycles,
-        "actual_cycles": getattr(full.report, "cycles", None),
-        "errors": [full.error] if full.error else [],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=root / "BENCH_checkpoint.json")
     args = parser.parse_args(argv)
 
-    rows = [measure_warm_start()]
-    for kernel, size in REPLAY_POINTS:
-        for driver in ("simx", "funcsim"):
-            rows.append(measure_restore_replay(kernel, size, driver))
-    rows.append(measure_sampled())
+    rows = [
+        measure_restore_replay(kernel, size, driver)
+        for kernel, size in REPLAY_POINTS
+        for driver in ("simx", "funcsim")
+    ]
 
     identical = all(row["identical_counters"] for row in rows)
     payload = {
-        "benchmark": "checkpoint/restore: warm-start, replay identity, sampled simulation",
+        "benchmark": "checkpoint/restore: midpoint-replay identity",
         "generated_by": "benchmarks/checkpoint_smoke.py",
         "identical_counters": identical,
         "results": rows,

@@ -256,24 +256,6 @@ class TimingProcessor(_GlobalBarrierMixin):
         self.perf.restore(payload["perf"])
         self.cycle = payload["cycle"]
 
-    def adopt_architectural(self, payload: dict) -> None:
-        """Adopt a functional :class:`Processor` snapshot as the architectural
-        starting point of a cold timing simulation.
-
-        This is the funcsim→SIMX bridge of sampled simulation: memory, warp
-        state (PCs, masks, registers, IPDOM stacks), CSRs and barriers come
-        from the functional checkpoint; all timing state — cycle counter,
-        caches, MSHRs, scoreboard, scheduler, in-flight queues — stays cold,
-        exactly as after a reset (the standard cold-start approximation).
-        The scheduler needs no explicit seeding: every tick re-derives its
-        masks from the warps' architectural ``active``/``at_barrier`` flags.
-        """
-        self.memory.restore(payload["memory"])
-        for core, core_payload in zip(self.cores, payload["cores"]):
-            core.func.restore(core_payload)
-            core.invalidate_caches()
-        self._restore_global_barriers(payload["global_barriers"])
-
     def run(
         self,
         entry_pc: int | None = None,

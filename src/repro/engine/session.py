@@ -29,7 +29,10 @@ Fig 14/19/20 differential tests).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
+import pickle
 import time
 from concurrent.futures import (
     BrokenExecutor,
@@ -54,31 +57,24 @@ from repro.runtime.serialize import (
 )
 
 if TYPE_CHECKING:
+    from repro.kernels.base import Kernel
     from repro.service.client import ServiceClient
     from repro.service.server import ServiceConfig
 
-#: Program-image digests per kernel name (assembly is deterministic, so the
-#: digest is a pure function of the kernel; memoized because ``cache_key``
-#: may be called once per submission on high-volume service traffic).
-_PROGRAM_DIGESTS: dict[str, tuple[str, int, int]] = {}
+@functools.cache
+def _kernel(name: str) -> Kernel:
+    """The process's one instance of kernel ``name``, its program assembled.
 
+    Kernel instances hold no per-run state (constructor parameters plus the
+    memoized program), so :meth:`KernelJob.cache_key` and every
+    :func:`execute_job` in the process — a long-lived service worker
+    included — share one.  An unknown name raises ``KeyError``, uncached.
+    """
+    from repro.kernels import KERNELS
 
-def _program_digest(kernel_name: str) -> tuple[str, int, int]:
-    """``(sha256, base, entry)`` of the kernel's assembled program image."""
-    cached = _PROGRAM_DIGESTS.get(kernel_name)
-    if cached is None:
-        import hashlib
-
-        from repro.kernels import KERNELS
-
-        program = KERNELS[kernel_name]().build_program()
-        cached = (
-            hashlib.sha256(program.to_bytes()).hexdigest(),
-            program.base,
-            program.entry,
-        )
-        _PROGRAM_DIGESTS[kernel_name] = cached
-    return cached
+    kernel = KERNELS[name]()
+    kernel.build_program()
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -156,16 +152,14 @@ class KernelJob:
         job has no content to key (the service treats it as uncacheable and
         lets the worker report the deterministic failure).
         """
-        from repro.kernels import KERNELS
-
-        program_sha, base, entry = _program_digest(self.kernel)
-        size = self.size if self.size is not None else KERNELS[self.kernel]().default_size()
+        kernel = _kernel(self.kernel)
+        program = kernel.build_program()
         material: dict[str, Any] = {
-            "program": program_sha,
-            "base": base,
-            "entry": entry,
+            "program": hashlib.sha256(program.to_bytes()).hexdigest(),
+            "base": program.base,
+            "entry": program.entry,
             "kernel": self.kernel,
-            "size": size,
+            "size": self.size if self.size is not None else kernel.default_size(),
             "verify": self.verify,
             "config": config_payload(self.config),
             "spec": spec_payload(self.spec),
@@ -263,137 +257,72 @@ def _run_enveloped(
     )
 
 
-def execute_job(job: KernelJob) -> JobResult:
-    """Run one job on a fresh device (module-level: picklable for pools)."""
-    from repro.kernels import KERNELS
-    from repro.runtime.device import VortexDevice
-
-    if job.restart_midpoint:
-        return execute_job_restart(job)
-
-    def body() -> tuple[ExecutionReport, bool]:
-        kernel_cls = KERNELS[job.kernel]
-        device = VortexDevice(job.config, driver=job.spec)
-        run = kernel_cls().run(device, size=job.size, verify=job.verify, options=job.options)
-        return run.report, run.passed
-
-    return _run_enveloped(job, body)
-
-
 #: Midpoint at which restart-leg jobs pause and checkpoint: cycles on the
 #: cycle-level driver, retired warp instructions on the functional one.
 #: Small enough that every grid kernel is genuinely mid-flight.
 RESTART_MIDPOINT_UNITS = 400
 
 
-def _rebind_buffers(value: Any, device: Any) -> None:
-    """Re-point every :class:`DeviceBuffer` in a context at ``device``.
-
-    A verification context built against one device carries buffers bound
-    to it; after a checkpoint is restored into a *different* device the
-    buffers must read the restored memory.  Walks the context containers
-    (kernel contexts are small dicts of buffers/arrays/scalars).
-    """
-    from repro.runtime.buffer import DeviceBuffer
-
-    if isinstance(value, DeviceBuffer):
-        value.device = device
-    elif isinstance(value, dict):
-        for item in value.values():
-            _rebind_buffers(item, device)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _rebind_buffers(item, device)
-
-
-def execute_job_restart(job: KernelJob) -> JobResult:
-    """Run a job through the checkpoint/restore midpoint path.
-
-    The kernel runs to a fixed midpoint on a first device, a versioned
-    checkpoint is taken and pushed through a pickle round-trip (proving the
-    envelope is cross-process safe), restored into a *fresh* device, and
-    the run finishes there.  If the kernel completes before the midpoint
-    the leg degrades to a straight-through run — still a valid comparison.
-    The acceptance property: the returned report is bit-identical to an
-    uninterrupted run's.
-    """
-    import pickle
-
-    from repro.kernels import KERNELS
-    from repro.runtime.device import VortexDevice
-
-    def body() -> tuple[ExecutionReport, bool]:
-        kernel = KERNELS[job.kernel]()
-        size = job.size if job.size is not None else kernel.default_size()
-        device = VortexDevice(job.config, driver=job.spec)
-        program = kernel.build_program()
-        device.upload_program(program)
-        context = kernel.setup(device, size)
-        driver = device.driver
-        if hasattr(driver.processor, "cycle"):
-            report = driver.run(
-                program.entry, options=job.options, stop_cycle=RESTART_MIDPOINT_UNITS
-            )
-        else:
-            report = driver.run(
-                program.entry,
-                options=job.options,
-                stop_after_instructions=RESTART_MIDPOINT_UNITS,
-            )
-        if not driver.done:
-            envelope = pickle.loads(pickle.dumps(device.checkpoint()))
-            device = VortexDevice(job.config, driver=job.spec)
-            device.restore(envelope)
-            _rebind_buffers(context, device)
-            report = device.driver.run(None, options=job.options, resume=True)
-        passed = kernel.verify(device, context) if job.verify else True
-        return report, passed
-
-    return _run_enveloped(job, body)
-
-
-def execute_job_checkpointed(
+def execute_job(
     job: KernelJob,
     *,
-    checkpoint_every: int,
-    checkpoint_sink: Any = None,
+    checkpoint_every: int | None = None,
+    checkpoint_sink: Callable[[dict], None] | None = None,
     resume_from: dict | None = None,
 ) -> JobResult:
-    """Run one job inline with periodic device checkpoints.
+    """Run one job on a fresh device (module-level: picklable for pools).
 
-    ``checkpoint_every`` is measured in the driver's natural unit (cycles
-    on the cycle-level driver, instructions on the functional one); after
-    each paused chunk ``checkpoint_sink`` receives the device's envelope.
-    ``resume_from`` continues a previously checkpointed run: the envelope
-    is restored into a fresh device and the verification context is
-    rebuilt deterministically (kernel setup is seeded) on a scratch device,
-    with its buffers rebound to the restored one.
+    The resumable forms compose and report bit-identically to the plain
+    run: ``resume_from`` continues from a device checkpoint envelope;
+    ``checkpoint_every`` runs in chunks of N driver units (cycles on SIMX,
+    instructions on funcsim), handing ``checkpoint_sink`` the envelope after
+    each paused chunk; ``job.restart_midpoint`` first runs
+    :data:`RESTART_MIDPOINT_UNITS`, pickles the checkpoint (proving it is
+    cross-process safe) and finishes on a *second* fresh device — unless the
+    kernel already completed, which is then a straight-through run.
+
+    A device that receives an envelope stages the kernel like any other and
+    restores over itself: staging is deterministic (seeded inputs, fresh
+    bump allocator), so it binds the verification context to the device and
+    the restore rewinds memory, allocator and simulator.
     """
-    from repro.kernels import KERNELS
     from repro.runtime.device import VortexDevice
 
     def body() -> tuple[ExecutionReport, bool]:
-        kernel = KERNELS[job.kernel]()
+        kernel = _kernel(job.kernel)
         size = job.size if job.size is not None else kernel.default_size()
-        device = VortexDevice(job.config, driver=job.spec)
-        if resume_from is not None:
-            device.restore(resume_from)
-            # Rebuild the verification context on a scratch device (setup is
-            # deterministic: seeded RNG, fresh bump allocator) and point its
-            # buffers at the restored device.
-            scratch = VortexDevice(job.config, driver="funcsim")
-            scratch.upload_program(kernel.build_program())
-            context = kernel.setup(scratch, size)
-            _rebind_buffers(context, device)
-        else:
+
+        def stage(envelope: dict | None) -> tuple[VortexDevice, dict]:
+            device = VortexDevice(job.config, driver=job.spec)
             device.upload_program(kernel.build_program())
             context = kernel.setup(device, size)
-        report = device.launch_resumable(
-            options=job.options,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume=resume_from is not None,
-        )
+            if envelope is not None:
+                device.restore(envelope)
+            return device, context
+
+        def finish(device: VortexDevice, resume: bool) -> ExecutionReport:
+            if checkpoint_every is not None:
+                return device.launch_resumable(
+                    options=job.options,
+                    checkpoint_every=checkpoint_every,
+                    checkpoint_sink=checkpoint_sink,
+                    resume=resume,
+                )
+            if resume:
+                return device.driver.run(None, options=job.options, resume=True)
+            return device.launch(options=job.options)
+
+        device, context = stage(resume_from)
+        resume = resume_from is not None
+        if job.restart_midpoint:
+            report = device.launch_chunk(
+                RESTART_MIDPOINT_UNITS, options=job.options, resume=resume
+            )
+            if not device.driver.done:
+                device, context = stage(pickle.loads(pickle.dumps(device.checkpoint())))
+                report = finish(device, resume=True)
+        else:
+            report = finish(device, resume)
         passed = kernel.verify(device, context) if job.verify else True
         return report, passed
 
@@ -722,34 +651,9 @@ class Session:
         wall = time.perf_counter() - start
         return BatchReport(results, wall, workers, self.executor)
 
-    def run(
-        self,
-        job: KernelJob,
-        *,
-        checkpoint_every: int | None = None,
-        checkpoint_sink: Any = None,
-        resume_from: dict | None = None,
-    ) -> JobResult:
-        """Execute one job, optionally as a resumable checkpointed run.
-
-        With neither ``checkpoint_every`` nor ``resume_from`` this is a
-        plain single-job :func:`execute_job`.  With ``checkpoint_every``
-        the job runs inline in chunks of N driver units (cycles on the
-        cycle-level driver, instructions on the functional one) and
-        ``checkpoint_sink`` receives the device envelope after each chunk;
-        ``resume_from`` continues a run from such an envelope.  Chunked and
-        resumed runs report bit-identically to straight-through runs.
-        """
-        if checkpoint_every is None and resume_from is None:
-            return execute_job(job)
-        if checkpoint_every is None:
-            raise ValueError("resume_from requires checkpoint_every")
-        return execute_job_checkpointed(
-            job,
-            checkpoint_every=checkpoint_every,
-            checkpoint_sink=checkpoint_sink,
-            resume_from=resume_from,
-        )
+    #: Execute one job inline, optionally chunked/resumed: this *is*
+    #: :func:`execute_job` (``session.run(job, checkpoint_every=N, ...)``).
+    run = staticmethod(execute_job)
 
     def run_differential(
         self,
@@ -771,7 +675,7 @@ class Session:
 
         With ``checkpoint_legs=True`` every job also expands into a third
         leg: the vector run re-executed through the checkpoint/restore
-        midpoint path (:func:`execute_job_restart`).  Its report is diffed
+        midpoint path (``KernelJob.restart_midpoint``).  Its report is diffed
         against the straight-through vector run, so any serializer drift in
         any simulator layer shows up as a counter mismatch in the grid.
         """

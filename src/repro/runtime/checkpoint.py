@@ -54,6 +54,10 @@ class SnapshotKindError(SnapshotError):
     """The envelope holds a different kind of state than the restorer expects."""
 
 
+class SnapshotMalformedError(SnapshotError):
+    """The envelope is not a dict, or its state lacks a key the restorer needs."""
+
+
 def config_fingerprint(config: VortexConfig) -> str:
     """Content digest of the full config payload (the envelope's identity)."""
     # Imported lazily: serialize pulls in the driver registry, whose driver
@@ -79,15 +83,20 @@ def make_envelope(*, kind: str, config: VortexConfig, state: dict[str, Any]) -> 
 
 
 def open_envelope(
-    envelope: dict[str, Any], *, kind: str, config: VortexConfig
+    envelope: dict[str, Any], *, kind: str, config: VortexConfig, keys: tuple[str, ...] = ()
 ) -> dict[str, Any]:
     """Validate an envelope and return its state payload.
 
     Raises :class:`SnapshotVersionError` on a format mismatch,
-    :class:`SnapshotKindError` when the payload kind differs and
+    :class:`SnapshotKindError` when the payload kind differs,
     :class:`SnapshotConfigMismatch` when the restoring configuration's
-    fingerprint differs from the one the checkpoint was taken under.
+    fingerprint differs from the one the checkpoint was taken under and
+    :class:`SnapshotMalformedError` when the envelope, or its state, is not a
+    dict or the state lacks one of ``keys`` (the entries the caller is about
+    to read — so corruption is rejected before any simulator state changes).
     """
+    if not isinstance(envelope, dict):
+        raise SnapshotMalformedError(f"checkpoint is a {type(envelope).__name__}, not a dict")
     version = envelope.get("format")
     if version != SNAPSHOT_FORMAT:
         raise SnapshotVersionError(
@@ -104,6 +113,10 @@ def open_envelope(
             "checkpoint was taken under a different device configuration "
             f"({envelope.get('config_fingerprint')!r} != {fingerprint!r})"
         )
-    state = envelope["state"]
-    assert isinstance(state, dict)
+    state = envelope.get("state")
+    if not isinstance(state, dict):
+        raise SnapshotMalformedError(f"{kind} state is a {type(state).__name__}, not a dict")
+    missing = [key for key in keys if key not in state]
+    if missing:
+        raise SnapshotMalformedError(f"{kind} checkpoint state lacks {missing}")
     return state

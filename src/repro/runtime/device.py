@@ -131,13 +131,17 @@ class VortexDevice:
         options = options if options is not None else LaunchOptions()
         if arg_address is not None:
             options = replace(options, arg_address=arg_address)
-        if entry_pc is None:
+        return self.afu.launch(self.driver, self._entry_pc(entry_pc, options), options=options)
+
+    def _entry_pc(self, entry_pc: int | None, options: LaunchOptions | None) -> int:
+        """The launch precedence: argument, ``options.entry_pc``, uploaded program."""
+        if entry_pc is None and options is not None:
             entry_pc = options.entry_pc
         if entry_pc is None:
             if self.program is None:
                 raise ValueError("no program uploaded and no entry PC given")
             entry_pc = self.program.entry
-        return self.afu.launch(self.driver, entry_pc, options=options)
+        return entry_pc
 
     # -- checkpoint/restore -----------------------------------------------------------------
 
@@ -183,7 +187,12 @@ class VortexDevice:
         every decode/plan cache.  Only the :class:`Program` metadata (entry
         point, symbols) is rebuilt so later ``launch()`` calls resolve.
         """
-        state = open_envelope(envelope, kind="device", config=self.config)
+        state = open_envelope(
+            envelope,
+            kind="device",
+            config=self.config,
+            keys=("driver", "allocator", "program"),
+        )
         driver_restore = getattr(self.driver, "restore", None)
         if driver_restore is None:
             raise TypeError(f"driver {self.driver_name!r} does not support restore")
@@ -201,6 +210,31 @@ class VortexDevice:
             )
         )
 
+    def launch_chunk(
+        self,
+        units: int,
+        entry_pc: int | None = None,
+        options: LaunchOptions | None = None,
+        *,
+        resume: bool = False,
+    ) -> ExecutionReport:
+        """Launch (or resume) the kernel and pause after ``units`` of progress.
+
+        ``units`` is in the driver's natural progress unit — cycles on the
+        cycle-level driver, instructions on the functional one (the only
+        place that tells the families apart).  ``self.driver.done`` says
+        whether the kernel finished inside the chunk; a paused (or
+        checkpoint-restored) launch continues with ``resume=True``.
+        """
+        if not resume:
+            entry_pc = self._entry_pc(entry_pc, options)
+        processor = self.driver.processor
+        if hasattr(processor, "cycle"):
+            stop = {"stop_cycle": (processor.cycle if resume else 0) + units}
+        else:
+            stop = {"stop_after_instructions": units}
+        return self.driver.run(entry_pc, options=options, resume=resume, **stop)
+
     def launch_resumable(
         self,
         entry_pc: int | None = None,
@@ -212,39 +246,21 @@ class VortexDevice:
     ) -> ExecutionReport:
         """Launch (or resume) the kernel, checkpointing every N units.
 
-        ``checkpoint_every`` is measured in the driver's natural progress
-        unit — cycles on the cycle-level driver, instructions on the
-        functional one.  After each paused chunk ``checkpoint_sink`` (if
-        given) receives the :meth:`checkpoint` envelope.  The run is
-        bit-identical to an uninterrupted :meth:`launch`: pauses land on
-        cycle/scheduling-round boundaries and all state carries across.
+        Runs :meth:`launch_chunk` chunks of ``checkpoint_every`` units until
+        the kernel finishes; after each paused chunk ``checkpoint_sink`` (if
+        given) receives the :meth:`checkpoint` envelope.  The report is
+        bit-identical to an uninterrupted :meth:`launch`'s, with
+        ``wall_seconds`` summed over the chunks.
         """
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        if entry_pc is None:
-            entry_pc = (options.entry_pc if options is not None else None) or (
-                self.program.entry if self.program is not None else None
-            )
-        if entry_pc is None and not resume:
-            raise ValueError("no program uploaded and no entry PC given")
-        is_timing = hasattr(self.driver.processor, "cycle")
-        report = None
+        wall_seconds = 0.0
         while True:
-            if is_timing:
-                stop = self.driver.processor.cycle + checkpoint_every
-                report = self.driver.run(
-                    entry_pc, options=options, stop_cycle=stop, resume=resume
-                )
-            else:
-                report = self.driver.run(
-                    entry_pc,
-                    options=options,
-                    stop_after_instructions=checkpoint_every,
-                    resume=resume,
-                )
+            report = self.launch_chunk(checkpoint_every, entry_pc, options, resume=resume)
+            wall_seconds += report.wall_seconds
             resume = True
             if self.driver.done:
-                return report
+                return replace(report, wall_seconds=wall_seconds)
             if checkpoint_sink is not None:
                 checkpoint_sink(self.checkpoint())
 

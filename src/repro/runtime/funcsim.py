@@ -86,7 +86,12 @@ class FuncSimDriver:
 
     def restore(self, envelope: dict) -> None:
         """Restore a :meth:`checkpoint` envelope (validates format + config)."""
-        state = open_envelope(envelope, kind=self.name, config=self.config)
+        state = open_envelope(
+            envelope,
+            kind=self.name,
+            config=self.config,
+            keys=("processor", "run_instructions"),
+        )
         self.processor.restore(state["processor"])
         self._run_instructions = state["run_instructions"]
 

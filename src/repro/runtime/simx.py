@@ -124,7 +124,9 @@ class SimxDriver:
 
     def restore(self, envelope: dict) -> None:
         """Restore a :meth:`checkpoint` envelope (validates format + config)."""
-        state = open_envelope(envelope, kind=self.name, config=self.config)
+        state = open_envelope(
+            envelope, kind=self.name, config=self.config, keys=("processor",)
+        )
         self.processor.restore(state["processor"])
 
     def run(

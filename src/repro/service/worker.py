@@ -10,25 +10,18 @@ needs capabilities a pool hides:
   simulation), surfaced as :class:`JobTimeout`;
 * **crash detection** — a worker dying mid-job closes the pipe, surfaced as
   :class:`WorkerCrash` so the server can retry the job on a respawned
-  worker;
-* **warm per-worker state** — a :class:`WarmPool` lives inside the worker
-  process and keeps kernel instances (and therefore their assembled program
-  images, ~0.7 ms each) warm across jobs.
+  worker.
 
-Warm-pool scope — devices warm-start from pristine checkpoints: re-running
-a kernel on a dirty :class:`~repro.runtime.device.VortexDevice` produces
-*wrong* results (measured: 15009 vs 1721 cycles for the same job), because
-the allocator high-water mark shifts buffer addresses, timing-model caches
-start warm and performance counters accumulate.  Instead of rebuilding the
-device per job, the pool builds one device per (config, driver) point,
-takes its :meth:`~repro.runtime.device.VortexDevice.checkpoint` while
-still pristine, and *restores* that envelope before every reuse — the
-versioned restore rewinds every layer (memory pages, register files,
-caches, MSHRs, counters, allocator) to the exact post-construction state,
-so the bit-identical replay the content-addressed cache depends on is
-preserved by construction (``benchmarks/service_smoke.py`` measures it).
-The expensive, result-neutral state (program assembly, process warm-up)
-stays warm either way.
+A worker serves each job with :func:`~repro.engine.session.execute_job`,
+i.e. on a fresh :class:`~repro.runtime.device.VortexDevice`.  Re-running a
+kernel on a dirty device produces *wrong* results (allocator high-water
+mark, warm timing-model caches, accumulated counters), and rewinding a
+used device from a pristine checkpoint costs more than building one
+(restore 0.37-0.70 ms, rebuild 0.10-0.15 ms), so no device is pooled and
+the bit-identical replay the content-addressed cache depends on holds by
+construction.  What stays warm is what the long-lived process keeps anyway:
+its imports and the per-process kernel memo of :mod:`repro.engine.session`
+(assembled program images, ~0.7 ms each).
 
 Workers prefer the ``fork`` start method: it inherits the parent's warm
 imports (faster spawn) and, in tests, inherited module state serves as a
@@ -44,10 +37,8 @@ import os
 import warnings
 from collections.abc import Callable
 from multiprocessing.connection import Connection
-from typing import Any
 
-from repro.engine.session import JobResult, KernelJob, _run_enveloped, execute_job
-from repro.runtime.report import ExecutionReport
+from repro.engine.session import JobResult, KernelJob, execute_job
 
 #: Test seam: when not ``None``, called with each job inside the worker
 #: before execution.  With the ``fork`` start method a monkeypatched value
@@ -64,77 +55,8 @@ class JobTimeout(RuntimeError):
     """A job exceeded its time budget and its worker was terminated."""
 
 
-class WarmPool:
-    """Per-worker warm state reused across jobs (see module docstring)."""
-
-    def __init__(self) -> None:
-        self._kernels: dict[str, Any] = {}
-        #: One (device, pristine checkpoint) pair per (config, driver) point.
-        self._devices: dict[tuple[str, str], tuple[Any, dict]] = {}
-        self.warm_hits = 0
-        #: Jobs served by restoring a pooled device from its pristine
-        #: checkpoint instead of constructing a new one.
-        self.restore_hits = 0
-
-    def kernel(self, name: str) -> Any:
-        """The (warm) kernel instance for ``name``; assembles on first use."""
-        from repro.kernels import KERNELS
-
-        instance = self._kernels.get(name)
-        if instance is None:
-            instance = KERNELS[name]()
-            instance.build_program()
-            self._kernels[name] = instance
-        else:
-            self.warm_hits += 1
-        return instance
-
-    def device(self, job: KernelJob) -> Any:
-        """A pristine device for ``job``'s (config, driver) point.
-
-        The first job at a point constructs the device and captures its
-        pristine checkpoint; later jobs restore that envelope, rewinding
-        every simulator layer to the exact post-construction state.
-        """
-        from repro.runtime.checkpoint import config_fingerprint
-        from repro.runtime.device import VortexDevice
-
-        key = (config_fingerprint(job.config), job.spec.driver_name)
-        entry = self._devices.get(key)
-        if entry is None:
-            device = VortexDevice(job.config, driver=job.spec)
-            self._devices[key] = (device, device.checkpoint())
-            return device
-        device, pristine = entry
-        device.restore(pristine)
-        self.restore_hits += 1
-        return device
-
-    def run_job(self, job: KernelJob) -> JobResult:
-        """Execute ``job`` on a pristine warm-started device.
-
-        Mirrors :func:`repro.engine.session.execute_job` exactly except the
-        kernel instance (with its cached program image) and the device (via
-        pristine-checkpoint restore) are reused.  Restart-midpoint jobs
-        delegate straight to :func:`~repro.engine.session.execute_job`: the
-        restore leg's whole point is exercising fresh-device checkpoint
-        transport, which warm reuse would short-circuit.
-        """
-        if job.restart_midpoint:
-            return execute_job(job)
-
-        def body() -> tuple[ExecutionReport, bool]:
-            kernel = self.kernel(job.kernel)
-            device = self.device(job)
-            run = kernel.run(device, size=job.size, verify=job.verify, options=job.options)
-            return run.report, run.passed
-
-        return _run_enveloped(job, body)
-
-
 def worker_main(conn: Connection) -> None:
     """Entry point of a worker process: serve jobs off ``conn`` until told to stop."""
-    pool = WarmPool()
     while True:
         try:
             message = conn.recv()
@@ -151,7 +73,7 @@ def worker_main(conn: Connection) -> None:
         job: KernelJob = message[1]
         if _FAULT_INJECTOR is not None:
             _FAULT_INJECTOR(job)
-        result = pool.run_job(job)
+        result = execute_job(job)
         try:
             conn.send(("done", result))
         except (BrokenPipeError, OSError):
@@ -240,7 +162,6 @@ class InlineWorker:
     """
 
     def __init__(self) -> None:
-        self._pool = WarmPool()
         self.jobs_served = 0
 
     @property
@@ -254,7 +175,7 @@ class InlineWorker:
     def request(self, job: KernelJob, timeout: float | None) -> JobResult:
         if _FAULT_INJECTOR is not None:
             _FAULT_INJECTOR(job)
-        result = self._pool.run_job(job)
+        result = execute_job(job)
         self.jobs_served += 1
         return result
 

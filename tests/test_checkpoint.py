@@ -6,35 +6,34 @@ through a pickle round-trip) and continues is **bit-identical** — same
 cycles, same instruction counts, same value in every performance counter —
 to a run that never paused.  These tests drive that property through the
 envelope layer, both drivers, the device facade, the session restart path
-and the sampled-simulation API, plus the typed error paths for
-format/kind/config mismatches.
+and the service worker, plus the typed error paths for format/kind/config
+mismatches and malformed envelopes.
 """
 
 from __future__ import annotations
 
 import pickle
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
-from repro.engine.session import (
-    KernelJob,
-    Session,
-    execute_job,
-    execute_job_restart,
-)
+from repro.common.config import CoreConfig, VortexConfig
+from repro.engine import session as session_mod
+from repro.engine.session import KernelJob, Session, execute_job
 from repro.runtime.checkpoint import (
     SNAPSHOT_FORMAT,
     SnapshotConfigMismatch,
     SnapshotKindError,
+    SnapshotMalformedError,
     SnapshotVersionError,
     Snapshotable,
     make_envelope,
     open_envelope,
 )
 from repro.runtime.device import VortexDevice
-from repro.runtime.sampling import SampledRun
+from repro.service.worker import InlineWorker
 
 CFG = VortexConfig(num_cores=1, core=CoreConfig(num_warps=2, num_threads=4))
 
@@ -82,6 +81,34 @@ class TestEnvelope:
     def test_drivers_implement_snapshotable(self):
         device = VortexDevice(CFG, driver="simx")
         assert isinstance(device.driver.processor, Snapshotable)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda envelope: envelope.pop("state"),
+            lambda envelope: envelope.update(state=None),
+            lambda envelope: envelope["state"].pop("driver"),
+            lambda envelope: envelope["state"].pop("allocator"),
+            lambda envelope: envelope["state"]["driver"]["state"].pop("processor"),
+        ],
+        ids=["no-state", "state-none", "no-driver", "no-allocator", "no-processor"],
+    )
+    @pytest.mark.parametrize("driver", ["simx", "funcsim"])
+    def test_malformed_checkpoint_is_rejected_before_any_restore(self, driver, corrupt):
+        device, _, program, _ = _staged_device(driver)
+        device.launch_chunk(150, program.entry)
+        before = device.checkpoint()
+        envelope = pickle.loads(pickle.dumps(before))
+        corrupt(envelope)
+        with pytest.raises(SnapshotMalformedError):
+            device.restore(envelope)
+        assert device.checkpoint() == before
+
+    def test_non_dict_envelope_is_rejected(self):
+        device = VortexDevice(CFG, driver="simx")
+        for envelope in (None, [], "checkpoint"):
+            with pytest.raises(SnapshotMalformedError):
+                device.restore(envelope)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +175,32 @@ class TestDriverCheckpoint:
         report = chunked.launch_resumable(program.entry, checkpoint_every=100)
         assert report.instructions == reference.instructions
 
+    @pytest.mark.parametrize("driver", ["simx", "funcsim"])
+    def test_chunked_run_reports_the_sum_of_its_chunks_host_time(self, driver):
+        straight, _, program, _ = _staged_device(driver, kernel="sgemm", size=8)
+        reference = straight.driver.run(program.entry)
+
+        chunked, _, program, _ = _staged_device(driver, kernel="sgemm", size=8)
+        chunk_seconds: list[float] = []
+        driver_run = chunked.driver.run
+
+        def timed_run(*args, **kwargs):
+            chunk = driver_run(*args, **kwargs)
+            chunk_seconds.append(chunk.wall_seconds)
+            return chunk
+
+        chunked.driver.run = timed_run
+        envelopes: list[dict] = []
+        report = chunked.launch_resumable(
+            program.entry, checkpoint_every=60, checkpoint_sink=envelopes.append
+        )
+        assert len(chunk_seconds) == len(envelopes) + 1 >= 3
+        assert report.wall_seconds == pytest.approx(sum(chunk_seconds))
+        assert report.wall_seconds > max(chunk_seconds)
+        for field in fields(report):
+            if field.name != "wall_seconds":
+                assert getattr(report, field.name) == getattr(reference, field.name)
+
 
 # ---------------------------------------------------------------------------
 # Hypothesis: the pause point never matters
@@ -191,7 +244,7 @@ class TestSessionCheckpoint:
     def test_restart_midpoint_job_matches_straight_run(self):
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         straight = execute_job(job)
-        restarted = execute_job_restart(job)
+        restarted = execute_job(replace(job, restart_midpoint=True))
         assert straight.ok and restarted.ok
         assert reports_identical(straight.report, restarted.report)
 
@@ -228,54 +281,71 @@ class TestSessionCheckpoint:
 
 
 # ---------------------------------------------------------------------------
-# Sampled simulation
+# One execute_job: composing keywords, one kernel memo, fresh device per job
 
 
-class TestSampledRun:
-    def test_sampled_run_is_deterministic(self):
-        kwargs = dict(sample_period=200, interval_cycles=500)
-        first = SampledRun("sgemm", CFG, 8, **kwargs).run()
-        second = SampledRun("sgemm", CFG, 8, **kwargs).run()
-        assert first.passed and second.passed
-        assert len(first.intervals) == len(second.intervals) >= 2
-        for a, b in zip(first.intervals, second.intervals):
-            assert (a.cycles, a.instructions, a.thread_instructions) == (
-                b.cycles,
-                b.instructions,
-                b.thread_instructions,
-            )
-            assert a.counters == b.counters
+class TestExecuteJob:
+    def test_restart_midpoint_composes_with_chunking_and_resume(self):
+        """``restart_midpoint`` is never dropped: the leg runs (its device hop
+        happens before the first chunk checkpoint) and the result is identical."""
+        job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
+        restart = replace(job, restart_midpoint=True)
+        straight = execute_job(job)
+        envelopes: list[dict] = []
+        chunked = Session(executor="serial").run(
+            restart, checkpoint_every=300, checkpoint_sink=envelopes.append
+        )
+        assert chunked.ok and reports_identical(chunked.report, straight.report)
+        # The restart leg ran first: the chunked finish started from the
+        # midpoint on the second device, not from cycle 0.
+        first_cycle = envelopes[0]["state"]["driver"]["state"]["processor"]["cycle"]
+        assert first_cycle == session_mod.RESTART_MIDPOINT_UNITS + 300
+        resumed = execute_job(restart, resume_from=pickle.loads(pickle.dumps(envelopes[0])))
+        assert resumed.ok and reports_identical(resumed.report, straight.report)
 
-    def test_estimated_cycles_positive_and_payload_shape(self):
-        report = SampledRun("vecadd", CFG, 64, sample_period=150, interval_cycles=400).run()
-        assert report.passed
-        assert report.total_instructions > 0
-        assert report.estimated_cycles > 0
-        payload = report.to_payload()
-        assert payload["kernel"] == "vecadd"
-        assert len(payload["intervals"]) == len(report.intervals)
+    def test_cache_key_and_execute_share_one_assembled_program(self, monkeypatch):
+        from repro.kernels import base as kernel_base
 
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            SampledRun("vecadd", CFG, sample_period=0)
-        with pytest.raises(ValueError):
-            SampledRun("vecadd", CFG, interval_cycles=-1)
+        assembled: list[tuple] = []
+        build = kernel_base.build_kernel_program
 
+        def counting_build(*args, **kwargs):
+            assembled.append(args)
+            return build(*args, **kwargs)
 
-# ---------------------------------------------------------------------------
-# Warm-pool pristine restore
+        monkeypatch.setattr(kernel_base, "build_kernel_program", counting_build)
+        session_mod._kernel.cache_clear()
+        job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
+        job.cache_key()
+        assert execute_job(job).ok
+        assert execute_job(replace(job, restart_midpoint=True)).ok
+        info = session_mod._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+        assert len(assembled) == 1
 
+    def test_thread_pool_sharing_the_memo_matches_serial(self):
+        jobs = [
+            KernelJob(kernel=kernel, config=CFG, driver=driver, size=64)
+            for kernel in ("vecadd", "saxpy", "sgemm")
+            for driver in ("simx", "funcsim")
+        ] * 2
+        session_mod._kernel.cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(execute_job, jobs))
+        serial = Session(executor="serial").run_batch(jobs).results
+        for a, b in zip(threaded, serial):
+            assert a.ok and b.ok
+            assert reports_identical(a.report, b.report)
 
-class TestWarmPoolRestore:
-    def test_repeat_jobs_restore_and_stay_identical(self):
-        from repro.service.worker import WarmPool
-
-        pool = WarmPool()
-        job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
-        first = pool.run_job(job)
-        second = pool.run_job(job)
-        reference = execute_job(job)
-        assert first.ok and second.ok and reference.ok
-        assert pool.restore_hits == 1
-        assert reports_identical(first.report, reference.report)
-        assert reports_identical(second.report, reference.report)
+    def test_inline_worker_never_reuses_a_dirty_device(self):
+        """One worker serving different jobs, then a repeat at the same
+        (config, driver) point, reports what a fresh ``execute_job`` does."""
+        worker = InlineWorker()
+        vecadd = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
+        sgemm = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
+        for job in (vecadd, sgemm, vecadd):
+            served = worker.request(job, timeout=None)
+            reference = execute_job(job)
+            assert served.ok and reference.ok
+            assert reports_identical(served.report, reference.report)
+        assert worker.jobs_served == 3

@@ -342,8 +342,8 @@ def test_per_job_timeout_kills_the_worker_and_reports_timeout():
     assert new_pid != pid  # the stuck worker was killed and replaced
 
 
-def test_process_worker_warm_pool_round_trip():
-    """A process worker serves repeat jobs warm, bit-identical to cold."""
+def test_process_worker_repeat_job_round_trip():
+    """A process worker serves a repeat job bit-identically to the first."""
     worker = worker_mod.create_worker("process")
     if isinstance(worker, InlineWorker):
         pytest.skip("platform cannot create worker processes")
