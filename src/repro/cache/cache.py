@@ -7,6 +7,14 @@ responses back to the requester.  Misses are forwarded through a *lower
 port* — either the DRAM model or the next cache level — supplied by the
 memory subsystem.
 
+Requests arrive one at a time through :meth:`NonBlockingCache.send`
+(instruction fetches, traffic from the level above) or, from the timing
+core, a warp at a time through :meth:`NonBlockingCache.send_batch` as
+same-line *runs* ``(addresses, line, bank_id, ...)`` — the lanes that share
+one bank access under virtual multi-porting — so the selector arbitrates
+per run, not per lane, while charging every counter and trace event per
+lane exactly as ``send`` would.
+
 The deadlock-avoidance rules from the paper are honoured at the acceptance
 point: a request is refused (and retried by the requester next cycle) when
 its bank's MSHR signals early-full or when the lower level cannot accept a
@@ -95,12 +103,13 @@ class NonBlockingCache:
         }
     )
 
-    #: Construction-time wiring and hot-path prebinds (vxlint VX007):
-    #: ``lower`` is topology, ``_line_size``/``_num_banks``/``_num_ports``
-    #: derive from config and ``_counters`` aliases ``perf._counters``
-    #: (serialized under the ``"perf"`` key).
+    #: Construction-time identity, wiring and hot-path prebinds (vxlint
+    #: VX007): ``lower`` is topology, ``_line_size``/``_num_banks``/
+    #: ``_num_ports`` derive from config and ``_counters`` aliases
+    #: ``perf._counters`` (serialized under the ``"perf"`` key).
     SNAPSHOT_EXCLUDED = frozenset(
         {
+            "name",
             "config",
             "lower",
             "_line_size",
@@ -128,7 +137,6 @@ class NonBlockingCache:
         self.trace_core = -1
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}
-        self._responses: list[CacheResponse] = []
         # Hot-path bindings: the send paths run once per request *attempt*
         # (the cycle-level core retries refusals every cycle), so the
         # per-attempt constants and the raw counter dict are prebound.
@@ -146,6 +154,25 @@ class NonBlockingCache:
         return self.line_address(address) % self.config.num_banks
 
     # -- front-end: bank selector ----------------------------------------------------------
+
+    def _trace_attempts(
+        self, kind: str, line: int, bank_id: int, is_write: bool, count: int = 1,
+        merge: bool = False,
+    ) -> None:
+        """Emit ``count`` per-attempt events of one outcome.
+
+        Tracing-on only: every caller guards on ``self.trace`` (vxlint
+        VX008).  One event per lane, exactly as a lane-by-lane pass would
+        emit them; the lanes of a run share line, bank and outcome, so the
+        payload is built once and shared by the run's events.
+        """
+        payload = {"bank": bank_id, "line": line, "write": is_write}
+        if merge:
+            payload["merge"] = True
+        emit = self.trace.emit
+        cycle, core, channel = self._cycle, self.trace_core, self.trace_channel
+        for _ in range(count):
+            emit(cycle, core, NO_WARP, channel, kind, payload)
 
     @hot_path
     def send(self, address: int, is_write: bool = False, tag: Any = None) -> bool:
@@ -173,27 +200,13 @@ class NonBlockingCache:
             if count >= self._num_ports or first_line != line:
                 counters["bank_conflicts"] += 1
                 if trace is not None:
-                    trace.emit(
-                        self._cycle,
-                        self.trace_core,
-                        NO_WARP,
-                        self.trace_channel,
-                        "conflict",
-                        {"bank": bank_id, "line": line, "write": is_write},
-                    )
+                    self._trace_attempts("conflict", line, bank_id, is_write)
                 return False
         bank = self.banks[bank_id]
         if not is_write and bank.mshr.almost_full:
             counters["mshr_stalls"] += 1
             if trace is not None:
-                trace.emit(
-                    self._cycle,
-                    self.trace_core,
-                    NO_WARP,
-                    self.trace_channel,
-                    "mshr-stall",
-                    {"bank": bank_id, "line": line, "write": False},
-                )
+                self._trace_attempts("mshr-stall", line, bank_id, False)
             return False
 
         hit = bank.probe(line)
@@ -204,14 +217,7 @@ class NonBlockingCache:
             if self.lower is not None and not self.lower.request_write(self, address):
                 counters["memq_stalls"] += 1
                 if trace is not None:
-                    trace.emit(
-                        self._cycle,
-                        self.trace_core,
-                        NO_WARP,
-                        self.trace_channel,
-                        "refusal",
-                        {"bank": bank_id, "line": line, "write": True},
-                    )
+                    self._trace_attempts("refusal", line, bank_id, True)
                 return False
             if hit:
                 bank.touch(line)
@@ -219,14 +225,7 @@ class NonBlockingCache:
             else:
                 counters["write_misses"] += 1
             if trace is not None:
-                trace.emit(
-                    self._cycle,
-                    self.trace_core,
-                    NO_WARP,
-                    self.trace_channel,
-                    "hit" if hit else "miss",
-                    {"bank": bank_id, "line": line, "write": True},
-                )
+                self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
             bank.schedule_response(
                 BankRequest(address=address, is_write=True, tag=tag, accept_cycle=self._cycle),
                 self._cycle,
@@ -241,28 +240,14 @@ class NonBlockingCache:
             )
             counters["read_hits"] += 1
             if trace is not None:
-                trace.emit(
-                    self._cycle,
-                    self.trace_core,
-                    NO_WARP,
-                    self.trace_channel,
-                    "hit",
-                    {"bank": bank_id, "line": line, "write": False},
-                )
+                self._trace_attempts("hit", line, bank_id, False)
         else:
             existing = bank.mshr.lookup(line)
             if existing is None and self.lower is not None:
                 if not self.lower.request_fill(self, line):
                     counters["memq_stalls"] += 1
                     if trace is not None:
-                        trace.emit(
-                            self._cycle,
-                            self.trace_core,
-                            NO_WARP,
-                            self.trace_channel,
-                            "refusal",
-                            {"bank": bank_id, "line": line, "write": False},
-                        )
+                        self._trace_attempts("refusal", line, bank_id, False)
                     return False
             entry = bank.mshr.allocate(
                 line,
@@ -271,28 +256,11 @@ class NonBlockingCache:
             if entry is None:
                 counters["mshr_stalls"] += 1
                 if trace is not None:
-                    trace.emit(
-                        self._cycle,
-                        self.trace_core,
-                        NO_WARP,
-                        self.trace_channel,
-                        "mshr-stall",
-                        {"bank": bank_id, "line": line, "write": False},
-                    )
+                    self._trace_attempts("mshr-stall", line, bank_id, False)
                 return False
             counters["read_misses"] += 1
             if trace is not None:
-                payload = {"bank": bank_id, "line": line, "write": False}
-                if existing is not None:
-                    payload["merge"] = True
-                trace.emit(
-                    self._cycle,
-                    self.trace_core,
-                    NO_WARP,
-                    self.trace_channel,
-                    "miss",
-                    payload,
-                )
+                self._trace_attempts("miss", line, bank_id, False, 1, existing is not None)
 
         count = 0 if accepted is None else accepted[1]
         self._accepts_this_cycle[bank_id] = (line, count + 1)
@@ -305,23 +273,34 @@ class NonBlockingCache:
     ) -> tuple[int, list[tuple[Any, ...]], int]:
         """Present a whole warp's outstanding requests in one call.
 
-        ``requests`` is a list of ``(address, line, bank_id, ...)`` tuples —
-        the line/bank fields are precomputed once per memory instruction by
-        the timing core (numpy over the lane trace) instead of re-derived on
-        every retry attempt.  Requests are attempted strictly in order while
-        ``budget`` (the LSU's per-thread ports) lasts; a refused attempt
-        keeps its tuple in the returned retry list and does *not* consume
-        budget, exactly like a loop of :meth:`send` calls.
+        ``requests`` is a list of *runs* ``(addresses, line, bank_id, ...)``:
+        ``addresses`` is the tuple of byte addresses of consecutive lanes
+        that share cache line ``line``, grouped once per memory instruction
+        by the timing core instead of being rediscovered on every retry.
+        Lanes are attempted strictly in order while ``budget`` (the LSU's
+        per-thread ports) lasts, with the outcomes of a loop of
+        :meth:`send` calls — for *any* partition of the lane list into
+        same-line runs; two adjacent runs may share a line.
 
-        Returns ``(accepted, refused, budget)`` where ``refused`` preserves
-        order: refused attempts first, then the un-attempted tail once the
-        budget ran out.  Counter updates are aggregated in locals and
-        flushed once, but count per-attempt outcomes identically to
-        :meth:`send` — bit-identical counters are the contract
-        (``tests/test_cache.py`` holds both paths to it with a property
-        test).
+        Arbitration runs per run, not per lane.  A refusal mutates no cache,
+        MSHR or port state, and within one call only an accept does, so
+        every lane of a run behind a refused one gets the same answer for
+        the same reason: a port-less bank (saturated, or held by another
+        line), an early-full MSHR and a lower queue known to be full
+        (``sticky_refusal``) each charge the run's remaining lanes in one
+        step.  Only lanes that can actually be accepted — plus lanes refused
+        by a non-sticky lower level, whose own counters advance per call —
+        take the per-lane body.
+
+        Returns ``(accepted, refused, budget)``.  ``refused`` preserves lane
+        order — refused lanes first, then the un-attempted tail once the
+        budget ran out; a refused attempt consumes no budget.  A run none of
+        whose lanes was accepted comes back as it is, a partly accepted one
+        as a new run of the lanes that were not.  Counters are
+        aggregated in locals and flushed once, bit-identical to
+        :meth:`send` per attempt (``tests/test_cache.py`` holds both paths,
+        and the partition invariance, to it with property tests).
         """
-        counters = self._counters
         accepts = self._accepts_this_cycle
         banks = self.banks
         num_ports = self._num_ports
@@ -329,42 +308,19 @@ class NonBlockingCache:
         lower = self.lower
         cycle = self._cycle
         trace = self.trace
-        trace_core = self.trace_core
-        trace_channel = self.trace_channel
-        # Saturation fast path: once every bank has all its ports taken this
-        # cycle, the port check (which precedes every other refusal reason)
-        # rejects any further request as a bank conflict without touching any
-        # state — so the rest of the batch can be refused in bulk.  This is
-        # where the retry wall actually burns host time: a port-limited warp
-        # re-attempts each refused lane every cycle, and nearly all of those
-        # attempts land on saturated banks.
         full_banks = 0
         for _first_line, count in accepts.values():
             if count >= num_ports:
                 full_banks += 1
-        if full_banks >= num_banks and budget > 0:
-            total = len(requests)
-            counters["attempts"] += total
-            counters["bank_conflicts"] += total
-            if trace is not None:
-                for entry in requests:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "conflict",
-                        {"bank": entry[2], "line": entry[1], "write": is_write},
-                    )
-            return 0, requests, budget
-        attempts = accepted_count = bank_conflicts = mshr_stalls = memq_stalls = 0
+        accepted_count = bank_conflicts = mshr_stalls = memq_stalls = 0
         read_hits = read_misses = write_hits = write_misses = 0
         # Sticky lower-level backpressure: once a DRAM-backed lower port
         # refuses, every further fill/write this cycle is provably refused
-        # too (the shared queue only fills during a drain), so the call is
-        # skipped and its refusal-side counters charged directly.
+        # too (the shared queue only fills during a drain), so those calls
+        # are skipped and their refusal-side counters charged at the end.
         lower_sticky = lower is not None and lower.sticky_refusal
         lower_full = False
+        skipped = 0
         refused: list[tuple[Any, ...]] = []
         index = 0
         total = len(requests)
@@ -372,232 +328,146 @@ class NonBlockingCache:
             if budget <= 0:
                 refused.extend(requests[index:])
                 break
-            entry = requests[index]
+            if full_banks >= num_banks or (lower_full and is_write):
+                # Nothing further can be accepted — every bank has all its
+                # ports taken, or every write-through needs the full lower
+                # queue — and refusals mutate nothing, so the rest of the
+                # batch is classified in one pass: a port-less bank charges
+                # conflicts (the port check precedes every other reason), the
+                # rest charge lower refusals.  This is where a retry wall
+                # lands nearly all of its attempts.
+                for run in requests[index:]:
+                    accepted = accepts.get(run[2])
+                    if accepted is not None and (
+                        accepted[1] >= num_ports or accepted[0] != run[1]
+                    ):
+                        bank_conflicts += len(run[0])
+                        if trace is not None:
+                            self._trace_attempts("conflict", run[1], run[2], is_write, len(run[0]))
+                    else:
+                        skipped += len(run[0])
+                        if trace is not None:
+                            self._trace_attempts("refusal", run[1], run[2], True, len(run[0]))
+                refused.extend(requests[index:])
+                break
+            run = requests[index]
             index += 1
-            address = entry[0]
-            line = entry[1]
-            bank_id = entry[2]
-            attempts += 1
-
+            addresses = run[0]
+            line = run[1]
+            bank_id = run[2]
+            lanes = len(addresses)
             accepted = accepts.get(bank_id)
-            if accepted is not None:
-                first_line, count = accepted
-                if count >= num_ports or first_line != line:
-                    bank_conflicts += 1
-                    refused.append(entry)
-                    if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "conflict",
-                            {"bank": bank_id, "line": line, "write": is_write},
-                        )
-                    continue
+            if accepted is None:
+                ports_left = num_ports
+            elif accepted[0] == line:
+                ports_left = num_ports - accepted[1]
+            else:
+                ports_left = 0  # another line owns the bank this cycle
             bank = banks[bank_id]
             mshr = bank.mshr
-            if not is_write and mshr.almost_full:
-                mshr_stalls += 1
-                refused.append(entry)
-                if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "mshr-stall",
-                        {"bank": bank_id, "line": line, "write": False},
-                    )
-                continue
-
-            if is_write:
-                if lower is not None and not lower.request_write(self, address):
-                    memq_stalls += 1
-                    refused.append(entry)
+            hit = None  # tag probe: made once, and only if a lane gets that far
+            kept: tuple[int, ...] = ()  # lanes refused one by one
+            done = taken = 0  # lanes through the per-lane body / accepted
+            while done < lanes and budget > 0:
+                # Refusal reasons only an accept can change: every lane from
+                # ``done`` on gets the same answer, charged in one step.
+                if ports_left <= 0:
+                    bank_conflicts += lanes - done
                     if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "refusal",
-                            {"bank": bank_id, "line": line, "write": True},
-                        )
-                    if lower_sticky:
-                        # Sticky lower: no remaining write can be accepted
-                        # (every write-through needs the shared lower queue)
-                        # and refusals mutate nothing, so the tail is
-                        # classified in one pass — saturated-port entries
-                        # charge bank conflicts, the rest charge lower
-                        # refusals — exactly as the per-entry loop would.
-                        # Budget stays positive throughout (only accepts
-                        # consume it), so every tail entry counts as an
-                        # attempt.
-                        tail = requests[index:]
-                        attempts += len(tail)
-                        skipped = 0
-                        for tail_entry in tail:
-                            accepted = accepts.get(tail_entry[2])
-                            if accepted is not None and (
-                                accepted[1] >= num_ports or accepted[0] != tail_entry[1]
-                            ):
-                                bank_conflicts += 1
-                                if trace is not None:
-                                    trace.emit(
-                                        cycle,
-                                        trace_core,
-                                        NO_WARP,
-                                        trace_channel,
-                                        "conflict",
-                                        {
-                                            "bank": tail_entry[2],
-                                            "line": tail_entry[1],
-                                            "write": True,
-                                        },
-                                    )
-                            else:
-                                skipped += 1
-                                if trace is not None:
-                                    trace.emit(
-                                        cycle,
-                                        trace_core,
-                                        NO_WARP,
-                                        trace_channel,
-                                        "refusal",
-                                        {
-                                            "bank": tail_entry[2],
-                                            "line": tail_entry[1],
-                                            "write": True,
-                                        },
-                                    )
-                        if skipped:
-                            memq_stalls += skipped
-                            lower.note_skipped_refusal(skipped)
-                        refused.extend(tail)
-                        break
-                    continue
-                hit = bank.probe(line)
-                if hit:
-                    bank.touch(line)
-                    write_hits += 1
+                        self._trace_attempts("conflict", line, bank_id, is_write, lanes - done)
+                    break
+                if is_write:
+                    lower_refuses = lower_full
+                elif mshr.almost_full:
+                    mshr_stalls += lanes - done
+                    if trace is not None:
+                        self._trace_attempts("mshr-stall", line, bank_id, False, lanes - done)
+                    break
                 else:
-                    write_misses += 1
-                if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "hit" if hit else "miss",
-                        {"bank": bank_id, "line": line, "write": True},
-                    )
-                bank.schedule_response(
-                    BankRequest(address=address, is_write=True, tag=tag, accept_cycle=cycle),
-                    cycle,
-                    hit,
-                )
-            elif bank.probe(line):
-                bank.touch(line)
-                bank.schedule_response(
-                    BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                    cycle,
-                    True,
-                )
-                read_hits += 1
-                if trace is not None:
-                    trace.emit(
-                        cycle,
-                        trace_core,
-                        NO_WARP,
-                        trace_channel,
-                        "hit",
-                        {"bank": bank_id, "line": line, "write": False},
-                    )
-            else:
-                merged = mshr.lookup(line) is not None
-                if not merged and lower is not None:
-                    if lower_full:
-                        lower.note_skipped_refusal()
-                        memq_stalls += 1
-                        refused.append(entry)
-                        if trace is not None:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "refusal",
-                                {"bank": bank_id, "line": line, "write": False},
-                            )
-                        continue
-                    if not lower.request_fill(self, line):
+                    if hit is None:
+                        hit = bank.probe(line)
+                    lower_refuses = lower_full and not hit and mshr.lookup(line) is None
+                if lower_refuses:
+                    skipped += lanes - done
+                    if trace is not None:
+                        self._trace_attempts("refusal", line, bank_id, is_write, lanes - done)
+                    break
+                address = addresses[done]
+                done += 1
+                if is_write:
+                    if lower is not None and not lower.request_write(self, address):
                         lower_full = lower_sticky
                         memq_stalls += 1
-                        refused.append(entry)
+                        kept += (address,)
                         if trace is not None:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "refusal",
-                                {"bank": bank_id, "line": line, "write": False},
-                            )
+                            self._trace_attempts("refusal", line, bank_id, True)
                         continue
-                mshr_entry = mshr.allocate(
-                    line,
-                    BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                )
-                if mshr_entry is None:
-                    mshr_stalls += 1
-                    refused.append(entry)
+                    if hit is None:
+                        hit = bank.probe(line)
+                    if hit:
+                        bank.touch(line)
+                        write_hits += 1
+                    else:
+                        write_misses += 1
                     if trace is not None:
-                        trace.emit(
-                            cycle,
-                            trace_core,
-                            NO_WARP,
-                            trace_channel,
-                            "mshr-stall",
-                            {"bank": bank_id, "line": line, "write": False},
-                        )
-                    continue
-                read_misses += 1
-                if trace is not None:
-                    payload = {"bank": bank_id, "line": line, "write": False}
-                    if merged:
-                        payload["merge"] = True
-                    trace.emit(cycle, trace_core, NO_WARP, trace_channel, "miss", payload)
-
-            count = (0 if accepted is None else accepted[1]) + 1
-            accepts[bank_id] = (line, count)
-            accepted_count += 1
-            budget -= 1
-            if count >= num_ports:
-                full_banks += 1
-                if full_banks >= num_banks and budget > 0 and index < total:
-                    remaining = total - index
-                    attempts += remaining
-                    bank_conflicts += remaining
+                        self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
+                    bank.schedule_response(
+                        BankRequest(address=address, is_write=True, tag=tag, accept_cycle=cycle),
+                        cycle,
+                        hit,
+                    )
+                elif hit:
+                    bank.touch(line)
+                    bank.schedule_response(
+                        BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
+                        cycle,
+                        True,
+                    )
+                    read_hits += 1
                     if trace is not None:
-                        for tail_entry in requests[index:]:
-                            trace.emit(
-                                cycle,
-                                trace_core,
-                                NO_WARP,
-                                trace_channel,
-                                "conflict",
-                                {
-                                    "bank": tail_entry[2],
-                                    "line": tail_entry[1],
-                                    "write": is_write,
-                                },
-                            )
-                    refused.extend(requests[index:])
-                    break
+                        self._trace_attempts("hit", line, bank_id, False)
+                else:
+                    merged = mshr.lookup(line) is not None
+                    if not merged and lower is not None and not lower.request_fill(self, line):
+                        lower_full = lower_sticky
+                        memq_stalls += 1
+                        kept += (address,)
+                        if trace is not None:
+                            self._trace_attempts("refusal", line, bank_id, False)
+                        continue
+                    mshr_entry = mshr.allocate(
+                        line,
+                        BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
+                    )
+                    if mshr_entry is None:
+                        mshr_stalls += 1
+                        kept += (address,)
+                        if trace is not None:
+                            self._trace_attempts("mshr-stall", line, bank_id, False)
+                        continue
+                    read_misses += 1
+                    if trace is not None:
+                        self._trace_attempts("miss", line, bank_id, False, 1, merged)
+                taken += 1
+                budget -= 1
+                ports_left -= 1
+                accepts[bank_id] = (line, num_ports - ports_left)
+                if ports_left <= 0:
+                    full_banks += 1
+            if not taken:
+                refused.append(run)  # goes back as it came
+            elif taken < lanes:
+                refused.append((kept + addresses[done:],) + run[1:])
+            accepted_count += taken
 
         # Flush the aggregated counts; only-touched-when-nonzero keeps the
-        # counter key sets identical to :meth:`send`'s.
+        # counter key sets identical to :meth:`send`'s.  Every attempted
+        # lane has exactly one outcome, so attempts is their sum.
+        if skipped:
+            memq_stalls += skipped
+            lower.note_skipped_refusal(skipped)
+        counters = self._counters
+        attempts = accepted_count + bank_conflicts + mshr_stalls + memq_stalls
         if attempts:
             counters["attempts"] += attempts
         if bank_conflicts:
@@ -625,12 +495,8 @@ class NonBlockingCache:
 
         ``encode_tag`` maps request tags to plain data (lower-level fill
         tags carry live cache references; the memory subsystem encodes them
-        by cache name).  ``_responses`` is legacy drain state that is always
-        empty between cycles — asserting it stays empty is cheaper and
-        stricter than serializing live response objects.
+        by cache name).
         """
-        if self._responses:
-            raise ValueError(f"cache {self.name!r} has undrained responses")
         return {
             "cycle": self._cycle,
             "accepts_this_cycle": dict(self._accepts_this_cycle),
@@ -643,7 +509,6 @@ class NonBlockingCache:
         self._cycle = payload["cycle"]
         self._accepts_this_cycle.clear()
         self._accepts_this_cycle.update(payload["accepts_this_cycle"])
-        self._responses.clear()
         for bank, bank_payload in zip(self.banks, payload["banks"]):
             bank.restore(bank_payload, decode_tag)
         self.perf.restore(payload["perf"])

@@ -104,14 +104,16 @@ class SharedMemory:
     ) -> tuple[int, list[tuple[Any, ...]], int]:
         """Batched counterpart of :meth:`send` (the timing core's hot path).
 
-        ``requests`` holds ``(address, ...)`` tuples attempted strictly in
-        order while ``budget`` lasts; refused attempts keep their tuple in
-        the returned retry list without consuming budget, exactly like the
-        per-lane loop.  Returns ``(accepted, refused, budget)`` with
+        ``requests`` holds the timing core's same-line runs
+        ``(addresses, ...)``.  The scratchpad's banks are word-interleaved,
+        so the lanes *inside* a run spread over the banks and are attempted
+        one by one, strictly in order while ``budget`` lasts; refused lanes
+        stay in the returned retry list (a partly accepted run as a new run
+        of the lanes that were not) without consuming budget, exactly like
+        the per-lane loop.  Returns ``(accepted, refused, budget)`` with
         counters aggregated and flushed once, bit-identical to per-lane
         :meth:`send` calls.
         """
-        counters = self.perf._counters
         accepts = self._accepts_this_cycle
         pending = self._pending
         num_banks = self.num_banks
@@ -120,68 +122,52 @@ class SharedMemory:
         core_id = self.core_id
         cycle = self._cycle
         accept_kind = "write" if is_write else "read"
-        # Saturation fast path: one accept per bank per cycle, so once every
-        # bank has accepted, the rest of the batch refuses in bulk.
-        if len(accepts) >= num_banks and budget > 0:
-            total = len(requests)
-            counters["attempts"] += total
-            counters["bank_conflicts"] += total
-            if trace is not None:
-                for entry in requests:
-                    trace.emit(
-                        cycle,
-                        core_id,
-                        NO_WARP,
-                        "smem",
-                        "conflict",
-                        {"bank": (entry[0] // 4) % num_banks},
-                    )
-            return 0, requests, budget
-        attempts = accepted_count = bank_conflicts = 0
+        accepted_count = bank_conflicts = 0
         refused: list[tuple[Any, ...]] = []
-        index = 0
-        total = len(requests)
-        while index < total:
+        for index, run in enumerate(requests):
             if budget <= 0:
                 refused.extend(requests[index:])
                 break
-            entry = requests[index]
-            index += 1
-            address = entry[0]
-            attempts += 1
-            bank = (address // 4) % num_banks
-            if accepts.get(bank, 0) >= 1:
-                bank_conflicts += 1
-                refused.append(entry)
+            addresses = run[0]
+            if len(accepts) >= num_banks:
+                # One accept per bank per cycle: once every bank has taken
+                # its own, a whole run conflicts in one step.
+                bank_conflicts += len(addresses)
+                refused.append(run)
                 if trace is not None:
-                    trace.emit(cycle, core_id, NO_WARP, "smem", "conflict", {"bank": bank})
-                continue
-            accepts[bank] = 1
-            pending.append(
-                (ready_cycle, SharedResponse(address=address, is_write=is_write, tag=tag, cycle=0))
-            )
-            accepted_count += 1
-            budget -= 1
-            if trace is not None:
-                trace.emit(cycle, core_id, NO_WARP, "smem", accept_kind, {"bank": bank})
-            if len(accepts) >= num_banks and budget > 0 and index < total:
-                remaining = total - index
-                attempts += remaining
-                bank_conflicts += remaining
-                if trace is not None:
-                    for tail_entry in requests[index:]:
+                    for address in addresses:
                         trace.emit(
-                            cycle,
-                            core_id,
-                            NO_WARP,
-                            "smem",
-                            "conflict",
-                            {"bank": (tail_entry[0] // 4) % num_banks},
+                            cycle, core_id, NO_WARP, "smem", "conflict",
+                            {"bank": (address // 4) % num_banks},
                         )
-                refused.extend(requests[index:])
-                break
-        if attempts:
-            counters["attempts"] += attempts
+                continue
+            kept: list[int] = []
+            for done, address in enumerate(addresses):
+                if budget <= 0:
+                    kept.extend(addresses[done:])
+                    break
+                bank = (address // 4) % num_banks
+                if bank in accepts:
+                    bank_conflicts += 1
+                    kept.append(address)
+                    if trace is not None:
+                        trace.emit(cycle, core_id, NO_WARP, "smem", "conflict", {"bank": bank})
+                    continue
+                accepts[bank] = 1
+                pending.append(
+                    (ready_cycle, SharedResponse(address=address, is_write=is_write, tag=tag, cycle=0))
+                )
+                accepted_count += 1
+                budget -= 1
+                if trace is not None:
+                    trace.emit(cycle, core_id, NO_WARP, "smem", accept_kind, {"bank": bank})
+            if len(kept) == len(addresses):
+                refused.append(run)
+            elif kept:
+                refused.append((tuple(kept),) + run[1:])
+        counters = self.perf._counters
+        if accepted_count or bank_conflicts:
+            counters["attempts"] += accepted_count + bank_conflicts
         if bank_conflicts:
             counters["bank_conflicts"] += bank_conflicts
         if accepted_count:

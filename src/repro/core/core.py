@@ -10,6 +10,7 @@ state).  Multi-core functional execution is provided by
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 from repro.common.config import VortexConfig
@@ -56,7 +57,10 @@ class SimtCore:
         self.core_id = core_id
         self.config = config
         self.memory = memory
-        self.processor = processor
+        # A weak back-reference: a strong one closes the cycle processor →
+        # cores → TimingCore.func → processor and leaves every dropped device
+        # (caches, MSHRs, DRAM model) waiting for a full garbage collection.
+        self.processor = None if processor is None else weakref.proxy(processor)
         core_cfg = config.core
         self.warps: list[Warp] = [
             Warp(warp_id, core_cfg.num_threads, ipdom_depth=core_cfg.ipdom_depth)

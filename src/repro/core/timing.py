@@ -46,9 +46,11 @@ BRANCH_PENALTY = 2
 class _PendingMemOp:
     """A memory (or texture) instruction waiting for its cache responses.
 
-    ``to_send`` holds one ``(address, line, bank_id, to_smem)`` entry per
-    outstanding request, with the cache geometry precomputed once at charge
-    time so retry cycles never re-derive it.
+    ``to_send`` holds the outstanding requests as *runs*
+    ``(addresses, line, bank_id, to_smem)`` — the byte addresses of
+    consecutive lanes that share a cache line, grouped (with the cache
+    geometry) once at charge time, so retry cycles arbitrate per run and
+    never re-derive either.
     """
 
     op_id: int
@@ -60,6 +62,22 @@ class _PendingMemOp:
     to_send: list[tuple[Any, ...]] = field(default_factory=list)
     outstanding: int = 0
     extra_latency: int = 0
+
+
+def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
+    """Snapshot codec: runs flattened to one ``[address, line, bank, to_smem]`` per lane.
+
+    The partition into runs is not architectural state — any same-line
+    grouping of the lane list behaves identically — so the wire format stays
+    per lane and :meth:`TimingCore.restore` regroups the addresses with
+    ``_request_entries``, merging adjacent same-line lanes whichever
+    instruction they came from.
+    """
+    return [
+        [address, line, bank, to_smem]
+        for addresses, line, bank, to_smem in runs
+        for address in addresses
+    ]
 
 
 class TimingCore:
@@ -211,7 +229,8 @@ class TimingCore:
         The instruction/data caches are referenced, not owned: the memory
         subsystem serializes them.  Pending-operation dicts are emitted as
         ordered lists — op ids are allocated monotonically, so list order
-        reproduces the oldest-first drain order exactly.
+        reproduces the oldest-first drain order exactly.  Outstanding
+        requests keep the per-lane wire format (``_lanes_of``).
         """
         return {
             "func": self.func.snapshot(),
@@ -230,13 +249,13 @@ class TimingCore:
                     "rd_float": op.rd_float,
                     "writes_rd": op.writes_rd,
                     "kind": op.kind,
-                    "to_send": [list(entry) for entry in op.to_send],
+                    "to_send": _lanes_of(op.to_send),
                     "outstanding": op.outstanding,
                     "extra_latency": op.extra_latency,
                 }
                 for op in self._pending_ops.values()
             ],
-            "store_queue": [list(entry) for entry in self._store_queue],
+            "store_queue": _lanes_of(self._store_queue),
             "next_op_id": self._next_op_id,
             "warm_ilines": sorted(self._warm_ilines),
             "pending_ifetch": dict(self._pending_ifetch),
@@ -268,12 +287,12 @@ class TimingCore:
                 rd_float=op_payload["rd_float"],
                 writes_rd=op_payload["writes_rd"],
                 kind=op_payload["kind"],
-                to_send=[tuple(entry) for entry in op_payload["to_send"]],
+                to_send=self._request_entries([lane[0] for lane in op_payload["to_send"]]),
                 outstanding=op_payload["outstanding"],
                 extra_latency=op_payload["extra_latency"],
             )
             self._pending_ops[op.op_id] = op
-        self._store_queue = [tuple(entry) for entry in payload["store_queue"]]
+        self._store_queue = self._request_entries([lane[0] for lane in payload["store_queue"]])
         self._next_op_id = payload["next_op_id"]
         self._warm_ilines = set(payload["warm_ilines"])
         self._pending_ifetch = {
@@ -526,15 +545,15 @@ class TimingCore:
     def _send_batch_segments(
         self, entries: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
     ) -> tuple[list[tuple[Any, ...]], int, int]:
-        """Send ``(address, line, bank, to_smem)`` entries in order through
+        """Send ``(addresses, line, bank, to_smem)`` runs in order through
         the per-destination batch paths.
 
-        Consecutive same-destination entries go down in one ``send_batch``
+        Consecutive same-destination runs go down in one ``send_batch``
         call (one call per warp memory instruction in the common all-global
         case); the live budget threads through so the attempt order and the
         budget-cutoff point are those of one lane-by-lane pass.
         Returns ``(refused, budget, accepted)`` with ``refused`` preserving
-        retry order.
+        retry order and ``accepted`` counting lanes.
         """
         refused: list[tuple[Any, ...]] = []
         accepted_total = 0
@@ -564,39 +583,55 @@ class TimingCore:
         return refused, budget, accepted_total
 
     def _request_entries(self, addresses: Any) -> list[tuple[Any, ...]]:
-        """Precompute ``(address, line, bank, to_smem)`` for a lane trace.
+        """Group a lane trace into ``(addresses, line, bank, to_smem)`` runs.
 
-        Runs once per memory instruction (not per retry attempt); wide
-        traces go through numpy, narrow ones through a plain loop (numpy's
-        per-call overhead loses below a handful of lanes).  ``.tolist()``
-        keeps every field a Python int, so dict keys, tags and snapshots
-        never see numpy scalars.
+        A run is a maximal stretch of consecutive lanes on one cache line
+        (and one destination: data cache or scratchpad window); lane order
+        is kept, so flattening the runs gives ``addresses`` back.  Runs once
+        per memory instruction (not per retry attempt); wide traces find the
+        cut points through numpy, narrow ones through a plain loop (numpy's
+        per-call overhead loses below a handful of lanes).  Every field
+        stays a Python int, so dict keys, tags and snapshots never see numpy
+        scalars.
         """
         line_size = self._dcache_line_size
         num_banks = self._dcache_num_banks
-        if len(addresses) >= 8:
+        total = len(addresses)
+        if total >= 8:
             array = np.asarray(addresses, dtype=np.int64)
             lines = array // line_size
-            return list(
-                zip(
-                    addresses,
-                    lines.tolist(),
-                    (lines % num_banks).tolist(),
-                    (array >= SHARED_MEM_BASE).tolist(),
-                )
-            )
-        entries: list[tuple[Any, ...]] = []
-        for address in addresses:
+            to_smem = array >= SHARED_MEM_BASE
+            ends = np.flatnonzero(
+                (lines[1:] != lines[:-1]) | (to_smem[1:] != to_smem[:-1])
+            ).tolist()
+        else:
+            ends = []
+            for index in range(total - 1):
+                here, there = addresses[index], addresses[index + 1]
+                if here // line_size != there // line_size or (
+                    (here >= SHARED_MEM_BASE) != (there >= SHARED_MEM_BASE)
+                ):
+                    ends.append(index)
+        if total:
+            ends.append(total - 1)
+        runs: list[tuple[Any, ...]] = []
+        start = 0
+        for end in ends:
+            address = addresses[start]
             line = address // line_size
-            entries.append((address, line, line % num_banks, address >= SHARED_MEM_BASE))
-        return entries
+            runs.append(
+                (tuple(addresses[start : end + 1]), line, line % num_banks,
+                 address >= SHARED_MEM_BASE)
+            )
+            start = end + 1
+        return runs
 
     # -- issue ----------------------------------------------------------------------------------
 
     @hot_path
     def _issue(self, warp: Any) -> None:
         # Instruction fetch: cold lines go through the instruction cache.
-        line_size = self.config.icache.line_size
+        line_size = self._icache_line_size
         iline = warp.pc // line_size
         if iline not in self._warm_ilines:
             trace = self.trace
@@ -682,11 +717,9 @@ class TimingCore:
         spec = result.instr.spec
         is_store = spec.is_store
         addresses = result.request_addresses or []
-        if addresses:
-            self.scheduler.note_memory_issue(
-                warp.warp_id, int(addresses[0]) // self._dcache_line_size
-            )
         to_send = self._request_entries(addresses)
+        if to_send:
+            self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
         if is_store:
             self._store_queue.extend(to_send)
             self.perf.incr("stores", len(addresses))
@@ -776,8 +809,8 @@ class TimingCore:
             horizon = self.dcache.write_refusal_horizon()
             if horizon is None or horizon <= cycle + 1:
                 return cycle + 1
-            for _address, _line, _bank, to_smem in self._store_queue:
-                if to_smem:  # a scratchpad store would be accepted
+            for run in self._store_queue:
+                if run[3]:  # a scratchpad store would be accepted
                     return cycle + 1
         result: int | None = None
         ready_cycles = self._warp_ready_cycle
@@ -837,7 +870,7 @@ class TimingCore:
             # port-free at the start of each fresh cycle and nothing else
             # accepts inside the window, so no entry ever charges a bank
             # conflict — every attempt is a lower-level refusal.
-            refusals = len(self._store_queue) * cycles
+            refusals = sum(len(run[0]) for run in self._store_queue) * cycles
             self.dcache.perf.incr("attempts", refusals)
             self.dcache.perf.incr("memq_stalls", refusals)
             self.dcache.lower.note_skipped_refusal(refusals)
@@ -874,7 +907,7 @@ class TimingCore:
         """Replay the per-attempt refusal events of a store-refusal storm.
 
         The counter math above stays bulk; these events mirror what the
-        ticked drain would emit — every queue entry attempts once per cycle
+        ticked drain would emit — every queued lane attempts once per cycle
         and is refused by the full lower queue (never a bank conflict, per
         the storm argument in :meth:`skip_idle`).
         """
@@ -884,13 +917,15 @@ class TimingCore:
             return
         channel = dcache.trace_channel
         core = dcache.trace_core
+        payloads = [
+            (len(addresses), {"bank": bank, "line": line, "write": True})
+            for addresses, line, bank, _to_smem in self._store_queue
+        ]
         for offset in range(cycles):
             cycle = base + 1 + offset
-            for _address, line, bank, _to_smem in self._store_queue:
-                dtrace.emit(
-                    cycle, core, NO_WARP, channel, "refusal",
-                    {"bank": bank, "line": line, "write": True},
-                )
+            for lanes, payload in payloads:
+                for _ in range(lanes):
+                    dtrace.emit(cycle, core, NO_WARP, channel, "refusal", payload)
 
     # -- metrics -----------------------------------------------------------------------------------
 

@@ -367,6 +367,16 @@ class _StickyQueueLower:
         return released
 
 
+class _RecordingTrace:
+    """Stands in for the trace bus: keeps every per-attempt event."""
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, cycle, core, warp, channel, kind, payload=None):
+        self.events.append((cycle, kind, dict(payload or {})))
+
+
 def _perlane_reference(cache, entries, budget, is_write, tag):
     """One lane-by-lane pass over ``send`` — the oracle for ``send_batch``."""
     refused = []
@@ -384,12 +394,42 @@ def _perlane_reference(cache, entries, budget, is_write, tag):
 
 
 def _entries_for(cache, addresses):
+    """Per-lane entries for the ``send`` oracle."""
     line_size = cache.config.line_size
     num_banks = cache.config.num_banks
     return [
         (address, address // line_size, (address // line_size) % num_banks, False)
         for address in addresses
     ]
+
+
+def _runs_for(addresses, split=(), line_size=64, num_banks=4, to_smem=False):
+    """Partition a lane list into same-line runs, the shape ``send_batch`` takes.
+
+    A cut always falls where the line changes; ``split[i]`` additionally
+    cuts before lane ``i``.  No ``split`` gives the maximal partition (what
+    ``TimingCore._request_entries`` builds), all-true gives one run per lane.
+    """
+    runs = []
+    for index, address in enumerate(addresses):
+        line = address // line_size
+        if runs and runs[-1][1] == line and not (index < len(split) and split[index]):
+            runs[-1][0].append(address)
+        else:
+            runs.append(([address], line, line % num_banks, to_smem))
+    return [(tuple(lanes), line, bank, dest) for lanes, line, bank, dest in runs]
+
+
+def _cache_runs(cache, addresses, split=()):
+    return _runs_for(addresses, split, cache.config.line_size, cache.config.num_banks)
+
+
+def _lanes(runs, line_size=64):
+    """Flatten runs back to lane addresses, checking each run is well-formed."""
+    for run in runs:
+        assert run[0], "empty run"
+        assert {address // line_size for address in run[0]} == {run[1]}
+    return [address for run in runs for address in run[0]]
 
 
 def _cache_state(cache):
@@ -410,6 +450,21 @@ def _drain_responses(cache, cycles=6):
     return stream
 
 
+def _settle(cache, lower):
+    """Between two cycles: the lower level answers, then one cycle passes.
+
+    A scripted lower completes its latest fill; the shared queue drains
+    (its refusals are only sticky within one cycle) and its fills flow back.
+    """
+    if isinstance(lower, _StickyQueueLower):
+        for kind, payload in lower.drain():
+            if kind == "fill":
+                cache.fill(payload)
+    elif lower.fills:
+        cache.fill(lower.fills[-1])
+    return _drain_responses(cache, 1)
+
+
 _cache_rounds = st.lists(
     st.tuples(
         st.booleans(),  # is_write
@@ -418,10 +473,40 @@ _cache_rounds = st.lists(
             st.integers(min_value=0, max_value=15).map(lambda line: line * 64),
             max_size=36,
         ),
+        st.lists(st.booleans(), max_size=36),  # extra cuts inside same-line stretches
     ),
     min_size=1,
     max_size=5,
 )
+
+
+def _check_batch_matches_perlane(config, ref_lower, bat_lower, rounds):
+    """Drive ``send`` lane by lane and ``send_batch`` run by run with the
+    same rounds; everything observable must agree after every cycle."""
+    reference = NonBlockingCache("ref", config, lower=ref_lower)
+    batched = NonBlockingCache("bat", config, lower=bat_lower)
+    reference.trace, batched.trace = _RecordingTrace(), _RecordingTrace()
+    for is_write, budget, addresses, split in rounds:
+        entries = _entries_for(reference, addresses)
+        ref_accepted, ref_refused, ref_budget = _perlane_reference(
+            reference, entries, budget, is_write, "t"
+        )
+        accepted, refused, left = batched.send_batch(
+            _cache_runs(batched, addresses, split), budget, is_write, "t"
+        )
+        assert (accepted, _lanes(refused), left) == (
+            ref_accepted, [entry[0] for entry in ref_refused], ref_budget
+        )
+        assert _cache_state(reference) == _cache_state(batched)
+        assert vars(ref_lower) == vars(bat_lower)
+        assert reference.trace.events == batched.trace.events  # one event per lane
+        assert _settle(reference, ref_lower) == _settle(batched, bat_lower)
+    # Drain everything still in flight: the response streams must agree.
+    for line in getattr(ref_lower, "fills", ()):
+        reference.fill(line)
+        batched.fill(line)
+    assert _drain_responses(reference) == _drain_responses(batched)
+    assert _cache_state(reference) == _cache_state(batched)
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,39 +520,17 @@ _cache_rounds = st.lists(
 def test_send_batch_matches_perlane_property(
     num_banks, num_ports, mshr_size, refuse_every, rounds
 ):
-    """Property: the batched per-bank path and the per-lane loop produce
+    """Property: the batched per-run path and the per-lane loop produce
     identical accept counts, refusal order, MSHR occupancy, counters,
-    response streams and lower-level traffic on random request rounds."""
+    response streams and lower-level traffic on random request rounds —
+    against a non-sticky lower, whose own call count advances per lane."""
     config = CacheConfig(
         size=4 * 1024, line_size=64, num_banks=num_banks, num_ports=num_ports,
         mshr_size=mshr_size, hit_latency=2,
     )
-    ref_lower, bat_lower = _ScriptedLower(refuse_every), _ScriptedLower(refuse_every)
-    reference = NonBlockingCache("ref", config, lower=ref_lower)
-    batched = NonBlockingCache("bat", config, lower=bat_lower)
-    for is_write, budget, addresses in rounds:
-        entries = _entries_for(reference, addresses)
-        ref_out = _perlane_reference(reference, list(entries), budget, is_write, "t")
-        bat_out = batched.send_batch(list(entries), budget, is_write, "t")
-        # send_batch returns (accepted, refused, budget); the reference
-        # helper returns the same triple in the same order.
-        assert bat_out == ref_out
-        assert _cache_state(reference) == _cache_state(batched)
-        assert ref_lower.fills == bat_lower.fills
-        assert ref_lower.writes == bat_lower.writes
-        assert ref_lower.calls == bat_lower.calls
-        # Complete one outstanding fill on both sides, then advance a cycle.
-        if ref_lower.fills:
-            line = ref_lower.fills[-1]
-            reference.fill(line)
-            batched.fill(line)
-        assert _drain_responses(reference, 1) == _drain_responses(batched, 1)
-    # Drain everything still in flight: the response streams must agree.
-    for line in ref_lower.fills:
-        reference.fill(line)
-        batched.fill(line)
-    assert _drain_responses(reference) == _drain_responses(batched)
-    assert _cache_state(reference) == _cache_state(batched)
+    _check_batch_matches_perlane(
+        config, _ScriptedLower(refuse_every), _ScriptedLower(refuse_every), rounds
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,33 +542,66 @@ def test_send_batch_matches_perlane_property(
 def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, rounds):
     """Property: against a sticky (shared-queue) lower level, the batched
     path's skipped-refusal accounting matches the per-lane loop's real
-    refused calls — including the bulk write-tail classification."""
+    refused calls — including whole runs charged behind one refused call."""
     config = CacheConfig(
         size=4 * 1024, line_size=64, num_banks=num_banks, num_ports=1,
         mshr_size=4, hit_latency=2,
     )
-    ref_lower, bat_lower = _StickyQueueLower(capacity), _StickyQueueLower(capacity)
-    reference = NonBlockingCache("ref", config, lower=ref_lower)
-    batched = NonBlockingCache("bat", config, lower=bat_lower)
-    for is_write, budget, addresses in rounds:
-        entries = _entries_for(reference, addresses)
-        ref_out = _perlane_reference(reference, list(entries), budget, is_write, "t")
-        bat_out = batched.send_batch(list(entries), budget, is_write, "t")
-        assert bat_out == ref_out
-        assert _cache_state(reference) == _cache_state(batched)
-        assert ref_lower.queue == bat_lower.queue
-        assert ref_lower.rejected == bat_lower.rejected
-        # The shared queue drains between cycles (its refusals are only
-        # sticky within one), and fills flow back up.
-        for kind, payload in ref_lower.drain():
-            if kind == "fill":
-                reference.fill(payload)
-        for kind, payload in bat_lower.drain():
-            if kind == "fill":
-                batched.fill(payload)
-        assert _drain_responses(reference, 1) == _drain_responses(batched, 1)
-    assert _drain_responses(reference) == _drain_responses(batched)
-    assert _cache_state(reference) == _cache_state(batched)
+    _check_batch_matches_perlane(
+        config, _StickyQueueLower(capacity), _StickyQueueLower(capacity), rounds
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_banks=st.sampled_from([1, 2, 4]),
+    num_ports=st.sampled_from([1, 2, 4]),
+    mshr_size=st.sampled_from([1, 2, 4]),
+    make_lower=st.sampled_from(
+        [
+            lambda: _ScriptedLower(0),
+            lambda: _ScriptedLower(2),
+            lambda: _ScriptedLower(3),
+            lambda: _StickyQueueLower(1),
+            lambda: _StickyQueueLower(3),
+        ]
+    ),
+    rounds=_cache_rounds,
+)
+def test_send_batch_partition_invariance_property(
+    num_banks, num_ports, mshr_size, make_lower, rounds
+):
+    """Property: how the lane list is cut into same-line runs is not
+    observable.  The maximal partition, one run per lane and a random
+    partition give identical ``(accepted, flattened refused, budget)``,
+    cache state, lower traffic and response streams — which is why a
+    checkpoint may regroup lanes and partly refused runs may sit next to a
+    run of the same line."""
+    config = CacheConfig(
+        size=4 * 1024, line_size=64, num_banks=num_banks, num_ports=num_ports,
+        mshr_size=mshr_size, hit_latency=2,
+    )
+    lowers = [make_lower() for _ in range(3)]
+    caches = [NonBlockingCache(f"c{i}", config, lower=lower) for i, lower in enumerate(lowers)]
+    for cache in caches:
+        cache.trace = _RecordingTrace()
+
+    def agree(observe):
+        first, *rest = [observe(cache, lower) for cache, lower in zip(caches, lowers)]
+        assert all(other == first for other in rest)
+
+    for is_write, budget, addresses, split in rounds:
+        partitions = [(), [True] * len(addresses), split]
+        outcomes = []
+        for cache, cuts in zip(caches, partitions):
+            accepted, refused, left = cache.send_batch(
+                _cache_runs(cache, addresses, cuts), budget, is_write, "t"
+            )
+            outcomes.append((accepted, _lanes(refused), left))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        agree(lambda cache, lower: (_cache_state(cache), vars(lower), cache.trace.events))
+        agree(_settle)
+    agree(lambda cache, lower: (_drain_responses(cache), _cache_state(cache)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,31 +612,36 @@ def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, r
             st.booleans(),
             st.integers(min_value=0, max_value=20),
             st.lists(st.integers(min_value=0, max_value=63).map(lambda w: w * 4), max_size=24),
+            st.lists(st.booleans(), max_size=24),
         ),
         min_size=1,
         max_size=4,
     ),
 )
 def test_smem_send_batch_matches_perlane_property(num_banks, rounds):
-    """Property: the scratchpad's batched path matches per-lane ``send``."""
+    """Property: the scratchpad's batched path matches per-lane ``send`` —
+    its banks are word-interleaved, so the lanes of one run spread over them."""
     ref = SharedMemory(core_id=0, size=8 * 1024, num_banks=num_banks, latency=1)
     bat = SharedMemory(core_id=0, size=8 * 1024, num_banks=num_banks, latency=1)
-    for is_write, budget, offsets in rounds:
-        entries = [(ref.base + off, True) for off in offsets]
+    for is_write, budget, offsets, split in rounds:
+        addresses = [ref.base + off for off in offsets]
         refused = []
         accepted = 0
         remaining = budget
-        for entry in entries:
+        for address in addresses:
             if remaining <= 0:
-                refused.append(entry)
+                refused.append(address)
                 continue
-            if ref.send(entry[0], is_write, "t"):
+            if ref.send(address, is_write, "t"):
                 accepted += 1
                 remaining -= 1
             else:
-                refused.append(entry)
-        bat_out = bat.send_batch(list(entries), budget, is_write, "t")
-        assert bat_out == (accepted, refused, remaining)
+                refused.append(address)
+        bat_accepted, bat_refused, bat_budget = bat.send_batch(
+            _runs_for(addresses, split, to_smem=True), budget, is_write, "t"
+        )
+        assert all(run[3] for run in bat_refused)
+        assert (bat_accepted, _lanes(bat_refused), bat_budget) == (accepted, refused, remaining)
         assert ref.perf.as_dict() == bat.perf.as_dict()
         ref_done = [(r.address, r.is_write, r.cycle) for r in ref.tick()]
         bat_done = [(r.address, r.is_write, r.cycle) for r in bat.tick()]

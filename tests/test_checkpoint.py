@@ -16,10 +16,11 @@ import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import CoreConfig, VortexConfig
+from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
 from repro.engine import session as session_mod
 from repro.engine.session import KernelJob, Session, execute_job
 from repro.runtime.checkpoint import (
@@ -200,6 +201,81 @@ class TestDriverCheckpoint:
         for field in fields(report):
             if field.name != "wall_seconds":
                 assert getattr(report, field.name) == getattr(reference, field.name)
+
+
+class TestRequestWireFormat:
+    """Outstanding data requests travel through the core as same-line *runs*
+    but are checkpointed one ``[address, line, bank, to_smem]`` per lane —
+    the layout checkpoints were written in before runs existed, so
+    ``SNAPSHOT_FORMAT`` did not move and those checkpoints stay loadable.  The
+    partition into runs is not state: restore regroups adjacent same-line
+    lanes, whichever instruction they came from."""
+
+    CONFIG = VortexConfig(
+        num_cores=1,
+        core=CoreConfig(num_warps=8, num_threads=4),
+        dcache=CacheConfig(size=4 * 1024, num_banks=2, num_ports=1, mshr_size=4),
+        memory=MemoryConfig(latency=100, bandwidth=1, request_queue_size=2),
+    )
+
+    def _staged(self):
+        from repro.kernels import KERNELS
+
+        kernel = KERNELS["saxpy"]()
+        device = VortexDevice(self.CONFIG, driver="simx")
+        program = kernel.build_program()
+        device.upload_program(program)
+        kernel.setup(device, 64)
+        return device, program
+
+    def test_perlane_payload_restores_regroups_and_continues(self):
+        straight, program = self._staged()
+        reference = straight.driver.run(program.entry)
+
+        # Pause where a load is half sent and the store queue holds lanes of
+        # one line that came from two instructions (4-lane warps, 16-lane lines).
+        paused, program = self._staged()
+        processor = paused.driver.processor
+        core = processor.cores[0]
+        processor.reset(program.entry)
+
+        def interesting():
+            half_sent = any(op.to_send and op.outstanding for op in core._pending_ops.values())
+            queue = core._store_queue
+            return half_sent and any(a[1] == b[1] for a, b in zip(queue, queue[1:]))
+
+        with np.errstate(all="ignore"):
+            while not interesting():
+                assert not processor.done and processor.cycle < reference.cycles
+                processor.tick()
+
+        payload = core.snapshot()
+        wire = payload["store_queue"] + [
+            lane for op in payload["pending_ops"] for lane in op["to_send"]
+        ]
+        assert all(
+            type(lane) is list and [type(field) for field in lane] == [int, int, int, bool]
+            for lane in wire
+        )
+        assert [lane[0] for lane in payload["store_queue"]] == [
+            address for run in core._store_queue for address in run[0]
+        ]
+
+        envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
+        assert envelope["format"] == SNAPSHOT_FORMAT
+        fresh = VortexDevice(self.CONFIG, driver="simx")
+        fresh.restore(envelope)
+        restored = fresh.driver.processor.cores[0]
+        assert restored.snapshot() == payload
+        assert fresh.checkpoint() == envelope
+        # Same lanes, coarser partition: the two instructions' lanes share a run.
+        assert len(restored._store_queue) < len(core._store_queue)
+        lines = [run[1] for run in restored._store_queue]
+        assert all(a != b for a, b in zip(lines, lines[1:]))
+
+        report = fresh.driver.run(None, resume=True)
+        assert fresh.driver.done
+        assert reports_identical(reference, report)
 
 
 # ---------------------------------------------------------------------------
