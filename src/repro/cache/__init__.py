@@ -11,8 +11,8 @@ signal, never letting the memory request queue fill) are respected.
 """
 
 from repro.cache.mshr import Mshr, MshrEntry
-from repro.cache.bank import CacheBank, BankRequest
-from repro.cache.cache import NonBlockingCache, CacheResponse
+from repro.cache.bank import CacheBank, CacheResponse
+from repro.cache.cache import NonBlockingCache
 from repro.cache.sharedmem import SharedMemory
 from repro.cache.hierarchy import MemorySubsystem
 
@@ -20,7 +20,6 @@ __all__ = [
     "Mshr",
     "MshrEntry",
     "CacheBank",
-    "BankRequest",
     "NonBlockingCache",
     "CacheResponse",
     "SharedMemory",

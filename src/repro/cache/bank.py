@@ -1,11 +1,15 @@
-"""One cache bank: tag store, data-store timing, MSHR and response scheduling.
+"""One cache bank: tag store, LRU state and MSHR — plus the response record.
 
 A bank is single-ported in hardware; the enclosing cache's bank selector
 guarantees that at most one cache line is accessed per bank per cycle (the
 virtual multi-porting optimization lets several *requests* share that one
-line access).  The bank therefore only needs to model tag lookups, LRU
-replacement, its MSHR, and the hit-latency delay between acceptance and
-response.
+line access — and one answer).  The bank therefore only models tag lookups,
+LRU replacement and its MSHR; the hit-latency delay between acceptance and
+response is the cache's one due bucket, not per-bank state.
+
+:class:`CacheResponse` is the one record of the accept/response half: built
+once when a bank accepts lanes, parked in the MSHR (misses) or the cache's
+due bucket, and handed to the requester as the same object.
 """
 
 from __future__ import annotations
@@ -19,21 +23,23 @@ from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 
 
-@dataclass
-class BankRequest:
-    """A request accepted by a bank."""
+@dataclass(slots=True)
+class CacheResponse:
+    """The lanes of one run a bank accepted in one step, and their answer.
 
-    address: int
+    ``addresses`` are consecutive lanes on one line sharing ``tag``, hit
+    flag and response ``cycle`` (set when the response is scheduled).  A
+    record is a grouping of adjacent per-lane responses, nothing more: any
+    partition of the same lane stream delivers the same answers in the same
+    order, so checkpoints keep one wire entry per lane.
+    """
+
+    addresses: tuple[int, ...]
     is_write: bool
     tag: Any
-    accept_cycle: int = 0
-
-
-@dataclass
-class _ScheduledResponse:
-    ready_cycle: int
-    request: BankRequest
+    accept_cycle: int
     hit: bool
+    cycle: int = 0
 
 
 class CacheBank:
@@ -54,7 +60,6 @@ class CacheBank:
         self._tags: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._use_counter = 0
         self.mshr = Mshr(config.mshr_size)
-        self._pending: list[_ScheduledResponse] = []
         self.perf = PerfCounters(f"bank{bank_id}")
 
     # -- address helpers -----------------------------------------------------------
@@ -79,11 +84,11 @@ class CacheBank:
         return relative // self.num_sets in self._tags[relative % self.num_sets]
 
     @hot_path
-    def touch(self, line_address: int) -> None:
-        """Update LRU state for a hit."""
+    def touch(self, line_address: int, lanes: int = 1) -> None:
+        """Update LRU state for ``lanes`` hits on one line (as that many calls would)."""
         set_index = self._set_index(line_address)
         tag = self._tag_of(line_address)
-        self._use_counter += 1
+        self._use_counter += lanes
         self._tags[set_index][tag] = self._use_counter
 
     def install(self, line_address: int) -> int | None:
@@ -111,100 +116,65 @@ class CacheBank:
 
     # -- checkpoint/restore ----------------------------------------------------------
 
-    def _encode_request(
-        self, request: BankRequest, encode_tag: Callable[[Any], Any]
+    def snapshot(
+        self, encode_tag: Callable[[Any], Any], due: list[tuple[int, CacheResponse]]
     ) -> dict:
-        return {
-            "address": request.address,
-            "is_write": request.is_write,
-            "tag": encode_tag(request.tag),
-            "accept_cycle": request.accept_cycle,
-        }
+        """Serialize tag store, LRU state, MSHR and scheduled responses.
 
-    def _decode_request(self, data: dict, decode_tag: Callable[[Any], Any]) -> BankRequest:
-        return BankRequest(
-            address=data["address"],
-            is_write=data["is_write"],
-            tag=decode_tag(data["tag"]),
-            accept_cycle=data["accept_cycle"],
-        )
+        ``due`` is this bank's share of the cache's due bucket as
+        ``(ready cycle, record)`` in delivery order.  The wire format is per
+        lane — one ``(ready, lane, hit)`` per address — whatever the records.
+        """
 
-    def snapshot(self, encode_tag: Callable[[Any], Any]) -> dict:
-        """Serialize tag store, LRU state, MSHR and scheduled responses."""
+        def lanes(record: CacheResponse) -> list[dict]:
+            tag = encode_tag(record.tag)
+            return [
+                {
+                    "address": address,
+                    "is_write": record.is_write,
+                    "tag": tag,
+                    "accept_cycle": record.accept_cycle,
+                }
+                for address in record.addresses
+            ]
+
         return {
             "tags": [dict(ways) for ways in self._tags],
             "use_counter": self._use_counter,
-            "mshr": self.mshr.snapshot(
-                lambda request: self._encode_request(request, encode_tag)
-            ),
+            "mshr": self.mshr.snapshot(lanes),
             "pending": [
-                (entry.ready_cycle, self._encode_request(entry.request, encode_tag), entry.hit)
-                for entry in self._pending
+                (ready, lane, record.hit) for ready, record in due for lane in lanes(record)
             ],
             "perf": self.perf.snapshot(),
         }
 
-    def restore(self, payload: dict, decode_tag: Callable[[Any], Any]) -> None:
-        """Restore bank state from a :meth:`snapshot` payload."""
+    def restore(
+        self, payload: dict, decode_tag: Callable[[Any], Any]
+    ) -> list[tuple[int, CacheResponse]]:
+        """Restore bank state; returns the scheduled ``(ready cycle, record)``
+        list (one singleton record per wire lane) for the cache's due bucket."""
+
+        def record(data: dict, hit: bool = False) -> CacheResponse:
+            return CacheResponse(
+                (data["address"],), data["is_write"], decode_tag(data["tag"]),
+                data["accept_cycle"], hit,
+            )
+
         self._tags = [dict(ways) for ways in payload["tags"]]
         self._use_counter = payload["use_counter"]
-        self.mshr.restore(
-            payload["mshr"], lambda data: self._decode_request(data, decode_tag)
-        )
-        self._pending = [
-            _ScheduledResponse(
-                ready_cycle=ready_cycle,
-                request=self._decode_request(data, decode_tag),
-                hit=hit,
-            )
-            for ready_cycle, data, hit in payload["pending"]
-        ]
+        self.mshr.restore(payload["mshr"], record)
         self.perf.restore(payload["perf"])
+        return [(ready, record(data, hit)) for ready, data, hit in payload["pending"]]
 
     # -- request handling ------------------------------------------------------------
 
-    def schedule_response(self, request: BankRequest, cycle: int, hit: bool) -> None:
-        """Queue a response ``hit_latency`` cycles in the future."""
-        self._pending.append(
-            _ScheduledResponse(ready_cycle=cycle + self.config.hit_latency, request=request, hit=hit)
-        )
-
-    def next_response_cycle(self) -> int | None:
-        """Earliest cycle a scheduled response completes (``None`` when idle).
-
-        The fast-forward path uses this to prove no response can appear
-        during a skipped window; outstanding *misses* need no entry here
-        because their fills are visible as lower-level (cache/DRAM) events.
-        """
-        if not self._pending:
-            return None
-        return min(entry.ready_cycle for entry in self._pending)
-
-    def collect_responses(self, cycle: int) -> list[tuple[BankRequest, bool]]:
-        """Return (request, hit) pairs whose responses complete at ``cycle``."""
-        if not self._pending:
-            return []
-        ready = [entry for entry in self._pending if entry.ready_cycle <= cycle]
-        if ready:
-            self._pending = [entry for entry in self._pending if entry.ready_cycle > cycle]
-        return [(entry.request, entry.hit) for entry in ready]
-
-    def fill(self, line_address: int, cycle: int) -> list[BankRequest]:
+    def fill(self, line_address: int) -> list[CacheResponse]:
         """Handle a returning memory fill: install the line, replay the MSHR.
 
-        Returns the replayed requests (their responses are scheduled by the
+        Returns the replayed records (their responses are scheduled by the
         caller so that replay shares the normal response path).
         """
         self.install(line_address)
         waiting = self.mshr.release(line_address)
         self.perf.incr("fills")
         return waiting
-
-    @property
-    def pending_responses(self) -> int:
-        return len(self._pending)
-
-    @property
-    def busy(self) -> bool:
-        """True while the bank still owes responses or has outstanding misses."""
-        return bool(self._pending) or len(self.mshr) > 0

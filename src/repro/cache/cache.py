@@ -1,8 +1,8 @@
 """The non-blocking multi-banked cache (Figure 6).
 
 ``NonBlockingCache`` implements the front-end bank selector (including the
-virtual multi-porting coalescing of same-line requests), the per-bank MSHRs
-and response scheduling, and the back-end merger that hands completed
+virtual multi-porting coalescing of same-line requests), the per-bank MSHRs,
+response scheduling, and the back-end merger that hands completed
 responses back to the requester.  Misses are forwarded through a *lower
 port* — either the DRAM model or the next cache level — supplied by the
 memory subsystem.
@@ -15,6 +15,13 @@ one bank access under virtual multi-porting — so the selector arbitrates
 per run, not per lane, while charging every counter and trace event per
 lane exactly as ``send`` would.
 
+The answer travels per run too.  Lanes a bank accepts in one step share one
+:class:`~repro.cache.bank.CacheResponse` record, built once and handed to
+the requester as the same object.  Scheduled records wait in one per-cache
+*due bucket* keyed by ready cycle, so :meth:`NonBlockingCache.tick` pops
+what is due now (nothing due costs a clock increment) instead of polling
+every bank, and the fast-forward reads the earliest key.
+
 The deadlock-avoidance rules from the paper are honoured at the acceptance
 point: a request is refused (and retried by the requester next cycle) when
 its bank's MSHR signals early-full or when the lower level cannot accept a
@@ -24,25 +31,18 @@ overcommitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from collections.abc import Callable
+from operator import itemgetter
 from typing import Any
 
-from repro.cache.bank import BankRequest, CacheBank
+from repro.cache.bank import CacheBank, CacheResponse
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
 
 
-@dataclass
-class CacheResponse:
-    """A completed core-side request."""
-
-    address: int
-    is_write: bool
-    tag: Any
-    hit: bool
-    cycle: int
+_bank_of = itemgetter(0)
 
 
 class LowerPort:
@@ -105,8 +105,8 @@ class NonBlockingCache:
 
     #: Construction-time identity, wiring and hot-path prebinds (vxlint
     #: VX007): ``lower`` is topology, ``_line_size``/``_num_banks``/
-    #: ``_num_ports`` derive from config and ``_counters`` aliases
-    #: ``perf._counters`` (serialized under the ``"perf"`` key).
+    #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
+    #: aliases ``perf._counters`` (serialized under the ``"perf"`` key).
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
@@ -115,6 +115,7 @@ class NonBlockingCache:
             "_line_size",
             "_num_banks",
             "_num_ports",
+            "_response_delay",
             "_counters",
             "trace",
             "trace_channel",
@@ -137,6 +138,10 @@ class NonBlockingCache:
         self.trace_core = -1
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}
+        # The due bucket: ready cycle -> [(bank id, record), ...] in schedule
+        # order.  A ``hit_latency=0`` response still arrives on the next tick.
+        self._due: defaultdict[int, list[tuple[int, CacheResponse]]] = defaultdict(list)
+        self._response_delay = max(config.hit_latency, 1)
         # Hot-path bindings: the send paths run once per request *attempt*
         # (the cycle-level core retries refusals every cycle), so the
         # per-attempt constants and the raw counter dict are prebound.
@@ -175,15 +180,21 @@ class NonBlockingCache:
             emit(cycle, core, NO_WARP, channel, kind, payload)
 
     @hot_path
+    def _schedule(self, bank_id: int, record: CacheResponse) -> None:
+        """Park ``record`` in the due bucket, ``hit_latency`` cycles ahead."""
+        record.cycle = ready = self._cycle + self._response_delay
+        self._due[ready].append((bank_id, record))
+
+    @hot_path
     def send(self, address: int, is_write: bool = False, tag: Any = None) -> bool:
         """Present one request to the bank selector.
 
         Returns True when the request is accepted this cycle; the response
         arrives later through :meth:`tick`.  A False return means the
         requester must retry next cycle (bank conflict, MSHR early-full, or
-        lower-level backpressure).  No request record is allocated per
-        attempt: a :class:`~repro.cache.bank.BankRequest` is only built once
-        the request is actually accepted into a bank.
+        lower-level backpressure).  No record is allocated per attempt: the
+        one-address :class:`~repro.cache.bank.CacheResponse` is only built
+        once the request is actually accepted into a bank.
 
         This is the single-request path (instruction fetches, L1→L2/L3
         traffic) and the per-request oracle :meth:`send_batch` is held to by
@@ -226,18 +237,10 @@ class NonBlockingCache:
                 counters["write_misses"] += 1
             if trace is not None:
                 self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
-            bank.schedule_response(
-                BankRequest(address=address, is_write=True, tag=tag, accept_cycle=self._cycle),
-                self._cycle,
-                hit,
-            )
+            self._schedule(bank_id, CacheResponse((address,), True, tag, self._cycle, hit))
         elif hit:
             bank.touch(line)
-            bank.schedule_response(
-                BankRequest(address=address, is_write=False, tag=tag, accept_cycle=self._cycle),
-                self._cycle,
-                True,
-            )
+            self._schedule(bank_id, CacheResponse((address,), False, tag, self._cycle, True))
             counters["read_hits"] += 1
             if trace is not None:
                 self._trace_attempts("hit", line, bank_id, False)
@@ -250,8 +253,7 @@ class NonBlockingCache:
                         self._trace_attempts("refusal", line, bank_id, False)
                     return False
             entry = bank.mshr.allocate(
-                line,
-                BankRequest(address=address, is_write=False, tag=tag, accept_cycle=self._cycle),
+                line, CacheResponse((address,), False, tag, self._cycle, False)
             )
             if entry is None:
                 counters["mshr_stalls"] += 1
@@ -288,9 +290,16 @@ class NonBlockingCache:
         the same reason: a port-less bank (saturated, or held by another
         line), an early-full MSHR and a lower queue known to be full
         (``sticky_refusal``) each charge the run's remaining lanes in one
-        step.  Only lanes that can actually be accepted — plus lanes refused
-        by a non-sticky lower level, whose own counters advance per call —
-        take the per-lane body.
+        step.
+
+        Accepts are taken per run as well: the ``min(lanes left, budget,
+        ports left)`` lanes that fit share one bank access — one ``touch``,
+        one :class:`~repro.cache.bank.CacheResponse` record, counters
+        ``+= n`` — for read hits and for merges into an existing MSHR entry.
+        The lane that allocates a new MSHR entry goes alone (allocation can
+        raise the early-full signal the lanes behind it must see), and
+        write-throughs ask the lower level lane by lane (its own counters
+        advance per call) while their accepted lanes still share one record.
 
         Returns ``(accepted, refused, budget)``.  ``refused`` preserves lane
         order — refused lanes first, then the un-attempted tail once the
@@ -367,7 +376,7 @@ class NonBlockingCache:
             mshr = bank.mshr
             hit = None  # tag probe: made once, and only if a lane gets that far
             kept: tuple[int, ...] = ()  # lanes refused one by one
-            done = taken = 0  # lanes through the per-lane body / accepted
+            done = taken = 0  # lanes attempted / accepted
             while done < lanes and budget > 0:
                 # Refusal reasons only an accept can change: every lane from
                 # ``done`` on gets the same answer, charged in one step.
@@ -392,65 +401,79 @@ class NonBlockingCache:
                     if trace is not None:
                         self._trace_attempts("refusal", line, bank_id, is_write, lanes - done)
                     break
-                address = addresses[done]
-                done += 1
+                # Accepts are taken in bulk: as many lanes as the run, the
+                # LSU budget and the bank's ports leave room for share one
+                # bank access and one response record.
+                room = min(lanes - done, budget, ports_left)
                 if is_write:
-                    if lower is not None and not lower.request_write(self, address):
-                        lower_full = lower_sticky
-                        memq_stalls += 1
-                        kept += (address,)
+                    # Every write-through is its own lower-level request, so
+                    # the lower is asked lane by lane; a non-sticky refusal
+                    # leaves a gap, a sticky one ends the stretch.
+                    sent: tuple[int, ...] = ()
+                    while done < lanes and len(sent) < room and not lower_full:
+                        address = addresses[done]
+                        done += 1
+                        if lower is not None and not lower.request_write(self, address):
+                            lower_full = lower_sticky
+                            memq_stalls += 1
+                            kept += (address,)
+                            if trace is not None:
+                                self._trace_attempts("refusal", line, bank_id, True)
+                            continue
+                        if hit is None:
+                            hit = bank.probe(line)
+                        sent += (address,)
                         if trace is not None:
-                            self._trace_attempts("refusal", line, bank_id, True)
+                            self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
+                    room = len(sent)  # what the lower level let through
+                    if not room:
                         continue
-                    if hit is None:
-                        hit = bank.probe(line)
                     if hit:
-                        bank.touch(line)
-                        write_hits += 1
+                        bank.touch(line, room)
+                        write_hits += room
                     else:
-                        write_misses += 1
-                    if trace is not None:
-                        self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
-                    bank.schedule_response(
-                        BankRequest(address=address, is_write=True, tag=tag, accept_cycle=cycle),
-                        cycle,
-                        hit,
-                    )
+                        write_misses += room
+                    self._schedule(bank_id, CacheResponse(sent, True, tag, cycle, hit))
                 elif hit:
-                    bank.touch(line)
-                    bank.schedule_response(
-                        BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                        cycle,
-                        True,
+                    bank.touch(line, room)
+                    self._schedule(
+                        bank_id,
+                        CacheResponse(addresses[done : done + room], False, tag, cycle, True),
                     )
-                    read_hits += 1
+                    read_hits += room
                     if trace is not None:
-                        self._trace_attempts("hit", line, bank_id, False)
+                        self._trace_attempts("hit", line, bank_id, False, room)
+                    done += room
                 else:
                     merged = mshr.lookup(line) is not None
-                    if not merged and lower is not None and not lower.request_fill(self, line):
-                        lower_full = lower_sticky
-                        memq_stalls += 1
-                        kept += (address,)
-                        if trace is not None:
-                            self._trace_attempts("refusal", line, bank_id, False)
-                        continue
-                    mshr_entry = mshr.allocate(
-                        line,
-                        BankRequest(address=address, is_write=False, tag=tag, accept_cycle=cycle),
-                    )
-                    if mshr_entry is None:
+                    if not merged:
+                        # The lane that allocates the entry goes alone: it can
+                        # raise ``almost_full``, which the lanes behind it —
+                        # merges included — must see before they are taken.
+                        room = 1
+                        if lower is not None and not lower.request_fill(self, line):
+                            lower_full = lower_sticky
+                            memq_stalls += 1
+                            kept += (addresses[done],)
+                            done += 1
+                            if trace is not None:
+                                self._trace_attempts("refusal", line, bank_id, False)
+                            continue
+                    record = CacheResponse(addresses[done : done + room], False, tag, cycle, False)
+                    if mshr.allocate(line, record, room) is None:
                         mshr_stalls += 1
-                        kept += (address,)
+                        kept += (addresses[done],)
+                        done += 1
                         if trace is not None:
                             self._trace_attempts("mshr-stall", line, bank_id, False)
                         continue
-                    read_misses += 1
+                    read_misses += room
                     if trace is not None:
-                        self._trace_attempts("miss", line, bank_id, False, 1, merged)
-                taken += 1
-                budget -= 1
-                ports_left -= 1
+                        self._trace_attempts("miss", line, bank_id, False, room, merged)
+                    done += room
+                taken += room
+                budget -= room
+                ports_left -= room
                 accepts[bank_id] = (line, num_ports - ports_left)
                 if ports_left <= 0:
                     full_banks += 1
@@ -497,10 +520,14 @@ class NonBlockingCache:
         tags carry live cache references; the memory subsystem encodes them
         by cache name).
         """
+        due: list[list[tuple[int, CacheResponse]]] = [[] for _ in self.banks]
+        for ready in sorted(self._due):
+            for bank_id, record in self._due[ready]:
+                due[bank_id].append((ready, record))
         return {
             "cycle": self._cycle,
             "accepts_this_cycle": dict(self._accepts_this_cycle),
-            "banks": [bank.snapshot(encode_tag) for bank in self.banks],
+            "banks": [bank.snapshot(encode_tag, due[bank.bank_id]) for bank in self.banks],
             "perf": self.perf.snapshot(),
         }
 
@@ -509,18 +536,21 @@ class NonBlockingCache:
         self._cycle = payload["cycle"]
         self._accepts_this_cycle.clear()
         self._accepts_this_cycle.update(payload["accepts_this_cycle"])
+        self._due.clear()
         for bank, bank_payload in zip(self.banks, payload["banks"]):
-            bank.restore(bank_payload, decode_tag)
+            for ready, record in bank.restore(bank_payload, decode_tag):
+                # Already due (the ``hit_latency=0`` wire shape): next tick.
+                record.cycle = ready = max(ready, self._cycle + 1)
+                self._due[ready].append((bank.bank_id, record))
         self.perf.restore(payload["perf"])
 
     # -- back-end: fills and responses -------------------------------------------------------
 
     def fill(self, line_address: int) -> None:
         """A fill for ``line_address`` returned from the lower level."""
-        bank = self.banks[line_address % self.config.num_banks]
-        replayed = bank.fill(line_address, self._cycle)
-        for request in replayed:
-            bank.schedule_response(request, self._cycle, False)
+        bank_id = line_address % self._num_banks
+        for record in self.banks[bank_id].fill(line_address):
+            self._schedule(bank_id, record)
         self.perf.incr("fills")
         if self.trace is not None:
             self.trace.emit(
@@ -533,24 +563,23 @@ class NonBlockingCache:
             )
 
     def tick(self) -> list[CacheResponse]:
-        """Advance one cycle; returns the responses completing this cycle."""
+        """Advance one cycle; returns the records completing this cycle.
+
+        Bank-major, schedule order within a bank.  Everything due at one
+        cycle was scheduled during one memory-side cycle (the core's sends,
+        then the next tick's fill replays), so a stable sort of the bucket
+        by bank id is that order.
+        """
         self._cycle += 1
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
-        responses: list[CacheResponse] = []
-        for bank in self.banks:
-            for bank_request, hit in bank.collect_responses(self._cycle):
-                responses.append(
-                    CacheResponse(
-                        address=bank_request.address,
-                        is_write=bank_request.is_write,
-                        tag=bank_request.tag,
-                        hit=hit,
-                        cycle=self._cycle,
-                    )
-                )
         self._counters["cycles"] += 1
-        return responses
+        due = self._due.pop(self._cycle, None)
+        if due is None:
+            return []
+        if len(due) > 1:
+            due.sort(key=_bank_of)
+        return [record for _bank_id, record in due]
 
     # -- fast-forward ------------------------------------------------------------------------
 
@@ -564,18 +593,13 @@ class NonBlockingCache:
         return None if self.lower is None else self.lower.refusal_horizon()
 
     def next_response_cycle(self) -> int | None:
-        """Earliest cycle any bank completes a response (``None`` when idle).
+        """Earliest cycle a response completes (``None`` when idle).
 
         Outstanding misses are *not* events here: their fills live in the
-        lower level's queue (DRAM or the next cache's banks) and are
+        lower level's queue (DRAM or the next cache's due bucket) and are
         reported by that level.
         """
-        result: int | None = None
-        for bank in self.banks:
-            ready = bank.next_response_cycle()
-            if ready is not None and (result is None or ready < result):
-                result = ready
-        return result
+        return min(self._due, default=None)
 
     def skip_idle(self, cycles: int) -> None:
         """Advance ``cycles`` provably idle cycles in one jump.
@@ -583,10 +607,19 @@ class NonBlockingCache:
         Only valid when the caller proved (via :meth:`next_response_cycle`)
         that no response completes in the window and no requests arrive —
         each skipped :meth:`tick` would then only advance the clock and the
-        ``cycles`` counter.
+        ``cycles`` counter.  :meth:`tick` pops exactly the current cycle's
+        bucket, so a jump past a due response would strand it: that is a
+        caller bug and fails here, not as a hang at ``max_cycles``.
         """
         self._cycle += cycles
         self._counters["cycles"] += cycles
+        if self._due and min(self._due) <= self._cycle:
+            from repro.core.emulator import EmulationError  # cache sits below core
+
+            raise EmulationError(
+                f"{self.name}: skip_idle({cycles}) to cycle {self._cycle} passed a "
+                f"response due at cycle {min(self._due)}"
+            )
 
     # -- statistics -------------------------------------------------------------------------
 
@@ -614,8 +647,8 @@ class NonBlockingCache:
 
     @property
     def busy(self) -> bool:
-        """True while any bank still has outstanding work."""
-        return any(bank.busy for bank in self.banks)
+        """True while a response is scheduled or any bank has outstanding misses."""
+        return bool(self._due) or any(len(bank.mshr) for bank in self.banks)
 
     def counters(self) -> dict[str, int]:
         """Flat snapshot of the cache's performance counters."""

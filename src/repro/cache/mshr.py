@@ -69,17 +69,19 @@ class Mshr:
         return self._entries.get(line_address)
 
     @hot_path
-    def allocate(self, line_address: int, request: Any) -> MshrEntry | None:
+    def allocate(self, line_address: int, request: Any, lanes: int = 1) -> MshrEntry | None:
         """Add ``request`` to the entry for ``line_address``.
 
         Returns the entry, or ``None`` when a new entry is needed but the
         table is full.  The caller checks ``fill_issued`` to know whether a
-        fill request must be sent to the lower level.
+        fill request must be sent to the lower level.  ``lanes`` is how many
+        merging lanes ``request`` stands for (the cache parks one record per
+        accepted run); a new entry is always allocated by a single lane.
         """
         entry = self._entries.get(line_address)
         if entry is not None:
             entry.waiting.append(request)
-            self.merged += 1
+            self.merged += lanes
             return entry
         if self.full:
             return None
@@ -94,11 +96,12 @@ class Mshr:
 
     # -- checkpoint/restore --------------------------------------------------------
 
-    def snapshot(self, encode_request: Callable[[Any], Any]) -> dict:
+    def snapshot(self, encode_lanes: Callable[[Any], list[Any]]) -> dict:
         """Serialize the outstanding-miss table (entry order preserved).
 
-        ``encode_request`` maps waiting requests to plain data; the owning
-        :class:`~repro.cache.bank.CacheBank` supplies the request codec.
+        ``encode_lanes`` maps a waiting request to its per-lane plain data
+        (the wire holds one ``waiting`` item per lane); the owning
+        :class:`~repro.cache.bank.CacheBank` supplies the codec.
         """
         return {
             "entries": [
@@ -106,7 +109,9 @@ class Mshr:
                     line,
                     {
                         "fill_issued": entry.fill_issued,
-                        "waiting": [encode_request(request) for request in entry.waiting],
+                        "waiting": [
+                            lane for request in entry.waiting for lane in encode_lanes(request)
+                        ],
                     },
                 )
                 for line, entry in self._entries.items()

@@ -37,6 +37,8 @@ class CacheConfig:
             raise ValueError("cache size must divide evenly into ways and banks")
         if self.num_ports < 1:
             raise ValueError("a cache bank needs at least one port")
+        if self.hit_latency < 0:
+            raise ValueError("cache hit latency cannot be negative")
 
     @property
     def num_sets(self) -> int:

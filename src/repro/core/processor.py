@@ -275,6 +275,7 @@ class TimingProcessor(_GlobalBarrierMixin):
         if entry_pc is not None:
             self.reset(entry_pc)
         idle_cycles = 0
+        retired = self.total_instructions
         # Lane-plan execution legitimately produces IEEE invalid/overflow
         # conditions inside masked numpy expressions (the scalar reference
         # silences them per operation); silence them for the whole run.
@@ -282,8 +283,9 @@ class TimingProcessor(_GlobalBarrierMixin):
             while not self.done:
                 if stop_cycle is not None and self.cycle >= stop_cycle:
                     break
-                instructions_before = self.total_instructions
+                instructions_before = retired
                 self.tick()
+                retired = self.total_instructions  # read once per ticked cycle
                 if self.cycle >= max_cycles:
                     raise SimulationLimitExceeded(
                         "cycles",
@@ -293,7 +295,7 @@ class TimingProcessor(_GlobalBarrierMixin):
                 # ``>=`` mirrors the functional Processor's budget semantics,
                 # so LaunchOptions(max_instructions=N) behaves identically on
                 # both driver families.
-                if max_instructions is not None and self.total_instructions >= max_instructions:
+                if max_instructions is not None and retired >= max_instructions:
                     raise SimulationLimitExceeded(
                         "instructions",
                         max_instructions,
@@ -301,7 +303,7 @@ class TimingProcessor(_GlobalBarrierMixin):
                     )
                 # Deadlock watchdog: no instruction retired for a long stretch while
                 # cores still have active wavefronts and no memory traffic is pending.
-                if self.total_instructions == instructions_before and not self.memsys.busy:
+                if retired == instructions_before and not self.memsys.busy:
                     idle_cycles += 1
                     if idle_cycles > 200_000:
                         raise EmulationError(
@@ -354,6 +356,9 @@ class TimingProcessor(_GlobalBarrierMixin):
                     next_event = event
         mem_event = self.memsys.next_event_cycle()
         if mem_event is not None:
+            # Memory-side clocks keep counting across launches (``reset``
+            # restarts only the cores over warm caches): translate.
+            mem_event += self.cycle - self.memsys.dram._cycle
             if mem_event <= floor:
                 return 0
             if next_event is None or mem_event < next_event:

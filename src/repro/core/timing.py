@@ -311,12 +311,12 @@ class TimingCore:
     def done(self) -> bool:
         """True when every warp terminated and all outstanding work drained."""
         return (
-            self.func.done
-            and not self._pending_ops
+            not self._pending_ops
             and not self._writebacks
             and not self._store_queue
             and not self._ifetch_to_send
             and not self._pending_ifetch
+            and self.func.done  # walks every warp: last
         )
 
     @hot_path
@@ -471,7 +471,7 @@ class TimingCore:
             op = self._pending_ops.get(tag[1])
             if op is None:
                 continue
-            op.outstanding -= 1
+            op.outstanding -= len(response.addresses)  # one record per accepted run
             self._maybe_complete_op(op)
 
     def _process_smem_responses(self) -> None:
@@ -790,6 +790,10 @@ class TimingCore:
         that would merely charge a scoreboard stall is *not* an event: its
         unblocking writeback/response is, and until then each tick's
         select-and-stall is replayed exactly by :meth:`skip_idle`.
+
+        The memory side keeps its own clocks across launches (``reset``
+        restarts the core at cycle 0 over warm caches), so its readings are
+        compared in its domain or translated by the clock difference.
         """
         cycle = self.cycle
         if self._ifetch_to_send:
@@ -807,7 +811,7 @@ class TimingCore:
             # queue's release (the DRAM head pop) is already an event in the
             # memory subsystem's scan.
             horizon = self.dcache.write_refusal_horizon()
-            if horizon is None or horizon <= cycle + 1:
+            if horizon is None or horizon <= self.dcache._cycle + 1:
                 return cycle + 1
             for run in self._store_queue:
                 if run[3]:  # a scratchpad store would be accepted
@@ -831,6 +835,7 @@ class TimingCore:
                 result = wake
         smem_ready = self.smem.next_response_cycle()
         if smem_ready is not None:
+            smem_ready += cycle - self.smem._cycle
             wake = smem_ready if smem_ready > cycle else cycle + 1
             if result is None or wake < result:
                 result = wake

@@ -150,8 +150,12 @@ class KernelJob:
 
         Raises ``KeyError`` for a kernel name not in the registry — such a
         job has no content to key (the service treats it as uncacheable and
-        lets the worker report the deterministic failure).
+        lets the worker report the deterministic failure).  Every field is
+        frozen, so the digest is computed once per instance and memoized.
         """
+        memo = self.__dict__.get("_cache_key")
+        if memo is not None:
+            return memo
         kernel = _kernel(self.kernel)
         program = kernel.build_program()
         material: dict[str, Any] = {
@@ -171,7 +175,9 @@ class KernelJob:
             # serializer bug must surface as a differential mismatch — never
             # be masked by a cache hit on the straight-through result.
             material["restart_midpoint"] = True
-        return content_digest(material)
+        key = content_digest(material)
+        object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 @dataclass

@@ -46,11 +46,13 @@ def run_ticked():
     ``reset(entry)`` + ``while not done: tick()`` is the cycle-by-cycle
     reference that ``run()``'s event-driven fast-forward must equal in
     cycles, counters and expanded traces.  Returns the finished device.
+    ``kernel`` is a registry name or a kernel class; passing ``device``
+    relaunches on an existing device (warm caches) instead of a fresh one.
     """
 
-    def run(kernel: str, size: int, config: VortexConfig, driver: str = "simx") -> VortexDevice:
-        device = VortexDevice(config, driver=driver)
-        instance = KERNELS[kernel]()
+    def run(kernel, size, config=None, driver: str = "simx", device=None) -> VortexDevice:
+        device = device or VortexDevice(config, driver=driver)
+        instance = KERNELS[kernel]() if isinstance(kernel, str) else kernel()
         program = instance.build_program()
         device.upload_program(program)
         context = instance.setup(device, size)

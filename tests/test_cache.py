@@ -1,6 +1,7 @@
 """Tests for the non-blocking multi-banked cache subsystem."""
 
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.cache.cache import NonBlockingCache
 from repro.cache.mshr import Mshr
 from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
 from repro.common.config import CacheConfig
+from repro.core.emulator import EmulationError
 
 
 # -- MSHR --------------------------------------------------------------------------------
@@ -130,15 +132,29 @@ def test_bank_install_probe_and_lru_eviction():
     assert bank.probe(lines[0]) and bank.probe(lines[2]) and not bank.probe(lines[1])
 
 
-def test_bank_response_scheduling_honors_hit_latency():
-    config = CacheConfig(size=1024, line_size=64, num_banks=1, hit_latency=3)
-    bank = CacheBank(0, config)
-    from repro.cache.bank import BankRequest
+@pytest.mark.parametrize("hit_latency", [0, 1, 3])
+def test_cache_response_scheduling_honors_hit_latency(hit_latency):
+    """A hit accepted at cycle C answers at ``C + hit_latency`` — and never
+    before the next tick, so ``hit_latency=0`` behaves like 1."""
+    config = CacheConfig(size=1024, line_size=64, num_banks=1, hit_latency=hit_latency)
+    cache = NonBlockingCache("dcache", config)
+    cache.fill(0)
+    for _ in range(10):
+        cache.tick()
+    assert cache.send(0, tag="t")
+    due = 10 + max(hit_latency, 1)
+    assert cache.next_response_cycle() == due
+    for cycle in range(11, due):
+        assert cache.tick() == [], cycle
+    (response,) = cache.tick()
+    assert (response.tag, response.addresses, response.hit) == ("t", (0,), True)
+    assert response.cycle == due and response.accept_cycle == 10
+    assert cache.next_response_cycle() is None and not cache.busy
 
-    bank.schedule_response(BankRequest(address=0, is_write=False, tag="t"), cycle=10, hit=True)
-    assert bank.collect_responses(12) == []
-    responses = bank.collect_responses(13)
-    assert len(responses) == 1 and responses[0][0].tag == "t"
+
+def test_cache_config_rejects_negative_hit_latency():
+    with pytest.raises(ValueError, match="hit latency"):
+        CacheConfig(hit_latency=-1)
 
 
 # -- NonBlockingCache ----------------------------------------------------------------------
@@ -433,20 +449,30 @@ def _lanes(runs, line_size=64):
 
 
 def _cache_state(cache):
+    """Everything observable, down to LRU values and the per-lane snapshot
+    wire — how lanes were grouped into records must not show anywhere."""
     return {
         "accepts": dict(cache._accepts_this_cycle),
         "mshr_len": [len(bank.mshr) for bank in cache.banks],
         "mshr_lines": [sorted(bank.mshr._entries) for bank in cache.banks],
         "mshr_almost_full": [bank.mshr.almost_full for bank in cache.banks],
+        "mshr_tallies": [
+            (bank.mshr.merged, bank.mshr.allocations, bank.mshr.peak_occupancy)
+            for bank in cache.banks
+        ],
+        "lru": [(bank._use_counter, bank._tags) for bank in cache.banks],
         "counters": cache.perf.as_dict(),
+        "wire": cache.snapshot(lambda tag: tag)["banks"],
     }
 
 
 def _drain_responses(cache, cycles=6):
+    """The response stream per lane, so the per-lane ``send`` oracle decides."""
     stream = []
     for _ in range(cycles):
         for resp in cache.tick():
-            stream.append((resp.tag, resp.address, resp.is_write, resp.hit, resp.cycle))
+            for address in resp.addresses:
+                stream.append((resp.tag, address, resp.is_write, resp.hit, resp.cycle))
     return stream
 
 
@@ -602,6 +628,127 @@ def test_send_batch_partition_invariance_property(
         agree(lambda cache, lower: (_cache_state(cache), vars(lower), cache.trace.events))
         agree(_settle)
     agree(lambda cache, lower: (_drain_responses(cache), _cache_state(cache)))
+
+
+# -- the accept half travels per run: directed cases behind the properties ---------------
+
+
+def _accepting_lower():
+    return _ScriptedLower(refuse_every=0)
+
+
+def _against_perlane(addresses, budget, is_write, make_lower, **config):
+    """One ``send_batch`` of one maximal partition next to the ``send`` oracle."""
+    config = CacheConfig(size=4 * 1024, line_size=64, hit_latency=2, **config)
+    reference = NonBlockingCache("ref", config, lower=make_lower())
+    batched = NonBlockingCache("bat", config, lower=make_lower())
+    expected = _perlane_reference(
+        reference, _entries_for(reference, addresses), budget, is_write, "t"
+    )
+    accepted, refused, left = batched.send_batch(
+        _cache_runs(batched, addresses), budget, is_write, "t"
+    )
+    assert (accepted, _lanes(refused), left) == (
+        expected[0], [entry[0] for entry in expected[1]], expected[2]
+    )
+    assert _cache_state(reference) == _cache_state(batched)
+    return batched, refused
+
+
+def _due_records(cache):
+    return [record for ready in sorted(cache._due) for _bank, record in cache._due[ready]]
+
+
+@pytest.mark.parametrize("mshr_size", [1, 2])
+def test_allocating_lane_raises_almost_full_for_the_rest_of_its_run(mshr_size):
+    """The lane that allocates the MSHR entry goes alone: with a one- or
+    two-entry table it raises ``almost_full``, so lanes 2..n of the same run
+    are early-full stalls — not merges — exactly as lane by lane."""
+    addresses = [0x100, 0x104, 0x108, 0x10C]
+    cache, refused = _against_perlane(
+        addresses, 32, False, _accepting_lower, num_banks=1, num_ports=8, mshr_size=mshr_size
+    )
+    assert cache.perf.get("accepted") == 1 and cache.perf.get("mshr_stalls") == 3
+    assert _lanes(refused) == addresses[1:]
+    (entry,) = cache.banks[0].mshr._entries.values()
+    assert [record.addresses for record in entry.waiting] == [(0x100,)]
+    assert cache.banks[0].mshr.merged == 0
+
+
+def test_merging_lanes_share_one_record_behind_the_allocating_lane():
+    cache, refused = _against_perlane(
+        [0x100, 0x104, 0x108, 0x10C], 32, False, _accepting_lower,
+        num_banks=1, num_ports=8, mshr_size=4,
+    )
+    assert not refused and cache.lower.fills == [4]
+    (entry,) = cache.banks[0].mshr._entries.values()
+    assert [record.addresses for record in entry.waiting] == [(0x100,), (0x104, 0x108, 0x10C)]
+    assert cache.banks[0].mshr.merged == 3 and cache.banks[0].mshr.allocations == 1
+
+
+def test_write_run_keeps_going_past_a_nonsticky_refusal():
+    """A non-sticky lower refuses lane 2 of 4: lanes 1, 3, 4 are accepted
+    into one record, lane 2 comes back, and the lower saw four calls."""
+
+    def make_lower():
+        lower = _ScriptedLower(refuse_every=4)
+        lower.calls = 2  # the run's second call is the refused fourth
+        return lower
+
+    addresses = [0x200, 0x204, 0x208, 0x20C]
+    cache, refused = _against_perlane(
+        addresses, 32, True, make_lower, num_banks=2, num_ports=4, mshr_size=4
+    )
+    assert refused == [((0x204,), 8, 0, False)]
+    assert cache.lower.calls == 6 and cache.lower.writes == [0x200, 0x208, 0x20C]
+    assert cache.perf.get("memq_stalls") == 1
+    (record,) = _due_records(cache)
+    assert record.addresses == (0x200, 0x208, 0x20C) and record.is_write and not record.hit
+
+
+@pytest.mark.parametrize("num_ports", [2, 4, 8])
+def test_run_longer_than_the_ports_accepts_a_prefix(num_ports):
+    addresses = [0x300 + 4 * lane for lane in range(12)]
+    cache, refused = _against_perlane(
+        addresses, 32, False, _accepting_lower, num_banks=4, num_ports=num_ports, mshr_size=8
+    )
+    assert cache.perf.get("accepted") == num_ports
+    assert cache.perf.get("bank_conflicts") == 12 - num_ports
+    assert _lanes(refused) == addresses[num_ports:]
+
+
+def test_accepted_hit_run_is_one_due_entry():
+    """Eight same-line hit lanes on an 8-port bank: one ``touch``, one
+    record, one ``_due`` entry — counted from here, no counter exists."""
+    config = CacheConfig(size=4 * 1024, line_size=64, num_banks=4, num_ports=8)
+    cache = NonBlockingCache("dcache", config)
+    cache.fill(cache.line_address(0x400))
+    cache.tick()
+    scheduled = []
+    schedule = cache._schedule
+    cache._schedule = lambda bank_id, record: (scheduled.append(record), schedule(bank_id, record))
+    addresses = tuple(0x400 + 4 * lane for lane in range(8))
+    use_counter = cache.banks[0]._use_counter
+    accepted, refused, budget = cache.send_batch(_cache_runs(cache, addresses), 32, False, "t")
+    assert (accepted, refused, budget) == (8, [], 24)
+    assert len(scheduled) == 1 and scheduled[0].addresses == addresses
+    assert [len(bucket) for bucket in cache._due.values()] == [1]
+    assert cache.banks[0]._use_counter == use_counter + 8  # as eight touches would
+    assert len(cache.snapshot(lambda tag: tag)["banks"][0]["pending"]) == 8  # wire: per lane
+    cache.tick()
+    assert cache.tick() == scheduled and scheduled[0].cycle == cache._cycle
+
+
+def test_skip_idle_past_a_due_response_fails_loudly():
+    """``tick`` pops exactly the current cycle's bucket, so a jump over a due
+    response would strand it; the offending skip raises instead."""
+    cache, _ = _make_cache()
+    cache.fill(cache.line_address(0x500))
+    cache.tick()
+    assert cache.send(0x500, tag="t")  # due two cycles ahead
+    cache.skip_idle(1)
+    with pytest.raises(EmulationError, match="passed a response due at cycle 3"):
+        cache.skip_idle(1)
 
 
 @settings(max_examples=60, deadline=None)

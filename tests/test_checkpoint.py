@@ -116,11 +116,11 @@ class TestEnvelope:
 # Driver-level pause/restore identity
 
 
-def _staged_device(driver: str, kernel: str = "vecadd", size: int = 64):
+def _staged_device(driver: str, kernel: str = "vecadd", size: int = 64, config=CFG):
     from repro.kernels import KERNELS
 
     kernel_obj = KERNELS[kernel]()
-    device = VortexDevice(CFG, driver=driver)
+    device = VortexDevice(config, driver=driver)
     program = kernel_obj.build_program()
     device.upload_program(program)
     context = kernel_obj.setup(device, size)
@@ -276,6 +276,93 @@ class TestRequestWireFormat:
         report = fresh.driver.run(None, resume=True)
         assert fresh.driver.done
         assert reports_identical(reference, report)
+
+
+class TestResponseWireFormat:
+    """Accepted lanes travel from bank to scoreboard as one record per
+    accepted run, but a record is only a grouping of adjacent per-lane
+    responses: checkpoints keep one ``(ready, lane, hit)`` / one MSHR
+    ``waiting`` item per lane — the layout they had before records existed,
+    so ``SNAPSHOT_FORMAT`` did not move — and restore may regroup."""
+
+    #: The Figure 19 regime: 32-thread warps against 8 virtual ports.
+    CONFIG = VortexConfig(
+        num_cores=1,
+        core=CoreConfig(num_warps=4, num_threads=32),
+        dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=8),
+        memory=MemoryConfig(latency=100, bandwidth=1),
+    )
+
+    def test_multi_lane_records_checkpoint_per_lane_and_resume(self):
+        straight, _, program, _ = _staged_device("simx", "sgemm", 16 * 16, self.CONFIG)
+        reference = straight.driver.run(program.entry)
+
+        paused, _, program, _ = _staged_device("simx", "sgemm", 16 * 16, self.CONFIG)
+        processor = paused.driver.processor
+        dcache = processor.memsys.dcache(0)
+        processor.reset(program.entry)
+
+        def records():
+            due = [record for bucket in dcache._due.values() for _bank, record in bucket]
+            parked = [
+                record
+                for bank in dcache.banks
+                for entry in bank.mshr._entries.values()
+                for record in entry.waiting
+            ]
+            return due, parked
+
+        with np.errstate(all="ignore"):
+            while not all(
+                any(len(record.addresses) > 1 for record in group) for group in records()
+            ):
+                assert not processor.done and processor.cycle < reference.cycles
+                processor.tick()
+
+        due, parked = records()
+        banks = dcache.snapshot(processor.memsys._encode_tag)["banks"]
+        pending = [lane for bank in banks for lane in bank["pending"]]
+        waiting = [
+            lane for bank in banks for _line, entry in bank["mshr"]["entries"]
+            for lane in entry["waiting"]
+        ]
+        assert len(pending) == sum(len(record.addresses) for record in due) > len(due)
+        assert len(waiting) == sum(len(record.addresses) for record in parked) > len(parked)
+        for ready, lane, hit in pending:
+            assert (type(ready), type(hit)) == (int, bool) and ready > dcache._cycle
+            assert sorted(lane) == ["accept_cycle", "address", "is_write", "tag"]
+        assert all(sorted(lane) == sorted(pending[0][1]) for lane in waiting)
+
+        envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
+        assert envelope["format"] == SNAPSHOT_FORMAT
+        fresh = VortexDevice(self.CONFIG, driver="simx")
+        fresh.restore(envelope)
+        assert fresh.checkpoint() == envelope
+        restored = fresh.driver.processor.memsys.dcache(0)
+        assert sum(len(bucket) for bucket in restored._due.values()) == len(pending)
+
+        report = fresh.driver.run(None, resume=True)
+        assert fresh.driver.done
+        assert reports_identical(reference, report)
+
+    def test_already_due_wire_entry_is_delivered_on_the_next_tick(self):
+        """``ready == cycle`` is what a ``hit_latency=0`` cache wrote into its
+        checkpoints: the old per-bank ``ready <= cycle`` scan delivered it on
+        the next tick, and so must the bucket keyed by exact cycle."""
+        from repro.cache.cache import NonBlockingCache
+
+        cache = NonBlockingCache("dcache", CacheConfig(num_banks=2, hit_latency=0))
+        for _ in range(7):
+            cache.tick()
+        payload = cache.snapshot(lambda tag: tag)
+        lane = {"address": 0x40, "is_write": False, "tag": "t", "accept_cycle": 7}
+        payload["banks"][1]["pending"] = [(7, lane, True)]
+        cache.restore(payload, lambda tag: tag)
+        assert cache.busy and cache.next_response_cycle() == 8
+        (response,) = cache.tick()
+        assert (response.addresses, response.tag, response.hit) == ((0x40,), "t", True)
+        assert (response.accept_cycle, response.cycle) == (7, 8)
+        assert not cache.busy
 
 
 # ---------------------------------------------------------------------------

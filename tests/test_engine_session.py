@@ -1,8 +1,10 @@
 """Tests for the execution-engine protocol, run limits, decode-cache
 invalidation and the batched session layer."""
 
+import numpy as np
 import pytest
 
+from repro.cache.sharedmem import SHARED_MEM_BASE
 from repro.common.config import VortexConfig
 from repro.core.emulator import EmulationError, SimulationLimitExceeded
 from repro.engine.protocol import ExecutionEngine
@@ -102,6 +104,55 @@ def test_back_to_back_program_loads_use_fresh_decodes(driver):
     device.upload_program(second)
     device.launch(second.entry)
     assert device.memory.read_word(0x4000) == 222
+
+
+def _scratchpad_roundtrip_program(value):
+    """Store ``value`` to the scratchpad, load it back and use it, then halt:
+    between load and use a scratchpad response is the only pending event."""
+    asm = ProgramBuilder(base=BASE)
+    asm.li(Reg.t0, value)
+    asm.li(Reg.t1, SHARED_MEM_BASE)
+    asm.sw(Reg.t0, 0, Reg.t1)
+    asm.lw(Reg.t2, 0, Reg.t1)
+    asm.addi(Reg.t2, Reg.t2, 1)
+    asm.li(Reg.t3, 0x4000)
+    asm.sw(Reg.t2, 0, Reg.t3)
+    asm.li(Reg.t2, 0)
+    asm.tmc(Reg.t2)
+    return asm.assemble()
+
+
+@pytest.mark.parametrize(
+    "make_program,stored",
+    [(_constant_store_program, 222), (_scratchpad_roundtrip_program, 223)],
+    ids=["dcache", "scratchpad"],
+)
+def test_relaunch_reports_the_tick_loop_cycles(make_program, stored):
+    """``reset`` restarts the core clock at 0 while the memory side keeps
+    counting (caches stay warm).  The fast-forward must compare the two in
+    one domain: a second and third launch report what ``reset`` + ``tick()``
+    reports on a twin device — and the same count as each other.  (Comparing
+    them raw inflated the cycles of every launch after the first.)"""
+    fast = VortexDevice(VortexConfig(), driver="simx")
+    ticked = VortexDevice(VortexConfig(), driver="simx")
+    cycles = []
+    for program in (make_program(111), make_program(222), make_program(222)):
+        for device in (fast, ticked):
+            device.upload_program(program)
+        cycles.append(fast.launch(program.entry).cycles)
+        reference = ticked.driver.processor
+        if len(cycles) == 1:
+            ticked.launch(program.entry)
+        else:
+            reference.reset(program.entry)
+            with np.errstate(all="ignore"):  # as TimingProcessor.run does for lane plans
+                while not reference.done:
+                    reference.tick()
+        assert cycles[-1] == reference.cycle
+        assert fast.driver.processor.counters() == reference.counters()
+        assert fast.memory.read_word(0x4000) == ticked.memory.read_word(0x4000)
+    assert fast.memory.read_word(0x4000) == stored
+    assert cycles[1] == cycles[2] < cycles[0]  # warm caches: shorter, and repeatable
 
 
 def test_upload_program_invalidates_driver_decode_caches():

@@ -135,10 +135,12 @@ def run_scenario(name: str) -> dict:
     assert run.passed, name
     payload = run.report.to_payload()
     del payload["wall_seconds"]
-    payload["smem"] = {
-        f"smem{core.core_id}": core.smem.perf.as_dict() for core in device.driver.processor.cores
-    }
+    payload["smem"] = _smem_counters(device.driver.processor)
     return payload
+
+
+def _smem_counters(processor) -> dict:
+    return {f"smem{core.core_id}": core.smem.perf.as_dict() for core in processor.cores}
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -154,3 +156,43 @@ def test_mixed_kernel_golden_drives_scratchpad_and_dcache():
     assert smem["reads"] > 0 and smem["writes"] > 0 and smem["bank_conflicts"] > 0
     assert dcache["read_hits"] + dcache["read_misses"] > 0
     assert dcache["write_hits"] + dcache["write_misses"] > 0
+
+
+# -- relaunch: warm caches, memory-side clocks ahead of the restarted core clock ------------
+
+
+@pytest.mark.parametrize(
+    "kernel_factory,size,config",
+    [
+        # fast-forward through the write refusal horizon
+        pytest.param(*SCENARIOS["saxpy_1p32t_store_storm"], id="store_storm"),
+        # scratchpad response cycles
+        pytest.param(*SCENARIOS["mixed_smem_global_4w32t"], id="smem"),
+        # due buckets at three cache levels
+        pytest.param(
+            KERNELS["sgemm"], 8 * 8, _small().with_cache_hierarchy(enable_l2=True, enable_l3=True),
+            id="l2l3",
+        ),
+    ],
+)
+def test_relaunch_run_equals_tick_loop(run_ticked, kernel_factory, size, config):
+    """``reset`` restarts the core clock over a memory side that keeps
+    counting, so on a second and third launch (cold program, warm caches)
+    the fast-forward compares two clock domains.  ``run()`` must still equal
+    the tick loop on a twin device in cycles and every counter."""
+    fast = VortexDevice(config, driver="simx")
+    ticked = VortexDevice(config, driver="simx")
+    for device in (fast, ticked):
+        assert kernel_factory().run(device, size=size).passed
+    processor = fast.driver.processor
+    skips = []
+    skip_idle = processor._skip_idle
+    processor._skip_idle = lambda cycles: (skips.append(cycles), skip_idle(cycles))
+    for _launch in range(2):
+        run = kernel_factory().run(fast, size=size)
+        assert run.passed
+        reference = run_ticked(kernel_factory, size, device=ticked).driver.processor
+        assert run.report.cycles == reference.cycle
+        assert run.report.counters == reference.counters()
+        assert _smem_counters(processor) == _smem_counters(reference)
+    assert skips, "the relaunches should have fast-forwarded some window"

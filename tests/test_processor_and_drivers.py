@@ -234,6 +234,41 @@ def test_opencl_style_vecadd():
     assert np.array_equal(buf_c.read(np.uint32, size), a + b)
 
 
+def test_opencl_enqueues_on_one_context_report_tick_loop_cycles():
+    """A multi-kernel host program relaunches on one device; every enqueue
+    after the first used to report inflated cycles (the fast-forward compared
+    the restarted core clock with the memory side's running one)."""
+    size = 64
+    reports = []
+    for ticked in (False, True):
+        ctx = Context(VortexConfig(), driver="simx")
+        processor = ctx.device.driver.processor
+        if ticked:  # the twin advances every launch by reset + tick() alone
+
+            def run(entry_pc, processor=processor, **_limits):
+                processor.reset(entry_pc)
+                with np.errstate(all="ignore"):
+                    while not processor.done:
+                        processor.tick()
+                return processor.cycle
+
+            processor.run = run
+        a = ctx.buffer_from(np.arange(size, dtype=np.uint32))
+        b = ctx.buffer_from(np.full(size, 5, dtype=np.uint32))
+        c = ctx.buffer(size * 4)
+        program = Program(ctx, ["vecadd", "saxpy"])
+        reports.append(
+            [
+                program.kernel("vecadd").set_args(a, b, c).enqueue(global_size=size),
+                program.kernel("saxpy").set_args(2.0, a, c).enqueue(global_size=size),
+                program.kernel("vecadd").set_args(a, b, c).enqueue(global_size=size),
+            ]
+        )
+    for fast, reference in zip(*reports):
+        assert fast.cycles == reference.cycles
+        assert fast.counters == reference.counters
+
+
 def test_opencl_unknown_kernel_rejected():
     ctx = Context(VortexConfig(), driver="funcsim")
     with pytest.raises(KeyError):

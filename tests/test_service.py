@@ -3,8 +3,10 @@ content-addressed result cache, the sharded worker fleet and its failure
 paths (crash retry, timeout, backpressure), and the Session backend."""
 
 import asyncio
+import dataclasses
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -112,6 +114,46 @@ def test_cache_key_property_equal_jobs_hash_equal(kernel, size, verify, engine, 
     b = KernelJob(kernel, size=size, verify=verify, engine=engine)
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != KernelJob(kernel, size=size + 512, verify=verify).cache_key()
+
+
+def test_cache_key_is_computed_once_per_instance(monkeypatch):
+    import repro.engine.session as session_mod
+
+    digests = []
+    digest = session_mod.content_digest
+    monkeypatch.setattr(
+        session_mod, "content_digest", lambda material: digests.append(1) or digest(material)
+    )
+    job = KernelJob("vecadd", size=64)
+    assert job.cache_key() == job.cache_key() == KernelJob("vecadd", size=64).cache_key()
+    assert len(digests) == 2  # one per instance, not one per call
+
+
+def test_cache_key_memo_never_holds_an_unknown_kernels_keyerror():
+    job = KernelJob("not_registered_yet")
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            job.cache_key()
+    assert "_cache_key" not in vars(job)
+
+
+def test_cache_key_memo_does_not_survive_dataclasses_replace():
+    job = KernelJob("vecadd", size=64)
+    key = job.cache_key()
+    resized = dataclasses.replace(job, size=65)
+    assert resized.cache_key() == KernelJob("vecadd", size=65).cache_key() != key
+    assert dataclasses.replace(job).cache_key() == key
+
+
+def test_cache_key_memo_leaves_equality_hash_and_pickling_alone():
+    keyed, fresh = KernelJob("vecadd", size=64), KernelJob("vecadd", size=64)
+    keyed.cache_key()
+    assert keyed == fresh and hash(keyed) == hash(fresh) and repr(keyed) == repr(fresh)
+    assert dataclasses.asdict(keyed) == dataclasses.asdict(fresh)
+    for job in (keyed, fresh):
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and hash(clone) == hash(job)
+        assert clone.cache_key() == keyed.cache_key()
 
 
 # -- result cache ------------------------------------------------------------------------
