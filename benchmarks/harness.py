@@ -28,7 +28,8 @@ from repro.runtime.report import ExecutionReport
 
 #: Problem sizes used by the harness.  They are intentionally small — the
 #: substrate is a Python cycle-level simulator, not the authors' FPGA — and
-#: are recorded in EXPERIMENTS.md.
+#: are recorded here (README.md "Tests and benchmarks" says how to rerun them;
+#: the host-speed workloads and their sizes are catalogued in bench/README.md).
 KERNEL_SIZES: dict[str, int] = {
     "vecadd": 128,
     "saxpy": 128,

@@ -46,7 +46,8 @@ def test_fig20_texture_acceleration(benchmark):
         # filtered modes gain far more than point sampling.  (The paper sees
         # trilinear gain *less* than bilinear because its doubled memory
         # traffic saturates DRAM at 1080p; our reduced render target fits in
-        # cache, so that saturation point is not reached — see EXPERIMENTS.md.)
+        # cache, so that saturation point is not reached — bench/README.md,
+        # "Caveats": the model is unvalidated against the paper's absolutes.)
         assert bilinear_gain > 1.5, cores
         assert bilinear_gain > point_gain, cores
         assert trilinear_gain > point_gain, cores

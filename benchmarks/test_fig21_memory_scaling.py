@@ -3,7 +3,8 @@ performance, explored with the SIMX cycle-level driver.
 
 The paper sweeps memory latency and bandwidth for a 16-core / 16-wavefront /
 16-thread configuration; the reproduction uses a smaller 2-core 8W-4T
-machine (documented in EXPERIMENTS.md) — the trend of interest is how IPC
+machine (sizes in ``benchmarks/harness.py``; README.md "Tests and
+benchmarks") — the trend of interest is how IPC
 falls with latency and recovers with added bandwidth on a memory-bounded
 kernel.
 """

@@ -950,6 +950,7 @@ SNAPSHOT_EXEMPT = frozenset(
         "repro.cache.hierarchy._CachePort",
         "repro.cache.hierarchy._DramPort",
         "repro.core.emulator.SimulationLimitExceeded",
+        "repro.core.emulator.SimulationStalled",
         "repro.core.emulator.WarpEmulator",
         "repro.mem.memory.WordCursor",
     }

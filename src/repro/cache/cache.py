@@ -53,29 +53,45 @@ class LowerPort:
     accept more traffic this cycle.
     """
 
-    #: True when one refusal implies every further request this cycle is
-    #: also refused (a shared queue that only fills during a drain).  The
-    #: cache's batch path then skips the call and charges
-    #: :meth:`note_skipped_refusal` instead — the refusal-side counters of
-    #: the lower level must still advance per attempt.
-    sticky_refusal = False
-
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
         raise NotImplementedError
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
         raise NotImplementedError
 
+    def blocked(self, is_write: bool) -> bool:
+        """True when every further fill (write-through, for ``is_write``) is
+        refused for the rest of this cycle; side-effect free.
+
+        A shared queue that only fills during a drain blocks its port for
+        both kinds once full.  The write side composes through cache levels —
+        a write-through always needs the level below, so a cache level is
+        write-blocked when its own lower port is — while a fill may hit
+        there, so a cache level never blocks reads.  A blocked port is not
+        asked: the cache's batch path skips the call and hands what it
+        skipped to :meth:`note_skipped_refusal` / :meth:`note_blocked_writes`,
+        because the refusal-side counters below must still advance per attempt.
+        """
+        return False
+
     def note_skipped_refusal(self, count: int = 1) -> None:
-        """Charge the counters ``count`` skipped (provably refused) requests would have."""
+        """Charge the counters ``count`` skipped (provably refused) requests
+        that reach this port's full queue would have."""
         raise NotImplementedError
+
+    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
+        """Charge (and trace) what ``request_write`` would have for every
+        address of ``runs``, in order, while ``blocked(True)`` holds — at
+        every level the request would have visited.  Default: all of them
+        reach this port's full queue."""
+        self.note_skipped_refusal(sum(map(len, runs)))
 
     def refusal_horizon(self) -> int | None:
         """Cycle until which (exclusively) every request is provably refused.
 
-        ``None`` means no guarantee.  Only a sticky port can promise one: a
-        full shared queue refuses everything until its next in-order release,
-        which lets the fast-forward treat a retry storm as event-free.
+        ``None`` means no guarantee.  Only a full shared queue can promise
+        one: it refuses everything until its next in-order release, which
+        lets the fast-forward treat a retry storm as event-free.
         """
         return None
 
@@ -269,6 +285,16 @@ class NonBlockingCache:
         counters["accepted"] += 1
         return True
 
+    def _refuse_blocked_writes_traced(
+        self, addresses: tuple[int, ...], line: int, bank_id: int
+    ) -> None:
+        """Tracing-on ``note_blocked_writes``: lane by lane, so the levels
+        below emit a lane's events before this level's ``refusal`` — the
+        order a chain of :meth:`send` calls has."""
+        for address in addresses:
+            self.lower.note_blocked_writes([(address,)])
+            self._trace_attempts("refusal", line, bank_id, True)
+
     @hot_path
     def send_batch(
         self, requests: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
@@ -288,9 +314,9 @@ class NonBlockingCache:
         MSHR or port state, and within one call only an accept does, so
         every lane of a run behind a refused one gets the same answer for
         the same reason: a port-less bank (saturated, or held by another
-        line), an early-full MSHR and a lower queue known to be full
-        (``sticky_refusal``) each charge the run's remaining lanes in one
-        step.
+        line), an early-full MSHR and a blocked lower port
+        (:meth:`LowerPort.blocked`) each charge the run's remaining lanes in
+        one step.
 
         Accepts are taken per run as well: the ``min(lanes left, budget,
         ports left)`` lanes that fit share one bank access — one ``touch``,
@@ -298,8 +324,9 @@ class NonBlockingCache:
         ``+= n`` — for read hits and for merges into an existing MSHR entry.
         The lane that allocates a new MSHR entry goes alone (allocation can
         raise the early-full signal the lanes behind it must see), and
-        write-throughs ask the lower level lane by lane (its own counters
-        advance per call) while their accepted lanes still share one record.
+        write-throughs ask an unblocked lower level lane by lane (its own
+        counters advance per call) while their accepted lanes still share one
+        record.
 
         Returns ``(accepted, refused, budget)``.  ``refused`` preserves lane
         order — refused lanes first, then the un-attempted tail once the
@@ -323,13 +350,13 @@ class NonBlockingCache:
                 full_banks += 1
         accepted_count = bank_conflicts = mshr_stalls = memq_stalls = 0
         read_hits = read_misses = write_hits = write_misses = 0
-        # Sticky lower-level backpressure: once a DRAM-backed lower port
-        # refuses, every further fill/write this cycle is provably refused
-        # too (the shared queue only fills during a drain), so those calls
-        # are skipped and their refusal-side counters charged at the end.
-        lower_sticky = lower is not None and lower.sticky_refusal
-        lower_full = False
+        # Lower-level backpressure, asked for before the first lane and again
+        # after a refusal: a blocked lower port refuses every further fill /
+        # write-through this cycle, so those calls are skipped and their
+        # refusal-side counters charged at the end.
+        lower_full = lower is not None and lower.blocked(is_write)
         skipped = 0
+        blocked: list[tuple[int, ...]] = []  # write-throughs the blocked lower never saw
         refused: list[tuple[Any, ...]] = []
         index = 0
         total = len(requests)
@@ -354,9 +381,9 @@ class NonBlockingCache:
                         if trace is not None:
                             self._trace_attempts("conflict", run[1], run[2], is_write, len(run[0]))
                     else:
-                        skipped += len(run[0])
+                        blocked.append(run[0])
                         if trace is not None:
-                            self._trace_attempts("refusal", run[1], run[2], True, len(run[0]))
+                            self._refuse_blocked_writes_traced(run[0], run[1], run[2])
                 refused.extend(requests[index:])
                 break
             run = requests[index]
@@ -397,9 +424,14 @@ class NonBlockingCache:
                         hit = bank.probe(line)
                     lower_refuses = lower_full and not hit and mshr.lookup(line) is None
                 if lower_refuses:
-                    skipped += lanes - done
-                    if trace is not None:
-                        self._trace_attempts("refusal", line, bank_id, is_write, lanes - done)
+                    if is_write:
+                        blocked.append(addresses[done:])
+                        if trace is not None:
+                            self._refuse_blocked_writes_traced(addresses[done:], line, bank_id)
+                    else:
+                        skipped += lanes - done
+                        if trace is not None:
+                            self._trace_attempts("refusal", line, bank_id, False, lanes - done)
                     break
                 # Accepts are taken in bulk: as many lanes as the run, the
                 # LSU budget and the bank's ports leave room for share one
@@ -407,14 +439,14 @@ class NonBlockingCache:
                 room = min(lanes - done, budget, ports_left)
                 if is_write:
                     # Every write-through is its own lower-level request, so
-                    # the lower is asked lane by lane; a non-sticky refusal
-                    # leaves a gap, a sticky one ends the stretch.
+                    # the lower is asked lane by lane; a refusal leaves a gap,
+                    # one that leaves the lower blocked ends the stretch.
                     sent: tuple[int, ...] = ()
                     while done < lanes and len(sent) < room and not lower_full:
                         address = addresses[done]
                         done += 1
                         if lower is not None and not lower.request_write(self, address):
-                            lower_full = lower_sticky
+                            lower_full = lower.blocked(True)
                             memq_stalls += 1
                             kept += (address,)
                             if trace is not None:
@@ -452,7 +484,7 @@ class NonBlockingCache:
                         # merges included — must see before they are taken.
                         room = 1
                         if lower is not None and not lower.request_fill(self, line):
-                            lower_full = lower_sticky
+                            lower_full = lower.blocked(False)
                             memq_stalls += 1
                             kept += (addresses[done],)
                             done += 1
@@ -489,6 +521,10 @@ class NonBlockingCache:
         if skipped:
             memq_stalls += skipped
             lower.note_skipped_refusal(skipped)
+        if blocked:
+            memq_stalls += sum(map(len, blocked))
+            if trace is None:  # traced: already handed over lane by lane
+                lower.note_blocked_writes(blocked)
         counters = self._counters
         attempts = accepted_count + bank_conflicts + mshr_stalls + memq_stalls
         if attempts:

@@ -22,23 +22,29 @@ class _DramPort(LowerPort):
     """Lower port adapter that forwards cache traffic to the DRAM model."""
 
     # The DRAM request queue is shared and only fills while caches drain, so
-    # one refusal holds for the rest of the cycle; a skipped attempt charges
-    # exactly what ``DramModel.send`` charges on refusal.
-    sticky_refusal = True
+    # once full it blocks fills and writes for the rest of the cycle; a
+    # skipped attempt charges exactly what ``DramModel.send`` charges on refusal.
 
     def __init__(self, dram: DramModel):
         self.dram = dram
 
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
-        return self.dram.send(
-            MemRequest(address=line_address, is_write=False, tag=(cache, line_address))
-        )
+        return self._send(line_address, False, (cache, line_address))
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
-        return self.dram.send(MemRequest(address=address, is_write=True, tag=None))
+        return self._send(address, True, None)
+
+    def _send(self, address: int, is_write: bool, tag: Any) -> bool:
+        if not self.dram.can_accept:  # a full queue is not asked: no request is built
+            self.note_skipped_refusal()
+            return False
+        return self.dram.send(MemRequest(address=address, is_write=is_write, tag=tag))
 
     def note_skipped_refusal(self, count: int = 1) -> None:
         self.dram.perf.incr("rejected", count)
+
+    def blocked(self, is_write: bool) -> bool:
+        return not self.dram.can_accept
 
     def refusal_horizon(self) -> int | None:
         # A full DRAM queue pops nothing before its head's ready cycle, and
@@ -64,6 +70,33 @@ class _CachePort(LowerPort):
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
         return self.lower_cache.send(address, True, ("wt", cache, address))
+
+    def blocked(self, is_write: bool) -> bool:
+        # A write-through needs the level below this cache as well; a fill may hit here.
+        lower = self.lower_cache.lower
+        return is_write and lower is not None and lower.blocked(True)
+
+    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
+        cache = self.lower_cache
+        if not cache._accepts_this_cycle and cache.trace is None:
+            # Every bank port is free (and nobody watches): each lane would
+            # have been refused by the level below, which is charged in turn.
+            lanes = sum(map(len, runs))
+            cache._counters["attempts"] += lanes
+            cache._counters["memq_stalls"] += lanes
+            cache.lower.note_blocked_writes(runs)
+            return
+        # Otherwise the lower cache's batch path — held to a loop of ``send``
+        # calls by tests/test_cache.py — finds its own lower blocked and
+        # charges every address as ``request_write`` would have: a bank
+        # conflict, or a refusal handed on down; it accepts none.
+        line_size, num_banks = self.line_size, cache.config.num_banks
+        requests = [
+            ((address,), address // line_size, address // line_size % num_banks)
+            for addresses in runs
+            for address in addresses
+        ]
+        cache.send_batch(requests, len(requests), True, None)
 
 
 class MemorySubsystem:

@@ -18,6 +18,7 @@ the same class with whole-warp lane plans.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import TYPE_CHECKING
@@ -51,6 +52,36 @@ class SimulationLimitExceeded(EmulationError):
         self.kind = kind
         self.limit = limit
         super().__init__(message or f"simulation exceeded the {kind} limit ({limit})")
+
+
+class SimulationStalled(EmulationError):
+    """The cycle-level run retired nothing for ``window`` cycles with no
+    memory traffic pending (typically a ``bar`` whose count is never reached).
+
+    ``cores`` holds one :meth:`TimingCore.stall_forensics` dict per core —
+    scheduler masks, busy registers per warp, local barrier entries
+    ``(barrier, expected, [warp ids])``, pending ifetch/op/MSHR counts;
+    ``global_barriers`` the inter-core entries ``(barrier, expected,
+    [[core id, warp id], ...])``.
+    """
+
+    def __init__(self, cycle: int, window: int, cores: list[dict], global_barriers: list):
+        self.cycle = cycle
+        self.window = window
+        self.cores = cores
+        self.global_barriers = global_barriers
+        waiting = [
+            f"core {core['core']} warps {warps} at barrier {barrier} ({len(warps)}/{expected})"
+            for core in cores
+            for barrier, expected, warps in core["barriers"]
+        ] + [
+            f"(core, warp) {pairs} at global barrier {barrier} ({len(pairs)}/{expected})"
+            for barrier, expected, pairs in global_barriers
+        ]
+        super().__init__(
+            f"timing simulation made no progress for {window} cycles (at cycle {cycle}); "
+            f"waiting: {'; '.join(waiting) or 'no wavefront at any barrier'}"
+        )
 
 
 @dataclass
@@ -120,7 +151,9 @@ class WarpEmulator:
     def __init__(self, core: SimtCore):
         """``core`` supplies memory, the CSR file, the texture unit, the warp
         list, and the wspawn/barrier callbacks (see :class:`repro.core.core.SimtCore`)."""
-        self.core = core
+        # A weak back-reference (the core owns its emulator): a strong one is
+        # a cycle that leaves every dropped core waiting for the collector.
+        self.core = weakref.proxy(core)
         self._decode_cache: dict[int, DecodedInstruction] = {}
 
     # -- fetch / decode -------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.core.barrier import BarrierTable
 from repro.core.core import SimtCore
-from repro.core.emulator import EmulationError, SimulationLimitExceeded
+from repro.core.emulator import EmulationError, SimulationLimitExceeded, SimulationStalled
 from repro.core.timing import TimingCore
 from repro.mem.memory import MainMemory
 
@@ -174,6 +174,10 @@ class TimingProcessor(_GlobalBarrierMixin):
     all performance counters are bit-identical between the two.
     """
 
+    #: Deadlock watchdog: :meth:`run` raises :class:`SimulationStalled` after
+    #: this many cycles in a row with nothing retired and no memory traffic.
+    NO_PROGRESS_LIMIT = 200_000
+
     def __init__(
         self,
         config: VortexConfig | None = None,
@@ -214,6 +218,15 @@ class TimingProcessor(_GlobalBarrierMixin):
     @property
     def done(self) -> bool:
         return all(core.done for core in self.cores) and not self.memsys.busy
+
+    def global_barrier_arrive(self, core: Any, warp: Any, barrier_id: int, count: int) -> bool:
+        stalled = super().global_barrier_arrive(core, warp, barrier_id, count)
+        if not stalled:
+            # The release cleared ``at_barrier`` on warps of other cores,
+            # behind the scheduler masks those cores keep.
+            for timing_core in self.cores:
+                timing_core.invalidate_scheduler_masks()
+        return stalled
 
     def tick(self) -> None:
         """Advance the whole processor by one cycle.
@@ -305,9 +318,12 @@ class TimingProcessor(_GlobalBarrierMixin):
                 # cores still have active wavefronts and no memory traffic is pending.
                 if retired == instructions_before and not self.memsys.busy:
                     idle_cycles += 1
-                    if idle_cycles > 200_000:
-                        raise EmulationError(
-                            "timing simulation made no progress for 200000 cycles"
+                    if idle_cycles > self.NO_PROGRESS_LIMIT:
+                        raise SimulationStalled(
+                            self.cycle,
+                            self.NO_PROGRESS_LIMIT,
+                            [core.stall_forensics() for core in self.cores],
+                            self._snapshot_global_barriers()["entries"],
                         )
                 else:
                     idle_cycles = 0
@@ -381,8 +397,8 @@ class TimingProcessor(_GlobalBarrierMixin):
 
     @property
     def total_instructions(self) -> int:
-        """Warp-instructions retired across all cores."""
-        return sum(core.perf.get("instructions") for core in self.cores)
+        """Warp-instructions retired across all cores (read every ticked cycle)."""
+        return sum([core.perf._counters.get("instructions", 0) for core in self.cores])
 
     @property
     def total_thread_instructions(self) -> int:

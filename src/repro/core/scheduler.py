@@ -36,7 +36,6 @@ All policies are fully deterministic.
 
 from __future__ import annotations
 
-from repro.common.bitutils import mask
 from repro.common.config import SCHEDULER_POLICIES
 from repro.common.perf import PerfCounters, hot_path
 
@@ -48,8 +47,9 @@ class WavefrontScheduler:
     COUNTERS = frozenset({"idle_cycles", "refills", "selections", "switches"})
 
     #: Construction-time policy wiring (vxlint VX007): ``_select`` is the
-    #: bound policy method, a pure function of ``policy``.
-    SNAPSHOT_EXCLUDED = frozenset({"num_warps", "policy", "_select"})
+    #: bound policy method, a pure function of ``policy``; ``_counters``
+    #: aliases ``perf._counters`` (serialized under the ``"perf"`` key).
+    SNAPSHOT_EXCLUDED = frozenset({"num_warps", "policy", "_select", "_counters"})
 
     def __init__(self, num_warps: int, policy: str = "round-robin"):
         if policy not in SCHEDULER_POLICIES:
@@ -63,6 +63,7 @@ class WavefrontScheduler:
         self.barrier_mask = 0
         self.visible_mask = 0
         self.perf = PerfCounters("scheduler")
+        self._counters = self.perf._counters  # prebound: charged once per select
         self._last_selected: int | None = None
         # Last-issue order for greedy-then-oldest: stamp[w] is the monotonic
         # selection index warp w last issued at (0 = never issued, so cold
@@ -189,13 +190,14 @@ class WavefrontScheduler:
         ``idle_cycles`` — no selection state (visible mask, last-selected,
         issue stamps) is touched, so bulk-advancing the counter is exact.
         """
-        self.perf.incr("idle_cycles", cycles)
+        self._counters["idle_cycles"] += cycles
 
     # -- selection -------------------------------------------------------------------
 
     @hot_path
     def _schedulable_mask(self) -> int:
-        return self.active_mask & ~self.stalled_mask & ~self.barrier_mask & mask(self.num_warps)
+        all_warps = (1 << self.num_warps) - 1
+        return self.active_mask & ~self.stalled_mask & ~self.barrier_mask & all_warps
 
     def select(self) -> int | None:
         """Pick the wavefront to fetch this cycle, or ``None`` if none is ready."""
@@ -206,23 +208,23 @@ class WavefrontScheduler:
         """The hierarchical two-level policy: wavefronts are drained from the
         visible mask one per cycle; when it is empty it is refilled from the
         schedulable wavefronts."""
-        if self.visible_mask & ~self._schedulable_mask():
-            # Wavefronts that became unschedulable leave the working set.
-            self.visible_mask &= self._schedulable_mask()
-        if not self.visible_mask:
-            self.visible_mask = self._schedulable_mask()
-            if not self.visible_mask:
-                self.perf.incr("idle_cycles")
+        ready = self._schedulable_mask()
+        # Wavefronts that became unschedulable leave the working set.
+        visible = self.visible_mask & ready
+        if not visible:
+            self.visible_mask = visible = ready
+            if not visible:
+                self._counters["idle_cycles"] += 1
                 return None
-            self.perf.incr("refills")
+            self._counters["refills"] += 1
         # Round-robin starting after the last selected wavefront.
         start = 0 if self._last_selected is None else (self._last_selected + 1) % self.num_warps
         for offset in range(self.num_warps):
             warp_id = (start + offset) % self.num_warps
-            if (self.visible_mask >> warp_id) & 1:
-                self.visible_mask &= ~(1 << warp_id)
+            if (visible >> warp_id) & 1:
+                self.visible_mask = visible & ~(1 << warp_id)
                 self._last_selected = warp_id
-                self.perf.incr("selections")
+                self._counters["selections"] += 1
                 return warp_id
         return None  # pragma: no cover - unreachable, mask was non-zero
 
@@ -232,7 +234,7 @@ class WavefrontScheduler:
         stalls, then switch to the least-recently-issued ready one."""
         ready = self._schedulable_mask()
         if not ready:
-            self.perf.incr("idle_cycles")
+            self._counters["idle_cycles"] += 1
             return None
         last = self._last_selected
         if last is not None and (ready >> last) & 1:
@@ -246,11 +248,11 @@ class WavefrontScheduler:
                 (w for w in range(self.num_warps) if (ready >> w) & 1),  # vxlint: disable=VX004
                 key=lambda w: (stamps[w], w),  # vxlint: disable=VX004
             )
-            self.perf.incr("switches")
+            self._counters["switches"] += 1
         self._issue_stamps[warp_id] = self._next_stamp
         self._next_stamp += 1
         self._last_selected = warp_id
-        self.perf.incr("selections")
+        self._counters["selections"] += 1
         return warp_id
 
     @hot_path
@@ -259,14 +261,14 @@ class WavefrontScheduler:
         one, with no two-level visible working set."""
         ready = self._schedulable_mask()
         if not ready:
-            self.perf.incr("idle_cycles")
+            self._counters["idle_cycles"] += 1
             return None
         start = 0 if self._last_selected is None else (self._last_selected + 1) % self.num_warps
         for offset in range(self.num_warps):
             warp_id = (start + offset) % self.num_warps
             if (ready >> warp_id) & 1:
                 self._last_selected = warp_id
-                self.perf.incr("selections")
+                self._counters["selections"] += 1
                 return warp_id
         return None  # pragma: no cover - unreachable, mask was non-zero
 
@@ -282,7 +284,7 @@ class WavefrontScheduler:
         """
         ready = self._schedulable_mask()
         if not ready:
-            self.perf.incr("idle_cycles")
+            self._counters["idle_cycles"] += 1
             return None
         pool = ready & ~self._hazard_mask
         if not pool:
@@ -305,11 +307,11 @@ class WavefrontScheduler:
                         best = warp_id
                         best_stamp = stamps[warp_id]
         if best != self._last_selected:
-            self.perf.incr("switches")
+            self._counters["switches"] += 1
         self._issue_stamps[best] = self._next_stamp
         self._next_stamp += 1
         self._last_selected = best
-        self.perf.incr("selections")
+        self._counters["selections"] += 1
         return best
 
     # -- inspection -------------------------------------------------------------------

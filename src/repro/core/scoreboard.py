@@ -6,6 +6,11 @@ still owned by an older in-flight instruction of the same warp.  The
 scoreboard tracks busy registers per (warp, register file) and is also the
 structure whose size the synthesis area model charges per wavefront
 (section 6.2.1 lists it among the per-wavefront costs).
+
+A warp's busy registers are one integer bitmask — bit ``register`` for the
+integer file, ``32 + register`` for the floating-point file, the hardwired
+``x0`` never set — so the per-issue hazard check is a single ``&`` against
+the instruction's register mask (:meth:`Scoreboard.mask_of`).
 """
 
 from __future__ import annotations
@@ -14,9 +19,16 @@ from collections.abc import Iterable
 
 from repro.common.perf import PerfCounters
 
-#: Register-file selectors.
+#: Register-file selectors (the checkpoint wire names a register by these).
 INT_REGS = "x"
 FP_REGS = "f"
+
+_FP_SHIFT = 32
+
+
+def _bit(register: int, floating: bool) -> int:
+    """The busy-mask bit of one register (0 for the hardwired ``x0``)."""
+    return 1 << (register + _FP_SHIFT) if floating else (1 << register) & ~1
 
 
 class Scoreboard:
@@ -30,57 +42,63 @@ class Scoreboard:
 
     def __init__(self, num_warps: int):
         self.num_warps = num_warps
-        self._busy: dict[int, set[tuple[str, int]]] = {warp: set() for warp in range(num_warps)}
+        self._busy: list[int] = [0] * num_warps
         self.perf = PerfCounters("scoreboard")
 
     @staticmethod
-    def _key(register: int, floating: bool) -> tuple[str, int]:
-        return (FP_REGS if floating else INT_REGS, register)
+    def mask_of(registers: Iterable[tuple[int, bool]]) -> int:
+        """Bitmask of ``(register, floating)`` pairs (``x0`` contributes nothing)."""
+        mask = 0
+        for register, floating in registers:
+            mask |= _bit(register, floating)
+        return mask
 
     def is_busy(self, warp_id: int, register: int, floating: bool = False) -> bool:
         """True when ``register`` has a pending writeback for ``warp_id``."""
-        if register == 0 and not floating:
-            return False
-        return self._key(register, floating) in self._busy[warp_id]
+        return bool(self._busy[warp_id] & _bit(register, floating))
 
-    def any_busy(self, warp_id: int, registers: Iterable[tuple[int, bool]]) -> bool:
-        """True when any of the (register, floating) pairs is busy."""
-        return any(self.is_busy(warp_id, register, floating) for register, floating in registers)
+    def any_busy(self, warp_id: int, registers: int) -> bool:
+        """True when any register of the :meth:`mask_of` mask ``registers`` is busy."""
+        return bool(self._busy[warp_id] & registers)
 
     def reserve(self, warp_id: int, register: int, floating: bool = False) -> None:
         """Mark a destination register as having a pending writeback."""
-        if register == 0 and not floating:
-            return
-        self._busy[warp_id].add(self._key(register, floating))
-        self.perf.incr("reservations")
+        bit = _bit(register, floating)
+        if bit:
+            self._busy[warp_id] |= bit
+            self.perf.incr("reservations")
 
     def release(self, warp_id: int, register: int, floating: bool = False) -> None:
         """Clear a pending writeback."""
-        if register == 0 and not floating:
-            return
-        self._busy[warp_id].discard(self._key(register, floating))
+        self._busy[warp_id] &= ~_bit(register, floating)
 
     def busy_count(self, warp_id: int) -> int:
         """Number of registers with pending writebacks for ``warp_id``."""
-        return len(self._busy[warp_id])
+        return self._busy[warp_id].bit_count()
 
     def clear(self) -> None:
-        for warp_id in self._busy:
-            self._busy[warp_id].clear()
+        self._busy = [0] * self.num_warps
 
     # -- checkpoint/restore --------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Serialize the busy sets (sorted: set order is not deterministic)."""
+        """Serialize the busy registers as sorted ``(kind, register)`` pairs."""
         return {
-            "busy": {warp_id: sorted(keys) for warp_id, keys in self._busy.items()},
+            "busy": {
+                warp_id: sorted(
+                    (FP_REGS if bit >= _FP_SHIFT else INT_REGS, bit % _FP_SHIFT)
+                    for bit in range(busy.bit_length())
+                    if busy >> bit & 1
+                )
+                for warp_id, busy in enumerate(self._busy)
+            },
             "perf": self.perf.snapshot(),
         }
 
     def restore(self, payload: dict) -> None:
-        """Restore the busy sets from a :meth:`snapshot` payload."""
-        for warp_id in self._busy:
-            self._busy[warp_id] = {
-                (kind, register) for kind, register in payload["busy"][warp_id]
-            }
+        """Restore the busy registers from a :meth:`snapshot` payload."""
+        for warp_id in range(self.num_warps):
+            self._busy[warp_id] = self.mask_of(
+                (register, kind == FP_REGS) for kind, register in payload["busy"][warp_id]
+            )
         self.perf.restore(payload["perf"])

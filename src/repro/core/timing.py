@@ -41,6 +41,9 @@ from repro.trace.events import NO_WARP
 #: Extra cycles a warp waits after a taken branch (front-end redirect).
 BRANCH_PENALTY = 2
 
+#: "No such cycle": the horizon of an empty set of future events.
+_NEVER = 1 << 62
+
 
 @dataclass
 class _PendingMemOp:
@@ -142,6 +145,7 @@ class TimingCore:
         self.dcache: NonBlockingCache = memsys.dcache(core_id)
         self.smem = SharedMemory(core_id, config.core.shared_mem_size)
         self.perf = PerfCounters(f"timing_core{core_id}")
+        self._counters = self.perf._counters  # prebound: charged several times a tick
         self.cycle = 0
         #: The trace bus (``None`` when tracing is off — every emission site
         #: guards on that, keeping the hot path allocation-free; vxlint VX008).
@@ -170,9 +174,15 @@ class TimingCore:
         self._warm_ilines: set[int] = set()
         self._pending_ifetch: dict[int, int] = {}  # warp_id -> line address awaited
         self._ifetch_to_send: list[tuple[int, int]] = []  # (warp_id, line byte address)
-        # Per-PC cache of the registers the decoded instruction touches
-        # (purely a function of the decode; dropped with the decode cache).
-        self._registers_by_pc: dict[int, list[tuple[int, bool]] | None] = {}
+        # The scheduler masks are a function of (warp.active, warp.at_barrier,
+        # ready_cycle > cycle, warp in _pending_ifetch), kept by events: they
+        # hold below ``_masks_valid_until`` — the earliest future ready cycle
+        # at the last recompute — and whoever moves another input zeroes it
+        # (derived, never serialized: reset/restore zero it too).
+        self._masks_valid_until = 0
+        # Per-PC cache of the scoreboard mask of the registers the decoded
+        # instruction touches (a function of the decode; dropped with it).
+        self._registers_by_pc: dict[int, int | None] = {}
         # Cache geometry prebound for the request precompute and the
         # fast-forward stall probe.
         self._dcache_line_size = self.dcache.config.line_size
@@ -195,6 +205,7 @@ class TimingCore:
         self._registers_by_pc.clear()
         for warp_id in self._warp_ready_cycle:
             self._warp_ready_cycle[warp_id] = 0
+        self._masks_valid_until = 0
 
     def invalidate_caches(self) -> None:
         """Drop decode-derived caches (a new program image was loaded)."""
@@ -205,8 +216,9 @@ class TimingCore:
 
     #: Attributes deliberately outside the snapshot (vxlint VX007):
     #: configuration identity, constructor-derived lookup tables, references
-    #: owned and serialized by the memory subsystem, and the per-PC register
-    #: cache (a pure function of the decode, rebuilt lazily).
+    #: owned and serialized by the memory subsystem, the per-PC register
+    #: cache (a pure function of the decode, rebuilt lazily), the ``perf``
+    #: alias ``_counters`` and the mask horizon :meth:`restore` invalidates.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "core_id",
@@ -215,7 +227,9 @@ class TimingCore:
             "icache",
             "dcache",
             "trace",
+            "_counters",
             "_unit_latency",
+            "_masks_valid_until",
             "_registers_by_pc",
             "_dcache_line_size",
             "_dcache_num_banks",
@@ -300,6 +314,7 @@ class TimingCore:
         }
         self._ifetch_to_send = [tuple(entry) for entry in payload["ifetch_to_send"]]
         self._registers_by_pc.clear()
+        self._masks_valid_until = 0
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -319,10 +334,17 @@ class TimingCore:
             and self.func.done  # walks every warp: last
         )
 
+    def invalidate_scheduler_masks(self) -> None:
+        """A mask input moved outside this core's own tick (a global-barrier
+        release by another core): recompute on the next tick."""
+        self._masks_valid_until = 0
+
     @hot_path
     def _sync_scheduler_masks(self) -> None:
+        """Recompute the three scheduler masks and the cycle they hold until."""
         active_mask = stalled_mask = barrier_mask = 0
         cycle = self.cycle
+        valid_until = _NEVER
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch
         for warp in self.func.warps:
@@ -331,13 +353,20 @@ class TimingCore:
                 active_mask |= bit
             if warp.at_barrier:
                 barrier_mask |= bit
-            if ready_cycles[warp.warp_id] > cycle or warp.warp_id in pending_ifetch:
+            ready = ready_cycles[warp.warp_id]
+            if ready > cycle:
                 stalled_mask |= bit
+                if ready < valid_until:
+                    valid_until = ready
+            elif warp.warp_id in pending_ifetch:
+                stalled_mask |= bit
+        self._masks_valid_until = valid_until
         self.scheduler.set_masks(active_mask, stalled_mask, barrier_mask)
 
     @hot_path
-    def _instruction_registers(self, warp: Any) -> list[tuple[int, bool]] | None:
-        """Registers read/written by the warp's next instruction (for hazard checks).
+    def _instruction_registers(self, warp: Any) -> int | None:
+        """Scoreboard mask of the registers read/written by the warp's next
+        instruction (for hazard checks); ``None`` when it cannot be fetched.
 
         The result depends only on the decoded instruction, so it is cached
         per PC (hazard checks re-run every issue attempt, including stall
@@ -351,7 +380,7 @@ class TimingCore:
         self._registers_by_pc[pc] = registers
         return registers
 
-    def _compute_instruction_registers(self, pc: int) -> list[tuple[int, bool]] | None:
+    def _compute_instruction_registers(self, pc: int) -> int | None:
         try:
             instr = self.func.emulator.fetch(pc)
         except Exception:
@@ -366,7 +395,7 @@ class TimingCore:
             registers.append((instr.rs3, spec.rs3_float))
         if spec.writes_rd:
             registers.append((instr.rd, spec.rd_float))
-        return registers
+        return Scoreboard.mask_of(registers)
 
     # -- per-cycle operation ----------------------------------------------------------------
 
@@ -376,20 +405,25 @@ class TimingCore:
         dcache_responses: list[CacheResponse] | None = None,
     ) -> None:
         """Advance the core by one cycle."""
-        self.cycle += 1
+        self.cycle = cycle = self.cycle + 1
         self.func.csr.tick()
-        self.perf.incr("cycles")
+        self._counters["cycles"] += 1
 
-        self._process_writebacks()
-        self._process_icache_responses(icache_responses or [])
-        self._process_dcache_responses(dcache_responses or [])
+        if self._writebacks:
+            self._process_writebacks()
+        if icache_responses:
+            self._process_icache_responses(icache_responses)
+        if dcache_responses:
+            self._process_dcache_responses(dcache_responses)
         self._process_smem_responses()
-        self._drain_requests()
+        if self._ifetch_to_send or self._pending_ops or self._store_queue:
+            self._drain_requests()
 
-        self._sync_scheduler_masks()
+        if cycle >= self._masks_valid_until:
+            self._sync_scheduler_masks()
         warp_id = self.scheduler.select()
         if warp_id is None:
-            self.perf.incr("idle_cycles")
+            self._counters["idle_cycles"] += 1
             trace = self.trace
             if trace is not None:
                 trace.emit(
@@ -437,8 +471,8 @@ class TimingCore:
     # -- completion paths --------------------------------------------------------------------
 
     def _process_writebacks(self) -> None:
-        if not self._writebacks:
-            return
+        if min(self._writebacks)[0] > self.cycle:
+            return  # nothing ready (entries lead with their cycle): no rebuild
         remaining = []
         trace = self.trace
         for ready_cycle, warp_id, rd, rd_float in self._writebacks:
@@ -462,6 +496,7 @@ class TimingCore:
             self._warm_ilines.add(line_address)
             if self._pending_ifetch.get(warp_id) == line_address:
                 del self._pending_ifetch[warp_id]
+                self._masks_valid_until = 0
 
     def _process_dcache_responses(self, responses: list[CacheResponse]) -> None:
         for response in responses:
@@ -492,7 +527,7 @@ class TimingCore:
         if op.writes_rd:
             self._writebacks.append((ready, op.warp_id, op.rd, op.rd_float))
         del self._pending_ops[op.op_id]
-        self.perf.incr("mem_ops_completed")
+        self._counters["mem_ops_completed"] += 1
         trace = self.trace
         if trace is not None:
             trace.emit(
@@ -638,7 +673,8 @@ class TimingCore:
             if warp.warp_id not in self._pending_ifetch:
                 self._pending_ifetch[warp.warp_id] = iline
                 self._ifetch_to_send.append((warp.warp_id, iline * line_size))
-                self.perf.incr("ifetch_misses")
+                self._masks_valid_until = 0
+                self._counters["ifetch_misses"] += 1
                 if trace is not None:
                     trace.emit(
                         self.cycle, self.core_id, warp.warp_id, "scheduler", "stall",
@@ -653,7 +689,7 @@ class TimingCore:
         # Scoreboard hazard check on the registers the instruction touches.
         registers = self._instruction_registers(warp)
         if registers is not None and self.scoreboard.any_busy(warp.warp_id, registers):
-            self.perf.incr("scoreboard_stalls")
+            self._counters["scoreboard_stalls"] += 1
             self.scheduler.note_hazard(warp.warp_id)
             trace = self.trace
             if trace is not None:
@@ -668,8 +704,9 @@ class TimingCore:
             result = self.func.step_warp_timing(warp)
         else:
             result = self.func.step_warp(warp)
-        self.perf.incr("instructions")
-        self.perf.incr("thread_instructions", result.active_thread_count)
+        counters = self._counters
+        counters["instructions"] += 1
+        counters["thread_instructions"] += result.active_thread_count
         self._warp_ready_cycle[warp.warp_id] = self.cycle + 1
         self.scheduler.note_issued(warp.warp_id)
         trace = self.trace
@@ -686,9 +723,15 @@ class TimingCore:
         spec = result.instr.spec
         unit = spec.unit
 
+        # A plain issue moves no scheduler-mask input (``cycle + 1`` is never
+        # in the future on a later tick).  A redirect stalls the warp, and
+        # every instruction that can change ``active``/``at_barrier`` — its
+        # own or, through ``wspawn``/``bar``, a sibling's — is SFU.
+        if result.taken_branch or unit == ExecUnit.SFU:
+            self._masks_valid_until = 0
         if result.taken_branch:
             self._warp_ready_cycle[warp.warp_id] = self.cycle + 1 + BRANCH_PENALTY
-            self.perf.incr("taken_branches")
+            self._counters["taken_branches"] += 1
             trace = self.trace
             if trace is not None:
                 trace.emit(
@@ -722,7 +765,7 @@ class TimingCore:
             self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
         if is_store:
             self._store_queue.extend(to_send)
-            self.perf.incr("stores", len(addresses))
+            self._counters["stores"] += len(addresses)
             return
 
         op = _PendingMemOp(
@@ -737,9 +780,9 @@ class TimingCore:
         self._next_op_id += 1
         if spec.unit == ExecUnit.TEX and self.func.tex_unit is not None:
             op.extra_latency = self.func.tex_unit.issue_latency(len(addresses))
-            self.perf.incr("tex_ops")
+            self._counters["tex_ops"] += 1
         else:
-            self.perf.incr("loads", len(addresses))
+            self._counters["loads"] += len(addresses)
         if not op.to_send:
             # A load with no active threads (fully masked) completes immediately.
             if op.writes_rd:
@@ -862,8 +905,8 @@ class TimingCore:
         base = self.cycle
         self.cycle += cycles
         self.func.csr.tick(cycles)
-        perf = self.perf
-        perf.incr("cycles", cycles)
+        counters = self._counters
+        counters["cycles"] += cycles
         self.smem.skip_idle(cycles)
         trace = self.trace
         if trace is not None:
@@ -896,9 +939,9 @@ class TimingCore:
                         base + 1 + offset, self.core_id, warp_id, "scheduler", "stall",
                         {"reason": "scoreboard"},
                     )
-            perf.incr("scoreboard_stalls", cycles)
+            counters["scoreboard_stalls"] += cycles
         else:
-            perf.incr("idle_cycles", cycles)
+            counters["idle_cycles"] += cycles
             scheduler.skip_idle(cycles)
             if trace is not None:
                 payload = self._trace_mask_payload()
@@ -931,6 +974,21 @@ class TimingCore:
             for lanes, payload in payloads:
                 for _ in range(lanes):
                     dtrace.emit(cycle, core, NO_WARP, channel, "refusal", payload)
+
+    def stall_forensics(self) -> dict:
+        """What this core waits on (per-core payload of ``SimulationStalled``)."""
+        scheduler = self.scheduler
+        return {
+            "core": self.core_id,
+            "active_mask": scheduler.active_mask,
+            "stalled_mask": scheduler.stalled_mask,
+            "barrier_mask": scheduler.barrier_mask,
+            "scoreboard_busy": self.scoreboard.snapshot()["busy"],
+            "barriers": self.func.barriers.snapshot(lambda warp: warp.warp_id)["entries"],
+            "pending_ifetch": len(self._pending_ifetch),
+            "pending_ops": len(self._pending_ops),
+            "pending_mshr": sum(len(b.mshr) for b in self.icache.banks + self.dcache.banks),
+        }
 
     # -- metrics -----------------------------------------------------------------------------------
 

@@ -95,7 +95,7 @@ class VectorProcessor(Processor):
                                     plan = build_plan(warp, pc)
                                     cache[pc] = plan
                                 thread_retired += warp.active_count
-                                plan()
+                                plan(warp)
                                 warp.instructions += 1
                                 csr.instret += 1
                                 retired += 1

@@ -23,6 +23,7 @@ reuse the scalar per-mnemonic handlers directly.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
@@ -38,11 +39,15 @@ from repro.core.emulator import StepResult, WarpEmulator
 from repro.isa.decoder import DecodedInstruction
 from repro.isa.instructions import ExecUnit
 
-#: A plan executes one instruction for one warp (registers, memory, PC).
-Plan = Callable[[], None]
+#: A plan executes one instruction for the warp it was built for (registers,
+#: memory, PC).  It binds that warp's register rows but takes the warp itself
+#: as its argument: a closure over the warp, cached in the warp's own
+#: ``plan_cache``, is a reference cycle that keeps a dropped device (and its
+#: ``MainMemory``) alive until a full garbage collection.
+Plan = Callable[[Any], None]
 
 #: A timing plan additionally returns ``(taken_branch, request_addresses)``.
-TimingPlan = Callable[[], tuple]
+TimingPlan = Callable[[Any], tuple]
 
 
 class TimingStep:
@@ -131,13 +136,13 @@ class VectorWarpEmulator(WarpEmulator):
     def _plan_broadcast(self, warp, pc: int, rd: int, value: int) -> Plan:
         next_pc = pc + 4
         if rd == 0:
-            def run() -> None:
+            def run(warp) -> None:
                 warp.pc = next_pc
             return run
         rd_row = warp.regs.int_row(rd)
         const = np.uint32(value)
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 rd_row[:] = const
             else:
@@ -154,7 +159,7 @@ class VectorWarpEmulator(WarpEmulator):
         next_pc = pc + 4
         rd = instr.rd
         if rd == 0:
-            def run() -> None:
+            def run(warp) -> None:
                 warp.pc = next_pc
             return run
         rd_row = warp.regs.int_row(rd)
@@ -169,7 +174,7 @@ class VectorWarpEmulator(WarpEmulator):
             rs1_signed = rs1_row.view(np.int32)
             rd_signed = rd_row.view(np.int32)
 
-            def run() -> None:
+            def run(warp) -> None:
                 if warp.full:
                     np.right_shift(rs1_signed, shamt, out=rd_signed)
                 else:
@@ -182,7 +187,7 @@ class VectorWarpEmulator(WarpEmulator):
         if isinstance(op, np.ufunc):
             # Plain dtype-preserving ufunc: write the full-mask result in
             # place (no temporary).
-            def run() -> None:
+            def run(warp) -> None:
                 if warp.full:
                     op(rs1_row, imm, out=rd_row)
                 else:
@@ -192,7 +197,7 @@ class VectorWarpEmulator(WarpEmulator):
 
             return run
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 rd_row[:] = op(rs1_row, imm)
             else:
@@ -208,13 +213,13 @@ class VectorWarpEmulator(WarpEmulator):
         next_pc = pc + 4
         rd = instr.rd
         if rd == 0:
-            def run() -> None:
+            def run(warp) -> None:
                 warp.pc = next_pc
             return run
         rd_row = warp.regs.int_row(rd)
 
         if isinstance(op, np.ufunc):
-            def run() -> None:
+            def run(warp) -> None:
                 if warp.full:
                     op(rs1_row, rs2_row, out=rd_row)
                 else:
@@ -224,7 +229,7 @@ class VectorWarpEmulator(WarpEmulator):
 
             return run
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 rd_row[:] = op(rs1_row, rs2_row)
             else:
@@ -262,7 +267,7 @@ class VectorWarpEmulator(WarpEmulator):
             full_cmp = BRANCH_VECTOR_OPS[mnemonic]
         masked_cmp = BRANCH_VECTOR_OPS[mnemonic]
 
-        def run() -> bool:
+        def run(warp) -> bool:
             if warp.full:
                 decisions = full_cmp(full_lhs, full_rhs)
             else:
@@ -288,12 +293,12 @@ class VectorWarpEmulator(WarpEmulator):
         return_address = np.uint32(to_uint32(pc + 4))
         rd = instr.rd
         if rd == 0:
-            def run() -> None:
+            def run(warp) -> None:
                 warp.pc = target
             return run
         rd_row = warp.regs.int_row(rd)
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 rd_row[:] = return_address
             else:
@@ -309,7 +314,7 @@ class VectorWarpEmulator(WarpEmulator):
         rd = instr.rd
         rd_row = warp.regs.int_row(rd) if rd else None
 
-        def run() -> None:
+        def run(warp) -> None:
             base = int(rs1_row[warp.lanes[0]]) if instr.rs1 else 0
             if rd_row is not None:
                 if warp.full:
@@ -350,7 +355,7 @@ class VectorWarpEmulator(WarpEmulator):
         rd = instr.rd
         writes_int_rd = not spec.rd_float
         if writes_int_rd and rd == 0:
-            def run() -> None:
+            def run(warp) -> None:
                 warp.pc = next_pc
             return run
         rd_row = regs.fp_row(rd) if spec.rd_float else regs.int_row(rd)
@@ -365,7 +370,7 @@ class VectorWarpEmulator(WarpEmulator):
             acc32 = rs3_row.view(np.float32)
 
             if wide:
-                def run() -> None:
+                def run(warp) -> None:
                     if warp.full:
                         result = fast(lhs32, rhs32, acc32).astype(np.float32)
                         rd_row[:] = _round_bits(result)
@@ -374,7 +379,7 @@ class VectorWarpEmulator(WarpEmulator):
                         rd_row[lanes] = op(rs1_row[lanes], rs2_row[lanes], rs3_row[lanes])
                     warp.pc = next_pc
             else:
-                def run() -> None:
+                def run(warp) -> None:
                     if warp.full:
                         rd_row[:] = _round_bits(fast(lhs32, rhs32))
                     else:
@@ -384,7 +389,7 @@ class VectorWarpEmulator(WarpEmulator):
 
             return run
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 rd_row[:] = op(rs1_row, rs2_row, rs3_row)
             else:
@@ -417,7 +422,7 @@ class VectorWarpEmulator(WarpEmulator):
 
             raise EmulationError(f"unhandled load {mnemonic}")
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 values = gather(rs1_row + imm)
                 if sign_bit:
@@ -452,7 +457,7 @@ class VectorWarpEmulator(WarpEmulator):
         # state = [imm - page_start] — rebiased whenever the cursor re-anchors.
         state = [None]
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 biased = state[0]
                 if biased is not None:
@@ -496,7 +501,7 @@ class VectorWarpEmulator(WarpEmulator):
 
             raise EmulationError(f"unhandled store {mnemonic}")
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 scatter(rs1_row + imm, src_row)
             else:
@@ -515,7 +520,7 @@ class VectorWarpEmulator(WarpEmulator):
         cursor = memory.word_cursor()
         state = [None]
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 biased = state[0]
                 if biased is not None:
@@ -562,7 +567,7 @@ class VectorWarpEmulator(WarpEmulator):
         stage = instr.tex_stage
         next_pc = pc + 4
 
-        def run() -> None:
+        def run(warp) -> None:
             if warp.full:
                 colors = tex_unit.sample_warp_vector(csr, stage, u_row, v_row, lod_row)
                 if rd_row is not None:
@@ -585,7 +590,7 @@ class VectorWarpEmulator(WarpEmulator):
         next_pc = pc + 4
         perf = self.core.perf
 
-        def run() -> None:
+        def run(warp) -> None:
             lanes = warp.lanes
             predicates = rs1_row[lanes] != 0
             taken_mask = int((np.left_shift(np.int64(1), lanes.astype(np.int64))[predicates]).sum())
@@ -607,7 +612,7 @@ class VectorWarpEmulator(WarpEmulator):
         (not the fall-through path) — see :meth:`_plan_branch` on why."""
         next_pc = pc + 4
 
-        def run() -> bool:
+        def run(warp) -> bool:
             entry = warp.ipdom.pop()
             warp.set_tmask(entry.tmask)
             if entry.is_fallthrough:
@@ -646,7 +651,7 @@ class VectorWarpEmulator(WarpEmulator):
             cache[pc] = entry
         instr, run = entry
         active = warp.active_count
-        taken, addresses = run()
+        taken, addresses = run(warp)
         warp.instructions += 1
         return TimingStep(instr, active, taken, addresses)
 
@@ -671,8 +676,8 @@ class VectorWarpEmulator(WarpEmulator):
         instruction (ALU/MUL/DIV/FPU, CSR, SIMT control, scalar fallbacks)."""
         arch_plan = self._arch_plan(warp, pc)
 
-        def run() -> tuple:
-            arch_plan()
+        def run(warp) -> tuple:
+            arch_plan(warp)
             return False, None
 
         return run
@@ -682,8 +687,8 @@ class VectorWarpEmulator(WarpEmulator):
         front-end redirect (the scalar emulator always flags them taken)."""
         arch_plan = self._arch_plan(warp, pc)
 
-        def run() -> tuple:
-            arch_plan()
+        def run(warp) -> tuple:
+            arch_plan(warp)
             return True, None
 
         return run
@@ -693,8 +698,8 @@ class VectorWarpEmulator(WarpEmulator):
         whose closure already returns the taken decision."""
         arch_plan = self._arch_plan(warp, pc)
 
-        def run() -> tuple:
-            return arch_plan(), None
+        def run(warp) -> tuple:
+            return arch_plan(warp), None
 
         return run
 
@@ -713,12 +718,12 @@ class VectorWarpEmulator(WarpEmulator):
         rs1_row = warp.regs.int_row(instr.rs1)
         imm = np.uint32(to_uint32(instr.imm))
 
-        def run() -> tuple:
+        def run(warp) -> tuple:
             if warp.full:
                 addresses = (rs1_row + imm).tolist()
             else:
                 addresses = (rs1_row[warp.lanes] + imm).tolist()
-            arch_plan()
+            arch_plan(warp)
             return False, addresses
 
         return run
@@ -738,7 +743,7 @@ class VectorWarpEmulator(WarpEmulator):
         stage = instr.tex_stage
         next_pc = pc + 4
 
-        def run() -> tuple:
+        def run(warp) -> tuple:
             if warp.full:
                 colors, unique = tex_unit.sample_warp_vector_trace(
                     csr, stage, u_row, v_row, lod_row
@@ -767,7 +772,7 @@ class VectorWarpEmulator(WarpEmulator):
             raise EmulationError(f"unhandled instruction {instr.mnemonic}")
         unit = instr.spec.unit
 
-        def run() -> None:
+        def run(warp) -> None:
             result = StepResult(
                 warp_id=warp.warp_id,
                 pc=pc,

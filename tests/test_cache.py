@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.bank import CacheBank
-from repro.cache.cache import NonBlockingCache
+from repro.cache.cache import LowerPort, NonBlockingCache
 from repro.cache.mshr import Mshr
 from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
 from repro.common.config import CacheConfig
@@ -313,15 +313,14 @@ def test_shared_memory_bank_conflicts_serialize():
 # -- batched request path: bit-identical to the per-lane loop ------------------------------
 
 
-class _ScriptedLower:
-    """Lower level refusing every ``refuse_every``-th request (non-sticky).
+class _ScriptedLower(LowerPort):
+    """Lower level refusing every ``refuse_every``-th request (non-sticky:
+    never ``blocked``, ``LowerPort``'s default).
 
     Deterministic, so two caches driven with identical request sequences see
     identical accept/refuse patterns — the property the batched/per-lane
     equivalence tests rely on.
     """
-
-    sticky_refusal = False
 
     def __init__(self, refuse_every=3):
         self.refuse_every = refuse_every
@@ -349,13 +348,11 @@ class _ScriptedLower:
 class _StickyQueueLower:
     """Bounded shared queue: refuses once full, for the rest of the cycle.
 
-    Mirrors the DRAM port contract: ``sticky_refusal`` promises that one
-    refusal implies every further request this cycle is refused too, and
-    ``note_skipped_refusal`` charges exactly what a real refused call would
-    have (here: the ``rejected`` tally).
+    Mirrors the DRAM port contract: ``blocked`` promises that every further
+    request this cycle is refused (and says so before the first one is
+    asked), and ``note_skipped_refusal`` / ``note_blocked_writes`` charge
+    exactly what the skipped calls would have (here: the ``rejected`` tally).
     """
-
-    sticky_refusal = True
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -377,6 +374,12 @@ class _StickyQueueLower:
 
     def note_skipped_refusal(self, count=1):
         self.rejected += count
+
+    def blocked(self, is_write):
+        return len(self.queue) >= self.capacity
+
+    def note_blocked_writes(self, runs):
+        self.rejected += sum(len(addresses) for addresses in runs)
 
     def drain(self):
         released, self.queue = self.queue, []

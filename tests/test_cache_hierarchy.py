@@ -1,8 +1,12 @@
 """Integration tests for the cache hierarchy (L1 / optional L2 / DRAM)."""
 
+import pytest
 
-from repro.cache.hierarchy import MemorySubsystem
+from repro.cache.cache import LowerPort
+from repro.cache.hierarchy import MemorySubsystem, _CachePort, _DramPort
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
+from repro.trace.bus import TraceBus
+from repro.trace.sinks import MemorySink
 
 
 def _drain(memsys, dcache, max_cycles=500):
@@ -102,3 +106,77 @@ def test_icache_responses_routed_separately():
     for _ in range(100):
         fetched.extend(memsys.tick().get(("i", 0), []))
     assert [r.tag for r in fetched] == ["fetch"]
+
+
+# -- write-through backpressure through cache levels -------------------------------------------
+
+
+def forward_lane_by_lane(monkeypatch):
+    """The lane-by-lane walk as a test double: no port ever reports itself
+    ``blocked``, so every queued store lane walks D$ → (L2 → L3 →) DRAM port
+    and is refused where it is refused — the oracle for the bulk charge."""
+    for port in (_DramPort, _CachePort):
+        monkeypatch.setattr(port, "blocked", LowerPort.blocked)
+
+
+def _blocked_store_cycle(l3: bool, traced: bool):
+    """One cycle of a store storm behind L2 (+L3) with the DRAM queue full,
+    in which core 1's read hit has already taken L2 bank 0's only port.
+
+    Core 0 then presents five store lanes: two on L2 bank 0 (another line),
+    two on bank 1, one on bank 2.  Returns the subsystem and its events.
+    """
+    config = VortexConfig(
+        num_cores=2,
+        enable_l2=True,
+        enable_l3=l3,
+        memory=MemoryConfig(latency=200, bandwidth=1, request_queue_size=2),
+    )
+    memsys = MemorySubsystem(config)
+    sink = MemorySink()
+    memsys.attach_trace(TraceBus([sink]) if traced else None)
+    dcache0, dcache1 = memsys.dcache(0), memsys.dcache(1)
+    memsys.tick()
+    assert dcache0.send(0x100 * 64, tag="warm")  # line 0x100 now lives in L2 (bank 0)
+    while memsys.busy:
+        memsys.tick()
+    stores = [((0x200 * 64,), 0x200, 0, False), ((0x201 * 64,), 0x201, 1, False)]
+    assert dcache0.send_batch(stores, 4, True, None)[0] == 2  # fills the DRAM queue
+    memsys.tick()
+    assert not memsys.dram.can_accept
+    assert dcache1.send(0x100 * 64, tag="hit-in-l2")  # accepted although DRAM is full
+    storm = [
+        ((0x104 * 64, 0x104 * 64 + 4), 0x104, 0, False),
+        ((0x101 * 64, 0x101 * 64 + 4), 0x101, 1, False),
+        ((0x102 * 64,), 0x102, 2, False),
+    ]
+    assert dcache0.send_batch(storm, 8, True, None) == (0, storm, 8)
+    return memsys, sink.events
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("l3", [False, True], ids=["l2", "l2-l3"])
+def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, monkeypatch):
+    """The lanes a write-blocked lower port is never asked for are charged
+    where a lane-by-lane walk refuses them: an L2 bank another request took
+    this cycle charges ``bank_conflicts`` there and goes no further, the rest
+    charge ``memq_stalls`` level by level down to DRAM's ``rejected``."""
+    memsys, events = _blocked_store_cycle(l3, traced)
+    before = {name: dict(counters) for name, counters in memsys.counters().items()}
+    l2 = memsys.l2[0].perf
+    assert l2.get("bank_conflicts") == 2 and l2.get("memq_stalls") == 3
+    assert memsys.dcache(0).perf.get("memq_stalls") == 5
+    assert memsys.dram.perf.get("rejected") == 3
+    if l3:
+        assert memsys.l3.perf.get("memq_stalls") == 3 and "bank_conflicts" not in memsys.l3.perf
+
+    forward_lane_by_lane(monkeypatch)
+    twin, twin_events = _blocked_store_cycle(l3, traced)
+    assert twin.counters() == before
+    assert twin_events == events
+    if traced:
+        kinds = [(e.channel, e.kind) for e in events if e.payload.get("write")]
+        # Per lane the deepest level speaks first, as in a chain of ``send`` calls.
+        last_lane = [("l3", "refusal")] * l3 + [("l2", "refusal"), ("dcache", "refusal")]
+        assert kinds[-len(last_lane):] == last_lane
+        assert ("l2", "conflict") in kinds

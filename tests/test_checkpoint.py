@@ -384,6 +384,31 @@ class TestPausePointProperty:
         report = fresh.driver.run(None, resume=True)
         assert reports_identical(reference, report)
 
+    def test_pause_inside_a_store_storm_behind_l2_is_invisible(self):
+        """Pause where the kept (not serialized) state matters most: stores
+        queued on both cores against a full DRAM queue behind a shared L2."""
+        config = replace(
+            VortexConfig(num_cores=2).with_cache_hierarchy(enable_l2=True),
+            memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
+        )
+        straight, _, program, _ = _staged_device("simx", "saxpy", 32, config)
+        reference = straight.driver.run(program.entry)
+
+        paused, _, program, _ = _staged_device("simx", "saxpy", 32, config)
+        processor = paused.driver.processor
+        paused.driver.run(program.entry, stop_cycle=1)
+        while not (
+            all(core._store_queue for core in processor.cores)
+            and not processor.memsys.dram.can_accept
+        ):
+            paused.driver.run(None, stop_cycle=processor.cycle + 1, resume=True)
+        assert not paused.driver.done
+        envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
+        fresh = VortexDevice(config, driver="simx")
+        fresh.restore(envelope)
+        assert fresh.checkpoint() == envelope
+        assert reports_identical(reference, fresh.driver.run(None, resume=True))
+
     @given(stop=st.integers(min_value=1, max_value=400))
     @settings(max_examples=10, deadline=None)
     def test_funcsim_any_pause_round_is_invisible(self, stop):

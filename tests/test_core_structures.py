@@ -223,7 +223,7 @@ def test_scoreboard_reserve_release():
     scoreboard.reserve(0, 5)
     assert scoreboard.is_busy(0, 5)
     assert not scoreboard.is_busy(1, 5)
-    assert scoreboard.any_busy(0, [(5, False), (6, False)])
+    assert scoreboard.any_busy(0, Scoreboard.mask_of([(5, False), (6, False)]))
     scoreboard.release(0, 5)
     assert not scoreboard.is_busy(0, 5)
 
@@ -249,3 +249,46 @@ def test_scoreboard_clear_empties_everything(registers):
         scoreboard.reserve(0, register)
     scoreboard.clear()
     assert scoreboard.busy_count(0) == 0
+
+
+_REGISTERS = st.tuples(st.integers(min_value=0, max_value=31), st.booleans())
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["reserve", "release"]), st.integers(0, 1), _REGISTERS),
+        max_size=40,
+    ),
+    probe=st.lists(_REGISTERS, max_size=4),
+)
+def test_mask_scoreboard_agrees_with_a_set_model(ops, probe):
+    """The per-warp bitmask against the set of ``(kind, register)`` keys it
+    replaced — double reserve, release of a free register, x0 and f0 included —
+    on every query and on the snapshot wire (``sorted`` over those keys)."""
+    scoreboard = Scoreboard(num_warps=2)
+    model = {0: set(), 1: set()}
+    reservations = 0
+    for op, warp, (register, floating) in ops:
+        key = ("f" if floating else "x", register)
+        if op == "release":
+            scoreboard.release(warp, register, floating)
+            model[warp].discard(key)
+        else:
+            scoreboard.reserve(warp, register, floating)
+            if key != ("x", 0):
+                model[warp].add(key)
+                reservations += 1
+    for warp in (0, 1):
+        busy = {("f" if fl else "x", reg) in model[warp] for reg, fl in probe}
+        assert scoreboard.any_busy(warp, Scoreboard.mask_of(probe)) == (True in busy)
+        assert scoreboard.busy_count(warp) == len(model[warp])
+        for register in range(32):
+            for floating in (False, True):
+                key = ("f" if floating else "x", register)
+                assert scoreboard.is_busy(warp, register, floating) == (key in model[warp])
+    snapshot = scoreboard.snapshot()
+    assert snapshot["busy"] == {warp: sorted(keys) for warp, keys in model.items()}
+    assert snapshot["perf"].get("reservations", 0) == reservations
+    restored = Scoreboard(num_warps=2)
+    restored.restore(snapshot)
+    assert restored.snapshot() == snapshot

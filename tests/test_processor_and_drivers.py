@@ -1,11 +1,15 @@
 """System-level tests: multi-core processors, the two simulation drivers,
 the command processor (AFU) and the device facade."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.common.config import MemoryConfig, VortexConfig
 from repro.core.barrier import GLOBAL_BARRIER_FLAG
+from repro.core.emulator import EmulationError, SimulationStalled
 from repro.core.processor import Processor, TimingProcessor
 from repro.isa.builder import ProgramBuilder
 from repro.isa.csr import CSR
@@ -273,3 +277,58 @@ def test_opencl_unknown_kernel_rejected():
     ctx = Context(VortexConfig(), driver="funcsim")
     with pytest.raises(KeyError):
         Program(ctx, ["not_a_kernel"])
+
+
+# -- failures that explain themselves --------------------------------------------------------
+
+
+def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
+    """Every wavefront arrives at barrier 3 expecting one arrival more than
+    exist: nothing ever retires again and the watchdog names who waits where."""
+    asm = ProgramBuilder(base=BASE)
+    asm.csr_read(Reg.t0, CSR.NUM_WARPS)
+    asm.la(Reg.t1, "worker")
+    asm.wspawn(Reg.t0, Reg.t1)
+    asm.label("worker")
+    asm.li(Reg.t5, 3)
+    asm.csr_read(Reg.t6, CSR.NUM_WARPS)
+    asm.addi(Reg.t6, Reg.t6, 1)
+    asm.bar(Reg.t5, Reg.t6)
+    asm.li(Reg.t6, 0)
+    asm.tmc(Reg.t6)
+    program = asm.assemble()
+
+    monkeypatch.setattr(TimingProcessor, "NO_PROGRESS_LIMIT", 300)
+    processor = TimingProcessor(VortexConfig(memory=MemoryConfig(latency=20, bandwidth=1)))
+    processor.memory.load_words(program.base, program.words)
+    with pytest.raises(EmulationError, match="no progress for 300 cycles") as excinfo:
+        processor.run(program.entry)
+    stalled = excinfo.value
+    assert isinstance(stalled, SimulationStalled)
+    num_warps = processor.config.core.num_warps
+    assert stalled.window == 300 and stalled.cycle == processor.cycle
+    assert stalled.global_barriers == []
+    (core,) = stalled.cores
+    ((barrier, expected, waiting),) = core["barriers"]  # waiting: arrival order
+    assert (barrier, expected, sorted(waiting)) == (3, num_warps + 1, list(range(num_warps)))
+    assert core["barrier_mask"] == core["active_mask"] == (1 << num_warps) - 1
+    assert core["pending_ifetch"] == core["pending_ops"] == core["pending_mshr"] == 0
+    assert set(core["scoreboard_busy"]) == set(range(num_warps))
+    assert f"core 0 warps {waiting} at barrier 3 ({num_warps}/{num_warps + 1})" in str(stalled)
+
+
+@pytest.mark.parametrize("driver", ["simx", "funcsim"])
+def test_dropped_device_dies_by_refcount(driver):
+    """No reference cycle may keep a dropped device's ``MainMemory`` (most of
+    its footprint) or its cores waiting for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        device = VortexDevice(VortexConfig(), driver=driver)
+        assert VecAddKernel().run(device, size=64).passed
+        core = device.driver.processor.cores[0]
+        refs = [weakref.ref(device.memory), weakref.ref(getattr(core, "func", core))]
+        del device, core
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
