@@ -1,26 +1,27 @@
-"""Trace-bus smoke: off-path overhead gate, sink parseability, reconciliation.
+"""Trace-bus smoke: tracing never perturbs a run, reconciles, and round-trips.
 
-Re-runs the committed ``BENCH_timing.json`` scenario shapes three ways:
+Re-runs the committed ``BENCH_timing.json`` scenario shapes four ways:
 
-* ``simx`` — tracing off.  The instrumented hot paths must pay only the
-  prebound ``trace is None`` guards (vxlint VX008), so this is the
-  wall-clock the PR's ≤2%-overhead budget protects.
+* ``simx`` — tracing off.  The instrumented hot paths pay only the prebound
+  ``trace is None`` guards; vxlint VX008 is what holds that statically.
 * ``simx:trace=mem`` — full tracing into an in-memory sink.  The reports
   of the off and traced runs must be **bit-identical** (tracing observes
   the simulation, never perturbs it) and the event stream must
   *reconcile*: every per-reason event total equals the corresponding
   aggregate performance counter exactly
   (:func:`repro.trace.attribution.reconcile`).
+* ``simx:trace=jsonl`` — the file sink ``bench``'s ``simx_traced`` workload
+  exercises: its ``events``, ``bytes`` and ``events_per_second`` sit beside
+  the ``mem`` figures of every scenario, and its file must parse back to the
+  in-memory stream.
 * ``simx:trace=csv`` / ``trace=vcd`` (one scenario) — the file sinks must
   produce parseable artifacts whose contents match the in-memory stream.
 
-Each row's ``speedup`` is *traced-seconds / off-seconds* — how much faster
-the tracing-off path is than full tracing.  CI gates it against the
-committed ``BENCH_trace.json`` with ``check_regression.py --floor``: the
-committed baseline encodes today's allocation-free off path, and a
-VX008-class regression (unguarded emission work leaking into the off
-path) shrinks the off/traced gap and trips the floor without any
-cross-machine absolute-seconds comparison.
+CI gates the identity flags only (``check_regression.py --require-identical``).
+Each row still reports ``speedup`` = *traced-seconds / off-seconds*, but as
+information: a wall-ratio *floor* on it went red whenever tracing got
+cheaper, and host speed is measured by ``bench/`` (``simx_traced``), not by
+sub-second ratios here.
 
 Run with::
 
@@ -42,7 +43,7 @@ from repro.engine.session import diff_execution_reports
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 from repro.trace.attribution import reconcile
-from repro.trace.sinks import parse_csv, parse_vcd, vcd_changes
+from repro.trace.sinks import parse_csv, parse_jsonl, parse_vcd, vcd_changes
 
 #: The committed ``BENCH_timing.json`` scenario shapes, re-run under tracing:
 #: (name, kernel, size, warps, threads, port_limited).
@@ -85,21 +86,32 @@ def measure_scenario(
     name: str, kernel: str, size: int, warps: int, threads: int,
     port_limited: bool, reps: int,
 ) -> dict[str, Any]:
-    """Best-of-N off vs traced, interleaved so machine noise hits both."""
+    """Best-of-N off vs traced (mem, jsonl), interleaved so machine noise hits all."""
     config = _config(warps, threads, port_limited)
-    off_best = traced_best = float("inf")
+    off_best = traced_best = jsonl_best = float("inf")
     off_report = traced_report = None
     traced_driver = None
-    for _ in range(reps):
-        wall, off_report, _ = _run_once("simx", kernel, size, config)
-        off_best = min(off_best, wall)
-        wall, traced_report, traced_driver = _run_once(
-            "simx:trace=mem", kernel, size, config
-        )
-        traced_best = min(traced_best, wall)
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl_path = Path(tmp) / "trace.jsonl"
+        for _ in range(reps):
+            wall, off_report, _ = _run_once("simx", kernel, size, config)
+            off_best = min(off_best, wall)
+            wall, traced_report, traced_driver = _run_once(
+                "simx:trace=mem", kernel, size, config
+            )
+            traced_best = min(traced_best, wall)
+            wall, jsonl_report, _ = _run_once(
+                f"simx:trace=jsonl,trace_file={jsonl_path}", kernel, size, config
+            )
+            jsonl_best = min(jsonl_best, wall)
+        jsonl_bytes = jsonl_path.stat().st_size
+        jsonl_events = parse_jsonl(jsonl_path.read_text(encoding="utf-8"))
 
     mismatches = diff_execution_reports(off_report, traced_report)
+    mismatches += diff_execution_reports(off_report, jsonl_report)
     events = list(traced_driver.trace_sink.events)
+    if jsonl_events != events:
+        mismatches.append("trace=jsonl file does not parse back to the trace=mem stream")
     reconciliation = reconcile(events, traced_driver.processor)
     return {
         "scenario": name,
@@ -114,6 +126,12 @@ def measure_scenario(
         "off_cycles_per_second": round(off_report.cycles / off_best, 1),
         "traced_cycles_per_second": round(traced_report.cycles / traced_best, 1),
         "speedup": round(traced_best / off_best, 2),
+        "jsonl": {
+            "events": len(jsonl_events),
+            "bytes": jsonl_bytes,
+            "seconds": round(jsonl_best, 4),
+            "events_per_second": round(len(jsonl_events) / jsonl_best, 1),
+        },
         "identical_counters": not mismatches and not reconciliation,
         "mismatches": mismatches + reconciliation,
     }
@@ -153,8 +171,9 @@ def main(argv: list[str] | None = None) -> int:
         status = "identical" if row["identical_counters"] else "MISMATCH"
         print(
             f"  {name:20s} cycles={row['cycles']:7d} events={row['events']:7d} "
-            f"off={row['off_seconds']:.3f}s traced={row['traced_seconds']:.3f}s "
-            f"off-is-{row['speedup']:.2f}x-faster {status}"
+            f"off={row['off_seconds']:.3f}s mem={row['traced_seconds']:.3f}s "
+            f"({row['speedup']:.2f}x off) jsonl={row['jsonl']['seconds']:.3f}s "
+            f"({row['jsonl']['bytes']} B, {row['jsonl']['events_per_second']:.0f} events/s) {status}"
         )
         for mismatch in row["mismatches"]:
             print(f"    - {mismatch}")
@@ -166,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     payload = {
-        "benchmark": "trace bus: off-path overhead + sink round-trips + reconciliation",
+        "benchmark": "trace bus: identity off/mem/jsonl + sink round-trips + reconciliation",
         "generated_by": "benchmarks/trace_smoke.py",
         "identical_counters": all(row["identical_counters"] for row in results),
         "results": results,

@@ -154,15 +154,20 @@ class SimxDriver:
         """
         options = resolve_options(options, max_cycles=max_cycles)
         start = time.perf_counter()
-        cycles = self.processor.run(
-            None if resume else entry_pc,
-            max_cycles=options.max_cycles or DEFAULT_MAX_CYCLES,
-            max_instructions=options.max_instructions,
-            stop_cycle=stop_cycle,
-        )
+        try:
+            cycles = self.processor.run(
+                None if resume else entry_pc,
+                max_cycles=options.max_cycles or DEFAULT_MAX_CYCLES,
+                max_instructions=options.max_instructions,
+                stop_cycle=stop_cycle,
+            )
+        finally:
+            # Paused or raising too: a failing run's last events explain it.
+            if self.trace_bus is not None:
+                self.trace_bus.flush()
         wall_seconds = time.perf_counter() - start
         if self.trace_bus is not None and self.processor.done:
-            # Flush file sinks once the launch has fully drained (VCD encodes
+            # Close file sinks once the launch has fully drained (VCD encodes
             # on close); safe across chunked runs — close is idempotent.
             self.trace_bus.close()
         return ExecutionReport(

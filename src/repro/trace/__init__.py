@@ -26,6 +26,10 @@ from repro.trace.sinks import (
     CsvSink,
     JsonlSink,
     MemorySink,
+    TraceFormatError,
+    TraceHeaderError,
+    TraceRecordError,
+    TraceVersionError,
     VcdSink,
     encode_vcd,
     load_trace,
@@ -53,6 +57,10 @@ __all__ = [
     "encode_vcd",
     "vcd_changes",
     "load_trace",
+    "TraceFormatError",
+    "TraceHeaderError",
+    "TraceVersionError",
+    "TraceRecordError",
     "summarize",
     "attribute_stalls",
     "observed_counters",

@@ -43,8 +43,7 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     events = load_trace(args.source)
     sink = _SINKS[args.format](args.dest)
-    for event in events:
-        sink.write(event)
+    sink.write_batch(events)
     sink.close()
     print(f"wrote {len(events)} events to {args.dest} ({args.format})")
     return 0

@@ -14,8 +14,7 @@ one revision of the simulator is never silently misread by another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Trace format version stamped into every sink header.
 TRACE_VERSION = 1
@@ -39,13 +38,13 @@ CHANNELS = (
 NO_WARP = -1
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One timestamped microarchitectural event.
 
     ``payload`` carries kind-specific plain data (ints/bools/strings only,
     so every sink can serialize it canonically).  Equality is structural —
-    the determinism tests compare whole event streams with ``==``.
+    the determinism tests compare whole event streams with ``==`` — and a
+    plain tuple of the six fields, the bus's :data:`TraceRecord`, equals it.
     """
 
     cycle: int
@@ -53,18 +52,15 @@ class TraceEvent:
     warp: int
     channel: str
     kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
     def key(self) -> tuple[int, int, int, str, str, str]:
         """A canonical sortable identity (payload serialized by repr)."""
-        return (
-            self.cycle,
-            self.core,
-            self.warp,
-            self.channel,
-            self.kind,
-            repr(sorted(self.payload.items())),
-        )
+        return (*self[:5], repr(sorted(self.payload.items())))
+
+
+#: What ``TraceBus.emit`` buffers and hands the sinks (a :class:`TraceEvent` is one).
+TraceRecord = tuple[int, int, int, str, str, dict[str, Any]]
 
 
 def expand_skips(events: list[TraceEvent]) -> list[TraceEvent]:
@@ -82,4 +78,4 @@ def expand_skips(events: list[TraceEvent]) -> list[TraceEvent]:
     return sorted(kept, key=lambda event: (event.cycle, event.core))
 
 
-__all__ = ["TRACE_VERSION", "CHANNELS", "NO_WARP", "TraceEvent", "expand_skips"]
+__all__ = ["TRACE_VERSION", "CHANNELS", "NO_WARP", "TraceEvent", "TraceRecord", "expand_skips"]

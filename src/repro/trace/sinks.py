@@ -14,6 +14,9 @@ the CLI and the round-trip property tests can read traces back:
   last one per cycle; :func:`vcd_changes` is the pure reference for that
   lossy projection and the round-trip property is
   ``parse_vcd(encode(events)) == vcd_changes(events)``.
+
+Sinks take the bus's records a batch at a time (``write_batch``); every parser
+failure is a :class:`TraceFormatError` naming the source and the 1-based line.
 """
 
 from __future__ import annotations
@@ -21,54 +24,96 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from pathlib import Path
 from typing import Any, TextIO
 
-from repro.trace.events import TRACE_VERSION, TraceEvent
+from repro.trace.events import TRACE_VERSION, TraceEvent, TraceRecord
+
+# ---------------------------------------------------------------------------
+# Reader errors
+
+
+class TraceFormatError(ValueError):
+    """A trace that cannot be read; names its source and 1-based line."""
+
+    def __init__(self, source: str, line: int, message: str, text: str = ""):
+        super().__init__(f"{source}:{line}: {message}")
+        self.source, self.line, self.text = source, line, text
+
+
+class TraceHeaderError(TraceFormatError):
+    """The version header (or CSV column row, or VCD ``$comment``) is damaged."""
+
+
+class TraceVersionError(TraceFormatError):
+    """The header is intact but stamps another :data:`TRACE_VERSION`."""
+
+    def __init__(self, source: str, line: int, found: Any):
+        message = f"unsupported trace version {found} (expected {TRACE_VERSION})"
+        super().__init__(source, line, message)
+        self.found, self.expected = found, TRACE_VERSION
+
+
+class TraceRecordError(TraceFormatError):
+    """One body record is damaged; ``text`` is the offending line."""
+
 
 # ---------------------------------------------------------------------------
 # In-memory
 
 
 class MemorySink:
-    """Collects events into a python list (``driver.trace_bus`` exposes it)."""
+    """Keeps the records; ``events`` turns them into :class:`TraceEvent`s when read."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._events: list[Any] = []  # TraceEvents up to ``_made``, raw records after
+        self._made = 0
 
-    def write(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    def write_batch(self, records: list[TraceRecord]) -> None:
+        self._events.extend(records)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Everything flushed so far (``bus.flush()`` first when ticking by hand)."""
+        self._events[self._made :] = map(TraceEvent._make, self._events[self._made :])
+        self._made = len(self._events)
+        return self._events
 
     def close(self) -> None:
         return None
 
 
 # ---------------------------------------------------------------------------
-# CSV
+# Streaming text sinks: CSV and JSONL
 
-_CSV_HEADER_COMMENT = f"# repro-trace v{TRACE_VERSION}"
-_CSV_COLUMNS = ("cycle", "core", "warp", "channel", "kind", "payload")
+_encode_payload = json.JSONEncoder(sort_keys=True).encode
 
 
-class CsvSink:
-    """Streams events to a CSV file (header comment carries the version)."""
+def _payload_json(records: list[TraceRecord]) -> Iterator[str]:
+    """Each record's payload as sorted-key JSON (``""`` when empty); a run of
+    one payload *object* is encoded once.  Identity, never content, decides:
+    ``{"x": 1} == {"x": True}`` and they hash alike, yet encode differently."""
+    last: dict[str, Any] | None = None
+    text = ""
+    for record in records:
+        if record[5] is not last:
+            last = record[5]
+            text = _encode_payload(last) if last else ""
+        yield text
 
-    def __init__(self, target: str | Path | TextIO):
+
+class _StreamSink:
+    """The stream a text sink writes: a path it opens and owns, or a borrowed file."""
+
+    def __init__(self, target: str | Path | TextIO, header: str):
         if isinstance(target, (str, Path)):
             self._file: TextIO = open(target, "w", encoding="utf-8", newline="")
             self._owns_file = True
         else:
             self._file = target
             self._owns_file = False
-        self._file.write(_CSV_HEADER_COMMENT + "\n")
-        self._writer = csv.writer(self._file)
-        self._writer.writerow(_CSV_COLUMNS)
-
-    def write(self, event: TraceEvent) -> None:
-        payload = json.dumps(event.payload, sort_keys=True) if event.payload else ""
-        self._writer.writerow(
-            (event.cycle, event.core, event.warp, event.channel, event.kind, payload)
-        )
+        self._file.write(header)
 
     def close(self) -> None:
         if self._owns_file:
@@ -77,97 +122,95 @@ class CsvSink:
             self._file.flush()
 
 
-def parse_csv(text: str) -> list[TraceEvent]:
+class CsvSink(_StreamSink):
+    """Streams events to a CSV file (header comment carries the version)."""
+
+    def __init__(self, target: str | Path | TextIO):
+        super().__init__(target, f"# repro-trace v{TRACE_VERSION}\n")
+        self._writer = csv.writer(self._file)
+        self._writer.writerow(TraceEvent._fields)
+
+    def write_batch(self, records: list[TraceRecord]) -> None:
+        texts = _payload_json(records)
+        self._writer.writerows((*record[:5], text) for record, text in zip(records, texts))
+        self._file.flush()  # a batch handed over is a batch a reader can see
+
+
+def parse_csv(text: str, source: str = "csv") -> list[TraceEvent]:
     """Parse :class:`CsvSink` output back into events (lossless)."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# repro-trace v"):
-        raise ValueError("not a repro-trace CSV: missing version header")
-    version = int(lines[0].rsplit("v", 1)[1])
-    if version != TRACE_VERSION:
-        raise ValueError(f"unsupported trace version {version} (expected {TRACE_VERSION})")
+        raise TraceHeaderError(source, 1, "not a repro-trace CSV: missing version header")
+    version = lines[0].rsplit("v", 1)[1].strip()
+    if version != str(TRACE_VERSION):
+        raise TraceVersionError(source, 1, version)
     reader = csv.reader(io.StringIO("\n".join(lines[1:])))
     header = next(reader, None)
-    if tuple(header or ()) != _CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV columns: {header}")
+    if tuple(header or ()) != TraceEvent._fields:
+        raise TraceHeaderError(source, 2, f"unexpected CSV columns: {header}")
     events = []
     for row in reader:
         if not row:
             continue
-        cycle, core, warp, channel, kind, payload = row
-        events.append(
-            TraceEvent(
-                cycle=int(cycle),
-                core=int(core),
-                warp=int(warp),
-                channel=channel,
-                kind=kind,
-                payload=json.loads(payload) if payload else {},
-            )
-        )
+        try:
+            cycle, core, warp, channel, kind, payload = row
+            decoded = json.loads(payload) if payload else {}
+            events.append(TraceEvent(int(cycle), int(core), int(warp), channel, kind, decoded))
+        except ValueError as error:  # field count, int(), JSONDecodeError
+            number = reader.line_num + 1
+            raise TraceRecordError(source, number, str(error), lines[number - 1]) from error
     return events
 
 
-# ---------------------------------------------------------------------------
-# JSONL
-
-
-class JsonlSink:
+class JsonlSink(_StreamSink):
     """Streams events as one JSON object per line after a header record."""
 
     def __init__(self, target: str | Path | TextIO):
-        if isinstance(target, (str, Path)):
-            self._file: TextIO = open(target, "w", encoding="utf-8")
-            self._owns_file = True
-        else:
-            self._file = target
-            self._owns_file = False
         header = {"format": "repro-trace", "version": TRACE_VERSION}
-        self._file.write(json.dumps(header, sort_keys=True) + "\n")
+        super().__init__(target, json.dumps(header, sort_keys=True) + "\n")
+        #: (channel, kind) -> the constant text before ``core`` and after ``cycle``.
+        self._pieces: dict[tuple[str, str], tuple[str, str]] = {}
 
-    def write(self, event: TraceEvent) -> None:
-        record = {
-            "cycle": event.cycle,
-            "core": event.core,
-            "warp": event.warp,
-            "channel": event.channel,
-            "kind": event.kind,
-        }
-        if event.payload:
-            record["payload"] = event.payload
-        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+    def write_batch(self, records: list[TraceRecord]) -> None:
+        # Byte-for-byte ``json.dumps(record, sort_keys=True)`` per line: keys
+        # channel, core, cycle, kind, payload (omitted when empty), warp.
+        pieces = self._pieces
+        lines = []
+        for (cycle, core, warp, channel, kind, _), text in zip(records, _payload_json(records)):
+            piece = pieces.get((channel, kind))
+            if piece is None:
+                head = f'{{"channel": {json.dumps(channel)}, "core": '
+                piece = pieces[channel, kind] = (head, f', "kind": {json.dumps(kind)}, ')
+            head, mid = piece
+            if text:
+                mid = f'{mid}"payload": {text}, '
+            lines.append(f'{head}{core}, "cycle": {cycle}{mid}"warp": {warp}}}\n')
+        self._file.write("".join(lines))
+        self._file.flush()  # a batch handed over is a batch a reader can see
 
-    def close(self) -> None:
-        if self._owns_file:
-            self._file.close()
-        else:
-            self._file.flush()
 
-
-def parse_jsonl(text: str) -> list[TraceEvent]:
+def parse_jsonl(text: str, source: str = "jsonl") -> list[TraceEvent]:
     """Parse :class:`JsonlSink` output back into events (lossless)."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("not a repro-trace JSONL: empty input")
-    header = json.loads(lines[0])
-    if header.get("format") != "repro-trace":
-        raise ValueError("not a repro-trace JSONL: missing format header")
-    if header.get("version") != TRACE_VERSION:
-        raise ValueError(
-            f"unsupported trace version {header.get('version')} (expected {TRACE_VERSION})"
-        )
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    number, line = lines[0] if lines else (1, "")
+    try:
+        header = json.loads(line)
+        if header["format"] != "repro-trace":
+            raise KeyError("format")
+        version = header["version"]
+    except (ValueError, KeyError, TypeError) as error:
+        message = "not a repro-trace JSONL: missing format header"
+        raise TraceHeaderError(source, number, message, line) from error
+    if version != TRACE_VERSION:
+        raise TraceVersionError(source, number, version)
     events = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        events.append(
-            TraceEvent(
-                cycle=record["cycle"],
-                core=record["core"],
-                warp=record["warp"],
-                channel=record["channel"],
-                kind=record["kind"],
-                payload=record.get("payload", {}),
-            )
-        )
+    for number, line in lines[1:]:
+        try:
+            record = json.loads(line)
+            fields = [record[name] for name in TraceEvent._fields[:5]]
+            events.append(TraceEvent(*fields, record.get("payload", {})))
+        except (ValueError, KeyError, TypeError, AttributeError) as error:
+            raise TraceRecordError(source, number, repr(error), line) from error
     return events
 
 
@@ -222,8 +265,8 @@ def _vcd_ident(index: int) -> str:
     return chars
 
 
-class VcdSink:
-    """Buffers events and writes a value-change dump on :meth:`close`.
+class VcdSink(MemorySink):
+    """Keeps the records and writes a value-change dump on :meth:`close`.
 
     The kind→code mapping and the wire table are embedded as JSON in a
     ``$comment`` section so :func:`parse_vcd` (and third-party tooling)
@@ -232,12 +275,9 @@ class VcdSink:
     """
 
     def __init__(self, target: str | Path | TextIO):
+        super().__init__()
         self._target = target
-        self.events: list[TraceEvent] = []
         self._closed = False
-
-    def write(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
     def close(self) -> None:
         if self._closed:
@@ -284,40 +324,43 @@ def encode_vcd(events: list[TraceEvent]) -> str:
     return out.getvalue()
 
 
-def parse_vcd(text: str) -> list[VcdChange]:
+def parse_vcd(text: str, source: str = "vcd") -> list[VcdChange]:
     """Parse :func:`encode_vcd` output back into change records."""
-    meta: dict[str, Any] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("$comment "):
-            meta = json.loads(line[len("$comment ") : -len(" $end")])
-            break
-    if meta is None or meta.get("format") != "repro-trace":
-        raise ValueError("not a repro-trace VCD: missing $comment metadata")
-    if meta.get("version") != TRACE_VERSION:
-        raise ValueError(
-            f"unsupported trace version {meta.get('version')} (expected {TRACE_VERSION})"
-        )
-    code_kinds = {code: kind for kind, code in meta["kinds"].items()}
-    wires = {ident: (core, channel) for core, channel, ident in meta["wires"]}
+    lines = [line.strip() for line in text.splitlines()] or [""]
+    number = next((n for n, line in enumerate(lines, 1) if line.startswith("$comment ")), 1)
+    comment = lines[number - 1]
+    try:
+        meta = json.loads(comment[len("$comment ") : -len(" $end")])
+        if meta["format"] != "repro-trace":
+            raise KeyError("format")
+        version = meta["version"]
+        if version == TRACE_VERSION:
+            code_kinds = {code: kind for kind, code in meta["kinds"].items()}
+            wires = {ident: (core, channel) for core, channel, ident in meta["wires"]}
+    except (ValueError, LookupError, TypeError, AttributeError) as error:
+        message = "not a repro-trace VCD: missing $comment metadata"
+        raise TraceHeaderError(source, number, message, comment) from error
+    if version != TRACE_VERSION:
+        raise TraceVersionError(source, number, version)
     changes: list[VcdChange] = []
     cycle = 0
     in_definitions = True
-    for line in text.splitlines():
-        line = line.strip()
+    for number, line in enumerate(lines, 1):
         if in_definitions:
             if line == "$enddefinitions $end":
                 in_definitions = False
             continue
-        if line.startswith("#"):
-            cycle = int(line[1:])
-        elif line.startswith("b"):
-            bits, ident = line[1:].split()
-            value = int(bits, 2)
-            kind = code_kinds[value >> 8]
-            warp = (value & 0xFF) - 2
-            core, channel = wires[ident]
-            changes.append((cycle, core, channel, kind, warp))
+        try:
+            if line.startswith("#"):
+                cycle = int(line[1:])
+            elif line.startswith("b"):
+                bits, ident = line[1:].split()
+                value = int(bits, 2)
+                core, channel = wires[ident]
+                kind = code_kinds[value >> 8]
+                changes.append((cycle, core, channel, kind, (value & 0xFF) - 2))
+        except (ValueError, KeyError) as error:
+            raise TraceRecordError(source, number, repr(error), line) from error
     return changes
 
 
@@ -335,13 +378,17 @@ def load_trace(path: str | Path) -> list[TraceEvent]:
     text = Path(path).read_text(encoding="utf-8")
     head = text.lstrip()[:1]
     if head == "#":
-        return parse_csv(text)
+        return parse_csv(text, str(path))
     if head == "{":
-        return parse_jsonl(text)
-    raise ValueError(f"{path}: unrecognized trace format (expected repro-trace CSV or JSONL)")
+        return parse_jsonl(text, str(path))
+    raise TraceHeaderError(str(path), 1, "unrecognized trace format (expected CSV or JSONL)")
 
 
 __all__ = [
+    "TraceFormatError",
+    "TraceHeaderError",
+    "TraceVersionError",
+    "TraceRecordError",
     "MemorySink",
     "CsvSink",
     "JsonlSink",

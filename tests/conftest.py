@@ -61,6 +61,8 @@ def run_ticked():
         with np.errstate(all="ignore"):  # as TimingProcessor.run does for lane plans
             while not processor.done:
                 processor.tick()
+        if device.driver.trace_bus is not None:
+            device.driver.trace_bus.flush()  # SimxDriver.run would have
         assert instance.verify(device, context)
         return device
 

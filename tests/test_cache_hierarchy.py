@@ -134,7 +134,8 @@ def _blocked_store_cycle(l3: bool, traced: bool):
     )
     memsys = MemorySubsystem(config)
     sink = MemorySink()
-    memsys.attach_trace(TraceBus([sink]) if traced else None)
+    bus = TraceBus([sink])
+    memsys.attach_trace(bus if traced else None)
     dcache0, dcache1 = memsys.dcache(0), memsys.dcache(1)
     memsys.tick()
     assert dcache0.send(0x100 * 64, tag="warm")  # line 0x100 now lives in L2 (bank 0)
@@ -151,6 +152,7 @@ def _blocked_store_cycle(l3: bool, traced: bool):
         ((0x102 * 64,), 0x102, 2, False),
     ]
     assert dcache0.send_batch(storm, 8, True, None) == (0, storm, 8)
+    bus.flush()
     return memsys, sink.events
 
 
