@@ -1,8 +1,7 @@
 """Benchmark regression gate.
 
-Compares a freshly measured ``perf_smoke`` payload against the committed
-baseline (``BENCH_engine.json`` / ``BENCH_graphics.json`` /
-``BENCH_timing.json``) and fails when
+Compares a freshly measured smoke payload against the committed baseline
+(``BENCH_graphics.json`` / ``BENCH_service.json``) and fails when
 
 * any scenario's vector-over-scalar speedup drops below ``--floor`` times
   the baseline speedup (machine noise between CI runners is why the floor
@@ -18,10 +17,9 @@ Run with::
 
 ``--require-identical PATH`` additionally (or instead) asserts the
 bit-identity flags of a payload with no baseline comparison — the mode the
-CI ``session_differential`` step uses on
-``Session.run_differential().to_payload()`` output: the gate fails unless
-the payload's top-level and per-row ``identical_counters`` flags are all
-true.
+CI ``checkpoint_smoke``, ``trace_smoke`` and ``service_smoke`` steps use:
+the gate fails unless the payload's top-level and per-row identity flags
+are all true.
 
 Exit status 0 means the gate is green.
 """
@@ -90,7 +88,7 @@ def check(baseline_path: Path, current_path: Path, floor: float) -> list:
 def check_identity(path: Path) -> list:
     """Assert the bit-identity flags of one payload (no baseline needed).
 
-    Used on ``Session.run_differential`` payloads: every row must carry a
+    Used on the smoke scripts' payloads: every row must carry a
     true ``identical_counters`` (or sibling identity) flag, the top-level
     ``identical_counters`` flag — when present — must be true, and rows
     that errored fail the gate.

@@ -32,7 +32,7 @@ from repro.runtime.device import VortexDevice
 from repro.trace.attribution import attribute_stalls
 from repro.trace.events import expand_skips
 
-#: The ``scheduler_policy_sweep`` scenario (see benchmarks/perf_smoke.py).
+#: The policy-sweep scenario (``POLICY_SWEEP_CYCLES`` in tests/test_scheduler_policy.py).
 KERNEL, SIZE, WARPS, THREADS = "sgemm", 24 * 24, 8, 4
 
 #: The two policies whose gap the report attributes.
@@ -92,8 +92,8 @@ def render_report(breakdowns: dict[str, dict[str, Any]]) -> str:
     lines = [
         "# Scheduler-policy stall forensics",
         "",
-        "Deterministic trace-bus attribution for the `scheduler_policy_sweep`",
-        f"scenario in `BENCH_timing.json`: **{KERNEL}** size={SIZE}, "
+        "Deterministic trace-bus attribution for the scheduler-policy sweep",
+        f"scenario pinned in `tests/test_scheduler_policy.py`: **{KERNEL}** size={SIZE}, "
         f"{WARPS} wavefronts x {THREADS} threads, 16KB/4-bank/1-port dcache, "
         "100-cycle single-word memory.",
         "",

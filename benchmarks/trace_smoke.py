@@ -1,6 +1,7 @@
 """Trace-bus smoke: tracing never perturbs a run, reconciles, and round-trips.
 
-Re-runs the committed ``BENCH_timing.json`` scenario shapes four ways:
+Runs two hit-friendly wide-warp scenarios and the stall-heavy policy-sweep
+shape (``POLICY_SWEEP_CYCLES`` in ``tests/test_scheduler_policy.py``) four ways:
 
 * ``simx`` — tracing off.  The instrumented hot paths pay only the prebound
   ``trace is None`` guards; vxlint VX008 is what holds that statically.
@@ -45,8 +46,7 @@ from repro.runtime.device import VortexDevice
 from repro.trace.attribution import reconcile
 from repro.trace.sinks import parse_csv, parse_jsonl, parse_vcd, vcd_changes
 
-#: The committed ``BENCH_timing.json`` scenario shapes, re-run under tracing:
-#: (name, kernel, size, warps, threads, port_limited).
+#: The scenarios run under tracing: (name, kernel, size, warps, threads, port_limited).
 SCENARIOS = (
     ("trace_sfilter_4w32t", "sfilter", 24 * 24, 4, 32, False),
     ("trace_sgemm_4w32t", "sgemm", 20 * 20, 4, 32, False),
@@ -60,12 +60,12 @@ ARTIFACT_SCENARIO = "trace_sgemm_8w4t"
 
 def _config(warps: int, threads: int, port_limited: bool) -> VortexConfig:
     if port_limited:
-        # The scheduler_policy_sweep / forensics shape: stall-heavy.
+        # The policy-sweep / forensics shape: stall-heavy.
         return VortexConfig(
             dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
             memory=MemoryConfig(latency=100, bandwidth=1),
         ).with_warps_threads(warps, threads)
-    # The BENCH_timing hit-friendly shape (see benchmarks/perf_smoke.py).
+    # Hit-friendly: wide virtual porting keeps retry traffic from drowning the execute stage.
     return VortexConfig(
         dcache=CacheConfig(size=64 * 1024, num_banks=8, num_ports=8),
         memory=MemoryConfig(latency=10, bandwidth=8),

@@ -19,8 +19,8 @@ from repro.kernels import VecAddKernel
 
 def main() -> None:
     # A single 4-wavefront x 4-thread core — the paper's baseline config.
-    # Drivers are named by spec string: "simx" (cycle-level, vectorized
-    # engine), "simx:engine=scalar" (per-thread reference), "funcsim", ...
+    # Drivers are named by spec string: "simx" (cycle-level), "funcsim"
+    # (functional), "simx:trace=mem" (cycle-level with the trace bus on), ...
     config = VortexConfig()
     device = VortexDevice(config, driver="simx")
 

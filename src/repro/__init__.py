@@ -29,7 +29,6 @@ from repro.common.config import (
 )
 from repro.engine.session import (
     BatchReport,
-    DifferentialReport,
     JobQueue,
     JobResult,
     KernelJob,
@@ -72,7 +71,6 @@ __all__ = [
     "JobResult",
     "KernelJob",
     "BatchReport",
-    "DifferentialReport",
     "SimulationService",
     "ServiceConfig",
     "ServiceClient",

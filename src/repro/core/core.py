@@ -183,13 +183,15 @@ class SimtCore:
         return result
 
     def step_warp_timing(self, warp: Warp) -> Any:
-        """Execute one instruction of ``warp`` through the lane-plan timing path.
+        """Execute one instruction of ``warp`` for the cycle-level core.
 
         Same bookkeeping as :meth:`step_warp` (per-core counters, ``instret``)
-        but the emulation goes through the vectorized emulator's compiled
-        timing plans; only cores whose emulator provides ``step_timing``
-        (:class:`repro.engine.vector_core.VectorSimtCore`) support this.
-        Returns a :class:`repro.engine.vector_emulator.TimingStep`.
+        through the emulator's ``step_timing``: the vectorized emulator runs
+        a compiled timing plan and returns a
+        :class:`repro.engine.vector_emulator.TimingStep`; the per-thread
+        emulator returns its :class:`StepResult`, which exposes the same
+        ``instr``, ``active_thread_count``, ``taken_branch`` and
+        ``request_addresses`` facts.
         """
         step = self.emulator.step_timing(warp)
         self.perf.incr("instructions")

@@ -202,6 +202,10 @@ class WarpEmulator:
         warp.instructions += 1
         return result
 
+    #: What :meth:`SimtCore.step_warp_timing` calls: a ``StepResult`` already
+    #: carries every fact the cycle-level core charges from.
+    step_timing = step
+
     # -- operand helpers ----------------------------------------------------------------
 
     @staticmethod

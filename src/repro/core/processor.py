@@ -165,14 +165,10 @@ class Processor(_GlobalBarrierMixin):
 
 
 class TimingProcessor(_GlobalBarrierMixin):
-    """Cycle-level multi-core processor (the SIMX driver's engine).
+    """Cycle-level multi-core processor (the SIMX driver's engine)."""
 
-    ``engine`` selects the execution engine inside every
-    :class:`~repro.core.timing.TimingCore`: ``"vector"`` (default) runs the
-    issued instructions through compiled whole-warp lane plans,
-    ``"scalar"`` through the per-thread reference emulator.  Cycles, IPC and
-    all performance counters are bit-identical between the two.
-    """
+    #: Core model to instantiate; the tests' per-thread oracle substitutes its own.
+    core_cls = TimingCore
 
     #: Deadlock watchdog: :meth:`run` raises :class:`SimulationStalled` after
     #: this many cycles in a row with nothing retired and no memory traffic.
@@ -182,26 +178,18 @@ class TimingProcessor(_GlobalBarrierMixin):
         self,
         config: VortexConfig | None = None,
         memory: MainMemory | None = None,
-        engine: str = "vector",
         trace: Any = None,
     ):
         self.config = config or VortexConfig()
         self.memory = memory or MainMemory()
         self.memsys = MemorySubsystem(self.config)
-        self.engine = engine
         #: Observability bus (:class:`~repro.trace.bus.TraceBus` or None):
         #: threaded into every core and memory level at construction.
         self.trace = trace
         self.memsys.attach_trace(trace)
         self.cores: list[TimingCore] = [
-            TimingCore(
-                core_id,
-                self.config,
-                self.memory,
-                self.memsys,
-                processor=self,
-                engine=engine,
-                trace=trace,
+            self.core_cls(
+                core_id, self.config, self.memory, self.memsys, processor=self, trace=trace
             )
             for core_id in range(self.config.num_cores)
         ]
@@ -244,9 +232,9 @@ class TimingProcessor(_GlobalBarrierMixin):
 
     # -- checkpoint/restore ---------------------------------------------------------------
 
-    #: Configuration identity and the execution engine; fixed at
-    #: construction (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "engine", "trace"})
+    #: Configuration identity and the trace bus; fixed at construction
+    #: (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace"})
 
     def snapshot(self) -> dict:
         """Serialize the whole cycle-level processor at a cycle boundary."""

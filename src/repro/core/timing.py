@@ -86,14 +86,18 @@ def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
 class TimingCore:
     """Cycle-level model of one Vortex core.
 
-    ``engine`` selects how the embedded functional core executes the issued
-    instruction: ``"vector"`` (default) steps whole-warp lane plans through
-    the vectorized emulator (:meth:`VectorWarpEmulator.step_timing`);
-    ``"scalar"`` keeps the per-thread reference emulation.  The timing model
-    itself — scheduler, scoreboard, latencies, caches, MSHRs — is shared and
-    charged from identical per-instruction facts, so both engines produce
-    bit-identical cycles, IPC and performance counters.
+    The embedded functional core ``func`` executes each issued instruction
+    as a whole-warp lane plan (:meth:`VectorWarpEmulator.step_timing`); the
+    timing model — scheduler, scoreboard, latencies, caches, MSHRs — charges
+    only the per-instruction facts of the returned step, so any
+    :class:`SimtCore` whose ``step_warp_timing`` reports the same facts
+    yields bit-identical cycles, IPC and performance counters (the tests'
+    per-thread oracle is one).
     """
+
+    #: Functional core to instantiate as ``func``; ``None`` means the
+    #: vectorized core, resolved at construction.
+    func_cls: type[SimtCore] | None = None
 
     #: Counter schema (vxlint VX003): the keys this core charges on its own
     #: ``perf``.  Cross-component charges (the skip-idle refusal replay into
@@ -121,22 +125,18 @@ class TimingCore:
         memory: Any,
         memsys: Any,
         processor: Any = None,
-        engine: str = "vector",
         trace: Any = None,
     ):
-        if engine not in ("scalar", "vector"):
-            raise ValueError(f"unknown timing engine {engine!r} (use 'scalar' or 'vector')")
         self.core_id = core_id
         self.config = config
-        self.engine = engine
-        if engine == "vector":
+        func_cls = self.func_cls
+        if func_cls is None:
             # Imported lazily: repro.engine.vector_core imports the processor
             # module, which imports this one.
             from repro.engine.vector_core import VectorSimtCore
 
-            self.func = VectorSimtCore(core_id, config, memory, processor=processor)
-        else:
-            self.func = SimtCore(core_id, config, memory, processor=processor)
+            func_cls = VectorSimtCore
+        self.func = func_cls(core_id, config, memory, processor=processor)
         self.scheduler = WavefrontScheduler(
             config.core.num_warps, policy=config.core.scheduler_policy
         )
@@ -223,7 +223,6 @@ class TimingCore:
         {
             "core_id",
             "config",
-            "engine",
             "icache",
             "dcache",
             "trace",
@@ -700,10 +699,7 @@ class TimingCore:
             return
 
         pc = warp.pc
-        if self.engine == "vector":
-            result = self.func.step_warp_timing(warp)
-        else:
-            result = self.func.step_warp(warp)
+        result = self.func.step_warp_timing(warp)
         counters = self._counters
         counters["instructions"] += 1
         counters["thread_instructions"] += result.active_thread_count
@@ -717,9 +713,9 @@ class TimingCore:
         self._charge_timing(warp, result)
 
     def _charge_timing(self, warp: Any, result: Any) -> None:
-        """Charge one executed instruction (a scalar :class:`StepResult` or a
-        vectorized :class:`~repro.engine.vector_emulator.TimingStep` — both
-        expose ``instr``, ``taken_branch`` and ``request_addresses``)."""
+        """Charge one executed instruction from the ``instr``, ``taken_branch``
+        and ``request_addresses`` of the step ``func.step_warp_timing`` returned
+        (a :class:`~repro.engine.vector_emulator.TimingStep`)."""
         spec = result.instr.spec
         unit = spec.unit
 

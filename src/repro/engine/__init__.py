@@ -10,8 +10,7 @@ This package is the lane-parallel back end of the simulation stack:
   multi-core processor (drop-in engine for the FUNCSIM driver).
 * :mod:`repro.engine.session` — batched multi-kernel sessions: queue
   (kernel, config) jobs, execute them concurrently on a process or thread
-  pool, aggregate the reports; ``Session.run_differential`` sweeps every
-  job across both engines and diffs all performance counters.
+  pool, aggregate the reports.
 
 ``Session`` and friends are re-exported lazily to avoid a circular import
 (the runtime drivers import the vector engine, while the session layer
@@ -32,8 +31,6 @@ __all__ = [
     "KernelJob",
     "JobResult",
     "BatchReport",
-    "DifferentialResult",
-    "DifferentialReport",
     "diff_execution_reports",
     "execute_job",
     "design_point_jobs",
@@ -45,8 +42,6 @@ _SESSION_EXPORTS = {
     "KernelJob",
     "JobResult",
     "BatchReport",
-    "DifferentialResult",
-    "DifferentialReport",
     "diff_execution_reports",
     "execute_job",
     "design_point_jobs",

@@ -1,12 +1,12 @@
 """The common execution-engine interface.
 
-Every simulation driver — the scalar functional engine, the vectorized
-lane-parallel engine and the cycle-level SIMX model — implements this
-protocol, which is what the device facade (:class:`repro.runtime.device.VortexDevice`),
-the command processor and the batched :class:`repro.engine.session.Session`
-program against.  The protocol is deliberately small: construct against a
-``(config, memory)`` pair, run a kernel to completion, and allow the
-program-load path to invalidate any cached decodes.
+Every simulation driver — the functional FUNCSIM model and the cycle-level
+SIMX model — implements this protocol, which is what the device facade
+(:class:`repro.runtime.device.VortexDevice`), the command processor and the
+batched :class:`repro.engine.session.Session` program against.  The protocol
+is deliberately small: construct against a ``(config, memory)`` pair, run a
+kernel to completion, and allow the program-load path to invalidate any
+cached decodes.
 """
 
 from __future__ import annotations

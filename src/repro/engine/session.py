@@ -17,14 +17,10 @@ peak concurrency measured from the jobs' actual execution intervals).
 Because the simulators are deterministic, a job's result is fully
 determined by its content: :meth:`KernelJob.cache_key` is the canonical
 identity — a stable hash over the program bytes, the full config payload,
-the resolved driver spec and the launch options — that the service layer
-caches and dedups on.
-
-:meth:`Session.run_differential` turns the same job grid into a
-first-class differential sweep: every job runs on both execution engines
-of its simulator and **every** performance counter is diffed, returning a
-:class:`DifferentialReport` (the reusable form of the fixed-point
-Fig 14/19/20 differential tests).
+the driver spec and the launch options — that the service layer caches and
+dedups on.  :func:`diff_execution_reports` compares two results down to
+every performance counter (the identity tests' and smoke scripts'
+comparator).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -82,13 +78,8 @@ class KernelJob:
     """One (kernel, config) point of a sweep.
 
     ``driver`` is a driver spec — a canonical spec string
-    (``"simx"``, ``"simx:engine=scalar"``) or a
-    :class:`~repro.runtime.registry.DriverSpec`.  ``engine``
-    optionally pins the execution engine on top of the spec: ``None``
-    keeps the spec's selection (the vectorized engine by default),
-    ``"scalar"`` the per-thread reference path, ``"vector"`` is explicit
-    about the default.  An explicit ``engine`` always wins over the spec's
-    own engine, so sweeps can toggle the engine on a fixed base driver.
+    (``"simx"``, ``"simx:trace=mem"``) or a
+    :class:`~repro.runtime.registry.DriverSpec`.
 
     ``options`` (a :class:`~repro.runtime.launch.LaunchOptions`) rides
     through the device launch to the driver, bounding the job uniformly on
@@ -98,24 +89,19 @@ class KernelJob:
     kernel: str
     config: VortexConfig = field(default_factory=VortexConfig)
     driver: str | DriverSpec = "simx"
-    engine: str | None = None
     size: int | None = None
     label: str = ""
     verify: bool = True
     options: LaunchOptions | None = None
     #: Execute via the checkpoint/restore midpoint path: run to a fixed
     #: midpoint, checkpoint, restore into a *fresh* device and finish there.
-    #: The result must be bit-identical to a straight-through run — this is
-    #: the differential grid's restore leg.
+    #: The result must be bit-identical to a straight-through run.
     restart_midpoint: bool = False
 
     @property
     def spec(self) -> DriverSpec:
-        """The resolved :class:`DriverSpec` selecting this job's driver."""
-        spec = parse_driver_spec(self.driver)
-        if self.engine is not None:
-            spec = spec.with_engine(self.engine)
-        return spec
+        """The parsed :class:`DriverSpec` selecting this job's driver."""
+        return parse_driver_spec(self.driver)
 
     @property
     def driver_name(self) -> str:
@@ -137,11 +123,10 @@ class KernelJob:
         the assembled program bytes (with image base and entry point), the
         problem size (``size=None`` resolves to the kernel's default, since
         both launch identically), the verification flag, the full config
-        payload, the resolved driver spec and the launch options — via the
+        payload, the driver spec and the launch options — via the
         canonical encodings of :mod:`repro.runtime.serialize`.  Equal jobs
         hash equal even when constructed differently (spec strings and
-        :class:`DriverSpec` instances parse to one spec; ``engine=None``
-        resolves to the simulator's default engine); any semantic field
+        :class:`DriverSpec` instances parse to one spec); any semantic field
         perturbation changes the key.
 
         ``label`` is deliberately excluded: it is presentation metadata and
@@ -172,7 +157,7 @@ class KernelJob:
         if self.restart_midpoint:
             # Only keyed when set, so every pre-existing job keeps its key.
             # The restore path *should* compute the identical result, but a
-            # serializer bug must surface as a differential mismatch — never
+            # serializer bug must surface as a mismatch between the two — never
             # be masked by a cache hit on the straight-through result.
             material["restart_midpoint"] = True
         key = content_digest(material)
@@ -443,104 +428,6 @@ def diff_execution_reports(reference: ExecutionReport, subject: ExecutionReport)
     return diffs
 
 
-@dataclass
-class DifferentialResult:
-    """One job executed on both engines, with the full counter diff."""
-
-    job: KernelJob
-    scalar: JobResult
-    vector: JobResult
-    mismatches: list[str] = field(default_factory=list)
-    #: Sweep-unique label (collisions between unlabeled jobs get a suffix).
-    label: str = ""
-    #: Optional third leg: the same point run through the checkpoint/restore
-    #: midpoint path (``KernelJob.restart_midpoint``).  ``mismatches``
-    #: includes its diff against the straight-through vector run.
-    restored: JobResult | None = None
-
-    @property
-    def ok(self) -> bool:
-        """Every executed leg ran and verified."""
-        legs_ok = self.scalar.ok and self.vector.ok
-        if self.restored is not None:
-            legs_ok = legs_ok and self.restored.ok
-        return legs_ok
-
-    @property
-    def identical_counters(self) -> bool:
-        """Both runs succeeded and every diffed quantity matched."""
-        return self.ok and not self.mismatches
-
-    def describe(self) -> str:
-        return self.label or self.job.describe()
-
-
-@dataclass
-class DifferentialReport:
-    """Aggregate outcome of one :meth:`Session.run_differential` sweep."""
-
-    results: list[DifferentialResult]
-    wall_seconds: float
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    @property
-    def identical_counters(self) -> bool:
-        """True when every swept job matched on every counter."""
-        return all(result.identical_counters for result in self.results)
-
-    @property
-    def mismatching(self) -> list[DifferentialResult]:
-        return [result for result in self.results if not result.identical_counters]
-
-    def by_label(self) -> dict[str, DifferentialResult]:
-        return {result.describe(): result for result in self.results}
-
-    def summary(self) -> str:
-        status = "identical" if self.identical_counters else (
-            f"{len(self.mismatching)} MISMATCHED"
-        )
-        return (
-            f"[differential] {len(self.results)} jobs x 2 engines "
-            f"in {self.wall_seconds:.2f}s: {status}"
-        )
-
-    def to_payload(self) -> dict[str, Any]:
-        """A JSON-ready payload (consumed by ``benchmarks/check_regression.py``)."""
-        rows: list[dict[str, Any]] = []
-        for result in self.results:
-            # The row's numbers come from the vector run, so attribute them
-            # to that run's driver spec (not the submitted job's engine pin).
-            report = result.vector.report
-            rows.append(
-                {
-                    "scenario": result.describe(),
-                    "driver": result.vector.job.driver_name,
-                    "cycles": getattr(report, "cycles", None),
-                    "instructions": getattr(report, "instructions", None),
-                    "identical_counters": result.identical_counters,
-                    "mismatches": list(result.mismatches),
-                    "errors": [
-                        error
-                        for error in (
-                            result.scalar.error,
-                            result.vector.error,
-                            result.restored.error if result.restored is not None else None,
-                        )
-                        if error is not None
-                    ],
-                }
-            )
-        return {
-            "benchmark": "differential sweep: scalar vs vector engines",
-            "generated_by": "Session.run_differential",
-            "identical_counters": self.identical_counters,
-            "results": rows,
-        }
-
-
 class Session:
     """Launches batches of (kernel, config) jobs concurrently.
 
@@ -551,8 +438,7 @@ class Session:
     ``"serial"`` runs inline (debugging); ``"service"`` routes batches
     through a :class:`repro.service.SimulationService` — a sharded worker
     fleet with a content-addressed result cache, so repeat-heavy sweep
-    traffic (differential grids, Fig 14/18/19 clients) short-circuits to
-    cache hits.
+    traffic (Fig 14/18/19 clients) short-circuits to cache hits.
 
     For the service backend, pass an existing
     :class:`~repro.service.client.ServiceClient` as ``service`` to share a
@@ -594,13 +480,10 @@ class Session:
         configs: Sequence[VortexConfig],
         driver: str = "simx",
         size: int | None = None,
-        engine: str | None = None,
     ) -> None:
         """Queue one job per configuration for the same kernel."""
         for config in configs:
-            self.queue.add(
-                KernelJob(kernel=kernel, config=config, driver=driver, size=size, engine=engine)
-            )
+            self.queue.add(KernelJob(kernel=kernel, config=config, driver=driver, size=size))
 
     # -- the service backend ------------------------------------------------------------
 
@@ -660,95 +543,6 @@ class Session:
     #: Execute one job inline, optionally chunked/resumed: this *is*
     #: :func:`execute_job` (``session.run(job, checkpoint_every=N, ...)``).
     run = staticmethod(execute_job)
-
-    def run_differential(
-        self,
-        jobs: Sequence[KernelJob] | None = None,
-        *,
-        checkpoint_legs: bool = False,
-    ) -> DifferentialReport:
-        """Run every job on both of its simulator's engines and diff all counters.
-
-        Each submitted job expands into a ``scalar`` (reference) and a
-        ``vector`` run of the same (kernel, config, driver) point — the
-        expanded batch executes through :meth:`run_batch`, so the sweep gets
-        the session's usual concurrency — and the two
-        :class:`~repro.runtime.report.ExecutionReport`\\ s are diffed down to
-        every per-component performance counter.  A job whose engine is
-        pinned explicitly still sweeps both engines (the pin picks which
-        variant a plain :meth:`run_batch` would run, not what a differential
-        sweep compares).
-
-        With ``checkpoint_legs=True`` every job also expands into a third
-        leg: the vector run re-executed through the checkpoint/restore
-        midpoint path (``KernelJob.restart_midpoint``).  Its report is diffed
-        against the straight-through vector run, so any serializer drift in
-        any simulator layer shows up as a counter mismatch in the grid.
-        """
-        engines = ("scalar", "vector")
-        batch = list(jobs) if jobs is not None else self.queue.drain()
-        # Sweep-unique labels: two unlabeled jobs sharing kernel/simulator/
-        # geometry (e.g. a policy sweep) must not collapse into one row.
-        labels: list[str] = []
-        label_counts: dict[str, int] = {}
-        for job in batch:
-            label = job.label or (
-                f"{job.kernel}@{job.spec.simulator}"
-                f"[{job.config.num_cores}C-{job.config.num_warps}W-{job.config.num_threads}T]"
-            )
-            count = label_counts.get(label, 0)
-            label_counts[label] = count + 1
-            labels.append(f"{label}#{count + 1}" if count else label)
-        expanded: list[KernelJob] = []
-        for job, base_label in zip(batch, labels):
-            spec = job.spec
-            for engine in engines:
-                expanded.append(
-                    replace(
-                        job,
-                        driver=spec.with_engine(engine),
-                        engine=None,
-                        label=f"{base_label}#{engine}",
-                    )
-                )
-            if checkpoint_legs:
-                expanded.append(
-                    replace(
-                        job,
-                        driver=spec.with_engine("vector"),
-                        engine=None,
-                        label=f"{base_label}#restore",
-                        restart_midpoint=True,
-                    )
-                )
-        stride = len(engines) + (1 if checkpoint_legs else 0)
-        executed = self.run_batch(expanded)
-        results: list[DifferentialResult] = []
-        for index, (job, label) in enumerate(zip(batch, labels)):
-            scalar = executed.results[index * stride]
-            vector = executed.results[index * stride + 1]
-            restored = executed.results[index * stride + 2] if checkpoint_legs else None
-            if scalar.report is not None and vector.report is not None:
-                mismatches = diff_execution_reports(scalar.report, vector.report)
-            else:
-                mismatches = []
-            if restored is not None and vector.report is not None:
-                if restored.report is not None:
-                    mismatches.extend(
-                        f"restore leg {diff}"
-                        for diff in diff_execution_reports(vector.report, restored.report)
-                    )
-            results.append(
-                DifferentialResult(
-                    job=job,
-                    scalar=scalar,
-                    vector=vector,
-                    mismatches=mismatches,
-                    label=label,
-                    restored=restored,
-                )
-            )
-        return DifferentialReport(results=results, wall_seconds=executed.wall_seconds)
 
     @staticmethod
     def _run_on_pool(pool: Executor, batch: list[KernelJob]) -> list[JobResult]:

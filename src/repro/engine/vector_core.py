@@ -9,10 +9,11 @@ identically — but batches the per-instruction bookkeeping (performance
 counters, ``instret``) per scheduling round instead of per instruction.
 
 Architectural results (registers, memory, retired-instruction counts) are
-bit-identical to the scalar engine; only wall-clock differs.
+bit-identical to the scalar classes these subclass, which the differential
+tests drive as the oracle.
 
-The cycle-level driver reuses these pieces: ``TimingCore(engine="vector")``
-embeds a :class:`VectorSimtCore` and steps issued warps through the same
+The cycle-level driver reuses these pieces: ``TimingCore`` embeds a
+:class:`VectorSimtCore` and steps issued warps through the same
 compiled lane plans via :meth:`VectorWarpEmulator.step_timing`, so the
 functional and timing fast paths share one plan compiler (and one
 invalidation point: ``upload_program`` →

@@ -6,9 +6,9 @@ code and the benchmark harness use:
 
 .. code-block:: python
 
-    device = VortexDevice(config, driver="simx")               # default engine
-    device = VortexDevice(config, driver="simx:engine=scalar") # spec string
-    device = VortexDevice(config, driver=DriverSpec("funcsim", engine="scalar"))
+    device = VortexDevice(config, driver="simx")             # spec string
+    device = VortexDevice(config, driver="simx:trace=mem")   # ... with options
+    device = VortexDevice(config, driver=DriverSpec("funcsim"))
     device.upload_program(program)
     buffer = device.alloc(1024)
     buffer.write(np.arange(256, dtype=np.uint32))
@@ -17,7 +17,7 @@ code and the benchmark harness use:
 
 Driver selection goes through the spec registry
 (:mod:`repro.runtime.registry`): strings are parsed into a
-:class:`DriverSpec`, and unknown simulators/engines/options raise with the
+:class:`DriverSpec`, and unknown simulators/options raise with the
 available ones listed.  Launch parameters are the uniform
 :class:`~repro.runtime.launch.LaunchOptions` record every driver accepts.
 """
@@ -63,10 +63,7 @@ class VortexDevice:
             self.driver = driver
             driver_memory = getattr(driver, "memory", None)
             self.memory = driver_memory if driver_memory is not None else MainMemory()
-            self.driver_spec = DriverSpec(
-                simulator=getattr(driver, "name", type(driver).__name__),
-                engine=getattr(driver, "engine", None),
-            )
+            self.driver_spec = DriverSpec(getattr(driver, "name", type(driver).__name__))
         self.afu = CommandProcessor(self.memory)
         self.allocator = BufferAllocator()
         self.program: Program | None = None

@@ -4,16 +4,11 @@ Mirrors the role of the paper's RTLSIM/ASE functional paths: fast
 execution used to validate kernels and produce reference outputs that the
 cycle-level SIMX driver is checked against.
 
-Two execution engines are available behind the same driver API:
-
-* ``"vector"`` (default) — the lane-parallel engine of
-  :mod:`repro.engine`: each warp instruction executes over all active
-  lanes as a handful of numpy operations.
-* ``"scalar"`` — the reference per-thread emulation loop.
-
-Both produce bit-identical architectural results (registers, memory,
-retired-instruction counts); the differential test suite holds them to
-that invariant.
+Kernels execute on the lane-parallel engine of :mod:`repro.engine`: each
+warp instruction runs over all active lanes as a handful of numpy
+operations.  The per-thread :class:`~repro.core.processor.Processor` that
+engine subclasses is the oracle the differential tests hold it
+bit-identical to (registers, memory, retired-instruction counts).
 """
 
 from __future__ import annotations
@@ -21,17 +16,11 @@ from __future__ import annotations
 import time
 
 from repro.common.config import VortexConfig
-from repro.core.processor import Processor
 from repro.engine.vector_core import VectorProcessor
 from repro.mem.memory import MainMemory
 from repro.runtime.checkpoint import make_envelope, open_envelope
 from repro.runtime.launch import LaunchOptions, resolve_options
 from repro.runtime.report import ExecutionReport
-
-_ENGINES = {
-    "vector": VectorProcessor,
-    "scalar": Processor,
-}
 
 #: Default instruction budget when neither ``options`` nor the legacy keyword set one.
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
@@ -41,23 +30,13 @@ class FuncSimDriver:
     """Runs kernels on the functional multi-core processor."""
 
     name = "funcsim"
+    #: Processor model to instantiate; the tests' per-thread oracle substitutes its own.
+    processor_cls = VectorProcessor
 
-    def __init__(
-        self,
-        config: VortexConfig | None = None,
-        memory: MainMemory | None = None,
-        engine: str = "vector",
-    ):
-        try:
-            processor_cls = _ENGINES[engine]
-        except KeyError:
-            raise ValueError(
-                f"unknown funcsim engine {engine!r}; available: {sorted(_ENGINES)}"
-            ) from None
-        self.engine = engine
+    def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
         self.config = config or VortexConfig()
         self.memory = memory if memory is not None else MainMemory()
-        self.processor = processor_cls(self.config, self.memory)
+        self.processor = self.processor_cls(self.config, self.memory)
         #: Instructions executed by the current (possibly paused) launch.
         self._run_instructions = 0
 
@@ -138,5 +117,5 @@ class FuncSimDriver:
             thread_instructions=thread_instructions,
             counters=self.processor.counters(),
             wall_seconds=wall_seconds,
-            engine=self.engine,
+            engine="vector",
         )

@@ -38,7 +38,7 @@ class Context:
     """An OpenCL-context lookalike owning one Vortex device.
 
     ``driver`` is a driver spec — a canonical spec string such as
-    ``"simx"`` or ``"funcsim:engine=scalar"``, or a :class:`DriverSpec`.
+    ``"simx"`` or ``"simx:trace=mem"``, or a :class:`DriverSpec`.
     """
 
     def __init__(

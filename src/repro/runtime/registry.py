@@ -2,10 +2,9 @@
 
 Backends are selected by structured data, never by mutating name strings:
 
-* :class:`DriverSpec` — a parsed ``(simulator, engine, options)`` triple.
-  The canonical spec-string syntax is ``"<simulator>"`` or
-  ``"<simulator>:key=value[,key=value...]"``; the engine rides in the
-  options as ``engine=<name>`` (``"simx:engine=scalar"``).
+* :class:`DriverSpec` — a parsed ``(simulator, options)`` pair.  The
+  canonical spec-string syntax is ``"<simulator>"`` or
+  ``"<simulator>:key=value[,key=value...]"`` (``"simx:trace=jsonl"``).
 * :func:`parse_driver_spec` — string / :class:`DriverSpec` → validated
   :class:`DriverSpec`.
 * :func:`register_driver` — the hook third-party simulators use to plug
@@ -13,13 +12,12 @@ Backends are selected by structured data, never by mutating name strings:
 * :func:`create_driver` — spec → constructed driver instance.
 
 The built-in SIMX (cycle-level) and FUNCSIM (functional) drivers register
-themselves at import time, each with a ``vector`` (default) and ``scalar``
-engine.
+themselves at import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 from typing import Any
 
@@ -29,21 +27,22 @@ from repro.mem.memory import MainMemory
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """A structured driver selection: which simulator, which engine, extras.
+    """A structured driver selection: which simulator, plus its options.
 
-    ``engine=None`` means "the simulator's default engine"; it is resolved
-    at construction time by :func:`create_driver`.  ``options`` carries any
-    additional ``key=value`` pairs of the spec string (forwarded verbatim to
-    the driver factory), stored as a sorted tuple of pairs so specs stay
-    hashable and usable as dataclass defaults.
+    ``options`` carries the ``key=value`` pairs of the spec string
+    (forwarded verbatim to the driver factory), stored as a sorted tuple of
+    pairs so specs stay hashable and usable as dataclass defaults.
     """
 
     simulator: str
-    engine: str | None = None
     options: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "options", tuple(sorted(self.options)))
+        options = tuple(sorted(self.options))
+        for (key, _), (following, _) in zip(options, options[1:]):
+            if key == following:
+                raise ValueError(f"duplicate option {key!r} in driver spec {self.simulator!r}")
+        object.__setattr__(self, "options", options)
 
     @property
     def options_dict(self) -> dict[str, str]:
@@ -52,21 +51,9 @@ class DriverSpec:
     @property
     def driver_name(self) -> str:
         """The canonical spec string (round-trips through :func:`parse_driver_spec`)."""
-        pairs = []
-        if self.engine is not None:
-            pairs.append(("engine", self.engine))
-        pairs.extend(self.options)
-        if not pairs:
+        if not self.options:
             return self.simulator
-        return self.simulator + ":" + ",".join(f"{k}={v}" for k, v in sorted(pairs))
-
-    def with_engine(self, engine: str | None) -> DriverSpec:
-        """Return a copy selecting ``engine`` (validated when registered)."""
-        spec = replace(self, engine=engine)
-        entry = _REGISTRY.get(self.simulator)
-        if entry is not None and engine is not None:
-            _validate_engine(entry, engine)
-        return spec
+        return self.simulator + ":" + ",".join(f"{k}={v}" for k, v in self.options)
 
     def describe(self) -> str:
         return self.driver_name
@@ -92,19 +79,16 @@ class UnknownDriverOptionError(ValueError):
 
 @dataclass(frozen=True)
 class DriverEntry:
-    """One registered simulator: factory plus its engine and option axes.
+    """One registered simulator: factory plus its declared option keys.
 
-    ``options`` is the declared set of spec option keys (``engine`` is
-    always implicit); ``None`` is the third-party escape hatch — a driver
-    registered without a declaration accepts any option, preserving the
-    pass-through-verbatim contract for factories the registry cannot
-    introspect.
+    ``options`` is the declared set of spec option keys; ``None`` is the
+    third-party escape hatch — a driver registered without a declaration
+    accepts any option, preserving the pass-through-verbatim contract for
+    factories the registry cannot introspect.
     """
 
     simulator: str
     factory: Callable[..., object]
-    engines: tuple[str, ...]
-    default_engine: str
     options: tuple[str, ...] | None = None
 
 
@@ -114,14 +98,12 @@ _REGISTRY: dict[str, DriverEntry] = {}
 def register_driver(
     simulator: str,
     factory: Callable[..., object],
-    engines: tuple[str, ...] = ("vector", "scalar"),
-    default_engine: str | None = None,
     options: tuple[str, ...] | None = None,
 ) -> DriverEntry:
     """Register a simulator under ``simulator``.
 
-    ``factory`` is called as ``factory(config, memory, engine=<engine>,
-    **options)`` and must return a driver implementing the
+    ``factory`` is called as ``factory(config, memory, **options)`` and must
+    return a driver implementing the
     :class:`~repro.engine.protocol.ExecutionEngine` protocol.  ``options``
     declares the spec option keys the factory accepts — unknown keys then
     raise :class:`UnknownDriverOptionError` at parse time; ``None`` (the
@@ -132,17 +114,9 @@ def register_driver(
         raise ValueError(
             f"invalid simulator name {simulator!r}: must be non-empty and free of ':,=- '"
         )
-    engines = tuple(engines)
-    if not engines:
-        raise ValueError("a driver needs at least one engine")
-    default = default_engine if default_engine is not None else engines[0]
-    if default not in engines:
-        raise ValueError(f"default engine {default!r} is not in {engines}")
     entry = DriverEntry(
         simulator=simulator,
         factory=factory,
-        engines=engines,
-        default_engine=default,
         options=None if options is None else tuple(options),
     )
     _REGISTRY[simulator] = entry
@@ -153,15 +127,6 @@ def available_simulators() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def registered_engines(simulator: str) -> tuple[str, ...]:
-    return _registry_entry(simulator).engines
-
-
-def default_engine(simulator: str) -> str:
-    """The engine a spec with ``engine=None`` resolves to for ``simulator``."""
-    return _registry_entry(simulator).default_engine
-
-
 def _registry_entry(simulator: str) -> DriverEntry:
     try:
         return _REGISTRY[simulator]
@@ -169,14 +134,6 @@ def _registry_entry(simulator: str) -> DriverEntry:
         raise ValueError(
             f"unknown simulator {simulator!r}; available: {sorted(_REGISTRY)}"
         ) from None
-
-
-def _validate_engine(entry: DriverEntry, engine: str) -> None:
-    if engine not in entry.engines:
-        raise ValueError(
-            f"unknown engine {engine!r} for simulator {entry.simulator!r}; "
-            f"available: {sorted(entry.engines)}"
-        )
 
 
 def _validate_options(entry: DriverEntry, keys: Iterable[str]) -> None:
@@ -190,22 +147,18 @@ def _validate_options(entry: DriverEntry, keys: Iterable[str]) -> None:
 def parse_driver_spec(spec: str | DriverSpec) -> DriverSpec:
     """Parse and validate a driver spec string (or pass a spec through).
 
-    Accepts the ``"sim"`` / ``"sim:engine=scalar,key=value"`` syntax.
+    Accepts the ``"sim"`` / ``"sim:key=value,key=value"`` syntax.
     """
     if isinstance(spec, DriverSpec):
-        entry = _registry_entry(spec.simulator)
-        if spec.engine is not None:
-            _validate_engine(entry, spec.engine)
-        _validate_options(entry, spec.options_dict)
+        _validate_options(_registry_entry(spec.simulator), spec.options_dict)
         return spec
     if not isinstance(spec, str):
         raise TypeError(f"driver spec must be a string or DriverSpec, got {type(spec).__name__}")
 
-    simulator, _, option_text = spec.partition(":")
+    simulator, colon, option_text = spec.partition(":")
     entry = _registry_entry(simulator)
-    engine: str | None = None
-    options = {}
-    if option_text:
+    options: dict[str, str] = {}
+    if colon:
         for item in option_text.split(","):
             key, sep, value = item.partition("=")
             if not sep or not key or not value:
@@ -213,16 +166,11 @@ def parse_driver_spec(spec: str | DriverSpec) -> DriverSpec:
                     f"malformed driver spec {spec!r}: expected "
                     f"'{simulator}:key=value[,key=value...]', got segment {item!r}"
                 )
-            if key in options or (key == "engine" and engine is not None):
+            if key in options:
                 raise ValueError(f"duplicate option {key!r} in driver spec {spec!r}")
-            if key == "engine":
-                engine = value
-            else:
-                options[key] = value
-    if engine is not None:
-        _validate_engine(entry, engine)
+            options[key] = value
     _validate_options(entry, options)
-    return DriverSpec(simulator=simulator, engine=engine, options=tuple(options.items()))
+    return DriverSpec(simulator=simulator, options=tuple(options.items()))
 
 
 def create_driver(
@@ -232,14 +180,10 @@ def create_driver(
 ) -> Any:
     """Construct the driver a spec describes.
 
-    ``engine=None`` resolves to the simulator's registered default; extra
-    spec options are forwarded to the factory as keyword arguments.
+    Spec options are forwarded to the factory as keyword arguments.
     """
     spec = parse_driver_spec(spec)
-    entry = _registry_entry(spec.simulator)
-    engine = spec.engine if spec.engine is not None else entry.default_engine
-    _validate_engine(entry, engine)
-    return entry.factory(config, memory, engine=engine, **spec.options_dict)
+    return _registry_entry(spec.simulator).factory(config, memory, **spec.options_dict)
 
 
 def _register_builtin_drivers() -> None:
@@ -248,20 +192,8 @@ def _register_builtin_drivers() -> None:
     from repro.runtime.funcsim import FuncSimDriver
     from repro.runtime.simx import SimxDriver
 
-    register_driver(
-        "simx",
-        SimxDriver,
-        engines=("vector", "scalar"),
-        default_engine="vector",
-        options=("trace", "trace_file", "trace_channels"),
-    )
-    register_driver(
-        "funcsim",
-        FuncSimDriver,
-        engines=("vector", "scalar"),
-        default_engine="vector",
-        options=(),
-    )
+    register_driver("simx", SimxDriver, options=("trace", "trace_file", "trace_channels"))
+    register_driver("funcsim", FuncSimDriver, options=())
 
 
 _register_builtin_drivers()

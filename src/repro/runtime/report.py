@@ -22,7 +22,7 @@ class ExecutionReport:
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
     #: host wall-clock seconds the simulation took (0.0 when not measured).
     wall_seconds: float = 0.0
-    #: execution engine variant behind the driver ("scalar", "vector", "").
+    #: execution engine behind the driver ("vector", "timing-vector", "").
     engine: str = ""
 
     @property

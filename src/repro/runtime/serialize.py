@@ -2,7 +2,7 @@
 
 The simulators are deterministic (vxlint VX001 enforces it), so a result is
 fully determined by *what* a job computes: the program bytes, the complete
-:class:`~repro.common.config.VortexConfig` payload, the resolved
+:class:`~repro.common.config.VortexConfig` payload, the parsed
 :class:`~repro.runtime.registry.DriverSpec` and the
 :class:`~repro.runtime.launch.LaunchOptions`.  This module defines the one
 canonical byte-stable encoding of those records that
@@ -14,10 +14,7 @@ Canonicalization rules (the cache-key contract):
 * **Config** — the full nested dataclass payload, every field, in a
   sorted-key JSON encoding.  Two configs constructed differently but equal
   field-by-field encode identically.
-* **Spec** — the parsed spec with the engine *resolved*: ``engine=None``
-  (the simulator's default) encodes as the registered default engine, so
-  ``"simx"`` and ``"simx:engine=vector"`` are the same identity — they run
-  the exact same simulation.  Spec options are already sorted by
+* **Spec** — the simulator name and its options, already sorted by
   :class:`DriverSpec` itself.
 * **Options** — ``options=None`` encodes as the all-default
   :class:`LaunchOptions` record (they launch identically).
@@ -32,7 +29,7 @@ from typing import Any
 
 from repro.common.config import VortexConfig
 from repro.runtime.launch import LaunchOptions
-from repro.runtime.registry import DriverSpec, default_engine
+from repro.runtime.registry import DriverSpec
 
 
 def config_payload(config: VortexConfig) -> dict[str, Any]:
@@ -41,16 +38,9 @@ def config_payload(config: VortexConfig) -> dict[str, Any]:
 
 
 def spec_payload(spec: DriverSpec) -> dict[str, Any]:
-    """A spec's identity payload with the engine resolved to its default.
-
-    Resolution makes the payload describe the simulation that actually runs:
-    ``DriverSpec("simx")`` and ``DriverSpec("simx", engine="vector")`` both
-    select the vectorized engine and must key identically.
-    """
-    engine = spec.engine if spec.engine is not None else default_engine(spec.simulator)
+    """A spec's identity payload: the simulator and its sorted options."""
     return {
         "simulator": spec.simulator,
-        "engine": engine,
         "options": [list(pair) for pair in spec.options],
     }
 

@@ -45,16 +45,10 @@ def _build_trace_sink(mode: str, trace_file: str | None) -> TraceSink:
 class SimxDriver:
     """Runs kernels on the cycle-level multi-core processor.
 
-    ``engine`` picks the execution engine inside the timing cores:
-
-    * ``"vector"`` (default) — issued warp instructions execute through the
-      vectorized emulator's compiled whole-warp lane plans,
-    * ``"scalar"`` — the per-thread reference emulation loop.
-
-    The timing model (scheduler, scoreboard, latencies, caches, MSHRs) is
-    identical either way, and so are the reported cycles, IPC and every
-    performance counter — ``tests/test_timing_differential.py`` holds both
-    engines to that; only host wall-clock differs.
+    Issued warp instructions execute through the vectorized emulator's
+    compiled whole-warp lane plans; ``tests/test_timing_differential.py``
+    holds cycles, IPC and every performance counter identical to the same
+    timing model driven by the per-thread reference emulator.
 
     Observability rides on three spec options (see ``repro.trace``):
 
@@ -70,19 +64,19 @@ class SimxDriver:
     """
 
     name = "simx"
+    #: Processor model to instantiate; the tests' per-thread oracle substitutes its own.
+    processor_cls = TimingProcessor
 
     def __init__(
         self,
         config: VortexConfig | None = None,
         memory: MainMemory | None = None,
-        engine: str = "vector",
         trace: str = "off",
         trace_file: str | None = None,
         trace_channels: str | None = None,
     ):
         self.config = config or VortexConfig()
         self.memory = memory if memory is not None else MainMemory()
-        self.engine = engine
         if trace not in TRACE_MODES:
             raise ValueError(f"unknown trace mode {trace!r} (use one of {TRACE_MODES})")
         self.trace_sink: TraceSink | None = None
@@ -93,9 +87,7 @@ class SimxDriver:
             self.trace_bus = TraceBus([self.trace_sink], channels=channels)
         elif trace_file is not None or trace_channels is not None:
             raise ValueError("trace_file/trace_channels require a trace= mode")
-        self.processor = TimingProcessor(
-            self.config, self.memory, engine=engine, trace=self.trace_bus
-        )
+        self.processor = self.processor_cls(self.config, self.memory, trace=self.trace_bus)
 
     def invalidate_decode_caches(self) -> None:
         """Drop all cached decodes/plans (a new program image was loaded)."""
@@ -177,5 +169,5 @@ class SimxDriver:
             thread_instructions=self.processor.total_thread_instructions,
             counters=self.processor.counters(),
             wall_seconds=wall_seconds,
-            engine=f"timing-{self.engine}",
+            engine="timing-vector",
         )

@@ -5,7 +5,7 @@
 :class:`~repro.engine.session.KernelJob` flows through four stages:
 
 1. **Identity** — :meth:`KernelJob.cache_key` computes the job's canonical
-   content hash (program bytes + config + resolved spec + options).  Jobs
+   content hash (program bytes + config + spec + options).  Jobs
    whose key cannot be computed (unknown kernel) are uncacheable and go
    straight to a worker, which reports the deterministic failure.
 2. **Cache / dedup** — a key already completed is served from the

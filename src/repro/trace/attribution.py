@@ -10,9 +10,8 @@ Two consumers drive this module:
 * The trace smoke gate cross-checks a full (unfiltered) event stream
   against the simulator's own aggregate counters (:func:`reconcile`):
   every per-reason stall event total must equal the corresponding
-  ``PerfCounters`` value bit-exactly, for both engines and both
-  fast-forward settings.  A non-empty mismatch list means the
-  instrumentation and the counters have drifted apart.
+  ``PerfCounters`` value bit-exactly.  A non-empty mismatch list means
+  the instrumentation and the counters have drifted apart.
 """
 
 from __future__ import annotations

@@ -6,9 +6,42 @@ import numpy as np
 import pytest
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
+from repro.core.core import SimtCore
+from repro.core.processor import Processor, TimingProcessor
+from repro.core.timing import TimingCore
 from repro.kernels import KERNELS
 from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
+from repro.runtime.funcsim import FuncSimDriver
+from repro.runtime.registry import register_driver
+from repro.runtime.simx import SimxDriver
+
+# -- the per-thread oracle -----------------------------------------------------------------
+# The scalar emulator classes the vector engine subclasses, wired into the
+# same drivers through their class-attribute seams and registered — here
+# only, never under ``src/`` — as ``simxref`` / ``funcsimref``.  A
+# differential test runs a job on ``simx`` and on ``simxref`` and expects
+# ``diff_execution_reports`` to come back empty.
+
+
+class RefTimingCore(TimingCore):
+    func_cls = SimtCore
+
+
+class RefTimingProcessor(TimingProcessor):
+    core_cls = RefTimingCore
+
+
+class RefSimxDriver(SimxDriver):
+    processor_cls = RefTimingProcessor
+
+
+class RefFuncSimDriver(FuncSimDriver):
+    processor_cls = Processor
+
+
+register_driver("simxref", RefSimxDriver, options=("trace", "trace_file", "trace_channels"))
+register_driver("funcsimref", RefFuncSimDriver, options=())
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """The benchmark/identity gate CLI (`benchmarks/check_regression.py`).
 
-Exercises the ``--require-identical`` mode the CI ``session_differential``
-step uses: green on an all-identical ``Session.run_differential`` payload,
-red on mismatches, errored jobs, and — crucially — on payloads with
-nothing to check (an empty sweep must not read as a guarantee).
+Exercises the ``--require-identical`` mode the CI smoke steps use: green
+on an all-identical payload, red on mismatches, errored jobs, and —
+crucially — on payloads with nothing to check (an empty sweep must not
+read as a guarantee).
 """
 
 from __future__ import annotations

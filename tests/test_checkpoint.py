@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
 from repro.engine import session as session_mod
-from repro.engine.session import KernelJob, Session, execute_job
+from repro.engine.session import KernelJob, Session, diff_execution_reports, execute_job
 from repro.runtime.checkpoint import (
     SNAPSHOT_FORMAT,
     SnapshotConfigMismatch,
@@ -453,12 +453,15 @@ class TestSessionCheckpoint:
         assert reports_identical(resumed.report, straight.report)
 
     def test_differential_checkpoint_legs_identical(self):
-        session = Session(executor="serial")
-        jobs = [KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)]
-        report = session.run_differential(jobs, checkpoint_legs=True)
-        assert report.identical_counters, report.results[0].mismatches
-        assert report.results[0].restored is not None
-        assert report.results[0].restored.ok
+        """Oracle, straight-through and checkpoint/restore legs of one point."""
+        job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
+        batch = Session(executor="serial").run_batch(
+            [replace(job, driver="simxref"), job, replace(job, restart_midpoint=True)]
+        )
+        assert batch.ok
+        reference, straight, restored = (result.report for result in batch.results)
+        assert diff_execution_reports(reference, straight) == []
+        assert diff_execution_reports(straight, restored) == []
 
     def test_restart_midpoint_changes_cache_key(self):
         job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)

@@ -21,6 +21,7 @@ from repro.isa.registers import Reg
 from repro.kernels import VecAddKernel
 from repro.runtime.device import VortexDevice
 from repro.runtime.funcsim import FuncSimDriver
+from repro.runtime.registry import create_driver
 from repro.runtime.simx import SimxDriver
 
 BASE = 0x8000_0000
@@ -36,7 +37,8 @@ def test_drivers_implement_the_engine_protocol(driver_cls):
 
 
 def test_funcsim_rejects_unknown_engine():
-    with pytest.raises(ValueError):
+    """Every engine is unknown now: the keyword itself is gone."""
+    with pytest.raises(TypeError, match="engine"):
         FuncSimDriver(VortexConfig(), engine="quantum")
 
 
@@ -50,9 +52,9 @@ def _infinite_loop_program():
     return asm.assemble()
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_funcsim_instruction_limit_raises_typed_error(engine):
-    driver = FuncSimDriver(VortexConfig(), engine=engine)
+@pytest.mark.parametrize("spec", ["funcsimref", "funcsim"], ids=["scalar", "vector"])
+def test_funcsim_instruction_limit_raises_typed_error(spec):
+    driver = create_driver(spec, VortexConfig())
     program = _infinite_loop_program()
     driver.memory.load_words(program.base, program.words)
     with pytest.raises(SimulationLimitExceeded) as excinfo:
@@ -87,9 +89,7 @@ def _constant_store_program(value):
     return asm.assemble()  # entry defaults to the image base
 
 
-@pytest.mark.parametrize(
-    "driver", ["funcsim", "funcsim:engine=scalar", "simx", "simx:engine=scalar"]
-)
+@pytest.mark.parametrize("driver", ["funcsim", "funcsimref", "simx", "simxref"])
 def test_back_to_back_program_loads_use_fresh_decodes(driver):
     """Loading a second image at the same base must not execute stale decodes."""
     device = VortexDevice(VortexConfig(), driver=driver)
@@ -199,13 +199,6 @@ def test_reports_carry_wall_clock_and_rates():
     assert "instr/s" in report.summary()
 
 
-def test_scalar_engine_report_is_labelled():
-    device = VortexDevice(VortexConfig(), driver="funcsim:engine=scalar")
-    run = VecAddKernel().run(device, size=32)
-    assert run.report.engine == "scalar"
-    assert run.report.driver == "funcsim"
-
-
 # -- session / job queue -----------------------------------------------------------------
 
 
@@ -277,31 +270,6 @@ def test_session_process_pool_round_trip():
     assert all(result.report is not None for result in batch.results)
 
 
-def test_kernel_job_engine_selects_driver_variant():
-    from repro.runtime.registry import DriverSpec
-
-    assert KernelJob(kernel="vecadd").driver_name == "simx"
-    assert KernelJob(kernel="vecadd", engine="vector").driver_name == "simx:engine=vector"
-    assert KernelJob(kernel="vecadd", engine="scalar").driver_name == "simx:engine=scalar"
-    assert KernelJob(kernel="vecadd", driver="funcsim", engine="scalar").driver_name == (
-        "funcsim:engine=scalar"
-    )
-    # An explicit engine wins over the spec's own engine selection, both ways.
-    scalar_spec = DriverSpec("simx", engine="scalar")
-    assert KernelJob(kernel="vecadd", driver=scalar_spec, engine="scalar").driver_name == (
-        "simx:engine=scalar"
-    )
-    assert KernelJob(kernel="vecadd", driver=scalar_spec, engine="vector").driver_name == (
-        "simx:engine=vector"
-    )
-    assert KernelJob(
-        kernel="vecadd", driver="funcsim:engine=scalar", engine="vector"
-    ).driver_name == "funcsim:engine=vector"
-    assert "simx:engine=scalar" in KernelJob(kernel="vecadd", engine="scalar").describe()
-    with pytest.raises(ValueError):
-        _ = KernelJob(kernel="vecadd", engine="turbo").driver_name
-
-
 def test_kernel_job_suffix_driver_string_is_an_unknown_simulator():
     """The removed ``-scalar`` suffix spellings fail like any unknown name."""
     with pytest.raises(ValueError, match="unknown simulator 'simx-scalar'"):
@@ -310,21 +278,22 @@ def test_kernel_job_suffix_driver_string_is_an_unknown_simulator():
 
 def test_session_batch_runs_vectorized_timing_engine_bit_identical():
     """A design-space batch runs the vectorized SIMX core through the session
-    layer; pinning ``engine="scalar"`` on the same sweep must reproduce the
-    exact same cycles and counters."""
+    layer; the same sweep on the per-thread oracle (``simxref``, in-process)
+    must reproduce the exact same cycles and counters."""
+    from repro.engine.session import diff_execution_reports
+
     config = VortexConfig()
-    session = Session(max_workers=2, executor="serial")
+    session = Session(max_workers=2, executor="thread")
     jobs = [
-        KernelJob(kernel="vecadd", config=config, size=64, label="vec"),
-        KernelJob(kernel="vecadd", config=config, size=64, engine="scalar", label="ref"),
+        KernelJob(kernel=kernel, config=config, size=size, driver=driver)
+        for kernel, size in (("vecadd", 64), ("sgemm", 36))
+        for driver in ("simx", "simxref")
     ]
     batch = session.run_batch(jobs)
     assert batch.ok
-    vec, ref = batch.results
-    assert vec.report.engine == "timing-vector"
-    assert ref.report.engine == "timing-scalar"
-    assert vec.report.cycles == ref.report.cycles
-    assert vec.report.counters == ref.report.counters
+    for vec, ref in zip(batch.results[::2], batch.results[1::2]):
+        assert vec.report.engine == "timing-vector"
+        assert diff_execution_reports(ref.report, vec.report) == []
 
 
 def test_design_point_jobs_cover_the_table3_grid():
@@ -340,96 +309,7 @@ def test_design_point_jobs_cover_the_table3_grid():
         assert job.config.num_threads == threads
 
 
-# -- differential sweeps -----------------------------------------------------------------
-
-
-def test_run_differential_reports_identical_counters():
-    """A small grid swept on both timing engines must match on every counter."""
-    from repro.engine.session import DifferentialReport
-
-    session = Session(max_workers=2, executor="thread")
-    jobs = [
-        KernelJob(kernel="vecadd", size=64, label="vecadd64"),
-        KernelJob(kernel="sgemm", size=36, label="sgemm36"),
-    ]
-    report = session.run_differential(jobs)
-    assert isinstance(report, DifferentialReport)
-    assert len(report.results) == 2
-    assert report.ok
-    assert report.identical_counters
-    assert report.mismatching == []
-    for result in report.results:
-        assert result.scalar.report.engine == "timing-scalar"
-        assert result.vector.report.engine == "timing-vector"
-        assert result.scalar.report.cycles == result.vector.report.cycles
-        assert result.mismatches == []
-    assert "identical" in report.summary()
-    by_label = report.by_label()
-    assert set(by_label) == {"vecadd64", "sgemm36"}
-
-
-def test_run_differential_sweeps_both_engines_even_when_pinned():
-    session = Session(executor="serial")
-    report = session.run_differential(
-        [KernelJob(kernel="vecadd", size=32, engine="scalar", label="pinned")]
-    )
-    (result,) = report.results
-    assert result.scalar.report.engine == "timing-scalar"
-    assert result.vector.report.engine == "timing-vector"
-    assert result.identical_counters
-
-
-def test_run_differential_payload_carries_identity_flags():
-    session = Session(executor="serial")
-    report = session.run_differential([KernelJob(kernel="vecadd", size=32, label="p")])
-    payload = report.to_payload()
-    assert payload["identical_counters"] is True
-    (row,) = payload["results"]
-    assert row["scenario"] == "p"
-    assert row["identical_counters"] is True
-    assert row["mismatches"] == []
-    assert row["cycles"] > 0
-
-
-def test_run_differential_disambiguates_colliding_labels():
-    """Two unlabeled jobs with the same kernel/simulator/geometry but
-    different configs must keep distinct rows (not collapse in by_label)."""
-    session = Session(executor="serial")
-    report = session.run_differential(
-        [
-            KernelJob(kernel="vecadd", size=32),
-            KernelJob(
-                kernel="vecadd",
-                size=32,
-                config=VortexConfig().with_scheduler_policy("greedy-then-oldest"),
-            ),
-        ]
-    )
-    labels = [result.describe() for result in report.results]
-    assert len(set(labels)) == 2, labels
-    assert len(report.by_label()) == 2
-    scenarios = [row["scenario"] for row in report.to_payload()["results"]]
-    assert len(set(scenarios)) == 2
-
-
-def test_run_differential_payload_attributes_numbers_to_the_vector_run():
-    """Row counters come from the vector run; the driver field must say so
-    even when the submitted job pinned the scalar engine."""
-    session = Session(executor="serial")
-    report = session.run_differential(
-        [KernelJob(kernel="vecadd", size=32, engine="scalar", label="pinned")]
-    )
-    (row,) = report.to_payload()["results"]
-    assert row["driver"] == "simx:engine=vector"
-    assert row["cycles"] == report.results[0].vector.report.cycles
-
-
-def test_run_differential_drains_the_session_queue():
-    session = Session(executor="serial")
-    session.submit(KernelJob(kernel="vecadd", size=32))
-    report = session.run_differential()
-    assert len(report.results) == 1
-    assert len(session.queue) == 0
+# -- report comparison -------------------------------------------------------------------
 
 
 def test_diff_execution_reports_flags_every_counter():

@@ -94,7 +94,7 @@ class MixedSharedGlobalKernel(Kernel):
 
 
 def _retry_wall() -> VortexConfig:
-    """8W-32T against one D$ port and a slow, narrow DRAM (BENCH_timing's 1p32t rows)."""
+    """8W-32T against one D$ port and a slow, narrow DRAM (``bench``'s memory-wall shape)."""
     return VortexConfig(
         dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
         memory=MemoryConfig(latency=800, bandwidth=4),

@@ -2,7 +2,7 @@
 
 Covers the satellite checklist: every registered spec string round-trips
 ``parse_driver_spec`` → ``DriverSpec`` → ``driver_name``, unknown
-simulators/engines raise with the available options listed, and the
+simulators/options raise with the available ones listed, and the
 ``register_driver`` hook plugs a third-party simulator into the device
 facade and the session layer.
 """
@@ -20,24 +20,15 @@ from repro.runtime.registry import (
     DriverSpec,
     UnknownDriverOptionError,
     available_simulators,
-    create_driver,
     parse_driver_spec,
     register_driver,
-    registered_engines,
 )
 from repro.runtime.report import ExecutionReport
 
 # -- parsing and round-trips --------------------------------------------------------------
 
 #: Every canonical spec string of the built-in registry.
-CANONICAL_SPECS = [
-    "simx",
-    "simx:engine=vector",
-    "simx:engine=scalar",
-    "funcsim",
-    "funcsim:engine=vector",
-    "funcsim:engine=scalar",
-]
+CANONICAL_SPECS = ["simx", "simx:trace=mem", "funcsim"]
 
 
 @pytest.mark.parametrize("text", CANONICAL_SPECS)
@@ -50,15 +41,14 @@ def test_spec_strings_round_trip(text):
 
 
 def test_parse_accepts_spec_instances():
-    spec = DriverSpec("simx", engine="scalar")
+    spec = DriverSpec("simx", options=(("trace", "mem"),))
     assert parse_driver_spec(spec) is spec
 
 
 def test_parse_declared_options_round_trip():
-    spec = parse_driver_spec("simx:trace=mem,engine=scalar")
-    assert spec.engine == "scalar"
-    assert spec.options_dict == {"trace": "mem"}
-    assert spec.driver_name == "simx:engine=scalar,trace=mem"
+    spec = parse_driver_spec("simx:trace_channels=core+dcache,trace=mem")
+    assert spec.options_dict == {"trace": "mem", "trace_channels": "core+dcache"}
+    assert spec.driver_name == "simx:trace=mem,trace_channels=core+dcache"
     assert parse_driver_spec(spec.driver_name) == spec
 
 
@@ -82,12 +72,17 @@ def test_unknown_options_raise_typed_error_listing_valid():
 def test_registered_options_are_introspectable():
     assert _REGISTRY["simx"].options == ("trace", "trace_file", "trace_channels")
     assert _REGISTRY["funcsim"].options == ()
+    assert set(available_simulators()) >= {"simx", "funcsim"}
 
 
 def test_default_engine_is_not_spelled_out():
+    """Nothing about an engine rides in a spec: not in its name, not in the
+    identity payload the cache key hashes (no default is resolved into it)."""
+    from repro.runtime.serialize import spec_payload
+
     spec = parse_driver_spec("simx")
-    assert spec.engine is None
-    assert spec.driver_name == "simx"
+    assert spec == DriverSpec("simx") and spec.driver_name == "simx"
+    assert spec_payload(spec) == {"simulator": "simx", "options": []}
 
 
 # -- error reporting ----------------------------------------------------------------------
@@ -95,25 +90,70 @@ def test_default_engine_is_not_spelled_out():
 
 @pytest.mark.parametrize("name", ["verilator", "simx-scalar", "funcsim-scalar"])
 def test_unknown_simulator_lists_available(name):
-    """Includes the suffix spellings removed in favour of ``engine=scalar``."""
+    """Includes the long-removed ``-scalar`` suffix spellings."""
     with pytest.raises(ValueError, match=rf"unknown simulator '{name}'.*funcsim.*simx"):
         parse_driver_spec(name)
 
 
 def test_unknown_engine_lists_available():
-    with pytest.raises(ValueError, match=r"unknown engine 'warp'.*scalar.*vector"):
-        parse_driver_spec("simx:engine=warp")
-    with pytest.raises(ValueError, match="unknown engine"):
-        DriverSpec("simx").with_engine("warp")
-    with pytest.raises(ValueError, match="unknown engine"):
-        parse_driver_spec(DriverSpec("funcsim", engine="turbo"))
+    """The deleted ``engine`` option is an unknown option like any other: it
+    fails at parse time, on every entry point, listing the declared options."""
+    from repro.engine.session import KernelJob
+    from repro.runtime.opencl import Context
+
+    entry_points = (
+        parse_driver_spec,
+        lambda text: VortexDevice(VortexConfig(), driver=text),
+        lambda text: KernelJob(kernel="vecadd", driver=text).spec,
+        lambda text: Context(driver=text),
+    )
+    for text in ("simx:engine=scalar", "simx:engine=vector", "funcsim:engine=scalar"):
+        for parse in entry_points:
+            with pytest.raises(UnknownDriverOptionError) as excinfo:
+                parse(text)
+            assert excinfo.value.option == "engine"
+            assert excinfo.value.valid == _REGISTRY[text.partition(":")[0]].options
+    with pytest.raises(UnknownDriverOptionError) as excinfo:
+        parse_driver_spec("simx:engine=scalar")
+    assert str(excinfo.value) == (
+        "unknown option 'engine' for simulator 'simx'; "
+        "valid options: ['trace', 'trace_channels', 'trace_file']"
+    )
+
+
+def test_engine_keyword_is_a_type_error():
+    """No layer accepts-and-ignores a stale ``engine=`` argument."""
+    from repro.engine.session import KernelJob, Session
+    from repro.runtime.simx import SimxDriver
+
+    for stale in (
+        lambda: KernelJob(kernel="vecadd", engine="scalar"),
+        lambda: SimxDriver(engine="scalar"),
+        lambda: DriverSpec("simx", engine="scalar"),
+        lambda: Session(executor="serial").submit_sweep(
+            "vecadd", [VortexConfig()], engine="scalar"
+        ),
+        lambda: register_driver("okname", lambda *a, **k: None, engines=("a",)),
+    ):
+        with pytest.raises(TypeError, match="engine"):
+            stale()
+    assert "okname" not in available_simulators()
 
 
 def test_malformed_and_duplicate_options_rejected():
     with pytest.raises(ValueError, match="malformed driver spec"):
         parse_driver_spec("simx:scalar")
+    with pytest.raises(ValueError, match="malformed driver spec.*got segment ''"):
+        parse_driver_spec("simx:trace=mem,")
+    # A trailing colon with no options is the same empty segment (regression).
+    with pytest.raises(ValueError, match="malformed driver spec.*got segment ''"):
+        parse_driver_spec("simx:")
     with pytest.raises(ValueError, match="duplicate option"):
-        parse_driver_spec("simx:engine=scalar,engine=vector")
+        parse_driver_spec("simx:trace=mem,trace=csv")
+    # A spec built directly cannot smuggle the duplicate past the string
+    # parser and break the driver_name round-trip (regression).
+    with pytest.raises(ValueError, match="duplicate option 'trace'"):
+        DriverSpec("simx", options=(("trace", "mem"), ("trace", "csv")))
     with pytest.raises(TypeError):
         parse_driver_spec(42)
 
@@ -121,26 +161,10 @@ def test_malformed_and_duplicate_options_rejected():
 def test_register_driver_validates_inputs():
     with pytest.raises(ValueError, match="invalid simulator name"):
         register_driver("bad-name", lambda *a, **k: None)
-    with pytest.raises(ValueError, match="at least one engine"):
-        register_driver("okname", lambda *a, **k: None, engines=())
-    with pytest.raises(ValueError, match="default engine"):
-        register_driver("okname", lambda *a, **k: None, engines=("a",), default_engine="b")
-    assert "okname" not in available_simulators()
+    assert "bad-name" not in available_simulators()
 
 
 # -- the registry drives construction -----------------------------------------------------
-
-
-def test_create_driver_resolves_default_engine():
-    driver = create_driver("simx", VortexConfig())
-    assert driver.engine == "vector"
-    driver = create_driver("simx:engine=scalar", VortexConfig())
-    assert driver.engine == "scalar"
-
-
-def test_registered_engines_exposed():
-    assert registered_engines("simx") == ("vector", "scalar")
-    assert set(available_simulators()) >= {"simx", "funcsim"}
 
 
 def test_register_driver_hook_plugs_into_device_and_session():
@@ -150,11 +174,10 @@ def test_register_driver_hook_plugs_into_device_and_session():
     class NullDriver:
         name = "nullsim"
 
-        def __init__(self, config, memory, engine="fast", turbo="off"):
+        def __init__(self, config, memory, **extras):
             self.config = config or VortexConfig()
             self.memory = memory if memory is not None else MainMemory()
-            self.engine = engine
-            self.turbo = turbo
+            self.extras = extras
 
         def run(self, entry_pc, options=None):
             options = resolve_options(options)
@@ -163,22 +186,21 @@ def test_register_driver_hook_plugs_into_device_and_session():
                 cycles=0,
                 instructions=0,
                 thread_instructions=0,
-                engine=self.engine,
             )
 
         def invalidate_decode_caches(self):
             pass
 
     try:
-        register_driver("nullsim", NullDriver, engines=("fast", "slow"))
+        # Registered without ``options=``: extras pass through verbatim —
+        # even one spelled ``engine`` — and the registry adds no keyword.
+        register_driver("nullsim", NullDriver)
         device = VortexDevice(VortexConfig(), driver="nullsim:engine=slow,turbo=on")
-        assert device.driver.engine == "slow"
-        assert device.driver.turbo == "on"
+        assert device.driver.extras == {"engine": "slow", "turbo": "on"}
         assert device.memory is device.driver.memory
         report = device.launch(entry_pc=0x8000_0000)
         assert report.driver == "nullsim"
-        with pytest.raises(ValueError, match="unknown engine"):
-            VortexDevice(VortexConfig(), driver="nullsim:engine=warp")
+        assert VortexDevice(VortexConfig(), driver="nullsim").driver.extras == {}
     finally:
         _REGISTRY.pop("nullsim", None)
 

@@ -9,7 +9,7 @@ Three invariants:
 * the alternative policies are *distinct* from round-robin on stall-heavy
   workloads (otherwise the axis sweeps nothing);
 * every policy is *deterministic* — the same job twice yields bit-identical
-  reports, on both execution engines.
+  reports, and the per-thread oracle (``simxref``) agrees under each.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 
 from repro.common.config import SCHEDULER_POLICIES, CacheConfig, CoreConfig, MemoryConfig, VortexConfig
 from repro.core.scheduler import WavefrontScheduler
-from repro.engine.session import KernelJob, Session, diff_execution_reports
+from repro.engine.session import diff_execution_reports
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 
@@ -32,6 +32,17 @@ PRE_AXIS_BASELINE_CYCLES = {
 }
 
 
+#: The policy sweep on its stall-heavy scenario (sgemm 24x24, 8W-4T, one D$
+#: port, 100-cycle memory — the ``benchmarks/scheduler_forensics.py`` shape).
+#: Deterministic cycle counts, so correctness data rather than a speed ratio.
+POLICY_SWEEP_CYCLES = {
+    "round-robin": 32_621,
+    "greedy-then-oldest": 63_286,
+    "loose-round-robin": 32_514,
+    "cache-locality": 52_067,
+}
+
+
 def _config(ports: int = 1, policy: str = "round-robin") -> VortexConfig:
     return VortexConfig(
         dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=ports),
@@ -39,8 +50,8 @@ def _config(ports: int = 1, policy: str = "round-robin") -> VortexConfig:
     ).with_scheduler_policy(policy)
 
 
-def _run(kernel: str, size: int, config: VortexConfig):
-    device = VortexDevice(config, driver="simx")
+def _run(kernel: str, size: int, config: VortexConfig, driver: str = "simx"):
+    device = VortexDevice(config, driver=driver)
     run = KERNELS[kernel]().run(device, size=size)
     assert run.passed
     return run.report
@@ -106,12 +117,18 @@ def test_policies_produce_distinct_schedules():
     "policy", ["greedy-then-oldest", "loose-round-robin", "cache-locality"]
 )
 def test_alternative_policies_identical_across_engines(policy):
-    """The policy axis composes with the engine axis: scalar and vector
-    timing engines agree bit-for-bit under every policy."""
-    report = Session(executor="serial").run_differential(
-        [KernelJob(kernel="sfilter", size=64, config=_config(ports=2, policy=policy))]
-    )
-    assert report.identical_counters, report.mismatching[0].mismatches
+    """The per-thread oracle and the vector engine agree bit-for-bit under
+    every policy."""
+    config = _config(ports=2, policy=policy)
+    reference = _run("sfilter", 64, config, driver="simxref")
+    assert diff_execution_reports(reference, _run("sfilter", 64, config)) == []
+
+
+@pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
+def test_policy_sweep_cycles_are_pinned(policy):
+    assert len(set(POLICY_SWEEP_CYCLES.values())) == len(SCHEDULER_POLICIES)
+    config = _config(policy=policy).with_warps_threads(8, 4)
+    assert _run("sgemm", 24 * 24, config).cycles == POLICY_SWEEP_CYCLES[policy]
 
 
 # -- scheduler-unit behaviour -------------------------------------------------------------

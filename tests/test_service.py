@@ -42,21 +42,11 @@ def test_cache_key_is_stable_and_equal_for_equal_jobs():
     assert len(a.cache_key()) == 64  # sha256 hex
 
 
-def test_cache_key_resolves_default_engine():
-    """``"simx"`` and ``"simx:engine=vector"`` run the same simulation."""
-    assert (
-        KernelJob("vecadd", size=64).cache_key()
-        == KernelJob("vecadd", size=64, engine="vector").cache_key()
-    )
-    assert (
-        KernelJob("vecadd", size=64).cache_key()
-        != KernelJob("vecadd", size=64, engine="scalar").cache_key()
-    )
-
-
 def test_cache_key_same_for_spec_string_and_spec_instance():
-    canonical = KernelJob("vecadd", size=64, driver="simx:engine=scalar").cache_key()
-    spec = KernelJob("vecadd", size=64, driver=DriverSpec("simx", engine="scalar")).cache_key()
+    canonical = KernelJob("vecadd", size=64, driver="simx:trace=mem").cache_key()
+    spec = KernelJob(
+        "vecadd", size=64, driver=DriverSpec("simx", options=(("trace", "mem"),))
+    ).cache_key()
     assert canonical == spec
 
 
@@ -82,8 +72,8 @@ _PERTURBATIONS = {
     "kernel": lambda job: KernelJob("saxpy", size=job.size),
     "size": lambda job: KernelJob(job.kernel, size=job.size + 1),
     "verify": lambda job: KernelJob(job.kernel, size=job.size, verify=False),
-    "engine": lambda job: KernelJob(job.kernel, size=job.size, engine="scalar"),
     "driver": lambda job: KernelJob(job.kernel, size=job.size, driver="funcsim"),
+    "spec_option": lambda job: KernelJob(job.kernel, size=job.size, driver="simx:trace=mem"),
     "config": lambda job: KernelJob(
         job.kernel, size=job.size, config=VortexConfig().with_warps_threads(8, 8)
     ),
@@ -104,14 +94,14 @@ def test_cache_key_changes_on_field_perturbation(field):
     kernel=st.sampled_from(["vecadd", "saxpy"]),
     size=st.integers(min_value=1, max_value=512),
     verify=st.booleans(),
-    engine=st.sampled_from([None, "scalar", "vector"]),
+    driver=st.sampled_from(["simx", "funcsim", "simx:trace=mem"]),
     label=st.text(max_size=8),
 )
-def test_cache_key_property_equal_jobs_hash_equal(kernel, size, verify, engine, label):
+def test_cache_key_property_equal_jobs_hash_equal(kernel, size, verify, driver, label):
     """Content-equal jobs hash equal regardless of label; the key depends
     only on (and on all of) the semantic fields."""
-    a = KernelJob(kernel, size=size, verify=verify, engine=engine, label=label)
-    b = KernelJob(kernel, size=size, verify=verify, engine=engine)
+    a = KernelJob(kernel, size=size, verify=verify, driver=driver, label=label)
+    b = KernelJob(kernel, size=size, verify=verify, driver=driver)
     assert a.cache_key() == b.cache_key()
     assert a.cache_key() != KernelJob(kernel, size=size + 512, verify=verify).cache_key()
 

@@ -1,17 +1,12 @@
-"""Differential tests: the vectorized SIMX timing engine vs the scalar reference.
+"""Differential tests: the SIMX timing core vs the per-thread oracle.
 
-``TimingCore(engine="vector")`` executes issued warps through the vectorized
-emulator's compiled whole-warp lane plans; ``engine="scalar"`` steps the
-per-thread reference emulator.  The timing model (scheduler, scoreboard,
-latencies, caches, MSHRs) is shared, so the two engines must report
-**bit-identical** cycles, instruction counts and every performance counter
-on every configuration the paper's figures sweep.
-
-The Figure 14 (core design points), Figure 19 (virtual multi-port caches)
-and multicore/divergence scenarios run through the first-class sweep API —
-``Session.run_differential`` — which is exactly the "run on both engines and
-diff every counter" check these tests used to hand-roll per scenario.  The
-texture scenarios build ad-hoc kernels, so they diff reports directly.
+``simx`` executes issued warps through the vectorized emulator's compiled
+whole-warp lane plans; ``simxref`` (registered by ``tests/conftest.py``) is
+the same driver with the per-thread reference emulator behind every
+``TimingCore.func``.  The timing model (scheduler, scoreboard, latencies,
+caches, MSHRs) is shared, so the two must report **bit-identical** cycles,
+instruction counts and every performance counter on every configuration
+the paper's figures sweep.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import CORE_DESIGN_POINTS, CacheConfig, MemoryConfig, VortexConfig
-from repro.engine.session import KernelJob, Session, diff_execution_reports
+from repro.engine.session import KernelJob, diff_execution_reports, execute_job
 from repro.kernels.texture import hardware_texture_kernel, software_texture_kernel
 from repro.runtime.device import VortexDevice
 
@@ -39,15 +34,29 @@ def _fig_config(
 
 
 def _differential(kernel: str, size: int, config: VortexConfig):
-    """One job through the sweep API; returns the per-job differential result."""
-    report = Session(executor="serial").run_differential(
-        [KernelJob(kernel=kernel, size=size, config=config)]
+    """One job on the oracle and on ``simx``; returns both (identical) reports."""
+    reference, subject = (
+        execute_job(KernelJob(kernel=kernel, size=size, config=config, driver=driver))
+        for driver in ("simxref", "simx")
     )
-    (result,) = report.results
-    assert result.ok, (result.scalar.error, result.vector.error)
-    assert result.identical_counters, result.mismatches
-    assert report.identical_counters
-    return result
+    assert reference.ok and subject.ok, (reference.error, subject.error)
+    assert diff_execution_reports(reference.report, subject.report) == []
+    return reference.report, subject.report
+
+
+def test_reference_driver_runs_the_per_thread_emulator():
+    """The oracle must not quietly be the vector engine compared with itself."""
+    from repro.core.core import SimtCore
+    from repro.core.emulator import WarpEmulator
+    from repro.core.processor import Processor
+    from repro.engine.vector_core import VectorProcessor, VectorSimtCore
+
+    for driver, core_cls in (("simxref", SimtCore), ("simx", VectorSimtCore)):
+        func = VortexDevice(_fig_config(), driver=driver).driver.processor.cores[0].func
+        assert type(func) is core_cls
+        assert (type(func.emulator) is WarpEmulator) == (driver == "simxref")
+    for driver, processor_cls in (("funcsimref", Processor), ("funcsim", VectorProcessor)):
+        assert type(VortexDevice(driver=driver).driver.processor) is processor_cls
 
 
 # -- Figure 14: core design-space points ------------------------------------------------
@@ -57,9 +66,8 @@ def _differential(kernel: str, size: int, config: VortexConfig):
 def test_fig14_design_points_bit_identical(label):
     warps, threads = CORE_DESIGN_POINTS[label]
     config = _fig_config(num_warps=warps, num_threads=threads)
-    result = _differential("sgemm", 8 * 8, config)
-    assert result.scalar.report.engine == "timing-scalar"
-    assert result.vector.report.engine == "timing-vector"
+    _, subject = _differential("sgemm", 8 * 8, config)
+    assert subject.engine == "timing-vector"
 
 
 @pytest.mark.parametrize("kernel,size", [("vecadd", 128), ("saxpy", 128), ("nearn", 128)])
@@ -73,9 +81,8 @@ def test_fig14_kernels_bit_identical(kernel, size):
 @pytest.mark.parametrize("ports", [1, 2, 4])
 def test_fig19_port_counts_bit_identical(ports):
     config = _fig_config(dcache_ports=ports)
-    result = _differential("sfilter", 8 * 8, config)
+    scalar, vector = _differential("sfilter", 8 * 8, config)
     # The Figure 19 metric itself (bank utilization inputs) must agree.
-    scalar, vector = result.scalar.report, result.vector.report
     assert scalar.counters["dcache0"].get("bank_conflicts", 0) == vector.counters[
         "dcache0"
     ].get("bank_conflicts", 0)
@@ -96,7 +103,7 @@ def test_fig20_texture_modes_bit_identical(mode, use_hw):
         assert run.passed
         return run.report
 
-    scalar = run("simx:engine=scalar")
+    scalar = run("simxref")
     vector = run("simx")
     assert diff_execution_reports(scalar, vector) == []
 
@@ -113,14 +120,14 @@ def test_divergent_kernel_bit_identical():
     _differential("bfs", 64, _fig_config())
 
 
-# -- scheduler policies: identical across engines on every policy -------------------------
+# -- scheduler policies: identical to the oracle on every policy -------------------------
 
 
 @pytest.mark.parametrize(
     "policy", ["greedy-then-oldest", "loose-round-robin", "cache-locality"]
 )
 def test_scheduler_policies_bit_identical_across_engines(policy):
-    """The policy axis changes the schedule, not the engines' agreement."""
+    """The policy axis changes the schedule, not the agreement with the oracle."""
     config = _fig_config().with_scheduler_policy(policy)
     _differential("sgemm", 8 * 8, config)
 
@@ -144,8 +151,8 @@ def test_port_limited_retry_wall_bit_identical(kernel):
 )
 def test_cache_hierarchy_bit_identical(enable_l2, enable_l3):
     config = _fig_config().with_cache_hierarchy(enable_l2=enable_l2, enable_l3=enable_l3)
-    result = _differential("sgemm", 8 * 8, config)
-    counters = result.vector.report.counters
+    _, subject = _differential("sgemm", 8 * 8, config)
+    counters = subject.counters
     assert "l2_0" in counters and counters["l2_0"].get("attempts", 0) > 0
     assert ("l3" in counters) == enable_l3
 
@@ -195,21 +202,20 @@ def test_removed_knobs_fail_at_parse_time(spec):
 
 
 def test_timing_engine_knob_and_report_tagging():
-    """The driver knob is reachable via the spec string and via kwargs."""
+    """The engine knob is gone from every timing layer — a stale ``engine=``
+    is a ``TypeError``, never accepted-and-ignored — and the report tag stays."""
+    from repro.core.processor import TimingProcessor
+    from repro.core.timing import TimingCore
     from repro.kernels import KERNELS
-    from repro.runtime.simx import SimxDriver
 
     config = _fig_config()
-
-    def run(driver):
-        device = VortexDevice(config, driver=driver)
-        run = KERNELS["vecadd"]().run(device, size=64)
-        assert run.passed
-        return run.report
-
-    assert run("simx:engine=scalar").engine == "timing-scalar"
-    assert run("simx").engine == "timing-vector"
-    driver = SimxDriver(config, engine="scalar")
-    assert driver.processor.cores[0].engine == "scalar"
-    with pytest.raises(ValueError):
-        SimxDriver(config, engine="warp")
+    device = VortexDevice(config, driver="simx")
+    run = KERNELS["vecadd"]().run(device, size=64)
+    assert run.passed
+    assert run.report.engine == "timing-vector"
+    processor = device.driver.processor
+    assert not hasattr(processor, "engine") and not hasattr(processor.cores[0], "engine")
+    with pytest.raises(TypeError, match="engine"):
+        TimingProcessor(config, engine="scalar")
+    with pytest.raises(TypeError, match="engine"):
+        TimingCore(0, config, processor.memory, processor.memsys, engine="scalar")

@@ -6,7 +6,7 @@ Four contracts are enforced here:
   driver-spec options build the right sinks, validate loudly, and filter
   channels.
 * **Determinism matrix** — the expanded event stream is bit-identical
-  across the vector and scalar engines on three kernels, and equal to the
+  to the per-thread oracle's (``simxref``) on three kernels, and equal to the
   stream of a cycle-by-cycle ``tick()`` loop: ``run()`` additionally carries
   synthesized ``core/skip`` markers that expand away.
 * **Reconciliation** — a full unfiltered trace reproduces every aggregate
@@ -156,13 +156,13 @@ class TestDeterminismMatrix:
     @pytest.mark.parametrize("kernel,size", MATRIX_KERNELS)
     def test_streams_identical_across_engines(self, kernel, size):
         streams = {}
-        for engine in ("vector", "scalar"):
-            driver, events = _traced_run(kernel, size, f"simx:trace=mem,engine={engine}")
+        for simulator in ("simx", "simxref"):
+            driver, events = _traced_run(kernel, size, f"{simulator}:trace=mem")
             # Full unfiltered trace reconciles against the live counters.
             assert reconcile(events, driver.processor) == []
-            streams[engine] = expand_skips(events)
-        assert streams["vector"]
-        assert streams["scalar"] == streams["vector"]
+            streams[simulator] = expand_skips(events)
+        assert streams["simx"]
+        assert streams["simxref"] == streams["simx"]
 
     @pytest.mark.parametrize("kernel,size", [*MATRIX_KERNELS, ("saxpy", 64)])
     def test_fastforward_emits_skip_markers_that_expand_away(self, run_ticked, kernel, size):
