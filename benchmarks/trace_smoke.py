@@ -18,6 +18,13 @@ shape (``POLICY_SWEEP_CYCLES`` in ``tests/test_scheduler_policy.py``) four ways:
 * ``simx:trace=csv`` / ``trace=vcd`` (one scenario) — the file sinks must
   produce parseable artifacts whose contents match the in-memory stream.
 
+One more row relaunches on a warm device: the second launch's off and
+``trace=mem`` reports must be identical, the stream of both launches must
+reconcile with the (device-lifetime) counters, every event of the second
+launch must be stamped inside its window of the device clock, and the
+fast-forwarded stream must expand to that of a ``reset`` + ``tick()`` twin.
+(No ``jsonl`` leg there: a file sink closes when the first launch drains.)
+
 CI gates the identity flags only (``check_regression.py --require-identical``).
 Each row still reports ``speedup`` = *traced-seconds / off-seconds*, but as
 information: a wall-ratio *floor* on it went red whenever tracing got
@@ -39,10 +46,13 @@ import time
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.engine.session import diff_execution_reports
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
+from repro.trace import expand_skips
 from repro.trace.attribution import reconcile
 from repro.trace.sinks import parse_csv, parse_jsonl, parse_vcd, vcd_changes
 
@@ -56,6 +66,9 @@ SCENARIOS = (
 #: The scenario whose traced stream is additionally written through the
 #: file sinks and re-parsed.
 ARTIFACT_SCENARIO = "trace_sgemm_8w4t"
+
+#: The relaunch row: (name, kernel, size, warps, threads, port_limited).
+RELAUNCH_SCENARIO = ("trace_relaunch_sgemm_8w4t", "sgemm", 12 * 12, 8, 4, True)
 
 
 def _config(warps: int, threads: int, port_limited: bool) -> VortexConfig:
@@ -137,6 +150,61 @@ def measure_scenario(
     }
 
 
+def _launch_ticked(device: VortexDevice, kernel: str, size: int) -> None:
+    """Launch by ``reset`` + ``tick()`` alone: the cycle-by-cycle reference."""
+    instance = KERNELS[kernel]()
+    program = instance.build_program()
+    device.upload_program(program)
+    context = instance.setup(device, size)
+    processor = device.driver.processor
+    processor.reset(program.entry)
+    with np.errstate(all="ignore"):  # as TimingProcessor.run does for lane plans
+        while not processor.done:
+            processor.tick()
+    device.driver.trace_bus.flush()
+    if not instance.verify(device, context):
+        raise AssertionError(f"{kernel} failed verification on the ticked relaunch")
+
+
+def measure_relaunch(
+    name: str, kernel: str, size: int, warps: int, threads: int, port_limited: bool
+) -> dict[str, Any]:
+    """Second launch on a warm device: off vs traced vs the ticked twin."""
+    config = _config(warps, threads, port_limited)
+    drivers = ("simx", "simx:trace=mem", "simx:trace=mem")
+    off, traced, ticked = (VortexDevice(config, driver=driver) for driver in drivers)
+    for device in (off, traced, ticked):
+        if not KERNELS[kernel]().run(device, size=size).passed:
+            raise AssertionError(f"{kernel} failed verification on the first launch")
+    first = len(traced.driver.trace_sink.events)
+    first_ticked = len(ticked.driver.trace_sink.events)
+    off_report = KERNELS[kernel]().run(off, size=size).report
+    traced_report = KERNELS[kernel]().run(traced, size=size).report
+    _launch_ticked(ticked, kernel, size)
+
+    mismatches = diff_execution_reports(off_report, traced_report)
+    events = traced.driver.trace_sink.events
+    relaunch = events[first:]
+    start = traced.driver.processor.launch_start
+    if not all(start < event.cycle <= start + traced_report.cycles for event in relaunch):
+        mismatches.append("a relaunch event is stamped outside its device-clock window")
+    if expand_skips(relaunch) != expand_skips(ticked.driver.trace_sink.events[first_ticked:]):
+        mismatches.append("relaunch run() stream does not expand to the reset+tick() twin's")
+    mismatches += reconcile(list(events), traced.driver.processor)
+    return {
+        "scenario": name,
+        "kernel": kernel,
+        "size": size,
+        "warps": warps,
+        "threads": threads,
+        "launch_start": start,
+        "cycles": traced_report.cycles,
+        "events": len(relaunch),
+        "identical_counters": not mismatches,
+        "mismatches": mismatches,
+    }
+
+
 def check_artifacts(kernel: str, size: int, config: VortexConfig) -> dict[str, Any]:
     """The file sinks round-trip the deterministic traced stream."""
     _, _, mem_driver = _run_once("simx:trace=mem", kernel, size, config)
@@ -183,6 +251,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {name:20s} csv_round_trips={artifacts['csv_round_trips']} "
                 f"vcd_round_trips={artifacts['vcd_round_trips']}"
             )
+
+    row = measure_relaunch(*RELAUNCH_SCENARIO)
+    results.append(row)
+    status = "identical" if row["identical_counters"] else "MISMATCH"
+    print(
+        f"  {row['scenario']:20s} cycles={row['cycles']:7d} events={row['events']:7d} "
+        f"second launch from device cycle {row['launch_start']} {status}"
+    )
+    for mismatch in row["mismatches"]:
+        print(f"    - {mismatch}")
 
     payload = {
         "benchmark": "trace bus: identity off/mem/jsonl + sink round-trips + reconciliation",

@@ -10,6 +10,7 @@ with the reading context supplied by the core.
 from __future__ import annotations
 
 from repro.common.bitutils import to_uint32
+from repro.common.clock import DeviceClock
 from repro.isa.csr import CSR, is_tex_csr
 
 
@@ -22,7 +23,10 @@ class CsrFile:
         self.num_threads = num_threads
         self.num_cores = num_cores
         self._storage: dict[int, int] = {}
-        self.cycle = 0
+        #: ``CSR.CYCLE`` reads the device clock (cycles since the device was
+        #: built, across launches).  The cycle-level core installs it; nobody
+        #: advances this private one, so the functional driver reads 0.
+        self.clock = DeviceClock()
         self.instret = 0
         #: Texture-state dirty counter: bumped by every write into a
         #: texture CSR block, so the texture unit can cache its CSR
@@ -30,10 +34,6 @@ class CsrFile:
         self.tex_epoch = 0
 
     # -- hardware-side hooks ------------------------------------------------------
-
-    def tick(self, cycles: int = 1) -> None:
-        """Advance the cycle counter."""
-        self.cycle += cycles
 
     def retire(self, instructions: int = 1) -> None:
         """Advance the retired-instruction counter."""
@@ -68,7 +68,7 @@ class CsrFile:
         if address == CSR.NUM_CORES:
             return self.num_cores
         if address == CSR.CYCLE:
-            return to_uint32(self.cycle)
+            return to_uint32(self.clock.now)
         if address == CSR.INSTRET:
             return to_uint32(self.instret)
         return self._storage.get(address, 0)
@@ -102,10 +102,9 @@ class CsrFile:
     # -- checkpoint/restore --------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
-        """Serialize storage plus the hardware counters."""
+        """Serialize storage plus the retired-instruction counter."""
         return {
             "storage": dict(self._storage),
-            "cycle": self.cycle,
             "instret": self.instret,
             "tex_epoch": self.tex_epoch,
         }
@@ -115,6 +114,5 @@ class CsrFile:
         storage = payload["storage"]
         assert isinstance(storage, dict)
         self._storage = dict(storage)
-        self.cycle = int(payload["cycle"])  # type: ignore[call-overload]
         self.instret = int(payload["instret"])  # type: ignore[call-overload]
         self.tex_epoch = int(payload["tex_epoch"])  # type: ignore[call-overload]

@@ -18,8 +18,8 @@ lane exactly as ``send`` would.
 The answer travels per run too.  Lanes a bank accepts in one step share one
 :class:`~repro.cache.bank.CacheResponse` record, built once and handed to
 the requester as the same object.  Scheduled records wait in one per-cache
-*due bucket* keyed by ready cycle, so :meth:`NonBlockingCache.tick` pops
-what is due now (nothing due costs a clock increment) instead of polling
+*due bucket* keyed by ready (device) cycle, so :meth:`NonBlockingCache.tick`
+pops what is due now (nothing due costs one dict probe) instead of polling
 every bank, and the fast-forward reads the earliest key.
 
 The deadlock-avoidance rules from the paper are honoured at the acceptance
@@ -37,6 +37,7 @@ from operator import itemgetter
 from typing import Any
 
 from repro.cache.bank import CacheBank, CacheResponse
+from repro.common.clock import DeviceClock
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
@@ -115,18 +116,19 @@ class NonBlockingCache:
             "write_hits",
             "write_misses",
             "fills",
-            "cycles",
         }
     )
 
     #: Construction-time identity, wiring and hot-path prebinds (vxlint
     #: VX007): ``lower`` is topology, ``_line_size``/``_num_banks``/
     #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
-    #: aliases ``perf._counters`` (serialized under the ``"perf"`` key).
+    #: aliases ``perf._counters`` (serialized under the ``"perf"`` key); the
+    #: processor serializes the device clock.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
             "config",
+            "clock",
             "lower",
             "_line_size",
             "_num_banks",
@@ -143,9 +145,9 @@ class NonBlockingCache:
         self.name = name
         self.config = config
         self.lower = lower
+        self.clock = DeviceClock()  # private until the memory subsystem installs the device's
         self.banks = [CacheBank(bank_id, config) for bank_id in range(config.num_banks)]
         self.perf = PerfCounters(name)
-        self._cycle = 0
         # Observability (attached by MemorySubsystem.attach_trace): one trace
         # event per request *attempt*, mirroring the refusal/hit/miss counter
         # charged for it, so reconciliation holds by construction.
@@ -191,14 +193,14 @@ class NonBlockingCache:
         if merge:
             payload["merge"] = True
         emit = self.trace.emit
-        cycle, core, channel = self._cycle, self.trace_core, self.trace_channel
+        cycle, core, channel = self.clock.now, self.trace_core, self.trace_channel
         for _ in range(count):
             emit(cycle, core, NO_WARP, channel, kind, payload)
 
     @hot_path
     def _schedule(self, bank_id: int, record: CacheResponse) -> None:
         """Park ``record`` in the due bucket, ``hit_latency`` cycles ahead."""
-        record.cycle = ready = self._cycle + self._response_delay
+        record.cycle = ready = self.clock.now + self._response_delay
         self._due[ready].append((bank_id, record))
 
     @hot_path
@@ -219,6 +221,7 @@ class NonBlockingCache:
         counters = self._counters
         counters["attempts"] += 1
         trace = self.trace
+        now = self.clock.now
         line = address // self._line_size
         bank_id = line % self._num_banks
         accepted = self._accepts_this_cycle.get(bank_id)
@@ -253,10 +256,10 @@ class NonBlockingCache:
                 counters["write_misses"] += 1
             if trace is not None:
                 self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
-            self._schedule(bank_id, CacheResponse((address,), True, tag, self._cycle, hit))
+            self._schedule(bank_id, CacheResponse((address,), True, tag, now, hit))
         elif hit:
             bank.touch(line)
-            self._schedule(bank_id, CacheResponse((address,), False, tag, self._cycle, True))
+            self._schedule(bank_id, CacheResponse((address,), False, tag, now, True))
             counters["read_hits"] += 1
             if trace is not None:
                 self._trace_attempts("hit", line, bank_id, False)
@@ -269,7 +272,7 @@ class NonBlockingCache:
                         self._trace_attempts("refusal", line, bank_id, False)
                     return False
             entry = bank.mshr.allocate(
-                line, CacheResponse((address,), False, tag, self._cycle, False)
+                line, CacheResponse((address,), False, tag, now, False)
             )
             if entry is None:
                 counters["mshr_stalls"] += 1
@@ -342,7 +345,7 @@ class NonBlockingCache:
         num_ports = self._num_ports
         num_banks = self._num_banks
         lower = self.lower
-        cycle = self._cycle
+        cycle = self.clock.now
         trace = self.trace
         full_banks = 0
         for _first_line, count in accepts.values():
@@ -550,7 +553,7 @@ class NonBlockingCache:
     # -- checkpoint/restore --------------------------------------------------------------------
 
     def snapshot(self, encode_tag: Callable[[Any], Any]) -> dict:
-        """Serialize clock, per-cycle accept state and every bank.
+        """Serialize per-cycle accept state and every bank.
 
         ``encode_tag`` maps request tags to plain data (lower-level fill
         tags carry live cache references; the memory subsystem encodes them
@@ -561,7 +564,6 @@ class NonBlockingCache:
             for bank_id, record in self._due[ready]:
                 due[bank_id].append((ready, record))
         return {
-            "cycle": self._cycle,
             "accepts_this_cycle": dict(self._accepts_this_cycle),
             "banks": [bank.snapshot(encode_tag, due[bank.bank_id]) for bank in self.banks],
             "perf": self.perf.snapshot(),
@@ -569,28 +571,34 @@ class NonBlockingCache:
 
     def restore(self, payload: dict, decode_tag: Callable[[Any], Any]) -> None:
         """Restore cache state from a :meth:`snapshot` payload."""
-        self._cycle = payload["cycle"]
         self._accepts_this_cycle.clear()
         self._accepts_this_cycle.update(payload["accepts_this_cycle"])
         self._due.clear()
         for bank, bank_payload in zip(self.banks, payload["banks"]):
             for ready, record in bank.restore(bank_payload, decode_tag):
                 # Already due (the ``hit_latency=0`` wire shape): next tick.
-                record.cycle = ready = max(ready, self._cycle + 1)
+                record.cycle = ready = max(ready, self.clock.now + 1)
                 self._due[ready].append((bank.bank_id, record))
         self.perf.restore(payload["perf"])
 
     # -- back-end: fills and responses -------------------------------------------------------
 
     def fill(self, line_address: int) -> None:
-        """A fill for ``line_address`` returned from the lower level."""
+        """A fill for ``line_address`` returned from the lower level.
+
+        It arrives inside the device cycle, ahead of this level's own
+        :meth:`tick`, and is booked to the cycle that just ended: a
+        ``hit_latency`` of 1 hands the replays up in the same tick.
+        """
         bank_id = line_address % self._num_banks
+        arrived = self.clock.now - 1
         for record in self.banks[bank_id].fill(line_address):
-            self._schedule(bank_id, record)
+            record.cycle = ready = arrived + self._response_delay
+            self._due[ready].append((bank_id, record))
         self.perf.incr("fills")
         if self.trace is not None:
             self.trace.emit(
-                self._cycle,
+                arrived,
                 self.trace_core,
                 NO_WARP,
                 self.trace_channel,
@@ -599,18 +607,16 @@ class NonBlockingCache:
             )
 
     def tick(self) -> list[CacheResponse]:
-        """Advance one cycle; returns the records completing this cycle.
+        """Free the bank ports; returns the records completing this cycle.
 
         Bank-major, schedule order within a bank.  Everything due at one
         cycle was scheduled during one memory-side cycle (the core's sends,
         then the next tick's fill replays), so a stable sort of the bucket
         by bank id is that order.
         """
-        self._cycle += 1
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
-        self._counters["cycles"] += 1
-        due = self._due.pop(self._cycle, None)
+        due = self._due.pop(self.clock.now, None)
         if due is None:
             return []
         if len(due) > 1:
@@ -636,26 +642,6 @@ class NonBlockingCache:
         reported by that level.
         """
         return min(self._due, default=None)
-
-    def skip_idle(self, cycles: int) -> None:
-        """Advance ``cycles`` provably idle cycles in one jump.
-
-        Only valid when the caller proved (via :meth:`next_response_cycle`)
-        that no response completes in the window and no requests arrive —
-        each skipped :meth:`tick` would then only advance the clock and the
-        ``cycles`` counter.  :meth:`tick` pops exactly the current cycle's
-        bucket, so a jump past a due response would strand it: that is a
-        caller bug and fails here, not as a hang at ``max_cycles``.
-        """
-        self._cycle += cycles
-        self._counters["cycles"] += cycles
-        if self._due and min(self._due) <= self._cycle:
-            from repro.core.emulator import EmulationError  # cache sits below core
-
-            raise EmulationError(
-                f"{self.name}: skip_idle({cycles}) to cycle {self._cycle} passed a "
-                f"response due at cycle {min(self._due)}"
-            )
 
     # -- statistics -------------------------------------------------------------------------
 

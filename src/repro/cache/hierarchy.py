@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
+from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.mem.dram import DramModel, MemRequest
@@ -104,11 +105,12 @@ class MemorySubsystem:
 
     #: Construction-time topology (vxlint VX007): the level references are
     #: wiring into ``_levels``, whose caches serialize by name in
-    #: :meth:`snapshot`.
-    SNAPSHOT_EXCLUDED = frozenset({"config", "l2", "l3", "icaches", "dcaches"})
+    #: :meth:`snapshot`; the processor serializes the device clock.
+    SNAPSHOT_EXCLUDED = frozenset({"config", "clock", "l2", "l3", "icaches", "dcaches"})
 
-    def __init__(self, config: VortexConfig):
+    def __init__(self, config: VortexConfig, clock: DeviceClock | None = None):
         self.config = config
+        self.clock = clock or DeviceClock()
         self.dram = DramModel(config.memory)
         self.perf = PerfCounters("memsys")
         dram_port = _DramPort(self.dram)
@@ -153,6 +155,8 @@ class MemorySubsystem:
         self._levels += [cache for cache in self.l2 if cache is not None]
         if self.l3 is not None:
             self._levels.append(self.l3)
+        for component in (self.dram, *self._levels):
+            component.clock = self.clock  # one device clock, read by every level
 
     # -- observability ---------------------------------------------------------------
 
@@ -183,7 +187,7 @@ class MemorySubsystem:
     # -- per-cycle operation ---------------------------------------------------------
 
     def tick(self) -> dict[tuple[str, int], list[CacheResponse]]:
-        """Advance every level one cycle.
+        """Run every level's share of the current device cycle.
 
         Returns the L1 responses grouped by ``("i" | "d", core_id)`` so the
         timing cores can complete their outstanding operations.
@@ -299,10 +303,23 @@ class MemorySubsystem:
         return result
 
     def skip_idle(self, cycles: int) -> None:
-        """Advance every level ``cycles`` provably idle cycles in one jump."""
-        self.dram.skip_idle(cycles)
+        """Check the jump of ``cycles`` idle cycles the clock just made.
+
+        No level has state to advance in a provably idle window, but
+        :meth:`NonBlockingCache.tick` pops exactly the current cycle's due
+        bucket, so a jump past a due response would strand it: that is a
+        caller bug and fails here, not as a hang at ``max_cycles``.
+        """
+        now = self.clock.now
         for cache in self._levels:
-            cache.skip_idle(cycles)
+            due = cache.next_response_cycle()
+            if due is not None and due <= now:
+                from repro.core.emulator import EmulationError  # cache sits below core
+
+                raise EmulationError(
+                    f"{cache.name}: skip_idle({cycles}) to cycle {now} passed a "
+                    f"response due at cycle {due}"
+                )
 
     # -- inspection -------------------------------------------------------------------
 

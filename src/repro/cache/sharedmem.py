@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.clock import DeviceClock
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
 
@@ -48,11 +49,12 @@ class SharedMemory:
     #: Counter schema (vxlint VX003).
     COUNTERS = frozenset({"attempts", "bank_conflicts", "reads", "writes"})
 
-    #: Construction-time geometry (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"core_id", "size", "num_banks", "latency", "trace"})
+    #: Construction-time geometry, and the processor's clock (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"core_id", "size", "num_banks", "latency", "trace", "clock"})
 
     def __init__(self, core_id: int, size: int, num_banks: int = 4, latency: int = 1):
         self.core_id = core_id
+        self.clock = DeviceClock()  # private until the owning core installs the device's
         self.size = size
         self.num_banks = num_banks
         self.latency = latency
@@ -61,7 +63,6 @@ class SharedMemory:
         # Observability (attached by the owning TimingCore): one ``smem``
         # event per access attempt (conflict / read / write).
         self.trace: Any = None
-        self._cycle = 0
         self._accepts_this_cycle: dict[int, int] = {}
         self._pending: list[tuple[int, SharedResponse]] = []
 
@@ -77,19 +78,20 @@ class SharedMemory:
         """Present one access; False means a bank conflict (retry next cycle)."""
         self.perf.incr("attempts")
         trace = self.trace
+        now = self.clock.now
         bank = self.bank_index(address)
         if self._accepts_this_cycle.get(bank, 0) >= 1:
             self.perf.incr("bank_conflicts")
             if trace is not None:
-                trace.emit(self._cycle, self.core_id, NO_WARP, "smem", "conflict", {"bank": bank})
+                trace.emit(now, self.core_id, NO_WARP, "smem", "conflict", {"bank": bank})
             return False
         self._accepts_this_cycle[bank] = 1
         response = SharedResponse(address=address, is_write=is_write, tag=tag, cycle=0)
-        self._pending.append((self._cycle + self.latency, response))
+        self._pending.append((now + self.latency, response))
         self.perf.incr("writes" if is_write else "reads")
         if trace is not None:
             trace.emit(
-                self._cycle,
+                now,
                 self.core_id,
                 NO_WARP,
                 "smem",
@@ -117,10 +119,10 @@ class SharedMemory:
         accepts = self._accepts_this_cycle
         pending = self._pending
         num_banks = self.num_banks
-        ready_cycle = self._cycle + self.latency
+        cycle = self.clock.now
+        ready_cycle = cycle + self.latency
         trace = self.trace
         core_id = self.core_id
-        cycle = self._cycle
         accept_kind = "write" if is_write else "read"
         accepted_count = bank_conflicts = 0
         refused: list[tuple[Any, ...]] = []
@@ -175,33 +177,32 @@ class SharedMemory:
         return accepted_count, refused, budget
 
     def tick(self) -> list[SharedResponse]:
-        """Advance one cycle; return completed accesses."""
-        self._cycle += 1
+        """Free the bank ports; return the accesses completing this cycle."""
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
         if not self._pending:
             return []
-        ready = [resp for ready_cycle, resp in self._pending if ready_cycle <= self._cycle]
+        now = self.clock.now
+        ready = [resp for ready_cycle, resp in self._pending if ready_cycle <= now]
         if ready:
             self._pending = [
                 (ready_cycle, resp)
                 for ready_cycle, resp in self._pending
-                if ready_cycle > self._cycle
+                if ready_cycle > now
             ]
             for resp in ready:
-                resp.cycle = self._cycle
+                resp.cycle = now
         return ready
 
     # -- checkpoint/restore ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Serialize clock, per-cycle accept state and pending accesses.
+        """Serialize per-cycle accept state and pending accesses.
 
         Scratchpad tags are core-local plain tuples (``("op", op_id)``), so
         no tag codec is needed at this layer.
         """
         return {
-            "cycle": self._cycle,
             "accepts_this_cycle": dict(self._accepts_this_cycle),
             "pending": [
                 (
@@ -220,7 +221,6 @@ class SharedMemory:
 
     def restore(self, payload: dict) -> None:
         """Restore scratchpad state from a :meth:`snapshot` payload."""
-        self._cycle = payload["cycle"]
         self._accepts_this_cycle.clear()
         self._accepts_this_cycle.update(payload["accepts_this_cycle"])
         self._pending = [
@@ -244,11 +244,6 @@ class SharedMemory:
         if not self._pending:
             return None
         return min(ready_cycle for ready_cycle, _ in self._pending)
-
-    def skip_idle(self, cycles: int) -> None:
-        """Advance ``cycles`` provably idle cycles in one jump (no accesses
-        pending inside the window, so each skipped tick only moves the clock)."""
-        self._cycle += cycles
 
     @property
     def busy(self) -> bool:

@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.cache.hierarchy import MemorySubsystem
+from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.core.barrier import BarrierTable
@@ -71,7 +72,7 @@ class Processor(_GlobalBarrierMixin):
     core_cls = SimtCore
 
     #: Counter schema (vxlint VX003): processor-level totals.
-    COUNTERS = frozenset({"instructions", "cycles"})
+    COUNTERS = frozenset({"instructions"})
 
     def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
         self.config = config or VortexConfig()
@@ -165,7 +166,13 @@ class Processor(_GlobalBarrierMixin):
 
 
 class TimingProcessor(_GlobalBarrierMixin):
-    """Cycle-level multi-core processor (the SIMX driver's engine)."""
+    """Cycle-level multi-core processor (the SIMX driver's engine).
+
+    The only writer (:meth:`tick`, :meth:`_skip_idle`, :meth:`restore`) of
+    the device clock every component reads.  The clock never rewinds; a
+    launch is its window ``(launch_start, launch_start + cycle]``, counted —
+    like the retired totals — from the marks :meth:`reset` records.
+    """
 
     #: Core model to instantiate; the tests' per-thread oracle substitutes its own.
     core_cls = TimingCore
@@ -182,7 +189,8 @@ class TimingProcessor(_GlobalBarrierMixin):
     ):
         self.config = config or VortexConfig()
         self.memory = memory or MainMemory()
-        self.memsys = MemorySubsystem(self.config)
+        self.clock = DeviceClock()
+        self.memsys = MemorySubsystem(self.config, self.clock)
         #: Observability bus (:class:`~repro.trace.bus.TraceBus` or None):
         #: threaded into every core and memory level at construction.
         self.trace = trace
@@ -193,15 +201,25 @@ class TimingProcessor(_GlobalBarrierMixin):
             )
             for core_id in range(self.config.num_cores)
         ]
-        self.perf = PerfCounters("timing_processor")
-        self.cycle = 0
+        #: Where the launch started: clock and retired totals at :meth:`reset`.
+        self.launch_start = 0
+        self._launch_instructions = self._launch_thread_instructions = 0
         self._init_global_barriers()
 
     def reset(self, entry_pc: int) -> None:
-        """Reset every core and the cycle counter."""
+        """Reset every core; a launch starts at the current clock reading."""
         for core in self.cores:
             core.reset(entry_pc)
-        self.cycle = 0
+        # Plus what the last launch retired: the device-lifetime totals again.
+        self._launch_instructions += self.total_instructions
+        self._launch_thread_instructions += self.total_thread_instructions
+        self.launch_start = self.clock.now
+
+    @property
+    def cycle(self) -> int:
+        """Cycles into the current launch: the unit of :meth:`run`'s result,
+        ``stop_cycle``, ``max_cycles`` and ``SimulationStalled.cycle``."""
+        return self.clock.now - self.launch_start
 
     @property
     def done(self) -> bool:
@@ -222,7 +240,7 @@ class TimingProcessor(_GlobalBarrierMixin):
         ``reset(entry_pc)`` followed by ``while not done: tick()`` is the
         cycle-by-cycle reference that :meth:`run`'s fast-forward must equal.
         """
-        self.cycle += 1
+        self.clock.now += 1
         responses = self.memsys.tick()
         for core in self.cores:
             core.tick(
@@ -243,19 +261,23 @@ class TimingProcessor(_GlobalBarrierMixin):
             "memsys": self.memsys.snapshot(),
             "cores": [core.snapshot() for core in self.cores],
             "global_barriers": self._snapshot_global_barriers(),
-            "perf": self.perf.snapshot(),
-            "cycle": self.cycle,
+            "now": self.clock.now,
+            "launch_start": self.launch_start,
+            "launch_instructions": self._launch_instructions,
+            "launch_thread_instructions": self._launch_thread_instructions,
         }
 
     def restore(self, payload: dict) -> None:
         """Restore the processor from a :meth:`snapshot` payload."""
+        self.clock.now = payload["now"]  # first: the cache levels read it restoring
+        self.launch_start = payload["launch_start"]
+        self._launch_instructions = payload["launch_instructions"]
+        self._launch_thread_instructions = payload["launch_thread_instructions"]
         self.memory.restore(payload["memory"])
         self.memsys.restore(payload["memsys"])
         for core, core_payload in zip(self.cores, payload["cores"]):
             core.restore(core_payload)
         self._restore_global_barriers(payload["global_barriers"])
-        self.perf.restore(payload["perf"])
-        self.cycle = payload["cycle"]
 
     def run(
         self,
@@ -264,7 +286,8 @@ class TimingProcessor(_GlobalBarrierMixin):
         max_instructions: int | None = None,
         stop_cycle: int | None = None,
     ) -> int:
-        """Run to completion; returns the elapsed cycle count.
+        """Run to completion; returns the launch's elapsed cycle count (both
+        budgets and ``stop_cycle`` count from the start of the launch too).
 
         ``stop_cycle`` pauses the run once ``cycle`` reaches that value (a
         cycle boundary, so every in-flight transaction is at a well-defined
@@ -318,7 +341,7 @@ class TimingProcessor(_GlobalBarrierMixin):
                 # Event-driven fast-forward: jump over provably idle cycle
                 # runs instead of ticking through them (bit-identical to a
                 # ``tick()`` loop in cycles, counters and expanded traces).
-                skip = self._idle_cycles_to_skip(max_cycles)
+                skip = self._idle_cycles_to_skip(max_cycles - self.cycle)
                 if skip and stop_cycle is not None:
                     # Never jump past the requested pause point: the
                     # skipped cycles are provably idle either way, so
@@ -334,22 +357,21 @@ class TimingProcessor(_GlobalBarrierMixin):
                         idle_cycles += skip
                     else:
                         idle_cycles = 0
-        self.perf.set("cycles", self.cycle)
         return self.cycle
 
     # -- fast-forward ---------------------------------------------------------------------
 
-    def _idle_cycles_to_skip(self, max_cycles: int) -> int:
+    def _idle_cycles_to_skip(self, cycles_left: int) -> int:
         """Number of provably idle cycles after the current one (0 = none).
 
         Every core and the memory subsystem report the earliest cycle their
-        state can change; when the minimum lies strictly beyond ``cycle + 1``
+        state can change; when the minimum lies strictly beyond ``now + 1``
         the ticks in between perform no work at all — no sends, no retries,
         no completions, no scheduler selections — and can be replayed as a
-        bulk counter update.  Capped so the cycle-limit exception still
-        fires at exactly the same cycle as the ticked run.
+        bulk counter update.  Capped by the ``cycles_left`` of the budget so
+        the cycle-limit exception fires at the same cycle as the ticked run.
         """
-        floor = self.cycle + 1
+        floor = self.clock.now + 1
         next_event: int | None = None
         for core in self.cores:
             event = core.next_event_cycle()
@@ -360,9 +382,6 @@ class TimingProcessor(_GlobalBarrierMixin):
                     next_event = event
         mem_event = self.memsys.next_event_cycle()
         if mem_event is not None:
-            # Memory-side clocks keep counting across launches (``reset``
-            # restarts only the cores over warm caches): translate.
-            mem_event += self.cycle - self.memsys.dram._cycle
             if mem_event <= floor:
                 return 0
             if next_event is None or mem_event < next_event:
@@ -371,12 +390,12 @@ class TimingProcessor(_GlobalBarrierMixin):
             # Fully idle with no future event: the watchdog must keep
             # counting tick by tick toward its deadlock report.
             return 0
-        skip = min(next_event - floor, max_cycles - floor)
+        skip = min(next_event - floor, cycles_left - 1)
         return skip if skip > 0 else 0
 
     def _skip_idle(self, cycles: int) -> None:
         """Advance the whole processor ``cycles`` idle cycles in one jump."""
-        self.cycle += cycles
+        self.clock.now += cycles
         self.memsys.skip_idle(cycles)
         for core in self.cores:
             core.skip_idle(cycles)
@@ -385,13 +404,15 @@ class TimingProcessor(_GlobalBarrierMixin):
 
     @property
     def total_instructions(self) -> int:
-        """Warp-instructions retired across all cores (read every ticked cycle)."""
-        return sum([core.perf._counters.get("instructions", 0) for core in self.cores])
+        """Warp-instructions this launch retired (read every ticked cycle)."""
+        retired = sum([core.perf._counters.get("instructions", 0) for core in self.cores])
+        return retired - self._launch_instructions
 
     @property
     def total_thread_instructions(self) -> int:
-        """Thread-instructions retired across all cores."""
-        return sum(core.perf.get("thread_instructions") for core in self.cores)
+        """Thread-instructions this launch retired across all cores."""
+        retired = sum(core.perf.get("thread_instructions") for core in self.cores)
+        return retired - self._launch_thread_instructions
 
     @property
     def ipc(self) -> float:
@@ -401,7 +422,10 @@ class TimingProcessor(_GlobalBarrierMixin):
         return self.total_thread_instructions / self.cycle
 
     def counters(self) -> dict[str, dict[str, int]]:
-        """Per-core and per-cache counter snapshot."""
+        """Per-core and per-cache counter snapshot (device-lifetime: every
+        component's ``cycles`` is the clock it read)."""
         summary = {f"core{core.core_id}": core.perf.as_dict() for core in self.cores}
         summary.update(self.memsys.counters())
+        for component in summary.values():
+            component["cycles"] = self.clock.now
         return summary

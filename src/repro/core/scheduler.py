@@ -180,18 +180,6 @@ class WavefrontScheduler:
         self._hazard_mask = payload["hazard_mask"]
         self.perf.restore(payload["perf"])
 
-    # -- fast-forward -----------------------------------------------------------------
-
-    def skip_idle(self, cycles: int) -> None:
-        """Account ``cycles`` scheduler-idle cycles in one jump.
-
-        Equivalent to ``cycles`` calls to :meth:`select` with an empty
-        schedulable mask: every policy then only increments
-        ``idle_cycles`` — no selection state (visible mask, last-selected,
-        issue stamps) is touched, so bulk-advancing the counter is exact.
-        """
-        self._counters["idle_cycles"] += cycles
-
     # -- selection -------------------------------------------------------------------
 
     @hot_path

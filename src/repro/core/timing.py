@@ -104,7 +104,6 @@ class TimingCore:
     #: the dcache) use the dcache's declared keys.
     COUNTERS = frozenset(
         {
-            "cycles",
             "idle_cycles",
             "instructions",
             "thread_instructions",
@@ -129,6 +128,7 @@ class TimingCore:
     ):
         self.core_id = core_id
         self.config = config
+        self.clock = memsys.clock  # the device's: read, never advanced here
         func_cls = self.func_cls
         if func_cls is None:
             # Imported lazily: repro.engine.vector_core imports the processor
@@ -144,9 +144,9 @@ class TimingCore:
         self.icache: NonBlockingCache = memsys.icache(core_id)
         self.dcache: NonBlockingCache = memsys.dcache(core_id)
         self.smem = SharedMemory(core_id, config.core.shared_mem_size)
+        self.smem.clock = self.func.csr.clock = self.clock
         self.perf = PerfCounters(f"timing_core{core_id}")
         self._counters = self.perf._counters  # prebound: charged several times a tick
-        self.cycle = 0
         #: The trace bus (``None`` when tracing is off — every emission site
         #: guards on that, keeping the hot path allocation-free; vxlint VX008).
         self.trace = trace
@@ -194,7 +194,6 @@ class TimingCore:
     def reset(self, entry_pc: int) -> None:
         """Reset architectural and timing state; warp 0 starts at ``entry_pc``."""
         self.func.reset(entry_pc)
-        self.cycle = 0
         self.scoreboard.clear()
         self._writebacks.clear()
         self._pending_ops.clear()
@@ -216,13 +215,15 @@ class TimingCore:
 
     #: Attributes deliberately outside the snapshot (vxlint VX007):
     #: configuration identity, constructor-derived lookup tables, references
-    #: owned and serialized by the memory subsystem, the per-PC register
-    #: cache (a pure function of the decode, rebuilt lazily), the ``perf``
-    #: alias ``_counters`` and the mask horizon :meth:`restore` invalidates.
+    #: owned and serialized by the memory subsystem (``clock``: the
+    #: processor), the per-PC register cache (a pure function of the decode,
+    #: rebuilt lazily), the ``perf`` alias ``_counters`` and the mask horizon
+    #: :meth:`restore` invalidates.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "core_id",
             "config",
+            "clock",
             "icache",
             "dcache",
             "trace",
@@ -251,7 +252,6 @@ class TimingCore:
             "scoreboard": self.scoreboard.snapshot(),
             "smem": self.smem.snapshot(),
             "perf": self.perf.snapshot(),
-            "cycle": self.cycle,
             "warp_ready_cycle": dict(self._warp_ready_cycle),
             "writebacks": [list(entry) for entry in self._writebacks],
             "pending_ops": [
@@ -286,7 +286,6 @@ class TimingCore:
         self.scoreboard.restore(payload["scoreboard"])
         self.smem.restore(payload["smem"])
         self.perf.restore(payload["perf"])
-        self.cycle = payload["cycle"]
         self._warp_ready_cycle = {
             int(warp_id): ready for warp_id, ready in payload["warp_ready_cycle"].items()
         }
@@ -342,7 +341,7 @@ class TimingCore:
     def _sync_scheduler_masks(self) -> None:
         """Recompute the three scheduler masks and the cycle they hold until."""
         active_mask = stalled_mask = barrier_mask = 0
-        cycle = self.cycle
+        cycle = self.clock.now
         valid_until = _NEVER
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch
@@ -403,11 +402,7 @@ class TimingCore:
         icache_responses: list[CacheResponse] | None = None,
         dcache_responses: list[CacheResponse] | None = None,
     ) -> None:
-        """Advance the core by one cycle."""
-        self.cycle = cycle = self.cycle + 1
-        self.func.csr.tick()
-        self._counters["cycles"] += 1
-
+        """Run the core's device cycle ``clock.now``."""
         if self._writebacks:
             self._process_writebacks()
         if icache_responses:
@@ -418,7 +413,7 @@ class TimingCore:
         if self._ifetch_to_send or self._pending_ops or self._store_queue:
             self._drain_requests()
 
-        if cycle >= self._masks_valid_until:
+        if self.clock.now >= self._masks_valid_until:
             self._sync_scheduler_masks()
         warp_id = self.scheduler.select()
         if warp_id is None:
@@ -426,7 +421,7 @@ class TimingCore:
             trace = self.trace
             if trace is not None:
                 trace.emit(
-                    self.cycle, self.core_id, NO_WARP, "scheduler", "idle",
+                    self.clock.now, self.core_id, NO_WARP, "scheduler", "idle",
                     self._trace_mask_payload(),
                 )
             return
@@ -434,7 +429,7 @@ class TimingCore:
         if not warp.schedulable:
             trace = self.trace
             if trace is not None:
-                trace.emit(self.cycle, self.core_id, warp_id, "scheduler", "masked")
+                trace.emit(self.clock.now, self.core_id, warp_id, "scheduler", "masked")
             return
         self._issue(warp)
 
@@ -459,7 +454,7 @@ class TimingCore:
         if trace is None:  # pragma: no cover - hook installed only when tracing
             return
         trace.emit(
-            self.cycle,
+            self.clock.now,
             self.core_id,
             getattr(participant, "warp_id", NO_WARP),
             "barrier",
@@ -470,16 +465,17 @@ class TimingCore:
     # -- completion paths --------------------------------------------------------------------
 
     def _process_writebacks(self) -> None:
-        if min(self._writebacks)[0] > self.cycle:
+        now = self.clock.now
+        if min(self._writebacks)[0] > now:
             return  # nothing ready (entries lead with their cycle): no rebuild
         remaining = []
         trace = self.trace
         for ready_cycle, warp_id, rd, rd_float in self._writebacks:
-            if ready_cycle <= self.cycle:
+            if ready_cycle <= now:
                 self.scoreboard.release(warp_id, rd, rd_float)
                 if trace is not None and (rd != 0 or rd_float):
                     trace.emit(
-                        self.cycle, self.core_id, warp_id, "scoreboard", "release",
+                        now, self.core_id, warp_id, "scoreboard", "release",
                         {"register": rd, "float": rd_float},
                     )
             else:
@@ -522,7 +518,7 @@ class TimingCore:
     def _maybe_complete_op(self, op: _PendingMemOp) -> None:
         if op.outstanding > 0 or op.to_send:
             return
-        ready = self.cycle + 1 + op.extra_latency
+        ready = self.clock.now + 1 + op.extra_latency
         if op.writes_rd:
             self._writebacks.append((ready, op.warp_id, op.rd, op.rd_float))
         del self._pending_ops[op.op_id]
@@ -530,7 +526,7 @@ class TimingCore:
         trace = self.trace
         if trace is not None:
             trace.emit(
-                self.cycle, self.core_id, op.warp_id, "core", "commit",
+                self.clock.now, self.core_id, op.warp_id, "core", "commit",
                 {"op": op.op_id, "kind": op.kind},
             )
 
@@ -676,13 +672,13 @@ class TimingCore:
                 self._counters["ifetch_misses"] += 1
                 if trace is not None:
                     trace.emit(
-                        self.cycle, self.core_id, warp.warp_id, "scheduler", "stall",
+                        self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
                         {"reason": "ibuffer"},
                     )
             elif trace is not None:
                 # Defensive: a warp with an ifetch in flight is mask-stalled
                 # and should not reach here; keep the channel cycle-complete.
-                trace.emit(self.cycle, self.core_id, warp.warp_id, "scheduler", "masked")
+                trace.emit(self.clock.now, self.core_id, warp.warp_id, "scheduler", "masked")
             return
 
         # Scoreboard hazard check on the registers the instruction touches.
@@ -693,7 +689,7 @@ class TimingCore:
             trace = self.trace
             if trace is not None:
                 trace.emit(
-                    self.cycle, self.core_id, warp.warp_id, "scheduler", "stall",
+                    self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
                     {"reason": "scoreboard"},
                 )
             return
@@ -703,12 +699,12 @@ class TimingCore:
         counters = self._counters
         counters["instructions"] += 1
         counters["thread_instructions"] += result.active_thread_count
-        self._warp_ready_cycle[warp.warp_id] = self.cycle + 1
+        self._warp_ready_cycle[warp.warp_id] = self.clock.now + 1
         self.scheduler.note_issued(warp.warp_id)
         trace = self.trace
         if trace is not None:
             trace.emit(
-                self.cycle, self.core_id, warp.warp_id, "scheduler", "issue", {"pc": pc}
+                self.clock.now, self.core_id, warp.warp_id, "scheduler", "issue", {"pc": pc}
             )
         self._charge_timing(warp, result)
 
@@ -726,12 +722,12 @@ class TimingCore:
         if result.taken_branch or unit == ExecUnit.SFU:
             self._masks_valid_until = 0
         if result.taken_branch:
-            self._warp_ready_cycle[warp.warp_id] = self.cycle + 1 + BRANCH_PENALTY
+            self._warp_ready_cycle[warp.warp_id] = self.clock.now + 1 + BRANCH_PENALTY
             self._counters["taken_branches"] += 1
             trace = self.trace
             if trace is not None:
                 trace.emit(
-                    self.cycle, self.core_id, warp.warp_id, "core", "redirect",
+                    self.clock.now, self.core_id, warp.warp_id, "core", "redirect",
                     {"pc": warp.pc},
                 )
 
@@ -745,11 +741,11 @@ class TimingCore:
             trace = self.trace
             if trace is not None and (result.instr.rd != 0 or spec.rd_float):
                 trace.emit(
-                    self.cycle, self.core_id, warp.warp_id, "scoreboard", "acquire",
+                    self.clock.now, self.core_id, warp.warp_id, "scoreboard", "acquire",
                     {"register": result.instr.rd, "float": spec.rd_float},
                 )
             self._writebacks.append(
-                (self.cycle + latency, warp.warp_id, result.instr.rd, spec.rd_float)
+                (self.clock.now + latency, warp.warp_id, result.instr.rd, spec.rd_float)
             )
 
     def _charge_memory(self, warp: Any, result: Any) -> None:
@@ -782,14 +778,14 @@ class TimingCore:
         if not op.to_send:
             # A load with no active threads (fully masked) completes immediately.
             if op.writes_rd:
-                self._writebacks.append((self.cycle + 1, op.warp_id, op.rd, op.rd_float))
+                self._writebacks.append((self.clock.now + 1, op.warp_id, op.rd, op.rd_float))
             return
         if op.writes_rd:
             self.scoreboard.reserve(op.warp_id, op.rd, op.rd_float)
             trace = self.trace
             if trace is not None and (op.rd != 0 or op.rd_float):
                 trace.emit(
-                    self.cycle, self.core_id, op.warp_id, "scoreboard", "acquire",
+                    self.clock.now, self.core_id, op.warp_id, "scoreboard", "acquire",
                     {"register": op.rd, "float": op.rd_float},
                 )
         self._pending_ops[op.op_id] = op
@@ -829,12 +825,8 @@ class TimingCore:
         that would merely charge a scoreboard stall is *not* an event: its
         unblocking writeback/response is, and until then each tick's
         select-and-stall is replayed exactly by :meth:`skip_idle`.
-
-        The memory side keeps its own clocks across launches (``reset``
-        restarts the core at cycle 0 over warm caches), so its readings are
-        compared in its domain or translated by the clock difference.
         """
-        cycle = self.cycle
+        cycle = self.clock.now
         if self._ifetch_to_send:
             return cycle + 1
         for op in self._pending_ops.values():
@@ -850,7 +842,7 @@ class TimingCore:
             # queue's release (the DRAM head pop) is already an event in the
             # memory subsystem's scan.
             horizon = self.dcache.write_refusal_horizon()
-            if horizon is None or horizon <= self.dcache._cycle + 1:
+            if horizon is None or horizon <= cycle + 1:
                 return cycle + 1
             for run in self._store_queue:
                 if run[3]:  # a scratchpad store would be accepted
@@ -874,7 +866,6 @@ class TimingCore:
                 result = wake
         smem_ready = self.smem.next_response_cycle()
         if smem_ready is not None:
-            smem_ready += cycle - self.smem._cycle
             wake = smem_ready if smem_ready > cycle else cycle + 1
             if result is None or wake < result:
                 result = wake
@@ -884,9 +875,9 @@ class TimingCore:
         """Advance ``cycles`` provably event-free cycles in one jump.
 
         Equivalent to ``cycles`` ticks in which nothing is sent and nothing
-        completes.  The clock, CSR cycle counter and cycle counters advance
-        in bulk; the scheduler interaction of each skipped tick is replayed
-        for real: if any wavefront is schedulable it is — provably, per
+        completes; the processor has already moved the clock past them.  The
+        scheduler interaction of each skipped tick is replayed for real: if
+        any wavefront is schedulable it is — provably, per
         :meth:`next_event_cycle` — scoreboard-blocked, so every tick selects
         one wavefront (mutating the policy's selection state exactly as a
         ticked run would) and charges one ``scoreboard_stalls``; otherwise
@@ -898,12 +889,8 @@ class TimingCore:
         resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
         for bit.
         """
-        base = self.cycle
-        self.cycle += cycles
-        self.func.csr.tick(cycles)
+        base = self.clock.now - cycles
         counters = self._counters
-        counters["cycles"] += cycles
-        self.smem.skip_idle(cycles)
         trace = self.trace
         if trace is not None:
             trace.emit(base + 1, self.core_id, NO_WARP, "core", "skip", {"cycles": cycles})
@@ -938,7 +925,9 @@ class TimingCore:
             counters["scoreboard_stalls"] += cycles
         else:
             counters["idle_cycles"] += cycles
-            scheduler.skip_idle(cycles)
+            # ``select`` on an empty mask only counts an idle cycle, whatever
+            # the policy: no selection state moves, so the bulk charge is exact.
+            scheduler.perf.incr("idle_cycles", cycles)
             if trace is not None:
                 payload = self._trace_mask_payload()
                 for offset in range(cycles):
@@ -985,15 +974,3 @@ class TimingCore:
             "pending_ops": len(self._pending_ops),
             "pending_mshr": sum(len(b.mshr) for b in self.icache.banks + self.dcache.banks),
         }
-
-    # -- metrics -----------------------------------------------------------------------------------
-
-    @property
-    def ipc(self) -> float:
-        """Thread-instructions committed per cycle (the paper's IPC metric)."""
-        return self.perf.ratio("thread_instructions", "cycles")
-
-    @property
-    def warp_ipc(self) -> float:
-        """Warp-instructions committed per cycle."""
-        return self.perf.ratio("instructions", "cycles")

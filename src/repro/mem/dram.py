@@ -15,6 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.clock import DeviceClock
 from repro.common.config import MemoryConfig
 from repro.common.perf import PerfCounters, hot_path
 from repro.trace.events import NO_WARP
@@ -41,7 +42,6 @@ class MemResponse:
     address: int
     is_write: bool
     tag: Any
-    complete_cycle: int
 
 
 @dataclass
@@ -62,17 +62,16 @@ class DramModel:
             "responses",
             "total_latency",
             "bandwidth_stalls",
-            "cycles",
         }
     )
 
-    #: Construction-time timing parameters (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "trace"})
+    #: Construction-time timing parameters, and the processor's clock (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock"})
 
     def __init__(self, config: MemoryConfig | None = None):
         self.config = config or MemoryConfig()
+        self.clock = DeviceClock()  # private until the memory subsystem installs the device's
         self._queue: deque[_InFlight] = deque()
-        self._cycle = 0
         self.perf = PerfCounters("dram")
         # Observability (attached by MemorySubsystem.attach_trace): one
         # ``dram`` event per completed response.  Rejections are deliberately
@@ -93,35 +92,34 @@ class DramModel:
         if not self.can_accept:
             self.perf.incr("rejected")
             return False
-        request.issue_cycle = self._cycle
-        self._queue.append(_InFlight(request=request, ready_cycle=self._cycle + self.config.latency))
+        request.issue_cycle = now = self.clock.now
+        self._queue.append(_InFlight(request=request, ready_cycle=now + self.config.latency))
         self.perf.incr("writes" if request.is_write else "reads")
         return True
 
     # -- clocking --------------------------------------------------------------------
 
     def tick(self) -> list[MemResponse]:
-        """Advance one cycle and return the responses completing this cycle."""
-        self._cycle += 1
+        """Return the responses completing this cycle."""
+        now = self.clock.now
         responses: list[MemResponse] = []
         budget = self.config.bandwidth
         trace = self.trace
-        while budget > 0 and self._queue and self._queue[0].ready_cycle <= self._cycle:
+        while budget > 0 and self._queue and self._queue[0].ready_cycle <= now:
             in_flight = self._queue.popleft()
             responses.append(
                 MemResponse(
                     address=in_flight.request.address,
                     is_write=in_flight.request.is_write,
                     tag=in_flight.request.tag,
-                    complete_cycle=self._cycle,
                 )
             )
-            latency = self._cycle - in_flight.request.issue_cycle
+            latency = now - in_flight.request.issue_cycle
             self.perf.incr("total_latency", latency)
             self.perf.incr("responses")
             if trace is not None:
                 trace.emit(
-                    self._cycle,
+                    now,
                     -1,
                     NO_WARP,
                     "dram",
@@ -133,9 +131,8 @@ class DramModel:
                     },
                 )
             budget -= 1
-        if self._queue and self._queue[0].ready_cycle <= self._cycle and budget == 0:
+        if self._queue and self._queue[0].ready_cycle <= now and budget == 0:
             self.perf.incr("bandwidth_stalls")
-        self.perf.incr("cycles")
         return responses
 
     # -- fast-forward ------------------------------------------------------------------
@@ -153,16 +150,10 @@ class DramModel:
             return None
         return self._queue[0].ready_cycle
 
-    def skip_idle(self, cycles: int) -> None:
-        """Advance ``cycles`` provably idle cycles in one jump (nothing ready
-        inside the window: no releases, no bandwidth stalls, just the clock)."""
-        self._cycle += cycles
-        self.perf.incr("cycles", cycles)
-
     # -- checkpoint/restore ------------------------------------------------------------
 
     def snapshot(self, encode_tag: Callable[[Any], Any] | None = None) -> dict:
-        """Serialize queue and clock state.
+        """Serialize the request queue.
 
         ``encode_tag`` maps request tags to plain data — fill tags carry a
         live cache reference, which :class:`~repro.cache.hierarchy.MemorySubsystem`
@@ -170,7 +161,6 @@ class DramModel:
         """
         encode = encode_tag if encode_tag is not None else _identity_tag
         return {
-            "cycle": self._cycle,
             "queue": [
                 {
                     "address": in_flight.request.address,
@@ -185,9 +175,8 @@ class DramModel:
         }
 
     def restore(self, payload: dict, decode_tag: Callable[[Any], Any] | None = None) -> None:
-        """Restore queue and clock state from a :meth:`snapshot` payload."""
+        """Restore the request queue from a :meth:`snapshot` payload."""
         decode = decode_tag if decode_tag is not None else _identity_tag
-        self._cycle = payload["cycle"]
         self._queue.clear()
         for item in payload["queue"]:
             self._queue.append(
@@ -214,11 +203,3 @@ class DramModel:
     def average_latency(self) -> float:
         """Observed average request latency including queueing delay."""
         return self.perf.ratio("total_latency", "responses")
-
-    def drain_cycles(self) -> int:
-        """Cycles needed to drain the current queue (used by tests)."""
-        if not self._queue:
-            return 0
-        last_ready = self._queue[-1].ready_cycle
-        backlog = (len(self._queue) + self.config.bandwidth - 1) // self.config.bandwidth
-        return max(last_ready - self._cycle, backlog)

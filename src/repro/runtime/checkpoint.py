@@ -26,7 +26,9 @@ from repro.common.config import VortexConfig
 #: change to what ``snapshot()`` emits anywhere in the layer stack.
 #: Format 2: the wavefront scheduler snapshot gained the cache-locality
 #: policy state (``last_lines``/``current_line``/``hazard_mask``).
-SNAPSHOT_FORMAT = 2
+#: Format 3: one device clock — the processor payload holds ``now`` and the
+#: launch marks; per-component ``cycle`` keys and ``cycles`` counters are gone.
+SNAPSHOT_FORMAT = 3
 
 
 @runtime_checkable

@@ -37,8 +37,10 @@ class FuncSimDriver:
         self.config = config or VortexConfig()
         self.memory = memory if memory is not None else MainMemory()
         self.processor = self.processor_cls(self.config, self.memory)
-        #: Instructions executed by the current (possibly paused) launch.
+        #: Instructions executed by the current (possibly paused) launch, and
+        #: the device-lifetime thread-instruction total when it started.
         self._run_instructions = 0
+        self._launch_thread_instructions = 0
 
     def invalidate_decode_caches(self) -> None:
         """Drop all cached decodes/plans (a new program image was loaded)."""
@@ -60,6 +62,7 @@ class FuncSimDriver:
             state={
                 "processor": self.processor.snapshot(),
                 "run_instructions": self._run_instructions,
+                "launch_thread_instructions": self._launch_thread_instructions,
             },
         )
 
@@ -69,10 +72,15 @@ class FuncSimDriver:
             envelope,
             kind=self.name,
             config=self.config,
-            keys=("processor", "run_instructions"),
+            keys=("processor", "run_instructions", "launch_thread_instructions"),
         )
         self.processor.restore(state["processor"])
         self._run_instructions = state["run_instructions"]
+        self._launch_thread_instructions = state["launch_thread_instructions"]
+
+    def _thread_instructions(self) -> int:
+        """Thread-instructions retired over the life of the device."""
+        return sum(core.perf.get("thread_instructions") for core in self.processor.cores)
 
     def run(
         self,
@@ -93,13 +101,15 @@ class FuncSimDriver:
         ``stop_after_instructions`` pauses the launch at a scheduling-round
         boundary once that many instructions have executed; ``resume=True``
         continues a paused (or checkpoint-restored) launch instead of
-        resetting, and the report's instruction count stays cumulative over
-        the whole logical launch — bit-identical to an uninterrupted run.
+        resetting, and the report's instruction counts stay cumulative over
+        the whole logical launch — bit-identical to an uninterrupted run —
+        and count from its start, whatever ran on the device before.
         """
         options = resolve_options(options, max_instructions=max_instructions)
         start = time.perf_counter()
         if not resume:
             self._run_instructions = 0
+            self._launch_thread_instructions = self._thread_instructions()
         executed = self.processor.run(
             None if resume else entry_pc,
             max_instructions=options.max_instructions or DEFAULT_MAX_INSTRUCTIONS,
@@ -107,14 +117,11 @@ class FuncSimDriver:
         )
         self._run_instructions += executed
         wall_seconds = time.perf_counter() - start
-        thread_instructions = sum(
-            core.perf.get("thread_instructions") for core in self.processor.cores
-        )
         return ExecutionReport(
             driver=self.name,
             cycles=0,
             instructions=self._run_instructions,
-            thread_instructions=thread_instructions,
+            thread_instructions=self._thread_instructions() - self._launch_thread_instructions,
             counters=self.processor.counters(),
             wall_seconds=wall_seconds,
             engine="vector",

@@ -10,9 +10,12 @@ from typing import Any
 class ExecutionReport:
     """Summary of one kernel execution.
 
-    ``cycles`` is zero for the functional driver (it does not model time);
-    ``counters`` carries the per-component performance counters of the
-    driver that produced the report.
+    ``cycles``, ``instructions`` and ``thread_instructions`` (so ``ipc``)
+    count this one launch from its start, whatever ran on the device before;
+    ``cycles`` is zero for the functional driver (it does not model time).
+    ``counters`` carries the driver's per-component performance counters:
+    hardware counters, which run for the life of the device (a component's
+    ``cycles`` is the device clock) and on a relaunch include earlier launches.
     """
 
     driver: str

@@ -157,7 +157,7 @@ def collect_reconciliation_counters(processor: Any) -> dict[str, dict[str, int]]
             "stall/scoreboard": core.perf.get("scoreboard_stalls"),
             "stall/ibuffer": core.perf.get("ifetch_misses"),
             "idle": core.perf.get("idle_cycles"),
-            "total": core.perf.get("cycles"),
+            "total": core.clock.now,
         }
         expected[f"core{cid}/scoreboard"] = {
             "acquire": core.scoreboard.perf.get("reservations"),

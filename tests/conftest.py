@@ -72,6 +72,28 @@ def simx_device(small_config) -> VortexDevice:
     return VortexDevice(small_config, driver="simx")
 
 
+@pytest.fixture(scope="session")  # a pure function: Hypothesis tests may take it
+def tick():
+    """Drive a timing component built on its own through one device cycle.
+
+    Components read the device clock and never advance it — only
+    ``TimingProcessor`` does.  A cache, scratchpad, DRAM model or whole
+    ``MemorySubsystem`` built alone holds a private clock, and the test
+    stands in for the processor: ``tick(component)`` advances that clock one
+    cycle and returns ``component.tick()``.  ``fills`` are line addresses
+    handed to ``component.fill`` where ``MemorySubsystem.tick`` delivers
+    them: after the clock moved, ahead of the level's own tick.
+    """
+
+    def tick_component(component, fills=()):
+        component.clock.now += 1
+        for line_address in fills:
+            component.fill(line_address)
+        return component.tick()
+
+    return tick_component
+
+
 @pytest.fixture
 def run_ticked():
     """Launch a kernel by ``TimingProcessor.tick()`` alone.

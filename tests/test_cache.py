@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from repro.cache.bank import CacheBank
 from repro.cache.cache import LowerPort, NonBlockingCache
+from repro.cache.hierarchy import MemorySubsystem
 from repro.cache.mshr import Mshr
 from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, VortexConfig
 from repro.core.emulator import EmulationError
 
 
@@ -52,16 +53,15 @@ def test_mshr_capacity_one_is_not_permanently_almost_full():
     assert not mshr.almost_full
 
 
-def test_cache_with_capacity_one_mshr_still_serves_reads():
+def test_cache_with_capacity_one_mshr_still_serves_reads(tick):
     """End-to-end: a single-entry MSHR must accept a read miss, fill it and
     respond (the timing driver's watchdog used to fire here)."""
     cache, lower = _make_cache(mshr_size=1, num_banks=1)
     assert cache.send(0x80, tag="r")
     assert lower.fills == [cache.line_address(0x80)]
-    cache.fill(cache.line_address(0x80))
-    responses = []
-    for _ in range(4):
-        responses.extend(cache.tick())
+    responses = tick(cache, fills=[cache.line_address(0x80)])
+    for _ in range(3):
+        responses.extend(tick(cache))
     assert [resp.tag for resp in responses] == ["r"]
 
 
@@ -133,20 +133,20 @@ def test_bank_install_probe_and_lru_eviction():
 
 
 @pytest.mark.parametrize("hit_latency", [0, 1, 3])
-def test_cache_response_scheduling_honors_hit_latency(hit_latency):
+def test_cache_response_scheduling_honors_hit_latency(hit_latency, tick):
     """A hit accepted at cycle C answers at ``C + hit_latency`` — and never
     before the next tick, so ``hit_latency=0`` behaves like 1."""
     config = CacheConfig(size=1024, line_size=64, num_banks=1, hit_latency=hit_latency)
     cache = NonBlockingCache("dcache", config)
     cache.fill(0)
     for _ in range(10):
-        cache.tick()
+        tick(cache)
     assert cache.send(0, tag="t")
     due = 10 + max(hit_latency, 1)
     assert cache.next_response_cycle() == due
     for cycle in range(11, due):
-        assert cache.tick() == [], cycle
-    (response,) = cache.tick()
+        assert tick(cache) == [], cycle
+    (response,) = tick(cache)
     assert (response.tag, response.addresses, response.hit) == ("t", (0,), True)
     assert response.cycle == due and response.accept_cycle == 10
     assert cache.next_response_cycle() is None and not cache.busy
@@ -185,37 +185,35 @@ def _make_cache(num_ports=1, num_banks=4, mshr_size=4):
     return NonBlockingCache("dcache", config, lower=lower), lower
 
 
-def test_read_miss_then_fill_then_hit():
+def test_read_miss_then_fill_then_hit(tick):
     cache, lower = _make_cache()
     assert cache.send(0x100, tag="r0")
     assert lower.fills == [cache.line_address(0x100)]
     # No response until the fill returns.
     for _ in range(5):
-        assert cache.tick() == []
-    cache.fill(cache.line_address(0x100))
-    responses = []
-    for _ in range(3):
-        responses.extend(cache.tick())
+        assert tick(cache) == []
+    responses = tick(cache, fills=[cache.line_address(0x100)])
+    for _ in range(2):
+        responses.extend(tick(cache))
     assert [resp.tag for resp in responses] == ["r0"]
     # Second access to the same line hits.
     assert cache.send(0x104, tag="r1")
     responses = []
     for _ in range(3):
-        responses.extend(cache.tick())
+        responses.extend(tick(cache))
     assert responses and responses[0].hit
     assert cache.hit_rate > 0
 
 
-def test_miss_to_same_line_merges_in_mshr():
+def test_miss_to_same_line_merges_in_mshr(tick):
     cache, lower = _make_cache()
     assert cache.send(0x200, tag="a")
-    cache.tick()
+    tick(cache)
     assert cache.send(0x204, tag="b")
     assert len(lower.fills) == 1  # second miss merged
-    cache.fill(cache.line_address(0x200))
-    tags = []
-    for _ in range(4):
-        tags.extend(resp.tag for resp in cache.tick())
+    tags = [resp.tag for resp in tick(cache, fills=[cache.line_address(0x200)])]
+    for _ in range(3):
+        tags.extend(resp.tag for resp in tick(cache))
     assert set(tags) == {"a", "b"}
 
 
@@ -248,20 +246,20 @@ def test_requests_to_distinct_banks_proceed_in_parallel():
     assert cache.bank_utilization == 1.0
 
 
-def test_write_through_forwards_to_lower_level():
+def test_write_through_forwards_to_lower_level(tick):
     cache, lower = _make_cache()
     assert cache.send(0x40, is_write=True, tag="w")
     assert lower.writes == [0x40]
     responses = []
     for _ in range(3):
-        responses.extend(cache.tick())
+        responses.extend(tick(cache))
     assert [resp.tag for resp in responses] == ["w"]
 
 
-def test_mshr_early_full_backpressures_reads():
+def test_mshr_early_full_backpressures_reads(tick):
     cache, _ = _make_cache(mshr_size=2, num_banks=1)
     assert cache.send(0 * 64, tag=0)
-    cache.tick()
+    tick(cache)
     # The MSHR is now almost full (capacity 2, one used): next miss refused.
     assert not cache.send(1 * 64, tag=1)
     assert cache.perf.get("mshr_stalls") >= 1
@@ -299,13 +297,13 @@ def test_shared_memory_window_and_membership():
     assert limit - base == 0x1_0000
 
 
-def test_shared_memory_bank_conflicts_serialize():
+def test_shared_memory_bank_conflicts_serialize(tick):
     smem = SharedMemory(core_id=0, size=8 * 1024, num_banks=4, latency=1)
     base = smem.base
     assert smem.send(base + 0, False, "a")
     assert smem.send(base + 4, False, "b")  # different bank
     assert not smem.send(base + 16, False, "c")  # bank 0 again -> conflict
-    done = smem.tick()
+    done = tick(smem)
     assert {resp.tag for resp in done} == {"a", "b"}
     assert smem.perf.get("bank_conflicts") == 1
 
@@ -469,29 +467,29 @@ def _cache_state(cache):
     }
 
 
-def _drain_responses(cache, cycles=6):
-    """The response stream per lane, so the per-lane ``send`` oracle decides."""
+def _drain_responses(tick, cache, cycles=6, fills=()):
+    """The response stream per lane, so the per-lane ``send`` oracle decides.
+    ``fills`` come back from the lower level in the first cycle."""
     stream = []
     for _ in range(cycles):
-        for resp in cache.tick():
+        for resp in tick(cache, fills):
             for address in resp.addresses:
                 stream.append((resp.tag, address, resp.is_write, resp.hit, resp.cycle))
+        fills = ()
     return stream
 
 
-def _settle(cache, lower):
+def _settle(tick, cache, lower):
     """Between two cycles: the lower level answers, then one cycle passes.
 
     A scripted lower completes its latest fill; the shared queue drains
     (its refusals are only sticky within one cycle) and its fills flow back.
     """
     if isinstance(lower, _StickyQueueLower):
-        for kind, payload in lower.drain():
-            if kind == "fill":
-                cache.fill(payload)
-    elif lower.fills:
-        cache.fill(lower.fills[-1])
-    return _drain_responses(cache, 1)
+        fills = [payload for kind, payload in lower.drain() if kind == "fill"]
+    else:
+        fills = lower.fills[-1:]
+    return _drain_responses(tick, cache, 1, fills)
 
 
 _cache_rounds = st.lists(
@@ -509,7 +507,7 @@ _cache_rounds = st.lists(
 )
 
 
-def _check_batch_matches_perlane(config, ref_lower, bat_lower, rounds):
+def _check_batch_matches_perlane(tick, config, ref_lower, bat_lower, rounds):
     """Drive ``send`` lane by lane and ``send_batch`` run by run with the
     same rounds; everything observable must agree after every cycle."""
     reference = NonBlockingCache("ref", config, lower=ref_lower)
@@ -529,12 +527,12 @@ def _check_batch_matches_perlane(config, ref_lower, bat_lower, rounds):
         assert _cache_state(reference) == _cache_state(batched)
         assert vars(ref_lower) == vars(bat_lower)
         assert reference.trace.events == batched.trace.events  # one event per lane
-        assert _settle(reference, ref_lower) == _settle(batched, bat_lower)
+        assert _settle(tick, reference, ref_lower) == _settle(tick, batched, bat_lower)
     # Drain everything still in flight: the response streams must agree.
-    for line in getattr(ref_lower, "fills", ()):
-        reference.fill(line)
-        batched.fill(line)
-    assert _drain_responses(reference) == _drain_responses(batched)
+    fills = getattr(ref_lower, "fills", ())
+    assert _drain_responses(tick, reference, fills=fills) == _drain_responses(
+        tick, batched, fills=fills
+    )
     assert _cache_state(reference) == _cache_state(batched)
 
 
@@ -547,7 +545,7 @@ def _check_batch_matches_perlane(config, ref_lower, bat_lower, rounds):
     rounds=_cache_rounds,
 )
 def test_send_batch_matches_perlane_property(
-    num_banks, num_ports, mshr_size, refuse_every, rounds
+    tick, num_banks, num_ports, mshr_size, refuse_every, rounds
 ):
     """Property: the batched per-run path and the per-lane loop produce
     identical accept counts, refusal order, MSHR occupancy, counters,
@@ -558,7 +556,7 @@ def test_send_batch_matches_perlane_property(
         mshr_size=mshr_size, hit_latency=2,
     )
     _check_batch_matches_perlane(
-        config, _ScriptedLower(refuse_every), _ScriptedLower(refuse_every), rounds
+        tick, config, _ScriptedLower(refuse_every), _ScriptedLower(refuse_every), rounds
     )
 
 
@@ -568,7 +566,7 @@ def test_send_batch_matches_perlane_property(
     capacity=st.sampled_from([1, 2, 5]),
     rounds=_cache_rounds,
 )
-def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, rounds):
+def test_send_batch_sticky_lower_matches_perlane_property(tick, num_banks, capacity, rounds):
     """Property: against a sticky (shared-queue) lower level, the batched
     path's skipped-refusal accounting matches the per-lane loop's real
     refused calls — including whole runs charged behind one refused call."""
@@ -577,7 +575,7 @@ def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, r
         mshr_size=4, hit_latency=2,
     )
     _check_batch_matches_perlane(
-        config, _StickyQueueLower(capacity), _StickyQueueLower(capacity), rounds
+        tick, config, _StickyQueueLower(capacity), _StickyQueueLower(capacity), rounds
     )
 
 
@@ -598,7 +596,7 @@ def test_send_batch_sticky_lower_matches_perlane_property(num_banks, capacity, r
     rounds=_cache_rounds,
 )
 def test_send_batch_partition_invariance_property(
-    num_banks, num_ports, mshr_size, make_lower, rounds
+    tick, num_banks, num_ports, mshr_size, make_lower, rounds
 ):
     """Property: how the lane list is cut into same-line runs is not
     observable.  The maximal partition, one run per lane and a random
@@ -629,8 +627,8 @@ def test_send_batch_partition_invariance_property(
             outcomes.append((accepted, _lanes(refused), left))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         agree(lambda cache, lower: (_cache_state(cache), vars(lower), cache.trace.events))
-        agree(_settle)
-    agree(lambda cache, lower: (_drain_responses(cache), _cache_state(cache)))
+        agree(lambda cache, lower: _settle(tick, cache, lower))
+    agree(lambda cache, lower: (_drain_responses(tick, cache), _cache_state(cache)))
 
 
 # -- the accept half travels per run: directed cases behind the properties ---------------
@@ -720,13 +718,13 @@ def test_run_longer_than_the_ports_accepts_a_prefix(num_ports):
     assert _lanes(refused) == addresses[num_ports:]
 
 
-def test_accepted_hit_run_is_one_due_entry():
+def test_accepted_hit_run_is_one_due_entry(tick):
     """Eight same-line hit lanes on an 8-port bank: one ``touch``, one
     record, one ``_due`` entry — counted from here, no counter exists."""
     config = CacheConfig(size=4 * 1024, line_size=64, num_banks=4, num_ports=8)
     cache = NonBlockingCache("dcache", config)
     cache.fill(cache.line_address(0x400))
-    cache.tick()
+    tick(cache)
     scheduled = []
     schedule = cache._schedule
     cache._schedule = lambda bank_id, record: (scheduled.append(record), schedule(bank_id, record))
@@ -738,20 +736,24 @@ def test_accepted_hit_run_is_one_due_entry():
     assert [len(bucket) for bucket in cache._due.values()] == [1]
     assert cache.banks[0]._use_counter == use_counter + 8  # as eight touches would
     assert len(cache.snapshot(lambda tag: tag)["banks"][0]["pending"]) == 8  # wire: per lane
-    cache.tick()
-    assert cache.tick() == scheduled and scheduled[0].cycle == cache._cycle
+    tick(cache)
+    assert tick(cache) == scheduled and scheduled[0].cycle == cache.clock.now
 
 
-def test_skip_idle_past_a_due_response_fails_loudly():
+def test_skip_idle_past_a_due_response_fails_loudly(tick):
     """``tick`` pops exactly the current cycle's bucket, so a jump over a due
-    response would strand it; the offending skip raises instead."""
-    cache, _ = _make_cache()
+    response would strand it; ``MemorySubsystem.skip_idle`` — the one check
+    behind every jump — raises on the offending one and names the level."""
+    memsys = MemorySubsystem(VortexConfig(dcache=CacheConfig(hit_latency=2)))
+    cache = memsys.dcache(0)
     cache.fill(cache.line_address(0x500))
-    cache.tick()
+    tick(memsys)
     assert cache.send(0x500, tag="t")  # due two cycles ahead
-    cache.skip_idle(1)
-    with pytest.raises(EmulationError, match="passed a response due at cycle 3"):
-        cache.skip_idle(1)
+    memsys.clock.now += 1
+    memsys.skip_idle(1)
+    memsys.clock.now += 1
+    with pytest.raises(EmulationError, match="dcache0: .* passed a response due at cycle 3"):
+        memsys.skip_idle(1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -768,7 +770,7 @@ def test_skip_idle_past_a_due_response_fails_loudly():
         max_size=4,
     ),
 )
-def test_smem_send_batch_matches_perlane_property(num_banks, rounds):
+def test_smem_send_batch_matches_perlane_property(tick, num_banks, rounds):
     """Property: the scratchpad's batched path matches per-lane ``send`` —
     its banks are word-interleaved, so the lanes of one run spread over them."""
     ref = SharedMemory(core_id=0, size=8 * 1024, num_banks=num_banks, latency=1)
@@ -793,6 +795,6 @@ def test_smem_send_batch_matches_perlane_property(num_banks, rounds):
         assert all(run[3] for run in bat_refused)
         assert (bat_accepted, _lanes(bat_refused), bat_budget) == (accepted, refused, remaining)
         assert ref.perf.as_dict() == bat.perf.as_dict()
-        ref_done = [(r.address, r.is_write, r.cycle) for r in ref.tick()]
-        bat_done = [(r.address, r.is_write, r.cycle) for r in bat.tick()]
+        ref_done = [(r.address, r.is_write, r.cycle) for r in tick(ref)]
+        bat_done = [(r.address, r.is_write, r.cycle) for r in tick(bat)]
         assert ref_done == bat_done

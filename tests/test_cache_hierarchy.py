@@ -9,28 +9,28 @@ from repro.trace.bus import TraceBus
 from repro.trace.sinks import MemorySink
 
 
-def _drain(memsys, dcache, max_cycles=500):
+def _drain(tick, memsys, dcache, max_cycles=500):
     """Tick until the data cache of core 0 returns its responses."""
     responses = []
     for _ in range(max_cycles):
-        grouped = memsys.tick()
+        grouped = tick(memsys)
         responses.extend(grouped.get(("d", 0), []))
         if responses and not memsys.busy:
             break
     return responses
 
 
-def test_l1_miss_fills_from_dram():
+def test_l1_miss_fills_from_dram(tick):
     config = VortexConfig(memory=MemoryConfig(latency=20, bandwidth=1))
     memsys = MemorySubsystem(config)
     dcache = memsys.dcache(0)
     assert dcache.send(0x1000, tag="load")
-    responses = _drain(memsys, dcache)
+    responses = _drain(tick, memsys, dcache)
     assert [resp.tag for resp in responses] == ["load"]
     assert memsys.dram.perf.get("reads") == 1
 
 
-def test_latency_scales_with_memory_config():
+def test_latency_scales_with_memory_config(tick):
     def measure(latency):
         config = VortexConfig(memory=MemoryConfig(latency=latency, bandwidth=1))
         memsys = MemorySubsystem(config)
@@ -38,26 +38,26 @@ def test_latency_scales_with_memory_config():
         cycles = 0
         while True:
             cycles += 1
-            if memsys.tick().get(("d", 0)):
+            if tick(memsys).get(("d", 0)):
                 return cycles
 
     assert measure(100) > measure(10) + 60
 
 
-def test_second_access_hits_without_dram_traffic():
+def test_second_access_hits_without_dram_traffic(tick):
     config = VortexConfig(memory=MemoryConfig(latency=10, bandwidth=1))
     memsys = MemorySubsystem(config)
     dcache = memsys.dcache(0)
     dcache.send(0x3000, tag="first")
-    _drain(memsys, dcache)
+    _drain(tick, memsys, dcache)
     reads_after_first = memsys.dram.perf.get("reads")
     dcache.send(0x3004, tag="second")
-    responses = _drain(memsys, dcache)
+    responses = _drain(tick, memsys, dcache)
     assert [resp.tag for resp in responses] == ["second"]
     assert memsys.dram.perf.get("reads") == reads_after_first
 
 
-def test_l2_path_serves_l1_fills():
+def test_l2_path_serves_l1_fills(tick):
     config = VortexConfig(
         enable_l2=True,
         l2cache=CacheConfig(size=64 * 1024, num_banks=4),
@@ -67,20 +67,20 @@ def test_l2_path_serves_l1_fills():
     assert memsys.l2[0] is not None
     dcache = memsys.dcache(0)
     dcache.send(0x4000, tag="via_l2")
-    responses = _drain(memsys, dcache)
+    responses = _drain(tick, memsys, dcache)
     assert [resp.tag for resp in responses] == ["via_l2"]
     # The L2 saw the fill request from the L1.
     assert memsys.l2[0].perf.get("attempts") >= 1
 
 
-def test_per_core_caches_are_private():
+def test_per_core_caches_are_private(tick):
     config = VortexConfig(num_cores=2, memory=MemoryConfig(latency=10, bandwidth=2))
     memsys = MemorySubsystem(config)
     memsys.dcache(0).send(0x5000, tag="c0")
     memsys.dcache(1).send(0x5000, tag="c1")
     got = {0: [], 1: []}
     for _ in range(200):
-        grouped = memsys.tick()
+        grouped = tick(memsys)
         for core in (0, 1):
             got[core].extend(grouped.get(("d", core), []))
     assert [r.tag for r in got[0]] == ["c0"]
@@ -98,13 +98,13 @@ def test_counters_snapshot_contains_all_components():
     assert "l2_0" in counters
 
 
-def test_icache_responses_routed_separately():
+def test_icache_responses_routed_separately(tick):
     config = VortexConfig(memory=MemoryConfig(latency=5, bandwidth=1))
     memsys = MemorySubsystem(config)
     memsys.icache(0).send(0x8000_0000, tag="fetch")
     fetched = []
     for _ in range(100):
-        fetched.extend(memsys.tick().get(("i", 0), []))
+        fetched.extend(tick(memsys).get(("i", 0), []))
     assert [r.tag for r in fetched] == ["fetch"]
 
 
@@ -119,7 +119,7 @@ def forward_lane_by_lane(monkeypatch):
         monkeypatch.setattr(port, "blocked", LowerPort.blocked)
 
 
-def _blocked_store_cycle(l3: bool, traced: bool):
+def _blocked_store_cycle(tick, l3: bool, traced: bool):
     """One cycle of a store storm behind L2 (+L3) with the DRAM queue full,
     in which core 1's read hit has already taken L2 bank 0's only port.
 
@@ -137,13 +137,13 @@ def _blocked_store_cycle(l3: bool, traced: bool):
     bus = TraceBus([sink])
     memsys.attach_trace(bus if traced else None)
     dcache0, dcache1 = memsys.dcache(0), memsys.dcache(1)
-    memsys.tick()
+    tick(memsys)
     assert dcache0.send(0x100 * 64, tag="warm")  # line 0x100 now lives in L2 (bank 0)
     while memsys.busy:
-        memsys.tick()
+        tick(memsys)
     stores = [((0x200 * 64,), 0x200, 0, False), ((0x201 * 64,), 0x201, 1, False)]
     assert dcache0.send_batch(stores, 4, True, None)[0] == 2  # fills the DRAM queue
-    memsys.tick()
+    tick(memsys)
     assert not memsys.dram.can_accept
     assert dcache1.send(0x100 * 64, tag="hit-in-l2")  # accepted although DRAM is full
     storm = [
@@ -158,12 +158,12 @@ def _blocked_store_cycle(l3: bool, traced: bool):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("l3", [False, True], ids=["l2", "l2-l3"])
-def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, monkeypatch):
+def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, monkeypatch, tick):
     """The lanes a write-blocked lower port is never asked for are charged
     where a lane-by-lane walk refuses them: an L2 bank another request took
     this cycle charges ``bank_conflicts`` there and goes no further, the rest
     charge ``memq_stalls`` level by level down to DRAM's ``rejected``."""
-    memsys, events = _blocked_store_cycle(l3, traced)
+    memsys, events = _blocked_store_cycle(tick, l3, traced)
     before = {name: dict(counters) for name, counters in memsys.counters().items()}
     l2 = memsys.l2[0].perf
     assert l2.get("bank_conflicts") == 2 and l2.get("memq_stalls") == 3
@@ -173,7 +173,7 @@ def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, mon
         assert memsys.l3.perf.get("memq_stalls") == 3 and "bank_conflicts" not in memsys.l3.perf
 
     forward_lane_by_lane(monkeypatch)
-    twin, twin_events = _blocked_store_cycle(l3, traced)
+    twin, twin_events = _blocked_store_cycle(tick, l3, traced)
     assert twin.counters() == before
     assert twin_events == events
     if traced:

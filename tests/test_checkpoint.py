@@ -60,9 +60,12 @@ class TestEnvelope:
 
     def test_version_mismatch_raises(self):
         envelope = make_envelope(kind="simx", config=CFG, state={})
-        envelope["format"] = SNAPSHOT_FORMAT + 1
-        with pytest.raises(SnapshotVersionError):
-            open_envelope(envelope, kind="simx", config=CFG)
+        # A newer build's format, and format 2 (per-component clocks), which
+        # this build replaced without a compatibility shim.
+        for version in (SNAPSHOT_FORMAT + 1, 2):
+            envelope["format"] = version
+            with pytest.raises(SnapshotVersionError, match=f"format {version} is not"):
+                open_envelope(envelope, kind="simx", config=CFG)
 
     def test_kind_mismatch_raises(self):
         envelope = make_envelope(kind="funcsim", config=CFG, state={})
@@ -329,7 +332,7 @@ class TestResponseWireFormat:
         assert len(pending) == sum(len(record.addresses) for record in due) > len(due)
         assert len(waiting) == sum(len(record.addresses) for record in parked) > len(parked)
         for ready, lane, hit in pending:
-            assert (type(ready), type(hit)) == (int, bool) and ready > dcache._cycle
+            assert (type(ready), type(hit)) == (int, bool) and ready > dcache.clock.now
             assert sorted(lane) == ["accept_cycle", "address", "is_write", "tag"]
         assert all(sorted(lane) == sorted(pending[0][1]) for lane in waiting)
 
@@ -345,7 +348,7 @@ class TestResponseWireFormat:
         assert fresh.driver.done
         assert reports_identical(reference, report)
 
-    def test_already_due_wire_entry_is_delivered_on_the_next_tick(self):
+    def test_already_due_wire_entry_is_delivered_on_the_next_tick(self, tick):
         """``ready == cycle`` is what a ``hit_latency=0`` cache wrote into its
         checkpoints: the old per-bank ``ready <= cycle`` scan delivered it on
         the next tick, and so must the bucket keyed by exact cycle."""
@@ -353,13 +356,13 @@ class TestResponseWireFormat:
 
         cache = NonBlockingCache("dcache", CacheConfig(num_banks=2, hit_latency=0))
         for _ in range(7):
-            cache.tick()
+            tick(cache)
         payload = cache.snapshot(lambda tag: tag)
         lane = {"address": 0x40, "is_write": False, "tag": "t", "accept_cycle": 7}
         payload["banks"][1]["pending"] = [(7, lane, True)]
         cache.restore(payload, lambda tag: tag)
         assert cache.busy and cache.next_response_cycle() == 8
-        (response,) = cache.tick()
+        (response,) = tick(cache)
         assert (response.addresses, response.tag, response.hit) == ((0x40,), "t", True)
         assert (response.accept_cycle, response.cycle) == (7, 8)
         assert not cache.busy
@@ -489,7 +492,8 @@ class TestExecuteJob:
         assert chunked.ok and reports_identical(chunked.report, straight.report)
         # The restart leg ran first: the chunked finish started from the
         # midpoint on the second device, not from cycle 0.
-        first_cycle = envelopes[0]["state"]["driver"]["state"]["processor"]["cycle"]
+        processor = envelopes[0]["state"]["driver"]["state"]["processor"]
+        first_cycle = processor["now"] - processor["launch_start"]
         assert first_cycle == session_mod.RESTART_MIDPOINT_UNITS + 300
         resumed = execute_job(restart, resume_from=pickle.loads(pickle.dumps(envelopes[0])))
         assert resumed.ok and reports_identical(resumed.report, straight.report)

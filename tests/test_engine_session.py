@@ -128,11 +128,11 @@ def _scratchpad_roundtrip_program(value):
     ids=["dcache", "scratchpad"],
 )
 def test_relaunch_reports_the_tick_loop_cycles(make_program, stored):
-    """``reset`` restarts the core clock at 0 while the memory side keeps
-    counting (caches stay warm).  The fast-forward must compare the two in
-    one domain: a second and third launch report what ``reset`` + ``tick()``
-    reports on a twin device — and the same count as each other.  (Comparing
-    them raw inflated the cycles of every launch after the first.)"""
+    """``reset`` starts a launch at the current reading of the one device
+    clock (caches stay warm, nothing is rewound): a second and third launch
+    report what ``reset`` + ``tick()`` reports on a twin device — and the same
+    count as each other.  (Two clock domains compared raw once inflated the
+    cycles of every launch after the first.)"""
     fast = VortexDevice(VortexConfig(), driver="simx")
     ticked = VortexDevice(VortexConfig(), driver="simx")
     cycles = []

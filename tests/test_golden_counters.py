@@ -158,7 +158,7 @@ def test_mixed_kernel_golden_drives_scratchpad_and_dcache():
     assert dcache["write_hits"] + dcache["write_misses"] > 0
 
 
-# -- relaunch: warm caches, memory-side clocks ahead of the restarted core clock ------------
+# -- relaunch: warm caches, a later window of the one device clock ---------------------------
 
 
 @pytest.mark.parametrize(
@@ -176,10 +176,10 @@ def test_mixed_kernel_golden_drives_scratchpad_and_dcache():
     ],
 )
 def test_relaunch_run_equals_tick_loop(run_ticked, kernel_factory, size, config):
-    """``reset`` restarts the core clock over a memory side that keeps
-    counting, so on a second and third launch (cold program, warm caches)
-    the fast-forward compares two clock domains.  ``run()`` must still equal
-    the tick loop on a twin device in cycles and every counter."""
+    """A second and third launch (cold program, warm caches) start at a
+    non-zero reading of the device clock, so every bound the fast-forward
+    compares is far from the launch-relative cycle count.  ``run()`` must
+    still equal the tick loop on a twin device in cycles and every counter."""
     fast = VortexDevice(config, driver="simx")
     ticked = VortexDevice(config, driver="simx")
     for device in (fast, ticked):

@@ -72,25 +72,25 @@ def test_byte_roundtrip_property(address, data):
 # -- DramModel ---------------------------------------------------------------------------
 
 
-def test_dram_fixed_latency():
+def test_dram_fixed_latency(tick):
     dram = DramModel(MemoryConfig(latency=10, bandwidth=1))
     assert dram.send(MemRequest(address=0x40, tag="a"))
     responses = []
     for _ in range(9):
-        responses.extend(dram.tick())
+        responses.extend(tick(dram))
     assert not responses
-    responses.extend(dram.tick())
+    responses.extend(tick(dram))
     assert len(responses) == 1 and responses[0].tag == "a"
 
 
-def test_dram_bandwidth_limits_responses_per_cycle():
+def test_dram_bandwidth_limits_responses_per_cycle(tick):
     dram = DramModel(MemoryConfig(latency=1, bandwidth=2, request_queue_size=16))
     for index in range(6):
         assert dram.send(MemRequest(address=index, tag=index))
     completed = []
     cycles = 0
     while len(completed) < 6:
-        completed.extend(dram.tick())
+        completed.extend(tick(dram))
         cycles += 1
     assert cycles == 3  # 6 requests at 2 per cycle
 
@@ -104,23 +104,23 @@ def test_dram_queue_backpressure():
     assert dram.perf.get("rejected") == 1
 
 
-def test_dram_average_latency_tracks_queueing():
+def test_dram_average_latency_tracks_queueing(tick):
     dram = DramModel(MemoryConfig(latency=5, bandwidth=1, request_queue_size=8))
     for index in range(4):
         dram.send(MemRequest(address=index))
     remaining = 4
     while remaining:
-        remaining -= len(dram.tick())
+        remaining -= len(tick(dram))
     # The first response sees the base latency, later ones also wait for bandwidth.
     assert dram.average_latency >= 5
     assert dram.pending == 0
 
 
-def test_dram_preserves_request_order():
+def test_dram_preserves_request_order(tick):
     dram = DramModel(MemoryConfig(latency=3, bandwidth=1))
     for tag in ("x", "y", "z"):
         dram.send(MemRequest(address=0, tag=tag))
     seen = []
     for _ in range(10):
-        seen.extend(response.tag for response in dram.tick())
+        seen.extend(response.tag for response in tick(dram))
     assert seen == ["x", "y", "z"]

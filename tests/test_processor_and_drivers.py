@@ -241,7 +241,8 @@ def test_opencl_style_vecadd():
 def test_opencl_enqueues_on_one_context_report_tick_loop_cycles():
     """A multi-kernel host program relaunches on one device; every enqueue
     after the first used to report inflated cycles (the fast-forward compared
-    the restarted core clock with the memory side's running one)."""
+    a restarted core clock with the memory side's running one — there is one
+    device clock now, and a launch is a window of it)."""
     size = 64
     reports = []
     for ticked in (False, True):

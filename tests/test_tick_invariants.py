@@ -39,7 +39,7 @@ def _masks_from_scratch(core) -> tuple[int, int, int]:
         if warp.at_barrier:
             barrier_mask |= bit
         waiting = warp.warp_id in core._pending_ifetch
-        if core._warp_ready_cycle[warp.warp_id] > core.cycle or waiting:
+        if core._warp_ready_cycle[warp.warp_id] > core.clock.now or waiting:
             stalled_mask |= bit
     return active_mask, stalled_mask, barrier_mask
 
@@ -53,7 +53,7 @@ def _check_masks_at_every_select(processor: TimingProcessor) -> list[int]:
 
         def select(core=core, scheduler=scheduler, real=scheduler.select):
             kept = (scheduler.active_mask, scheduler.stalled_mask, scheduler.barrier_mask)
-            assert kept == _masks_from_scratch(core), (core.core_id, core.cycle)
+            assert kept == _masks_from_scratch(core), (core.core_id, core.clock.now)
             checks[0] += 1
             return real()
 

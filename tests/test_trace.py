@@ -180,7 +180,7 @@ class TestDeterminismMatrix:
         per_core = attribute_stalls(expand_skips(events))
         for core in driver.processor.cores:
             breakdown = per_core[core.core_id]
-            assert breakdown["cycles"] == core.perf.get("cycles")
+            assert breakdown["cycles"] == core.clock.now
             parts = (
                 breakdown["issues"]
                 + breakdown["idle"]
