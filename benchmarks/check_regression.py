@@ -7,8 +7,8 @@ Compares a freshly measured smoke payload against the committed baseline
   the baseline speedup (machine noise between CI runners is why the floor
   is a fraction, not an equality),
 * any bit-identity flag (``identical_architectural_state`` /
-  ``identical_framebuffers`` / ``identical_counters``) is false in the
-  current payload, or
+  ``identical_framebuffers`` / ``identical_counters`` /
+  ``roundtrip_identical``) is false in the current payload, or
 * a baseline scenario is missing from the current payload.
 
 Run with::
@@ -36,6 +36,7 @@ IDENTITY_KEYS = (
     "identical_architectural_state",
     "identical_framebuffers",
     "identical_counters",
+    "roundtrip_identical",
 )
 
 

@@ -7,7 +7,11 @@ One payload (``BENCH_checkpoint.json``), every row carrying an
 * **restore_replay** — run-to-midpoint → checkpoint → pickle round-trip →
   restore into a fresh device → finish (``KernelJob.restart_midpoint``),
   diffed counter-by-counter against a straight-through run, for three
-  kernels on both drivers.
+  kernels on both drivers;
+* **policy_restart** — the same SIMX restart of an 8-warp sgemm under each
+  scheduler policy, plus a ``roundtrip_identical`` flag: the restored device
+  checkpoints to the envelope it was restored from (the policies' selection
+  state is in the payload).
 
 Run with::
 
@@ -18,12 +22,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
-from repro.engine.session import KernelJob, diff_execution_reports, execute_job
+from repro.common.config import (
+    SCHEDULER_POLICIES,
+    CacheConfig,
+    CoreConfig,
+    MemoryConfig,
+    VortexConfig,
+)
+from repro.engine.session import (
+    RESTART_MIDPOINT_UNITS,
+    KernelJob,
+    diff_execution_reports,
+    execute_job,
+)
+from repro.kernels import KERNELS
+from repro.runtime.device import VortexDevice
 
 CONFIG = VortexConfig(
     num_cores=1,
@@ -36,9 +54,11 @@ CONFIG = VortexConfig(
 REPLAY_POINTS = (("vecadd", 256), ("sgemm", 8 * 8), ("sfilter", 8 * 8))
 
 
-def measure_restore_replay(kernel: str, size: int, driver: str) -> dict:
+def measure_restore_replay(
+    kernel: str, size: int, driver: str, config: VortexConfig = CONFIG
+) -> dict:
     """Midpoint checkpoint/restore versus straight-through, fully diffed."""
-    job = KernelJob(kernel=kernel, config=CONFIG, driver=driver, size=size)
+    job = KernelJob(kernel=kernel, config=config, driver=driver, size=size)
     straight = execute_job(job)
     restarted = execute_job(replace(job, restart_midpoint=True))
     mismatches: list[str] = []
@@ -55,6 +75,25 @@ def measure_restore_replay(kernel: str, size: int, driver: str) -> dict:
     }
 
 
+def measure_policy_restart(policy: str, kernel: str = "sgemm", size: int = 8 * 8) -> dict:
+    """The SIMX restart row under one scheduler policy, plus the round trip:
+    restore the midpoint envelope into a fresh device and checkpoint again."""
+    config = CONFIG.with_warps_threads(8, 4).with_scheduler_policy(policy)
+    row = measure_restore_replay(kernel, size, "simx", config)
+    row["scenario"] = f"policy_restart_{kernel}_simx_{policy}"
+    kernel_obj = KERNELS[kernel]()
+    device = VortexDevice(config, driver="simx")
+    program = kernel_obj.build_program()
+    device.upload_program(program)
+    kernel_obj.setup(device, size)
+    device.driver.run(program.entry, stop_cycle=RESTART_MIDPOINT_UNITS)
+    envelope = pickle.loads(pickle.dumps(device.checkpoint()))
+    fresh = VortexDevice(config, driver="simx")
+    fresh.restore(envelope)
+    row["roundtrip_identical"] = fresh.checkpoint() == envelope
+    return row
+
+
 def main(argv: list[str] | None = None) -> int:
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__)
@@ -66,8 +105,11 @@ def main(argv: list[str] | None = None) -> int:
         for kernel, size in REPLAY_POINTS
         for driver in ("simx", "funcsim")
     ]
+    rows += [measure_policy_restart(policy) for policy in sorted(SCHEDULER_POLICIES)]
 
-    identical = all(row["identical_counters"] for row in rows)
+    identical = all(
+        row["identical_counters"] and row.get("roundtrip_identical", True) for row in rows
+    )
     payload = {
         "benchmark": "checkpoint/restore: midpoint-replay identity",
         "generated_by": "benchmarks/checkpoint_smoke.py",
@@ -75,8 +117,8 @@ def main(argv: list[str] | None = None) -> int:
         "results": rows,
     }
     for row in rows:
-        status = "identical" if row["identical_counters"] else "MISMATCH"
-        print(f"  {row['scenario']:32s} {status}")
+        ok = row["identical_counters"] and row.get("roundtrip_identical", True)
+        print(f"  {row['scenario']:45s} {'identical' if ok else 'MISMATCH'}")
         for mismatch in row.get("mismatches", []):
             print(f"    - {mismatch}")
 

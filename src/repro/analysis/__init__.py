@@ -23,10 +23,6 @@ from repro.analysis.rules import (
     DtypeDisciplineRule,
     HotPathAllocationRule,
     PredicatePurityRule,
-    StateInventoryRule,
-    collect_state,
-    load_inventory,
-    write_inventory,
 )
 
 __all__ = [
@@ -45,8 +41,4 @@ __all__ = [
     "DtypeDisciplineRule",
     "HotPathAllocationRule",
     "PredicatePurityRule",
-    "StateInventoryRule",
-    "collect_state",
-    "load_inventory",
-    "write_inventory",
 ]

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.framework import Baseline, load_modules, registered_rules, run_rules
-from repro.analysis.rules import INVENTORY_PATH, write_inventory
 
 DEFAULT_BASELINE = Path("vxlint_baseline.json")
 
@@ -45,11 +44,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the current findings to the baseline file as a skeleton and exit",
     )
     parser.add_argument(
-        "--write-state-inventory",
-        action="store_true",
-        help=f"regenerate {INVENTORY_PATH.name} from the code and exit",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list registered rules and exit",
@@ -68,11 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     modules = load_modules(Path(p) for p in args.paths)
-
-    if args.write_state_inventory:
-        components = write_inventory(modules)
-        print(f"wrote {INVENTORY_PATH} ({len(components)} components)")
-        return 0
 
     baseline = Baseline() if args.no_baseline else Baseline.load(args.baseline)
     result = run_rules(modules, baseline=baseline)

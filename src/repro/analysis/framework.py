@@ -16,8 +16,8 @@ rules (:mod:`repro.analysis.rules`):
   (rule : module : symbol : detail, no line numbers) so committed baselines
   survive unrelated edits.
 * :func:`run_rules` — two-phase driver: every rule first *collects*
-  project-wide facts (declared ``COUNTERS`` schemas, the state inventory),
-  then checks each module.
+  project-wide facts (the declared ``COUNTERS`` schemas), then checks each
+  module.
 
 Fixing a finding is always preferred; a deliberate exception is either
 suppressed inline (``# vxlint: disable=VX003`` with a nearby comment
@@ -109,8 +109,8 @@ class Rule:
     ``scope`` lists the module prefixes the rule applies to.  ``collect``
     runs over *every* loaded module (regardless of scope) before any
     ``check`` call, letting rules gather project-wide declarations — the
-    VX003 counter schemas and the VX006 state inventory both need to see
-    modules other than the one being checked.
+    VX003 counter schemas need to see modules other than the one being
+    checked.
     """
 
     id: str = ""

@@ -1,4 +1,4 @@
-"""The eight vxlint rules encoding the repo's simulator invariants.
+"""The seven vxlint rules encoding the repo's simulator invariants.
 
 Each rule is the static generalization of a property the differential and
 Hypothesis tests enforce dynamically on specific code paths:
@@ -24,16 +24,14 @@ Hypothesis tests enforce dynamically on specific code paths:
   (the NEP-50 promotion class of bug), and numpy array constructors must
   pass an explicit ``dtype`` (defaults differ across platforms and numpy
   majors).
-* **VX006 state inventory** — every ``self.x`` a simulator component
-  mutates must be catalogued in the committed state inventory; the
-  inventory is the groundwork for checkpoint/restore (you cannot snapshot
-  state you have not catalogued).
-* **VX007 snapshot coverage** — every inventory-catalogued attribute must
-  be handled by its owning class's ``snapshot()``/``restore()`` methods or
-  explicitly declared derived/rebuildable in a ``SNAPSHOT_EXCLUDED``
-  class attribute.  New state that the serializers silently miss is the
-  checkpoint/restore analogue of a typo'd counter key: a restored run
-  diverges from the straight-through one without any error.
+* **VX007 state declaration** — a checkpointed class declares its state
+  once, in a class-level ``STATE`` table from which ``snapshot()``/
+  ``restore()`` are derived (:mod:`repro.common.state`): every ``self.x``
+  it assigns must be a ``STATE`` key or listed in ``SNAPSHOT_EXCLUDED``,
+  and every ``STATE`` key must be assigned.  New state that a checkpoint
+  silently drops is the checkpoint/restore analogue of a typo'd counter
+  key: a restored run diverges from the straight-through one without any
+  error.
 * **VX008 trace-emission guard** — ``TraceBus.emit`` calls inside
   ``@hot_path`` functions must sit lexically inside an ``if`` that tests
   the trace receiver, so the tracing-off hot path stays allocation-free
@@ -44,8 +42,6 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-import json
-from pathlib import Path
 from collections.abc import Iterator
 
 from repro.analysis.framework import Finding, ModuleInfo, Rule, register_rule
@@ -142,6 +138,35 @@ def _is_set_expr(node: ast.AST) -> bool:
         name = dotted_name(node.func)
         return name in ("set", "frozenset")
     return False
+
+
+def _class_literal(node: ast.ClassDef, name: str) -> set[str] | None:
+    """String entries of a class-level ``name = frozenset({...})`` (or set,
+    tuple, list), or the string keys of ``name = {...: ...}``; ``None`` when
+    the class body declares no ``name`` literal."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign):
+            target, value = stmt.target, stmt.value
+        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        else:
+            continue
+        if not (isinstance(target, ast.Name) and target.id == name) or value is None:
+            continue
+        if isinstance(value, ast.Call) and dotted_name(value.func) == "frozenset" and value.args:
+            value = value.args[0]
+        if isinstance(value, ast.Dict):
+            elements: list[ast.expr | None] = list(value.keys)
+        elif isinstance(value, (ast.Set, ast.Tuple, ast.List)):
+            elements = list(value.elts)
+        else:
+            continue
+        return {
+            element.value
+            for element in elements
+            if isinstance(element, ast.Constant) and isinstance(element.value, str)
+        }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +489,10 @@ class CounterDisciplineRule(Rule):
     def collect(self, module: ModuleInfo) -> None:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    keys = self._schema_literal(stmt)
-                    if keys is not None:
-                        self.declared.update(keys)
-                        self.declaring_classes.setdefault(node.name, set()).update(keys)
-
-    @staticmethod
-    def _schema_literal(stmt: ast.stmt) -> set[str] | None:
-        """Keys of a class-level ``COUNTERS = frozenset({...})`` declaration."""
-        if isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        else:
-            return None
-        if not (isinstance(target, ast.Name) and target.id == "COUNTERS") or value is None:
-            return None
-        if isinstance(value, ast.Call) and dotted_name(value.func) == "frozenset" and value.args:
-            value = value.args[0]
-        if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-            keys = set()
-            for element in value.elts:
-                if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                    keys.add(element.value)
-            return keys
-        return None
+                keys = _class_literal(node, "COUNTERS")
+                if keys is not None:
+                    self.declared.update(keys)
+                    self.declaring_classes.setdefault(node.name, set()).update(keys)
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -805,146 +808,18 @@ class DtypeDisciplineRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# VX006 — mutable-state inventory
+# VX007 — state declared once
 
 
-#: Components whose state the inventory catalogues: the snapshot scope a
-#: future checkpoint/restore must cover.
-STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem")
+#: The checkpointed components: every class here that assigns ``self.x``
+#: declares its state in ``STATE``.
+STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.arch.csr", "repro.common.perf")
 
-INVENTORY_PATH = Path(__file__).with_name("state_inventory.json")
-
-
-def collect_state(modules: list[ModuleInfo]) -> dict[str, list[str]]:
-    """``{"module.Class": [attr, ...]}`` for every class in the state scope."""
-    inventory: dict[str, list[str]] = {}
-    for module in modules:
-        if not module.in_scope(STATE_SCOPE):
-            continue
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            attrs: set[str] = set()
-            for child in ast.walk(node):
-                target_nodes: list[ast.AST] = []
-                if isinstance(child, ast.Assign):
-                    target_nodes = list(child.targets)
-                elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
-                    target_nodes = [child.target]
-                for target in target_nodes:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        attrs.add(target.attr)
-            if attrs:
-                inventory[f"{module.module}.{node.name}"] = sorted(attrs)
-    return dict(sorted(inventory.items()))
-
-
-def load_inventory(path: Path = INVENTORY_PATH) -> dict[str, list[str]]:
-    if not path.exists():
-        return {}
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return payload.get("components", {})
-
-
-def write_inventory(modules: list[ModuleInfo], path: Path = INVENTORY_PATH) -> dict[str, list[str]]:
-    components = collect_state(modules)
-    payload = {
-        "_comment": (
-            "Generated by `python -m repro.analysis --write-state-inventory`. "
-            "Every instance attribute a simulator component assigns, per class; "
-            "the checkpoint/restore snapshot scope. VX006 fails when code and "
-            "inventory drift."
-        ),
-        "components": components,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return components
-
-
-@register_rule
-class StateInventoryRule(Rule):
-    """VX006: component state must match the committed inventory."""
-
-    id = "VX006"
-    title = "state-inventory"
-    scope = STATE_SCOPE
-
-    def __init__(self, inventory: dict[str, list[str]] | None = None) -> None:
-        self.inventory = load_inventory() if inventory is None else inventory
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        actual = collect_state([module])
-        for component, attrs in actual.items():
-            declared = set(self.inventory.get(component, []))
-            if component not in self.inventory:
-                yield self.finding(
-                    module,
-                    module.tree,
-                    component.rsplit(".", 1)[-1],
-                    f"unknown-component:{component}",
-                    f"component `{component}` is missing from the state inventory "
-                    "(run `python -m repro.analysis --write-state-inventory`)",
-                )
-                continue
-            for attr in attrs:
-                if attr not in declared:
-                    node = self._attr_node(module, component.rsplit(".", 1)[-1], attr)
-                    yield self.finding(
-                        module,
-                        node if node is not None else module.tree,
-                        f"{component.rsplit('.', 1)[-1]}.{attr}",
-                        f"undeclared:{component}.{attr}",
-                        f"`self.{attr}` in `{component}` is not in the committed state "
-                        "inventory — new mutable state must be catalogued (it is the "
-                        "checkpoint/restore snapshot scope)",
-                    )
-            stale = declared - set(attrs)
-            for attr in sorted(stale):
-                yield self.finding(
-                    module,
-                    module.tree,
-                    f"{component.rsplit('.', 1)[-1]}.{attr}",
-                    f"stale:{component}.{attr}",
-                    f"inventory lists `{component}.{attr}` but the code no longer "
-                    "assigns it — regenerate the inventory",
-                )
-
-    @staticmethod
-    def _attr_node(module: ModuleInfo, class_name: str, attr: str) -> ast.AST | None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == class_name:
-                for child in ast.walk(node):
-                    if (
-                        isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-                        and any(
-                            isinstance(t, ast.Attribute)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "self"
-                            and t.attr == attr
-                            for t in (
-                                child.targets
-                                if isinstance(child, ast.Assign)
-                                else [child.target]
-                            )
-                        )
-                    ):
-                        return child
-        return None
-
-
-# ---------------------------------------------------------------------------
-# VX007 — snapshot coverage
-
-
-#: Inventory classes legitimately outside the Snapshotable protocol.  Each
+#: Stateful classes in the scope legitimately outside the checkpoint.  Each
 #: is either construction-time wiring rebuilt by ``__init__`` (the hierarchy
 #: ports), a transient helper that never lives across a pause boundary (the
 #: memory word cursor, the per-instruction warp emulator facade), or an
-#: exception type.  Anything else in the state scope must serialize.
+#: exception type.
 SNAPSHOT_EXEMPT = frozenset(
     {
         "repro.cache.hierarchy._CachePort",
@@ -956,135 +831,67 @@ SNAPSHOT_EXEMPT = frozenset(
     }
 )
 
-#: Method-name prefixes counted as serializer code.  Helper pairs like
-#: ``_snapshot_global_barriers``/``_restore_global_barriers`` count, so a
-#: class may split its serializer without losing coverage credit.
-_SNAPSHOT_METHOD_PREFIXES = ("snapshot", "restore")
 
-
-def _is_snapshot_method(name: str) -> bool:
-    return name.lstrip("_").startswith(_SNAPSHOT_METHOD_PREFIXES)
+def _self_assignments(node: ast.ClassDef) -> dict[str, ast.AST]:
+    """First assignment statement of every ``self.x`` in the class body."""
+    sites: dict[str, ast.AST] = {}
+    for child in ast.walk(node):
+        if not isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        for target in child.targets if isinstance(child, ast.Assign) else [child.target]:
+            for item in target.elts if isinstance(target, ast.Tuple) else [target]:
+                if isinstance(item, ast.Attribute) and dotted_name(item.value) == "self":
+                    sites.setdefault(item.attr, child)
+    return sites
 
 
 @register_rule
 class SnapshotCoverageRule(Rule):
-    """VX007: inventory attributes are serialized or explicitly excluded."""
+    """VX007: assigned state is declared in ``STATE`` or ``SNAPSHOT_EXCLUDED``."""
 
     id = "VX007"
-    title = "snapshot-coverage"
+    title = "state-declaration"
     scope = STATE_SCOPE
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        actual = collect_state([module])
-        class_defs = {
-            node.name: node
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for component, attrs in actual.items():
-            class_name = component.rsplit(".", 1)[-1]
-            node = class_defs.get(class_name)
-            if node is None:  # pragma: no cover - collect_state saw it, so we will
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            methods = [
-                child
-                for child in node.body
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and _is_snapshot_method(child.name)
-            ]
-            if not methods:
-                if component in SNAPSHOT_EXEMPT:
-                    continue
+            component = f"{module.module}.{node.name}"
+            assigned = _self_assignments(node)
+            state = _class_literal(node, "STATE")
+            if state is None:
+                if assigned and component not in SNAPSHOT_EXEMPT:
+                    yield self.finding(
+                        module,
+                        node,
+                        node.name,
+                        f"no-state:{component}",
+                        f"`{component}` owns mutable state but declares no STATE table "
+                        "— derive its checkpoint from repro.common.state.Stateful or add "
+                        "it to SNAPSHOT_EXEMPT with a justification",
+                    )
+                continue
+            declared = state | (_class_literal(node, "SNAPSHOT_EXCLUDED") or set())
+            for attr, site in assigned.items():
+                if attr not in declared:
+                    yield self.finding(
+                        module,
+                        site,
+                        f"{node.name}.{attr}",
+                        f"uncovered:{component}.{attr}",
+                        f"`self.{attr}` in `{component}` is neither a STATE key nor in "
+                        "SNAPSHOT_EXCLUDED — a checkpoint would silently drop it and the "
+                        "restored run would diverge",
+                    )
+            for attr in sorted(state - assigned.keys()):
                 yield self.finding(
                     module,
                     node,
-                    class_name,
-                    f"no-serializer:{component}",
-                    f"`{component}` owns mutable state but defines no "
-                    "snapshot()/restore() methods — implement the Snapshotable "
-                    "protocol or add it to SNAPSHOT_EXEMPT with a justification",
+                    f"{node.name}.{attr}",
+                    f"stale:{component}.{attr}",
+                    f"STATE of `{component}` lists `{attr}`, which the class never assigns",
                 )
-                continue
-            covered = self._excluded_attrs(node)
-            for method in methods:
-                covered |= self._mentioned_attrs(method)
-            for attr in attrs:
-                if attr not in covered:
-                    yield self.finding(
-                        module,
-                        self._attr_site(node, attr) or node,
-                        f"{class_name}.{attr}",
-                        f"uncovered:{component}.{attr}",
-                        f"`self.{attr}` in `{component}` is not referenced by any "
-                        "snapshot*/restore* method and not declared in "
-                        "SNAPSHOT_EXCLUDED — a checkpoint would silently drop it "
-                        "and the restored run would diverge",
-                    )
-
-    @staticmethod
-    def _excluded_attrs(node: ast.ClassDef) -> set[str]:
-        """String entries of a class-level ``SNAPSHOT_EXCLUDED`` literal."""
-        excluded: set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign):
-                target, value = stmt.target, stmt.value
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target, value = stmt.targets[0], stmt.value
-            else:
-                continue
-            if not (isinstance(target, ast.Name) and target.id == "SNAPSHOT_EXCLUDED"):
-                continue
-            if value is None:
-                continue
-            if (
-                isinstance(value, ast.Call)
-                and dotted_name(value.func) == "frozenset"
-                and value.args
-            ):
-                value = value.args[0]
-            if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-                for element in value.elts:
-                    if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                        excluded.add(element.value)
-        return excluded
-
-    @staticmethod
-    def _mentioned_attrs(method: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        """Attributes a serializer method handles.
-
-        Counts ``self.x`` accesses and bare string literals: payload keys
-        conventionally match attribute names (modulo a leading underscore),
-        so ``{"next": self._next}`` credits both spellings.
-        """
-        mentioned: set[str] = set()
-        for child in ast.walk(method):
-            if (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.value, ast.Name)
-                and child.value.id == "self"
-            ):
-                mentioned.add(child.attr)
-            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                mentioned.add(child.value)
-                mentioned.add(f"_{child.value}")
-        return mentioned
-
-    @staticmethod
-    def _attr_site(node: ast.ClassDef, attr: str) -> ast.AST | None:
-        for child in ast.walk(node):
-            if isinstance(child, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    child.targets if isinstance(child, ast.Assign) else [child.target]
-                )
-                if any(
-                    isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                    and t.attr == attr
-                    for t in targets
-                ):
-                    return child
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 from repro.common.bitutils import to_uint32
 from repro.common.clock import DeviceClock
+from repro.common.state import COPY, VALUE, Stateful
 from repro.isa.csr import CSR, is_tex_csr
 
 
-class CsrFile:
+class CsrFile(Stateful):
     """CSR storage plus the contextual SIMT identification registers."""
+
+    STATE = {"_storage": COPY, "instret": VALUE, "tex_epoch": VALUE}
+    #: Identity and geometry, and the device clock the processor serializes.
+    SNAPSHOT_EXCLUDED = frozenset({"core_id", "num_warps", "num_threads", "num_cores", "clock"})
 
     def __init__(self, core_id: int, num_warps: int, num_threads: int, num_cores: int):
         self.core_id = core_id
@@ -98,21 +103,3 @@ class CsrFile:
     def raw(self, address: int, default: int = 0) -> int:
         """Read backing storage without SIMT context (used by texture units)."""
         return self._storage.get(int(address), default)
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot(self) -> dict[str, object]:
-        """Serialize storage plus the retired-instruction counter."""
-        return {
-            "storage": dict(self._storage),
-            "instret": self.instret,
-            "tex_epoch": self.tex_epoch,
-        }
-
-    def restore(self, payload: dict[str, object]) -> None:
-        """Restore CSR state from a :meth:`snapshot` payload."""
-        storage = payload["storage"]
-        assert isinstance(storage, dict)
-        self._storage = dict(storage)
-        self.instret = int(payload["instret"])  # type: ignore[call-overload]
-        self.tex_epoch = int(payload["tex_epoch"])  # type: ignore[call-overload]

@@ -10,8 +10,8 @@ DRAM model), and the deadlock-avoidance rules of the paper (early-full MSHR
 signal, never letting the memory request queue fill) are respected.
 """
 
-from repro.cache.mshr import Mshr, MshrEntry
-from repro.cache.bank import CacheBank, CacheResponse
+from repro.cache.mshr import CacheResponse, Mshr, MshrEntry
+from repro.cache.bank import CacheBank
 from repro.cache.cache import NonBlockingCache
 from repro.cache.sharedmem import SharedMemory
 from repro.cache.hierarchy import MemorySubsystem

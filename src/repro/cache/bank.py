@@ -1,4 +1,4 @@
-"""One cache bank: tag store, LRU state and MSHR — plus the response record.
+"""One cache bank: tag store, LRU state and MSHR.
 
 A bank is single-ported in hardware; the enclosing cache's bank selector
 guarantees that at most one cache line is accessed per bank per cycle (the
@@ -6,48 +6,33 @@ virtual multi-porting optimization lets several *requests* share that one
 line access — and one answer).  The bank therefore only models tag lookups,
 LRU replacement and its MSHR; the hit-latency delay between acceptance and
 response is the cache's one due bucket, not per-bank state.
-
-:class:`CacheResponse` is the one record of the accept/response half: built
-once when a bank accepts lanes, parked in the MSHR (misses) or the cache's
-due bucket, and handed to the requester as the same object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
-from typing import Any
-
-from repro.cache.mshr import Mshr
+from repro.cache.mshr import CacheResponse, Mshr
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, VALUE, Codec, Stateful
+
+#: The tag store: per set, tag -> last-use counter.
+_TAGS = Codec(
+    lambda bank, sets, refs: [dict(ways) for ways in sets],
+    lambda bank, data, sets, refs: [dict(ways) for ways in data],
+)
 
 
-@dataclass(slots=True)
-class CacheResponse:
-    """The lanes of one run a bank accepted in one step, and their answer.
+class CacheBank(Stateful):
+    """Tag/data arrays plus MSHR for one bank.
 
-    ``addresses`` are consecutive lanes on one line sharing ``tag``, hit
-    flag and response ``cycle`` (set when the response is scheduled).  A
-    record is a grouping of adjacent per-lane responses, nothing more: any
-    partition of the same lane stream delivers the same answers in the same
-    order, so checkpoints keep one wire entry per lane.
+    The bank's share of the cache's due bucket travels in its payload too,
+    under ``"pending"`` (see :class:`~repro.cache.cache.NonBlockingCache`).
     """
-
-    addresses: tuple[int, ...]
-    is_write: bool
-    tag: Any
-    accept_cycle: int
-    hit: bool
-    cycle: int = 0
-
-
-class CacheBank:
-    """Tag/data arrays plus MSHR for one bank."""
 
     #: Counter schema (vxlint VX003).
     COUNTERS = frozenset({"evictions", "fills"})
 
+    STATE = {"_tags": _TAGS, "_use_counter": VALUE, "mshr": CHILD, "perf": CHILD}
     #: Construction-time geometry; rebuilt by ``__init__`` (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"bank_id", "config", "num_sets", "num_ways"})
 
@@ -113,58 +98,6 @@ class CacheBank:
             self.perf.incr("evictions")
         ways[tag] = self._use_counter
         return evicted
-
-    # -- checkpoint/restore ----------------------------------------------------------
-
-    def snapshot(
-        self, encode_tag: Callable[[Any], Any], due: list[tuple[int, CacheResponse]]
-    ) -> dict:
-        """Serialize tag store, LRU state, MSHR and scheduled responses.
-
-        ``due`` is this bank's share of the cache's due bucket as
-        ``(ready cycle, record)`` in delivery order.  The wire format is per
-        lane — one ``(ready, lane, hit)`` per address — whatever the records.
-        """
-
-        def lanes(record: CacheResponse) -> list[dict]:
-            tag = encode_tag(record.tag)
-            return [
-                {
-                    "address": address,
-                    "is_write": record.is_write,
-                    "tag": tag,
-                    "accept_cycle": record.accept_cycle,
-                }
-                for address in record.addresses
-            ]
-
-        return {
-            "tags": [dict(ways) for ways in self._tags],
-            "use_counter": self._use_counter,
-            "mshr": self.mshr.snapshot(lanes),
-            "pending": [
-                (ready, lane, record.hit) for ready, record in due for lane in lanes(record)
-            ],
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(
-        self, payload: dict, decode_tag: Callable[[Any], Any]
-    ) -> list[tuple[int, CacheResponse]]:
-        """Restore bank state; returns the scheduled ``(ready cycle, record)``
-        list (one singleton record per wire lane) for the cache's due bucket."""
-
-        def record(data: dict, hit: bool = False) -> CacheResponse:
-            return CacheResponse(
-                (data["address"],), data["is_write"], decode_tag(data["tag"]),
-                data["accept_cycle"], hit,
-            )
-
-        self._tags = [dict(ways) for ways in payload["tags"]]
-        self._use_counter = payload["use_counter"]
-        self.mshr.restore(payload["mshr"], record)
-        self.perf.restore(payload["perf"])
-        return [(ready, record(data, hit)) for ready, data, hit in payload["pending"]]
 
     # -- request handling ------------------------------------------------------------
 

@@ -36,14 +36,48 @@ from collections.abc import Callable
 from operator import itemgetter
 from typing import Any
 
-from repro.cache.bank import CacheBank, CacheResponse
+from repro.cache.bank import CacheBank
+from repro.cache.mshr import CacheResponse, lane_record, record_lanes
 from repro.common.clock import DeviceClock
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, COPY, Codec, Stateful
 from repro.trace.events import NO_WARP
 
 
 _bank_of = itemgetter(0)
+
+
+def _snapshot_banks(
+    cache: NonBlockingCache, banks: list[CacheBank], encode_tag: Callable[[Any], Any]
+) -> list[dict]:
+    payloads = [{**bank.snapshot(encode_tag), "pending": []} for bank in banks]
+    for ready in sorted(cache._due):
+        for bank_id, record in cache._due[ready]:
+            payloads[bank_id]["pending"].extend(
+                (ready, lane, record.hit) for lane in record_lanes(record, encode_tag)
+            )
+    return payloads
+
+
+def _restore_banks(
+    cache: NonBlockingCache, data: list[dict], banks: list[CacheBank], decode_tag: Callable
+) -> list[CacheBank]:
+    cache._due.clear()
+    for bank, bank_data in zip(banks, data):
+        bank.restore(bank_data, decode_tag)
+        for ready, lane, hit in bank_data["pending"]:
+            record = lane_record(lane, decode_tag, hit)
+            # Already due (the ``hit_latency=0`` wire shape): next tick.
+            record.cycle = ready = max(ready, cache.clock.now + 1)
+            cache._due[ready].append((bank.bank_id, record))
+    return banks
+
+
+#: Every bank, each with its share of the due bucket as ``"pending"``
+#: ``(ready cycle, lane, hit)`` — per lane, whatever the records; restore
+#: books one singleton record per wire lane.
+_BANKS = Codec(_snapshot_banks, _restore_banks)
 
 
 class LowerPort:
@@ -97,7 +131,7 @@ class LowerPort:
         return None
 
 
-class NonBlockingCache:
+class NonBlockingCache(Stateful):
     """Multi-banked, non-blocking, virtually multi-ported cache."""
 
     #: Counter schema (vxlint VX003): every literal key charged against this
@@ -119,17 +153,20 @@ class NonBlockingCache:
         }
     )
 
+    STATE = {"_accepts_this_cycle": COPY, "banks": _BANKS, "perf": CHILD}
     #: Construction-time identity, wiring and hot-path prebinds (vxlint
     #: VX007): ``lower`` is topology, ``_line_size``/``_num_banks``/
     #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key); the
-    #: processor serializes the device clock.
+    #: due bucket travels per bank in ``banks``; the processor serializes the
+    #: device clock.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
             "config",
             "clock",
             "lower",
+            "_due",
             "_line_size",
             "_num_banks",
             "_num_ports",
@@ -549,37 +586,6 @@ class NonBlockingCache:
         if accepted_count:
             counters["accepted"] += accepted_count
         return accepted_count, refused, budget
-
-    # -- checkpoint/restore --------------------------------------------------------------------
-
-    def snapshot(self, encode_tag: Callable[[Any], Any]) -> dict:
-        """Serialize per-cycle accept state and every bank.
-
-        ``encode_tag`` maps request tags to plain data (lower-level fill
-        tags carry live cache references; the memory subsystem encodes them
-        by cache name).
-        """
-        due: list[list[tuple[int, CacheResponse]]] = [[] for _ in self.banks]
-        for ready in sorted(self._due):
-            for bank_id, record in self._due[ready]:
-                due[bank_id].append((ready, record))
-        return {
-            "accepts_this_cycle": dict(self._accepts_this_cycle),
-            "banks": [bank.snapshot(encode_tag, due[bank.bank_id]) for bank in self.banks],
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict, decode_tag: Callable[[Any], Any]) -> None:
-        """Restore cache state from a :meth:`snapshot` payload."""
-        self._accepts_this_cycle.clear()
-        self._accepts_this_cycle.update(payload["accepts_this_cycle"])
-        self._due.clear()
-        for bank, bank_payload in zip(self.banks, payload["banks"]):
-            for ready, record in bank.restore(bank_payload, decode_tag):
-                # Already due (the ``hit_latency=0`` wire shape): next tick.
-                record.cycle = ready = max(ready, self.clock.now + 1)
-                self._due[ready].append((bank.bank_id, record))
-        self.perf.restore(payload["perf"])
 
     # -- back-end: fills and responses -------------------------------------------------------
 

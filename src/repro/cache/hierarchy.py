@@ -16,6 +16,7 @@ from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
+from repro.common.state import CHILD, Codec, Stateful, child_via
 from repro.mem.dram import DramModel, MemRequest
 
 
@@ -100,12 +101,40 @@ class _CachePort(LowerPort):
         cache.send_batch(requests, len(requests), True, None)
 
 
-class MemorySubsystem:
+def _restore_levels(
+    memsys: MemorySubsystem, data: dict, levels: list[NonBlockingCache], refs: object
+) -> list[NonBlockingCache]:
+    """The cache-name key set is the wiring (the driver-level envelope holds
+    the configuration equal): only the state is restored."""
+    caches = memsys._caches_by_name()
+    if set(data) != set(caches):
+        raise ValueError(
+            "cache hierarchy mismatch: snapshot has "
+            f"{sorted(data)}, subsystem has {sorted(caches)}"
+        )
+    for name, payload in data.items():
+        caches[name].restore(payload, memsys._decode_tag)
+    return levels
+
+
+#: Every cache level keyed by name, tags encoded by cache name.
+_LEVELS = Codec(
+    lambda memsys, levels, refs: {
+        cache.name: cache.snapshot(memsys._encode_tag) for cache in levels
+    },
+    _restore_levels,
+    "caches",
+)
+
+
+class MemorySubsystem(Stateful):
     """All caches plus the DRAM model for one Vortex processor."""
 
+    #: The cache levels first: a hierarchy mismatch is refused before the
+    #: DRAM queue changes.
+    STATE = {"_levels": _LEVELS, "dram": child_via("_encode_tag", "_decode_tag"), "perf": CHILD}
     #: Construction-time topology (vxlint VX007): the level references are
-    #: wiring into ``_levels``, whose caches serialize by name in
-    #: :meth:`snapshot`; the processor serializes the device clock.
+    #: wiring into ``_levels``; the processor serializes the device clock.
     SNAPSHOT_EXCLUDED = frozenset({"config", "clock", "l2", "l3", "icaches", "dcaches"})
 
     def __init__(self, config: VortexConfig, clock: DeviceClock | None = None):
@@ -255,34 +284,6 @@ class MemorySubsystem:
 
     def _caches_by_name(self) -> dict[str, NonBlockingCache]:
         return {cache.name: cache for cache in self._levels}
-
-    def snapshot(self) -> dict:
-        """Serialize DRAM plus every cache level (keyed by cache name)."""
-        return {
-            "dram": self.dram.snapshot(self._encode_tag),
-            "caches": {
-                cache.name: cache.snapshot(self._encode_tag) for cache in self._levels
-            },
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the hierarchy from a :meth:`snapshot` payload.
-
-        The subsystem must have been built from the same configuration (the
-        driver-level envelope enforces this via the config fingerprint): the
-        cache-name key set is the wiring, only the state is restored.
-        """
-        caches = self._caches_by_name()
-        if set(payload["caches"]) != set(caches):
-            raise ValueError(
-                "cache hierarchy mismatch: snapshot has "
-                f"{sorted(payload['caches'])}, subsystem has {sorted(caches)}"
-            )
-        self.dram.restore(payload["dram"], self._decode_tag)
-        for name, cache_payload in payload["caches"].items():
-            caches[name].restore(cache_payload, self._decode_tag)
-        self.perf.restore(payload["perf"])
 
     # -- fast-forward ------------------------------------------------------------------
 

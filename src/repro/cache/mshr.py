@@ -6,6 +6,10 @@ holding the list of core requests waiting for that line.  Only the first
 miss to a line issues a fill to the next memory level; subsequent misses to
 the same line merge into the existing entry, and all of them replay when
 the fill returns.
+
+:class:`CacheResponse` is the one record of a cache's accept/response half:
+built once when a bank accepts lanes, parked in the MSHR (misses) or the
+cache's due bucket, and handed to the requester as the same object.
 """
 
 from __future__ import annotations
@@ -15,6 +19,49 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.perf import hot_path
+from repro.common.state import VALUE, Codec, Stateful
+
+
+@dataclass(slots=True)
+class CacheResponse:
+    """The lanes of one run a bank accepted in one step, and their answer.
+
+    ``addresses`` are consecutive lanes on one line sharing ``tag``, hit
+    flag and response ``cycle`` (set when the response is scheduled).  A
+    record is a grouping of adjacent per-lane responses, nothing more: any
+    partition of the same lane stream delivers the same answers in the same
+    order, so checkpoints keep one wire entry per lane (:func:`record_lanes`).
+    """
+
+    addresses: tuple[int, ...]
+    is_write: bool
+    tag: Any
+    accept_cycle: int
+    hit: bool
+    cycle: int = 0
+
+
+def record_lanes(record: CacheResponse, encode_tag: Callable[[Any], Any]) -> list[dict]:
+    """Checkpoint codec: one plain ``{address, is_write, tag, accept_cycle}`` per lane."""
+    tag = encode_tag(record.tag)
+    return [
+        {
+            "address": address,
+            "is_write": record.is_write,
+            "tag": tag,
+            "accept_cycle": record.accept_cycle,
+        }
+        for address in record.addresses
+    ]
+
+
+def lane_record(
+    lane: dict, decode_tag: Callable[[Any], Any], hit: bool = False
+) -> CacheResponse:
+    """Invert :func:`record_lanes` for one lane: a singleton record."""
+    return CacheResponse(
+        (lane["address"],), lane["is_write"], decode_tag(lane["tag"]), lane["accept_cycle"], hit
+    )
 
 
 @dataclass
@@ -26,9 +73,40 @@ class MshrEntry:
     waiting: list[Any] = field(default_factory=list)
 
 
-class Mshr:
+def _restore_entries(
+    mshr: Mshr, data: list, entries: dict[int, MshrEntry], decode_tag: Callable[[Any], Any]
+) -> dict[int, MshrEntry]:
+    entries.clear()
+    for line, entry in data:
+        waiting = [lane_record(lane, decode_tag) for lane in entry["waiting"]]
+        entries[line] = MshrEntry(line, entry["fill_issued"], waiting)
+    return entries
+
+
+def _encode_entries(
+    mshr: Mshr, entries: dict[int, MshrEntry], encode: Callable[[Any], Any]
+) -> list[tuple[int, dict]]:
+    encoded = []
+    for line, entry in entries.items():
+        waiting = [lane for record in entry.waiting for lane in record_lanes(record, encode)]
+        encoded.append((line, {"fill_issued": entry.fill_issued, "waiting": waiting}))
+    return encoded
+
+
+#: The outstanding-miss table in entry order, one ``waiting`` item per lane.
+_ENTRIES = Codec(_encode_entries, _restore_entries)
+
+
+class Mshr(Stateful):
     """A bounded table of :class:`MshrEntry` keyed by line address."""
 
+    STATE = {
+        "_entries": _ENTRIES,
+        "almost_full": VALUE,
+        "peak_occupancy": VALUE,
+        "merged": VALUE,
+        "allocations": VALUE,
+    }
     #: Construction-time capacity and its precomputed threshold (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"capacity", "_almost_full_at"})
 
@@ -93,48 +171,6 @@ class Mshr:
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
         return entry
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot(self, encode_lanes: Callable[[Any], list[Any]]) -> dict:
-        """Serialize the outstanding-miss table (entry order preserved).
-
-        ``encode_lanes`` maps a waiting request to its per-lane plain data
-        (the wire holds one ``waiting`` item per lane); the owning
-        :class:`~repro.cache.bank.CacheBank` supplies the codec.
-        """
-        return {
-            "entries": [
-                (
-                    line,
-                    {
-                        "fill_issued": entry.fill_issued,
-                        "waiting": [
-                            lane for request in entry.waiting for lane in encode_lanes(request)
-                        ],
-                    },
-                )
-                for line, entry in self._entries.items()
-            ],
-            "almost_full": self.almost_full,
-            "peak_occupancy": self.peak_occupancy,
-            "merged": self.merged,
-            "allocations": self.allocations,
-        }
-
-    def restore(self, payload: dict, decode_request: Callable[[Any], Any]) -> None:
-        """Restore the miss table from a :meth:`snapshot` payload."""
-        self._entries.clear()
-        for line, data in payload["entries"]:
-            self._entries[line] = MshrEntry(
-                line_address=line,
-                fill_issued=data["fill_issued"],
-                waiting=[decode_request(request) for request in data["waiting"]],
-            )
-        self.almost_full = payload["almost_full"]
-        self.peak_occupancy = payload["peak_occupancy"]
-        self.merged = payload["merged"]
-        self.allocations = payload["allocations"]
 
     def release(self, line_address: int) -> list[Any]:
         """Remove the entry for ``line_address`` and return its waiting requests."""

@@ -14,6 +14,7 @@ from typing import Any
 
 from repro.common.clock import DeviceClock
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, COPY, Codec, Stateful
 from repro.trace.events import NO_WARP
 
 #: Base of the shared-memory window; core ``i`` owns one window of
@@ -43,14 +44,28 @@ class SharedResponse:
     cycle: int
 
 
-class SharedMemory:
+#: Pending accesses as ``(ready cycle, access)``.  Scratchpad tags are
+#: core-local plain tuples (``("op", op_id)``): no ``refs`` needed.
+_PENDING = Codec(
+    lambda smem, pending, refs: [(ready, vars(response).copy()) for ready, response in pending],
+    lambda smem, data, pending, refs: [
+        (ready, SharedResponse(**response)) for ready, response in data
+    ],
+)
+
+
+class SharedMemory(Stateful):
     """Banked scratchpad with single-cycle access and bank-conflict serialization."""
 
     #: Counter schema (vxlint VX003).
     COUNTERS = frozenset({"attempts", "bank_conflicts", "reads", "writes"})
 
-    #: Construction-time geometry, and the processor's clock (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"core_id", "size", "num_banks", "latency", "trace", "clock"})
+    STATE = {"_accepts_this_cycle": COPY, "_pending": _PENDING, "perf": CHILD}
+    #: Construction-time geometry and window, and the processor's clock
+    #: (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset(
+        {"core_id", "size", "num_banks", "latency", "base", "limit", "trace", "clock"}
+    )
 
     def __init__(self, core_id: int, size: int, num_banks: int = 4, latency: int = 1):
         self.core_id = core_id
@@ -193,49 +208,6 @@ class SharedMemory:
             for resp in ready:
                 resp.cycle = now
         return ready
-
-    # -- checkpoint/restore ------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize per-cycle accept state and pending accesses.
-
-        Scratchpad tags are core-local plain tuples (``("op", op_id)``), so
-        no tag codec is needed at this layer.
-        """
-        return {
-            "accepts_this_cycle": dict(self._accepts_this_cycle),
-            "pending": [
-                (
-                    ready_cycle,
-                    {
-                        "address": response.address,
-                        "is_write": response.is_write,
-                        "tag": response.tag,
-                        "cycle": response.cycle,
-                    },
-                )
-                for ready_cycle, response in self._pending
-            ],
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore scratchpad state from a :meth:`snapshot` payload."""
-        self._accepts_this_cycle.clear()
-        self._accepts_this_cycle.update(payload["accepts_this_cycle"])
-        self._pending = [
-            (
-                ready_cycle,
-                SharedResponse(
-                    address=data["address"],
-                    is_write=data["is_write"],
-                    tag=data["tag"],
-                    cycle=data["cycle"],
-                ),
-            )
-            for ready_cycle, data in payload["pending"]
-        ]
-        self.perf.restore(payload["perf"])
 
     # -- fast-forward ------------------------------------------------------------------
 

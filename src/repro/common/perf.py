@@ -17,6 +17,8 @@ from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping
 from typing import TypeVar
 
+from repro.common.state import COPY, Stateful
+
 _F = TypeVar("_F", bound=Callable[..., object])
 
 
@@ -33,7 +35,7 @@ def hot_path(func: _F) -> _F:
     return func
 
 
-class PerfCounters:
+class PerfCounters(Stateful):
     """A dictionary of monotonically increasing counters with derived ratios.
 
     Counter *keys* are governed by vxlint VX003: every literal key used
@@ -41,6 +43,12 @@ class PerfCounters:
     path) must appear in some component's ``COUNTERS`` schema — a
     class-level ``frozenset`` of the counter names that component owns.
     """
+
+    #: The payload is the counter dict itself, refilled in place: hot paths
+    #: prebind ``_counters``.
+    STATE = {"_counters": COPY._replace(key="")}
+    #: Display name, construction-time identity (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"name"})
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -84,18 +92,6 @@ class PerfCounters:
 
     def reset(self) -> None:
         self._counters.clear()
-
-    # -- checkpoint/restore -------------------------------------------------------
-
-    def snapshot(self) -> dict[str, int]:
-        """Serialize the counter values (see ``repro.runtime.checkpoint``)."""
-        return dict(self._counters)
-
-    def restore(self, payload: Mapping[str, int]) -> None:
-        """Restore counter values from a :meth:`snapshot` payload."""
-        self._counters.clear()
-        for key, value in payload.items():
-            self._counters[key] = value
 
     def __contains__(self, counter: str) -> bool:
         return counter in self._counters

@@ -14,6 +14,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
+from repro.common.state import VALUE, Codec, Stateful, child_via
+
 #: Barrier ids with this bit set have global (inter-core) scope.
 GLOBAL_BARRIER_FLAG = 1 << 31
 
@@ -53,10 +55,32 @@ class _BarrierEntry:
     waiting: dict[Any, None] = field(default_factory=dict)
 
 
-class BarrierTable:
+def _restore_entries(
+    table: BarrierTable, data: list, entries: dict[int, _BarrierEntry], decode: Callable
+) -> dict[int, _BarrierEntry]:
+    entries.clear()
+    for index, expected, waiting in data:
+        entries[index] = _BarrierEntry(expected, {decode(encoded): None for encoded in waiting})
+    return entries
+
+
+#: In-progress barriers in arrival order.  Participants are live objects
+#: (warps, or (core, warp, warp-object) triples): the owning scope's ``refs``
+#: map them to plain indices and rebind them on restore.
+_ENTRIES = Codec(
+    lambda table, entries, encode: [
+        (index, entry.expected, [encode(participant) for participant in entry.waiting])
+        for index, entry in entries.items()
+    ],
+    _restore_entries,
+)
+
+
+class BarrierTable(Stateful):
     """Barrier bookkeeping for one scope (a core, or the whole processor)."""
 
-    #: Construction-time table size (vxlint VX007).
+    STATE = {"_entries": _ENTRIES, "arrivals": VALUE, "releases": VALUE, "mismatches": VALUE}
+    #: Construction-time table size and the tracing hook (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"num_barriers", "on_event"})
 
     def __init__(self, num_barriers: int = 16):
@@ -112,41 +136,6 @@ class BarrierTable:
             self.on_event(index, expected, participant, [])
         return []
 
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot(self, encode_participant: Callable[[Any], Any]) -> dict:
-        """Serialize the in-progress barriers, preserving arrival order.
-
-        Participants are live objects (warps, or (core, warp, warp-object)
-        triples); the owning scope supplies ``encode_participant`` to map
-        them to plain indices and rebinds them on restore.
-        """
-        return {
-            "entries": [
-                (
-                    index,
-                    entry.expected,
-                    [encode_participant(participant) for participant in entry.waiting],
-                )
-                for index, entry in self._entries.items()
-            ],
-            "arrivals": self.arrivals,
-            "releases": self.releases,
-            "mismatches": self.mismatches,
-        }
-
-    def restore(self, payload: dict, decode_participant: Callable[[Any], Any]) -> None:
-        """Restore barrier state from a :meth:`snapshot` payload."""
-        self._entries.clear()
-        for index, expected, waiting in payload["entries"]:
-            entry = _BarrierEntry(expected=expected)
-            for encoded in waiting:
-                entry.waiting[decode_participant(encoded)] = None
-            self._entries[index] = entry
-        self.arrivals = payload["arrivals"]
-        self.releases = payload["releases"]
-        self.mismatches = payload["mismatches"]
-
     def waiting_on(self, barrier_id: int) -> list[Any]:
         """Participants currently stalled on ``barrier_id``."""
         index = local_barrier_index(barrier_id) % max(self.num_barriers, 1)
@@ -161,3 +150,8 @@ class BarrierTable:
     def pending_barriers(self) -> list[int]:
         """Barrier indices currently holding stalled participants."""
         return sorted(index for index, entry in self._entries.items() if entry.waiting)
+
+
+#: A barrier table whose owner maps participants with its
+#: ``_encode_participant``/``_decode_participant`` methods.
+PARTICIPANTS = child_via("_encode_participant", "_decode_participant")

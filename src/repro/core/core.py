@@ -15,14 +15,15 @@ from typing import Any
 
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
-from repro.core.barrier import BarrierTable, is_global_barrier
+from repro.common.state import CHILD, CHILDREN, Stateful
+from repro.core.barrier import PARTICIPANTS, BarrierTable, is_global_barrier
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, StepResult, WarpEmulator
 from repro.core.warp import Warp
 from repro.arch.csr import CsrFile
 from repro.texture.unit import TextureUnit
 
 
-class SimtCore:
+class SimtCore(Stateful):
     """One Vortex core executing at instruction (functional) granularity."""
 
     #: Emulator to instantiate; the vectorized engine substitutes its own.
@@ -43,9 +44,18 @@ class SimtCore:
         }
     )
 
+    #: Barrier participants are this core's warps, encoded as warp ids.
+    STATE = {
+        "warps": CHILDREN,
+        "csr": CHILD,
+        "barriers": PARTICIPANTS,
+        "perf": CHILD,
+        "tex_unit": CHILD._replace(key="tex_perf"),
+    }
     #: Construction-time wiring (vxlint VX007): memory serializes at the
-    #: processor level, the processor backref is topology.
-    SNAPSHOT_EXCLUDED = frozenset({"core_id", "config", "memory", "processor"})
+    #: processor level, the processor backref is topology, and the
+    #: emulator's decode cache derives from memory contents.
+    SNAPSHOT_EXCLUDED = frozenset({"core_id", "config", "memory", "processor", "emulator"})
 
     def __init__(
         self,
@@ -91,32 +101,15 @@ class SimtCore:
 
     # -- checkpoint/restore --------------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Serialize the core's architectural state.
+    def _encode_participant(self, warp: Warp) -> int:
+        return warp.warp_id
 
-        Barrier participants are this core's warp objects; they are encoded
-        as warp ids and rebound on restore.  The emulator's decode cache is
-        derived from memory contents and excluded (invalidated on restore).
-        """
-        return {
-            "warps": [warp.snapshot() for warp in self.warps],
-            "csr": self.csr.snapshot(),
-            "barriers": self.barriers.snapshot(lambda warp: warp.warp_id),
-            "perf": self.perf.snapshot(),
-            "tex_perf": self.tex_unit.perf.snapshot() if self.tex_unit is not None else None,
-        }
+    def _decode_participant(self, warp_id: int) -> Warp:
+        return self.warps[warp_id]
 
-    def restore(self, payload: dict) -> None:
-        """Restore the core from a :meth:`snapshot` payload."""
-        for warp, warp_payload in zip(self.warps, payload["warps"]):
-            warp.restore(warp_payload)
-        self.csr.restore(payload["csr"])
-        self.barriers.restore(payload["barriers"], lambda warp_id: self.warps[warp_id])
-        self.perf.restore(payload["perf"])
-        if self.tex_unit is not None:
-            if payload["tex_perf"] is not None:
-                self.tex_unit.perf.restore(payload["tex_perf"])
-            self.tex_unit.invalidate_state_cache()
+    def after_restore(self) -> None:
+        """The restored memory image may hold a different program than the
+        decodes and every warp's plans were built against."""
         self.emulator.invalidate_decode_cache()
 
     # -- callbacks used by the emulator ------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.common.state import VALUE, Codec, Stateful
+
 
 class IpdomOverflow(Exception):
     """Raised when a warp diverges deeper than the hardware stack allows."""
@@ -32,9 +34,17 @@ class IpdomEntry:
         return self.pc is None
 
 
-class IpdomStack:
+#: Divergence contexts as ``(tmask, pc)`` pairs, bottom of stack first.
+_ENTRIES = Codec(
+    lambda stack, entries, refs: [(entry.tmask, entry.pc) for entry in entries],
+    lambda stack, data, entries, refs: [IpdomEntry(tmask=tmask, pc=pc) for tmask, pc in data],
+)
+
+
+class IpdomStack(Stateful):
     """A bounded stack of divergence contexts."""
 
+    STATE = {"_entries": _ENTRIES, "max_occupancy": VALUE}
     #: Construction-time depth bound (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"depth"})
 
@@ -72,17 +82,3 @@ class IpdomStack:
 
     def clear(self) -> None:
         self._entries.clear()
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the divergence contexts (bottom of stack first)."""
-        return {
-            "entries": [(entry.tmask, entry.pc) for entry in self._entries],
-            "max_occupancy": self.max_occupancy,
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the stack from a :meth:`snapshot` payload."""
-        self._entries = [IpdomEntry(tmask=tmask, pc=pc) for tmask, pc in payload["entries"]]
-        self.max_occupancy = payload["max_occupancy"]

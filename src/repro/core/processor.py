@@ -17,22 +17,21 @@ from repro.cache.hierarchy import MemorySubsystem
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
-from repro.core.barrier import BarrierTable
+from repro.common.state import CHILD, CHILDREN, VALUE, Codec, Stateful
+from repro.core.barrier import PARTICIPANTS, BarrierTable
 from repro.core.core import SimtCore
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, SimulationStalled
 from repro.core.timing import TimingCore
 from repro.mem.memory import MainMemory
 
 
-class _GlobalBarrierMixin:
+class _GlobalBarrierMixin(Stateful):
     """Global-barrier bookkeeping shared by both processor models."""
 
     #: Provided by the concrete processor (the mixin rebinds barrier
     #: participants to these cores' warps on restore).
     cores: list[Any]
-
-    def _init_global_barriers(self, num_barriers: int = 16) -> None:
-        self._global_barriers = BarrierTable(num_barriers)
+    _global_barriers: BarrierTable
 
     def global_barrier_arrive(self, core: Any, warp: Any, barrier_id: int, count: int) -> bool:
         """Register ``warp`` of ``core`` at a global barrier.
@@ -49,20 +48,22 @@ class _GlobalBarrierMixin:
         warp.at_barrier = True
         return True
 
-    def _snapshot_global_barriers(self) -> dict:
-        """Serialize ``_global_barriers``; participants become (core, warp) id pairs."""
-        return self._global_barriers.snapshot(
-            lambda participant: [participant[0], participant[1]]
-        )
+    def _encode_participant(self, participant: tuple[int, int, Any]) -> list[int]:
+        return [participant[0], participant[1]]
 
-    def _restore_global_barriers(self, payload: dict) -> None:
-        """Restore ``_global_barriers``, rebinding id pairs to live warp objects."""
+    def _decode_participant(self, encoded: list[int]) -> tuple[int, int, Any]:
+        core_id, warp_id = encoded
+        return (core_id, warp_id, self.cores[core_id].warps[warp_id])
 
-        def decode(encoded: Any) -> tuple[int, int, Any]:
-            core_id, warp_id = encoded
-            return (core_id, warp_id, self.cores[core_id].warps[warp_id])
 
-        self._global_barriers.restore(payload, decode)
+def _restore_clock(processor: Any, now: int, clock: DeviceClock, refs: object) -> DeviceClock:
+    clock.now = now
+    return clock
+
+
+#: The device clock travels as its reading, restored first: the cache levels
+#: read it restoring.
+_CLOCK = Codec(lambda processor, clock, refs: clock.now, _restore_clock, "now")
 
 
 class Processor(_GlobalBarrierMixin):
@@ -74,6 +75,15 @@ class Processor(_GlobalBarrierMixin):
     #: Counter schema (vxlint VX003): processor-level totals.
     COUNTERS = frozenset({"instructions"})
 
+    STATE = {
+        "memory": CHILD,
+        "cores": CHILDREN,
+        "_global_barriers": PARTICIPANTS,
+        "perf": CHILD,
+    }
+    #: Configuration identity; fixed at construction (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config"})
+
     def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
         self.config = config or VortexConfig()
         self.memory = memory or MainMemory()
@@ -82,7 +92,7 @@ class Processor(_GlobalBarrierMixin):
             for core_id in range(self.config.num_cores)
         ]
         self.perf = PerfCounters("processor")
-        self._init_global_barriers()
+        self._global_barriers = BarrierTable(16)
 
     def reset(self, entry_pc: int) -> None:
         """Reset every core; each starts warp 0 / thread 0 at ``entry_pc``."""
@@ -138,28 +148,6 @@ class Processor(_GlobalBarrierMixin):
         self.perf.incr("instructions", executed)
         return executed
 
-    # -- checkpoint/restore ---------------------------------------------------------------
-
-    #: Configuration identity; fixed at construction (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config"})
-
-    def snapshot(self) -> dict:
-        """Serialize the processor: memory image, every core, global barriers."""
-        return {
-            "memory": self.memory.snapshot(),
-            "cores": [core.snapshot() for core in self.cores],
-            "global_barriers": self._snapshot_global_barriers(),
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the processor from a :meth:`snapshot` payload."""
-        self.memory.restore(payload["memory"])
-        for core, core_payload in zip(self.cores, payload["cores"]):
-            core.restore(core_payload)
-        self._restore_global_barriers(payload["global_barriers"])
-        self.perf.restore(payload["perf"])
-
     def counters(self) -> dict[str, dict[str, int]]:
         """Per-core counter snapshot."""
         return {f"core{core.core_id}": core.perf.as_dict() for core in self.cores}
@@ -180,6 +168,20 @@ class TimingProcessor(_GlobalBarrierMixin):
     #: Deadlock watchdog: :meth:`run` raises :class:`SimulationStalled` after
     #: this many cycles in a row with nothing retired and no memory traffic.
     NO_PROGRESS_LIMIT = 200_000
+
+    STATE = {
+        "clock": _CLOCK,
+        "launch_start": VALUE,
+        "_launch_instructions": VALUE,
+        "_launch_thread_instructions": VALUE,
+        "memory": CHILD,
+        "memsys": CHILD,
+        "cores": CHILDREN,
+        "_global_barriers": PARTICIPANTS,
+    }
+    #: Configuration identity and the trace bus; fixed at construction
+    #: (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace"})
 
     def __init__(
         self,
@@ -204,7 +206,7 @@ class TimingProcessor(_GlobalBarrierMixin):
         #: Where the launch started: clock and retired totals at :meth:`reset`.
         self.launch_start = 0
         self._launch_instructions = self._launch_thread_instructions = 0
-        self._init_global_barriers()
+        self._global_barriers = BarrierTable(16)
 
     def reset(self, entry_pc: int) -> None:
         """Reset every core; a launch starts at the current clock reading."""
@@ -247,37 +249,6 @@ class TimingProcessor(_GlobalBarrierMixin):
                 icache_responses=responses.get(("i", core.core_id)),
                 dcache_responses=responses.get(("d", core.core_id)),
             )
-
-    # -- checkpoint/restore ---------------------------------------------------------------
-
-    #: Configuration identity and the trace bus; fixed at construction
-    #: (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "trace"})
-
-    def snapshot(self) -> dict:
-        """Serialize the whole cycle-level processor at a cycle boundary."""
-        return {
-            "memory": self.memory.snapshot(),
-            "memsys": self.memsys.snapshot(),
-            "cores": [core.snapshot() for core in self.cores],
-            "global_barriers": self._snapshot_global_barriers(),
-            "now": self.clock.now,
-            "launch_start": self.launch_start,
-            "launch_instructions": self._launch_instructions,
-            "launch_thread_instructions": self._launch_thread_instructions,
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the processor from a :meth:`snapshot` payload."""
-        self.clock.now = payload["now"]  # first: the cache levels read it restoring
-        self.launch_start = payload["launch_start"]
-        self._launch_instructions = payload["launch_instructions"]
-        self._launch_thread_instructions = payload["launch_thread_instructions"]
-        self.memory.restore(payload["memory"])
-        self.memsys.restore(payload["memsys"])
-        for core, core_payload in zip(self.cores, payload["cores"]):
-            core.restore(core_payload)
-        self._restore_global_barriers(payload["global_barriers"])
 
     def run(
         self,
@@ -334,7 +305,9 @@ class TimingProcessor(_GlobalBarrierMixin):
                             self.cycle,
                             self.NO_PROGRESS_LIMIT,
                             [core.stall_forensics() for core in self.cores],
-                            self._snapshot_global_barriers()["entries"],
+                            self._global_barriers.snapshot(self._encode_participant)[
+                                "entries"
+                            ],
                         )
                 else:
                     idle_cycles = 0

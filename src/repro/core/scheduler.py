@@ -38,14 +38,30 @@ from __future__ import annotations
 
 from repro.common.config import SCHEDULER_POLICIES
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, COPY, VALUE, Stateful
 
 
-class WavefrontScheduler:
+class WavefrontScheduler(Stateful):
     """Wavefront scheduler for one core (policy-selectable)."""
 
     #: Counter schema (vxlint VX003).
     COUNTERS = frozenset({"idle_cycles", "refills", "selections", "switches"})
 
+    #: Everything the policies consult: a restored scheduler replays
+    #: selections identically.
+    STATE = {
+        "active_mask": VALUE,
+        "stalled_mask": VALUE,
+        "barrier_mask": VALUE,
+        "visible_mask": VALUE,
+        "_last_selected": VALUE,
+        "_issue_stamps": COPY,
+        "_next_stamp": VALUE,
+        "_last_lines": COPY,
+        "_current_line": VALUE,
+        "_hazard_mask": VALUE,
+        "perf": CHILD,
+    }
     #: Construction-time policy wiring (vxlint VX007): ``_select`` is the
     #: bound policy method, a pure function of ``policy``; ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key).
@@ -141,44 +157,6 @@ class WavefrontScheduler:
         """``warp_id`` issued a memory operation on D$ line ``line``."""
         self._last_lines[warp_id] = line
         self._current_line = line
-
-    # -- checkpoint/restore -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize every selection-relevant field.
-
-        The policy dispatch (``_select``) is constructor-derived; everything
-        the three policies consult — the four masks, the last-selected
-        wavefront and the greedy-then-oldest issue stamps — is captured so a
-        restored scheduler replays selections identically.
-        """
-        return {
-            "active_mask": self.active_mask,
-            "stalled_mask": self.stalled_mask,
-            "barrier_mask": self.barrier_mask,
-            "visible_mask": self.visible_mask,
-            "last_selected": self._last_selected,
-            "issue_stamps": list(self._issue_stamps),
-            "next_stamp": self._next_stamp,
-            "last_lines": list(self._last_lines),
-            "current_line": self._current_line,
-            "hazard_mask": self._hazard_mask,
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore scheduler state from a :meth:`snapshot` payload."""
-        self.active_mask = payload["active_mask"]
-        self.stalled_mask = payload["stalled_mask"]
-        self.barrier_mask = payload["barrier_mask"]
-        self.visible_mask = payload["visible_mask"]
-        self._last_selected = payload["last_selected"]
-        self._issue_stamps = list(payload["issue_stamps"])
-        self._next_stamp = payload["next_stamp"]
-        self._last_lines = list(payload["last_lines"])
-        self._current_line = payload["current_line"]
-        self._hazard_mask = payload["hazard_mask"]
-        self.perf.restore(payload["perf"])
 
     # -- selection -------------------------------------------------------------------
 

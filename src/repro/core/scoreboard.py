@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.common.perf import PerfCounters
+from repro.common.state import CHILD, Codec, Stateful
 
 #: Register-file selectors (the checkpoint wire names a register by these).
 INT_REGS = "x"
@@ -31,12 +32,39 @@ def _bit(register: int, floating: bool) -> int:
     return 1 << (register + _FP_SHIFT) if floating else (1 << register) & ~1
 
 
-class Scoreboard:
+def _encode_busy(scoreboard: Scoreboard, busy: list[int], refs: object) -> dict:
+    return {
+        warp_id: sorted(
+            (FP_REGS if bit >= _FP_SHIFT else INT_REGS, bit % _FP_SHIFT)
+            for bit in range(mask.bit_length())
+            if mask >> bit & 1
+        )
+        for warp_id, mask in enumerate(busy)
+    }
+
+
+def _restore_busy(
+    scoreboard: Scoreboard, data: dict, busy: list[int], refs: object
+) -> list[int]:
+    for warp_id in range(len(busy)):
+        busy[warp_id] = Scoreboard.mask_of(
+            (register, kind == FP_REGS) for kind, register in data[warp_id]
+        )
+    return busy
+
+
+#: The busy registers per warp as sorted ``(register file, register)``
+#: pairs: the wire names registers, whatever the in-memory bitmasks.
+_BUSY = Codec(_encode_busy, _restore_busy)
+
+
+class Scoreboard(Stateful):
     """Tracks in-flight destination registers per warp."""
 
     #: Counter schema (vxlint VX003).
     COUNTERS = frozenset({"reservations"})
 
+    STATE = {"_busy": _BUSY, "perf": CHILD}
     #: Construction-time warp count (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"num_warps"})
 
@@ -78,27 +106,3 @@ class Scoreboard:
 
     def clear(self) -> None:
         self._busy = [0] * self.num_warps
-
-    # -- checkpoint/restore --------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the busy registers as sorted ``(kind, register)`` pairs."""
-        return {
-            "busy": {
-                warp_id: sorted(
-                    (FP_REGS if bit >= _FP_SHIFT else INT_REGS, bit % _FP_SHIFT)
-                    for bit in range(busy.bit_length())
-                    if busy >> bit & 1
-                )
-                for warp_id, busy in enumerate(self._busy)
-            },
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the busy registers from a :meth:`snapshot` payload."""
-        for warp_id in range(self.num_warps):
-            self._busy[warp_id] = self.mask_of(
-                (register, kind == FP_REGS) for kind, register in payload["busy"][warp_id]
-            )
-        self.perf.restore(payload["perf"])

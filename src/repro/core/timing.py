@@ -32,6 +32,7 @@ from repro.cache.cache import CacheResponse, NonBlockingCache
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, COPY, SORTED_SET, VALUE, Codec, Stateful
 from repro.core.core import SimtCore
 from repro.core.scheduler import WavefrontScheduler
 from repro.core.scoreboard import Scoreboard
@@ -68,13 +69,13 @@ class _PendingMemOp:
 
 
 def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
-    """Snapshot codec: runs flattened to one ``[address, line, bank, to_smem]`` per lane.
+    """Runs flattened to one ``[address, line, bank, to_smem]`` per lane.
 
     The partition into runs is not architectural state — any same-line
     grouping of the lane list behaves identically — so the wire format stays
-    per lane and :meth:`TimingCore.restore` regroups the addresses with
-    ``_request_entries``, merging adjacent same-line lanes whichever
-    instruction they came from.
+    per lane and restore regroups the addresses with
+    :meth:`TimingCore._request_entries`, merging adjacent same-line lanes
+    whichever instruction they came from.
     """
     return [
         [address, line, bank, to_smem]
@@ -83,7 +84,38 @@ def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
     ]
 
 
-class TimingCore:
+def _runs_of(core: TimingCore, lanes: list[list[Any]]) -> list[tuple[Any, ...]]:
+    return core._request_entries([lane[0] for lane in lanes])
+
+
+def _restore_pending_ops(
+    core: TimingCore, data: list[dict], ops: dict[int, _PendingMemOp], refs: object
+) -> dict[int, _PendingMemOp]:
+    restored = (_PendingMemOp(**dict(op, to_send=_runs_of(core, op["to_send"]))) for op in data)
+    return {op.op_id: op for op in restored}
+
+
+#: Outstanding data requests, per lane (the store queue, fire-and-forget).
+_STORE_QUEUE = Codec(
+    lambda core, runs, refs: _lanes_of(runs),
+    lambda core, lanes, runs, refs: _runs_of(core, lanes),
+)
+#: Waiting loads as an ordered list: op ids are allocated monotonically, so
+#: list order reproduces the oldest-first drain order exactly.
+_PENDING_OPS = Codec(
+    lambda core, ops, refs: [
+        {**vars(op), "to_send": _lanes_of(op.to_send)} for op in ops.values()
+    ],
+    _restore_pending_ops,
+)
+#: A list of tuples, as lists.
+_ROWS = Codec(
+    lambda core, rows, refs: [list(row) for row in rows],
+    lambda core, data, rows, refs: [tuple(row) for row in data],
+)
+
+
+class TimingCore(Stateful):
     """Cycle-level model of one Vortex core.
 
     The embedded functional core ``func`` executes each issued instruction
@@ -114,6 +146,48 @@ class TimingCore:
             "stores",
             "tex_ops",
             "mem_ops_completed",
+        }
+    )
+
+    #: The timing state plus the embedded functional core.  The instruction
+    #: and data caches are referenced, not owned: the memory subsystem
+    #: serializes them.
+    STATE = {
+        "func": CHILD,
+        "scheduler": CHILD,
+        "scoreboard": CHILD,
+        "smem": CHILD,
+        "perf": CHILD,
+        "_warp_ready_cycle": COPY,
+        "_writebacks": _ROWS,
+        "_pending_ops": _PENDING_OPS,
+        "_store_queue": _STORE_QUEUE,
+        "_next_op_id": VALUE,
+        "_warm_ilines": SORTED_SET,
+        "_pending_ifetch": COPY,
+        "_ifetch_to_send": _ROWS,
+    }
+    #: Attributes deliberately outside the snapshot (vxlint VX007):
+    #: configuration identity, constructor-derived lookup tables, references
+    #: owned and serialized by the memory subsystem (``clock``: the
+    #: processor), the per-PC register cache (a pure function of the decode,
+    #: rebuilt lazily), the ``perf`` alias ``_counters`` and the mask horizon
+    #: :meth:`after_restore` invalidates.
+    SNAPSHOT_EXCLUDED = frozenset(
+        {
+            "core_id",
+            "config",
+            "clock",
+            "icache",
+            "dcache",
+            "trace",
+            "_counters",
+            "_unit_latency",
+            "_masks_valid_until",
+            "_registers_by_pc",
+            "_dcache_line_size",
+            "_dcache_num_banks",
+            "_icache_line_size",
         }
     )
 
@@ -211,106 +285,9 @@ class TimingCore:
         self.func.emulator.invalidate_decode_cache()
         self._registers_by_pc.clear()
 
-    # -- checkpoint/restore ----------------------------------------------------------
-
-    #: Attributes deliberately outside the snapshot (vxlint VX007):
-    #: configuration identity, constructor-derived lookup tables, references
-    #: owned and serialized by the memory subsystem (``clock``: the
-    #: processor), the per-PC register cache (a pure function of the decode,
-    #: rebuilt lazily), the ``perf`` alias ``_counters`` and the mask horizon
-    #: :meth:`restore` invalidates.
-    SNAPSHOT_EXCLUDED = frozenset(
-        {
-            "core_id",
-            "config",
-            "clock",
-            "icache",
-            "dcache",
-            "trace",
-            "_counters",
-            "_unit_latency",
-            "_masks_valid_until",
-            "_registers_by_pc",
-            "_dcache_line_size",
-            "_dcache_num_banks",
-            "_icache_line_size",
-        }
-    )
-
-    def snapshot(self) -> dict:
-        """Serialize the core's timing state plus the embedded functional core.
-
-        The instruction/data caches are referenced, not owned: the memory
-        subsystem serializes them.  Pending-operation dicts are emitted as
-        ordered lists — op ids are allocated monotonically, so list order
-        reproduces the oldest-first drain order exactly.  Outstanding
-        requests keep the per-lane wire format (``_lanes_of``).
-        """
-        return {
-            "func": self.func.snapshot(),
-            "scheduler": self.scheduler.snapshot(),
-            "scoreboard": self.scoreboard.snapshot(),
-            "smem": self.smem.snapshot(),
-            "perf": self.perf.snapshot(),
-            "warp_ready_cycle": dict(self._warp_ready_cycle),
-            "writebacks": [list(entry) for entry in self._writebacks],
-            "pending_ops": [
-                {
-                    "op_id": op.op_id,
-                    "warp_id": op.warp_id,
-                    "rd": op.rd,
-                    "rd_float": op.rd_float,
-                    "writes_rd": op.writes_rd,
-                    "kind": op.kind,
-                    "to_send": _lanes_of(op.to_send),
-                    "outstanding": op.outstanding,
-                    "extra_latency": op.extra_latency,
-                }
-                for op in self._pending_ops.values()
-            ],
-            "store_queue": _lanes_of(self._store_queue),
-            "next_op_id": self._next_op_id,
-            "warm_ilines": sorted(self._warm_ilines),
-            "pending_ifetch": dict(self._pending_ifetch),
-            "ifetch_to_send": [list(entry) for entry in self._ifetch_to_send],
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore from a :meth:`snapshot` payload.
-
-        The functional core's restore invalidates the decode caches; the
-        per-PC register cache derived from the same decode is dropped here.
-        """
-        self.func.restore(payload["func"])
-        self.scheduler.restore(payload["scheduler"])
-        self.scoreboard.restore(payload["scoreboard"])
-        self.smem.restore(payload["smem"])
-        self.perf.restore(payload["perf"])
-        self._warp_ready_cycle = {
-            int(warp_id): ready for warp_id, ready in payload["warp_ready_cycle"].items()
-        }
-        self._writebacks = [tuple(entry) for entry in payload["writebacks"]]
-        self._pending_ops = {}
-        for op_payload in payload["pending_ops"]:
-            op = _PendingMemOp(
-                op_id=op_payload["op_id"],
-                warp_id=op_payload["warp_id"],
-                rd=op_payload["rd"],
-                rd_float=op_payload["rd_float"],
-                writes_rd=op_payload["writes_rd"],
-                kind=op_payload["kind"],
-                to_send=self._request_entries([lane[0] for lane in op_payload["to_send"]]),
-                outstanding=op_payload["outstanding"],
-                extra_latency=op_payload["extra_latency"],
-            )
-            self._pending_ops[op.op_id] = op
-        self._store_queue = self._request_entries([lane[0] for lane in payload["store_queue"]])
-        self._next_op_id = payload["next_op_id"]
-        self._warm_ilines = set(payload["warm_ilines"])
-        self._pending_ifetch = {
-            int(warp_id): line for warp_id, line in payload["pending_ifetch"].items()
-        }
-        self._ifetch_to_send = [tuple(entry) for entry in payload["ifetch_to_send"]]
+    def after_restore(self) -> None:
+        """Drop the per-PC register cache and the mask horizon (the functional
+        core's restore dropped the decode they derive from)."""
         self._registers_by_pc.clear()
         self._masks_valid_until = 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.bitutils import mask, to_uint32
+from repro.common.state import CHILD, VALUE, Codec, Stateful
 from repro.core.ipdom import IpdomStack
 
 NUM_REGISTERS = 32
@@ -39,7 +40,19 @@ def active_lane_indices(num_threads: int, tmask: int) -> np.ndarray:
     return lanes
 
 
-class RegisterFile:
+def _restore_bytes(
+    regs: RegisterFile, data: bytes, array: np.ndarray, refs: object
+) -> np.ndarray:
+    array[:] = np.frombuffer(data, dtype=np.uint32).reshape(array.shape)
+    return array
+
+
+#: One register class as raw little-endian bytes, restored in place
+#: (compiled lane plans hold views of the rows).
+_BYTES = Codec(lambda regs, array, refs: array.tobytes(), _restore_bytes)
+
+
+class RegisterFile(Stateful):
     """Integer + floating-point registers for every thread of one warp.
 
     Storage is register-major: ``int_row(i)`` / ``fp_row(i)`` return the
@@ -47,6 +60,9 @@ class RegisterFile:
     ``(num_threads,)``).  Row 0 of the integer file is the hardwired zero
     register: it is never written, so reads of the row are always zero.
     """
+
+    STATE = {"_int_regs": _BYTES._replace(key="int"), "_fp_regs": _BYTES._replace(key="fp")}
+    SNAPSHOT_EXCLUDED = frozenset({"num_threads"})
 
     def __init__(self, num_threads: int):
         self.num_threads = num_threads
@@ -91,29 +107,35 @@ class RegisterFile:
         """Lane vector of floating-point register ``index`` (mutable view)."""
         return self._fp_regs[index]
 
-    # -- checkpoint/restore ----------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Serialize both register classes as raw little-endian bytes."""
-        return {
-            "int": self._int_regs.tobytes(),
-            "fp": self._fp_regs.tobytes(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore register contents from a :meth:`snapshot` payload."""
-        shape = (NUM_REGISTERS, self.num_threads)
-        self._int_regs[:] = np.frombuffer(payload["int"], dtype=np.uint32).reshape(shape)
-        self._fp_regs[:] = np.frombuffer(payload["fp"], dtype=np.uint32).reshape(shape)
-
-
-class Warp:
+class Warp(Stateful):
     """One wavefront: PC, thread mask, activity state and register files."""
 
-    #: Identity/geometry plus mask-derived fields the ``tmask`` setter
-    #: rebuilds on restore (vxlint VX007).
+    #: ``tmask`` restores through its property, which rebuilds the fields
+    #: derived from the mask.
+    STATE = {
+        "pc": VALUE,
+        "active": VALUE,
+        "at_barrier": VALUE,
+        "instructions": VALUE,
+        "tmask": VALUE,
+        "regs": CHILD,
+        "ipdom": CHILD,
+    }
+    #: Identity/geometry, the mask-derived fields and the property's storage,
+    #: and the plan caches — pure functions of program bytes and mask value,
+    #: dropped with the core's decode cache after a restore (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset(
-        {"warp_id", "num_threads", "active_count", "full", "lanes"}
+        {
+            "warp_id",
+            "num_threads",
+            "active_count",
+            "full",
+            "lanes",
+            "_tmask",
+            "plan_cache",
+            "timing_plan_cache",
+        }
     )
 
     def __init__(self, warp_id: int, num_threads: int, ipdom_depth: int = 32):
@@ -188,43 +210,6 @@ class Warp:
         """Deactivate the warp."""
         self.active = False
         self.tmask = 0
-
-    # -- checkpoint/restore ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the warp's architectural state.
-
-        The plan caches (and the lane/count fields derived from the thread
-        mask) are deliberately excluded: they are pure functions of program
-        bytes and mask value, rebuilt lazily after restore.
-        """
-        return {
-            "pc": self.pc,
-            "active": self.active,
-            "at_barrier": self.at_barrier,
-            "instructions": self.instructions,
-            "tmask": self._tmask,
-            "regs": self.regs.snapshot(),
-            "ipdom": self.ipdom.snapshot(),
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the warp from a :meth:`snapshot` payload.
-
-        Assigning through the ``tmask`` property rebuilds the derived mask
-        state (active count, full flag, lane indices); the plan caches are
-        dropped because the restored memory image may hold a different
-        program than the one the caches were built against.
-        """
-        self.pc = payload["pc"]
-        self.active = payload["active"]
-        self.at_barrier = payload["at_barrier"]
-        self.instructions = payload["instructions"]
-        self.tmask = payload["tmask"]
-        self.regs.restore(payload["regs"])
-        self.ipdom.restore(payload["ipdom"])
-        self.plan_cache.clear()
-        self.timing_plan_cache.clear()
 
     @property
     def schedulable(self) -> bool:

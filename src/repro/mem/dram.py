@@ -18,11 +18,8 @@ from typing import Any
 from repro.common.clock import DeviceClock
 from repro.common.config import MemoryConfig
 from repro.common.perf import PerfCounters, hot_path
+from repro.common.state import CHILD, Codec, Stateful
 from repro.trace.events import NO_WARP
-
-
-def _identity_tag(tag: Any) -> Any:
-    return tag
 
 
 @dataclass
@@ -50,7 +47,34 @@ class _InFlight:
     ready_cycle: int
 
 
-class DramModel:
+def _restore_queue(
+    dram: DramModel, data: list[dict], queue: deque[_InFlight], decode: Callable[[Any], Any]
+) -> deque[_InFlight]:
+    queue.clear()
+    for item in data:
+        fields = dict(item, tag=decode(item["tag"]))
+        ready_cycle = fields.pop("ready_cycle")
+        queue.append(_InFlight(MemRequest(**fields), ready_cycle))
+    return queue
+
+
+#: The request queue in order: each request's fields plus its ready cycle.
+#: Fill tags carry a live cache reference: the memory subsystem's ``refs``
+#: name the cache.
+_QUEUE = Codec(
+    lambda dram, queue, encode: [
+        {
+            **vars(in_flight.request),
+            "tag": encode(in_flight.request.tag),
+            "ready_cycle": in_flight.ready_cycle,
+        }
+        for in_flight in queue
+    ],
+    _restore_queue,
+)
+
+
+class DramModel(Stateful):
     """Fixed-latency, bandwidth-limited memory device."""
 
     #: Counter schema (vxlint VX003).
@@ -65,6 +89,7 @@ class DramModel:
         }
     )
 
+    STATE = {"_queue": _QUEUE, "perf": CHILD}
     #: Construction-time timing parameters, and the processor's clock (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock"})
 
@@ -149,48 +174,6 @@ class DramModel:
         if not self._queue:
             return None
         return self._queue[0].ready_cycle
-
-    # -- checkpoint/restore ------------------------------------------------------------
-
-    def snapshot(self, encode_tag: Callable[[Any], Any] | None = None) -> dict:
-        """Serialize the request queue.
-
-        ``encode_tag`` maps request tags to plain data — fill tags carry a
-        live cache reference, which :class:`~repro.cache.hierarchy.MemorySubsystem`
-        encodes by cache name and rebinds on restore.
-        """
-        encode = encode_tag if encode_tag is not None else _identity_tag
-        return {
-            "queue": [
-                {
-                    "address": in_flight.request.address,
-                    "is_write": in_flight.request.is_write,
-                    "tag": encode(in_flight.request.tag),
-                    "issue_cycle": in_flight.request.issue_cycle,
-                    "ready_cycle": in_flight.ready_cycle,
-                }
-                for in_flight in self._queue
-            ],
-            "perf": self.perf.snapshot(),
-        }
-
-    def restore(self, payload: dict, decode_tag: Callable[[Any], Any] | None = None) -> None:
-        """Restore the request queue from a :meth:`snapshot` payload."""
-        decode = decode_tag if decode_tag is not None else _identity_tag
-        self._queue.clear()
-        for item in payload["queue"]:
-            self._queue.append(
-                _InFlight(
-                    request=MemRequest(
-                        address=item["address"],
-                        is_write=item["is_write"],
-                        tag=decode(item["tag"]),
-                        issue_cycle=item["issue_cycle"],
-                    ),
-                    ready_cycle=item["ready_cycle"],
-                )
-            )
-        self.perf.restore(payload["perf"])
 
     # -- inspection -------------------------------------------------------------------
 

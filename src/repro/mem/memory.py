@@ -21,6 +21,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.common.bitutils import to_uint32
+from repro.common.state import VALUE, Codec, Stateful
 
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
@@ -32,8 +33,26 @@ class MemoryAccessError(Exception):
     """Raised on malformed accesses (misaligned words, negative sizes …)."""
 
 
-class MainMemory:
+def _restore_pages(
+    memory: MainMemory, data: dict[int, bytes], pages: dict, refs: object
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    pages.clear()
+    for index, raw in data.items():
+        page = np.frombuffer(raw, dtype=np.uint8).copy()
+        pages[index] = (page, page.view(_WORD_DTYPE))
+    return pages
+
+
+#: The memory image, sparse: non-zero pages only.  Page payloads are
+#: immutable ``bytes`` copies, so a snapshot held across further execution
+#: never aliases later stores.
+_PAGES = Codec(lambda memory, pages, refs: memory.page_snapshot(), _restore_pages)
+
+
+class MainMemory(Stateful):
     """Byte-addressable sparse memory with word/halfword/byte accessors."""
+
+    STATE = {"_pages": _PAGES, "reads": VALUE, "writes": VALUE}
 
     def __init__(self):
         #: page index -> (uint8 byte view, uint32 word view) of one backing array
@@ -68,30 +87,6 @@ class MainMemory:
             if data.any():
                 snapshot[index] = data.tobytes()
         return snapshot
-
-    # -- checkpoint/restore -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serialize the memory image (sparse: non-zero pages only).
-
-        Page payloads are immutable ``bytes`` copies, so a snapshot held
-        across further execution is copy-on-write friendly by construction —
-        later stores never alias into it.
-        """
-        return {
-            "pages": self.page_snapshot(),
-            "reads": self.reads,
-            "writes": self.writes,
-        }
-
-    def restore(self, payload: dict) -> None:
-        """Restore the memory image from a :meth:`snapshot` payload."""
-        self._pages.clear()
-        for index, raw in payload["pages"].items():
-            data = np.frombuffer(raw, dtype=np.uint8).copy()
-            self._pages[index] = (data, data.view(_WORD_DTYPE))
-        self.reads = payload["reads"]
-        self.writes = payload["writes"]
 
     # -- raw byte access --------------------------------------------------------------
 

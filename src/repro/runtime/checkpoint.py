@@ -2,10 +2,12 @@
 
 Every simulator layer implements the :class:`Snapshotable` protocol —
 ``snapshot()`` returns a payload of plain Python data (dicts, lists, ints,
-bytes), ``restore(payload)`` rebuilds the exact state.  The payloads
-compose bottom-up (MSHR → bank → cache → memory subsystem → processor →
-driver → device) and the acceptance property holds end to end: a restored
-simulation continues counter-identically to one that never paused.
+bytes), ``restore(payload)`` rebuilds the exact state.  Below the drivers
+both methods are derived from each class's ``STATE`` table
+(:mod:`repro.common.state`).  The payloads compose bottom-up (MSHR → bank
+→ cache → memory subsystem → processor → driver → device) and the
+acceptance property holds end to end: a restored simulation continues
+counter-identically to one that never paused.
 
 This module owns the *envelope* wrapped around the top-level payloads: a
 format version and a config fingerprint (the content digest of the full
@@ -33,7 +35,14 @@ SNAPSHOT_FORMAT = 3
 
 @runtime_checkable
 class Snapshotable(Protocol):
-    """The checkpoint/restore protocol every simulator layer implements."""
+    """The checkpoint/restore protocol every simulator layer implements.
+
+    Simulator components do not write it by hand: they declare ``STATE`` and
+    inherit it from :class:`~repro.common.state.Stateful`, whose methods
+    also take an optional ``refs`` (live reference ↔ plain data) handed
+    down to children.  The drivers, the device and the buffer allocator
+    implement it directly on their envelope-level state.
+    """
 
     def snapshot(self) -> dict[str, Any]: ...
 

@@ -160,7 +160,8 @@ class SimxDriver:
         wall_seconds = time.perf_counter() - start
         if self.trace_bus is not None and self.processor.done:
             # Close file sinks once the launch has fully drained (VCD encodes
-            # on close); safe across chunked runs — close is idempotent.
+            # on close); a relaunch reopens them for append and the VCD is
+            # re-encoded whole, so one file holds every launch.
             self.trace_bus.close()
         return ExecutionReport(
             driver=self.name,

@@ -21,6 +21,7 @@ import numpy as np
 from repro.common.bitutils import bits_to_float
 from repro.common.config import TextureConfig
 from repro.common.perf import PerfCounters
+from repro.common.state import CHILD, Stateful
 from repro.texture.formats import TexFilter, pack_rgba8
 from repro.texture.sampler import TextureSampler, TextureState, blend_quad, lerp_color
 
@@ -39,8 +40,11 @@ class TexWarpResult:
         return self.total_addresses - len(self.unique_addresses)
 
 
-class TextureUnit:
+class TextureUnit(Stateful):
     """Per-core texture unit: address generation, dedup, sampling."""
+
+    #: The payload is the counter dict.
+    STATE = {"perf": CHILD._replace(key="")}
 
     def __init__(self, memory, config: TextureConfig | None = None):
         self.config = config or TextureConfig()
@@ -68,13 +72,10 @@ class TextureUnit:
         self._state_cache[stage] = (csr_file, epoch, state)
         return state
 
-    def invalidate_state_cache(self) -> None:
-        """Drop the cached CSR snapshots.
-
-        Needed after a checkpoint restore: the restored CSR file may carry
-        the *same* ``tex_epoch`` value as the cached entries while holding
-        different texture state, so the epoch check alone cannot see it.
-        """
+    def after_restore(self) -> None:
+        """Drop the cached CSR snapshots: the restored CSR file may carry the
+        *same* ``tex_epoch`` value as the cached entries while holding
+        different texture state, so the epoch check alone cannot see it."""
         self._state_cache.clear()
 
     def sample_warp(

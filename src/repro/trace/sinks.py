@@ -104,19 +104,28 @@ def _payload_json(records: list[TraceRecord]) -> Iterator[str]:
 
 
 class _StreamSink:
-    """The stream a text sink writes: a path it opens and owns, or a borrowed file."""
+    """The stream a text sink writes: a path it opens and owns, or a borrowed file.
+
+    A path sink closed at the end of one launch reopens for append on its
+    next batch, so a relaunched device writes one file, header once.
+    """
 
     def __init__(self, target: str | Path | TextIO, header: str):
         if isinstance(target, (str, Path)):
+            self._path: str | Path | None = target
             self._file: TextIO = open(target, "w", encoding="utf-8", newline="")
-            self._owns_file = True
         else:
+            self._path = None
             self._file = target
-            self._owns_file = False
         self._file.write(header)
 
+    def _stream(self) -> TextIO:
+        if self._file.closed and self._path is not None:
+            self._file = open(self._path, "a", encoding="utf-8", newline="")
+        return self._file
+
     def close(self) -> None:
-        if self._owns_file:
+        if self._path is not None:
             self._file.close()
         else:
             self._file.flush()
@@ -127,13 +136,13 @@ class CsvSink(_StreamSink):
 
     def __init__(self, target: str | Path | TextIO):
         super().__init__(target, f"# repro-trace v{TRACE_VERSION}\n")
-        self._writer = csv.writer(self._file)
-        self._writer.writerow(TraceEvent._fields)
+        csv.writer(self._file).writerow(TraceEvent._fields)
 
     def write_batch(self, records: list[TraceRecord]) -> None:
-        texts = _payload_json(records)
-        self._writer.writerows((*record[:5], text) for record, text in zip(records, texts))
-        self._file.flush()  # a batch handed over is a batch a reader can see
+        rows = ((*record[:5], text) for record, text in zip(records, _payload_json(records)))
+        stream = self._stream()
+        csv.writer(stream).writerows(rows)
+        stream.flush()  # a batch handed over is a batch a reader can see
 
 
 def parse_csv(text: str, source: str = "csv") -> list[TraceEvent]:
@@ -185,8 +194,9 @@ class JsonlSink(_StreamSink):
             if text:
                 mid = f'{mid}"payload": {text}, '
             lines.append(f'{head}{core}, "cycle": {cycle}{mid}"warp": {warp}}}\n')
-        self._file.write("".join(lines))
-        self._file.flush()  # a batch handed over is a batch a reader can see
+        stream = self._stream()
+        stream.write("".join(lines))
+        stream.flush()  # a batch handed over is a batch a reader can see
 
 
 def parse_jsonl(text: str, source: str = "jsonl") -> list[TraceEvent]:
@@ -268,8 +278,11 @@ def _vcd_ident(index: int) -> str:
 class VcdSink(MemorySink):
     """Keeps the records and writes a value-change dump on :meth:`close`.
 
-    The kind→code mapping and the wire table are embedded as JSON in a
-    ``$comment`` section so :func:`parse_vcd` (and third-party tooling)
+    A path is rewritten with every record so far on each close, so a device
+    that closes its trace when a launch drains holds every launch in one
+    document; a borrowed stream receives the document once, at the first
+    close.  The kind→code mapping and the wire table are embedded as JSON in
+    a ``$comment`` section so :func:`parse_vcd` (and third-party tooling)
     can decode values without out-of-band knowledge.  The ``$date`` field
     is a fixed string — traces must be byte-deterministic.
     """
@@ -280,15 +293,12 @@ class VcdSink(MemorySink):
         self._closed = False
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        text = encode_vcd(self.events)
         if isinstance(self._target, (str, Path)):
-            Path(self._target).write_text(text, encoding="utf-8")
-        else:
-            self._target.write(text)
+            Path(self._target).write_text(encode_vcd(self.events), encoding="utf-8")
+        elif not self._closed:
+            self._target.write(encode_vcd(self.events))
             self._target.flush()
+        self._closed = True
 
 
 def encode_vcd(events: list[TraceEvent]) -> str:

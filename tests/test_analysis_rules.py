@@ -5,7 +5,7 @@ quiet); the three seeded-defect fixtures from the issue — state mutation
 inside ``can_accept``, a misspelled counter key, ``random.random()`` in a
 scheduler — prove the rules catch exactly the regressions the repo's
 bit-identity story fears.  A final gate test runs the real analysis over
-``src`` against the committed baseline and state inventory.
+``src`` against the committed baseline.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from repro.analysis.rules import (
     HotPathAllocationRule,
     PredicatePurityRule,
     SnapshotCoverageRule,
-    StateInventoryRule,
     TraceEmissionGuardRule,
-    collect_state,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -337,7 +335,7 @@ class TestDtypeDisciplineRule:
 
 
 # ---------------------------------------------------------------------------
-# VX006 state inventory
+# VX007 state declaration
 
 
 STATEFUL_SOURCE = (
@@ -350,134 +348,99 @@ STATEFUL_SOURCE = (
 )
 
 
-class TestStateInventoryRule:
-    def test_collect_state_catalogues_attributes(self):
-        info = make_module(STATEFUL_SOURCE)
-        inventory = collect_state([info])
-        assert inventory == {"repro.cache.fixture.Widget": ["count", "items"]}
-
-    def test_matching_inventory_clean(self):
-        rule = StateInventoryRule(
-            inventory={"repro.cache.fixture.Widget": ["count", "items"]}
-        )
-        assert run_one(rule, STATEFUL_SOURCE) == []
-
-    def test_undeclared_attribute_flagged(self):
-        rule = StateInventoryRule(inventory={"repro.cache.fixture.Widget": ["count"]})
-        findings = run_one(rule, STATEFUL_SOURCE)
-        assert [f.detail for f in findings] == [
-            "undeclared:repro.cache.fixture.Widget.items"
-        ]
-
-    def test_stale_inventory_entry_flagged(self):
-        rule = StateInventoryRule(
-            inventory={"repro.cache.fixture.Widget": ["count", "items", "ghost"]}
-        )
-        findings = run_one(rule, STATEFUL_SOURCE)
-        assert [f.detail for f in findings] == [
-            "stale:repro.cache.fixture.Widget.ghost"
-        ]
-
-    def test_unknown_component_flagged(self):
-        rule = StateInventoryRule(inventory={})
-        findings = run_one(rule, STATEFUL_SOURCE)
-        assert [f.detail for f in findings] == [
-            "unknown-component:repro.cache.fixture.Widget"
-        ]
-
-
-# ---------------------------------------------------------------------------
-# VX007 snapshot coverage
-
-
 class TestSnapshotCoverageRule:
     def test_covered_attributes_clean(self):
         source = (
-            "class Widget:\n"
+            "class Widget(Stateful):\n"
+            "    STATE = {'count': VALUE, 'items': COPY}\n"
             "    def __init__(self):\n"
             "        self.count = 0\n"
             "        self.items = []\n"
-            "    def snapshot(self):\n"
-            "        return {'count': self.count, 'items': list(self.items)}\n"
-            "    def restore(self, payload):\n"
-            "        self.count = payload['count']\n"
-            "        self.items = list(payload['items'])\n"
         )
         assert run_one(SnapshotCoverageRule(), source) == []
 
     def test_uncovered_attribute_flagged(self):
-        # Seeded serializer drift: `pending` is mutable state the snapshot
-        # silently drops — exactly the divergence class VX007 exists for.
+        # Assigned but not declared: `pending` is mutable state the derived
+        # snapshot silently drops — exactly the divergence class VX007 exists for.
         source = (
-            "class Widget:\n"
+            "class Widget(Stateful):\n"
+            "    STATE = {'count': VALUE}\n"
             "    def __init__(self):\n"
             "        self.count = 0\n"
-            "        self.pending = []\n"
-            "    def snapshot(self):\n"
-            "        return {'count': self.count}\n"
-            "    def restore(self, payload):\n"
-            "        self.count = payload['count']\n"
+            "        self.pending, self.limit = [], 4\n"
         )
         findings = run_one(SnapshotCoverageRule(), source)
         assert [f.detail for f in findings] == [
-            "uncovered:repro.cache.fixture.Widget.pending"
+            "uncovered:repro.cache.fixture.Widget.pending",
+            "uncovered:repro.cache.fixture.Widget.limit",
         ]
+
+    def test_stale_state_key_flagged(self):
+        source = (
+            "class Widget(Stateful):\n"
+            "    STATE = {'count': VALUE, '_ghost': VALUE}\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+        )
+        findings = run_one(SnapshotCoverageRule(), source)
+        assert [f.detail for f in findings] == ["stale:repro.cache.fixture.Widget._ghost"]
 
     def test_excluded_attribute_clean(self):
         source = (
-            "class Widget:\n"
+            "class Widget(Stateful):\n"
+            "    STATE = {'count': VALUE}\n"
             "    SNAPSHOT_EXCLUDED = frozenset({'config'})\n"
             "    def __init__(self, config):\n"
             "        self.config = config\n"
             "        self.count = 0\n"
-            "    def snapshot(self):\n"
-            "        return {'count': self.count}\n"
-            "    def restore(self, payload):\n"
-            "        self.count = payload['count']\n"
-        )
-        assert run_one(SnapshotCoverageRule(), source) == []
-
-    def test_helper_method_prefix_counts(self):
-        # Split serializers (_snapshot_x/_restore_x) get coverage credit.
-        source = (
-            "class Widget:\n"
-            "    def __init__(self):\n"
-            "        self.barriers = {}\n"
-            "    def snapshot(self):\n"
-            "        return {'barriers': self._snapshot_barriers()}\n"
-            "    def restore(self, payload):\n"
-            "        self._restore_barriers(payload['barriers'])\n"
-            "    def _snapshot_barriers(self):\n"
-            "        return dict(self.barriers)\n"
-            "    def _restore_barriers(self, payload):\n"
-            "        self.barriers = dict(payload)\n"
-        )
-        assert run_one(SnapshotCoverageRule(), source) == []
-
-    def test_underscore_payload_key_credits_attribute(self):
-        # Payload keys conventionally drop the leading underscore.
-        source = (
-            "class Widget:\n"
-            "    def __init__(self):\n"
-            "        self._next = 0\n"
-            "    def snapshot(self):\n"
-            "        return {'next': self._next}\n"
-            "    def restore(self, payload):\n"
-            "        self._next = payload['next']\n"
         )
         assert run_one(SnapshotCoverageRule(), source) == []
 
     def test_stateful_class_without_serializer_flagged(self):
         findings = run_one(SnapshotCoverageRule(), STATEFUL_SOURCE)
-        assert [f.detail for f in findings] == [
-            "no-serializer:repro.cache.fixture.Widget"
-        ]
+        assert [f.detail for f in findings] == ["no-state:repro.cache.fixture.Widget"]
+
+    def test_exempt_class_without_state_clean(self):
+        findings = run_one(
+            SnapshotCoverageRule(),
+            STATEFUL_SOURCE.replace("Widget", "WordCursor"),
+            module="repro.mem.memory",
+        )
+        assert findings == []
+
+    def test_hand_written_serializer_earns_no_credit(self):
+        # Mentioning an attribute in a snapshot()/restore() pair no longer
+        # counts: the derived methods only ever see STATE.
+        source = STATEFUL_SOURCE + (
+            "    def snapshot(self):\n"
+            "        return {'count': self.count, 'items': list(self.items)}\n"
+        )
+        findings = run_one(SnapshotCoverageRule(), source)
+        assert [f.detail for f in findings] == ["no-state:repro.cache.fixture.Widget"]
 
     def test_out_of_scope_module_untouched(self):
         findings = run_one(
             SnapshotCoverageRule(), STATEFUL_SOURCE, module="repro.kernels.fixture"
         )
         assert findings == []
+
+    @pytest.mark.parametrize(
+        "relative,anchor",
+        [
+            ("core/scheduler.py", "        self._hazard_mask = 0\n"),
+            ("cache/cache.py", "        self._counters = self.perf._counters\n"),
+        ],
+    )
+    def test_undeclared_attribute_in_real_component_fails(self, relative, anchor):
+        """Adding a stateful attribute to a real component without declaring
+        it fails lint (the unmodified tree is clean: TestRepoIsClean)."""
+        path = REPO_ROOT / "src" / "repro" / relative
+        source = path.read_text(encoding="utf-8")
+        assert anchor in source
+        mutated = source.replace(anchor, anchor + "        self._extra = 0\n")
+        info = ModuleInfo(str(path), "repro." + relative[:-3].replace("/", "."), mutated)
+        findings = run_rules([info], rules=[SnapshotCoverageRule()]).findings
+        assert [f.detail.rsplit(".", 1)[-1] for f in findings] == ["_extra"]
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +614,6 @@ class TestRepoIsClean:
         live = {f.fingerprint for f in result.findings}
         dead = set(baseline.entries) - live
         assert not dead, f"baseline entries no longer needed: {sorted(dead)}"
-
-    def test_state_inventory_is_current(self, repo_modules):
-        import json
-
-        inventory_path = (
-            REPO_ROOT / "src" / "repro" / "analysis" / "state_inventory.json"
-        )
-        committed = json.loads(inventory_path.read_text())["components"]
-        assert committed == collect_state(repo_modules)
 
     def test_hot_path_marker_is_zero_overhead(self):
         from repro.common.perf import hot_path

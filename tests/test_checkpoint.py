@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import CacheConfig, CoreConfig, MemoryConfig, VortexConfig
+from repro.common.config import (
+    SCHEDULER_POLICIES,
+    CacheConfig,
+    CoreConfig,
+    MemoryConfig,
+    VortexConfig,
+)
 from repro.engine import session as session_mod
 from repro.engine.session import KernelJob, Session, diff_execution_reports, execute_job
 from repro.runtime.checkpoint import (
@@ -37,6 +43,12 @@ from repro.runtime.device import VortexDevice
 from repro.service.worker import InlineWorker
 
 CFG = VortexConfig(num_cores=1, core=CoreConfig(num_warps=2, num_threads=4))
+
+#: Stores queued on both cores against a full DRAM queue behind a shared L2.
+STORE_STORM_L2 = replace(
+    VortexConfig(num_cores=2).with_cache_hierarchy(enable_l2=True),
+    memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
+)
 
 
 def reports_identical(a, b) -> bool:
@@ -425,6 +437,36 @@ class TestPausePointProperty:
         fresh.restore(envelope)
         report = fresh.driver.run(None, resume=True)
         assert reports_identical(reference, report)
+
+
+# ---------------------------------------------------------------------------
+# Every scheduler policy's selection state survives a checkpoint
+
+
+@pytest.mark.parametrize("policy", sorted(SCHEDULER_POLICIES))
+@pytest.mark.parametrize(
+    "kernel,size,config",
+    [
+        pytest.param("sgemm", 8 * 8, VortexConfig().with_warps_threads(8, 4), id="sgemm-8w4t"),
+        pytest.param("saxpy", 32, STORE_STORM_L2, id="store-storm-l2"),
+    ],
+)
+def test_scheduler_policy_state_survives_a_checkpoint(kernel, size, config, policy):
+    """A policy's private state (issue stamps, locality and hazard hints) is
+    in the payload: a restored device checkpoints to the same envelope and
+    its restart leg reports what the straight run does, counter by counter."""
+    config = config.with_scheduler_policy(policy)
+    straight, _, program, _ = _staged_device("simx", kernel, size, config)
+    reference = straight.driver.run(program.entry)
+
+    paused, _, program, _ = _staged_device("simx", kernel, size, config)
+    paused.driver.run(program.entry, stop_cycle=reference.cycles // 2)
+    envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
+    fresh = VortexDevice(config, driver="simx")
+    fresh.restore(envelope)
+    assert fresh.checkpoint() == envelope
+    restarted = fresh.driver.run(None, resume=True)
+    assert diff_execution_reports(reference, restarted) == []
 
 
 # ---------------------------------------------------------------------------

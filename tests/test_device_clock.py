@@ -35,7 +35,8 @@ def test_every_component_holds_the_processors_clock():
 
 def test_only_the_processor_writes_the_clock():
     """Every store to a ``.now`` attribute under ``src/``: the clock's
-    constructor, and the processor's ``tick``, ``_skip_idle`` and ``restore``."""
+    constructor, and the processor's ``tick``, ``_skip_idle`` and the clock
+    codec of its ``STATE`` (restore)."""
     root = Path(repro.__file__).parent
     writers = set()
     for path in sorted(root.rglob("*.py")):
@@ -54,7 +55,7 @@ def test_only_the_processor_writes_the_clock():
         "common/clock.py:DeviceClock.__init__",
         "core/processor.py:TimingProcessor.tick",
         "core/processor.py:TimingProcessor._skip_idle",
-        "core/processor.py:TimingProcessor.restore",
+        "core/processor.py:_restore_clock",
     }
 
 

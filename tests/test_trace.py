@@ -516,6 +516,33 @@ class TestFlushOnEveryExit:
         assert expand_skips(whole) == expand_skips(straight)
 
 
+    @pytest.mark.parametrize("mode", ["jsonl", "csv", "vcd"])
+    def test_file_traced_device_relaunches(self, mode, tmp_path):
+        """The bus closes the file sinks when a launch drains; the next launch
+        reopens them (JSONL/CSV append, VCD re-encoded whole), so the file
+        holds both launches — what a ``trace=mem`` twin collects — and the
+        first launch's bytes stay as a single-launch device writes them."""
+        path = tmp_path / f"relaunch.{mode}"
+        device = VortexDevice(_config(), driver=f"simx:trace={mode},trace_file={path}")
+        twin = VortexDevice(_config(), driver="simx:trace=mem")
+        for target in (device, twin):
+            assert KERNELS["vecadd"]().run(target, size=64).passed
+        first = path.read_bytes()
+        single = tmp_path / f"single.{mode}"
+        _traced_run("vecadd", 64, f"simx:trace={mode},trace_file={single}")
+        assert first == single.read_bytes()
+        for target in (device, twin):
+            assert KERNELS["vecadd"]().run(target, size=64).passed
+        events = twin.driver.trace_sink.events
+        assert events[-1].cycle > twin.driver.processor.launch_start > 0
+        text = path.read_text()
+        if mode == "vcd":
+            assert parse_vcd(text) == vcd_changes(events)
+        else:
+            assert path.read_bytes().startswith(first)
+            assert load_trace(path) == events
+
+
 # ---------------------------------------------------------------------------
 # Typed reader errors
 
