@@ -1,14 +1,13 @@
 """Benchmark regression gate.
 
 Compares a freshly measured smoke payload against the committed baseline
-(``BENCH_graphics.json`` / ``BENCH_service.json``) and fails when
+(``BENCH_service.json``) and fails when
 
-* any scenario's vector-over-scalar speedup drops below ``--floor`` times
-  the baseline speedup (machine noise between CI runners is why the floor
-  is a fraction, not an equality),
-* any bit-identity flag (``identical_architectural_state`` /
-  ``identical_framebuffers`` / ``identical_counters`` /
-  ``roundtrip_identical``) is false in the current payload, or
+* any scenario's ``speedup`` (the service's cached replay over its cold
+  run) drops below ``--floor`` times the baseline speedup (machine noise
+  between CI runners is why the floor is a fraction, not an equality),
+* any bit-identity flag (``identical_counters`` / ``roundtrip_identical``)
+  is false in the current payload, or
 * a baseline scenario is missing from the current payload.
 
 Run with::
@@ -31,10 +30,8 @@ import json
 import sys
 from pathlib import Path
 
-#: Keys whose falseness means the engines diverged bit-for-bit.
+#: Keys whose falseness means two runs that must agree diverged bit-for-bit.
 IDENTITY_KEYS = (
-    "identical_architectural_state",
-    "identical_framebuffers",
     "identical_counters",
     "roundtrip_identical",
 )
@@ -52,7 +49,7 @@ def scenario_key(row: dict) -> str:
 
 
 def load_results(path: Path) -> dict:
-    """Load a ``perf_smoke`` payload into ``{scenario_key: row}``."""
+    """Load a smoke payload into ``{scenario_key: row}``."""
     payload = json.loads(path.read_text(encoding="utf-8"))
     return {scenario_key(row): row for row in payload["results"]}
 
@@ -78,7 +75,7 @@ def check(baseline_path: Path, current_path: Path, floor: float) -> list:
         for flag in IDENTITY_KEYS:
             if flag in row and not row[flag]:
                 status = "MISMATCH"
-                failures.append(f"{key}: {flag} is false — engines diverged")
+                failures.append(f"{key}: {flag} is false — runs diverged")
         print(
             f"  {key:45s} baseline={base_row['speedup']:6.2f}x "
             f"current={row['speedup']:6.2f}x floor={required:5.2f}x  {status}"
@@ -110,7 +107,7 @@ def check_identity(path: Path) -> list:
             row_failures.append(f"{key}: carries no identity flag")
         for flag in flags:
             if not row[flag]:
-                row_failures.append(f"{key}: {flag} is false — engines diverged")
+                row_failures.append(f"{key}: {flag} is false — runs diverged")
                 for mismatch in row.get("mismatches", []):
                     row_failures.append(f"{key}:   {mismatch}")
         for error in row.get("errors", []):

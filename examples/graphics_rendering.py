@@ -17,7 +17,6 @@ Run with::
 from __future__ import annotations
 
 import math
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +40,9 @@ def checkerboard_texture(size: int = 32) -> np.ndarray:
     return texture
 
 
-def render_scene(width: int = 128, height: int = 128,
-                 engine: str = "vector") -> GraphicsContext:
+def render_scene(width: int = 128, height: int = 128) -> GraphicsContext:
     """Render two overlapping textured triangles with depth testing and fog."""
-    ctx = GraphicsContext(width, height, tile_size=16, engine=engine)
+    ctx = GraphicsContext(width, height, tile_size=16)
     ctx.set_mvp(Matrix4.perspective(math.radians(60.0), width / height, 0.1, 10.0)
                 @ Matrix4.translation(0.0, 0.0, -2.5)
                 @ Matrix4.rotation_y(0.4))
@@ -65,11 +63,9 @@ def render_scene(width: int = 128, height: int = 128,
         Vertex(position=(0.6, -0.2, 0.5, 1.0), color=(1.0, 0.4, 0.2, 1.0)),
         Vertex(position=(0.1, 0.7, 0.5, 1.0), color=(1.0, 0.6, 0.1, 1.0)),
     ]
-    start = time.perf_counter()
     ctx.draw(quad)
     ctx.bind_texture(None)
     ctx.draw(occluder)
-    ctx.draw_seconds = time.perf_counter() - start
     return ctx
 
 
@@ -97,22 +93,15 @@ def device_texture_comparison() -> None:
 
 
 def main() -> None:
-    contexts = {engine: render_scene(engine=engine) for engine in ("scalar", "vector")}
-    ctx = contexts["vector"]
-    assert np.array_equal(
-        contexts["scalar"].framebuffer.color, ctx.framebuffer.color
-    ), "graphics engines disagree"
+    ctx = render_scene()
     output = Path(__file__).with_name("textured_scene.ppm")
     save_ppm(output, ctx.framebuffer.to_rgba_array())
     stats = ctx.tiles.bin_statistics()
-    print("software renderer (vector engine, verified against scalar):")
+    print("software renderer:")
     print("  image written to       :", output)
     print("  fragments written       :", ctx.fragment_ops.fragments_written)
     print("  depth-test kills        :", ctx.fragment_ops.depth_kills)
     print("  occupied screen tiles   :", int(stats["occupied"]), "of", int(stats["tiles"]))
-    print(f"  draw wall-clock         : scalar {contexts['scalar'].draw_seconds * 1e3:.1f} ms, "
-          f"vector {contexts['vector'].draw_seconds * 1e3:.1f} ms "
-          "(single runs; see BENCH_graphics.json for best-of-N)")
     print()
     device_texture_comparison()
 

@@ -22,7 +22,7 @@ from repro.graphics.geometry import Vertex, Matrix4, GeometryStage
 from repro.graphics.tiles import TileGrid
 from repro.graphics.raster import Rasterizer, Fragment, FragmentBatch
 from repro.graphics.fragment import FragmentOps, CompareFunc, BlendMode
-from repro.graphics.pipeline import GraphicsContext, PrimitiveType, GRAPHICS_ENGINES
+from repro.graphics.pipeline import GraphicsContext, PrimitiveType
 
 __all__ = [
     "Framebuffer",
@@ -38,5 +38,4 @@ __all__ = [
     "BlendMode",
     "GraphicsContext",
     "PrimitiveType",
-    "GRAPHICS_ENGINES",
 ]

@@ -12,13 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from repro.graphics.framebuffer import (
-    Framebuffer,
-    pack_colors,
-    unpack_color,
-    unpack_colors,
-)
-from repro.graphics.raster import Fragment, FragmentBatch
+from repro.graphics.framebuffer import Framebuffer, pack_colors, unpack_colors
+from repro.graphics.raster import FragmentBatch
 
 
 class CompareFunc(Enum):
@@ -33,25 +28,8 @@ class CompareFunc(Enum):
     NOTEQUAL = "notequal"
     ALWAYS = "always"
 
-    def apply(self, value: float, reference: float) -> bool:
-        if self is CompareFunc.NEVER:
-            return False
-        if self is CompareFunc.LESS:
-            return value < reference
-        if self is CompareFunc.LEQUAL:
-            return value <= reference
-        if self is CompareFunc.EQUAL:
-            return value == reference
-        if self is CompareFunc.GREATER:
-            return value > reference
-        if self is CompareFunc.GEQUAL:
-            return value >= reference
-        if self is CompareFunc.NOTEQUAL:
-            return value != reference
-        return True
-
     def apply_many(self, values: np.ndarray, reference: float) -> np.ndarray:
-        """Vectorized :meth:`apply`: one boolean per entry of ``values``."""
+        """Compare each entry of ``values`` against ``reference``: one bool each."""
         if self is CompareFunc.NEVER:
             return np.zeros(values.shape[0], dtype=bool)
         if self is CompareFunc.ALWAYS:
@@ -88,12 +66,6 @@ class FogState:
     start: float = 0.0
     end: float = 1.0
 
-    def factor(self, depth: float) -> float:
-        """Blend factor toward the fog color (0 = no fog, 1 = full fog)."""
-        if not self.enabled or self.end <= self.start:
-            return 0.0
-        return min(max((depth - self.start) / (self.end - self.start), 0.0), 1.0)
-
 
 @dataclass
 class FragmentOps:
@@ -118,56 +90,21 @@ class FragmentOps:
     alpha_kills: int = 0
     stencil_kills: int = 0
 
-    def process(self, framebuffer: Framebuffer, fragment: Fragment,
-                color: tuple[float, float, float, float] | None = None) -> bool:
-        """Apply the fragment pipeline; returns True when the pixel was written."""
-        self.fragments_in += 1
-        x, y = fragment.x, fragment.y
-        if not framebuffer.contains(x, y):
-            return False
-        color = color if color is not None else fragment.color
-
-        if self.alpha_test and not self.alpha_func.apply(color[3], self.alpha_ref):
-            self.alpha_kills += 1
-            return False
-
-        if self.stencil_test and not self.stencil_func.apply(
-            float(framebuffer.stencil[y, x]), float(self.stencil_ref)
-        ):
-            self.stencil_kills += 1
-            return False
-
-        if self.depth_test and not self.depth_func.apply(
-            fragment.depth, float(framebuffer.depth[y, x])
-        ):
-            self.depth_kills += 1
-            return False
-
-        shaded = self._apply_fog(color, fragment.depth)
-        final = self._blend(framebuffer, x, y, shaded)
-        framebuffer.write_pixel(x, y, final)
-        if self.depth_test and self.depth_write:
-            framebuffer.depth[y, x] = fragment.depth
-        if self.stencil_test:
-            framebuffer.stencil[y, x] = self.stencil_ref & 0xFF
-        self.fragments_written += 1
-        return True
-
     def process_many(
         self,
         framebuffer: Framebuffer,
         batch: FragmentBatch,
         color: np.ndarray | None = None,
     ) -> int:
-        """Vectorized :meth:`process` over a unique-pixel fragment batch.
+        """Apply the fragment pipeline to a unique-pixel fragment batch.
 
         Applies the alpha/stencil/depth tests as cumulative numpy masks
-        (kill counters advance exactly as the scalar per-fragment sequence
-        would), then fog, blending and the framebuffer writes as array
-        operations.  Requires the batch's pixels to be distinct — the
-        rasterization paths guarantee that — so the batched read-modify-
-        write against the framebuffer matches the sequential loop.  Returns
-        the number of fragments written.
+        (each fragment counts toward the first test that kills it), then
+        fog, blending and the framebuffer writes as array operations.
+        Requires the batch's pixels to be distinct — the rasterizer
+        guarantees that — so the batched read-modify-write against the
+        framebuffer matches processing the fragments one at a time.
+        Returns the number of fragments written.
         """
         count = len(batch)
         self.fragments_in += count
@@ -213,34 +150,7 @@ class FragmentOps:
         self.fragments_written += written
         return written
 
-    # -- helpers ------------------------------------------------------------------------
-
-    def _apply_fog(self, color, depth: float):
-        factor = self.fog.factor(depth)
-        if factor == 0.0:
-            return color
-        return (
-            color[0] * (1 - factor) + self.fog.color[0] * factor,
-            color[1] * (1 - factor) + self.fog.color[1] * factor,
-            color[2] * (1 - factor) + self.fog.color[2] * factor,
-            color[3],
-        )
-
-    def _blend(self, framebuffer: Framebuffer, x: int, y: int, color):
-        src = tuple(min(max(channel, 0.0), 1.0) for channel in color)
-        if self.blend is BlendMode.REPLACE:
-            blended = src
-        else:
-            dst_bytes = unpack_color(int(framebuffer.color[y, x]))
-            dst = tuple(channel / 255.0 for channel in dst_bytes)
-            if self.blend is BlendMode.ALPHA:
-                alpha = src[3]
-                blended = tuple(src[c] * alpha + dst[c] * (1 - alpha) for c in range(3)) + (src[3],)
-            else:  # ADDITIVE
-                blended = tuple(min(src[c] + dst[c], 1.0) for c in range(3)) + (src[3],)
-        return tuple(int(round(channel * 255)) for channel in blended)
-
-    # -- vectorized helpers --------------------------------------------------------------
+    # -- helpers --------------------------------------------------------------
 
     def _apply_fog_many(self, color: np.ndarray, depth: np.ndarray) -> np.ndarray:
         fog = self.fog
@@ -252,7 +162,7 @@ class FragmentOps:
         for channel in range(3):
             fogged[:, channel] = color[:, channel] * one_minus + fog.color[channel] * factor
         fogged[:, 3] = color[:, 3]
-        # factor == 0 returns the input color untouched in the scalar path.
+        # Fragments with no fog keep their input color bit for bit.
         untouched = factor == 0.0
         if untouched.any():
             fogged[untouched] = color[untouched]

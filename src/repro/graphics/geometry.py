@@ -133,18 +133,39 @@ class GeometryStage:
         triangle assembly stage drops primitives containing such vertices
         (near-plane clipping by rejection, documented in DESIGN.md).
         """
-        clip, attributes = self.shader(vertex, self.mvp)
-        w = float(clip[3])
-        if w <= 1e-9:
-            return None
-        ndc = clip[:3] / w
-        x = (ndc[0] * 0.5 + 0.5) * (self.width - 1)
-        y = (1.0 - (ndc[1] * 0.5 + 0.5)) * (self.height - 1)
-        z = ndc[2] * 0.5 + 0.5
-        return ScreenVertex(
-            x=float(x), y=float(y), z=float(z), w=w,
-            color=attributes.color, uv=attributes.uv,
-        )
+        return self.process_vertices([vertex])[0]
+
+    def process_vertices(self, vertices: Sequence[Vertex]) -> list[ScreenVertex | None]:
+        """:meth:`process_vertex` over a vertex stream.
+
+        Raises ``ValueError`` naming the first vertex whose clip-space
+        position is not finite (a NaN or infinite input position, or a
+        matrix that produces one), before any of the stream is drawn.
+        """
+        screen: list[ScreenVertex | None] = []
+        for index, vertex in enumerate(vertices):
+            # An invalid or overflowing product is non-finite and raised below.
+            with np.errstate(invalid="ignore", over="ignore"):
+                clip, attributes = self.shader(vertex, self.mvp)
+            if not np.isfinite(clip).all():
+                raise ValueError(
+                    f"vertex {index}: clip-space position {tuple(clip.tolist())} is not finite"
+                )
+            w = float(clip[3])
+            if w <= 1e-9:
+                screen.append(None)
+                continue
+            ndc = clip[:3] / w
+            x = (ndc[0] * 0.5 + 0.5) * (self.width - 1)
+            y = (1.0 - (ndc[1] * 0.5 + 0.5)) * (self.height - 1)
+            z = ndc[2] * 0.5 + 0.5
+            screen.append(
+                ScreenVertex(
+                    x=float(x), y=float(y), z=float(z), w=w,
+                    color=attributes.color, uv=attributes.uv,
+                )
+            )
+        return screen
 
     def assemble_triangles(
         self, vertices: Sequence[Vertex]
@@ -155,7 +176,7 @@ class GeometryStage:
         the viewport, are culled here — the clipping role of the geometry
         stage in Figure 2.
         """
-        screen = [self.process_vertex(vertex) for vertex in vertices]
+        screen = self.process_vertices(vertices)
         triangles = []
         for index in range(0, len(screen) - 2, 3):
             tri = screen[index : index + 3]

@@ -115,44 +115,24 @@ class TextureBinding:
         """Per-fragment level of detail from screen-space uv derivatives."""
         return derivative_lod(duv_dx, duv_dy, self.width, self.height)
 
-    def sample(self, u: float, v: float, lod: float = 0.0) -> tuple[float, float, float, float]:
-        """Sample the texture; returns a normalized RGBA tuple."""
-        word = self._sampler.sample(self.state, u, v, lod)
-        return (
-            (word & 0xFF) / 255.0,
-            ((word >> 8) & 0xFF) / 255.0,
-            ((word >> 16) & 0xFF) / 255.0,
-            ((word >> 24) & 0xFF) / 255.0,
-        )
-
     def sample_many(self, us: np.ndarray, vs: np.ndarray, lods=0.0) -> np.ndarray:
-        """Batched :meth:`sample`: normalized ``(N, 4)`` float64 RGBA rows."""
+        """Sample the texture at each (u, v, lod): normalized ``(N, 4)`` float64 RGBA rows."""
         words = self._sampler.sample_many(self.state, us, vs, lods)
         return unpack_colors(words) / 255.0
-
-
-#: Rendering engines selectable on :class:`GraphicsContext`.  ``scalar`` is
-#: the per-fragment Python reference; ``vector`` batches each (tile,
-#: triangle) pair through the numpy rasterizer, sampler and fragment ops —
-#: same split as the execution engines in :mod:`repro.engine`, and held to
-#: the same invariant: pixel-identical framebuffers.
-GRAPHICS_ENGINES = ("scalar", "vector")
 
 
 class GraphicsContext:
     """A minimal OpenGL-ES-style immediate-mode context.
 
-    ``perspective_depth`` switches the rasterizer's depth interpolation to
-    the perspective-correct 1/w weighting (color and uv always use it).
+    Each (tile, triangle) pair is rasterized, shaded and run through the
+    fragment tests as one numpy batch; each line or point primitive is one
+    batch as well.  ``perspective_depth`` switches the rasterizer's depth
+    interpolation to the perspective-correct 1/w weighting (color and uv
+    always use it).
     """
 
     def __init__(self, width: int, height: int, tile_size: int = 16,
-                 engine: str = "scalar", perspective_depth: bool = False):
-        if engine not in GRAPHICS_ENGINES:
-            raise ValueError(
-                f"unknown graphics engine {engine!r}; available: {GRAPHICS_ENGINES}"
-            )
-        self.engine = engine
+                 perspective_depth: bool = False):
         self.perspective_depth = perspective_depth
         self.framebuffer = Framebuffer(width, height)
         self.geometry = GeometryStage(width, height)
@@ -206,27 +186,8 @@ class GraphicsContext:
         """Derivative LOD is live once the bound texture has a mip chain."""
         return self.texture is not None and self.texture.mip_count > 1
 
-    def _shade(self, fragment) -> tuple[float, float, float, float]:
-        """Run the (fixed-function) fragment shader: vertex color x texture."""
-        color = fragment.color
-        if self.texture is not None:
-            lod = 0.0
-            if self.texture.mip_count > 1:
-                # One-fragment batch through the same exact-arithmetic LOD
-                # function the vector engine uses, so the levels agree
-                # bit for bit.
-                lod = float(
-                    self.texture.lod_many(
-                        np.array([fragment.duv_dx], dtype=np.float64),
-                        np.array([fragment.duv_dy], dtype=np.float64),
-                    )[0]
-                )
-            texel = self.texture.sample(fragment.uv[0], fragment.uv[1], lod)
-            color = tuple(color[c] * texel[c] for c in range(4))
-        return color
-
     def _shade_many(self, batch) -> np.ndarray:
-        """Vectorized :meth:`_shade` over a fragment batch."""
+        """Run the (fixed-function) fragment shader: vertex color x texture."""
         if self.texture is None:
             return batch.color
         lods = 0.0
@@ -242,56 +203,34 @@ class GraphicsContext:
         for triangle_id, tri in enumerate(triangles):
             bbox = self.rasterizer.triangle_bbox(tri)
             self.tiles.bin_bbox(triangle_id, *bbox)
-        vectorized = self.engine == "vector"
         derivatives = self._needs_derivatives
         for tile in self.tiles.occupied_tiles():
             for triangle_id in self.tiles.triangles_in(tile):
-                v0, v1, v2 = triangles[triangle_id]
-                if vectorized:
-                    batch = self.rasterizer.rasterize_triangle_batch(
-                        v0, v1, v2, tile=tile, derivatives=derivatives
-                    )
-                    if batch is not None:
-                        self.fragment_ops.process_many(
-                            self.framebuffer, batch, self._shade_many(batch)
-                        )
-                else:
-                    for fragment in self.rasterizer.rasterize_triangle(
-                        v0, v1, v2, tile=tile, derivatives=derivatives
-                    ):
-                        self.fragment_ops.process(
-                            self.framebuffer, fragment, self._shade(fragment)
-                        )
+                self._draw_triangle(*triangles[triangle_id], tile, derivatives)
+
+    def _draw_triangle(self, v0, v1, v2, tile, derivatives: bool) -> None:
+        """Rasterize, shade and fragment-process one triangle within one tile."""
+        batch = self.rasterizer.rasterize_triangle_batch(
+            v0, v1, v2, tile=tile, derivatives=derivatives
+        )
+        if batch is not None:
+            self.fragment_ops.process_many(self.framebuffer, batch, self._shade_many(batch))
 
     def _process_primitive_fragments(self, fragments) -> None:
-        """Run one primitive's fragments through the fragment pipeline.
+        """Run one line or point primitive's fragments as one batch.
 
-        On the vector engine the fragments are batched (one DDA walk or
-        point never visits the same pixel twice, so the unique-pixel
-        requirement of :meth:`FragmentOps.process_many` holds); distinct
-        primitives still execute in order so overlaps between them blend
-        sequentially, as on the scalar engine.
+        One DDA walk or point never visits the same pixel twice, so the
+        unique-pixel requirement of :meth:`FragmentOps.process_many` holds;
+        distinct primitives still execute in order so overlaps between them
+        blend sequentially.
         """
-        if self.engine == "vector":
-            fragments = list(fragments)
-            if not fragments:
-                return
-            batch = FragmentBatch(
-                xs=np.array([f.x for f in fragments], dtype=np.intp),
-                ys=np.array([f.y for f in fragments], dtype=np.intp),
-                depth=np.array([f.depth for f in fragments], dtype=np.float64),
-                color=np.array([f.color for f in fragments], dtype=np.float64),
-                uv=np.array([f.uv for f in fragments], dtype=np.float64),
-                duv_dx=np.array([f.duv_dx for f in fragments], dtype=np.float64),
-                duv_dy=np.array([f.duv_dy for f in fragments], dtype=np.float64),
-            )
+        fragments = list(fragments)
+        if fragments:
+            batch = FragmentBatch.from_fragments(fragments)
             self.fragment_ops.process_many(self.framebuffer, batch, self._shade_many(batch))
-        else:
-            for fragment in fragments:
-                self.fragment_ops.process(self.framebuffer, fragment, self._shade(fragment))
 
     def _draw_lines(self, vertices: Sequence[Vertex]) -> None:
-        screen = [self.geometry.process_vertex(vertex) for vertex in vertices]
+        screen = self.geometry.process_vertices(vertices)
         for index in range(0, len(screen) - 1, 2):
             v0, v1 = screen[index], screen[index + 1]
             if v0 is None or v1 is None:
@@ -299,8 +238,7 @@ class GraphicsContext:
             self._process_primitive_fragments(self.rasterizer.rasterize_line(v0, v1))
 
     def _draw_points(self, vertices: Sequence[Vertex]) -> None:
-        for vertex in vertices:
-            screen = self.geometry.process_vertex(vertex)
+        for screen in self.geometry.process_vertices(vertices):
             if screen is None:
                 continue
             self._process_primitive_fragments(self.rasterizer.rasterize_point(screen))

@@ -3,17 +3,18 @@
 Triangles use the standard edge-function formulation with
 perspective-correct barycentric interpolation of depth, color and texture
 coordinates; lines use a DDA walk; points write single fragments.  The
-rasterizer produces :class:`Fragment` records that the fragment-processing
-stage (depth/stencil/alpha/fog/blend) consumes — the same split as the
-paper's software rendering pipeline, where fragments are the unit of
-data-parallel work handed to the compute kernel.
+rasterizer produces fragments (a :class:`FragmentBatch` per triangle and
+tile, :class:`Fragment` records for lines and points) that the
+fragment-processing stage (depth/stencil/alpha/fog/blend) consumes — the
+same split as the paper's software rendering pipeline, where fragments are
+the unit of data-parallel work handed to the compute kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -43,12 +44,12 @@ class Fragment:
 class FragmentBatch:
     """A batch of fragments with unique pixels, as parallel arrays.
 
-    Produced by the vectorized rasterization paths and consumed by
+    Produced by the rasterizer and consumed by
     :meth:`~repro.graphics.fragment.FragmentOps.process_many`; the arrays
     are index-aligned (entry ``i`` of each is one fragment).  Every (x, y)
     pair in one batch is distinct, so batched read-modify-write framebuffer
-    operations (blending, depth) are order-equivalent to the scalar
-    per-fragment loop.
+    operations (blending, depth) are order-equivalent to processing the
+    fragments one at a time.
     """
 
     xs: np.ndarray  # int lane of pixel x coordinates
@@ -62,6 +63,19 @@ class FragmentBatch:
     def __len__(self) -> int:
         return int(self.xs.shape[0])
 
+    @classmethod
+    def from_fragments(cls, fragments: Sequence[Fragment]) -> FragmentBatch:
+        """Stack :class:`Fragment` records (distinct pixels) into one batch."""
+        return cls(
+            xs=np.array([f.x for f in fragments], dtype=np.intp),
+            ys=np.array([f.y for f in fragments], dtype=np.intp),
+            depth=np.array([f.depth for f in fragments], dtype=np.float64),
+            color=np.array([f.color for f in fragments], dtype=np.float64),
+            uv=np.array([f.uv for f in fragments], dtype=np.float64),
+            duv_dx=np.array([f.duv_dx for f in fragments], dtype=np.float64),
+            duv_dy=np.array([f.duv_dy for f in fragments], dtype=np.float64),
+        )
+
 
 def _edge(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> float:
     """Signed area of the (a, b, p) triangle (the edge function)."""
@@ -71,9 +85,10 @@ def _edge(ax: float, ay: float, bx: float, by: float, px: float, py: float) -> f
 def _interp_uv(v0, v1, v2, area: float, inv_w, px, py):
     """Perspective-correct uv at arbitrary sample positions.
 
-    ``px``/``py`` may be python floats (scalar rasterizer) or float64
-    arrays (vectorized rasterizer); every operation is written once so both
-    callers evaluate the exact same IEEE-754 expression sequence.  Sample
+    ``px``/``py`` may be python floats (the per-fragment reference
+    rasterizer in the tests) or float64 arrays (the rasterizer); every
+    operation is written once so both evaluate the exact same IEEE-754
+    expression sequence.  Sample
     positions where the interpolated 1/w denominator is not positive
     (behind the eye — only reachable for the off-triangle helper pixels of
     a derivative quad) fall back to a denominator of 1 to stay finite.
@@ -87,7 +102,7 @@ def _interp_uv(v0, v1, v2, area: float, inv_w, px, py):
     denom = (b0 * inv_w[0] + b1 * inv_w[1]) + b2 * inv_w[2]
     # `not denom > 0.0` (rather than `denom <= 0.0`) so NaN denominators
     # take the fallback in the scalar branch exactly as np.where does in
-    # the array branch — both engines must agree bit for bit.
+    # the array branch — both must agree bit for bit.
     if isinstance(denom, np.ndarray):
         denom = np.where(denom > 0.0, denom, 1.0)
     elif not denom > 0.0:
@@ -152,87 +167,6 @@ class Rasterizer:
         ys = [vertex.y for vertex in tri]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def rasterize_triangle(
-        self,
-        v0: ScreenVertex,
-        v1: ScreenVertex,
-        v2: ScreenVertex,
-        tile: Tile | None = None,
-        derivatives: bool = False,
-    ) -> Iterator[Fragment]:
-        """Yield the fragments a triangle covers (optionally limited to a tile).
-
-        With ``derivatives`` every fragment carries the per-quad
-        finite-difference uv derivatives of its 2x2 fragment quad.
-        """
-        area = _edge(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
-        if abs(area) < 1e-9:
-            self.triangles_culled += 1
-            return
-        # Consistent winding: flip so the area is positive.
-        if area < 0:
-            v1, v2 = v2, v1
-            area = -area
-
-        min_x = max(int(min(v0.x, v1.x, v2.x)), tile.x0 if tile else 0)
-        max_x = min(int(max(v0.x, v1.x, v2.x)) + 1, (tile.x1 if tile else self.width) - 1)
-        min_y = max(int(min(v0.y, v1.y, v2.y)), tile.y0 if tile else 0)
-        max_y = min(int(max(v0.y, v1.y, v2.y)) + 1, (tile.y1 if tile else self.height) - 1)
-        if min_x > max_x or min_y > max_y:
-            return
-
-        inv_w = (1.0 / v0.w, 1.0 / v1.w, 1.0 / v2.w)
-        # Top-left fill rule: pixels exactly on an edge (w == 0) belong to
-        # at most one of the two triangles sharing that edge.
-        accept0 = _edge_accepts_zero(v1.x, v1.y, v2.x, v2.y)
-        accept1 = _edge_accepts_zero(v2.x, v2.y, v0.x, v0.y)
-        accept2 = _edge_accepts_zero(v0.x, v0.y, v1.x, v1.y)
-        for y in range(min_y, max_y + 1):
-            for x in range(min_x, max_x + 1):
-                px, py = x + 0.5, y + 0.5
-                w0 = _edge(v1.x, v1.y, v2.x, v2.y, px, py)
-                w1 = _edge(v2.x, v2.y, v0.x, v0.y, px, py)
-                w2 = _edge(v0.x, v0.y, v1.x, v1.y, px, py)
-                if w0 < 0 or w1 < 0 or w2 < 0:
-                    continue
-                if (
-                    (w0 == 0 and not accept0)
-                    or (w1 == 0 and not accept1)
-                    or (w2 == 0 and not accept2)
-                ):
-                    continue
-                b0, b1, b2 = w0 / area, w1 / area, w2 / area
-                # Perspective-correct interpolation via 1/w weighting.
-                denom = b0 * inv_w[0] + b1 * inv_w[1] + b2 * inv_w[2]
-                if denom <= 0:
-                    continue
-                p0 = b0 * inv_w[0] / denom
-                p1 = b1 * inv_w[1] / denom
-                p2 = b2 * inv_w[2] / denom
-                if self.perspective_depth:
-                    depth = p0 * v0.z + p1 * v1.z + p2 * v2.z
-                else:
-                    depth = b0 * v0.z + b1 * v1.z + b2 * v2.z
-                color = tuple(
-                    p0 * v0.color[c] + p1 * v1.color[c] + p2 * v2.color[c] for c in range(4)
-                )
-                uv = (
-                    p0 * v0.uv[0] + p1 * v1.uv[0] + p2 * v2.uv[0],
-                    p0 * v0.uv[1] + p1 * v1.uv[1] + p2 * v2.uv[1],
-                )
-                duv_dx = duv_dy = (0.0, 0.0)
-                if derivatives:
-                    quad_x = float(x & ~1) + 0.5
-                    quad_y = float(y & ~1) + 0.5
-                    duv_dx, duv_dy = _quad_derivatives(
-                        v0, v1, v2, area, inv_w, quad_x, quad_y
-                    )
-                self.fragments_generated += 1
-                yield Fragment(
-                    x=x, y=y, depth=depth, color=color, uv=uv,
-                    duv_dx=duv_dx, duv_dy=duv_dy,
-                )
-
     def rasterize_triangle_batch(
         self,
         v0: ScreenVertex,
@@ -241,15 +175,15 @@ class Rasterizer:
         tile: Tile | None = None,
         derivatives: bool = False,
     ) -> FragmentBatch | None:
-        """Vectorized :meth:`rasterize_triangle`: the whole pixel grid at once.
+        """The fragments a triangle covers (optionally limited to a tile).
 
         Evaluates the three edge functions over the tile's pixel grid as
         float64 arrays and interpolates depth/color/uv for every covered
-        pixel in one shot.  The arithmetic mirrors the scalar loop operation
-        for operation (same IEEE-754 order), so the fragments are
-        bit-identical and in the same row-major order; counters
-        (``fragments_generated``, ``triangles_culled``) advance identically.
-        Returns ``None`` when the triangle produces no fragments.
+        pixel in one shot, in row-major order; pixels exactly on an edge
+        follow the top-left fill rule.  With ``derivatives`` every fragment
+        carries the per-quad finite-difference uv derivatives of its 2x2
+        fragment quad.  Returns ``None`` when the triangle produces no
+        fragments.
         """
         area = _edge(v0.x, v0.y, v1.x, v1.y, v2.x, v2.y)
         if abs(area) < 1e-9:
@@ -281,7 +215,7 @@ class Rasterizer:
         )
         if not covered.any():
             return None
-        iy, ix = np.nonzero(covered)  # row-major, matching the scalar loop order
+        iy, ix = np.nonzero(covered)  # row-major
 
         inv_w = (1.0 / v0.w, 1.0 / v1.w, 1.0 / v2.w)
         b0 = w0[covered] / area
@@ -314,8 +248,7 @@ class Rasterizer:
         duv_dx = duv_dy = None
         if derivatives:
             # One derivative pair per 2x2 quad, evaluated at the quad's
-            # top-left pixel centre as float64 planes — same expressions,
-            # same order as the scalar per-fragment helper.  Quadmates
+            # top-left pixel centre as float64 planes.  Quadmates
             # redundantly evaluate the same corner, but de-duplicating via
             # np.unique measures ~40% slower at tile-batch sizes (the sort
             # and gathers cost more than the shorter evaluation saves).

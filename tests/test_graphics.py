@@ -9,7 +9,7 @@ from repro.graphics.fragment import BlendMode, CompareFunc, FogState, FragmentOp
 from repro.graphics.framebuffer import Framebuffer, pack_color, unpack_color
 from repro.graphics.geometry import GeometryStage, Matrix4, Vertex
 from repro.graphics.pipeline import GraphicsContext, PrimitiveType, TextureBinding
-from repro.graphics.raster import Fragment, Rasterizer
+from repro.graphics.raster import Fragment, FragmentBatch, Rasterizer
 from repro.graphics.tiles import TileGrid
 from repro.texture.formats import TexFilter
 
@@ -74,6 +74,21 @@ def test_assemble_triangles_culls_offscreen():
     assert len(triangles) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "primitive, count",
+    [(PrimitiveType.TRIANGLES, 6), (PrimitiveType.LINES, 4), (PrimitiveType.POINTS, 3)],
+)
+def test_non_finite_vertex_is_rejected_by_index(primitive, count, bad):
+    """A NaN/inf position fails at the vertex stage, naming the vertex."""
+    ctx = GraphicsContext(16, 16, tile_size=8)
+    vertices = [Vertex(position=(0.1 * i, -0.1 * i, 0, 1)) for i in range(count)]
+    vertices[count - 2] = Vertex(position=(0.2, bad, 0, 1))
+    with pytest.raises(ValueError, match=f"^vertex {count - 2}: "):
+        ctx.draw(vertices, primitive=primitive)
+    assert ctx.fragment_ops.fragments_in == 0  # rejected before anything was drawn
+
+
 def test_matrix_helpers_are_invertible_transforms():
     mvp = Matrix4.translation(1, 2, 3) @ Matrix4.scale(2, 2, 2) @ Matrix4.rotation_z(0.3)
     assert np.linalg.det(mvp) != 0
@@ -118,14 +133,12 @@ def _screen_triangle(stage_size=32):
 
 def test_triangle_rasterization_covers_interior():
     rasterizer = Rasterizer(32, 32)
-    fragments = list(rasterizer.rasterize_triangle(*_screen_triangle()))
-    assert len(fragments) > 100
-    xs = {fragment.x for fragment in fragments}
-    ys = {fragment.y for fragment in fragments}
-    assert max(xs) < 32 and max(ys) < 32
+    batch = rasterizer.rasterize_triangle_batch(*_screen_triangle())
+    assert len(batch) > 100
+    assert batch.xs.max() < 32 and batch.ys.max() < 32
     # Barycentric colors stay inside the convex hull of the vertex colors.
-    for fragment in fragments[::37]:
-        assert all(-1e-6 <= channel <= 1 + 1e-6 for channel in fragment.color)
+    for color in batch.color[::37]:
+        assert all(-1e-6 <= channel <= 1 + 1e-6 for channel in color)
 
 
 def test_degenerate_triangle_is_culled():
@@ -133,7 +146,7 @@ def test_degenerate_triangle_is_culled():
     stage = GeometryStage(16, 16)
     stage.set_mvp(Matrix4.orthographic(-1, 1, -1, 1))
     v = stage.process_vertex(Vertex(position=(0, 0, 0, 1)))
-    assert list(rasterizer.rasterize_triangle(v, v, v)) == []
+    assert rasterizer.rasterize_triangle_batch(v, v, v) is None
     assert rasterizer.triangles_culled == 1
 
 
@@ -148,9 +161,9 @@ def test_adjacent_triangles_shade_seam_pixels_exactly_once():
     # horizontals all pass exactly through pixel centres.
     a, b, c, d = vertex(2.5, 2.5), vertex(8.5, 2.5), vertex(8.5, 12.5), vertex(2.5, 12.5)
     rasterizer = Rasterizer(16, 16)
-    fragments = list(rasterizer.rasterize_triangle(a, b, c))
-    fragments += list(rasterizer.rasterize_triangle(a, c, d))
-    pixels = [(fragment.x, fragment.y) for fragment in fragments]
+    batches = [rasterizer.rasterize_triangle_batch(a, b, c),
+               rasterizer.rasterize_triangle_batch(a, c, d)]
+    pixels = [(int(x), int(y)) for batch in batches for x, y in zip(batch.xs, batch.ys)]
     assert len(pixels) == len(set(pixels)), "seam pixels rasterized twice"
     # The union covers the quad interior: top/left edges in, bottom/right out.
     assert set(pixels) == {(x, y) for x in range(2, 8) for y in range(2, 12)}
@@ -158,8 +171,8 @@ def test_adjacent_triangles_shade_seam_pixels_exactly_once():
     # End to end: additive blend over black writes each seam pixel once.
     fb = Framebuffer(16, 16)
     ops = FragmentOps(depth_test=False, blend=BlendMode.ADDITIVE)
-    for fragment in fragments:
-        ops.process(fb, fragment)
+    for batch in batches:
+        ops.process_many(fb, batch)
     covered = fb.color[fb.color != 0]
     assert ops.fragments_written == 60
     assert covered.size == 60
@@ -182,9 +195,8 @@ def test_line_rasterization_emits_each_endpoint_once():
     # Additive blend along the line leaves every pixel written exactly once.
     fb = Framebuffer(32, 32)
     ops = FragmentOps(depth_test=False, blend=BlendMode.ADDITIVE)
-    for fragment in fragments:
-        ops.process(fb, Fragment(fragment.x, fragment.y, fragment.depth,
-                                 (0.25, 0.25, 0.25, 1.0), fragment.uv))
+    quarter_grey = np.full((len(fragments), 4), (0.25, 0.25, 0.25, 1.0))
+    ops.process_many(fb, FragmentBatch.from_fragments(fragments), quarter_grey)
     covered = fb.color[fb.color != 0]
     assert covered.size == 8
     assert np.all((covered & 0xFF) == 64)
@@ -232,15 +244,20 @@ def test_line_and_point_rasterization():
 # -- fragment ops ----------------------------------------------------------------------------
 
 
+def _batch(*fragments):
+    """A FragmentBatch with one row per fragment (pixels must be distinct)."""
+    return FragmentBatch.from_fragments(fragments)
+
+
 def test_depth_test_keeps_nearest_fragment():
     fb = Framebuffer(4, 4)
     fb.clear()
     ops = FragmentOps(depth_test=True)
     far = Fragment(x=1, y=1, depth=0.9, color=(1, 0, 0, 1), uv=(0, 0))
     near = Fragment(x=1, y=1, depth=0.1, color=(0, 1, 0, 1), uv=(0, 0))
-    assert ops.process(fb, far)
-    assert ops.process(fb, near)
-    assert not ops.process(fb, far)  # re-drawing the far fragment fails the test
+    assert ops.process_many(fb, _batch(far)) == 1
+    assert ops.process_many(fb, _batch(near)) == 1
+    assert ops.process_many(fb, _batch(far)) == 0  # re-drawing the far fragment fails the test
     assert ops.depth_kills == 1
     assert fb.read_pixel(1, 1)[1] == 255  # green won
 
@@ -250,8 +267,8 @@ def test_alpha_test_discards_transparent_fragments():
     ops = FragmentOps(depth_test=False, alpha_test=True, alpha_ref=0.5)
     transparent = Fragment(x=0, y=0, depth=0.5, color=(1, 1, 1, 0.1), uv=(0, 0))
     opaque = Fragment(x=0, y=0, depth=0.5, color=(1, 1, 1, 0.9), uv=(0, 0))
-    assert not ops.process(fb, transparent)
-    assert ops.process(fb, opaque)
+    assert ops.process_many(fb, _batch(transparent)) == 0
+    assert ops.process_many(fb, _batch(opaque)) == 1
     assert ops.alpha_kills == 1
 
 
@@ -262,8 +279,12 @@ def test_stencil_test_masks_pixels():
                       stencil_func=CompareFunc.EQUAL, stencil_ref=1)
     inside = Fragment(x=2, y=2, depth=0.5, color=(1, 1, 1, 1), uv=(0, 0))
     outside = Fragment(x=0, y=0, depth=0.5, color=(1, 1, 1, 1), uv=(0, 0))
-    assert ops.process(fb, inside)
-    assert not ops.process(fb, outside)
+    assert ops.process_many(fb, _batch(inside)) == 1
+    assert ops.process_many(fb, _batch(outside)) == 0
+    assert ops.stencil_kills == 1
+    # One two-row batch: each fragment meets its own stencil value.
+    assert ops.process_many(fb, _batch(outside, inside)) == 1
+    assert ops.stencil_kills == 2
 
 
 def test_fog_blends_toward_fog_color():
@@ -271,7 +292,7 @@ def test_fog_blends_toward_fog_color():
     ops = FragmentOps(depth_test=False,
                       fog=FogState(enabled=True, color=(0, 0, 0), start=0.0, end=1.0))
     fragment = Fragment(x=0, y=0, depth=0.75, color=(1.0, 1.0, 1.0, 1.0), uv=(0, 0))
-    ops.process(fb, fragment)
+    ops.process_many(fb, _batch(fragment))
     r, g, b, _ = fb.read_pixel(0, 0)
     assert r == g == b
     assert 50 <= r <= 80  # 25% of full white
@@ -282,7 +303,7 @@ def test_alpha_blending_mixes_with_destination():
     fb.clear(color=(0, 0, 255, 255))
     ops = FragmentOps(depth_test=False, blend=BlendMode.ALPHA)
     fragment = Fragment(x=0, y=0, depth=0.5, color=(1.0, 0.0, 0.0, 0.5), uv=(0, 0))
-    ops.process(fb, fragment)
+    ops.process_many(fb, _batch(fragment))
     r, g, b, _ = fb.read_pixel(0, 0)
     assert 120 <= r <= 135 and 120 <= b <= 135
 

@@ -1,19 +1,22 @@
-"""Differential test: the vectorized graphics engine vs the scalar reference.
+"""Differential test: the batched renderer vs the per-fragment reference.
 
-Every scenario renders twice — once on ``GraphicsContext(engine="scalar")``,
-once on ``engine="vector"`` — and the results must be pixel-identical:
-the color buffer, the depth buffer (compared bitwise), the stencil buffer,
-and the fragment statistics (fragments generated/in/written and each kill
-counter), mirroring the engine differential suite for the execution
-engines.
+Every scenario renders twice — once on ``GraphicsContext``, once on the
+test-side ``RefGraphicsContext`` (``tests/graphics_reference.py``) — and
+the results must be pixel-identical: the color buffer, the depth buffer
+(compared bitwise), the stencil buffer, and the fragment statistics
+(fragments generated/in/written and each kill counter), mirroring the
+oracle-driver differential suite for the execution engine.
 """
 
 import numpy as np
 import pytest
+from graphics_reference import RefGraphicsContext
 
+import repro.graphics
 from repro.graphics.fragment import BlendMode, CompareFunc, FogState
 from repro.graphics.geometry import Matrix4, Vertex
 from repro.graphics.pipeline import GraphicsContext, PrimitiveType
+from repro.graphics.raster import Rasterizer
 from repro.texture.formats import TexFilter, TexWrap
 
 
@@ -141,7 +144,7 @@ def _scenario_points(ctx):
         Vertex(position=(x, y, 0, 1), color=(0.3, 0.2, 0.1, 1.0))
         for x, y in rng.uniform(-1, 1, size=(40, 2))
     ]
-    # Repeated points must blend twice on both engines.
+    # Repeated points must blend twice on both renderers.
     ctx.draw(vertices + vertices[:10], primitive=PrimitiveType.POINTS)
 
 
@@ -259,9 +262,9 @@ CONTEXT_KWARGS = {
 }
 
 
-def _render(engine, scenario):
+def _render(context_cls, scenario):
     kwargs = CONTEXT_KWARGS.get(scenario, {})
-    ctx = GraphicsContext(32, 32, tile_size=8, engine=engine, **kwargs)
+    ctx = context_cls(32, 32, tile_size=8, **kwargs)
     ctx.set_mvp(Matrix4.orthographic(-1, 1, -1, 1))
     ctx.clear(color=(12, 8, 24, 255))
     SCENARIOS[scenario](ctx)
@@ -283,38 +286,57 @@ def _statistics(ctx):
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_vector_graphics_matches_scalar_reference(scenario):
-    scalar = _render("scalar", scenario)
-    vector = _render("vector", scenario)
+    reference = _render(RefGraphicsContext, scenario)
+    batched = _render(GraphicsContext, scenario)
 
-    assert np.array_equal(scalar.framebuffer.color, vector.framebuffer.color), (
+    assert np.array_equal(reference.framebuffer.color, batched.framebuffer.color), (
         f"{scenario}: color buffers differ"
     )
     # Depth is float32: compare the raw bits, not approximate values.
     assert np.array_equal(
-        scalar.framebuffer.depth.view(np.uint32),
-        vector.framebuffer.depth.view(np.uint32),
+        reference.framebuffer.depth.view(np.uint32),
+        batched.framebuffer.depth.view(np.uint32),
     ), f"{scenario}: depth buffers differ"
-    assert np.array_equal(scalar.framebuffer.stencil, vector.framebuffer.stencil), (
+    assert np.array_equal(reference.framebuffer.stencil, batched.framebuffer.stencil), (
         f"{scenario}: stencil buffers differ"
     )
-    assert _statistics(scalar) == _statistics(vector), f"{scenario}: statistics differ"
+    assert _statistics(reference) == _statistics(batched), f"{scenario}: statistics differ"
     # The scene must actually touch the framebuffer to be a meaningful diff.
-    assert scalar.fragment_ops.fragments_in > 0
+    assert reference.fragment_ops.fragments_in > 0
 
 
-def test_vector_context_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        GraphicsContext(8, 8, engine="warp-speed")
+def test_reference_context_renders_one_fragment_at_a_time(monkeypatch):
+    """The differential must compare two paths, not the batched one twice."""
+    calls = []
+    per_fragment = RefGraphicsContext.rasterize_triangle
+
+    def spy(self, *args):
+        calls.append(args)
+        return per_fragment(self, *args)
+
+    def batched(*args, **kwargs):
+        raise AssertionError("the reference reached the batched rasterizer")
+
+    monkeypatch.setattr(RefGraphicsContext, "rasterize_triangle", spy)
+    monkeypatch.setattr(Rasterizer, "rasterize_triangle_batch", batched)
+    ctx = _render(RefGraphicsContext, "textured_bilinear")
+    assert calls
+    assert ctx.fragment_ops.fragments_written > 0
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_perspective_depth_changes_the_depth_buffer(engine):
+def test_context_rejects_engine_keyword():
+    """One rasterizer path: there is no engine to select."""
+    with pytest.raises(TypeError):
+        GraphicsContext(8, 8, engine="vector")
+    assert not hasattr(repro.graphics, "GRAPHICS_ENGINES")
+
+
+def test_perspective_depth_changes_the_depth_buffer():
     """The option must actually alter interpolation under a perspective
     projection (uv/color already use 1/w weighting; only depth switches)."""
 
     def render(perspective_depth):
-        ctx = GraphicsContext(32, 32, tile_size=8, engine=engine,
-                              perspective_depth=perspective_depth)
+        ctx = GraphicsContext(32, 32, tile_size=8, perspective_depth=perspective_depth)
         ctx.clear()
         SCENARIOS["perspective_depth"](ctx)
         return ctx.framebuffer.depth.copy()
@@ -324,13 +346,12 @@ def test_perspective_depth_changes_the_depth_buffer(engine):
     assert not np.array_equal(linear, perspective)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_minification_selects_coarser_mips(engine):
+def test_minification_selects_coarser_mips():
     """A minified quad must actually read the generated mip chain: the
     render differs from the same scene clamped to the base level."""
 
     def render(mipmaps):
-        ctx = GraphicsContext(32, 32, tile_size=8, engine=engine)
+        ctx = GraphicsContext(32, 32, tile_size=8)
         ctx.set_mvp(Matrix4.orthographic(-1, 1, -1, 1))
         ctx.clear()
         ctx.bind_texture(_checker_texture(32), filter_mode=TexFilter.TRILINEAR,
