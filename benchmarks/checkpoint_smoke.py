@@ -11,7 +11,12 @@ One payload (``BENCH_checkpoint.json``), every row carrying an
 * **policy_restart** — the same SIMX restart of an 8-warp sgemm under each
   scheduler policy, plus a ``roundtrip_identical`` flag: the restored device
   checkpoints to the envelope it was restored from (the policies' selection
-  state is in the payload).
+  state is in the payload);
+* **store_storm_restart** — saxpy on the ``simx_memwall_stores`` benchmark
+  configuration, paused inside a write-refusal storm (stores queued, DRAM
+  queue full), restored into a fresh device and finished: the core's
+  store-queue lane tallies are derived, not checkpointed, so this row shows
+  the restored core rebuilds them bit-identically.
 
 Run with::
 
@@ -52,6 +57,14 @@ CONFIG = VortexConfig(
 
 #: (kernel, size) points for the restore-replay identity rows.
 REPLAY_POINTS = (("vecadd", 256), ("sgemm", 8 * 8), ("sfilter", 8 * 8))
+
+#: ``simx_memwall_stores``'s configuration: 8 warps of 32 threads storing
+#: through a 16 KiB write-through data cache into an 800-cycle DRAM.
+STORM_CONFIG = replace(
+    CONFIG.with_warps_threads(8, 32), memory=MemoryConfig(latency=800, bandwidth=4)
+)
+#: A cycle inside saxpy 256's write-refusal storm there (about 6.2 k–19 k).
+STORM_PAUSE = 10_000
 
 
 def measure_restore_replay(
@@ -94,6 +107,42 @@ def measure_policy_restart(policy: str, kernel: str = "sgemm", size: int = 8 * 8
     return row
 
 
+def measure_store_storm(kernel: str = "saxpy", size: int = 256) -> dict:
+    """Checkpoint at ``STORM_PAUSE``, restore into a fresh device and finish,
+    against a straight-through run; the pause must fall inside the storm."""
+
+    def staged() -> tuple[VortexDevice, object]:
+        kernel_obj = KERNELS[kernel]()
+        device = VortexDevice(STORM_CONFIG, driver="simx")
+        program = kernel_obj.build_program()
+        device.upload_program(program)
+        kernel_obj.setup(device, size)
+        return device, program
+
+    straight, program = staged()
+    reference = straight.driver.run(program.entry)
+    paused, program = staged()
+    paused.driver.run(program.entry, stop_cycle=STORM_PAUSE)
+    processor = paused.driver.processor
+    mismatches = []
+    if processor.memsys.dram.can_accept or not processor.cores[0]._store_queue:
+        mismatches.append(f"cycle {STORM_PAUSE} is not inside a write-refusal storm")
+    envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
+    fresh = VortexDevice(STORM_CONFIG, driver="simx")
+    fresh.restore(envelope)
+    roundtrip = fresh.checkpoint() == envelope
+    mismatches += diff_execution_reports(reference, fresh.driver.run(None, resume=True))
+    return {
+        "scenario": f"store_storm_restart_{kernel}_simx",
+        "cycles": reference.cycles,
+        "instructions": reference.instructions,
+        "identical_counters": not mismatches,
+        "roundtrip_identical": roundtrip,
+        "mismatches": mismatches,
+        "errors": [],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     root = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__)
@@ -106,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         for driver in ("simx", "funcsim")
     ]
     rows += [measure_policy_restart(policy) for policy in sorted(SCHEDULER_POLICIES)]
+    rows.append(measure_store_storm())
 
     identical = all(
         row["identical_counters"] and row.get("roundtrip_identical", True) for row in rows

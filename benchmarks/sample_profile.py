@@ -16,6 +16,16 @@ Run with::
 
 It reads ``bench.workloads`` and changes nothing there; shares are of samples
 taken while a repetition (set-up, run, teardown) was executing.
+
+Caveat on *self* and line shares: CPython (3.11) runs a signal handler only
+where the interpreter checks for pending signals — on function entry, on
+backward jumps and after calls into builtins — so a sample lands on the next
+such point, not on the line that was running.  The line table therefore
+piles samples onto lines like ``refused.extend(...)`` right after a long
+stretch of straight-line code, and *self* shares shift the same way.  Size a
+change from *inclusive* function shares, or from a direct timer around the
+function in question (``time.perf_counter`` in a scratch wrapper), not from
+the line table.
 """
 
 from __future__ import annotations

@@ -818,10 +818,11 @@ STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.arch.csr", "repr
 #: Stateful classes in the scope legitimately outside the checkpoint.  Each
 #: is either construction-time wiring rebuilt by ``__init__`` (the hierarchy
 #: ports), a transient helper that never lives across a pause boundary (the
-#: memory word cursor, the per-instruction warp emulator facade), or an
-#: exception type.
+#: memory word cursor, the per-instruction warp emulator facade, a one-call
+#: request group), or an exception type.
 SNAPSHOT_EXEMPT = frozenset(
     {
+        "repro.cache.cache.RequestGroup",
         "repro.cache.hierarchy._CachePort",
         "repro.cache.hierarchy._DramPort",
         "repro.core.emulator.SimulationLimitExceeded",

@@ -9,11 +9,11 @@ memory subsystem.
 
 Requests arrive one at a time through :meth:`NonBlockingCache.send`
 (instruction fetches, traffic from the level above) or, from the timing
-core, a warp at a time through :meth:`NonBlockingCache.send_batch` as
-same-line *runs* ``(addresses, line, bank_id, ...)`` — the lanes that share
-one bank access under virtual multi-porting — so the selector arbitrates
-per run, not per lane, while charging every counter and trace event per
-lane exactly as ``send`` would.
+core, a cycle's worth at a time through :meth:`NonBlockingCache.send_batch`:
+*groups* of same-line *runs* ``(addresses, line, bank_id, ...)`` — the lanes
+that share one bank access under virtual multi-porting — so the selector
+arbitrates per run, not per lane, while charging every counter and trace
+event per lane exactly as ``send`` would.
 
 The answer travels per run too.  Lanes a bank accepts in one step share one
 :class:`~repro.cache.bank.CacheResponse` record, built once and handed to
@@ -32,7 +32,7 @@ overcommitted.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from operator import itemgetter
 from typing import Any
 
@@ -121,6 +121,12 @@ class LowerPort:
         reach this port's full queue."""
         self.note_skipped_refusal(sum(map(len, runs)))
 
+    def note_blocked_write_count(self, lanes: int) -> bool:
+        """:meth:`note_blocked_writes` from a lane count; False, charging
+        nothing, where the addresses matter (by default they never do)."""
+        self.note_skipped_refusal(lanes)
+        return True
+
     def refusal_horizon(self) -> int | None:
         """Cycle until which (exclusively) every request is provably refused.
 
@@ -129,6 +135,16 @@ class LowerPort:
         lets the fast-forward treat a retry storm as event-free.
         """
         return None
+
+
+class RequestGroup:
+    """Runs still ``to_send`` under one ``tag`` and the lanes accepted so far
+    (``outstanding``): what :meth:`NonBlockingCache.send_batch` takes."""
+
+    __slots__ = ("to_send", "tag", "outstanding")
+
+    def __init__(self, to_send: list[tuple[Any, ...]], tag: Any = None):
+        self.to_send, self.tag, self.outstanding = to_send, tag, 0
 
 
 class NonBlockingCache(Stateful):
@@ -336,19 +352,19 @@ class NonBlockingCache(Stateful):
             self._trace_attempts("refusal", line, bank_id, True)
 
     @hot_path
-    def send_batch(
-        self, requests: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
-    ) -> tuple[int, list[tuple[Any, ...]], int]:
-        """Present a whole warp's outstanding requests in one call.
+    def send_batch(self, groups: Iterable[Any], budget: int, is_write: bool) -> int:
+        """Present a cycle's outstanding requests in one call.
 
-        ``requests`` is a list of *runs* ``(addresses, line, bank_id, ...)``:
+        ``groups`` are :class:`RequestGroup`-shaped, oldest first.  Each
+        ``to_send`` is a list of *runs* ``(addresses, line, bank_id, ...)``:
         ``addresses`` is the tuple of byte addresses of consecutive lanes
         that share cache line ``line``, grouped once per memory instruction
         by the timing core instead of being rediscovered on every retry.
-        Lanes are attempted strictly in order while ``budget`` (the LSU's
-        per-thread ports) lasts, with the outcomes of a loop of
-        :meth:`send` calls — for *any* partition of the lane list into
-        same-line runs; two adjacent runs may share a line.
+        Lanes are attempted strictly in order, group after group, while
+        ``budget`` (the LSU's per-thread ports) lasts, with the outcomes of
+        a loop of :meth:`send` calls — for *any* partition of the lane list
+        into same-line runs and into groups; two adjacent runs may share a
+        line.
 
         Arbitration runs per run, not per lane.  A refusal mutates no cache,
         MSHR or port state, and within one call only an accept does, so
@@ -368,14 +384,15 @@ class NonBlockingCache(Stateful):
         counters advance per call) while their accepted lanes still share one
         record.
 
-        Returns ``(accepted, refused, budget)``.  ``refused`` preserves lane
+        Returns the budget left.  Each group's ``outstanding`` grows by its
+        accepted lanes and its ``to_send`` becomes the refused runs in lane
         order — refused lanes first, then the un-attempted tail once the
-        budget ran out; a refused attempt consumes no budget.  A run none of
+        budget ran out (a refused attempt consumes no budget).  A run none of
         whose lanes was accepted comes back as it is, a partly accepted one
-        as a new run of the lanes that were not.  Counters are
-        aggregated in locals and flushed once, bit-identical to
-        :meth:`send` per attempt (``tests/test_cache.py`` holds both paths,
-        and the partition invariance, to it with property tests).
+        as a new run of the lanes that were not.  Counters are aggregated in
+        locals and flushed once, bit-identical to :meth:`send` per attempt
+        (``tests/test_cache.py`` holds both paths, the partition invariance
+        and one call per group to it with property tests).
         """
         accepts = self._accepts_this_cycle
         banks = self.banks
@@ -397,163 +414,175 @@ class NonBlockingCache(Stateful):
         lower_full = lower is not None and lower.blocked(is_write)
         skipped = 0
         blocked: list[tuple[int, ...]] = []  # write-throughs the blocked lower never saw
-        refused: list[tuple[Any, ...]] = []
-        index = 0
-        total = len(requests)
-        while index < total:
+        for group in groups:
+            requests = group.to_send
+            if not requests:
+                continue
             if budget <= 0:
-                refused.extend(requests[index:])
-                break
-            if full_banks >= num_banks or (lower_full and is_write):
-                # Nothing further can be accepted — every bank has all its
-                # ports taken, or every write-through needs the full lower
-                # queue — and refusals mutate nothing, so the rest of the
-                # batch is classified in one pass: a port-less bank charges
-                # conflicts (the port check precedes every other reason), the
-                # rest charge lower refusals.  This is where a retry wall
-                # lands nearly all of its attempts.
-                for run in requests[index:]:
-                    accepted = accepts.get(run[2])
-                    if accepted is not None and (
-                        accepted[1] >= num_ports or accepted[0] != run[1]
-                    ):
+                break  # the rest stay as they are
+            refused: list[tuple[Any, ...]] = []
+            group_accepted = 0
+            for index, run in enumerate(requests):
+                if budget <= 0:
+                    refused.extend(requests[index:])
+                    break
+                if full_banks >= num_banks:
+                    # Every bank has all its ports taken and refusals mutate
+                    # nothing, so the rest of the batch conflicts (the port
+                    # check precedes every other reason), charged in one pass.
+                    # This is where a load retry wall lands most attempts.
+                    for run in requests[index:]:
                         bank_conflicts += len(run[0])
                         if trace is not None:
-                            self._trace_attempts("conflict", run[1], run[2], is_write, len(run[0]))
-                    else:
-                        blocked.append(run[0])
-                        if trace is not None:
-                            self._refuse_blocked_writes_traced(run[0], run[1], run[2])
-                refused.extend(requests[index:])
-                break
-            run = requests[index]
-            index += 1
-            addresses = run[0]
-            line = run[1]
-            bank_id = run[2]
-            lanes = len(addresses)
-            accepted = accepts.get(bank_id)
-            if accepted is None:
-                ports_left = num_ports
-            elif accepted[0] == line:
-                ports_left = num_ports - accepted[1]
-            else:
-                ports_left = 0  # another line owns the bank this cycle
-            bank = banks[bank_id]
-            mshr = bank.mshr
-            hit = None  # tag probe: made once, and only if a lane gets that far
-            kept: tuple[int, ...] = ()  # lanes refused one by one
-            done = taken = 0  # lanes attempted / accepted
-            while done < lanes and budget > 0:
-                # Refusal reasons only an accept can change: every lane from
-                # ``done`` on gets the same answer, charged in one step.
-                if ports_left <= 0:
-                    bank_conflicts += lanes - done
-                    if trace is not None:
-                        self._trace_attempts("conflict", line, bank_id, is_write, lanes - done)
+                            self._trace_attempts(
+                                "conflict", run[1], run[2], is_write, len(run[0])
+                            )
+                    refused.extend(requests[index:])
                     break
-                if is_write:
-                    lower_refuses = lower_full
-                elif mshr.almost_full:
-                    mshr_stalls += lanes - done
-                    if trace is not None:
-                        self._trace_attempts("mshr-stall", line, bank_id, False, lanes - done)
-                    break
+                addresses = run[0]
+                line = run[1]
+                bank_id = run[2]
+                lanes = len(addresses)
+                accepted = accepts.get(bank_id)
+                if accepted is None:
+                    ports_left = num_ports
+                elif accepted[0] == line:
+                    ports_left = num_ports - accepted[1]
                 else:
-                    if hit is None:
-                        hit = bank.probe(line)
-                    lower_refuses = lower_full and not hit and mshr.lookup(line) is None
-                if lower_refuses:
+                    ports_left = 0  # another line owns the bank this cycle
+                bank = banks[bank_id]
+                mshr = bank.mshr
+                hit = None  # tag probe: made once, and only if a lane gets that far
+                kept: tuple[int, ...] = ()  # lanes refused one by one
+                done = taken = 0  # lanes attempted / accepted
+                while done < lanes and budget > 0:
+                    # Refusal reasons only an accept can change: every lane from
+                    # ``done`` on gets the same answer, charged in one step.
+                    if ports_left <= 0:
+                        bank_conflicts += lanes - done
+                        if trace is not None:
+                            self._trace_attempts(
+                                "conflict", line, bank_id, is_write, lanes - done
+                            )
+                        break
                     if is_write:
-                        blocked.append(addresses[done:])
+                        lower_refuses = lower_full
+                    elif mshr.almost_full:
+                        mshr_stalls += lanes - done
                         if trace is not None:
-                            self._refuse_blocked_writes_traced(addresses[done:], line, bank_id)
+                            self._trace_attempts(
+                                "mshr-stall", line, bank_id, False, lanes - done
+                            )
+                        break
                     else:
-                        skipped += lanes - done
-                        if trace is not None:
-                            self._trace_attempts("refusal", line, bank_id, False, lanes - done)
-                    break
-                # Accepts are taken in bulk: as many lanes as the run, the
-                # LSU budget and the bank's ports leave room for share one
-                # bank access and one response record.
-                room = min(lanes - done, budget, ports_left)
-                if is_write:
-                    # Every write-through is its own lower-level request, so
-                    # the lower is asked lane by lane; a refusal leaves a gap,
-                    # one that leaves the lower blocked ends the stretch.
-                    sent: tuple[int, ...] = ()
-                    while done < lanes and len(sent) < room and not lower_full:
-                        address = addresses[done]
-                        done += 1
-                        if lower is not None and not lower.request_write(self, address):
-                            lower_full = lower.blocked(True)
-                            memq_stalls += 1
-                            kept += (address,)
-                            if trace is not None:
-                                self._trace_attempts("refusal", line, bank_id, True)
-                            continue
                         if hit is None:
                             hit = bank.probe(line)
-                        sent += (address,)
-                        if trace is not None:
-                            self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
-                    room = len(sent)  # what the lower level let through
-                    if not room:
-                        continue
-                    if hit:
+                        lower_refuses = lower_full and not hit and mshr.lookup(line) is None
+                    if lower_refuses:
+                        if is_write:
+                            blocked.append(addresses[done:])
+                            if trace is not None:
+                                self._refuse_blocked_writes_traced(
+                                    addresses[done:], line, bank_id
+                                )
+                        else:
+                            skipped += lanes - done
+                            if trace is not None:
+                                self._trace_attempts(
+                                    "refusal", line, bank_id, False, lanes - done
+                                )
+                        break
+                    # Accepts are taken in bulk: as many lanes as the run, the
+                    # LSU budget and the bank's ports leave room for share one
+                    # bank access and one response record.
+                    room = min(lanes - done, budget, ports_left)
+                    if is_write:
+                        # Every write-through is its own lower-level request, so
+                        # the lower is asked lane by lane; a refusal leaves a gap,
+                        # one that leaves the lower blocked ends the stretch.
+                        sent: tuple[int, ...] = ()
+                        while done < lanes and len(sent) < room and not lower_full:
+                            address = addresses[done]
+                            done += 1
+                            if lower is not None and not lower.request_write(self, address):
+                                lower_full = lower.blocked(True)
+                                memq_stalls += 1
+                                kept += (address,)
+                                if trace is not None:
+                                    self._trace_attempts("refusal", line, bank_id, True)
+                                continue
+                            if hit is None:
+                                hit = bank.probe(line)
+                            sent += (address,)
+                            if trace is not None:
+                                self._trace_attempts(
+                                    "hit" if hit else "miss", line, bank_id, True
+                                )
+                        room = len(sent)  # what the lower level let through
+                        if not room:
+                            continue
+                        if hit:
+                            bank.touch(line, room)
+                            write_hits += room
+                        else:
+                            write_misses += room
+                        record = CacheResponse(sent, True, group.tag, cycle, hit)
+                        self._schedule(bank_id, record)
+                    elif hit:
                         bank.touch(line, room)
-                        write_hits += room
+                        self._schedule(
+                            bank_id,
+                            CacheResponse(
+                                addresses[done : done + room], False, group.tag, cycle, True
+                            ),
+                        )
+                        read_hits += room
+                        if trace is not None:
+                            self._trace_attempts("hit", line, bank_id, False, room)
+                        done += room
                     else:
-                        write_misses += room
-                    self._schedule(bank_id, CacheResponse(sent, True, tag, cycle, hit))
-                elif hit:
-                    bank.touch(line, room)
-                    self._schedule(
-                        bank_id,
-                        CacheResponse(addresses[done : done + room], False, tag, cycle, True),
-                    )
-                    read_hits += room
-                    if trace is not None:
-                        self._trace_attempts("hit", line, bank_id, False, room)
-                    done += room
-                else:
-                    merged = mshr.lookup(line) is not None
-                    if not merged:
-                        # The lane that allocates the entry goes alone: it can
-                        # raise ``almost_full``, which the lanes behind it —
-                        # merges included — must see before they are taken.
-                        room = 1
-                        if lower is not None and not lower.request_fill(self, line):
-                            lower_full = lower.blocked(False)
-                            memq_stalls += 1
+                        merged = mshr.lookup(line) is not None
+                        if not merged:
+                            # The lane that allocates the entry goes alone: it can
+                            # raise ``almost_full``, which the lanes behind it —
+                            # merges included — must see before they are taken.
+                            room = 1
+                            if lower is not None and not lower.request_fill(self, line):
+                                lower_full = lower.blocked(False)
+                                memq_stalls += 1
+                                kept += (addresses[done],)
+                                done += 1
+                                if trace is not None:
+                                    self._trace_attempts("refusal", line, bank_id, False)
+                                continue
+                        record = CacheResponse(
+                            addresses[done : done + room], False, group.tag, cycle, False
+                        )
+                        if mshr.allocate(line, record, room) is None:
+                            mshr_stalls += 1
                             kept += (addresses[done],)
                             done += 1
                             if trace is not None:
-                                self._trace_attempts("refusal", line, bank_id, False)
+                                self._trace_attempts("mshr-stall", line, bank_id, False)
                             continue
-                    record = CacheResponse(addresses[done : done + room], False, tag, cycle, False)
-                    if mshr.allocate(line, record, room) is None:
-                        mshr_stalls += 1
-                        kept += (addresses[done],)
-                        done += 1
+                        read_misses += room
                         if trace is not None:
-                            self._trace_attempts("mshr-stall", line, bank_id, False)
-                        continue
-                    read_misses += room
-                    if trace is not None:
-                        self._trace_attempts("miss", line, bank_id, False, room, merged)
-                    done += room
-                taken += room
-                budget -= room
-                ports_left -= room
-                accepts[bank_id] = (line, num_ports - ports_left)
-                if ports_left <= 0:
-                    full_banks += 1
-            if not taken:
-                refused.append(run)  # goes back as it came
-            elif taken < lanes:
-                refused.append((kept + addresses[done:],) + run[1:])
-            accepted_count += taken
+                            self._trace_attempts("miss", line, bank_id, False, room, merged)
+                        done += room
+                    taken += room
+                    budget -= room
+                    ports_left -= room
+                    accepts[bank_id] = (line, num_ports - ports_left)
+                    if ports_left <= 0:
+                        full_banks += 1
+                if not taken:
+                    refused.append(run)  # goes back as it came
+                elif taken < lanes:
+                    refused.append((kept + addresses[done:],) + run[1:])
+                group_accepted += taken
+            group.to_send = refused
+            group.outstanding += group_accepted
+            accepted_count += group_accepted
 
         # Flush the aggregated counts; only-touched-when-nonzero keeps the
         # counter key sets identical to :meth:`send`'s.  Every attempted
@@ -585,7 +614,34 @@ class NonBlockingCache(Stateful):
             counters["write_misses"] += write_misses
         if accepted_count:
             counters["accepted"] += accepted_count
-        return accepted_count, refused, budget
+        return budget
+
+    def charge_blocked_writes(self, bank_lanes: list[int], line_lanes: dict[int, int]) -> bool:
+        """Charge write-throughs, ``bank_lanes[bank]`` per bank and
+        ``line_lanes[line]`` per line, what :meth:`send_batch` charges them
+        while ``lower.blocked(True)`` holds: a conflict where the bank has no
+        port for the lane's line, else a lower refusal handed down as a
+        count.  False, charging nothing, where that is not exact: traced, an
+        unblocked lower, or a lower port that needs the addresses."""
+        lower = self.lower
+        if self.trace is not None or lower is None or not lower.blocked(True):
+            return False
+        lanes = sum(bank_lanes)
+        conflicts = 0
+        for bank_id, (line, count) in self._accepts_this_cycle.items():
+            conflicts += bank_lanes[bank_id]
+            if count < self._num_ports:
+                conflicts -= line_lanes.get(line, 0)
+        refusals = lanes - conflicts
+        if refusals and not lower.note_blocked_write_count(refusals):
+            return False
+        counters = self._counters
+        counters["attempts"] += lanes
+        if conflicts:
+            counters["bank_conflicts"] += conflicts
+        if refusals:
+            counters["memq_stalls"] += refusals
+        return True
 
     # -- back-end: fills and responses -------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
+from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache, RequestGroup
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
@@ -78,27 +78,33 @@ class _CachePort(LowerPort):
         lower = self.lower_cache.lower
         return is_write and lower is not None and lower.blocked(True)
 
-    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
+    def note_blocked_write_count(self, lanes: int) -> bool:
+        # Exact while every bank port is free (and nobody watches): each lane
+        # would have been refused by the level below, which is charged in turn.
         cache = self.lower_cache
-        if not cache._accepts_this_cycle and cache.trace is None:
-            # Every bank port is free (and nobody watches): each lane would
-            # have been refused by the level below, which is charged in turn.
-            lanes = sum(map(len, runs))
-            cache._counters["attempts"] += lanes
-            cache._counters["memq_stalls"] += lanes
-            cache.lower.note_blocked_writes(runs)
+        if cache._accepts_this_cycle or cache.trace is not None:
+            return False
+        if not cache.lower.note_blocked_write_count(lanes):
+            return False
+        cache._counters["attempts"] += lanes
+        cache._counters["memq_stalls"] += lanes
+        return True
+
+    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
+        if self.note_blocked_write_count(sum(map(len, runs))):
             return
         # Otherwise the lower cache's batch path — held to a loop of ``send``
         # calls by tests/test_cache.py — finds its own lower blocked and
         # charges every address as ``request_write`` would have: a bank
         # conflict, or a refusal handed on down; it accepts none.
+        cache = self.lower_cache
         line_size, num_banks = self.line_size, cache.config.num_banks
         requests = [
             ((address,), address // line_size, address // line_size % num_banks)
             for addresses in runs
             for address in addresses
         ]
-        cache.send_batch(requests, len(requests), True, None)
+        cache.send_batch((RequestGroup(requests),), len(requests), True)
 
 
 def _restore_levels(

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cache.cache import CacheResponse, NonBlockingCache
+from repro.cache.cache import CacheResponse, NonBlockingCache, RequestGroup
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters, hot_path
@@ -54,7 +54,7 @@ class _PendingMemOp:
     ``(addresses, line, bank_id, to_smem)`` — the byte addresses of
     consecutive lanes that share a cache line, grouped (with the cache
     geometry) once at charge time, so retry cycles arbitrate per run and
-    never re-derive either.
+    never re-derive either.  A request group of ``NonBlockingCache.send_batch``.
     """
 
     op_id: int
@@ -66,6 +66,9 @@ class _PendingMemOp:
     to_send: list[tuple[Any, ...]] = field(default_factory=list)
     outstanding: int = 0
     extra_latency: int = 0
+
+    #: The request tag the op's responses come back with.
+    tag = property(lambda op: ("op", op.op_id))
 
 
 def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
@@ -171,8 +174,8 @@ class TimingCore(Stateful):
     #: configuration identity, constructor-derived lookup tables, references
     #: owned and serialized by the memory subsystem (``clock``: the
     #: processor), the per-PC register cache (a pure function of the decode,
-    #: rebuilt lazily), the ``perf`` alias ``_counters`` and the mask horizon
-    #: :meth:`after_restore` invalidates.
+    #: rebuilt lazily), the ``perf`` alias ``_counters``, and what
+    #: :meth:`after_restore` invalidates or rebuilds from the queues.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "core_id",
@@ -184,6 +187,10 @@ class TimingCore(Stateful):
             "_counters",
             "_unit_latency",
             "_masks_valid_until",
+            "_smem_ops",
+            "_store_smem_lanes",
+            "_store_bank_lanes",
+            "_store_line_lanes",
             "_registers_by_pc",
             "_dcache_line_size",
             "_dcache_num_banks",
@@ -262,6 +269,10 @@ class TimingCore(Stateful):
         self._dcache_line_size = self.dcache.config.line_size
         self._dcache_num_banks = self.dcache.config.num_banks
         self._icache_line_size = config.icache.line_size
+        # Derived from the queues: the pending ops with a scratchpad run (the
+        # drain routes them per destination) and the store-queue tallies.
+        self._smem_ops: set[int] = set()
+        self._recount_stores()
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -275,10 +286,9 @@ class TimingCore(Stateful):
         self._warm_ilines.clear()
         self._pending_ifetch.clear()
         self._ifetch_to_send.clear()
-        self._registers_by_pc.clear()
         for warp_id in self._warp_ready_cycle:
             self._warp_ready_cycle[warp_id] = 0
-        self._masks_valid_until = 0
+        self.after_restore()
 
     def invalidate_caches(self) -> None:
         """Drop decode-derived caches (a new program image was loaded)."""
@@ -287,9 +297,29 @@ class TimingCore(Stateful):
 
     def after_restore(self) -> None:
         """Drop the per-PC register cache and the mask horizon (the functional
-        core's restore dropped the decode they derive from)."""
+        core's restore dropped the decode they derive from); rebuild what is
+        derived from the queues.  A reset ends here too."""
         self._registers_by_pc.clear()
         self._masks_valid_until = 0
+        self._smem_ops = {
+            op.op_id for op in self._pending_ops.values() if any(r[3] for r in op.to_send)
+        }
+        self._recount_stores()
+
+    def _recount_stores(self) -> None:
+        """Count the store queue's lanes: to the scratchpad, and to the data
+        cache per bank and per line."""
+        self._store_smem_lanes = 0
+        self._store_bank_lanes = bank_lanes = [0] * self._dcache_num_banks
+        self._store_line_lanes: dict[int, int] = {}
+        line_lanes = self._store_line_lanes
+        for addresses, line, bank, to_smem in self._store_queue:
+            lanes = len(addresses)
+            if to_smem:
+                self._store_smem_lanes += lanes
+            else:
+                bank_lanes[bank] += lanes
+                line_lanes[line] = line_lanes.get(line, 0) + lanes
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -499,6 +529,7 @@ class TimingCore(Stateful):
         if op.writes_rd:
             self._writebacks.append((ready, op.warp_id, op.rd, op.rd_float))
         del self._pending_ops[op.op_id]
+        self._smem_ops.discard(op.op_id)
         self._counters["mem_ops_completed"] += 1
         trace = self.trace
         if trace is not None:
@@ -525,45 +556,42 @@ class TimingCore(Stateful):
         # per-thread ports), oldest operation first.  ``_pending_ops`` is
         # insertion-ordered by construction (op ids are allocated
         # monotonically), so plain iteration is oldest-first; operations
-        # merely waiting on outstanding responses have nothing to send.
+        # merely waiting on outstanding responses have nothing to send.  Each
+        # stretch of data-cache-only ops goes down in one ``send_batch``
+        # call; an op with scratchpad lanes is routed per destination.
         budget = self.config.core.num_threads
         if self._pending_ops:
-            for op in list(self._pending_ops.values()):
-                if budget <= 0:
-                    break
-                if op.to_send:
-                    budget = self._send_for_op(op, budget)
+            batch: list[_PendingMemOp] = []
+            for op in self._pending_ops.values():
+                if op.op_id in self._smem_ops:
+                    if batch:
+                        budget = self.dcache.send_batch(batch, budget, False)
+                        batch = []
+                    budget = self._send_batch_segments(op, budget, False)
+                elif op.to_send:
+                    batch.append(op)
+            if batch:
+                budget = self.dcache.send_batch(batch, budget, False)
         if budget > 0 and self._store_queue:
-            self._store_queue, budget, _ = self._send_batch_segments(
-                self._store_queue, budget, True, None
-            )
+            # A pass the blocked lower port refuses whole is charged from the
+            # tallies; the queue it would rebuild comes back unchanged.
+            if self._store_smem_lanes or not self.dcache.charge_blocked_writes(
+                self._store_bank_lanes, self._store_line_lanes
+            ):
+                stores = RequestGroup(self._store_queue)
+                self._send_batch_segments(stores, budget, True)
+                if stores.outstanding:  # else every lane is back, in order
+                    self._store_queue = stores.to_send
+                    self._recount_stores()
 
     @hot_path
-    def _send_for_op(self, op: _PendingMemOp, budget: int) -> int:
-        refused, budget, accepted = self._send_batch_segments(
-            op.to_send, budget, False, ("op", op.op_id)
-        )
-        op.to_send = refused
-        op.outstanding += accepted
-        self._maybe_complete_op(op)
-        return budget
-
-    @hot_path
-    def _send_batch_segments(
-        self, entries: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
-    ) -> tuple[list[tuple[Any, ...]], int, int]:
-        """Send ``(addresses, line, bank, to_smem)`` runs in order through
-        the per-destination batch paths.
-
-        Consecutive same-destination runs go down in one ``send_batch``
-        call (one call per warp memory instruction in the common all-global
-        case); the live budget threads through so the attempt order and the
-        budget-cutoff point are those of one lane-by-lane pass.
-        Returns ``(refused, budget, accepted)`` with ``refused`` preserving
-        retry order and ``accepted`` counting lanes.
-        """
+    def _send_batch_segments(self, group: Any, budget: int, is_write: bool) -> int:
+        """Send a request group through the per-destination batch paths, one
+        call per stretch of same-destination runs.  The live budget threads
+        through, so the attempt order and the budget cut-off are those of one
+        lane-by-lane pass; the group is written back as ``send_batch`` does."""
+        entries = group.to_send
         refused: list[tuple[Any, ...]] = []
-        accepted_total = 0
         index = 0
         total = len(entries)
         while index < total:
@@ -574,20 +602,19 @@ class TimingCore(Stateful):
             end = index + 1
             while end < total and entries[end][3] == to_smem:
                 end += 1
-            segment = entries if index == 0 and end == total else entries[index:end]
             if to_smem:
                 accepted, seg_refused, budget = self.smem.send_batch(
-                    segment, budget, is_write, tag
+                    entries[index:end], budget, is_write, group.tag
                 )
             else:
-                accepted, seg_refused, budget = self.dcache.send_batch(
-                    segment, budget, is_write, tag
-                )
-            accepted_total += accepted
-            if seg_refused:
-                refused.extend(seg_refused)
+                segment = RequestGroup(entries[index:end], group.tag)
+                budget = self.dcache.send_batch((segment,), budget, is_write)
+                accepted, seg_refused = segment.outstanding, segment.to_send
+            group.outstanding += accepted
+            refused.extend(seg_refused)
             index = end
-        return refused, budget, accepted_total
+        group.to_send = refused
+        return budget
 
     def _request_entries(self, addresses: Any) -> list[tuple[Any, ...]]:
         """Group a lane trace into ``(addresses, line, bank, to_smem)`` runs.
@@ -734,6 +761,7 @@ class TimingCore(Stateful):
             self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
         if is_store:
             self._store_queue.extend(to_send)
+            self._recount_stores()
             self._counters["stores"] += len(addresses)
             return
 
@@ -766,6 +794,8 @@ class TimingCore(Stateful):
                     {"register": op.rd, "float": op.rd_float},
                 )
         self._pending_ops[op.op_id] = op
+        if any(run[3] for run in to_send):
+            self._smem_ops.add(op.op_id)
 
     # -- fast-forward -----------------------------------------------------------------------------
 
@@ -819,11 +849,8 @@ class TimingCore(Stateful):
             # queue's release (the DRAM head pop) is already an event in the
             # memory subsystem's scan.
             horizon = self.dcache.write_refusal_horizon()
-            if horizon is None or horizon <= cycle + 1:
-                return cycle + 1
-            for run in self._store_queue:
-                if run[3]:  # a scratchpad store would be accepted
-                    return cycle + 1
+            if horizon is None or horizon <= cycle + 1 or self._store_smem_lanes:
+                return cycle + 1  # (a scratchpad store would be accepted)
         result: int | None = None
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch
@@ -878,7 +905,7 @@ class TimingCore(Stateful):
             # port-free at the start of each fresh cycle and nothing else
             # accepts inside the window, so no entry ever charges a bank
             # conflict — every attempt is a lower-level refusal.
-            refusals = sum(len(run[0]) for run in self._store_queue) * cycles
+            refusals = sum(self._store_bank_lanes) * cycles
             self.dcache.perf.incr("attempts", refusals)
             self.dcache.perf.incr("memq_stalls", refusals)
             self.dcache.lower.note_skipped_refusal(refusals)

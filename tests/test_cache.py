@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.bank import CacheBank
-from repro.cache.cache import LowerPort, NonBlockingCache
+from repro.cache.cache import LowerPort, NonBlockingCache, RequestGroup
 from repro.cache.hierarchy import MemorySubsystem
 from repro.cache.mshr import Mshr
 from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
@@ -394,6 +394,14 @@ class _RecordingTrace:
         self.events.append((cycle, kind, dict(payload or {})))
 
 
+def send_runs(cache, runs, budget, is_write, tag):
+    """``send_batch`` over one group of ``runs``, as ``(accepted, refused,
+    budget left)``."""
+    group = RequestGroup(runs, tag)
+    left = cache.send_batch((group,), budget, is_write)
+    return group.outstanding, group.to_send, left
+
+
 def _perlane_reference(cache, entries, budget, is_write, tag):
     """One lane-by-lane pass over ``send`` — the oracle for ``send_batch``."""
     refused = []
@@ -518,8 +526,8 @@ def _check_batch_matches_perlane(tick, config, ref_lower, bat_lower, rounds):
         ref_accepted, ref_refused, ref_budget = _perlane_reference(
             reference, entries, budget, is_write, "t"
         )
-        accepted, refused, left = batched.send_batch(
-            _cache_runs(batched, addresses, split), budget, is_write, "t"
+        accepted, refused, left = send_runs(
+            batched, _cache_runs(batched, addresses, split), budget, is_write, "t"
         )
         assert (accepted, _lanes(refused), left) == (
             ref_accepted, [entry[0] for entry in ref_refused], ref_budget
@@ -621,14 +629,118 @@ def test_send_batch_partition_invariance_property(
         partitions = [(), [True] * len(addresses), split]
         outcomes = []
         for cache, cuts in zip(caches, partitions):
-            accepted, refused, left = cache.send_batch(
-                _cache_runs(cache, addresses, cuts), budget, is_write, "t"
+            accepted, refused, left = send_runs(
+                cache, _cache_runs(cache, addresses, cuts), budget, is_write, "t"
             )
             outcomes.append((accepted, _lanes(refused), left))
         assert outcomes[0] == outcomes[1] == outcomes[2]
         agree(lambda cache, lower: (_cache_state(cache), vars(lower), cache.trace.events))
         agree(lambda cache, lower: _settle(tick, cache, lower))
     agree(lambda cache, lower: (_drain_responses(tick, cache), _cache_state(cache)))
+
+
+def _check_groups_match_one_call_each(tick, config, make_lower, rounds):
+    """Send every round's groups once in one ``send_batch`` call and once as
+    consecutive single-group calls; everything observable must agree."""
+    lowers = [make_lower(), make_lower()]
+    caches = [NonBlockingCache(f"c{i}", config, lower=lower) for i, lower in enumerate(lowers)]
+    for cache in caches:
+        cache.trace = _RecordingTrace()
+    joint, split = caches
+    for is_write, budget, groups in rounds:
+        made = [
+            [RequestGroup(_cache_runs(cache, addresses, cuts), ("g", i))
+             for i, (addresses, cuts) in enumerate(groups)]
+            for cache in caches
+        ]
+        left = joint.send_batch(made[0], budget, is_write)
+        split_left = budget
+        for group in made[1]:
+            split_left = split.send_batch((group,), split_left, is_write)
+        assert left == split_left
+        outcomes = [[(_lanes(g.to_send), g.outstanding) for g in groups] for groups in made]
+        assert outcomes[0] == outcomes[1]
+        assert _cache_state(joint) == _cache_state(split)
+        assert vars(lowers[0]) == vars(lowers[1])
+        assert joint.trace.events == split.trace.events
+        assert _settle(tick, joint, lowers[0]) == _settle(tick, split, lowers[1])
+    assert (_drain_responses(tick, joint), _cache_state(joint)) == (
+        _drain_responses(tick, split), _cache_state(split)
+    )
+    return caches
+
+
+_group_rounds = st.lists(
+    st.tuples(
+        st.booleans(),  # is_write
+        st.integers(min_value=0, max_value=24),  # budget
+        st.lists(  # groups, oldest first: lane addresses and extra cuts
+            st.tuples(
+                st.lists(
+                    st.integers(min_value=0, max_value=15).map(lambda line: line * 64),
+                    max_size=12,
+                ),
+                st.lists(st.booleans(), max_size=12),
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_banks=st.sampled_from([1, 2, 4]),
+    num_ports=st.sampled_from([1, 2, 4]),
+    mshr_size=st.sampled_from([1, 2, 4]),
+    make_lower=st.sampled_from(
+        [
+            lambda: _ScriptedLower(0),
+            lambda: _ScriptedLower(3),
+            lambda: _StickyQueueLower(1),
+            lambda: _StickyQueueLower(3),
+        ]
+    ),
+    rounds=_group_rounds,
+)
+def test_send_batch_groups_match_one_call_per_group_property(
+    tick, num_banks, num_ports, mshr_size, make_lower, rounds
+):
+    """Property: one ``send_batch`` call over several groups equals the same
+    groups sent one call each — budget left, every group's refused runs and
+    ``outstanding``, cache state and counters, lower traffic, traced events
+    and response streams.  The per-cycle setup a joint call shares (port
+    scan, lower backpressure, counter flush) is not observable."""
+    config = CacheConfig(
+        size=4 * 1024, line_size=64, num_banks=num_banks, num_ports=num_ports,
+        mshr_size=mshr_size, hit_latency=2,
+    )
+    _check_groups_match_one_call_each(tick, config, make_lower, rounds)
+
+
+def test_groups_budget_runs_out_inside_a_group(tick):
+    """Budget 3 against 2 + 4 lanes on free banks: the second group keeps
+    its last three lanes, the third is never reached and stays as it was."""
+    config = CacheConfig(size=4 * 1024, line_size=64, num_banks=8, num_ports=1, hit_latency=2)
+    groups = [([0, 64], []), ([128, 192, 256, 320], []), ([384], [])]
+    joint, _ = _check_groups_match_one_call_each(
+        tick, config, _accepting_lower, [(True, 3, groups)]
+    )
+    assert joint.perf.get("accepted") == 3 and joint.perf.get("attempts") == 3
+
+
+def test_groups_allocation_raises_early_full_for_the_next_group(tick):
+    """A two-entry MSHR: the first group's miss allocates and raises
+    ``almost_full``, so the next group's lanes on that line, which would
+    merge, are early-full stalls."""
+    config = CacheConfig(size=4 * 1024, line_size=64, num_banks=1, num_ports=4, mshr_size=2)
+    groups = [([0], []), ([4, 8], [])]
+    joint, _ = _check_groups_match_one_call_each(
+        tick, config, _accepting_lower, [(False, 8, groups)]
+    )
+    assert joint.perf.get("accepted") == 1 and joint.perf.get("mshr_stalls") == 2
 
 
 # -- the accept half travels per run: directed cases behind the properties ---------------
@@ -646,8 +758,8 @@ def _against_perlane(addresses, budget, is_write, make_lower, **config):
     expected = _perlane_reference(
         reference, _entries_for(reference, addresses), budget, is_write, "t"
     )
-    accepted, refused, left = batched.send_batch(
-        _cache_runs(batched, addresses), budget, is_write, "t"
+    accepted, refused, left = send_runs(
+        batched, _cache_runs(batched, addresses), budget, is_write, "t"
     )
     assert (accepted, _lanes(refused), left) == (
         expected[0], [entry[0] for entry in expected[1]], expected[2]
@@ -730,7 +842,7 @@ def test_accepted_hit_run_is_one_due_entry(tick):
     cache._schedule = lambda bank_id, record: (scheduled.append(record), schedule(bank_id, record))
     addresses = tuple(0x400 + 4 * lane for lane in range(8))
     use_counter = cache.banks[0]._use_counter
-    accepted, refused, budget = cache.send_batch(_cache_runs(cache, addresses), 32, False, "t")
+    accepted, refused, budget = send_runs(cache, _cache_runs(cache, addresses), 32, False, "t")
     assert (accepted, refused, budget) == (8, [], 24)
     assert len(scheduled) == 1 and scheduled[0].addresses == addresses
     assert [len(bucket) for bucket in cache._due.values()] == [1]

@@ -8,6 +8,8 @@ from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.trace.bus import TraceBus
 from repro.trace.sinks import MemorySink
 
+from test_cache import send_runs
+
 
 def _drain(tick, memsys, dcache, max_cycles=500):
     """Tick until the data cache of core 0 returns its responses."""
@@ -142,7 +144,7 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool):
     while memsys.busy:
         tick(memsys)
     stores = [((0x200 * 64,), 0x200, 0, False), ((0x201 * 64,), 0x201, 1, False)]
-    assert dcache0.send_batch(stores, 4, True, None)[0] == 2  # fills the DRAM queue
+    assert send_runs(dcache0, stores, 4, True, None)[0] == 2  # fills the DRAM queue
     tick(memsys)
     assert not memsys.dram.can_accept
     assert dcache1.send(0x100 * 64, tag="hit-in-l2")  # accepted although DRAM is full
@@ -151,7 +153,7 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool):
         ((0x101 * 64, 0x101 * 64 + 4), 0x101, 1, False),
         ((0x102 * 64,), 0x102, 2, False),
     ]
-    assert dcache0.send_batch(storm, 8, True, None) == (0, storm, 8)
+    assert send_runs(dcache0, storm, 8, True, None) == (0, storm, 8)
     bus.flush()
     return memsys, sink.events
 

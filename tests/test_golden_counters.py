@@ -11,8 +11,11 @@ The scenarios are the regimes where the two paths differed most in code:
 the port-limited retry wall (loads and a store-refusal storm), multi-level
 fills, global barriers across cores, and a kernel whose lanes interleave
 scratchpad and global addresses inside one warp instruction — the only
-end-to-end coverage of the mixed-destination segment splitting in
-``TimingCore._send_batch_segments``.
+end-to-end coverage of the drain's per-destination routing: a pending load
+or a store queue with scratchpad lanes is split into ordered segments by
+``TimingCore._send_batch_segments``, while data-cache-only loads share one
+``send_batch`` call and a write-blocked store queue without scratchpad
+lanes is charged from its tallies.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Invariants of the event-kept core tick.
 
-Two things the timing core used to re-derive and now keeps by events are
-held here to the forms they replaced, kept as test-side oracles:
+Things the timing core used to re-derive and now keeps by events are held
+here to the forms they replaced, kept as test-side oracles:
 
 * the scheduler's three masks (recomputed only when an input moved) against
   the per-tick all-warps rebuild, at every ``select`` of every core;
 * a write-through storm behind a cache level (refused in bulk once the
   lower port reports itself ``blocked``) against lower ports that forward
-  lane by lane, on every counter of every level and on the event streams.
+  lane by lane, on every counter of every level and on the event streams;
+* a write-blocked store queue charged from its lane tallies against the
+  per-run pass over the queue, and the tallies against a recount.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.config import SCHEDULER_POLICIES, MemoryConfig, VortexConfig
+from repro.common.config import SCHEDULER_POLICIES, CacheConfig, MemoryConfig, VortexConfig
 from repro.core.processor import TimingProcessor
+from repro.core.timing import _lanes_of, _PendingMemOp
 from repro.kernels import KERNELS
+from repro.mem.dram import MemRequest
 from repro.runtime.device import VortexDevice
 
 from test_cache_hierarchy import forward_lane_by_lane
@@ -134,3 +140,80 @@ def test_bulk_refused_storm_equals_lane_by_lane(cores, l3, tmp_path, monkeypatch
     assert counters["dram"]["rejected"] >= blocked > counters["dram"]["writes"]
     assert counters == twin_counters == traced_counters
     assert events == twin_events  # byte for byte: per-lane order across dcache/l2/l3
+
+
+# -- a write-blocked store queue: charged from tallies == the per-run pass ------------------
+
+
+def _tallies(core) -> tuple:
+    return core._store_smem_lanes, list(core._store_bank_lanes), dict(core._store_line_lanes)
+
+
+def _blocked_drain(geometry, l2_busy, stores, loads, shortcut):
+    """One drain of a store queue over ``stores`` against a full DRAM queue,
+    behind a load op over ``loads`` (warm lines: its hits take bank ports
+    first).  ``l2_busy`` has another request hold an L2 port, which a count
+    cannot be charged past.  Returns the processor, what it observably did
+    and what each tally charge answered (``shortcut=False``: the twin, in
+    which every charge declines and the per-run pass runs)."""
+    banks, ports, l2 = geometry
+    config = replace(
+        VortexConfig().with_warps_threads(4, 16).with_cache_hierarchy(enable_l2=l2),
+        dcache=CacheConfig(size=4 * 1024, line_size=64, num_banks=banks, num_ports=ports),
+        memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
+    )
+    processor = TimingProcessor(config)
+    core, memsys = processor.cores[0], processor.memsys
+    dcache = core.dcache
+    for address in loads:
+        dcache.fill(address // 64)
+    if l2_busy:
+        memsys.l2[0].fill(0)
+        assert memsys.l2[0].send(0)
+    while memsys.dram.can_accept:
+        memsys.dram.send(MemRequest(address=0, is_write=True))
+    entries = core._request_entries(loads)
+    core._pending_ops[0] = _PendingMemOp(0, 0, 1, False, True, "load", entries)
+    core._store_queue = core._request_entries(stores)
+    core._recount_stores()
+    answers = []
+
+    def charge(bank_lanes, line_lanes, real=dcache.charge_blocked_writes):
+        answers.append(shortcut and real(bank_lanes, line_lanes))
+        return answers[-1]
+
+    dcache.charge_blocked_writes = charge
+    core._drain_requests()
+    op = core._pending_ops[0]
+    queues = (_lanes_of(core._store_queue), _lanes_of(op.to_send), op.outstanding)
+    return processor, (memsys.counters(), queues), answers
+
+
+_word_addresses = st.tuples(st.integers(0, 7), st.integers(0, 15)).map(
+    lambda line_word: line_word[0] * 64 + line_word[1] * 4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4]), st.booleans()),
+    l2_busy=st.booleans(),
+    stores=st.lists(_word_addresses, min_size=1, max_size=24),
+    loads=st.lists(_word_addresses, max_size=8),
+)
+def test_tally_charge_equals_the_per_run_pass(geometry, l2_busy, stores, loads):
+    l2_busy = l2_busy and geometry[2]
+    processor, observed, answers = _blocked_drain(geometry, l2_busy, stores, loads, True)
+    _, twin, twin_answers = _blocked_drain(geometry, l2_busy, stores, loads, False)
+    assert observed == twin  # every level's counters, both queues, lane by lane
+    assert twin_answers == [False]
+    if not l2_busy:  # behind the DRAM port, or an L2 with every port free
+        assert answers == [True]
+
+    core = processor.cores[0]
+    kept = _tallies(core)
+    core._recount_stores()
+    assert _tallies(core) == kept
+    fresh = TimingProcessor(processor.config)
+    fresh.restore(processor.snapshot())
+    assert _tallies(fresh.cores[0]) == kept
