@@ -4,7 +4,7 @@ Runs two hit-friendly wide-warp scenarios and the stall-heavy policy-sweep
 shape (``POLICY_SWEEP_CYCLES`` in ``tests/test_scheduler_policy.py``) four ways:
 
 * ``simx`` — tracing off.  The instrumented hot paths pay only the prebound
-  ``trace is None`` guards; vxlint VX008 is what holds that statically.
+  ``trace is None`` guards (an unguarded emission raises on ``None``).
 * ``simx:trace=mem`` — full tracing into an in-memory sink.  The reports
   of the off and traced runs must be **bit-identical** (tracing observes
   the simulation, never perturbs it) and the event stream must

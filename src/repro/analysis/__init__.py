@@ -6,11 +6,9 @@ Run as ``python -m repro.analysis src`` (see :mod:`repro.analysis.__main__`).
 from __future__ import annotations
 
 from repro.analysis.framework import (
-    Baseline,
     Finding,
     ModuleInfo,
     Rule,
-    RunResult,
     load_modules,
     module_name_for,
     register_rule,
@@ -18,27 +16,21 @@ from repro.analysis.framework import (
     run_rules,
 )
 from repro.analysis.rules import (
-    CounterDisciplineRule,
     DeterminismRule,
     DtypeDisciplineRule,
-    HotPathAllocationRule,
-    PredicatePurityRule,
+    SnapshotCoverageRule,
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "ModuleInfo",
     "Rule",
-    "RunResult",
     "load_modules",
     "module_name_for",
     "register_rule",
     "registered_rules",
     "run_rules",
-    "CounterDisciplineRule",
     "DeterminismRule",
     "DtypeDisciplineRule",
-    "HotPathAllocationRule",
-    "PredicatePurityRule",
+    "SnapshotCoverageRule",
 ]

@@ -1,24 +1,19 @@
-"""The seven vxlint rules encoding the repo's simulator invariants.
+"""The vxlint rules: simulator invariants the test suite cannot see.
 
-Each rule is the static generalization of a property the differential and
-Hypothesis tests enforce dynamically on specific code paths:
+A rule belongs here only while its defect class passes the tier-1 suite:
+plant the defect in real modules and run the tests without this package's
+own.  Defects the tests already fail on (impure fast-forward probes,
+misspelled counter keys, unguarded trace emission) get no rule, and
+neither does per-call allocation on hot paths, which the benchmark
+measures.  What is left are defects that are invisible inside one process
+on one numpy:
 
 * **VX001 determinism** — the timing/functional simulators must be pure
   functions of (program, config): no wall-clock, no RNG, no ``id()``-keyed
   decisions, no iteration over unsorted sets (release order once leaked
-  from ``set`` hashing into barrier release lists).
-* **VX002 predicate purity** — the probe predicates the fast paths share
-  with the send paths (``can_accept*``, ``next_event_cycle``,
-  ``refusal_horizon``, ...) must not mutate state: the batched request path
-  and the event-driven fast-forward are only bit-identical because probing
-  is free.
-* **VX003 counter discipline** — performance counters may only be touched
-  through ``+=``/``-=`` (or the ``incr``/``set`` API) with string-literal
-  keys declared in a component's ``COUNTERS`` schema, so a typo'd key can
-  never silently fork the scalar and batched paths' counter sets.
-* **VX004 hot-path allocation** — functions marked ``@hot_path`` run at
-  per-request-attempt rates (millions per simulated second) and must not
-  build comprehensions, lambdas, f-strings or fresh numpy arrays.
+  from ``set`` hashing into barrier release lists).  Hash seeds and
+  allocation addresses only differ *across* processes, so a test run
+  agrees with itself either way.
 * **VX005 dtype discipline** — lane-vector arithmetic must not mix bare
   python ints into uint32 vectors without an explicit ``np.uint32`` cast
   (the NEP-50 promotion class of bug), and numpy array constructors must
@@ -28,20 +23,14 @@ Hypothesis tests enforce dynamically on specific code paths:
   once, in a class-level ``STATE`` table from which ``snapshot()``/
   ``restore()`` are derived (:mod:`repro.common.state`): every ``self.x``
   it assigns must be a ``STATE`` key or listed in ``SNAPSHOT_EXCLUDED``,
-  and every ``STATE`` key must be assigned.  New state that a checkpoint
-  silently drops is the checkpoint/restore analogue of a typo'd counter
-  key: a restored run diverges from the straight-through one without any
-  error.
-* **VX008 trace-emission guard** — ``TraceBus.emit`` calls inside
-  ``@hot_path`` functions must sit lexically inside an ``if`` that tests
-  the trace receiver, so the tracing-off hot path stays allocation-free
-  (the ``trace = self.trace`` / ``if trace is not None:`` idiom).
+  and every ``STATE`` key must be assigned.  State a checkpoint silently
+  drops makes a restored run diverge only where a later step reads it,
+  which a restart test at one pause point may never reach.
 """
 
 from __future__ import annotations
 
 import ast
-import fnmatch
 from collections.abc import Iterator
 
 from repro.analysis.framework import Finding, ModuleInfo, Rule, register_rule
@@ -91,33 +80,6 @@ def enclosing_symbol(module: ModuleInfo, target: ast.AST) -> str:
     return best
 
 
-def decorator_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    names = []
-    for dec in func.decorator_list:
-        node = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(node)
-        if name is not None:
-            names.append(name.rsplit(".", 1)[-1])
-    return names
-
-
-def _literal_str_keys(node: ast.AST) -> list[str] | None:
-    """String value(s) of a key expression, resolving two-armed IfExps.
-
-    ``"writes" if is_write else "reads"`` is a fixed two-key choice, not a
-    typo risk, so both arms are validated against the schema.  Returns
-    ``None`` when the key is not statically known.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [node.value]
-    if isinstance(node, ast.IfExp):
-        body = _literal_str_keys(node.body)
-        orelse = _literal_str_keys(node.orelse)
-        if body is not None and orelse is not None:
-            return body + orelse
-    return None
-
-
 _SET_ANNOTATIONS = {"set", "Set", "frozenset", "FrozenSet", "MutableSet", "AbstractSet"}
 
 
@@ -138,6 +100,17 @@ def _is_set_expr(node: ast.AST) -> bool:
         name = dotted_name(node.func)
         return name in ("set", "frozenset")
     return False
+
+
+def _unsorted_set(node: ast.AST, set_symbols: set[str]) -> str | None:
+    """Source text of ``node`` when it evaluates to an unsorted set: a name
+    known to hold one, or a set built in place (``set(x)``, ``{a, b}``)."""
+    if _is_set_expr(node):
+        return ast.unparse(node)
+    target = dotted_name(node)
+    if target is not None and target.rsplit(".", 1)[-1] in set_symbols:
+        return target
+    return None
 
 
 def _class_literal(node: ast.ClassDef, name: str) -> set[str] | None:
@@ -175,7 +148,15 @@ def _class_literal(node: ast.ClassDef, name: str) -> set[str] | None:
 
 _BANNED_MODULES = {"time", "random", "secrets", "uuid"}
 
-SIMULATOR_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.engine")
+#: The simulator proper.  Of ``repro.engine`` only the vectorized emulator is
+#: simulator code; ``Session`` reads the host clock for job reports.
+SIMULATOR_SCOPE = (
+    "repro.core",
+    "repro.cache",
+    "repro.mem",
+    "repro.engine.vector_emulator",
+    "repro.engine.vector_core",
+)
 
 
 @register_rule
@@ -234,8 +215,8 @@ class DeterminismRule(Rule):
                             "ordering on them is nondeterministic across processes",
                         )
                     elif name in ("list", "tuple") and len(node.args) == 1:
-                        target = dotted_name(node.args[0])
-                        if target is not None and target.rsplit(".", 1)[-1] in set_symbols:
+                        target = _unsorted_set(node.args[0], set_symbols)
+                        if target is not None:
                             yield self.finding(
                                 module,
                                 node,
@@ -247,8 +228,8 @@ class DeterminismRule(Rule):
                             )
             elif isinstance(node, (ast.For, ast.comprehension)):
                 iter_expr = node.iter
-                target = dotted_name(iter_expr)
-                if target is not None and target.rsplit(".", 1)[-1] in set_symbols:
+                target = _unsorted_set(iter_expr, set_symbols)
+                if target is not None:
                     yield self.finding(
                         module,
                         iter_expr,
@@ -279,380 +260,6 @@ class DeterminismRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# VX002 — predicate purity
-
-
-#: Names (fnmatch patterns) of the registered side-effect-free predicates.
-PURE_PREDICATES = (
-    "can_accept*",
-    "next_event_cycle",
-    "next_response_cycle",
-    "refusal_horizon",
-    "write_refusal_horizon",
-    "_warp_would_stall",
-    "_schedulable_mask",
-    "probe",
-    "busy",
-    "done",
-    "full",
-    "schedulable",
-    "deadlocked",
-    "any_waiting",
-    "any_active",
-    "all_stalled",
-    "contains",
-)
-
-#: Method names that mutate their receiver (containers + counter APIs +
-#: the simulator send paths).  Calling one inside a pure predicate is a
-#: violation no matter what the receiver is.
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "popitem",
-        "clear",
-        "add",
-        "remove",
-        "discard",
-        "update",
-        "setdefault",
-        "sort",
-        "reverse",
-        "incr",
-        "reset",
-        "merge",
-        "update_from",
-        "send",
-        "send_batch",
-        "request_fill",
-        "request_write",
-        "note_skipped_refusal",
-        "allocate",
-        "release",
-        "fill",
-        "install",
-        "touch",
-        "reserve",
-        "tick",
-        "skip_idle",
-    }
-)
-
-
-def is_registered_predicate(name: str) -> bool:
-    return any(fnmatch.fnmatchcase(name, pattern) for pattern in PURE_PREDICATES)
-
-
-@register_rule
-class PredicatePurityRule(Rule):
-    """VX002: registered probe predicates must be side-effect free."""
-
-    id = "VX002"
-    title = "predicate-purity"
-    scope = SIMULATOR_SCOPE
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for qualname, func in iter_functions(module.tree):
-            if not is_registered_predicate(func.name):
-                continue
-            tainted = self._tainted_names(func)
-            for node in ast.walk(func):
-                yield from self._check_node(module, qualname, node, tainted)
-
-    @staticmethod
-    def _tainted_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-        """Local names aliasing externally visible state.
-
-        Parameters (including ``self``) are tainted; a local assigned from
-        an expression mentioning a tainted name inherits the taint
-        (``bank = self.banks[i]``).  A local built from a fresh literal or
-        comprehension (``results = []``) is *not* tainted: mutating it is
-        invisible outside the predicate, which is exactly what the batch
-        probes do to collect their answers.
-        """
-        args = func.args
-        tainted = {
-            arg.arg
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        }
-        if args.vararg:
-            tainted.add(args.vararg.arg)
-        if args.kwarg:
-            tainted.add(args.kwarg.arg)
-        # Statement-order pass; ast.walk is approximately source order, and
-        # predicates are short enough that one pass converges in practice.
-        for node in ast.walk(func):
-            value: ast.AST | None = None
-            targets: list[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, list(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, targets = node.value, [node.target]
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                value, targets = node.iter, [node.target]
-            if value is None:
-                continue
-            value_names = {
-                n.id for n in ast.walk(value) if isinstance(n, ast.Name)
-            }
-            if value_names & tainted:
-                for target in targets:
-                    for n in ast.walk(target):
-                        if isinstance(n, ast.Name):
-                            tainted.add(n.id)
-        return tainted
-
-    def _check_node(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        node: ast.AST,
-        tainted: set[str],
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    root = target
-                    while isinstance(root, (ast.Attribute, ast.Subscript)):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id not in tainted:
-                        continue
-                    detail = dotted_name(target) or "<subscript>"
-                    yield self.finding(
-                        module,
-                        node,
-                        qualname,
-                        f"store:{detail}",
-                        f"predicate `{qualname}` stores to `{detail}`: probe "
-                        "predicates must not mutate state (the batched/fast-forward "
-                        "paths probe them freely)",
-                    )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    detail = dotted_name(target) or "<subscript>"
-                    yield self.finding(
-                        module,
-                        node,
-                        qualname,
-                        f"delete:{detail}",
-                        f"predicate `{qualname}` deletes `{detail}`",
-                    )
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            method = node.func.attr
-            if method in MUTATING_METHODS:
-                receiver = node.func.value
-                root = receiver
-                while isinstance(root, (ast.Attribute, ast.Subscript)):
-                    root = root.value
-                # Mutating an untainted local (a fresh result list the
-                # probe is building) is invisible outside the predicate.
-                if isinstance(root, ast.Name) and root.id not in tainted:
-                    return
-                name = dotted_name(receiver)
-                target = f"{name}.{method}" if name else f"<expr>.{method}"
-                yield self.finding(
-                    module,
-                    node,
-                    qualname,
-                    f"mutating-call:{target}",
-                    f"predicate `{qualname}` calls mutating method `{target}()`",
-                )
-
-
-# ---------------------------------------------------------------------------
-# VX003 — counter discipline
-
-
-@register_rule
-class CounterDisciplineRule(Rule):
-    """VX003: counter mutations use literal keys declared in a COUNTERS schema."""
-
-    id = "VX003"
-    title = "counter-discipline"
-    scope = SIMULATOR_SCOPE
-
-    def __init__(self) -> None:
-        #: union of every declared per-component schema ("Class.key" attribution
-        #: is by declaration site; validation uses the union because charging a
-        #: sibling component's counters — e.g. the timing core replaying a
-        #: refusal storm into the dcache — is legitimate and still typo-prone).
-        self.declared: set[str] = set()
-        self.declaring_classes: dict[str, set[str]] = {}
-
-    def collect(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                keys = _class_literal(node, "COUNTERS")
-                if keys is not None:
-                    self.declared.update(keys)
-                    self.declaring_classes.setdefault(node.name, set()).update(keys)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                method = node.func.attr
-                if method not in ("incr", "set"):
-                    continue
-                receiver = dotted_name(node.func.value) or ""
-                if "perf" not in receiver.split("."):
-                    continue
-                symbol = enclosing_symbol(module, node)
-                if not node.args:
-                    continue
-                yield from self._check_key(module, node, node.args[0], symbol, f".{method}()")
-            elif isinstance(node, (ast.AugAssign, ast.Assign)):
-                targets = [node.target] if isinstance(node, ast.AugAssign) else node.targets
-                for target in targets:
-                    if not isinstance(target, ast.Subscript):
-                        continue
-                    container = dotted_name(target.value) or ""
-                    leaf = container.rsplit(".", 1)[-1]
-                    if not leaf.endswith("counters") and leaf != "counters":
-                        continue
-                    symbol = enclosing_symbol(module, node)
-                    if isinstance(node, ast.Assign):
-                        yield self.finding(
-                            module,
-                            node,
-                            symbol,
-                            f"assign:{container}",
-                            f"plain assignment into counter dict `{container}` — "
-                            "counters are monotonic; use `+=`/`-=` (or PerfCounters.set "
-                            "for sanctioned absolute writes)",
-                        )
-                        continue
-                    if not isinstance(node.op, (ast.Add, ast.Sub)):
-                        yield self.finding(
-                            module,
-                            node,
-                            symbol,
-                            f"op:{container}",
-                            f"counter dict `{container}` mutated with an operator other "
-                            "than `+=`/`-=`",
-                        )
-                        continue
-                    yield from self._check_key(
-                        module, node, target.slice, symbol, f"`{container}[...]`"
-                    )
-
-    def _check_key(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        key: ast.AST,
-        symbol: str,
-        where: str,
-    ) -> Iterator[Finding]:
-        keys = _literal_str_keys(key)
-        if keys is None:
-            detail = dotted_name(key) or ast.dump(key)[:40]
-            yield self.finding(
-                module,
-                node,
-                symbol,
-                f"non-literal:{detail}",
-                f"counter key in {where} is not a string literal (`{detail}`): the "
-                "schema check cannot protect against typos here",
-            )
-            return
-        for value in keys:
-            if value not in self.declared:
-                yield self.finding(
-                    module,
-                    node,
-                    symbol,
-                    f"undeclared:{value}",
-                    f"counter key {value!r} is not declared in any component COUNTERS "
-                    "schema — a typo here would silently fork the scalar/batched "
-                    "counter sets",
-                )
-
-
-# ---------------------------------------------------------------------------
-# VX004 — hot-path allocation
-
-
-_NUMPY_CONSTRUCTORS = {
-    "array",
-    "asarray",
-    "asanyarray",
-    "zeros",
-    "ones",
-    "empty",
-    "full",
-    "arange",
-    "frombuffer",
-    "fromiter",
-    "concatenate",
-    "stack",
-}
-
-
-@register_rule
-class HotPathAllocationRule(Rule):
-    """VX004: ``@hot_path`` functions stay allocation-light."""
-
-    id = "VX004"
-    title = "hot-path-allocation"
-    scope = ("repro",)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for qualname, func in iter_functions(module.tree):
-            if "hot_path" not in decorator_names(func):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                    kind = type(node).__name__
-                    yield self.finding(
-                        module,
-                        node,
-                        qualname,
-                        f"comp:{kind}:{node.lineno - func.lineno}",
-                        f"{kind} inside @hot_path `{qualname}`: builds a fresh object "
-                        "(and a frame, for comprehensions) on a per-attempt path",
-                    )
-                elif isinstance(node, ast.Lambda):
-                    yield self.finding(
-                        module,
-                        node,
-                        qualname,
-                        f"lambda:{node.lineno - func.lineno}",
-                        f"lambda inside @hot_path `{qualname}`: allocates a function "
-                        "object per call",
-                    )
-                elif isinstance(node, ast.JoinedStr):
-                    yield self.finding(
-                        module,
-                        node,
-                        qualname,
-                        f"fstring:{node.lineno - func.lineno}",
-                        f"f-string inside @hot_path `{qualname}`: formats and allocates "
-                        "on the hot path (move to the error/cold branch)",
-                    )
-                elif isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    if name is not None and "." in name:
-                        root, _, leaf = name.rpartition(".")
-                        if root in ("np", "numpy") and leaf in _NUMPY_CONSTRUCTORS:
-                            yield self.finding(
-                                module,
-                                node,
-                                qualname,
-                                f"nparray:{name}",
-                                f"fresh numpy array (`{name}`) inside @hot_path "
-                                f"`{qualname}`: per-call array allocation dominates at "
-                                "attempt rates — precompute or reuse a buffer",
-                            )
-
-
-# ---------------------------------------------------------------------------
 # VX005 — numpy dtype discipline
 
 
@@ -669,19 +276,15 @@ _ARITH_OPS = (
     ast.BitXor,
 )
 
-_NP_DTYPE_WRAPPERS = {
-    "uint32",
-    "int32",
-    "uint8",
-    "int8",
-    "uint16",
-    "int16",
-    "uint64",
-    "int64",
-    "intp",
-    "float32",
-    "float64",
-}
+#: numpy constructors whose default dtype depends on platform and numpy major.
+_NUMPY_CONSTRUCTORS = frozenset(
+    {"array", "asarray", "asanyarray", "zeros", "ones", "empty", "full", "arange",
+     "frombuffer", "fromiter"}
+)
+
+#: Positional index of ``dtype`` where a constructor takes it positionally.
+_POSITIONAL_DTYPE = {"zeros": 1, "ones": 1, "empty": 1, "array": 1, "asarray": 1,
+                     "asanyarray": 1, "full": 2, "fromiter": 1}
 
 
 def _annotation_is_ndarray(annotation: ast.AST | None) -> bool:
@@ -702,25 +305,22 @@ class DtypeDisciplineRule(Rule):
 
     id = "VX005"
     title = "dtype-discipline"
-    scope = ("repro.arch", "repro.engine", "repro.mem")
+    scope = (
+        "repro.arch",
+        "repro.engine.vector_emulator",
+        "repro.engine.vector_core",
+        "repro.mem",
+    )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                yield from self._check_constructor(module, node)
         for qualname, func in iter_functions(module.tree):
             lane_names = self._lane_vector_names(func)
             for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    yield from self._check_constructor(module, qualname, node)
-                elif isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH_OPS):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, _ARITH_OPS):
                     yield from self._check_binop(module, qualname, node, lane_names)
-        # Module-level constructor calls (outside any function).
-        function_spans = [
-            (f.lineno, getattr(f, "end_lineno", f.lineno)) for _, f in iter_functions(module.tree)
-        ]
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                line = node.lineno
-                if not any(start <= line <= end for start, end in function_spans):
-                    yield from self._check_constructor(module, "<module>", node)
 
     @staticmethod
     def _lane_vector_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -737,37 +337,23 @@ class DtypeDisciplineRule(Rule):
                     names.add(name.rsplit(".", 1)[-1])
         return names
 
-    def _check_constructor(
-        self, module: ModuleInfo, qualname: str, node: ast.Call
-    ) -> Iterator[Finding]:
+    def _check_constructor(self, module: ModuleInfo, node: ast.Call) -> Iterator[Finding]:
         name = dotted_name(node.func)
         if name is None or "." not in name:
             return
         root, _, leaf = name.rpartition(".")
-        if root not in ("np", "numpy") or leaf not in (
-            "array",
-            "asarray",
-            "asanyarray",
-            "zeros",
-            "ones",
-            "empty",
-            "full",
-            "arange",
-            "frombuffer",
-            "fromiter",
-        ):
+        if root not in ("np", "numpy") or leaf not in _NUMPY_CONSTRUCTORS:
             return
         if any(kw.arg == "dtype" for kw in node.keywords):
             return
         # Positional dtype: np.zeros(shape, dtype) / np.full(shape, fill, dtype) ...
-        positional_dtype_index = {"zeros": 1, "ones": 1, "empty": 1, "array": 1, "asarray": 1,
-                                  "asanyarray": 1, "full": 2, "fromiter": 1}.get(leaf)
+        positional_dtype_index = _POSITIONAL_DTYPE.get(leaf)
         if positional_dtype_index is not None and len(node.args) > positional_dtype_index:
             return
         yield self.finding(
             module,
             node,
-            qualname,
+            enclosing_symbol(module, node),
             f"implicit-dtype:{name}",
             f"`{name}(...)` without an explicit dtype: default dtypes differ across "
             "platforms and numpy majors (NEP 50), which forks bit-identity",
@@ -893,81 +479,3 @@ class SnapshotCoverageRule(Rule):
                     f"stale:{component}.{attr}",
                     f"STATE of `{component}` lists `{attr}`, which the class never assigns",
                 )
-
-
-# ---------------------------------------------------------------------------
-# VX008 — guarded trace emission
-
-
-@register_rule
-class TraceEmissionGuardRule(Rule):
-    """VX008: ``.emit()`` on a trace receiver inside ``@hot_path`` needs a guard.
-
-    The observability contract is that a tracing-off simulation pays one
-    prebound ``None`` comparison per emission site and nothing else.  That
-    only holds when every hot-path emission is lexically inside an ``if``
-    whose test mentions the receiver — ``trace = self.trace`` followed by
-    ``if trace is not None: trace.emit(...)`` — because the emit call's
-    argument tuple (and usually a payload dict) is otherwise built on every
-    attempt even when no bus is attached.
-    """
-
-    id = "VX008"
-    title = "trace-emission-guard"
-    scope = ("repro",)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for qualname, func in iter_functions(module.tree):
-            if "hot_path" not in decorator_names(func):
-                continue
-            for stmt in func.body:
-                yield from self._scan(module, qualname, func, stmt, frozenset())
-
-    def _scan(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        node: ast.AST,
-        guarded: frozenset[str],
-    ) -> Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested defs get their own scan if (and only if) they are hot.
-            return
-        if isinstance(node, ast.If):
-            names = frozenset(
-                name
-                for sub in ast.walk(node.test)
-                if isinstance(sub, (ast.Name, ast.Attribute))
-                and (name := dotted_name(sub)) is not None
-            )
-            for child in ast.iter_child_nodes(node):
-                if child is node.test:
-                    yield from self._scan(module, qualname, func, child, guarded)
-                else:
-                    yield from self._scan(module, qualname, func, child, guarded | names)
-            return
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-        ):
-            receiver = dotted_name(node.func.value)
-            if (
-                receiver is not None
-                and "trace" in receiver.rsplit(".", 1)[-1]
-                and receiver not in guarded
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    qualname,
-                    f"unguarded:{receiver}:{node.lineno - func.lineno}",
-                    f"`{receiver}.emit(...)` inside @hot_path `{qualname}` is not "
-                    f"lexically inside an `if` testing `{receiver}` — with tracing "
-                    "off this builds the argument tuple (and payload) per attempt; "
-                    "hoist the bus into a local and guard with `if <bus> is not "
-                    "None:`",
-                )
-        for child in ast.iter_child_nodes(node):
-            yield from self._scan(module, qualname, func, child, guarded)

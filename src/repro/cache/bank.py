@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.cache.mshr import CacheResponse, Mshr
 from repro.common.config import CacheConfig
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, VALUE, Codec, Stateful
 
 #: The tag store: per set, tag -> last-use counter.
@@ -28,9 +28,6 @@ class CacheBank(Stateful):
     The bank's share of the cache's due bucket travels in its payload too,
     under ``"pending"`` (see :class:`~repro.cache.cache.NonBlockingCache`).
     """
-
-    #: Counter schema (vxlint VX003).
-    COUNTERS = frozenset({"evictions", "fills"})
 
     STATE = {"_tags": _TAGS, "_use_counter": VALUE, "mshr": CHILD, "perf": CHILD}
     #: Construction-time geometry; rebuilt by ``__init__`` (vxlint VX007).
@@ -57,7 +54,6 @@ class CacheBank(Stateful):
 
     # -- tag store ------------------------------------------------------------------
 
-    @hot_path
     def probe(self, line_address: int) -> bool:
         """Tag lookup without side effects (runs on every request attempt).
 
@@ -68,7 +64,6 @@ class CacheBank(Stateful):
         relative = line_address // self.config.num_banks
         return relative // self.num_sets in self._tags[relative % self.num_sets]
 
-    @hot_path
     def touch(self, line_address: int, lanes: int = 1) -> None:
         """Update LRU state for ``lanes`` hits on one line (as that many calls would)."""
         set_index = self._set_index(line_address)

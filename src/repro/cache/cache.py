@@ -40,7 +40,7 @@ from repro.cache.bank import CacheBank
 from repro.cache.mshr import CacheResponse, lane_record, record_lanes
 from repro.common.clock import DeviceClock
 from repro.common.config import CacheConfig
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, Codec, Stateful
 from repro.trace.events import NO_WARP
 
@@ -150,25 +150,6 @@ class RequestGroup:
 class NonBlockingCache(Stateful):
     """Multi-banked, non-blocking, virtually multi-ported cache."""
 
-    #: Counter schema (vxlint VX003): every literal key charged against this
-    #: component's ``perf``/``_counters``.  :meth:`send` and
-    #: :meth:`send_batch` must stay within this set — bit-identical counters
-    #: between them are the repo-wide contract.
-    COUNTERS = frozenset(
-        {
-            "attempts",
-            "accepted",
-            "bank_conflicts",
-            "mshr_stalls",
-            "memq_stalls",
-            "read_hits",
-            "read_misses",
-            "write_hits",
-            "write_misses",
-            "fills",
-        }
-    )
-
     STATE = {"_accepts_this_cycle": COPY, "banks": _BANKS, "perf": CHILD}
     #: Construction-time identity, wiring and hot-path prebinds (vxlint
     #: VX007): ``lower`` is topology, ``_line_size``/``_num_banks``/
@@ -237,10 +218,10 @@ class NonBlockingCache(Stateful):
     ) -> None:
         """Emit ``count`` per-attempt events of one outcome.
 
-        Tracing-on only: every caller guards on ``self.trace`` (vxlint
-        VX008).  One event per lane, exactly as a lane-by-lane pass would
-        emit them; the lanes of a run share line, bank and outcome, so the
-        payload is built once and shared by the run's events.
+        Tracing-on only: every caller guards on ``self.trace``.  One event
+        per lane, exactly as a lane-by-lane pass would emit them; the lanes
+        of a run share line, bank and outcome, so the payload is built once
+        and shared by the run's events.
         """
         payload = {"bank": bank_id, "line": line, "write": is_write}
         if merge:
@@ -250,13 +231,11 @@ class NonBlockingCache(Stateful):
         for _ in range(count):
             emit(cycle, core, NO_WARP, channel, kind, payload)
 
-    @hot_path
     def _schedule(self, bank_id: int, record: CacheResponse) -> None:
         """Park ``record`` in the due bucket, ``hit_latency`` cycles ahead."""
         record.cycle = ready = self.clock.now + self._response_delay
         self._due[ready].append((bank_id, record))
 
-    @hot_path
     def send(self, address: int, is_write: bool = False, tag: Any = None) -> bool:
         """Present one request to the bank selector.
 
@@ -351,7 +330,6 @@ class NonBlockingCache(Stateful):
             self.lower.note_blocked_writes([(address,)])
             self._trace_attempts("refusal", line, bank_id, True)
 
-    @hot_path
     def send_batch(self, groups: Iterable[Any], budget: int, is_write: bool) -> int:
         """Present a cycle's outstanding requests in one call.
 

@@ -18,7 +18,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.perf import hot_path
 from repro.common.state import VALUE, Codec, Stateful
 
 
@@ -142,11 +141,9 @@ class Mshr(Stateful):
 
     # -- allocation ----------------------------------------------------------------
 
-    @hot_path
     def lookup(self, line_address: int) -> MshrEntry | None:
         return self._entries.get(line_address)
 
-    @hot_path
     def allocate(self, line_address: int, request: Any, lanes: int = 1) -> MshrEntry | None:
         """Add ``request`` to the entry for ``line_address``.
 

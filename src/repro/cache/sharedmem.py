@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import DeviceClock
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, Codec, Stateful
 from repro.trace.events import NO_WARP
 
@@ -57,9 +57,6 @@ _PENDING = Codec(
 class SharedMemory(Stateful):
     """Banked scratchpad with single-cycle access and bank-conflict serialization."""
 
-    #: Counter schema (vxlint VX003).
-    COUNTERS = frozenset({"attempts", "bank_conflicts", "reads", "writes"})
-
     STATE = {"_accepts_this_cycle": COPY, "_pending": _PENDING, "perf": CHILD}
     #: Construction-time geometry and window, and the processor's clock
     #: (vxlint VX007).
@@ -88,7 +85,6 @@ class SharedMemory(Stateful):
     def bank_index(self, address: int) -> int:
         return (address // 4) % self.num_banks
 
-    @hot_path
     def send(self, address: int, is_write: bool, tag: Any) -> bool:
         """Present one access; False means a bank conflict (retry next cycle)."""
         self.perf.incr("attempts")
@@ -115,7 +111,6 @@ class SharedMemory(Stateful):
             )
         return True
 
-    @hot_path
     def send_batch(
         self, requests: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
     ) -> tuple[int, list[tuple[Any, ...]], int]:

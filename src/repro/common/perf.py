@@ -4,44 +4,23 @@ Every timing component (core, cache, texture unit, memory controller)
 owns a :class:`PerfCounters` instance.  Counters are plain named integers
 plus a few derived metrics; the benchmark harness merges them into the
 per-experiment reports.
-
-This module also defines the :func:`hot_path` marker.  Functions tagged
-``@hot_path`` run at per-request-attempt rates (millions of calls per
-simulated second); vxlint rule VX004 statically forbids comprehensions,
-lambdas, f-strings, and fresh numpy arrays inside them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Mapping
-from typing import TypeVar
+from collections.abc import Iterator, Mapping
 
 from repro.common.state import COPY, Stateful
-
-_F = TypeVar("_F", bound=Callable[..., object])
-
-
-def hot_path(func: _F) -> _F:
-    """Mark ``func`` as a per-attempt hot path.
-
-    Purely declarative at runtime (zero wrapping, zero overhead): the
-    decorator returns ``func`` unchanged and only sets an attribute so
-    tooling and tests can discover the tagged set.  The real enforcement
-    is static — vxlint VX004 rejects allocation-heavy constructs inside
-    any function carrying this marker.
-    """
-    func.__hot_path__ = True  # type: ignore[attr-defined]
-    return func
 
 
 class PerfCounters(Stateful):
     """A dictionary of monotonically increasing counters with derived ratios.
 
-    Counter *keys* are governed by vxlint VX003: every literal key used
-    with ``incr``/``set`` (or via a prebound ``_counters`` dict on a hot
-    path) must appear in some component's ``COUNTERS`` schema — a
-    class-level ``frozenset`` of the counter names that component owns.
+    Keys are created on first use.  A misspelled key is therefore a new
+    counter, not an error; the golden counter file
+    (``tests/golden/simx_counters.json``) and the batched-vs-per-request
+    cache properties compare whole counter dicts, which is what catches one.
     """
 
     #: The payload is the counter dict itself, refilled in place: hot paths
@@ -101,4 +80,4 @@ class PerfCounters(Stateful):
         return f"PerfCounters({self.name!r}, {inner})"
 
 
-__all__ = ["PerfCounters", "hot_path"]
+__all__ = ["PerfCounters"]

@@ -29,21 +29,6 @@ class SimtCore(Stateful):
     #: Emulator to instantiate; the vectorized engine substitutes its own.
     emulator_cls = WarpEmulator
 
-    #: Counter schema (vxlint VX003).  The divergence counters are charged by
-    #: the emulators (scalar and vector) onto this core's ``perf``.
-    COUNTERS = frozenset(
-        {
-            "wspawns",
-            "barrier_stalls",
-            "fences",
-            "instructions",
-            "thread_instructions",
-            "divergent_branches",
-            "divergent_splits",
-            "uniform_splits",
-        }
-    )
-
     #: Barrier participants are this core's warps, encoded as warp ids.
     STATE = {
         "warps": CHILDREN,

@@ -72,9 +72,6 @@ class Processor(_GlobalBarrierMixin):
     #: Core model to instantiate; the vectorized engine substitutes its own.
     core_cls = SimtCore
 
-    #: Counter schema (vxlint VX003): processor-level totals.
-    COUNTERS = frozenset({"instructions"})
-
     STATE = {
         "memory": CHILD,
         "cores": CHILDREN,

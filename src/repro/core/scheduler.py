@@ -37,15 +37,12 @@ All policies are fully deterministic.
 from __future__ import annotations
 
 from repro.common.config import SCHEDULER_POLICIES
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, VALUE, Stateful
 
 
 class WavefrontScheduler(Stateful):
     """Wavefront scheduler for one core (policy-selectable)."""
-
-    #: Counter schema (vxlint VX003).
-    COUNTERS = frozenset({"idle_cycles", "refills", "selections", "switches"})
 
     #: Everything the policies consult: a restored scheduler replays
     #: selections identically.
@@ -142,17 +139,14 @@ class WavefrontScheduler(Stateful):
 
     # -- issue-feedback hooks ---------------------------------------------------------
 
-    @hot_path
     def note_hazard(self, warp_id: int) -> None:
         """The core's issue attempt for ``warp_id`` hit a scoreboard hazard."""
         self._hazard_mask |= 1 << warp_id
 
-    @hot_path
     def note_issued(self, warp_id: int) -> None:
         """``warp_id`` issued an instruction (clears its hazard hint)."""
         self._hazard_mask &= ~(1 << warp_id)
 
-    @hot_path
     def note_memory_issue(self, warp_id: int, line: int) -> None:
         """``warp_id`` issued a memory operation on D$ line ``line``."""
         self._last_lines[warp_id] = line
@@ -160,7 +154,6 @@ class WavefrontScheduler(Stateful):
 
     # -- selection -------------------------------------------------------------------
 
-    @hot_path
     def _schedulable_mask(self) -> int:
         all_warps = (1 << self.num_warps) - 1
         return self.active_mask & ~self.stalled_mask & ~self.barrier_mask & all_warps
@@ -169,7 +162,6 @@ class WavefrontScheduler(Stateful):
         """Pick the wavefront to fetch this cycle, or ``None`` if none is ready."""
         return self._select()
 
-    @hot_path
     def _select_round_robin(self) -> int | None:
         """The hierarchical two-level policy: wavefronts are drained from the
         visible mask one per cycle; when it is empty it is refilled from the
@@ -194,7 +186,6 @@ class WavefrontScheduler(Stateful):
                 return warp_id
         return None  # pragma: no cover - unreachable, mask was non-zero
 
-    @hot_path
     def _select_greedy_then_oldest(self) -> int | None:
         """Greedy-then-oldest: stick with the current wavefront until it
         stalls, then switch to the least-recently-issued ready one."""
@@ -211,8 +202,8 @@ class WavefrontScheduler(Stateful):
             # allocation is per-switch, not per-cycle.
             stamps = self._issue_stamps
             warp_id = min(
-                (w for w in range(self.num_warps) if (ready >> w) & 1),  # vxlint: disable=VX004
-                key=lambda w: (stamps[w], w),  # vxlint: disable=VX004
+                (w for w in range(self.num_warps) if (ready >> w) & 1),
+                key=lambda w: (stamps[w], w),
             )
             self._counters["switches"] += 1
         self._issue_stamps[warp_id] = self._next_stamp
@@ -221,7 +212,6 @@ class WavefrontScheduler(Stateful):
         self._counters["selections"] += 1
         return warp_id
 
-    @hot_path
     def _select_loose_round_robin(self) -> int | None:
         """Loose round-robin: the next ready wavefront after the last issued
         one, with no two-level visible working set."""
@@ -238,7 +228,6 @@ class WavefrontScheduler(Stateful):
                 return warp_id
         return None  # pragma: no cover - unreachable, mask was non-zero
 
-    @hot_path
     def _select_cache_locality(self) -> int | None:
         """Cache-locality-aware: least-recently-issued ready wavefront on the
         current D$ line, avoiding wavefronts with a pending hazard hint.

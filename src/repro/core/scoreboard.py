@@ -61,9 +61,6 @@ _BUSY = Codec(_encode_busy, _restore_busy)
 class Scoreboard(Stateful):
     """Tracks in-flight destination registers per warp."""
 
-    #: Counter schema (vxlint VX003).
-    COUNTERS = frozenset({"reservations"})
-
     STATE = {"_busy": _BUSY, "perf": CHILD}
     #: Construction-time warp count (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"num_warps"})

@@ -31,7 +31,7 @@ import numpy as np
 from repro.cache.cache import CacheResponse, NonBlockingCache, RequestGroup
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, SORTED_SET, VALUE, Codec, Stateful
 from repro.core.core import SimtCore
 from repro.core.scheduler import WavefrontScheduler
@@ -134,24 +134,6 @@ class TimingCore(Stateful):
     #: vectorized core, resolved at construction.
     func_cls: type[SimtCore] | None = None
 
-    #: Counter schema (vxlint VX003): the keys this core charges on its own
-    #: ``perf``.  Cross-component charges (the skip-idle refusal replay into
-    #: the dcache) use the dcache's declared keys.
-    COUNTERS = frozenset(
-        {
-            "idle_cycles",
-            "instructions",
-            "thread_instructions",
-            "taken_branches",
-            "scoreboard_stalls",
-            "ifetch_misses",
-            "loads",
-            "stores",
-            "tex_ops",
-            "mem_ops_completed",
-        }
-    )
-
     #: The timing state plus the embedded functional core.  The instruction
     #: and data caches are referenced, not owned: the memory subsystem
     #: serializes them.
@@ -229,7 +211,7 @@ class TimingCore(Stateful):
         self.perf = PerfCounters(f"timing_core{core_id}")
         self._counters = self.perf._counters  # prebound: charged several times a tick
         #: The trace bus (``None`` when tracing is off — every emission site
-        #: guards on that, keeping the hot path allocation-free; vxlint VX008).
+        #: guards on that, keeping the hot path allocation-free).
         self.trace = trace
         if trace is not None and trace.wants("smem"):
             self.smem.trace = trace
@@ -344,7 +326,6 @@ class TimingCore(Stateful):
         release by another core): recompute on the next tick."""
         self._masks_valid_until = 0
 
-    @hot_path
     def _sync_scheduler_masks(self) -> None:
         """Recompute the three scheduler masks and the cycle they hold until."""
         active_mask = stalled_mask = barrier_mask = 0
@@ -368,7 +349,6 @@ class TimingCore(Stateful):
         self._masks_valid_until = valid_until
         self.scheduler.set_masks(active_mask, stalled_mask, barrier_mask)
 
-    @hot_path
     def _instruction_registers(self, warp: Any) -> int | None:
         """Scoreboard mask of the registers read/written by the warp's next
         instruction (for hazard checks); ``None`` when it cannot be fetched.
@@ -540,7 +520,6 @@ class TimingCore(Stateful):
 
     # -- request draining ----------------------------------------------------------------------
 
-    @hot_path
     def _drain_requests(self) -> None:
         """Send as many queued cache/scratchpad requests as accepted this cycle."""
         # Instruction-cache fills first (front end priority).
@@ -584,7 +563,6 @@ class TimingCore(Stateful):
                     self._store_queue = stores.to_send
                     self._recount_stores()
 
-    @hot_path
     def _send_batch_segments(self, group: Any, budget: int, is_write: bool) -> int:
         """Send a request group through the per-destination batch paths, one
         call per stretch of same-destination runs.  The live budget threads
@@ -662,7 +640,6 @@ class TimingCore(Stateful):
 
     # -- issue ----------------------------------------------------------------------------------
 
-    @hot_path
     def _issue(self, warp: Any) -> None:
         # Instruction fetch: cold lines go through the instruction cache.
         line_size = self._icache_line_size
@@ -799,7 +776,6 @@ class TimingCore(Stateful):
 
     # -- fast-forward -----------------------------------------------------------------------------
 
-    @hot_path
     def _warp_would_stall(self, warp: Any) -> bool:
         """True when issuing ``warp`` now would only charge a scoreboard stall.
 
@@ -819,7 +795,6 @@ class TimingCore(Stateful):
         registers = self._instruction_registers(warp)
         return registers is not None and self.scoreboard.any_busy(warp.warp_id, registers)
 
-    @hot_path
     def next_event_cycle(self) -> int | None:
         """Earliest cycle at which this core does real work (``None`` = idle).
 

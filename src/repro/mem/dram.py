@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.common.clock import DeviceClock
 from repro.common.config import MemoryConfig
-from repro.common.perf import PerfCounters, hot_path
+from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, Codec, Stateful
 from repro.trace.events import NO_WARP
 
@@ -77,18 +77,6 @@ _QUEUE = Codec(
 class DramModel(Stateful):
     """Fixed-latency, bandwidth-limited memory device."""
 
-    #: Counter schema (vxlint VX003).
-    COUNTERS = frozenset(
-        {
-            "rejected",
-            "reads",
-            "writes",
-            "responses",
-            "total_latency",
-            "bandwidth_stalls",
-        }
-    )
-
     STATE = {"_queue": _QUEUE, "perf": CHILD}
     #: Construction-time timing parameters, and the processor's clock (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock"})
@@ -111,7 +99,6 @@ class DramModel(Stateful):
         """True when the request queue has room this cycle."""
         return len(self._queue) < self.config.request_queue_size
 
-    @hot_path
     def send(self, request: MemRequest) -> bool:
         """Queue a request; returns False when the queue is full."""
         if not self.can_accept:

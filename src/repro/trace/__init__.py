@@ -6,7 +6,7 @@ A :class:`~repro.trace.bus.TraceBus` fans typed, versioned
 tests).  The timing stack emits on it when a driver is built with the
 ``trace=`` spec option (``"simx:trace=vcd,trace_file=run.vcd"``); with
 tracing off every component holds ``trace = None`` and the hot path
-stays allocation-free (vxlint VX008 enforces the guard).
+stays allocation-free.
 
 Analysis lives in :mod:`repro.trace.attribution` (stall attribution +
 counter reconciliation) and the ``python -m repro.trace`` CLI

@@ -9,8 +9,8 @@ bus is attached and guarding every emission::
     if trace is not None:
         trace.emit(self.cycle, self.core_id, warp, "scheduler", "issue", {...})
 
-vxlint rule VX008 statically enforces that guard inside ``@hot_path``
-functions.  Channel filtering (``trace_channels=scheduler+dcache``)
+An unguarded emission raises on ``None`` in every untraced run that
+reaches it, so the test suite holds the guard.  Channel filtering (``trace_channels=scheduler+dcache``)
 happens inside :meth:`TraceBus.emit`, so it only costs anything when
 tracing is already on.
 
