@@ -7,7 +7,8 @@ square root.
 
 The sweep — every kernel at every core count — goes through the batched
 :class:`repro.engine.session.Session` layer: all (kernel, cores) jobs are
-queued and executed concurrently on a worker pool.
+submitted as one batch and served concurrently by the session's fleet of
+worker processes, which pull from one shared queue.
 """
 
 from benchmarks.harness import make_config, print_table
@@ -31,19 +32,19 @@ FIG18_SIZES = {
 
 
 def _collect():
-    session = Session()
-    for kernel in FIG18_KERNELS:
-        for cores in CORE_COUNTS:
-            session.submit(
-                KernelJob(
-                    kernel=kernel,
-                    config=make_config(num_cores=cores),
-                    driver="simx",
-                    size=FIG18_SIZES[kernel],
-                    label=f"{kernel}x{cores}",
+    with Session() as session:
+        for kernel in FIG18_KERNELS:
+            for cores in CORE_COUNTS:
+                session.submit(
+                    KernelJob(
+                        kernel=kernel,
+                        config=make_config(num_cores=cores),
+                        driver="simx",
+                        size=FIG18_SIZES[kernel],
+                        label=f"{kernel}x{cores}",
+                    )
                 )
-            )
-    batch = session.run_batch()
+        batch = session.run_batch()
     print(batch.summary())
     results = {}
     for result in batch.results:

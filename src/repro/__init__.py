@@ -29,7 +29,6 @@ from repro.common.config import (
 )
 from repro.engine.session import (
     BatchReport,
-    JobQueue,
     JobResult,
     KernelJob,
     Session,
@@ -67,7 +66,6 @@ __all__ = [
     "parse_driver_spec",
     "register_driver",
     "Session",
-    "JobQueue",
     "JobResult",
     "KernelJob",
     "BatchReport",

@@ -8,9 +8,9 @@ This package is the lane-parallel back end of the simulation stack:
   lane-vector instruction execution.
 * :mod:`repro.engine.vector_core` — the vectorized functional core and
   multi-core processor (drop-in engine for the FUNCSIM driver).
-* :mod:`repro.engine.session` — batched multi-kernel sessions: queue
-  (kernel, config) jobs, execute them concurrently on a process or thread
-  pool, aggregate the reports.
+* :mod:`repro.engine.session` — batched multi-kernel sessions: submit
+  (kernel, config) jobs, execute them concurrently through the
+  :mod:`repro.service` worker fleet, aggregate the reports.
 
 ``Session`` and friends are re-exported lazily to avoid a circular import
 (the runtime drivers import the vector engine, while the session layer
@@ -27,24 +27,20 @@ __all__ = [
     "VectorSimtCore",
     "VectorWarpEmulator",
     "Session",
-    "JobQueue",
     "KernelJob",
     "JobResult",
     "BatchReport",
     "diff_execution_reports",
     "execute_job",
-    "design_point_jobs",
 ]
 
 _SESSION_EXPORTS = {
     "Session",
-    "JobQueue",
     "KernelJob",
     "JobResult",
     "BatchReport",
     "diff_execution_reports",
     "execute_job",
-    "design_point_jobs",
 }
 
 

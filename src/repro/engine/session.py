@@ -3,11 +3,10 @@
 Design-space exploration runs *many* (kernel, config) combinations — the
 paper's Figures 14 and 18-21 each sweep a grid of design points.  A
 :class:`Session` turns that sweep into a batch: jobs are described
-declaratively as :class:`KernelJob` records, queued on a
-:class:`JobQueue`, and executed concurrently on a process pool (one
-simulator per worker, true parallelism), a thread pool, or — for
-repeat-heavy traffic — the sharded :mod:`repro.service` job server with
-its content-addressed result cache (``executor="service"``).
+declaratively as :class:`KernelJob` records and executed concurrently by
+the :mod:`repro.service` job server — a fleet of worker processes (one
+simulator each, true parallelism) pulling from one shared queue, in front
+of a content-addressed result cache that replays repeated jobs.
 
 Results come back as :class:`JobResult` records aggregating the
 :class:`~repro.runtime.report.ExecutionReport`, the verification outcome
@@ -27,18 +26,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import pickle
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.common.config import VortexConfig
@@ -261,7 +252,7 @@ def execute_job(
     checkpoint_sink: Callable[[dict], None] | None = None,
     resume_from: dict | None = None,
 ) -> JobResult:
-    """Run one job on a fresh device (module-level: picklable for pools).
+    """Run one job on a fresh device (what every service worker runs per job).
 
     The resumable forms compose and report bit-identically to the plain
     run: ``resume_from`` continues from a device checkpoint envelope;
@@ -320,38 +311,14 @@ def execute_job(
     return _run_enveloped(job, body)
 
 
-class JobQueue:
-    """A FIFO of jobs waiting for the next batch run."""
-
-    def __init__(self, jobs: Sequence[KernelJob] | None = None):
-        self._jobs: list[KernelJob] = list(jobs or [])
-
-    def add(self, job: KernelJob) -> None:
-        self._jobs.append(job)
-
-    def extend(self, jobs: Sequence[KernelJob]) -> None:
-        self._jobs.extend(jobs)
-
-    def drain(self) -> list[KernelJob]:
-        """Remove and return all queued jobs."""
-        jobs, self._jobs = self._jobs, []
-        return jobs
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    def __iter__(self) -> Iterator[KernelJob]:
-        return iter(self._jobs)
-
-
 @dataclass
 class BatchReport:
     """Aggregate outcome of one :meth:`Session.run_batch` call."""
 
     results: list[JobResult]
     wall_seconds: float
+    #: Workers of the fleet that served the batch (its shard count).
     max_workers: int
-    executor: str
 
     @property
     def ok(self) -> bool:
@@ -389,7 +356,6 @@ class BatchReport:
             "generated_by": "Session.run_batch",
             "ok": self.ok,
             "wall_seconds": self.wall_seconds,
-            "executor": self.executor,
             "max_workers": self.max_workers,
             "cache_hits": self.cache_hits,
             "results": [result.to_payload() for result in self.results],
@@ -399,7 +365,7 @@ class BatchReport:
         status = "ok" if self.ok else "FAILED"
         return (
             f"[session] {len(self.results)} jobs in {self.wall_seconds:.2f}s "
-            f"({self.executor} x{self.max_workers}, peak {self.peak_concurrency} "
+            f"({self.max_workers} workers, peak {self.peak_concurrency} "
             f"concurrent) {status}"
         )
 
@@ -431,59 +397,35 @@ def diff_execution_reports(reference: ExecutionReport, subject: ExecutionReport)
 class Session:
     """Launches batches of (kernel, config) jobs concurrently.
 
-    ``executor`` selects the execution backend: ``"process"`` (default when
-    the platform supports fork) runs each job in a worker process for true
-    parallelism; ``"thread"`` uses threads (lighter weight, still
-    concurrent, useful under constrained environments and in tests);
-    ``"serial"`` runs inline (debugging); ``"service"`` routes batches
-    through a :class:`repro.service.SimulationService` — a sharded worker
-    fleet with a content-addressed result cache, so repeat-heavy sweep
-    traffic (Fig 14/18/19 clients) short-circuits to cache hits.
+    Every batch runs through a :class:`repro.service.SimulationService`: a
+    fleet of worker processes pulling from one shared queue, in front of a
+    content-addressed result cache, so repeated jobs (Fig 14/18/19 sweeps
+    re-run) replay instead of re-simulating.
 
-    For the service backend, pass an existing
-    :class:`~repro.service.client.ServiceClient` as ``service`` to share a
-    fleet (and its cache) across sessions, or a
+    Pass an existing :class:`~repro.service.client.ServiceClient` as
+    ``service`` to share a fleet (and its cache) across sessions, or a
     :class:`~repro.service.server.ServiceConfig` as ``service_config`` to
-    let the session own one (created lazily, shut down by :meth:`close`).
+    size the fleet the session owns (default ``ServiceConfig()``: four
+    workers).  An owned fleet starts at the first batch and its worker
+    processes live until :meth:`close` — use the session as a context
+    manager.  ``ServiceConfig(num_shards=1, worker_mode="inline")`` runs
+    batches serially in this process; :meth:`run` runs one job in-process.
     """
 
     def __init__(
         self,
-        max_workers: int | None = None,
-        executor: str | None = None,
+        *,
         service: ServiceClient | None = None,
         service_config: ServiceConfig | None = None,
     ):
-        if executor is None:
-            executor = "process" if hasattr(os, "fork") else "thread"
-        if executor not in ("process", "thread", "serial", "service"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.executor = executor
-        # Floor of 4: even on small hosts a batch should overlap several
-        # simulations (jobs block on different pages/pool pipes, and the
-        # acceptance bar for a sweep is >= 4 jobs in flight).
-        self.max_workers = max_workers or max(4, min(8, os.cpu_count() or 4))
-        self.queue = JobQueue()
+        self._pending: list[KernelJob] = []
         self._service_client = service
         self._service_config = service_config
         self._owns_service = service is None
 
-    # -- job submission -----------------------------------------------------------------
-
     def submit(self, job: KernelJob) -> None:
         """Queue one job for the next batch."""
-        self.queue.add(job)
-
-    def submit_sweep(
-        self,
-        kernel: str,
-        configs: Sequence[VortexConfig],
-        driver: str = "simx",
-        size: int | None = None,
-    ) -> None:
-        """Queue one job per configuration for the same kernel."""
-        for config in configs:
-            self.queue.add(KernelJob(kernel=kernel, config=config, driver=driver, size=size))
+        self._pending.append(job)
 
     # -- the service backend ------------------------------------------------------------
 
@@ -510,96 +452,23 @@ class Session:
     # -- execution ----------------------------------------------------------------------
 
     def run_batch(self, jobs: Sequence[KernelJob] | None = None) -> BatchReport:
-        """Execute ``jobs`` (or everything queued) concurrently.
+        """Execute ``jobs`` (or everything submitted) concurrently.
 
         Results are returned in submission order regardless of completion
         order.  A failing job never aborts the batch: its ``JobResult``
         carries the error string instead.
         """
-        batch = list(jobs) if jobs is not None else self.queue.drain()
-        start = time.perf_counter()
-        if not batch:
-            return BatchReport([], 0.0, self.max_workers, self.executor)
-        workers = self.max_workers
-        if self.executor == "service":
-            client = self.service_client()
-            results = client.run_jobs(batch)
-            workers = client.num_shards
-        elif self.executor == "serial" or len(batch) == 1:
-            results = [execute_job(job) for job in batch]
+        if jobs is None:
+            batch, self._pending = self._pending, []
         else:
-            pool_cls = ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-            try:
-                pool = pool_cls(max_workers=self.max_workers)
-            except (OSError, ImportError):
-                # The pool could not be brought up at all (constrained
-                # sandbox): degrade to in-process execution.
-                results = [execute_job(job) for job in batch]
-            else:
-                results = self._run_on_pool(pool, batch)
-        wall = time.perf_counter() - start
-        return BatchReport(results, wall, workers, self.executor)
+            batch = list(jobs)
+        if not batch:
+            return BatchReport([], 0.0, 0)
+        start = time.perf_counter()
+        client = self.service_client()
+        results = client.run_jobs(batch)
+        return BatchReport(results, time.perf_counter() - start, client.num_shards)
 
     #: Execute one job inline, optionally chunked/resumed: this *is*
     #: :func:`execute_job` (``session.run(job, checkpoint_every=N, ...)``).
     run = staticmethod(execute_job)
-
-    @staticmethod
-    def _run_on_pool(pool: Executor, batch: list[KernelJob]) -> list[JobResult]:
-        """Submit one future per job and collect results in order.
-
-        If a worker dies (e.g. a poison job is OOM-killed, breaking the
-        pool), completed jobs keep their results and the broken or
-        never-submitted ones are marked failed — the batch is never rerun
-        in the parent process.
-        """
-        with pool:
-            futures: list[Future[JobResult] | None] = []
-            submit_error: str | None = None
-            submit_error_type: str | None = None
-            for job in batch:
-                if submit_error is None:
-                    try:
-                        futures.append(pool.submit(execute_job, job))
-                    except BrokenExecutor as exc:
-                        submit_error = f"{type(exc).__name__}: {exc}"
-                        submit_error_type = type(exc).__name__
-                        futures.append(None)
-                else:
-                    futures.append(None)
-            results: list[JobResult] = []
-            for job, future in zip(batch, futures):
-                if future is None:
-                    results.append(
-                        JobResult(job=job, error=submit_error, error_type=submit_error_type)
-                    )
-                    continue
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(
-                        JobResult(
-                            job=job,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_type=type(exc).__name__,
-                        )
-                    )
-        return results
-
-
-def design_point_jobs(
-    kernel: str,
-    points: dict[str, tuple[int, int]],
-    base: VortexConfig | None = None,
-    driver: str = "simx",
-    size: int | None = None,
-) -> list[KernelJob]:
-    """Jobs for the Table-3-style (warps, threads) design points."""
-    base = base or VortexConfig()
-    jobs: list[KernelJob] = []
-    for label, (warps, threads) in points.items():
-        config = base.with_warps_threads(warps, threads)
-        jobs.append(
-            KernelJob(kernel=kernel, config=config, driver=driver, size=size, label=label)
-        )
-    return jobs

@@ -4,9 +4,11 @@ The session layer (and plain scripts) are synchronous; the service is
 asyncio.  :class:`ServiceClient` bridges the two by owning a background
 event-loop thread: the service lives entirely on that loop, and the
 client's blocking methods marshal work onto it with
-``asyncio.run_coroutine_threadsafe``.  One client = one fleet + one result
-cache; share a client across :class:`~repro.engine.session.Session`
-objects to share the cache.
+``asyncio.run_coroutine_threadsafe``.  One client = one worker fleet + one
+result cache.  Every :class:`~repro.engine.session.Session` batch runs
+through a client: the session owns one unless handed a shared client, and
+sessions sharing a client share its fleet and cache.  The fleet's worker
+processes live until :meth:`ServiceClient.close`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ class ServiceClient:
         )
         self._thread.start()
         self._closed = False
-        self._call(self._service.start)
+        try:
+            self._call(self._service.start)
+        except BaseException:
+            # A fleet that fails to come up must not leave its loop thread
+            # or the workers already started running.
+            self.close()
+            raise
 
     def _call(self, factory: Callable[..., Any], *args: Any) -> Any:
         # The coroutine is created only after the closed check, so a call on

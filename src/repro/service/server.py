@@ -1,7 +1,7 @@
-"""The asyncio simulation service: sharded dispatch, retries, result cache.
+"""The asyncio simulation service: shared-queue dispatch, retries, result cache.
 
-:class:`SimulationService` is the serving core behind
-``Session(executor="service")``.  A submitted
+:class:`SimulationService` is the serving core behind every
+:class:`~repro.engine.session.Session` batch.  A submitted
 :class:`~repro.engine.session.KernelJob` flows through four stages:
 
 1. **Identity** — :meth:`KernelJob.cache_key` computes the job's canonical
@@ -12,12 +12,12 @@
    content-addressed :class:`~repro.service.cache.ResultCache`
    (bit-identical payload replay); a key currently *in flight* awaits the
    existing execution instead of enqueueing a duplicate.
-3. **Sharding + backpressure** — the key routes to a fixed shard
-   (``int(key[:8], 16) % num_shards``, so identical jobs serialize onto the
-   same worker and its warm state), through a bounded ``asyncio.Queue``:
-   when a shard's queue is full, ``submit`` *blocks* — backpressure
-   propagates to the client instead of buffering unboundedly.
-4. **Execution + retry** — the shard's consumer runs the job on its worker
+3. **Dispatch + backpressure** — the job enters the one bounded
+   ``asyncio.Queue`` every shard's consumer pulls from, so the next free
+   worker takes it, as in a process pool.  When the queue is full,
+   ``submit`` *blocks* — backpressure propagates to the client instead of
+   buffering unboundedly.
+4. **Execution + retry** — the consumer runs the job on its shard's worker
    with a per-job timeout.  Infrastructure failures
    (:class:`~repro.service.worker.WorkerCrash`,
    :class:`~repro.service.worker.JobTimeout`) respawn the worker and retry
@@ -30,7 +30,7 @@
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.session import JobResult, KernelJob
@@ -50,7 +50,8 @@ class ServiceConfig:
 
     #: Worker shards (= processes = max jobs simulating concurrently).
     num_shards: int = 4
-    #: Bounded per-shard queue depth; a full queue blocks ``submit``.
+    #: Bound of the one job queue all shards pull from; a full queue blocks
+    #: ``submit``.
     queue_depth: int = 16
     #: Per-job wall-clock budget in seconds (the worker is killed past it).
     job_timeout: float | None = 120.0
@@ -70,6 +71,8 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.worker_mode not in ("process", "inline", "auto"):
+            raise ValueError(f"unknown worker_mode {self.worker_mode!r}")
 
 
 @dataclass
@@ -98,17 +101,14 @@ class ServiceStats:
 
 @dataclass
 class _Shard:
-    """One worker, its bounded queue, and its consumer task."""
+    """One worker and the consumer task feeding it from the shared queue."""
 
-    index: int
     worker: ProcessWorker | InlineWorker
-    queue: asyncio.Queue[tuple[KernelJob, str | None, asyncio.Future[JobResult]]]
     consumer: asyncio.Task[None] | None = None
-    enqueued: int = field(default=0)
 
 
 class SimulationService:
-    """Async sharded job server with a content-addressed result cache.
+    """Async job server over a worker fleet, with a content-addressed result cache.
 
     Lifecycle: ``await start()`` brings up the worker fleet, then
     :meth:`submit` / :meth:`run_batch` serve jobs until ``await close()``.
@@ -120,8 +120,10 @@ class SimulationService:
         self.cache = ResultCache(max_entries=self.config.cache_entries)
         self.stats = ServiceStats()
         self._shards: list[_Shard] = []
+        self._queue: asyncio.Queue[
+            tuple[KernelJob, str | None, asyncio.Future[JobResult]]
+        ] | None = None
         self._inflight: dict[str, asyncio.Future[JobResult]] = {}
-        self._round_robin = 0
         self._started = False
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -130,13 +132,10 @@ class SimulationService:
         if self._started:
             return
         loop = asyncio.get_running_loop()
-        for index in range(self.config.num_shards):
+        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
+        for _ in range(self.config.num_shards):
             worker = await loop.run_in_executor(None, create_worker, self.config.worker_mode)
-            shard = _Shard(
-                index=index,
-                worker=worker,
-                queue=asyncio.Queue(maxsize=self.config.queue_depth),
-            )
+            shard = _Shard(worker=worker)
             shard.consumer = asyncio.ensure_future(self._consume(shard))
             self._shards.append(shard)
         self._started = True
@@ -188,19 +187,11 @@ class SimulationService:
         except Exception:
             return None
 
-    def _shard_for(self, key: str | None) -> _Shard:
-        if key is not None:
-            index = int(key[:8], 16) % len(self._shards)
-        else:
-            index = self._round_robin % len(self._shards)
-            self._round_robin += 1
-        return self._shards[index]
-
     async def submit(self, job: KernelJob) -> JobResult:
         """Serve one job: cache hit, inflight dedup, or enqueue + await.
 
-        Blocks (asynchronously) when the target shard's queue is full —
-        this is the backpressure bound.
+        Blocks (asynchronously) while the job queue is full — this is the
+        backpressure bound.
         """
         if not self._started:
             await self.start()
@@ -244,14 +235,13 @@ class SimulationService:
         future: asyncio.Future[JobResult] = loop.create_future()
         if key is not None:
             self._inflight[key] = future
-        shard = self._shard_for(key)
+        assert self._queue is not None
         try:
-            await shard.queue.put((job, key, future))
+            await self._queue.put((job, key, future))
         except BaseException:
             if key is not None and self._inflight.get(key) is future:
                 del self._inflight[key]
             raise
-        shard.enqueued += 1
         try:
             return await asyncio.shield(future)
         finally:
@@ -261,9 +251,10 @@ class SimulationService:
     # -- execution ----------------------------------------------------------------------
 
     async def _consume(self, shard: _Shard) -> None:
-        """Shard consumer: drain the queue, one job at a time, with retries."""
+        """Shard consumer: take the next queued job, one at a time, with retries."""
+        assert self._queue is not None
         while True:
-            job, key, future = await shard.queue.get()
+            job, key, future = await self._queue.get()
             try:
                 result = await self._execute_with_retry(shard, job)
             except asyncio.CancelledError:
@@ -282,7 +273,7 @@ class SimulationService:
                 self.cache.store(key, CachedResult.from_result(result))
             if not future.done():
                 future.set_result(result)
-            shard.queue.task_done()
+            self._queue.task_done()
 
     async def _execute_with_retry(self, shard: _Shard, job: KernelJob) -> JobResult:
         loop = asyncio.get_running_loop()

@@ -1,4 +1,4 @@
-"""Worker protocol for the simulation service's sharded process fleet.
+"""Worker protocol for the simulation service's process fleet.
 
 Each shard owns one :class:`ProcessWorker`: a dedicated child process
 connected by a duplex pipe, processing one job at a time.  The protocol is

@@ -40,9 +40,12 @@ from repro.runtime.checkpoint import (
     open_envelope,
 )
 from repro.runtime.device import VortexDevice
+from repro.service import ServiceConfig
 from repro.service.worker import InlineWorker
 
 CFG = VortexConfig(num_cores=1, core=CoreConfig(num_warps=2, num_threads=4))
+#: A one-worker in-process fleet: a session batch run serially.
+SERIAL = ServiceConfig(num_shards=1, worker_mode="inline")
 
 #: Stores queued on both cores against a full DRAM queue behind a shared L2.
 STORE_STORM_L2 = replace(
@@ -482,7 +485,7 @@ class TestSessionCheckpoint:
         assert reports_identical(straight.report, restarted.report)
 
     def test_session_run_resume_from_checkpoint(self):
-        session = Session(executor="serial")
+        session = Session()
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         envelopes: list[dict] = []
         chunked = session.run(job, checkpoint_every=300, checkpoint_sink=envelopes.append)
@@ -500,9 +503,10 @@ class TestSessionCheckpoint:
     def test_differential_checkpoint_legs_identical(self):
         """Oracle, straight-through and checkpoint/restore legs of one point."""
         job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
-        batch = Session(executor="serial").run_batch(
-            [replace(job, driver="simxref"), job, replace(job, restart_midpoint=True)]
-        )
+        with Session(service_config=SERIAL) as session:
+            batch = session.run_batch(
+                [replace(job, driver="simxref"), job, replace(job, restart_midpoint=True)]
+            )
         assert batch.ok
         reference, straight, restored = (result.report for result in batch.results)
         assert diff_execution_reports(reference, straight) == []
@@ -528,7 +532,7 @@ class TestExecuteJob:
         restart = replace(job, restart_midpoint=True)
         straight = execute_job(job)
         envelopes: list[dict] = []
-        chunked = Session(executor="serial").run(
+        chunked = Session.run(
             restart, checkpoint_every=300, checkpoint_sink=envelopes.append
         )
         assert chunked.ok and reports_identical(chunked.report, straight.report)
@@ -569,7 +573,7 @@ class TestExecuteJob:
         session_mod._kernel.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(execute_job, jobs))
-        serial = Session(executor="serial").run_batch(jobs).results
+        serial = [Session.run(job) for job in jobs]
         for a, b in zip(threaded, serial):
             assert a.ok and b.ok
             assert reports_identical(a.report, b.report)

@@ -1,6 +1,8 @@
 """Tests for the execution-engine protocol, run limits, decode-cache
 invalidation and the batched session layer."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,8 @@ from repro.core.emulator import EmulationError, SimulationLimitExceeded
 from repro.engine.protocol import ExecutionEngine
 from repro.engine.session import (
     BatchReport,
-    JobQueue,
     KernelJob,
     Session,
-    design_point_jobs,
     execute_job,
 )
 from repro.isa.builder import ProgramBuilder
@@ -23,8 +23,12 @@ from repro.runtime.device import VortexDevice
 from repro.runtime.funcsim import FuncSimDriver
 from repro.runtime.registry import create_driver
 from repro.runtime.simx import SimxDriver
+from repro.service import ServiceConfig
 
 BASE = 0x8000_0000
+
+#: A fleet of in-process workers: no processes to fork in these tests.
+INLINE = ServiceConfig(num_shards=2, worker_mode="inline")
 
 
 # -- execution-engine protocol -----------------------------------------------------------
@@ -199,17 +203,7 @@ def test_reports_carry_wall_clock_and_rates():
     assert "instr/s" in report.summary()
 
 
-# -- session / job queue -----------------------------------------------------------------
-
-
-def test_job_queue_fifo_and_drain():
-    queue = JobQueue([KernelJob(kernel="vecadd")])
-    queue.add(KernelJob(kernel="saxpy"))
-    queue.extend([KernelJob(kernel="sgemm")])
-    assert len(queue) == 3
-    drained = queue.drain()
-    assert [job.kernel for job in drained] == ["vecadd", "saxpy", "sgemm"]
-    assert len(queue) == 0
+# -- session -----------------------------------------------------------------------------
 
 
 def test_execute_job_reports_errors_instead_of_raising():
@@ -235,14 +229,17 @@ def test_job_result_payload_round_trips_through_execution_report():
 
 
 def test_session_runs_batch_of_jobs_concurrently():
-    session = Session(max_workers=6, executor="thread")
-    # Jobs must run long enough (size 1024, not 256) that a few ms of
+    # Six *distinct* jobs: identical ones would dedup to one execution.
+    # Jobs must run long enough (size ~1024, not 256) that a few ms of
     # thread-spawn stagger under full-suite load cannot serialize them
     # below the 4-in-flight acceptance bar.
-    for kernel in ("vecadd", "saxpy", "sgemm", "vecadd", "saxpy", "sgemm"):
-        session.submit(KernelJob(kernel=kernel, driver="funcsim", size=1024))
-    batch = session.run_batch()
+    with Session(service_config=ServiceConfig(num_shards=6, worker_mode="inline")) as session:
+        for kernel in ("vecadd", "saxpy", "sgemm"):
+            for size in (1024, 1000):
+                session.submit(KernelJob(kernel=kernel, driver="funcsim", size=size))
+        batch = session.run_batch()
     assert isinstance(batch, BatchReport)
+    assert batch.cache_hits == 0
     assert len(batch.results) == 6
     assert batch.ok
     # At least four jobs were in flight at once (the acceptance bar).
@@ -252,22 +249,43 @@ def test_session_runs_batch_of_jobs_concurrently():
 
 
 def test_session_results_preserve_submission_order():
-    session = Session(max_workers=4, executor="thread")
     jobs = [
         KernelJob(kernel="vecadd", driver="funcsim", size=32, label="first"),
         KernelJob(kernel="saxpy", driver="funcsim", size=32, label="second"),
     ]
-    batch = session.run_batch(jobs)
+    with Session(service_config=INLINE) as session:
+        batch = session.run_batch(jobs)
     assert [result.job.label for result in batch.results] == ["first", "second"]
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_session_process_pool_round_trip():
-    session = Session(max_workers=2, executor="process")
-    batch = session.run_batch(
-        [KernelJob(kernel="vecadd", driver="funcsim", size=64, label=f"j{i}") for i in range(2)]
-    )
-    assert batch.ok
+    config = ServiceConfig(num_shards=2, worker_mode="process")
+    with Session(service_config=config) as session:
+        batch = session.run_batch(
+            [KernelJob(kernel="vecadd", driver="funcsim", size=size) for size in (64, 96)]
+        )
+        pids = session.service_client().worker_pids()
+    assert batch.ok and batch.max_workers == 2
     assert all(result.report is not None for result in batch.results)
+    assert os.getpid() not in pids  # served by worker processes, not inline
+
+
+def test_session_close_stops_its_workers():
+    """An owned fleet's worker processes live until the session closes."""
+    config = ServiceConfig(num_shards=2, worker_mode="process")
+    with Session(service_config=config) as session:
+        assert session.run_batch([KernelJob(kernel="vecadd", driver="funcsim", size=64)]).ok
+        pids = session.service_client().worker_pids()
+        assert all(_alive(pid) for pid in pids)
+    assert not any(_alive(pid) for pid in pids)
 
 
 def test_kernel_job_suffix_driver_string_is_an_unknown_simulator():
@@ -283,30 +301,17 @@ def test_session_batch_runs_vectorized_timing_engine_bit_identical():
     from repro.engine.session import diff_execution_reports
 
     config = VortexConfig()
-    session = Session(max_workers=2, executor="thread")
     jobs = [
         KernelJob(kernel=kernel, config=config, size=size, driver=driver)
         for kernel, size in (("vecadd", 64), ("sgemm", 36))
         for driver in ("simx", "simxref")
     ]
-    batch = session.run_batch(jobs)
+    with Session(service_config=INLINE) as session:
+        batch = session.run_batch(jobs)
     assert batch.ok
     for vec, ref in zip(batch.results[::2], batch.results[1::2]):
         assert vec.report.engine == "timing-vector"
         assert diff_execution_reports(ref.report, vec.report) == []
-
-
-def test_design_point_jobs_cover_the_table3_grid():
-    from repro.common.config import CORE_DESIGN_POINTS
-
-    jobs = design_point_jobs("sgemm", CORE_DESIGN_POINTS, size=36)
-    assert len(jobs) == len(CORE_DESIGN_POINTS)
-    labels = {job.label for job in jobs}
-    assert "4W-4T" in labels and "8W-4T" in labels
-    for job in jobs:
-        warps, threads = CORE_DESIGN_POINTS[job.label]
-        assert job.config.num_warps == warps
-        assert job.config.num_threads == threads
 
 
 # -- report comparison -------------------------------------------------------------------
@@ -352,11 +357,12 @@ def test_job_launch_options_bound_the_run():
 
 
 def test_session_rejects_unknown_executor():
-    with pytest.raises(ValueError):
-        Session(executor="gpu")
+    """The executor selector is gone: every batch runs through the service."""
+    with pytest.raises(TypeError, match="executor"):
+        Session(executor="serial")
 
 
 def test_empty_batch_is_a_noop():
-    batch = Session(executor="serial").run_batch([])
+    batch = Session().run_batch([])
     assert batch.results == []
     assert batch.ok

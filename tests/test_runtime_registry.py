@@ -123,16 +123,13 @@ def test_unknown_engine_lists_available():
 
 def test_engine_keyword_is_a_type_error():
     """No layer accepts-and-ignores a stale ``engine=`` argument."""
-    from repro.engine.session import KernelJob, Session
+    from repro.engine.session import KernelJob
     from repro.runtime.simx import SimxDriver
 
     for stale in (
         lambda: KernelJob(kernel="vecadd", engine="scalar"),
         lambda: SimxDriver(engine="scalar"),
         lambda: DriverSpec("simx", engine="scalar"),
-        lambda: Session(executor="serial").submit_sweep(
-            "vecadd", [VortexConfig()], engine="scalar"
-        ),
         lambda: register_driver("okname", lambda *a, **k: None, engines=("a",)),
     ):
         with pytest.raises(TypeError, match="engine"):

@@ -1,5 +1,5 @@
 """Tests for the simulation service: canonical job identity, the
-content-addressed result cache, the sharded worker fleet and its failure
+content-addressed result cache, the worker fleet and its failure
 paths (crash retry, timeout, backpressure), and the Session backend."""
 
 import asyncio
@@ -7,12 +7,14 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.service.server as server_mod
 import repro.service.worker as worker_mod
 from repro.common.config import VortexConfig
 from repro.engine.session import JobResult, KernelJob, Session, execute_job
@@ -243,21 +245,6 @@ def test_service_caches_verification_failures():
     assert served.cached and not served.passed and served.error is None
 
 
-def test_service_shards_stably_by_key():
-    async def scenario():
-        async with SimulationService(
-            ServiceConfig(num_shards=4, worker_mode="inline")
-        ) as service:
-            key = KernelJob("vecadd", size=64).cache_key()
-            first = service._shard_for(key)
-            assert all(service._shard_for(key) is first for _ in range(8))
-            # Uncacheable jobs round-robin across all shards.
-            indices = {service._shard_for(None).index for _ in range(8)}
-            assert indices == {0, 1, 2, 3}
-
-    asyncio.run(scenario())
-
-
 # -- backpressure ------------------------------------------------------------------------
 
 
@@ -266,11 +253,13 @@ class _SlowWorker:
 
     def __init__(self, delay: float):
         self.delay = delay
+        self.started = []
         self.jobs_served = 0
         self.pid = None
         self.alive = True
 
     def request(self, job, timeout):
+        self.started.append(job)
         time.sleep(self.delay)
         self.jobs_served += 1
         return JobResult(job=job, passed=True)
@@ -290,20 +279,40 @@ def test_submission_blocks_at_the_backpressure_bound():
         async with SimulationService(
             ServiceConfig(num_shards=1, queue_depth=1, worker_mode="inline")
         ) as service:
-            shard = service._shards[0]
-            shard.worker = _SlowWorker(delay=0.25)
+            worker = service._shards[0].worker = _SlowWorker(delay=0.25)
             jobs = [KernelJob("vecadd", size=size) for size in (8, 16, 24)]
             tasks = []
             for job in jobs:
                 tasks.append(asyncio.ensure_future(service.submit(job)))
                 await asyncio.sleep(0.05)
-            # Job 1 is executing, job 2 fills the single queue slot; job 3's
+            # Job 1 is executing, job 2 fills the one queue slot; job 3's
             # put() is blocked by backpressure and has not enqueued.
-            assert shard.enqueued == 2
-            assert shard.queue.full()
+            assert worker.started == [jobs[0]]
+            assert service._queue.full() and service._queue.qsize() == 1
             results = await asyncio.gather(*tasks)
-            assert shard.enqueued == 3
+            assert worker.started == jobs
+            assert service._queue.empty()
             assert all(r.passed for r in results)
+
+    asyncio.run(scenario())
+
+
+def test_free_workers_share_jobs_that_hash_to_one_shard():
+    """Every consumer pulls from one queue: four jobs whose keys would all
+    route to shard 0 under ``int(key[:8], 16) % 2`` still spread 2 + 2."""
+    candidates = (KernelJob("vecadd", size=size) for size in range(8, 4096, 8))
+    jobs = [job for job in candidates if int(job.cache_key()[:8], 16) % 2 == 0][:4]
+
+    async def scenario():
+        async with SimulationService(
+            ServiceConfig(num_shards=2, worker_mode="inline")
+        ) as service:
+            workers = [_SlowWorker(delay=0.2) for _ in service._shards]
+            for shard, worker in zip(service._shards, workers):
+                shard.worker = worker
+            results = await service.run_batch(jobs)
+        assert all(r.passed for r in results)
+        assert [worker.jobs_served for worker in workers] == [2, 2]
 
     asyncio.run(scenario())
 
@@ -399,12 +408,12 @@ def test_process_worker_repeat_job_round_trip():
 
 
 def test_session_service_backend_serves_batches():
-    with Session(executor="service", service_config=INLINE) as session:
+    with Session(service_config=INLINE) as session:
         session.submit(KernelJob("vecadd", size=64))
         session.submit(KernelJob("vecadd", size=64, label="dup"))
         first = session.run_batch()
         second = session.run_batch([KernelJob("vecadd", size=64)])
-    assert first.ok and first.executor == "service"
+    assert first.ok and first.max_workers == INLINE.num_shards
     assert first.cache_hits == 1  # the inflight-deduped duplicate
     assert second.results[0].cached
     payload = first.to_payload()
@@ -414,13 +423,43 @@ def test_session_service_backend_serves_batches():
 
 def test_session_shares_an_external_service_client():
     with ServiceClient(INLINE) as client:
-        with Session(executor="service", service=client) as one:
+        with Session(service=client) as one:
             one.run_batch([KernelJob("vecadd", size=64)])
         # Closing the session must not close the shared client...
-        with Session(executor="service", service=client) as two:
+        with Session(service=client) as two:
             batch = two.run_batch([KernelJob("vecadd", size=64)])
     # ...so the second session is served from the first session's cache.
     assert batch.results[0].cached
+
+
+def _service_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-service"]
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="needs worker processes")
+def test_fleet_start_failure_leaks_no_worker_or_loop_thread(monkeypatch):
+    """A fleet whose second worker cannot start stops the first worker and
+    its event-loop thread before the error reaches the caller."""
+    real_create = server_mod.create_worker
+    calls = []
+
+    def create_then_fail(mode):
+        calls.append(mode)
+        if len(calls) == 2:
+            raise OSError("cannot fork")
+        return real_create(mode)
+
+    monkeypatch.setattr(server_mod, "create_worker", create_then_fail)
+    children = set(multiprocessing.active_children())
+    threads = len(_service_threads())
+    with pytest.raises(OSError, match="cannot fork"):
+        ServiceClient(ServiceConfig(num_shards=2, worker_mode="process"))
+    assert len(calls) == 2
+    assert set(multiprocessing.active_children()) <= children
+    assert len(_service_threads()) == threads
+    # An unknown worker mode fails at construction, before any fork.
+    with pytest.raises(ValueError, match="worker_mode"):
+        ServiceConfig(worker_mode="bogus")
 
 
 def test_service_client_rejects_use_after_close():
