@@ -16,7 +16,11 @@ One payload (``BENCH_checkpoint.json``), every row carrying an
   configuration, paused inside a write-refusal storm (stores queued, DRAM
   queue full), restored into a fresh device and finished: the core's
   store-queue lane tallies are derived, not checkpointed, so this row shows
-  the restored core rebuilds them bit-identically.
+  the restored core rebuilds them bit-identically;
+* **repeat_restart** — sgemm on that configuration (``simx_memwall_loads``'s),
+  paused while the core holds an armed drain repeat: the memo is not
+  checkpointed, so the restored core makes a real pass first and must still
+  finish bit-identically.
 
 Run with::
 
@@ -29,8 +33,10 @@ import argparse
 import json
 import pickle
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from repro.common.config import (
     SCHEDULER_POLICIES,
@@ -58,13 +64,15 @@ CONFIG = VortexConfig(
 #: (kernel, size) points for the restore-replay identity rows.
 REPLAY_POINTS = (("vecadd", 256), ("sgemm", 8 * 8), ("sfilter", 8 * 8))
 
-#: ``simx_memwall_stores``'s configuration: 8 warps of 32 threads storing
-#: through a 16 KiB write-through data cache into an 800-cycle DRAM.
-STORM_CONFIG = replace(
+#: The ``simx_memwall_stores`` / ``simx_memwall_loads`` configuration: 8 warps
+#: of 32 threads behind a 16 KiB write-through data cache and an 800-cycle DRAM.
+MEMWALL_CONFIG = replace(
     CONFIG.with_warps_threads(8, 32), memory=MemoryConfig(latency=800, bandwidth=4)
 )
 #: A cycle inside saxpy 256's write-refusal storm there (about 6.2 k–19 k).
 STORM_PAUSE = 10_000
+#: A cycle at which sgemm 16x16 there holds an armed drain repeat.
+REPEAT_PAUSE = 12_500
 
 
 def measure_restore_replay(
@@ -107,13 +115,16 @@ def measure_policy_restart(policy: str, kernel: str = "sgemm", size: int = 8 * 8
     return row
 
 
-def measure_store_storm(kernel: str = "saxpy", size: int = 256) -> dict:
-    """Checkpoint at ``STORM_PAUSE``, restore into a fresh device and finish,
-    against a straight-through run; the pause must fall inside the storm."""
+def measure_pause_restart(
+    scenario: str, kernel: str, size: int, pause: int, inside: Callable[[Any], bool], what: str
+) -> dict:
+    """Checkpoint at ``pause``, restore into a fresh device and finish,
+    against a straight-through run; ``inside(processor)`` must hold at the
+    pause (``what`` it means)."""
 
     def staged() -> tuple[VortexDevice, object]:
         kernel_obj = KERNELS[kernel]()
-        device = VortexDevice(STORM_CONFIG, driver="simx")
+        device = VortexDevice(MEMWALL_CONFIG, driver="simx")
         program = kernel_obj.build_program()
         device.upload_program(program)
         kernel_obj.setup(device, size)
@@ -122,18 +133,17 @@ def measure_store_storm(kernel: str = "saxpy", size: int = 256) -> dict:
     straight, program = staged()
     reference = straight.driver.run(program.entry)
     paused, program = staged()
-    paused.driver.run(program.entry, stop_cycle=STORM_PAUSE)
-    processor = paused.driver.processor
+    paused.driver.run(program.entry, stop_cycle=pause)
     mismatches = []
-    if processor.memsys.dram.can_accept or not processor.cores[0]._store_queue:
-        mismatches.append(f"cycle {STORM_PAUSE} is not inside a write-refusal storm")
+    if not inside(paused.driver.processor):
+        mismatches.append(f"cycle {pause} is not inside {what}")
     envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
-    fresh = VortexDevice(STORM_CONFIG, driver="simx")
+    fresh = VortexDevice(MEMWALL_CONFIG, driver="simx")
     fresh.restore(envelope)
     roundtrip = fresh.checkpoint() == envelope
     mismatches += diff_execution_reports(reference, fresh.driver.run(None, resume=True))
     return {
-        "scenario": f"store_storm_restart_{kernel}_simx",
+        "scenario": f"{scenario}_{kernel}_simx",
         "cycles": reference.cycles,
         "instructions": reference.instructions,
         "identical_counters": not mismatches,
@@ -155,7 +165,22 @@ def main(argv: list[str] | None = None) -> int:
         for driver in ("simx", "funcsim")
     ]
     rows += [measure_policy_restart(policy) for policy in sorted(SCHEDULER_POLICIES)]
-    rows.append(measure_store_storm())
+    rows.append(
+        measure_pause_restart(
+            "store_storm_restart", "saxpy", 256, STORM_PAUSE,
+            lambda processor: bool(
+                processor.cores[0]._store_queue and not processor.memsys.dram.can_accept
+            ),
+            "a write-refusal storm",
+        )
+    )
+    rows.append(
+        measure_pause_restart(
+            "repeat_restart", "sgemm", 16 * 16, REPEAT_PAUSE,
+            lambda processor: processor.cores[0]._repeat is not None,
+            "an armed drain repeat",
+        )
+    )
 
     identical = all(
         row["identical_counters"] and row.get("roundtrip_identical", True) for row in rows

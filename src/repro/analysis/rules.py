@@ -405,9 +405,11 @@ STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.arch.csr", "repr
 #: is either construction-time wiring rebuilt by ``__init__`` (the hierarchy
 #: ports), a transient helper that never lives across a pause boundary (the
 #: memory word cursor, the per-instruction warp emulator facade, a one-call
-#: request group), or an exception type.
+#: request group, a pass receipt — only a drain memo, which restore drops,
+#: keeps one), or an exception type.
 SNAPSHOT_EXEMPT = frozenset(
     {
+        "repro.cache.cache.Receipt",
         "repro.cache.cache.RequestGroup",
         "repro.cache.hierarchy._CachePort",
         "repro.cache.hierarchy._DramPort",

@@ -147,6 +147,18 @@ class RequestGroup:
         self.to_send, self.tag, self.outstanding = to_send, tag, 0
 
 
+class Receipt:
+    """One pass's ``charges`` (tallies as :meth:`NonBlockingCache._charge`
+    unpacks them), its accepts ``taken`` — ``(group, index, lanes, hit)`` for
+    a read from the head of a run left longer, now ``group.to_send[index]``,
+    else None — and, once kept for a repeat, ``tally`` and port map ``accepts``."""
+
+    __slots__ = ("charges", "taken", "tally", "accepts")
+
+    def __init__(self) -> None:
+        self.charges, self.taken = [], []
+
+
 class NonBlockingCache(Stateful):
     """Multi-banked, non-blocking, virtually multi-ported cache."""
 
@@ -156,10 +168,12 @@ class NonBlockingCache(Stateful):
     #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key); the
     #: due bucket travels per bank in ``banks``; the processor serializes the
-    #: device clock.
+    #: device clock; ``epoch`` and ``receipt`` serve the drain repeat.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
+            "epoch",
+            "receipt",
             "config",
             "clock",
             "lower",
@@ -201,6 +215,13 @@ class NonBlockingCache(Stateful):
         self._num_banks = config.num_banks
         self._num_ports = config.num_ports
         self._counters = self.perf._counters
+        #: Moves with what decides a read outside the cycle's port map: a
+        #: fill (install, evict, MSHR release), a new MSHR entry, a restore.
+        self.epoch = 0
+        self.receipt: Receipt | None = None  # set for one pass that may repeat
+
+    def after_restore(self) -> None:
+        self.epoch += 1
 
     # -- address helpers ----------------------------------------------------------------
 
@@ -290,8 +311,7 @@ class NonBlockingCache(Stateful):
                 self._trace_attempts("hit" if hit else "miss", line, bank_id, True)
             self._schedule(bank_id, CacheResponse((address,), True, tag, now, hit))
         elif hit:
-            bank.touch(line)
-            self._schedule(bank_id, CacheResponse((address,), False, tag, now, True))
+            self._take(bank, line, (address,), tag, True)
             counters["read_hits"] += 1
             if trace is not None:
                 self._trace_attempts("hit", line, bank_id, False)
@@ -303,14 +323,13 @@ class NonBlockingCache(Stateful):
                     if trace is not None:
                         self._trace_attempts("refusal", line, bank_id, False)
                     return False
-            entry = bank.mshr.allocate(
-                line, CacheResponse((address,), False, tag, now, False)
-            )
-            if entry is None:
+            if not self._take(bank, line, (address,), tag, False):
                 counters["mshr_stalls"] += 1
                 if trace is not None:
                     self._trace_attempts("mshr-stall", line, bank_id, False)
                 return False
+            if existing is None:
+                self.epoch += 1
             counters["read_misses"] += 1
             if trace is not None:
                 self._trace_attempts("miss", line, bank_id, False, 1, existing is not None)
@@ -319,6 +338,46 @@ class NonBlockingCache(Stateful):
         self._accepts_this_cycle[bank_id] = (line, count + 1)
         counters["accepted"] += 1
         return True
+
+    def _take(
+        self, bank: CacheBank, line: int, addresses: tuple[int, ...], tag: Any, hit: bool
+    ) -> bool:
+        """The read accept of :meth:`send`, :meth:`send_batch` and :meth:`repeat`:
+        one record for a run's lanes, touched and scheduled on a hit, else parked
+        in the MSHR (False: a new entry found it full).  Counters: the caller's."""
+        record = CacheResponse(addresses, False, tag, self.clock.now, hit)
+        if not hit:
+            return bank.mshr.allocate(line, record, len(addresses)) is not None
+        bank.touch(line, len(addresses))
+        self._schedule(bank.bank_id, record)
+        return True
+
+    def _charge(self, tally: tuple[int, ...] | list[int]) -> None:
+        """Add a tally, laid out as unpacked here, to the counters (nonzero
+        keys only, in :meth:`send`'s order) and to the receipt being recorded."""
+        counters = self._counters
+        (attempts, conflicts, mshr, memq, read_hits, read_misses,
+         write_hits, write_misses, accepted) = tally
+        if attempts:
+            counters["attempts"] += attempts
+        if conflicts:
+            counters["bank_conflicts"] += conflicts
+        if mshr:
+            counters["mshr_stalls"] += mshr
+        if memq:
+            counters["memq_stalls"] += memq
+        if read_hits:
+            counters["read_hits"] += read_hits
+        if read_misses:
+            counters["read_misses"] += read_misses
+        if write_hits:
+            counters["write_hits"] += write_hits
+        if write_misses:
+            counters["write_misses"] += write_misses
+        if accepted:
+            counters["accepted"] += accepted
+        if self.receipt is not None:
+            self.receipt.charges.append(tally)
 
     def _refuse_blocked_writes_traced(
         self, addresses: tuple[int, ...], line: int, bank_id: int
@@ -370,7 +429,9 @@ class NonBlockingCache(Stateful):
         as a new run of the lanes that were not.  Counters are aggregated in
         locals and flushed once, bit-identical to :meth:`send` per attempt
         (``tests/test_cache.py`` holds both paths, the partition invariance
-        and one call per group to it with property tests).
+        and one call per group to it with property tests).  A recorded
+        :class:`Receipt` takes the tally and the run accepts :meth:`repeat`
+        needs.
         """
         accepts = self._accepts_this_cycle
         banks = self.banks
@@ -379,6 +440,7 @@ class NonBlockingCache(Stateful):
         lower = self.lower
         cycle = self.clock.now
         trace = self.trace
+        receipt = self.receipt
         full_banks = 0
         for _first_line, count in accepts.values():
             if count >= num_ports:
@@ -506,21 +568,9 @@ class NonBlockingCache(Stateful):
                             write_misses += room
                         record = CacheResponse(sent, True, group.tag, cycle, hit)
                         self._schedule(bank_id, record)
-                    elif hit:
-                        bank.touch(line, room)
-                        self._schedule(
-                            bank_id,
-                            CacheResponse(
-                                addresses[done : done + room], False, group.tag, cycle, True
-                            ),
-                        )
-                        read_hits += room
-                        if trace is not None:
-                            self._trace_attempts("hit", line, bank_id, False, room)
-                        done += room
                     else:
-                        merged = mshr.lookup(line) is not None
-                        if not merged:
+                        new_entry = not hit and mshr.lookup(line) is None
+                        if new_entry:
                             # The lane that allocates the entry goes alone: it can
                             # raise ``almost_full``, which the lanes behind it —
                             # merges included — must see before they are taken.
@@ -533,20 +583,31 @@ class NonBlockingCache(Stateful):
                                 if trace is not None:
                                     self._trace_attempts("refusal", line, bank_id, False)
                                 continue
-                        record = CacheResponse(
-                            addresses[done : done + room], False, group.tag, cycle, False
-                        )
-                        if mshr.allocate(line, record, room) is None:
+                        if not self._take(
+                            bank, line, addresses[done : done + room], group.tag, hit
+                        ):
                             mshr_stalls += 1
                             kept += (addresses[done],)
                             done += 1
                             if trace is not None:
                                 self._trace_attempts("mshr-stall", line, bank_id, False)
                             continue
-                        read_misses += room
-                        if trace is not None:
-                            self._trace_attempts("miss", line, bank_id, False, room, merged)
+                        if hit:
+                            read_hits += room
+                            if trace is not None:
+                                self._trace_attempts("hit", line, bank_id, False, room)
+                        else:
+                            if new_entry:
+                                self.epoch += 1
+                            read_misses += room
+                            if trace is not None:
+                                self._trace_attempts(
+                                    "miss", line, bank_id, False, room, not new_entry
+                                )
                         done += room
+                    if receipt is not None:  # None: an accept no repeat can redo
+                        head = not is_write and done == room and lanes > 2 * room
+                        receipt.taken.append((group, len(refused), room, hit) if head else None)
                     taken += room
                     budget -= room
                     ports_left -= room
@@ -572,27 +633,40 @@ class NonBlockingCache(Stateful):
             memq_stalls += sum(map(len, blocked))
             if trace is None:  # traced: already handed over lane by lane
                 lower.note_blocked_writes(blocked)
-        counters = self._counters
-        attempts = accepted_count + bank_conflicts + mshr_stalls + memq_stalls
-        if attempts:
-            counters["attempts"] += attempts
-        if bank_conflicts:
-            counters["bank_conflicts"] += bank_conflicts
-        if mshr_stalls:
-            counters["mshr_stalls"] += mshr_stalls
-        if memq_stalls:
-            counters["memq_stalls"] += memq_stalls
-        if read_hits:
-            counters["read_hits"] += read_hits
-        if read_misses:
-            counters["read_misses"] += read_misses
-        if write_hits:
-            counters["write_hits"] += write_hits
-        if write_misses:
-            counters["write_misses"] += write_misses
-        if accepted_count:
-            counters["accepted"] += accepted_count
+        self._charge(
+            (
+                accepted_count + bank_conflicts + mshr_stalls + memq_stalls,
+                bank_conflicts, mshr_stalls, memq_stalls,
+                read_hits, read_misses, write_hits, write_misses, accepted_count,
+            )
+        )
         return budget
+
+    def repeat(self, receipt: Receipt) -> bool:
+        """Redo the pass that filled ``receipt`` in a cycle whose pass would read
+        the same (the requester's call): each run takes its lanes again through
+        :meth:`_take`, the port map returns, and the tally is charged with
+        ``attempts``/``bank_conflicts`` less the lanes taken (shorter conflicting
+        tails), ``memq_stalls`` handed down.  False once a run keeps ≤ its take."""
+        banks = self.banks
+        taken = 0
+        again = True
+        for group, index, lanes, hit in receipt.taken:
+            run = group.to_send[index]
+            addresses = run[0]
+            self._take(banks[run[2]], run[1], addresses[:lanes], group.tag, hit)
+            group.to_send[index] = (addresses[lanes:],) + run[1:]
+            group.outstanding += lanes
+            taken += lanes
+            again = again and len(addresses) > 2 * lanes
+        tally = receipt.tally
+        tally[0] -= taken
+        tally[1] -= taken
+        self._accepts_this_cycle.update(receipt.accepts)
+        self._charge(tally)
+        if tally[3]:
+            self.lower.note_skipped_refusal(tally[3])
+        return again
 
     def charge_blocked_writes(self, bank_lanes: list[int], line_lanes: dict[int, int]) -> bool:
         """Charge write-throughs, ``bank_lanes[bank]`` per bank and
@@ -613,12 +687,7 @@ class NonBlockingCache(Stateful):
         refusals = lanes - conflicts
         if refusals and not lower.note_blocked_write_count(refusals):
             return False
-        counters = self._counters
-        counters["attempts"] += lanes
-        if conflicts:
-            counters["bank_conflicts"] += conflicts
-        if refusals:
-            counters["memq_stalls"] += refusals
+        self._charge((lanes, conflicts, 0, refusals, 0, 0, 0, 0, 0))
         return True
 
     # -- back-end: fills and responses -------------------------------------------------------
@@ -632,6 +701,7 @@ class NonBlockingCache(Stateful):
         """
         bank_id = line_address % self._num_banks
         arrived = self.clock.now - 1
+        self.epoch += 1
         for record in self.banks[bank_id].fill(line_address):
             record.cycle = ready = arrived + self._response_delay
             self._due[ready].append((bank_id, record))

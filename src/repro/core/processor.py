@@ -266,19 +266,25 @@ class TimingProcessor(_GlobalBarrierMixin):
         """
         if entry_pc is not None:
             self.reset(entry_pc)
+        # Each ticked cycle reads done / retired / cycle from these, not the properties.
+        cores, clock, memsys = self.cores, self.clock, self.memsys
+        counters = [core._counters for core in cores]
+        start, base = self.launch_start, self._launch_instructions
         idle_cycles = 0
         retired = self.total_instructions
         # Lane-plan execution legitimately produces IEEE invalid/overflow
         # conditions inside masked numpy expressions (the scalar reference
         # silences them per operation); silence them for the whole run.
         with np.errstate(all="ignore"):
-            while not self.done:
-                if stop_cycle is not None and self.cycle >= stop_cycle:
+            # Core 0 alone first: it has work left on almost every tick.
+            while not (cores[0].done and all(core.done for core in cores) and not memsys.busy):
+                if stop_cycle is not None and clock.now - start >= stop_cycle:
                     break
                 instructions_before = retired
                 self.tick()
-                retired = self.total_instructions  # read once per ticked cycle
-                if self.cycle >= max_cycles:
+                retired = sum([c.get("instructions", 0) for c in counters]) - base
+                cycle = clock.now - start
+                if cycle >= max_cycles:
                     raise SimulationLimitExceeded(
                         "cycles",
                         max_cycles,
@@ -295,7 +301,7 @@ class TimingProcessor(_GlobalBarrierMixin):
                     )
                 # Deadlock watchdog: no instruction retired for a long stretch while
                 # cores still have active wavefronts and no memory traffic is pending.
-                if retired == instructions_before and not self.memsys.busy:
+                if retired == instructions_before and not memsys.busy:
                     idle_cycles += 1
                     if idle_cycles > self.NO_PROGRESS_LIMIT:
                         raise SimulationStalled(
@@ -311,19 +317,19 @@ class TimingProcessor(_GlobalBarrierMixin):
                 # Event-driven fast-forward: jump over provably idle cycle
                 # runs instead of ticking through them (bit-identical to a
                 # ``tick()`` loop in cycles, counters and expanded traces).
-                skip = self._idle_cycles_to_skip(max_cycles - self.cycle)
+                skip = self._idle_cycles_to_skip(max_cycles - cycle)
                 if skip and stop_cycle is not None:
                     # Never jump past the requested pause point: the
                     # skipped cycles are provably idle either way, so
                     # capping changes nothing but where the run stops.
-                    skip = min(skip, stop_cycle - self.cycle)
+                    skip = min(skip, stop_cycle - cycle)
                 if skip > 0:
                     self._skip_idle(skip)
                     # Mirror the per-tick watchdog bookkeeping above: a
                     # skipped cycle retires nothing, so it counts toward
                     # the no-progress window unless memory traffic is in
                     # flight (in which case each tick would have reset it).
-                    if not self.memsys.busy:
+                    if not memsys.busy:
                         idle_cycles += skip
                     else:
                         idle_cycles = 0
@@ -374,7 +380,7 @@ class TimingProcessor(_GlobalBarrierMixin):
 
     @property
     def total_instructions(self) -> int:
-        """Warp-instructions this launch retired (read every ticked cycle)."""
+        """Warp-instructions this launch retired."""
         retired = sum([core.perf._counters.get("instructions", 0) for core in self.cores])
         return retired - self._launch_instructions
 

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cache.cache import CacheResponse, NonBlockingCache, RequestGroup
+from repro.cache.cache import CacheResponse, NonBlockingCache, Receipt, RequestGroup
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
@@ -157,7 +157,7 @@ class TimingCore(Stateful):
     #: owned and serialized by the memory subsystem (``clock``: the
     #: processor), the per-PC register cache (a pure function of the decode,
     #: rebuilt lazily), the ``perf`` alias ``_counters``, and what
-    #: :meth:`after_restore` invalidates or rebuilds from the queues.
+    #: :meth:`after_restore` invalidates or rebuilds (the drain repeat's too).
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "core_id",
@@ -165,6 +165,7 @@ class TimingCore(Stateful):
             "clock",
             "icache",
             "dcache",
+            "_dram",
             "trace",
             "_counters",
             "_unit_latency",
@@ -174,6 +175,8 @@ class TimingCore(Stateful):
             "_store_bank_lanes",
             "_store_line_lanes",
             "_registers_by_pc",
+            "_drain_epoch",
+            "_repeat",
             "_dcache_line_size",
             "_dcache_num_banks",
             "_icache_line_size",
@@ -251,6 +254,13 @@ class TimingCore(Stateful):
         self._dcache_line_size = self.dcache.config.line_size
         self._dcache_num_banks = self.dcache.config.num_banks
         self._icache_line_size = config.icache.line_size
+        # The drain repeat: the DRAM behind the D$ (None under an L2 or with
+        # tracing on: never armed), an epoch of the queues a drain reads, and
+        # the ``(key, receipt)`` memo.
+        untraced = trace is None and self.dcache.trace is None
+        self._dram = getattr(self.dcache.lower, "dram", None) if untraced else None
+        self._drain_epoch = 0
+        self._repeat: tuple[tuple[int, int, bool], Receipt] | None = None
         # Derived from the queues: the pending ops with a scratchpad run (the
         # drain routes them per destination) and the store-queue tallies.
         self._smem_ops: set[int] = set()
@@ -278,11 +288,13 @@ class TimingCore(Stateful):
         self._registers_by_pc.clear()
 
     def after_restore(self) -> None:
-        """Drop the per-PC register cache and the mask horizon (the functional
-        core's restore dropped the decode they derive from); rebuild what is
-        derived from the queues.  A reset ends here too."""
+        """Drop the per-PC register cache, the mask horizon (the functional
+        core's restore dropped the decode they derive from) and the drain
+        memo; rebuild what is derived from the queues.  A reset ends here too."""
         self._registers_by_pc.clear()
         self._masks_valid_until = 0
+        self._drain_epoch += 1
+        self._repeat = None
         self._smem_ops = {
             op.op_id for op in self._pending_ops.values() if any(r[3] for r in op.to_send)
         }
@@ -521,7 +533,27 @@ class TimingCore(Stateful):
     # -- request draining ----------------------------------------------------------------------
 
     def _drain_requests(self) -> None:
-        """Send as many queued cache/scratchpad requests as accepted this cycle."""
+        """Send as many queued cache/scratchpad requests as accepted this cycle;
+        or repeat the last pass (:meth:`_arm_repeat`) while nothing it read
+        has changed: the two epochs, DRAM room, no ifetch, free D$ ports."""
+        dcache = self.dcache
+        memo = self._repeat
+        if memo is not None:
+            key, receipt = memo
+            if (
+                key == (dcache.epoch, self._drain_epoch, self._dram.can_accept)
+                and not self._ifetch_to_send
+                and not dcache._accepts_this_cycle
+            ):
+                if not dcache.repeat(receipt):
+                    self._repeat = None
+                return
+            self._repeat = None
+        receipt = None
+        if self._dram is not None:
+            receipt = dcache.receipt = Receipt()
+            clean = not (dcache._accepts_this_cycle or self._smem_ops or self._store_smem_lanes)
+            start = (dcache.epoch, self._dram.pending, clean)
         # Instruction-cache fills first (front end priority).
         if self._ifetch_to_send:
             still_waiting: list[tuple[int, int]] = []
@@ -562,6 +594,32 @@ class TimingCore(Stateful):
                 if stores.outstanding:  # else every lane is back, in order
                     self._store_queue = stores.to_send
                     self._recount_stores()
+        if receipt is not None:
+            dcache.receipt = None
+            self._arm_repeat(receipt, start, budget)
+
+    def _arm_repeat(self, receipt: Receipt, start: tuple[int, int, bool], budget: int) -> None:
+        """The arming rule for an untraced, DRAM-attached D$: keep the pass just
+        made if it started with no D$ port taken and no scratchpad lane
+        pending, leaving no ifetch; the D$ epoch and DRAM queue length
+        (``start``) held — only counted refusals went below; the loads left
+        ``budget`` (no run was cut short); something was charged (an idle
+        pass is cheaper than its repeat); and every accept was a read hit or
+        merge a repeat can redo (so no write-through)."""
+        dcache = self.dcache
+        epoch, queued, clean = start
+        if (
+            clean
+            and receipt.charges
+            and not self._ifetch_to_send
+            and dcache.epoch == epoch
+            and budget > 0
+            and None not in receipt.taken
+            and self._dram.pending == queued
+        ):
+            receipt.tally = [sum(counts) for counts in zip(*receipt.charges)]
+            receipt.accepts = dict(dcache._accepts_this_cycle)
+            self._repeat = ((epoch, self._drain_epoch, self._dram.can_accept), receipt)
 
     def _send_batch_segments(self, group: Any, budget: int, is_write: bool) -> int:
         """Send a request group through the per-destination batch paths, one
@@ -730,6 +788,7 @@ class TimingCore(Stateful):
             )
 
     def _charge_memory(self, warp: Any, result: Any) -> None:
+        self._drain_epoch += 1  # the request queues move
         spec = result.instr.spec
         is_store = spec.is_store
         addresses = result.request_addresses or []
