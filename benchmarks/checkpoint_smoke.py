@@ -45,7 +45,7 @@ from repro.common.config import (
     MemoryConfig,
     VortexConfig,
 )
-from repro.engine.session import (
+from repro.runtime.jobs import (
     RESTART_MIDPOINT_UNITS,
     KernelJob,
     diff_execution_reports,

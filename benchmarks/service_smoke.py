@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
-from repro.engine.session import KernelJob
+from repro.runtime.jobs import KernelJob
 from repro.service import ServiceClient, ServiceConfig
 
 

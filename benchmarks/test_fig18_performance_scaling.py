@@ -5,15 +5,16 @@ counts: compute-bounded kernels scale almost linearly, memory-bounded ones
 scale less, and nearn behaves compute-bound because of its long-latency
 square root.
 
-The sweep — every kernel at every core count — goes through the batched
-:class:`repro.engine.session.Session` layer: all (kernel, cores) jobs are
-submitted as one batch and served concurrently by the session's fleet of
-worker processes, which pull from one shared queue.
+The sweep — every kernel at every core count — is one batch served by
+:meth:`repro.service.ServiceClient.run_batch`: all (kernel, cores) jobs run
+concurrently on the client's fleet of worker processes, which pull from one
+shared queue.
 """
 
 from benchmarks.harness import make_config, print_table
-from repro.engine.session import KernelJob, Session
 from repro.kernels import COMPUTE_BOUND, MEMORY_BOUND
+from repro.runtime.jobs import KernelJob
+from repro.service import ServiceClient
 
 CORE_COUNTS = (1, 2, 4, 8)
 FIG18_KERNELS = tuple(COMPUTE_BOUND) + tuple(MEMORY_BOUND)
@@ -32,19 +33,19 @@ FIG18_SIZES = {
 
 
 def _collect():
-    with Session() as session:
-        for kernel in FIG18_KERNELS:
-            for cores in CORE_COUNTS:
-                session.submit(
-                    KernelJob(
-                        kernel=kernel,
-                        config=make_config(num_cores=cores),
-                        driver="simx",
-                        size=FIG18_SIZES[kernel],
-                        label=f"{kernel}x{cores}",
-                    )
-                )
-        batch = session.run_batch()
+    jobs = [
+        KernelJob(
+            kernel=kernel,
+            config=make_config(num_cores=cores),
+            driver="simx",
+            size=FIG18_SIZES[kernel],
+            label=f"{kernel}x{cores}",
+        )
+        for kernel in FIG18_KERNELS
+        for cores in CORE_COUNTS
+    ]
+    with ServiceClient() as client:
+        batch = client.run_batch(jobs)
     print(batch.summary())
     results = {}
     for result in batch.results:

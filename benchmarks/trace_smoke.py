@@ -49,7 +49,7 @@ from typing import Any
 import numpy as np
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
-from repro.engine.session import diff_execution_reports
+from repro.runtime.jobs import diff_execution_reports
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 from repro.trace import expand_skips

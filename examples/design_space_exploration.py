@@ -7,10 +7,10 @@ the Table 3 warp/thread design points plus two memory configurations, runs
 ``sgemm`` on each, and reports performance alongside the modeled FPGA cost —
 the performance-per-area trade-off the paper uses to pick 4W-4T.
 
-The whole sweep is one batched :class:`repro.Session` run: every
-(configuration, memory latency) point becomes a job, and the session's
-fleet of worker processes runs the jobs concurrently, each free worker
-taking the next job from one shared queue.
+The whole sweep is one batch served by :class:`repro.ServiceClient`: every
+(configuration, memory latency) point becomes a job, and the client's fleet
+of worker processes runs the jobs concurrently, each free worker taking the
+next job from one shared queue.
 
 Run with::
 
@@ -19,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import KernelJob, Session, VortexConfig
+from repro import KernelJob, ServiceClient, ServiceConfig, VortexConfig
 from repro.common.config import CORE_DESIGN_POINTS, MemoryConfig
 from repro.synthesis import CoreSynthesisModel
 
@@ -45,8 +45,8 @@ def build_jobs() -> list:
 
 
 def main() -> None:
-    with Session() as session:
-        batch = session.run_batch(build_jobs())
+    with ServiceClient(ServiceConfig()) as client:
+        batch = client.run_batch(build_jobs())
     print(batch.summary())
     print()
     print(f"{'config':8s} {'mem lat':>8s} {'cycles':>8s} {'IPC':>6s} {'LUT':>8s} "

@@ -27,13 +27,8 @@ from repro.common.config import (
     TextureConfig,
     VortexConfig,
 )
-from repro.engine.session import (
-    BatchReport,
-    JobResult,
-    KernelJob,
-    Session,
-)
 from repro.runtime.device import VortexDevice
+from repro.runtime.jobs import BatchReport, JobResult, KernelJob, execute_job
 from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import DriverSpec, parse_driver_spec, register_driver
 from repro.runtime.report import ExecutionReport
@@ -65,7 +60,7 @@ __all__ = [
     "LaunchOptions",
     "parse_driver_spec",
     "register_driver",
-    "Session",
+    "execute_job",
     "JobResult",
     "KernelJob",
     "BatchReport",

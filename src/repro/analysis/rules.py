@@ -148,15 +148,9 @@ def _class_literal(node: ast.ClassDef, name: str) -> set[str] | None:
 
 _BANNED_MODULES = {"time", "random", "secrets", "uuid"}
 
-#: The simulator proper.  Of ``repro.engine`` only the vectorized emulator is
-#: simulator code; ``Session`` reads the host clock for job reports.
-SIMULATOR_SCOPE = (
-    "repro.core",
-    "repro.cache",
-    "repro.mem",
-    "repro.engine.vector_emulator",
-    "repro.engine.vector_core",
-)
+#: The simulator proper (the job layer in ``repro.runtime.jobs`` reads the
+#: host clock for job reports and stays outside).
+SIMULATOR_SCOPE = ("repro.core", "repro.cache", "repro.mem")
 
 
 @register_rule
@@ -305,12 +299,7 @@ class DtypeDisciplineRule(Rule):
 
     id = "VX005"
     title = "dtype-discipline"
-    scope = (
-        "repro.arch",
-        "repro.engine.vector_emulator",
-        "repro.engine.vector_core",
-        "repro.mem",
-    )
+    scope = ("repro.arch", "repro.core.vector_emulator", "repro.core.processor", "repro.mem")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -404,9 +393,10 @@ STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.arch.csr", "repr
 #: Stateful classes in the scope legitimately outside the checkpoint.  Each
 #: is either construction-time wiring rebuilt by ``__init__`` (the hierarchy
 #: ports), a transient helper that never lives across a pause boundary (the
-#: memory word cursor, the per-instruction warp emulator facade, a one-call
-#: request group, a pass receipt — only a drain memo, which restore drops,
-#: keeps one), or an exception type.
+#: memory word cursor, the per-instruction warp emulator facade, the
+#: per-instruction timing step a lane plan returns, a one-call request
+#: group, a pass receipt — only a drain memo, which restore drops, keeps
+#: one), or an exception type.
 SNAPSHOT_EXEMPT = frozenset(
     {
         "repro.cache.cache.Receipt",
@@ -416,6 +406,7 @@ SNAPSHOT_EXEMPT = frozenset(
         "repro.core.emulator.SimulationLimitExceeded",
         "repro.core.emulator.SimulationStalled",
         "repro.core.emulator.WarpEmulator",
+        "repro.core.vector_emulator.TimingStep",
         "repro.mem.memory.WordCursor",
     }
 )

@@ -6,6 +6,10 @@ to completion at instruction granularity (this is what the FUNCSIM driver
 uses, and what the cycle-level TimingCore embeds for its architectural
 state).  Multi-core functional execution is provided by
 :class:`repro.core.processor.Processor`.
+
+``VectorSimtCore`` is the same core executing whole-warp lane vectors
+(:class:`~repro.core.vector_emulator.VectorWarpEmulator`): the core both
+drivers run, with ``SimtCore`` as its per-thread oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable, is_global_barrier
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, StepResult, WarpEmulator
+from repro.core.vector_emulator import VectorWarpEmulator
 from repro.core.warp import Warp
 from repro.arch.csr import CsrFile
 from repro.texture.unit import TextureUnit
@@ -26,7 +31,7 @@ from repro.texture.unit import TextureUnit
 class SimtCore(Stateful):
     """One Vortex core executing at instruction (functional) granularity."""
 
-    #: Emulator to instantiate; the vectorized engine substitutes its own.
+    #: Emulator to instantiate; :class:`VectorSimtCore` substitutes the vectorized one.
     emulator_cls = WarpEmulator
 
     #: Barrier participants are this core's warps, encoded as warp ids.
@@ -166,7 +171,7 @@ class SimtCore(Stateful):
         Same bookkeeping as :meth:`step_warp` (per-core counters, ``instret``)
         through the emulator's ``step_timing``: the vectorized emulator runs
         a compiled timing plan and returns a
-        :class:`repro.engine.vector_emulator.TimingStep`; the per-thread
+        :class:`repro.core.vector_emulator.TimingStep`; the per-thread
         emulator returns its :class:`StepResult`, which exposes the same
         ``instr``, ``active_thread_count``, ``taken_branch`` and
         ``request_addresses`` facts.
@@ -207,3 +212,10 @@ class SimtCore(Stateful):
                     )
                 break
         return executed
+
+
+class VectorSimtCore(SimtCore):
+    """One Vortex core executing with lane-parallel (vectorized) semantics."""
+
+    emulator_cls = VectorWarpEmulator
+    emulator: VectorWarpEmulator

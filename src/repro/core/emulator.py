@@ -12,8 +12,8 @@ accesses and structural hazards.
 
 Dispatch is through a per-mnemonic handler table precomputed at class
 definition time (one dictionary lookup per instruction), not through
-per-unit if-chains; the vectorized engine in :mod:`repro.engine` extends
-the same class with whole-warp lane plans.
+per-unit if-chains; :mod:`repro.core.vector_emulator` extends the same
+class with whole-warp lane plans.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ class StepResult:
         """The per-request memory addresses, in issue order.
 
         This is the interface the cycle-level core charges cache traffic
-        from; the vectorized timing step (:class:`repro.engine.vector_emulator.TimingStep`)
-        exposes the same attribute without materializing ``MemAccess`` records.
+        from; the vectorized timing step
+        (:class:`repro.core.vector_emulator.TimingStep`) exposes the same
+        attribute without materializing ``MemAccess`` records.
         """
         return [access.address for access in self.mem_accesses]
 

@@ -1,15 +1,17 @@
 """Multi-core Vortex processors.
 
-``Processor`` is the functional (instruction-granular) multi-core model
-used by the FUNCSIM driver; ``TimingProcessor`` is the cycle-level model
-used by the SIMX driver.  Both share the same device memory, support the
-global (inter-core) barriers selected by the MSB of the barrier id, and
-expose the performance counters the benchmark harness reports.
+``Processor`` is the functional (instruction-granular) multi-core model;
+its lane-vectorized subclass ``VectorProcessor`` is the FUNCSIM driver's
+engine, and ``Processor`` the tests' per-thread oracle for it.
+``TimingProcessor`` is the cycle-level model used by the SIMX driver.  All
+share the same device memory, support the global (inter-core) barriers
+selected by the MSB of the barrier id, and expose the performance counters
+the benchmark harness reports.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, cast
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, VALUE, Codec, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable
-from repro.core.core import SimtCore
+from repro.core.core import SimtCore, VectorSimtCore
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, SimulationStalled
 from repro.core.timing import TimingCore
 from repro.mem.memory import MainMemory
@@ -67,9 +69,9 @@ _CLOCK = Codec(lambda processor, clock, refs: clock.now, _restore_clock, "now")
 
 
 class Processor(_GlobalBarrierMixin):
-    """Functional multi-core processor (the FUNCSIM driver's engine)."""
+    """Functional multi-core processor, stepping one thread at a time."""
 
-    #: Core model to instantiate; the vectorized engine substitutes its own.
+    #: Core model to instantiate; :class:`VectorProcessor` substitutes the vectorized one.
     core_cls = SimtCore
 
     STATE = {
@@ -148,6 +150,99 @@ class Processor(_GlobalBarrierMixin):
     def counters(self) -> dict[str, dict[str, int]]:
         """Per-core counter snapshot."""
         return {f"core{core.core_id}": core.perf.as_dict() for core in self.cores}
+
+
+class VectorProcessor(Processor):
+    """Functional multi-core processor backed by the vectorized cores."""
+
+    core_cls = VectorSimtCore
+
+    def run(
+        self,
+        entry_pc: int | None = None,
+        max_instructions: int = 50_000_000,
+        stop_after_instructions: int | None = None,
+    ) -> int:
+        """Run to completion; returns total warp instructions executed.
+
+        Cores and wavefronts are interleaved at instruction granularity
+        exactly like the scalar processor; the instruction limit is checked
+        once per scheduling round (the round length is bounded by
+        ``num_cores * num_warps``).
+
+        ``stop_after_instructions`` pauses at the same scheduling-round
+        boundaries as the scalar processor's, so a paused-and-resumed run
+        replays the identical interleaving.
+        """
+        if entry_pc is not None:
+            self.reset(entry_pc)
+        executed = 0
+        cores = cast("list[VectorSimtCore]", self.cores)
+        # Performance counters are accumulated in plain ints and flushed
+        # into the perf state once at the end (or on error): nothing
+        # observes them mid-run and the per-instruction increments are
+        # measurable at this loop's throughput.  The instret CSR *is*
+        # guest-visible (csrrs of INSTRET), so it advances per retired
+        # instruction, exactly like the scalar engine — and the limit is
+        # checked per instruction so both engines raise at the same
+        # boundary.
+        retired_per_core = [0] * len(cores)
+        threads_per_core = [0] * len(cores)
+        try:
+            with np.errstate(all="ignore"):
+                while True:
+                    progressed = False
+                    for index, core in enumerate(cores):
+                        build_plan = core.emulator._build_plan
+                        csr = core.csr
+                        retired = 0
+                        thread_retired = 0
+                        try:
+                            for warp in core.warps:
+                                if not warp.active or warp.at_barrier or warp._tmask == 0:
+                                    continue
+                                pc = warp.pc
+                                cache = warp.plan_cache
+                                plan = cache.get(pc)
+                                if plan is None:
+                                    plan = build_plan(warp, pc)
+                                    cache[pc] = plan
+                                thread_retired += warp.active_count
+                                plan(warp)
+                                warp.instructions += 1
+                                csr.instret += 1
+                                retired += 1
+                                executed += 1
+                                if executed >= max_instructions:
+                                    raise SimulationLimitExceeded(
+                                        "instructions",
+                                        max_instructions,
+                                        "processor exceeded the instruction limit "
+                                        f"({max_instructions})",
+                                    )
+                        finally:
+                            if retired:
+                                progressed = True
+                                retired_per_core[index] += retired
+                                threads_per_core[index] += thread_retired
+                    if not progressed:
+                        if self.done:
+                            break
+                        raise EmulationError(
+                            "processor deadlocked: active wavefronts exist but none can execute"
+                        )
+                    if (
+                        stop_after_instructions is not None
+                        and executed >= stop_after_instructions
+                    ):
+                        break
+        finally:
+            for index, core in enumerate(cores):
+                if retired_per_core[index]:
+                    core.perf.incr("instructions", retired_per_core[index])
+                    core.perf.incr("thread_instructions", threads_per_core[index])
+        self.perf.incr("instructions", executed)
+        return executed
 
 
 class TimingProcessor(_GlobalBarrierMixin):

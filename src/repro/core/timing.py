@@ -33,7 +33,7 @@ from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, SORTED_SET, VALUE, Codec, Stateful
-from repro.core.core import SimtCore
+from repro.core.core import SimtCore, VectorSimtCore
 from repro.core.scheduler import WavefrontScheduler
 from repro.core.scoreboard import Scoreboard
 from repro.isa.instructions import ExecUnit
@@ -130,9 +130,9 @@ class TimingCore(Stateful):
     per-thread oracle is one).
     """
 
-    #: Functional core to instantiate as ``func``; ``None`` means the
-    #: vectorized core, resolved at construction.
-    func_cls: type[SimtCore] | None = None
+    #: Functional core to instantiate as ``func``; the tests' per-thread
+    #: oracle substitutes :class:`SimtCore`.
+    func_cls: type[SimtCore] = VectorSimtCore
 
     #: The timing state plus the embedded functional core.  The instruction
     #: and data caches are referenced, not owned: the memory subsystem
@@ -195,14 +195,7 @@ class TimingCore(Stateful):
         self.core_id = core_id
         self.config = config
         self.clock = memsys.clock  # the device's: read, never advanced here
-        func_cls = self.func_cls
-        if func_cls is None:
-            # Imported lazily: repro.engine.vector_core imports the processor
-            # module, which imports this one.
-            from repro.engine.vector_core import VectorSimtCore
-
-            func_cls = VectorSimtCore
-        self.func = func_cls(core_id, config, memory, processor=processor)
+        self.func = self.func_cls(core_id, config, memory, processor=processor)
         self.scheduler = WavefrontScheduler(
             config.core.num_warps, policy=config.core.scheduler_policy
         )
@@ -750,7 +743,7 @@ class TimingCore(Stateful):
     def _charge_timing(self, warp: Any, result: Any) -> None:
         """Charge one executed instruction from the ``instr``, ``taken_branch``
         and ``request_addresses`` of the step ``func.step_warp_timing`` returned
-        (a :class:`~repro.engine.vector_emulator.TimingStep`)."""
+        (a :class:`~repro.core.vector_emulator.TimingStep`)."""
         spec = result.instr.spec
         unit = spec.unit
 

@@ -86,7 +86,7 @@ class VectorWarpEmulator(WarpEmulator):
 
     Plans execute exactly one instruction — never fused blocks — so the
     cross-warp round-robin interleaving of memory accesses in
-    :class:`~repro.engine.vector_core.VectorProcessor`'s loop matches the
+    :class:`~repro.core.processor.VectorProcessor`'s loop matches the
     scalar engine exactly (kernels like bfs communicate through memory
     flags and observe that order).
     """

@@ -7,11 +7,13 @@ owns one numpy array per register class, laid out register-major
 (``uint32[NUM_REGISTERS, num_threads]``) so that one architectural
 register's lane vector — the value of ``x5`` across every thread of the
 warp — is a contiguous row.  The scalar accessors used by the functional
-emulator read single elements; the vectorized execution engine
-(:mod:`repro.engine`) operates on whole rows under the thread mask.
+emulator read single elements; the vectorized emulator
+(:mod:`repro.core.vector_emulator`) operates on whole rows under the thread mask.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -150,8 +152,8 @@ class Warp(Stateful):
         #: cumulative retired instruction count (warp-level).
         self.instructions = 0
         #: per-PC execution plans built by the vectorized engine (cleared on
-        #: decode-cache invalidation).
-        self.plan_cache: dict[int, object] = {}
+        #: decode-cache invalidation); a plan executes one instruction.
+        self.plan_cache: dict[int, Callable[[Warp], None]] = {}
         #: per-PC timing plans built by the vectorized cycle-level engine
         #: (architectural plan + the per-instruction facts the timing model
         #: charges); cleared together with :attr:`plan_cache`.

@@ -12,7 +12,6 @@ protocol regardless of which simulator executes the kernel.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -139,7 +138,7 @@ class CommandProcessor:
             self.mmio_write(int(Mmio.ARG_ADDRESS), arg_address)
         self.mmio_write(int(Mmio.STATUS), int(Status.RUNNING))
         try:
-            report = self._call_driver_run(sim_driver, entry_pc, options)
+            report = sim_driver.run(entry_pc, options=options)
         except Exception:
             self.mmio_write(int(Mmio.STATUS), int(Status.ERROR))
             raise
@@ -148,37 +147,3 @@ class CommandProcessor:
         self.mmio_write(int(Mmio.INSTR_COUNT), report.instructions)
         self.perf.incr("launches")
         return report
-
-    @staticmethod
-    def _call_driver_run(sim_driver, entry_pc: int, options: LaunchOptions | None):
-        """Invoke ``sim_driver.run``, tolerating the pre-options protocol.
-
-        Instance-constructed third-party drivers may still implement a
-        pre-options signature — ``run(entry_pc)`` or
-        ``run(entry_pc, max_cycles=...)`` — so ``options`` is only passed
-        to drivers whose ``run`` declares an ``options`` parameter (or
-        ``**kwargs``); binding positionally could hand a ``LaunchOptions``
-        to a legacy budget parameter.  Dropping options that carry real
-        launch parameters raises instead of silently ignoring them.
-        """
-        parameter = inspect.Parameter
-        try:
-            parameters = inspect.signature(sim_driver.run).parameters.values()
-        except (TypeError, ValueError):  # no introspectable signature: new protocol
-            return sim_driver.run(entry_pc, options=options)
-        accepts_options = any(
-            (
-                p.name == "options"
-                and p.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
-            )
-            or p.kind is parameter.VAR_KEYWORD
-            for p in parameters
-        )
-        if accepts_options:
-            return sim_driver.run(entry_pc, options=options)
-        if options is not None and options != LaunchOptions():
-            raise DriverError(
-                f"driver {type(sim_driver).__name__} does not accept LaunchOptions, "
-                f"but launch options were given: {options}"
-            )
-        return sim_driver.run(entry_pc)

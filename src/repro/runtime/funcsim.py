@@ -4,11 +4,11 @@ Mirrors the role of the paper's RTLSIM/ASE functional paths: fast
 execution used to validate kernels and produce reference outputs that the
 cycle-level SIMX driver is checked against.
 
-Kernels execute on the lane-parallel engine of :mod:`repro.engine`: each
+Kernels execute on :class:`~repro.core.processor.VectorProcessor`: each
 warp instruction runs over all active lanes as a handful of numpy
-operations.  The per-thread :class:`~repro.core.processor.Processor` that
-engine subclasses is the oracle the differential tests hold it
-bit-identical to (registers, memory, retired-instruction counts).
+operations.  The per-thread :class:`~repro.core.processor.Processor` it
+subclasses is the oracle the differential tests hold it bit-identical to
+(registers, memory, retired-instruction counts).
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from __future__ import annotations
 import time
 
 from repro.common.config import VortexConfig
-from repro.engine.vector_core import VectorProcessor
+from repro.core.processor import VectorProcessor
 from repro.mem.memory import MainMemory
 from repro.runtime.checkpoint import make_envelope, open_envelope
 from repro.runtime.launch import LaunchOptions, resolve_options
 from repro.runtime.report import ExecutionReport
 
-#: Default instruction budget when neither ``options`` nor the legacy keyword set one.
+#: Default instruction budget when ``options`` sets none.
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 
 
@@ -87,16 +87,15 @@ class FuncSimDriver:
         entry_pc: int | None,
         options: LaunchOptions | None = None,
         *,
-        max_instructions: int | None = None,
         stop_after_instructions: int | None = None,
         resume: bool = False,
     ) -> ExecutionReport:
         """Execute the kernel at ``entry_pc`` to completion.
 
-        ``options`` is the uniform :class:`LaunchOptions` record; the legacy
-        ``max_instructions`` keyword is still honoured (and wins over the
-        corresponding ``options`` field).  ``max_cycles`` is ignored here —
-        the functional driver does not model time.
+        ``options`` is the uniform :class:`LaunchOptions` record;
+        ``max_instructions`` bounds the retired warp instructions and
+        ``max_cycles`` is ignored here — the functional driver does not
+        model time.
 
         ``stop_after_instructions`` pauses the launch at a scheduling-round
         boundary once that many instructions have executed; ``resume=True``
@@ -105,7 +104,7 @@ class FuncSimDriver:
         the whole logical launch — bit-identical to an uninterrupted run —
         and count from its start, whatever ran on the device before.
         """
-        options = resolve_options(options, max_instructions=max_instructions)
+        options = resolve_options(options)
         start = time.perf_counter()
         if not resume:
             self._run_instructions = 0

@@ -1,17 +1,14 @@
-"""Batched multi-kernel simulation sessions.
+"""Simulation jobs: what a sweep point is, how one runs, what it returns.
 
 Design-space exploration runs *many* (kernel, config) combinations — the
-paper's Figures 14 and 18-21 each sweep a grid of design points.  A
-:class:`Session` turns that sweep into a batch: jobs are described
-declaratively as :class:`KernelJob` records and executed concurrently by
-the :mod:`repro.service` job server — a fleet of worker processes (one
-simulator each, true parallelism) pulling from one shared queue, in front
-of a content-addressed result cache that replays repeated jobs.
-
-Results come back as :class:`JobResult` records aggregating the
-:class:`~repro.runtime.report.ExecutionReport`, the verification outcome
-and per-job wall-clock, plus batch-level statistics (total wall time,
-peak concurrency measured from the jobs' actual execution intervals).
+paper's Figures 14 and 18-21 each sweep a grid of design points.  Each
+point is a declarative :class:`KernelJob`; :func:`execute_job` runs one on
+a fresh device (the body every :mod:`repro.service` worker runs) and wraps
+the :class:`~repro.runtime.report.ExecutionReport`, the verification
+outcome and the per-job wall-clock in a :class:`JobResult`.
+:meth:`repro.service.ServiceClient.run_batch` serves a list of jobs through
+the worker fleet and aggregates them into a :class:`BatchReport` (total
+wall time, peak concurrency measured from the jobs' execution intervals).
 
 Because the simulators are deterministic, a job's result is fully
 determined by its content: :meth:`KernelJob.cache_key` is the canonical
@@ -20,6 +17,9 @@ the driver spec and the launch options — that the service layer caches and
 dedups on.  :func:`diff_execution_reports` compares two results down to
 every performance counter (the identity tests' and smoke scripts'
 comparator).
+
+This module imports neither asyncio nor multiprocessing, so ``import
+repro`` stays light.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from repro.common.config import VortexConfig
+from repro.runtime.device import VortexDevice
 from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import DriverSpec, parse_driver_spec
 from repro.runtime.report import ExecutionReport
@@ -45,8 +46,6 @@ from repro.runtime.serialize import (
 
 if TYPE_CHECKING:
     from repro.kernels.base import Kernel
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig
 
 @functools.cache
 def _kernel(name: str) -> Kernel:
@@ -268,8 +267,6 @@ def execute_job(
     bump allocator), so it binds the verification context to the device and
     the restore rewinds memory, allocator and simulator.
     """
-    from repro.runtime.device import VortexDevice
-
     def body() -> tuple[ExecutionReport, bool]:
         kernel = _kernel(job.kernel)
         size = job.size if job.size is not None else kernel.default_size()
@@ -313,7 +310,7 @@ def execute_job(
 
 @dataclass
 class BatchReport:
-    """Aggregate outcome of one :meth:`Session.run_batch` call."""
+    """Aggregate outcome of one :meth:`~repro.service.ServiceClient.run_batch` call."""
 
     results: list[JobResult]
     wall_seconds: float
@@ -352,8 +349,8 @@ class BatchReport:
     def to_payload(self) -> dict[str, Any]:
         """A JSON-ready payload built from each result's own payload."""
         return {
-            "benchmark": "session batch",
-            "generated_by": "Session.run_batch",
+            "benchmark": "service batch",
+            "generated_by": "ServiceClient.run_batch",
             "ok": self.ok,
             "wall_seconds": self.wall_seconds,
             "max_workers": self.max_workers,
@@ -364,7 +361,7 @@ class BatchReport:
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
         return (
-            f"[session] {len(self.results)} jobs in {self.wall_seconds:.2f}s "
+            f"[batch] {len(self.results)} jobs in {self.wall_seconds:.2f}s "
             f"({self.max_workers} workers, peak {self.peak_concurrency} "
             f"concurrent) {status}"
         )
@@ -392,83 +389,3 @@ def diff_execution_reports(reference: ExecutionReport, subject: ExecutionReport)
             if ref_count != subj_count:
                 diffs.append(f"{component}.{name}: {ref_count} != {subj_count}")
     return diffs
-
-
-class Session:
-    """Launches batches of (kernel, config) jobs concurrently.
-
-    Every batch runs through a :class:`repro.service.SimulationService`: a
-    fleet of worker processes pulling from one shared queue, in front of a
-    content-addressed result cache, so repeated jobs (Fig 14/18/19 sweeps
-    re-run) replay instead of re-simulating.
-
-    Pass an existing :class:`~repro.service.client.ServiceClient` as
-    ``service`` to share a fleet (and its cache) across sessions, or a
-    :class:`~repro.service.server.ServiceConfig` as ``service_config`` to
-    size the fleet the session owns (default ``ServiceConfig()``: four
-    workers).  An owned fleet starts at the first batch and its worker
-    processes live until :meth:`close` — use the session as a context
-    manager.  ``ServiceConfig(num_shards=1, worker_mode="inline")`` runs
-    batches serially in this process; :meth:`run` runs one job in-process.
-    """
-
-    def __init__(
-        self,
-        *,
-        service: ServiceClient | None = None,
-        service_config: ServiceConfig | None = None,
-    ):
-        self._pending: list[KernelJob] = []
-        self._service_client = service
-        self._service_config = service_config
-        self._owns_service = service is None
-
-    def submit(self, job: KernelJob) -> None:
-        """Queue one job for the next batch."""
-        self._pending.append(job)
-
-    # -- the service backend ------------------------------------------------------------
-
-    def service_client(self) -> ServiceClient:
-        """The session's service backend (created lazily when owned)."""
-        if self._service_client is None:
-            from repro.service.client import ServiceClient
-
-            self._service_client = ServiceClient(self._service_config)
-        return self._service_client
-
-    def close(self) -> None:
-        """Shut down an owned service backend (no-op otherwise)."""
-        if self._owns_service and self._service_client is not None:
-            self._service_client.close()
-            self._service_client = None
-
-    def __enter__(self) -> Session:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- execution ----------------------------------------------------------------------
-
-    def run_batch(self, jobs: Sequence[KernelJob] | None = None) -> BatchReport:
-        """Execute ``jobs`` (or everything submitted) concurrently.
-
-        Results are returned in submission order regardless of completion
-        order.  A failing job never aborts the batch: its ``JobResult``
-        carries the error string instead.
-        """
-        if jobs is None:
-            batch, self._pending = self._pending, []
-        else:
-            batch = list(jobs)
-        if not batch:
-            return BatchReport([], 0.0, 0)
-        start = time.perf_counter()
-        client = self.service_client()
-        results = client.run_jobs(batch)
-        return BatchReport(results, time.perf_counter() - start, client.num_shards)
-
-    #: Execute one job inline, optionally chunked/resumed: this *is*
-    #: :func:`execute_job` (``session.run(job, checkpoint_every=N, ...)``).
-    run = staticmethod(execute_job)

@@ -1,10 +1,8 @@
 """Structured launch parameters shared by every driver.
 
-Before this module each driver's ``run()`` grew its own keyword set
-(``max_cycles`` on SIMX, ``max_instructions`` on FUNCSIM) and
-``VortexDevice.launch`` another (``entry_pc``, ``arg_address``), so callers
-had to know which backend they were talking to.  :class:`LaunchOptions` is
-the one record all of them accept:
+:class:`LaunchOptions` is the one record ``VortexDevice.launch`` and every
+driver's ``run()`` accept, so callers need not know which backend they are
+talking to; a driver takes its budgets from it and from nowhere else:
 
 * ``max_cycles`` — cycle budget; enforced by cycle-level drivers and
   ignored by functional ones (they do not model time),
@@ -20,8 +18,7 @@ Exceeding a budget raises the usual typed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -39,27 +36,14 @@ class LaunchOptions:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
-    def merged(self, **overrides: Any) -> LaunchOptions:
-        """Return a copy with the non-``None`` overrides applied."""
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **updates) if updates else self
 
-
-def resolve_options(options: LaunchOptions | None, **legacy: Any) -> LaunchOptions:
-    """Normalize a driver ``run()``'s inputs into one :class:`LaunchOptions`.
-
-    ``legacy`` carries the driver's historical keyword arguments
-    (``max_cycles=...`` / ``max_instructions=...``); an explicitly passed
-    legacy keyword wins over the corresponding ``options`` field so existing
-    call sites keep their exact meaning.
-    """
+def resolve_options(options: LaunchOptions | None) -> LaunchOptions:
+    """A driver ``run()``'s ``options``, with ``None`` meaning the defaults."""
     if options is not None and not isinstance(options, LaunchOptions):
         # Catch pre-redesign positional budgets (run(pc, 500_000)) with a
-        # clear error instead of an AttributeError deep in merged().
+        # clear error instead of an AttributeError deep in the driver.
         raise TypeError(
             f"options must be a LaunchOptions, got {type(options).__name__}; "
-            "pass budgets as LaunchOptions(max_cycles=..., max_instructions=...) "
-            "or via the legacy keyword argument"
+            "pass budgets as LaunchOptions(max_cycles=..., max_instructions=...)"
         )
-    base = options if options is not None else LaunchOptions()
-    return base.merged(**legacy)
+    return options if options is not None else LaunchOptions()

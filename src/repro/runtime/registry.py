@@ -8,8 +8,9 @@ Backends are selected by structured data, never by mutating name strings:
 * :func:`parse_driver_spec` — string / :class:`DriverSpec` → validated
   :class:`DriverSpec`.
 * :func:`register_driver` — the hook third-party simulators use to plug
-  into :class:`~repro.runtime.device.VortexDevice` and the session layer.
+  into :class:`~repro.runtime.device.VortexDevice` and the job layer.
 * :func:`create_driver` — spec → constructed driver instance.
+* :class:`ExecutionEngine` — the protocol every registered driver implements.
 
 The built-in SIMX (cycle-level) and FUNCSIM (functional) drivers register
 themselves at import time.
@@ -19,10 +20,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
-from typing import Any
+from typing import Any, Protocol, runtime_checkable
 
 from repro.common.config import VortexConfig
 from repro.mem.memory import MainMemory
+from repro.runtime.launch import LaunchOptions
+from repro.runtime.report import ExecutionReport
+
+
+@runtime_checkable
+class ExecutionEngine(Protocol):
+    """What a simulation driver must provide to plug into the runtime stack.
+
+    Construct against a ``(config, memory)`` pair, run a kernel to
+    completion, and let the program-load path invalidate cached decodes.
+    """
+
+    #: Short identifier used in reports ("funcsim", "simx", …).
+    name: str
+
+    def run(self, entry_pc: int, options: LaunchOptions | None = None) -> ExecutionReport:
+        """Execute the kernel at ``entry_pc`` to completion.
+
+        ``options`` is the uniform :class:`LaunchOptions` record; drivers
+        apply the budget fields that are meaningful for their model and
+        ignore the rest.
+        """
+        ...
+
+    def invalidate_decode_caches(self) -> None:
+        """Drop cached instruction decodes (a new program image was loaded)."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -103,11 +131,11 @@ def register_driver(
     """Register a simulator under ``simulator``.
 
     ``factory`` is called as ``factory(config, memory, **options)`` and must
-    return a driver implementing the
-    :class:`~repro.engine.protocol.ExecutionEngine` protocol.  ``options``
-    declares the spec option keys the factory accepts — unknown keys then
-    raise :class:`UnknownDriverOptionError` at parse time; ``None`` (the
-    default) skips the check for factories the registry cannot introspect.
+    return a driver implementing the :class:`ExecutionEngine` protocol.
+    ``options`` declares the spec option keys the factory accepts — unknown
+    keys then raise :class:`UnknownDriverOptionError` at parse time; ``None``
+    (the default) skips the check for factories the registry cannot
+    introspect.
     Returns the registry entry (useful for introspection in tests).
     """
     if not simulator or any(ch in simulator for ch in ":,=- "):

@@ -6,7 +6,7 @@ fully determined by *what* a job computes: the program bytes, the complete
 :class:`~repro.runtime.registry.DriverSpec` and the
 :class:`~repro.runtime.launch.LaunchOptions`.  This module defines the one
 canonical byte-stable encoding of those records that
-:meth:`~repro.engine.session.KernelJob.cache_key` and the service layer's
+:meth:`~repro.runtime.jobs.KernelJob.cache_key` and the service layer's
 content-addressed result cache key on.
 
 Canonicalization rules (the cache-key contract):

@@ -19,7 +19,7 @@ from repro.runtime.report import ExecutionReport
 from repro.trace.bus import TraceBus, TraceSink
 from repro.trace.sinks import CsvSink, JsonlSink, MemorySink, VcdSink
 
-#: Default cycle budget when neither ``options`` nor the legacy keyword set one.
+#: Default cycle budget when ``options`` sets none.
 DEFAULT_MAX_CYCLES = 20_000_000
 
 #: ``trace=`` spec-option values and the sinks they build (``"mem"`` keeps
@@ -126,16 +126,14 @@ class SimxDriver:
         entry_pc: int | None,
         options: LaunchOptions | None = None,
         *,
-        max_cycles: int | None = None,
         stop_cycle: int | None = None,
         resume: bool = False,
     ) -> ExecutionReport:
         """Execute the kernel at ``entry_pc`` to completion.
 
-        ``options`` is the uniform :class:`LaunchOptions` record; the legacy
-        ``max_cycles`` keyword is still honoured (and wins over the
-        corresponding ``options`` field).  ``max_instructions`` bounds the
-        retired warp-instruction count; both budgets raise the typed
+        ``options`` is the uniform :class:`LaunchOptions` record:
+        ``max_cycles`` bounds the cycles and ``max_instructions`` the retired
+        warp instructions; both budgets raise the typed
         :class:`~repro.core.emulator.SimulationLimitExceeded`.
 
         ``stop_cycle`` pauses the simulation at that cycle boundary;
@@ -144,7 +142,7 @@ class SimxDriver:
         counter carry across pauses, so a chunked run reports exactly what
         the uninterrupted run would.
         """
-        options = resolve_options(options, max_cycles=max_cycles)
+        options = resolve_options(options)
         start = time.perf_counter()
         try:
             cycles = self.processor.run(

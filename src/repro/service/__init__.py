@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`SimulationService` / :class:`ServiceConfig` — the asyncio serving
   core (worker fleet pulling from one bounded queue, retries, result cache).
-* :class:`ServiceClient` — the blocking facade sessions and scripts use.
+* :class:`ServiceClient` — the blocking facade scripts use (``run_batch``, ``run_jobs``).
 * :class:`ResultCache` / :class:`CacheStats` — the content-addressed cache.
 """
 

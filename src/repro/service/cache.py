@@ -2,11 +2,11 @@
 
 The simulators are deterministic (vxlint VX001 enforces it), so a completed
 job's outcome is fully determined by its
-:meth:`~repro.engine.session.KernelJob.cache_key`.  The cache stores the
+:meth:`~repro.runtime.jobs.KernelJob.cache_key`.  The cache stores the
 *payload* form of the outcome — the
 :meth:`~repro.runtime.report.ExecutionReport.to_payload` dict plus the
 verification flag — and every hit reconstructs a fresh
-:class:`~repro.engine.session.JobResult` from it.  Round-tripping through
+:class:`~repro.runtime.jobs.JobResult` from it.  Round-tripping through
 the payload is what makes replays bit-identical: the served report is
 rebuilt from the exact dict a cold run would serialize to.
 
@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.session import JobResult, KernelJob
+from repro.runtime.jobs import JobResult, KernelJob
 from repro.runtime.report import ExecutionReport
 
 

@@ -1,24 +1,24 @@
 """Synchronous client facade over :class:`~repro.service.server.SimulationService`.
 
-The session layer (and plain scripts) are synchronous; the service is
-asyncio.  :class:`ServiceClient` bridges the two by owning a background
-event-loop thread: the service lives entirely on that loop, and the
-client's blocking methods marshal work onto it with
-``asyncio.run_coroutine_threadsafe``.  One client = one worker fleet + one
-result cache.  Every :class:`~repro.engine.session.Session` batch runs
-through a client: the session owns one unless handed a shared client, and
-sessions sharing a client share its fleet and cache.  The fleet's worker
-processes live until :meth:`ServiceClient.close`.
+Scripts are synchronous; the service is asyncio.  :class:`ServiceClient`
+bridges the two by owning a background event-loop thread: the service lives
+entirely on that loop, and the client's blocking methods marshal work onto
+it with ``asyncio.run_coroutine_threadsafe``.  One client = one worker
+fleet + one result cache; callers that share a client share both.  The
+fleet's worker processes live until :meth:`ServiceClient.close` — use the
+client as a context manager.  ``ServiceConfig(num_shards=1,
+worker_mode="inline")`` serves batches serially in this process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from collections.abc import Callable
+import time
+from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.engine.session import JobResult, KernelJob
+from repro.runtime.jobs import BatchReport, JobResult, KernelJob
 from repro.service.server import ServiceConfig, SimulationService
 
 
@@ -57,6 +57,16 @@ class ServiceClient:
     def run_job(self, job: KernelJob) -> JobResult:
         """Serve one job (blocking)."""
         return self.run_jobs([job])[0]
+
+    def run_batch(self, jobs: Sequence[KernelJob]) -> BatchReport:
+        """Serve ``jobs`` (blocking) and aggregate them into a :class:`BatchReport`.
+
+        Results are in submission order.  A failing job never aborts the
+        batch: its ``JobResult`` carries the error string instead.
+        """
+        start = time.perf_counter()
+        results = self.run_jobs(list(jobs))
+        return BatchReport(results, time.perf_counter() - start, self.num_shards)
 
     # -- introspection ------------------------------------------------------------------
 

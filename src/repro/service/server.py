@@ -1,8 +1,8 @@
 """The asyncio simulation service: shared-queue dispatch, retries, result cache.
 
 :class:`SimulationService` is the serving core behind every
-:class:`~repro.engine.session.Session` batch.  A submitted
-:class:`~repro.engine.session.KernelJob` flows through four stages:
+:class:`~repro.service.client.ServiceClient` batch.  A submitted
+:class:`~repro.runtime.jobs.KernelJob` flows through four stages:
 
 1. **Identity** — :meth:`KernelJob.cache_key` computes the job's canonical
    content hash (program bytes + config + spec + options).  Jobs
@@ -33,7 +33,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.session import JobResult, KernelJob
+from repro.runtime.jobs import JobResult, KernelJob
 from repro.service.cache import CachedResult, ResultCache
 from repro.service.worker import (
     InlineWorker,

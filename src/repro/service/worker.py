@@ -12,7 +12,7 @@ needs capabilities a pool hides:
   :class:`WorkerCrash` so the server can retry the job on a respawned
   worker.
 
-A worker serves each job with :func:`~repro.engine.session.execute_job`,
+A worker serves each job with :func:`~repro.runtime.jobs.execute_job`,
 i.e. on a fresh :class:`~repro.runtime.device.VortexDevice`.  Re-running a
 kernel on a dirty device produces *wrong* results (allocator high-water
 mark, warm timing-model caches, accumulated counters), and rewinding a
@@ -20,7 +20,7 @@ used device from a pristine checkpoint costs more than building one
 (restore 0.37-0.70 ms, rebuild 0.10-0.15 ms), so no device is pooled and
 the bit-identical replay the content-addressed cache depends on holds by
 construction.  What stays warm is what the long-lived process keeps anyway:
-its imports and the per-process kernel memo of :mod:`repro.engine.session`
+its imports and the per-process kernel memo of :mod:`repro.runtime.jobs`
 (assembled program images, ~0.7 ms each).
 
 Workers prefer the ``fork`` start method: it inherits the parent's warm
@@ -38,7 +38,7 @@ import warnings
 from collections.abc import Callable
 from multiprocessing.connection import Connection
 
-from repro.engine.session import JobResult, KernelJob, execute_job
+from repro.runtime.jobs import JobResult, KernelJob, execute_job
 
 #: Test seam: when not ``None``, called with each job inside the worker
 #: before execution.  With the ``fork`` start method a monkeypatched value

@@ -18,6 +18,7 @@ from repro.analysis.framework import (
     ModuleInfo,
     load_modules,
     module_name_for,
+    registered_rules,
     run_rules,
 )
 from repro.analysis.rules import (
@@ -140,12 +141,12 @@ class TestDtypeDisciplineRule:
 
     def test_constructor_without_dtype_flagged(self):
         source = "import numpy as np\nTABLE = np.zeros(32)\n"
-        findings = run_one(DtypeDisciplineRule(), source, "repro.engine.vector_emulator")
+        findings = run_one(DtypeDisciplineRule(), source, "repro.core.vector_emulator")
         assert any(f.detail == "implicit-dtype:np.zeros" for f in findings)
 
     def test_constructor_with_dtype_clean(self):
         source = "import numpy as np\nTABLE = np.zeros(32, dtype=np.uint32)\n"
-        assert run_one(DtypeDisciplineRule(), source, "repro.engine.vector_emulator") == []
+        assert run_one(DtypeDisciplineRule(), source, "repro.core.vector_emulator") == []
 
     def test_out_of_scope_cache_module_untouched(self):
         source = "import numpy as np\nTABLE = np.zeros(32)\n"
@@ -279,7 +280,7 @@ REAL_SOURCE_SEEDS = [
     ),
     pytest.param(
         DtypeDisciplineRule,
-        "engine/vector_emulator.py",
+        "core/vector_emulator.py",
         "        const = np.uint32(value)",
         "        const = np.array(value)",
         "implicit-dtype:np.array",
@@ -340,10 +341,30 @@ def repo_modules():
     return load_modules([REPO_ROOT / "src"])
 
 
+def unmatched_scopes(rules, modules) -> list[tuple[str, str]]:
+    """``(rule id, prefix)`` of every scope prefix no module falls under."""
+    return [
+        (rule.id, prefix)
+        for rule in rules
+        for prefix in rule.scope
+        if not any(module.in_scope((prefix,)) for module in modules)
+    ]
+
+
 class TestRepoIsClean:
     def test_vxlint_clean(self, repo_modules):
         findings = run_rules(repo_modules)
         assert findings == [], "\n" + "\n".join(f.render() for f in findings)
+
+    def test_every_scope_prefix_matches_a_module(self, repo_modules):
+        """A prefix that matches nothing (misspelt, or naming a module that
+        moved) silently stops its rule from checking that code."""
+        assert unmatched_scopes(registered_rules(), repo_modules) == []
+        misspelt = DtypeDisciplineRule()
+        misspelt.scope = ("repro.arch", "repro.core.vector_emulater")
+        assert unmatched_scopes([misspelt], repo_modules) == [
+            ("VX005", "repro.core.vector_emulater")
+        ]
 
     def test_module_name_for_src_anchor(self):
         assert module_name_for(Path("src/repro/cache/cache.py")) == "repro.cache.cache"

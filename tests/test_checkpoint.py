@@ -5,7 +5,7 @@ checkpoints, restores (into the same or a *fresh* device, optionally
 through a pickle round-trip) and continues is **bit-identical** — same
 cycles, same instruction counts, same value in every performance counter —
 to a run that never paused.  These tests drive that property through the
-envelope layer, both drivers, the device facade, the session restart path
+envelope layer, both drivers, the device facade, the job restart path
 and the service worker, plus the typed error paths for format/kind/config
 mismatches and malformed envelopes.
 """
@@ -27,8 +27,8 @@ from repro.common.config import (
     MemoryConfig,
     VortexConfig,
 )
-from repro.engine import session as session_mod
-from repro.engine.session import KernelJob, Session, diff_execution_reports, execute_job
+from repro.runtime import jobs as jobs_mod
+from repro.runtime.jobs import KernelJob, diff_execution_reports, execute_job
 from repro.runtime.checkpoint import (
     SNAPSHOT_FORMAT,
     SnapshotConfigMismatch,
@@ -40,11 +40,11 @@ from repro.runtime.checkpoint import (
     open_envelope,
 )
 from repro.runtime.device import VortexDevice
-from repro.service import ServiceConfig
+from repro.service import ServiceClient, ServiceConfig
 from repro.service.worker import InlineWorker
 
 CFG = VortexConfig(num_cores=1, core=CoreConfig(num_warps=2, num_threads=4))
-#: A one-worker in-process fleet: a session batch run serially.
+#: A one-worker in-process fleet: a batch run serially.
 SERIAL = ServiceConfig(num_shards=1, worker_mode="inline")
 
 #: Stores queued on both cores against a full DRAM queue behind a shared L2.
@@ -473,7 +473,7 @@ def test_scheduler_policy_state_survives_a_checkpoint(kernel, size, config, poli
 
 
 # ---------------------------------------------------------------------------
-# Session integration
+# Jobs and batches
 
 
 class TestSessionCheckpoint:
@@ -485,14 +485,13 @@ class TestSessionCheckpoint:
         assert reports_identical(straight.report, restarted.report)
 
     def test_session_run_resume_from_checkpoint(self):
-        session = Session()
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         envelopes: list[dict] = []
-        chunked = session.run(job, checkpoint_every=300, checkpoint_sink=envelopes.append)
-        straight = session.run(job)
+        chunked = execute_job(job, checkpoint_every=300, checkpoint_sink=envelopes.append)
+        straight = execute_job(job)
         assert chunked.ok and straight.ok
         assert reports_identical(chunked.report, straight.report)
-        resumed = session.run(
+        resumed = execute_job(
             job,
             checkpoint_every=300,
             resume_from=pickle.loads(pickle.dumps(envelopes[0])),
@@ -503,8 +502,8 @@ class TestSessionCheckpoint:
     def test_differential_checkpoint_legs_identical(self):
         """Oracle, straight-through and checkpoint/restore legs of one point."""
         job = KernelJob(kernel="vecadd", config=CFG, driver="simx", size=64)
-        with Session(service_config=SERIAL) as session:
-            batch = session.run_batch(
+        with ServiceClient(SERIAL) as client:
+            batch = client.run_batch(
                 [replace(job, driver="simxref"), job, replace(job, restart_midpoint=True)]
             )
         assert batch.ok
@@ -532,15 +531,13 @@ class TestExecuteJob:
         restart = replace(job, restart_midpoint=True)
         straight = execute_job(job)
         envelopes: list[dict] = []
-        chunked = Session.run(
-            restart, checkpoint_every=300, checkpoint_sink=envelopes.append
-        )
+        chunked = execute_job(restart, checkpoint_every=300, checkpoint_sink=envelopes.append)
         assert chunked.ok and reports_identical(chunked.report, straight.report)
         # The restart leg ran first: the chunked finish started from the
         # midpoint on the second device, not from cycle 0.
         processor = envelopes[0]["state"]["driver"]["state"]["processor"]
         first_cycle = processor["now"] - processor["launch_start"]
-        assert first_cycle == session_mod.RESTART_MIDPOINT_UNITS + 300
+        assert first_cycle == jobs_mod.RESTART_MIDPOINT_UNITS + 300
         resumed = execute_job(restart, resume_from=pickle.loads(pickle.dumps(envelopes[0])))
         assert resumed.ok and reports_identical(resumed.report, straight.report)
 
@@ -555,12 +552,12 @@ class TestExecuteJob:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(kernel_base, "build_kernel_program", counting_build)
-        session_mod._kernel.cache_clear()
+        jobs_mod._kernel.cache_clear()
         job = KernelJob(kernel="sgemm", config=CFG, driver="simx", size=8)
         job.cache_key()
         assert execute_job(job).ok
         assert execute_job(replace(job, restart_midpoint=True)).ok
-        info = session_mod._kernel.cache_info()
+        info = jobs_mod._kernel.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
         assert len(assembled) == 1
 
@@ -570,10 +567,10 @@ class TestExecuteJob:
             for kernel in ("vecadd", "saxpy", "sgemm")
             for driver in ("simx", "funcsim")
         ] * 2
-        session_mod._kernel.cache_clear()
+        jobs_mod._kernel.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(execute_job, jobs))
-        serial = [Session.run(job) for job in jobs]
+        serial = [execute_job(job) for job in jobs]
         for a, b in zip(threaded, serial):
             assert a.ok and b.ok
             assert reports_identical(a.report, b.report)

@@ -117,7 +117,7 @@ def test_texture_kernels_match_scalar_reference(mode, use_hw):
 def test_tex_executes_as_a_vector_plan_not_scalar_fallback():
     """The vector engine must compile ``tex`` into a whole-warp plan; the
     per-thread scalar fallback is only for genuinely rare instructions."""
-    from repro.engine.vector_emulator import VectorWarpEmulator
+    from repro.core.vector_emulator import VectorWarpEmulator
     from repro.kernels.texture import TextureKernel
 
     fallen_back = []

@@ -1,29 +1,28 @@
 """Tests for the execution-engine protocol, run limits, decode-cache
-invalidation and the batched session layer."""
+invalidation, the job records and batches served by ``ServiceClient``."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cache.sharedmem import SHARED_MEM_BASE
 from repro.common.config import VortexConfig
 from repro.core.emulator import EmulationError, SimulationLimitExceeded
-from repro.engine.protocol import ExecutionEngine
-from repro.engine.session import (
-    BatchReport,
-    KernelJob,
-    Session,
-    execute_job,
-)
 from repro.isa.builder import ProgramBuilder
 from repro.isa.registers import Reg
 from repro.kernels import VecAddKernel
 from repro.runtime.device import VortexDevice
 from repro.runtime.funcsim import FuncSimDriver
-from repro.runtime.registry import create_driver
+from repro.runtime.jobs import BatchReport, KernelJob, diff_execution_reports, execute_job
+from repro.runtime.launch import LaunchOptions
+from repro.runtime.registry import ExecutionEngine, create_driver
 from repro.runtime.simx import SimxDriver
-from repro.service import ServiceConfig
+from repro.service import ServiceClient, ServiceConfig
 
 BASE = 0x8000_0000
 
@@ -38,6 +37,27 @@ INLINE = ServiceConfig(num_shards=2, worker_mode="inline")
 def test_drivers_implement_the_engine_protocol(driver_cls):
     driver = driver_cls(VortexConfig())
     assert isinstance(driver, ExecutionEngine)
+
+
+def test_import_repro_stays_light():
+    """``import repro`` (the job records included) loads no serving stack —
+    asyncio and multiprocessing would cost every script start-up time and
+    memory — and the dissolved ``repro.engine`` package is gone."""
+    code = (
+        "import sys, repro\n"
+        "heavy = sorted({'asyncio', 'multiprocessing', 'repro.service'} & set(sys.modules))\n"
+        "assert not heavy, heavy\n"
+        "try:\n"
+        "    import repro.engine\n"
+        "except ModuleNotFoundError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('repro.engine still imports')\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_funcsim_rejects_unknown_engine():
@@ -62,7 +82,7 @@ def test_funcsim_instruction_limit_raises_typed_error(spec):
     program = _infinite_loop_program()
     driver.memory.load_words(program.base, program.words)
     with pytest.raises(SimulationLimitExceeded) as excinfo:
-        driver.run(program.entry, max_instructions=500)
+        driver.run(program.entry, LaunchOptions(max_instructions=500))
     assert excinfo.value.kind == "instructions"
     assert excinfo.value.limit == 500
     # Backwards compatible: still an EmulationError.
@@ -74,9 +94,20 @@ def test_simx_cycle_limit_raises_typed_error():
     program = _infinite_loop_program()
     driver.memory.load_words(program.base, program.words)
     with pytest.raises(SimulationLimitExceeded) as excinfo:
-        driver.run(program.entry, max_cycles=500)
+        driver.run(program.entry, LaunchOptions(max_cycles=500))
     assert excinfo.value.kind == "cycles"
     assert excinfo.value.limit == 500
+
+
+@pytest.mark.parametrize(
+    "driver_cls,keyword",
+    [(SimxDriver, "max_cycles"), (FuncSimDriver, "max_instructions")],
+)
+def test_driver_run_takes_budgets_from_options_only(driver_cls, keyword):
+    """The pre-``LaunchOptions`` budget keywords are gone, not ignored."""
+    driver = driver_cls(VortexConfig())
+    with pytest.raises(TypeError, match=keyword):
+        driver.run(BASE, **{keyword: 500})
 
 
 # -- decode-cache invalidation -----------------------------------------------------------
@@ -203,7 +234,7 @@ def test_reports_carry_wall_clock_and_rates():
     assert "instr/s" in report.summary()
 
 
-# -- session -----------------------------------------------------------------------------
+# -- jobs and batches --------------------------------------------------------------------
 
 
 def test_execute_job_reports_errors_instead_of_raising():
@@ -233,11 +264,13 @@ def test_session_runs_batch_of_jobs_concurrently():
     # Jobs must run long enough (size ~1024, not 256) that a few ms of
     # thread-spawn stagger under full-suite load cannot serialize them
     # below the 4-in-flight acceptance bar.
-    with Session(service_config=ServiceConfig(num_shards=6, worker_mode="inline")) as session:
-        for kernel in ("vecadd", "saxpy", "sgemm"):
-            for size in (1024, 1000):
-                session.submit(KernelJob(kernel=kernel, driver="funcsim", size=size))
-        batch = session.run_batch()
+    jobs = [
+        KernelJob(kernel=kernel, driver="funcsim", size=size)
+        for kernel in ("vecadd", "saxpy", "sgemm")
+        for size in (1024, 1000)
+    ]
+    with ServiceClient(ServiceConfig(num_shards=6, worker_mode="inline")) as client:
+        batch = client.run_batch(jobs)
     assert isinstance(batch, BatchReport)
     assert batch.cache_hits == 0
     assert len(batch.results) == 6
@@ -253,8 +286,8 @@ def test_session_results_preserve_submission_order():
         KernelJob(kernel="vecadd", driver="funcsim", size=32, label="first"),
         KernelJob(kernel="saxpy", driver="funcsim", size=32, label="second"),
     ]
-    with Session(service_config=INLINE) as session:
-        batch = session.run_batch(jobs)
+    with ServiceClient(INLINE) as client:
+        batch = client.run_batch(jobs)
     assert [result.job.label for result in batch.results] == ["first", "second"]
 
 
@@ -268,22 +301,22 @@ def _alive(pid: int) -> bool:
 
 def test_session_process_pool_round_trip():
     config = ServiceConfig(num_shards=2, worker_mode="process")
-    with Session(service_config=config) as session:
-        batch = session.run_batch(
+    with ServiceClient(config) as client:
+        batch = client.run_batch(
             [KernelJob(kernel="vecadd", driver="funcsim", size=size) for size in (64, 96)]
         )
-        pids = session.service_client().worker_pids()
+        pids = client.worker_pids()
     assert batch.ok and batch.max_workers == 2
     assert all(result.report is not None for result in batch.results)
     assert os.getpid() not in pids  # served by worker processes, not inline
 
 
 def test_session_close_stops_its_workers():
-    """An owned fleet's worker processes live until the session closes."""
+    """A fleet's worker processes live until its client closes."""
     config = ServiceConfig(num_shards=2, worker_mode="process")
-    with Session(service_config=config) as session:
-        assert session.run_batch([KernelJob(kernel="vecadd", driver="funcsim", size=64)]).ok
-        pids = session.service_client().worker_pids()
+    with ServiceClient(config) as client:
+        assert client.run_batch([KernelJob(kernel="vecadd", driver="funcsim", size=64)]).ok
+        pids = client.worker_pids()
         assert all(_alive(pid) for pid in pids)
     assert not any(_alive(pid) for pid in pids)
 
@@ -295,19 +328,17 @@ def test_kernel_job_suffix_driver_string_is_an_unknown_simulator():
 
 
 def test_session_batch_runs_vectorized_timing_engine_bit_identical():
-    """A design-space batch runs the vectorized SIMX core through the session
-    layer; the same sweep on the per-thread oracle (``simxref``, in-process)
+    """A design-space batch runs the vectorized SIMX core through the
+    service; the same sweep on the per-thread oracle (``simxref``, in-process)
     must reproduce the exact same cycles and counters."""
-    from repro.engine.session import diff_execution_reports
-
     config = VortexConfig()
     jobs = [
         KernelJob(kernel=kernel, config=config, size=size, driver=driver)
         for kernel, size in (("vecadd", 64), ("sgemm", 36))
         for driver in ("simx", "simxref")
     ]
-    with Session(service_config=INLINE) as session:
-        batch = session.run_batch(jobs)
+    with ServiceClient(INLINE) as client:
+        batch = client.run_batch(jobs)
     assert batch.ok
     for vec, ref in zip(batch.results[::2], batch.results[1::2]):
         assert vec.report.engine == "timing-vector"
@@ -318,7 +349,6 @@ def test_session_batch_runs_vectorized_timing_engine_bit_identical():
 
 
 def test_diff_execution_reports_flags_every_counter():
-    from repro.engine.session import diff_execution_reports
     from repro.runtime.report import ExecutionReport
 
     a = ExecutionReport(
@@ -342,12 +372,10 @@ def test_diff_execution_reports_flags_every_counter():
     assert diff_execution_reports(a, a) == []
 
 
-# -- launch options through the session --------------------------------------------------
+# -- launch options through a job -------------------------------------------------------
 
 
 def test_job_launch_options_bound_the_run():
-    from repro.runtime.launch import LaunchOptions
-
     result = execute_job(
         KernelJob(kernel="vecadd", size=64, options=LaunchOptions(max_cycles=10))
     )
@@ -359,10 +387,11 @@ def test_job_launch_options_bound_the_run():
 def test_session_rejects_unknown_executor():
     """The executor selector is gone: every batch runs through the service."""
     with pytest.raises(TypeError, match="executor"):
-        Session(executor="serial")
+        ServiceConfig(executor="serial")
 
 
 def test_empty_batch_is_a_noop():
-    batch = Session().run_batch([])
+    with ServiceClient(INLINE) as client:
+        batch = client.run_batch([])
     assert batch.results == []
     assert batch.ok

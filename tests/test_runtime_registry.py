@@ -4,7 +4,7 @@ Covers the satellite checklist: every registered spec string round-trips
 ``parse_driver_spec`` → ``DriverSpec`` → ``driver_name``, unknown
 simulators/options raise with the available ones listed, and the
 ``register_driver`` hook plugs a third-party simulator into the device
-facade and the session layer.
+facade and the job layer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from repro.common.config import VortexConfig
 from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
-from repro.runtime.launch import LaunchOptions, resolve_options
+from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import (
     _REGISTRY,
     DriverSpec,
@@ -98,7 +98,7 @@ def test_unknown_simulator_lists_available(name):
 def test_unknown_engine_lists_available():
     """The deleted ``engine`` option is an unknown option like any other: it
     fails at parse time, on every entry point, listing the declared options."""
-    from repro.engine.session import KernelJob
+    from repro.runtime.jobs import KernelJob
     from repro.runtime.opencl import Context
 
     entry_points = (
@@ -123,7 +123,7 @@ def test_unknown_engine_lists_available():
 
 def test_engine_keyword_is_a_type_error():
     """No layer accepts-and-ignores a stale ``engine=`` argument."""
-    from repro.engine.session import KernelJob
+    from repro.runtime.jobs import KernelJob
     from repro.runtime.simx import SimxDriver
 
     for stale in (
@@ -166,7 +166,7 @@ def test_register_driver_validates_inputs():
 
 def test_register_driver_hook_plugs_into_device_and_session():
     """A third-party simulator registered through the hook is reachable via
-    spec strings on the device facade (and therefore the session layer)."""
+    spec strings on the device facade (and therefore every job)."""
 
     class NullDriver:
         name = "nullsim"
@@ -177,7 +177,6 @@ def test_register_driver_hook_plugs_into_device_and_session():
             self.extras = extras
 
         def run(self, entry_pc, options=None):
-            options = resolve_options(options)
             return ExecutionReport(
                 driver=self.name,
                 cycles=0,
@@ -206,17 +205,11 @@ def test_register_driver_hook_plugs_into_device_and_session():
 
 
 def test_launch_options_validation_and_merge():
+    """Budgets below one are rejected when the record is built."""
     with pytest.raises(ValueError):
         LaunchOptions(max_cycles=0)
     with pytest.raises(ValueError):
         LaunchOptions(max_instructions=-1)
-    base = LaunchOptions(max_cycles=100)
-    merged = base.merged(max_cycles=None, max_instructions=5)
-    assert merged.max_cycles == 100 and merged.max_instructions == 5
-    assert base.merged() is base
-    # A legacy keyword wins over the options field.
-    assert resolve_options(LaunchOptions(max_cycles=7), max_cycles=9).max_cycles == 9
-    assert resolve_options(None).max_cycles is None
 
 
 def test_launch_options_entry_pc_override():
@@ -281,57 +274,6 @@ def test_kernel_run_leaves_entry_resolution_to_options():
     assert run.passed
     assert captured["entry_pc"] is None
     assert captured["options"] is options
-
-
-def test_afu_tolerates_pre_options_driver_protocol():
-    """An instance-constructed driver with the old ``run(entry_pc)``
-    signature still launches; real launch options raise instead of being
-    silently dropped."""
-    from repro.runtime.driver import DriverError
-
-    class OldProtocolDriver:
-        name = "oldsim"
-
-        def __init__(self):
-            self.memory = MainMemory()
-
-        def run(self, entry_pc):
-            return ExecutionReport(
-                driver=self.name, cycles=1, instructions=1, thread_instructions=1
-            )
-
-    device = VortexDevice(VortexConfig(), driver=OldProtocolDriver())
-    report = device.launch(entry_pc=0x8000_0000)
-    assert report.driver == "oldsim"
-    with pytest.raises(DriverError, match="does not accept LaunchOptions"):
-        device.launch(entry_pc=0x8000_0000, options=LaunchOptions(max_cycles=5))
-
-
-def test_afu_does_not_misbind_options_to_legacy_budget_parameters():
-    """A pre-options driver whose second parameter is a budget
-    (``run(entry_pc, max_cycles=...)``) must not receive a LaunchOptions
-    object positionally."""
-    from repro.runtime.driver import DriverError
-
-    class BudgetProtocolDriver:
-        name = "budgetsim"
-
-        def __init__(self):
-            self.memory = MainMemory()
-            self.seen_budget = None
-
-        def run(self, entry_pc, max_cycles=1000):
-            self.seen_budget = max_cycles
-            return ExecutionReport(
-                driver=self.name, cycles=1, instructions=1, thread_instructions=1
-            )
-
-    driver = BudgetProtocolDriver()
-    device = VortexDevice(VortexConfig(), driver=driver)
-    device.launch(entry_pc=0x8000_0000)
-    assert driver.seen_budget == 1000  # the default, not a LaunchOptions object
-    with pytest.raises(DriverError, match="does not accept LaunchOptions"):
-        device.launch(entry_pc=0x8000_0000, options=LaunchOptions(max_cycles=5))
 
 
 def test_max_instructions_budget_uniform_at_the_boundary():

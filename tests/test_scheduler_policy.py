@@ -18,7 +18,7 @@ import pytest
 
 from repro.common.config import SCHEDULER_POLICIES, CacheConfig, CoreConfig, MemoryConfig, VortexConfig
 from repro.core.scheduler import WavefrontScheduler
-from repro.engine.session import diff_execution_reports
+from repro.runtime.jobs import diff_execution_reports
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 

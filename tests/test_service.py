@@ -1,6 +1,6 @@
 """Tests for the simulation service: canonical job identity, the
 content-addressed result cache, the worker fleet and its failure
-paths (crash retry, timeout, backpressure), and the Session backend."""
+paths (crash retry, timeout, backpressure), and ``ServiceClient.run_batch``."""
 
 import asyncio
 import dataclasses
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repro.service.server as server_mod
 import repro.service.worker as worker_mod
 from repro.common.config import VortexConfig
-from repro.engine.session import JobResult, KernelJob, Session, execute_job
+from repro.runtime.jobs import JobResult, KernelJob, execute_job
 from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import DriverSpec
 from repro.service import (
@@ -109,12 +109,12 @@ def test_cache_key_property_equal_jobs_hash_equal(kernel, size, verify, driver, 
 
 
 def test_cache_key_is_computed_once_per_instance(monkeypatch):
-    import repro.engine.session as session_mod
+    import repro.runtime.jobs as jobs_mod
 
     digests = []
-    digest = session_mod.content_digest
+    digest = jobs_mod.content_digest
     monkeypatch.setattr(
-        session_mod, "content_digest", lambda material: digests.append(1) or digest(material)
+        jobs_mod, "content_digest", lambda material: digests.append(1) or digest(material)
     )
     job = KernelJob("vecadd", size=64)
     assert job.cache_key() == job.cache_key() == KernelJob("vecadd", size=64).cache_key()
@@ -404,32 +404,21 @@ def test_process_worker_repeat_job_round_trip():
         worker.stop()
 
 
-# -- Session integration -----------------------------------------------------------------
+# -- batches through the client ---------------------------------------------------------
 
 
 def test_session_service_backend_serves_batches():
-    with Session(service_config=INLINE) as session:
-        session.submit(KernelJob("vecadd", size=64))
-        session.submit(KernelJob("vecadd", size=64, label="dup"))
-        first = session.run_batch()
-        second = session.run_batch([KernelJob("vecadd", size=64)])
+    with ServiceClient(INLINE) as client:
+        first = client.run_batch(
+            [KernelJob("vecadd", size=64), KernelJob("vecadd", size=64, label="dup")]
+        )
+        second = client.run_batch([KernelJob("vecadd", size=64)])
     assert first.ok and first.max_workers == INLINE.num_shards
     assert first.cache_hits == 1  # the inflight-deduped duplicate
     assert second.results[0].cached
     payload = first.to_payload()
     assert payload["cache_hits"] == 1
     assert payload["results"][0]["report"]["cycles"] > 0
-
-
-def test_session_shares_an_external_service_client():
-    with ServiceClient(INLINE) as client:
-        with Session(service=client) as one:
-            one.run_batch([KernelJob("vecadd", size=64)])
-        # Closing the session must not close the shared client...
-        with Session(service=client) as two:
-            batch = two.run_batch([KernelJob("vecadd", size=64)])
-    # ...so the second session is served from the first session's cache.
-    assert batch.results[0].cached
 
 
 def _service_threads():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import CORE_DESIGN_POINTS, CacheConfig, MemoryConfig, VortexConfig
-from repro.engine.session import KernelJob, diff_execution_reports, execute_job
+from repro.runtime.jobs import KernelJob, diff_execution_reports, execute_job
 from repro.kernels.texture import hardware_texture_kernel, software_texture_kernel
 from repro.runtime.device import VortexDevice
 
@@ -46,10 +46,9 @@ def _differential(kernel: str, size: int, config: VortexConfig):
 
 def test_reference_driver_runs_the_per_thread_emulator():
     """The oracle must not quietly be the vector engine compared with itself."""
-    from repro.core.core import SimtCore
+    from repro.core.core import SimtCore, VectorSimtCore
     from repro.core.emulator import WarpEmulator
-    from repro.core.processor import Processor
-    from repro.engine.vector_core import VectorProcessor, VectorSimtCore
+    from repro.core.processor import Processor, VectorProcessor
 
     for driver, core_cls in (("simxref", SimtCore), ("simx", VectorSimtCore)):
         func = VortexDevice(_fig_config(), driver=driver).driver.processor.cores[0].func
