@@ -23,7 +23,9 @@ One more row relaunches on a warm device: the second launch's off and
 reconcile with the (device-lifetime) counters, every event of the second
 launch must be stamped inside its window of the device clock, and the
 fast-forwarded stream must expand to that of a ``reset`` + ``tick()`` twin.
-(No ``jsonl`` leg there: a file sink closes when the first launch drains.)
+Its ``trace=jsonl`` leg relaunches a file-traced device: the sink reopens
+for append, so one file with one header must parse back to the
+``trace=mem`` stream of both launches.
 
 CI gates the identity flags only (``check_regression.py --require-identical``).
 Each row still reports ``speedup`` = *traced-seconds / off-seconds*, but as
@@ -169,21 +171,34 @@ def _launch_ticked(device: VortexDevice, kernel: str, size: int) -> None:
 def measure_relaunch(
     name: str, kernel: str, size: int, warps: int, threads: int, port_limited: bool
 ) -> dict[str, Any]:
-    """Second launch on a warm device: off vs traced vs the ticked twin."""
+    """Second launch on a warm device: off vs traced vs the ticked twin, and
+    a file-traced device relaunched into one JSONL file."""
     config = _config(warps, threads, port_limited)
-    drivers = ("simx", "simx:trace=mem", "simx:trace=mem")
-    off, traced, ticked = (VortexDevice(config, driver=driver) for driver in drivers)
-    for device in (off, traced, ticked):
-        if not KERNELS[kernel]().run(device, size=size).passed:
-            raise AssertionError(f"{kernel} failed verification on the first launch")
-    first = len(traced.driver.trace_sink.events)
-    first_ticked = len(ticked.driver.trace_sink.events)
-    off_report = KERNELS[kernel]().run(off, size=size).report
-    traced_report = KERNELS[kernel]().run(traced, size=size).report
-    _launch_ticked(ticked, kernel, size)
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl_path = Path(tmp) / "relaunch.jsonl"
+        drivers = (
+            "simx", "simx:trace=mem", "simx:trace=mem",
+            f"simx:trace=jsonl,trace_file={jsonl_path}",
+        )
+        off, traced, ticked, jsonl = (VortexDevice(config, driver=driver) for driver in drivers)
+        for device in (off, traced, ticked, jsonl):
+            if not KERNELS[kernel]().run(device, size=size).passed:
+                raise AssertionError(f"{kernel} failed verification on the first launch")
+        first = len(traced.driver.trace_sink.events)
+        first_ticked = len(ticked.driver.trace_sink.events)
+        off_report = KERNELS[kernel]().run(off, size=size).report
+        traced_report = KERNELS[kernel]().run(traced, size=size).report
+        jsonl_report = KERNELS[kernel]().run(jsonl, size=size).report
+        _launch_ticked(ticked, kernel, size)
+        jsonl_text = jsonl_path.read_text(encoding="utf-8")
 
     mismatches = diff_execution_reports(off_report, traced_report)
+    mismatches += diff_execution_reports(off_report, jsonl_report)
     events = traced.driver.trace_sink.events
+    if jsonl_text.count('"format": "repro-trace"') != 1:
+        mismatches.append("relaunched trace=jsonl file does not hold exactly one header")
+    elif parse_jsonl(jsonl_text) != events:
+        mismatches.append("relaunched trace=jsonl file does not parse back to the trace=mem stream")
     relaunch = events[first:]
     start = traced.driver.processor.launch_start
     if not all(start < event.cycle <= start + traced_report.cycles for event in relaunch):

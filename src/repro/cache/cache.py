@@ -42,6 +42,7 @@ from repro.common.clock import DeviceClock
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, Codec, Stateful
+from repro.trace.bus import TraceBus
 from repro.trace.events import NO_WARP
 
 
@@ -168,10 +169,11 @@ class NonBlockingCache(Stateful):
     #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key); the
     #: due bucket travels per bank in ``banks``; the processor serializes the
-    #: device clock; ``epoch`` and ``receipt`` serve the drain repeat.
+    #: device clock; ``epoch``/``receipt`` serve the drain repeat, ``_payloads`` tracing.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
+            "_payloads",
             "epoch",
             "receipt",
             "config",
@@ -202,6 +204,7 @@ class NonBlockingCache(Stateful):
         self.trace: Any = None
         self.trace_channel = ""
         self.trace_core = -1
+        self._payloads: dict[tuple[int, int, bool | None, bool], dict[str, Any]] = {}
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}
         # The due bucket: ready cycle -> [(bank id, record), ...] in schedule
@@ -241,16 +244,31 @@ class NonBlockingCache(Stateful):
 
         Tracing-on only: every caller guards on ``self.trace``.  One event
         per lane, exactly as a lane-by-lane pass would emit them; the lanes
-        of a run share line, bank and outcome, so the payload is built once
-        and shared by the run's events.
+        of a run share line, bank and outcome, so they are one ``emit``.
         """
-        payload = {"bank": bank_id, "line": line, "write": is_write}
-        if merge:
-            payload["merge"] = True
-        emit = self.trace.emit
-        cycle, core, channel = self.clock.now, self.trace_core, self.trace_channel
-        for _ in range(count):
-            emit(cycle, core, NO_WARP, channel, kind, payload)
+        payload = self.trace_payload(line, bank_id, is_write, merge)
+        self.trace.emit(
+            self.clock.now, self.trace_core, NO_WARP, self.trace_channel, kind, payload, count
+        )
+
+    def trace_payload(
+        self, line: int, bank_id: int, is_write: bool | None, merge: bool = False
+    ) -> dict[str, Any]:
+        """The one payload object of every event on ``(line, bank_id, is_write,
+        merge)`` (``is_write=None``: a fill's), interned per cache while tracing;
+        the table restarts once it holds ``TraceBus.FLUSH_EVENTS`` entries."""
+        key = (line, bank_id, is_write, merge)
+        payloads = self._payloads
+        payload = payloads.get(key)
+        if payload is None:
+            if len(payloads) >= TraceBus.FLUSH_EVENTS:
+                payloads.clear()
+            payload = payloads[key] = {"bank": bank_id, "line": line}
+            if is_write is not None:
+                payload["write"] = is_write
+            if merge:
+                payload["merge"] = True
+        return payload
 
     def _schedule(self, bank_id: int, record: CacheResponse) -> None:
         """Park ``record`` in the due bucket, ``hit_latency`` cycles ahead."""
@@ -708,12 +726,8 @@ class NonBlockingCache(Stateful):
         self.perf.incr("fills")
         if self.trace is not None:
             self.trace.emit(
-                arrived,
-                self.trace_core,
-                NO_WARP,
-                self.trace_channel,
-                "fill",
-                {"bank": line_address % self.config.num_banks, "line": line_address},
+                arrived, self.trace_core, NO_WARP, self.trace_channel, "fill",
+                self.trace_payload(line_address, bank_id, None),
             )
 
     def tick(self) -> list[CacheResponse]:

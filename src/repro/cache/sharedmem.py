@@ -58,10 +58,11 @@ class SharedMemory(Stateful):
     """Banked scratchpad with single-cycle access and bank-conflict serialization."""
 
     STATE = {"_accepts_this_cycle": COPY, "_pending": _PENDING, "perf": CHILD}
-    #: Construction-time geometry and window, and the processor's clock
-    #: (vxlint VX007).
+    #: Construction-time geometry and window, the processor's clock and the
+    #: trace payloads (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset(
-        {"core_id", "size", "num_banks", "latency", "base", "limit", "trace", "clock"}
+        {"core_id", "size", "num_banks", "latency", "base", "limit", "trace", "clock",
+         "_payloads"}
     )
 
     def __init__(self, core_id: int, size: int, num_banks: int = 4, latency: int = 1):
@@ -72,9 +73,10 @@ class SharedMemory(Stateful):
         self.latency = latency
         self.base, self.limit = shared_mem_window(core_id)
         self.perf = PerfCounters(f"smem{core_id}")
-        # Observability (attached by the owning TimingCore): one ``smem``
-        # event per access attempt (conflict / read / write).
+        # Observability (attached by the owning TimingCore): one ``smem`` event
+        # per access attempt, with this scratchpad's one ``{"bank": b}`` payload.
         self.trace: Any = None
+        self._payloads = [{"bank": bank} for bank in range(num_banks)]
         self._accepts_this_cycle: dict[int, int] = {}
         self._pending: list[tuple[int, SharedResponse]] = []
 
@@ -94,7 +96,7 @@ class SharedMemory(Stateful):
         if self._accepts_this_cycle.get(bank, 0) >= 1:
             self.perf.incr("bank_conflicts")
             if trace is not None:
-                trace.emit(now, self.core_id, NO_WARP, "smem", "conflict", {"bank": bank})
+                trace.emit(now, self.core_id, NO_WARP, "smem", "conflict", self._payloads[bank])
             return False
         self._accepts_this_cycle[bank] = 1
         response = SharedResponse(address=address, is_write=is_write, tag=tag, cycle=0)
@@ -102,12 +104,8 @@ class SharedMemory(Stateful):
         self.perf.incr("writes" if is_write else "reads")
         if trace is not None:
             trace.emit(
-                now,
-                self.core_id,
-                NO_WARP,
-                "smem",
-                "write" if is_write else "read",
-                {"bank": bank},
+                now, self.core_id, NO_WARP, "smem", "write" if is_write else "read",
+                self._payloads[bank],
             )
         return True
 
@@ -133,6 +131,7 @@ class SharedMemory(Stateful):
         ready_cycle = cycle + self.latency
         trace = self.trace
         core_id = self.core_id
+        payloads = self._payloads
         accept_kind = "write" if is_write else "read"
         accepted_count = bank_conflicts = 0
         refused: list[tuple[Any, ...]] = []
@@ -150,7 +149,7 @@ class SharedMemory(Stateful):
                     for address in addresses:
                         trace.emit(
                             cycle, core_id, NO_WARP, "smem", "conflict",
-                            {"bank": (address // 4) % num_banks},
+                            payloads[(address // 4) % num_banks],
                         )
                 continue
             kept: list[int] = []
@@ -163,7 +162,7 @@ class SharedMemory(Stateful):
                     bank_conflicts += 1
                     kept.append(address)
                     if trace is not None:
-                        trace.emit(cycle, core_id, NO_WARP, "smem", "conflict", {"bank": bank})
+                        trace.emit(cycle, core_id, NO_WARP, "smem", "conflict", payloads[bank])
                     continue
                 accepts[bank] = 1
                 pending.append(
@@ -172,7 +171,7 @@ class SharedMemory(Stateful):
                 accepted_count += 1
                 budget -= 1
                 if trace is not None:
-                    trace.emit(cycle, core_id, NO_WARP, "smem", accept_kind, {"bank": bank})
+                    trace.emit(cycle, core_id, NO_WARP, "smem", accept_kind, payloads[bank])
             if len(kept) == len(addresses):
                 refused.append(run)
             elif kept:

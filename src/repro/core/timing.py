@@ -37,10 +37,16 @@ from repro.core.core import SimtCore, VectorSimtCore
 from repro.core.scheduler import WavefrontScheduler
 from repro.core.scoreboard import Scoreboard
 from repro.isa.instructions import ExecUnit
+from repro.trace.bus import TraceBus
 from repro.trace.events import NO_WARP
 
 #: Extra cycles a warp waits after a taken branch (front-end redirect).
 BRANCH_PENALTY = 2
+
+#: The payloads of the two ``scheduler/stall`` reasons (read-only, as every
+#: emitted payload is).
+_IBUFFER_STALL = {"reason": "ibuffer"}
+_SCOREBOARD_STALL = {"reason": "scoreboard"}
 
 #: "No such cycle": the horizon of an empty set of future events.
 _NEVER = 1 << 62
@@ -156,8 +162,8 @@ class TimingCore(Stateful):
     #: configuration identity, constructor-derived lookup tables, references
     #: owned and serialized by the memory subsystem (``clock``: the
     #: processor), the per-PC register cache (a pure function of the decode,
-    #: rebuilt lazily), the ``perf`` alias ``_counters``, and what
-    #: :meth:`after_restore` invalidates or rebuilds (the drain repeat's too).
+    #: rebuilt lazily), the ``perf`` alias ``_counters``, the trace payloads, and
+    #: what :meth:`after_restore` invalidates or rebuilds (the drain repeat's too).
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "core_id",
@@ -180,6 +186,8 @@ class TimingCore(Stateful):
             "_dcache_line_size",
             "_dcache_num_banks",
             "_icache_line_size",
+            "_pc_payloads",
+            "_register_payloads",
         }
     )
 
@@ -213,6 +221,9 @@ class TimingCore(Stateful):
             self.smem.trace = trace
         if trace is not None and trace.wants("barrier"):
             self.func.barriers.on_event = self._trace_barrier
+        # The interned ``{"pc"}`` and ``{"register", "float"}`` trace payloads.
+        self._pc_payloads: dict[int, dict[str, int]] = {}
+        self._register_payloads: dict[tuple[int, bool], dict[str, Any]] = {}
 
         core_cfg = config.core
         self._unit_latency = {
@@ -438,6 +449,27 @@ class TimingCore(Stateful):
             "ifetch": ifetch_mask,
         }
 
+    def _pc_payload(self, pc: int) -> dict[str, int]:
+        """The one ``{"pc": pc}`` object of this core's ``issue``/``redirect``
+        events; the table restarts once it holds ``TraceBus.FLUSH_EVENTS``."""
+        payloads = self._pc_payloads
+        payload = payloads.get(pc)
+        if payload is None:
+            if len(payloads) >= TraceBus.FLUSH_EVENTS:
+                payloads.clear()
+            payload = payloads[pc] = {"pc": pc}
+        return payload
+
+    def _register_payload(self, rd: int, rd_float: bool) -> dict[str, Any]:
+        """``{"register", "float"}`` of scoreboard events, interned as :meth:`_pc_payload`."""
+        payloads = self._register_payloads
+        payload = payloads.get((rd, rd_float))
+        if payload is None:
+            if len(payloads) >= TraceBus.FLUSH_EVENTS:
+                payloads.clear()
+            payload = payloads[rd, rd_float] = {"register": rd, "float": rd_float}
+        return payload
+
     def _trace_barrier(
         self, barrier_id: int, expected: int, participant: Any, released: list[Any]
     ) -> None:
@@ -468,7 +500,7 @@ class TimingCore(Stateful):
                 if trace is not None and (rd != 0 or rd_float):
                     trace.emit(
                         now, self.core_id, warp_id, "scoreboard", "release",
-                        {"register": rd, "float": rd_float},
+                        self._register_payload(rd, rd_float),
                     )
             else:
                 remaining.append((ready_cycle, warp_id, rd, rd_float))
@@ -705,7 +737,7 @@ class TimingCore(Stateful):
                 if trace is not None:
                     trace.emit(
                         self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
-                        {"reason": "ibuffer"},
+                        _IBUFFER_STALL,
                     )
             elif trace is not None:
                 # Defensive: a warp with an ifetch in flight is mask-stalled
@@ -722,7 +754,7 @@ class TimingCore(Stateful):
             if trace is not None:
                 trace.emit(
                     self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
-                    {"reason": "scoreboard"},
+                    _SCOREBOARD_STALL,
                 )
             return
 
@@ -736,7 +768,8 @@ class TimingCore(Stateful):
         trace = self.trace
         if trace is not None:
             trace.emit(
-                self.clock.now, self.core_id, warp.warp_id, "scheduler", "issue", {"pc": pc}
+                self.clock.now, self.core_id, warp.warp_id, "scheduler", "issue",
+                self._pc_payload(pc),
             )
         self._charge_timing(warp, result)
 
@@ -760,7 +793,7 @@ class TimingCore(Stateful):
             if trace is not None:
                 trace.emit(
                     self.clock.now, self.core_id, warp.warp_id, "core", "redirect",
-                    {"pc": warp.pc},
+                    self._pc_payload(warp.pc),
                 )
 
         if unit in (ExecUnit.LSU, ExecUnit.TEX):
@@ -774,7 +807,7 @@ class TimingCore(Stateful):
             if trace is not None and (result.instr.rd != 0 or spec.rd_float):
                 trace.emit(
                     self.clock.now, self.core_id, warp.warp_id, "scoreboard", "acquire",
-                    {"register": result.instr.rd, "float": spec.rd_float},
+                    self._register_payload(result.instr.rd, spec.rd_float),
                 )
             self._writebacks.append(
                 (self.clock.now + latency, warp.warp_id, result.instr.rd, spec.rd_float)
@@ -820,7 +853,7 @@ class TimingCore(Stateful):
             if trace is not None and (op.rd != 0 or op.rd_float):
                 trace.emit(
                     self.clock.now, self.core_id, op.warp_id, "scoreboard", "acquire",
-                    {"register": op.rd, "float": op.rd_float},
+                    self._register_payload(op.rd, op.rd_float),
                 )
         self._pending_ops[op.op_id] = op
         if any(run[3] for run in to_send):
@@ -951,7 +984,7 @@ class TimingCore(Stateful):
                 if trace is not None:
                     trace.emit(
                         base + 1 + offset, self.core_id, warp_id, "scheduler", "stall",
-                        {"reason": "scoreboard"},
+                        _SCOREBOARD_STALL,
                     )
             counters["scoreboard_stalls"] += cycles
         else:
@@ -982,14 +1015,13 @@ class TimingCore(Stateful):
         channel = dcache.trace_channel
         core = dcache.trace_core
         payloads = [
-            (len(addresses), {"bank": bank, "line": line, "write": True})
+            (len(addresses), dcache.trace_payload(line, bank, True))
             for addresses, line, bank, _to_smem in self._store_queue
         ]
         for offset in range(cycles):
             cycle = base + 1 + offset
             for lanes, payload in payloads:
-                for _ in range(lanes):
-                    dtrace.emit(cycle, core, NO_WARP, channel, "refusal", payload)
+                dtrace.emit(cycle, core, NO_WARP, channel, "refusal", payload, lanes)
 
     def stall_forensics(self) -> dict:
         """What this core waits on (per-core payload of ``SimulationStalled``)."""

@@ -17,11 +17,13 @@ tracing is already on.
 ``emit`` costs one append: the plain record ``(cycle, core, warp, channel,
 kind, payload)`` — :class:`TraceEvent`'s field order — joins a pending list
 that every sink receives (``write_batch``) and encodes once it holds
-:attr:`TraceBus.FLUSH_EVENTS` records and on ``flush()``/``close()``.  So
-read a sink only after a flush — ``SimxDriver.run`` flushes in a ``finally``
-on every return, code that ticks a ``TimingProcessor`` by hand calls
-``bus.flush()`` first (``events_emitted`` counts pending records too) — and
-never mutate a payload after emitting it: the bus owns it from then on.
+:attr:`TraceBus.FLUSH_EVENTS` records and on ``flush()``/``close()``.  A run
+of ``n`` identical events is one ``emit(..., count=n)``: the one record tuple
+appended ``n`` times.  So read a sink only after a flush — ``SimxDriver.run``
+flushes in a ``finally`` on every return, code that ticks a
+``TimingProcessor`` by hand calls ``bus.flush()`` first (``events_emitted``
+counts pending records too) — and never mutate a payload after emitting it:
+call sites share one payload object between events, encoded once per batch.
 """
 
 from __future__ import annotations
@@ -85,15 +87,20 @@ class TraceBus:
         channel: str,
         kind: str,
         payload: dict[str, Any] | None = None,
+        count: int = 1,
     ) -> None:
-        """Record one event (subject to the channel filter).
+        """Record ``count`` identical events (subject to the channel filter).
 
         ``payload`` is encoded at the next flush: do not mutate it afterwards.
         """
         if self.channels is not None and channel not in self.channels:
             return
         pending = self._pending
-        pending.append((cycle, core, warp, channel, kind, payload or {}))
+        record = (cycle, core, warp, channel, kind, payload or {})
+        if count == 1:
+            pending.append(record)
+        else:
+            pending += [record] * count
         if len(pending) >= self.FLUSH_EVENTS:
             self.flush()
 

@@ -42,9 +42,11 @@ class TraceEvent(NamedTuple):
     """One timestamped microarchitectural event.
 
     ``payload`` carries kind-specific plain data (ints/bools/strings only,
-    so every sink can serialize it canonically).  Equality is structural —
-    the determinism tests compare whole event streams with ``==`` — and a
-    plain tuple of the six fields, the bus's :data:`TraceRecord`, equals it.
+    so every sink can serialize it canonically).  Payload objects are shared
+    between events: treat ``TraceEvent.payload`` as read-only.  Equality is
+    structural — the determinism tests compare whole event streams with
+    ``==`` — and a plain tuple of the six fields, the bus's
+    :data:`TraceRecord`, equals it.
     """
 
     cycle: int

@@ -91,15 +91,16 @@ _encode_payload = json.JSONEncoder(sort_keys=True).encode
 
 
 def _payload_json(records: list[TraceRecord]) -> Iterator[str]:
-    """Each record's payload as sorted-key JSON (``""`` when empty); a run of
-    one payload *object* is encoded once.  Identity, never content, decides:
-    ``{"x": 1} == {"x": True}`` and they hash alike, yet encode differently."""
-    last: dict[str, Any] | None = None
-    text = ""
+    """Each record's payload as sorted-key JSON (``""`` when empty); each payload
+    *object* is encoded once per batch.  Identity, never content, decides:
+    ``{"x": 1} == {"x": True}`` and they hash alike, yet encode differently.
+    The batch holds every payload it keys, so no ``id`` is reused meanwhile."""
+    texts: dict[int, str] = {}
     for record in records:
-        if record[5] is not last:
-            last = record[5]
-            text = _encode_payload(last) if last else ""
+        payload = record[5]
+        text = texts.get(id(payload))
+        if text is None:
+            text = texts[id(payload)] = _encode_payload(payload) if payload else ""
         yield text
 
 
@@ -182,18 +183,30 @@ class JsonlSink(_StreamSink):
 
     def write_batch(self, records: list[TraceRecord]) -> None:
         # Byte-for-byte ``json.dumps(record, sort_keys=True)`` per line: keys
-        # channel, core, cycle, kind, payload (omitted when empty), warp.
+        # channel, core, cycle, kind, payload (omitted when empty), warp.  The
+        # memo rule is :func:`_payload_json`'s, inlined; a record that is the
+        # previous record's object (``emit(count=n)``) repeats its line.
         pieces = self._pieces
-        lines = []
-        for (cycle, core, warp, channel, kind, _), text in zip(records, _payload_json(records)):
-            piece = pieces.get((channel, kind))
-            if piece is None:
-                head = f'{{"channel": {json.dumps(channel)}, "core": '
-                piece = pieces[channel, kind] = (head, f', "kind": {json.dumps(kind)}, ')
-            head, mid = piece
-            if text:
-                mid = f'{mid}"payload": {text}, '
-            lines.append(f'{head}{core}, "cycle": {cycle}{mid}"warp": {warp}}}\n')
+        texts: dict[int, str] = {}
+        lines: list[str] = []
+        last: TraceRecord | None = None
+        line = ""
+        for record in records:
+            if record is not last:
+                last = record
+                cycle, core, warp, channel, kind, payload = record
+                piece = pieces.get((channel, kind))
+                if piece is None:
+                    head = f'{{"channel": {json.dumps(channel)}, "core": '
+                    piece = pieces[channel, kind] = (head, f', "kind": {json.dumps(kind)}, ')
+                head, mid = piece
+                text = ""
+                if payload:
+                    text = texts.get(id(payload), "")
+                    if not text:
+                        text = texts[id(payload)] = f'"payload": {_encode_payload(payload)}, '
+                line = f'{head}{core}, "cycle": {cycle}{mid}{text}"warp": {warp}}}\n'
+            lines.append(line)
         stream = self._stream()
         stream.write("".join(lines))
         stream.flush()  # a batch handed over is a batch a reader can see

@@ -390,8 +390,8 @@ class _RecordingTrace:
     def __init__(self):
         self.events = []
 
-    def emit(self, cycle, core, warp, channel, kind, payload=None):
-        self.events.append((cycle, kind, dict(payload or {})))
+    def emit(self, cycle, core, warp, channel, kind, payload=None, count=1):
+        self.events += [(cycle, kind, dict(payload or {}))] * count
 
 
 def send_runs(cache, runs, budget, is_write, tag):

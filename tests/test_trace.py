@@ -393,19 +393,29 @@ _nasty_payloads = st.one_of(
     ),
 )
 
-#: (cycle, core, warp, channel, kind, payload, times emitted with that one payload object)
-_emissions = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2**40),
-        st.integers(min_value=-1, max_value=7),
-        st.integers(min_value=-1, max_value=15),
-        st.one_of(st.sampled_from(CHANNELS), _nasty_text),
-        st.one_of(st.sampled_from(("hit", "100%", "{kind}", "%s{0}")), _nasty_text),
-        _nasty_payloads,
-        st.integers(min_value=1, max_value=3),
-    ),
-    max_size=12,
-)
+
+def _emissions_from(pool):
+    """(cycle, core, warp, channel, kind, payload, count) emissions whose
+    payloads are objects of ``pool``, so one object recurs at positions
+    that are not next to each other."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**40),
+            st.integers(min_value=-1, max_value=7),
+            st.integers(min_value=-1, max_value=15),
+            st.one_of(st.sampled_from(CHANNELS), _nasty_text),
+            st.one_of(st.sampled_from(("hit", "100%", "{kind}", "%s{0}")), _nasty_text),
+            st.integers(min_value=0, max_value=len(pool) - 1).map(pool.__getitem__),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=12,
+    )
+
+
+_emissions = st.lists(_nasty_payloads, min_size=1, max_size=4).flatmap(_emissions_from)
+
+#: Equal as dicts, distinct as objects and as JSON: a content memo mixes them up.
+_ONE, _TRUE = {"float": 1}, {"float": True}
 
 
 class TestBatchedEncoding:
@@ -420,14 +430,21 @@ class TestBatchedEncoding:
         ],
         cuts=[],
     )
+    @example(
+        emissions=[
+            (0, 0, 0, "core", "commit", _ONE, 1),
+            (0, 0, 1, "core", "commit", _TRUE, 1),
+            (0, 0, 2, "core", "commit", _ONE, 1),
+        ],
+        cuts=[],
+    )
     def test_batches_write_the_bytes_of_the_per_event_encoders(self, emissions, cuts):
         memory = MemorySink()
         bus = TraceBus([memory])  # no channel filter, so arbitrary channel names pass
         emitted = []
-        for cycle, core, warp, channel, kind, payload, times in emissions:
-            for _ in range(times):  # the same payload object, as _trace_attempts does
-                bus.emit(cycle, core, warp, channel, kind, payload)
-                emitted.append((cycle, core, warp, channel, kind, payload or {}))
+        for cycle, core, warp, channel, kind, payload, count in emissions:
+            bus.emit(cycle, core, warp, channel, kind, payload, count=count)
+            emitted += [(cycle, core, warp, channel, kind, payload or {})] * count
         assert bus.events_emitted == len(emitted)  # pending ones count
         bus.flush()
         events = memory.events
@@ -468,6 +485,42 @@ class TestBatchedEncoding:
         assert files[1, "jsonl"] == files[1024, "jsonl"]
         assert files[1, "csv"] == files[1024, "csv"]
         assert parse_jsonl(files[1, "jsonl"].decode()) == parse_csv(files[1, "csv"].decode())
+
+
+# ---------------------------------------------------------------------------
+# Payload intern tables: bounded, and owned by one device
+
+
+def _intern_tables(processor):
+    """Every trace-payload intern table of a traced processor."""
+    memsys = processor.memsys
+    caches = [*memsys.icaches, *memsys.dcaches, *memsys.l2, memsys.l3]
+    tables = [cache._payloads for cache in caches if cache is not None]
+    for core in processor.cores:
+        tables += [core._pc_payloads, core._register_payloads]
+    return tables
+
+
+class TestInternTables:
+    def test_tables_stay_bounded(self):
+        config = VortexConfig(
+            dcache=CacheConfig(line_size=16, num_banks=8, num_ports=4),
+            memory=MemoryConfig(latency=10, bandwidth=8),
+        ).with_warps_threads(4, 16)
+        driver, events = _traced_run("saxpy", 2304, "simx:trace=mem", config)
+        lines = {event.payload["line"] for event in events if event.channel == "dcache"}
+        assert len(lines) > TraceBus.FLUSH_EVENTS
+        assert all(len(table) <= TraceBus.FLUSH_EVENTS for table in _intern_tables(driver.processor))
+
+    def test_devices_share_no_payload_object(self):
+        """Two traced devices share no payload object (the two stall reasons
+        are module constants on purpose)."""
+        streams = [_traced_run("sgemm", 8 * 8, "simx:trace=mem")[1] for _ in range(2)]
+        first, second = (
+            {id(event.payload) for event in events if event.kind != "stall"}
+            for events in streams
+        )
+        assert first and not first & second
 
 
 # ---------------------------------------------------------------------------
