@@ -52,11 +52,20 @@ def make_config(
     mem_latency: int = 100,
     mem_bandwidth: int = 1,
 ) -> VortexConfig:
-    """Build a processor configuration for one experiment point."""
+    """Build a processor configuration for one experiment point.
+
+    Bandwidth scales as channels: each adds one response per cycle and 16
+    request-queue entries.  At the latencies Fig 21 sweeps, the queue bound
+    ``request_queue_size / latency`` is below the per-cycle cap, so the queue
+    is what limits throughput (see ``MemoryConfig.bandwidth``).
+    """
+    memory = MemoryConfig(
+        latency=mem_latency, bandwidth=mem_bandwidth, request_queue_size=16 * mem_bandwidth
+    )
     return VortexConfig(
         num_cores=num_cores,
         dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=dcache_ports),
-        memory=MemoryConfig(latency=mem_latency, bandwidth=mem_bandwidth),
+        memory=memory,
     ).with_warps_threads(num_warps, num_threads)
 
 

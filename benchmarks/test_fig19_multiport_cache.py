@@ -8,6 +8,8 @@ PORT_COUNTS = (1, 2, 4)
 
 
 def _bank_utilization(report) -> float:
+    # Per attempt, as ``NonBlockingCache.bank_utilization``: every retry of a
+    # refused lane counts as one more bank conflict.
     dcache = report.counters["dcache0"]
     accepted = dcache.get("accepted", 0)
     conflicts = dcache.get("bank_conflicts", 0)

@@ -46,12 +46,14 @@ def test_fig21_memory_scaling(benchmark):
     )
 
     # Shape: IPC decreases as latency grows (at fixed bandwidth) and higher
-    # bandwidth never hurts and helps most at high latency.
+    # bandwidth never hurts and helps most at high latency, where the DRAM
+    # queue (16 entries per channel) is what limits throughput.
     for bandwidth in BANDWIDTHS:
         series = [results[(latency, bandwidth)] for latency in LATENCIES]
         assert series[0] > series[-1]
     for latency in LATENCIES:
-        assert results[(latency, BANDWIDTHS[-1])] >= 0.95 * results[(latency, BANDWIDTHS[0])]
+        gain = 1.2 if latency >= 100 else 0.95
+        assert results[(latency, BANDWIDTHS[-1])] >= gain * results[(latency, BANDWIDTHS[0])]
     low_lat_gain = results[(LATENCIES[0], 4)] / results[(LATENCIES[0], 1)]
     high_lat_gain = results[(LATENCIES[-1], 4)] / results[(LATENCIES[-1], 1)]
     assert high_lat_gain >= low_lat_gain * 0.95

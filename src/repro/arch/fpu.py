@@ -169,12 +169,6 @@ def _round_bits(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(values), _CANONICAL_NAN_U32, values.view(np.uint32))
 
 
-def _nan_bits_mask(bits: np.ndarray) -> np.ndarray:
-    exponent = np.bitwise_and(np.right_shift(bits, np.uint32(23)), np.uint32(0xFF))
-    mantissa = np.bitwise_and(bits, np.uint32(0x7FFFFF))
-    return (exponent == 0xFF) & (mantissa != 0)
-
-
 def _vec_fdiv(rs1: np.ndarray, rs2: np.ndarray) -> np.ndarray:
     a = _bits_to_f64(rs1)
     b = _bits_to_f64(rs2)

@@ -771,11 +771,13 @@ class NonBlockingCache(Stateful):
 
     @property
     def bank_utilization(self) -> float:
-        """Fraction of issued requests that did not experience a bank conflict.
+        """Fraction of bank *attempts* that met no bank conflict:
+        ``accepted / (accepted + bank_conflicts)``.
 
-        This matches the paper's Figure 19 definition: 100% means every
-        request was accepted without a direct bank conflict, with remaining
-        stalls attributable to input queues being full.
+        ``bank_conflicts`` counts every retry of a refused lane, so a lane
+        refused on three cycles weighs three.  100% means no attempt was
+        refused for a busy bank port; refusals for full input queues
+        (``memq_stalls``, ``mshr_stalls``) do not count against it.
         """
         accepted = self.perf.get("accepted")
         conflicts = self.perf.get("bank_conflicts")

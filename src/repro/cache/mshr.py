@@ -176,6 +176,3 @@ class Mshr(Stateful):
             return []
         self.almost_full = len(self._entries) >= self._almost_full_at
         return entry.waiting
-
-    def pending_lines(self) -> list[int]:
-        return list(self._entries)

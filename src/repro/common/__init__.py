@@ -3,9 +3,8 @@
 This package hosts the pieces that the paper treats as cross-cutting
 foundations: configuration dataclasses describing a processor build
 (threads, warps, cores, cache geometry), bit-manipulation helpers used by
-the ISA encoder/decoder and the ALU, the elastic-pipeline primitives
-(ready/valid channels with tagged packets, section 4.4 of the paper), and
-performance-counter plumbing shared by the timing models.
+the ISA encoder/decoder and the ALU, and performance-counter plumbing
+shared by the timing models.
 """
 
 from repro.common.bitutils import (
@@ -26,7 +25,6 @@ from repro.common.config import (
     TextureConfig,
     VortexConfig,
 )
-from repro.common.elastic import ElasticChannel, ElasticPacket
 from repro.common.perf import PerfCounters
 
 __all__ = [
@@ -44,7 +42,5 @@ __all__ = [
     "MemoryConfig",
     "TextureConfig",
     "VortexConfig",
-    "ElasticChannel",
-    "ElasticPacket",
     "PerfCounters",
 ]

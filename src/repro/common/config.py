@@ -51,6 +51,9 @@ class MemoryConfig:
     """Off-chip memory (DRAM) latency/bandwidth model used by Figure 21."""
 
     latency: int = 100
+    #: Responses released per cycle.  By Little's law at most
+    #: ``request_queue_size / latency`` requests complete per cycle, so this
+    #: cap binds only while ``request_queue_size / latency >= bandwidth``.
     bandwidth: int = 1
     request_queue_size: int = 16
 

@@ -153,10 +153,6 @@ class SimtCore(Stateful):
         active = [warp for warp in self.warps if warp.active]
         return bool(active) and all(warp.at_barrier for warp in active)
 
-    def schedulable_warps(self) -> list[Warp]:
-        """Wavefronts that can execute an instruction right now."""
-        return [warp for warp in self.warps if warp.schedulable]
-
     def step_warp(self, warp: Warp) -> StepResult:
         """Execute one instruction of ``warp`` and update counters."""
         result = self.emulator.step(warp)

@@ -272,10 +272,6 @@ class WavefrontScheduler(Stateful):
     # -- inspection -------------------------------------------------------------------
 
     @property
-    def any_active(self) -> bool:
-        return self.active_mask != 0
-
-    @property
     def all_stalled(self) -> bool:
         """True when wavefronts exist but none can be scheduled."""
         return self.active_mask != 0 and self._schedulable_mask() == 0

@@ -87,10 +87,6 @@ class Framebuffer:
         """Return the color attachment as an (H, W, 4) uint8 array."""
         return self.color.view(np.uint8).reshape(self.height, self.width, 4).copy()
 
-    def to_device_words(self) -> np.ndarray:
-        """Return the color attachment as a flat uint32 array (device layout)."""
-        return self.color.reshape(-1).copy()
-
     def nonblack_pixels(self) -> int:
         """Number of pixels whose RGB channels are not all zero (test helper)."""
         return int(np.count_nonzero(self.color & 0x00FFFFFF))

@@ -117,11 +117,6 @@ TABLE2: dict[str, str] = {
 }
 
 
-def vortex_profile() -> IsaProfile:
-    """Return the Vortex row of Table 1."""
-    return next(profile for profile in TABLE1 if profile.name == "Vortex")
-
-
 def category_coverage() -> dict[str, dict[str, bool]]:
     """Return, per ISA, whether each SIMT capability category is covered."""
     coverage = {}

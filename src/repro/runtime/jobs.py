@@ -15,8 +15,7 @@ determined by its content: :meth:`KernelJob.cache_key` is the canonical
 identity — a stable hash over the program bytes, the full config payload,
 the driver spec and the launch options — that the service layer caches and
 dedups on.  :func:`diff_execution_reports` compares two results down to
-every performance counter (the identity tests' and smoke scripts'
-comparator).
+every performance counter (the identity tests' comparator).
 
 This module imports neither asyncio nor multiprocessing, so ``import
 repro`` stays light.
@@ -342,9 +341,6 @@ class BatchReport:
     def cache_hits(self) -> int:
         """Jobs served without execution (service cache or inflight dedup)."""
         return sum(1 for result in self.results if result.cached)
-
-    def by_label(self) -> dict[str, JobResult]:
-        return {result.job.describe(): result for result in self.results}
 
     def to_payload(self) -> dict[str, Any]:
         """A JSON-ready payload built from each result's own payload."""

@@ -7,7 +7,7 @@ Two consumers drive this module:
   *why* scheduler policies differ — the scheduler channel emits exactly
   one event per core per cycle, so the per-kind deltas between two
   policies sum to their cycle-count gap exactly.
-* The trace smoke gate cross-checks a full (unfiltered) event stream
+* The trace tests cross-check a full (unfiltered) event stream
   against the simulator's own aggregate counters (:func:`reconcile`):
   every per-reason stall event total must equal the corresponding
   ``PerfCounters`` value bit-exactly.  A non-empty mismatch list means

@@ -7,8 +7,11 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import runpy
+import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -322,27 +325,31 @@ def test_free_workers_share_jobs_that_hash_to_one_shard():
 
 @pytest.mark.skipif(not HAS_FORK, reason="fault injector needs fork inheritance")
 def test_worker_crash_mid_job_is_retried_and_recorded(tmp_path, monkeypatch):
-    """A worker dying mid-job (fork-injected os._exit) is respawned and the
-    job retried: the batch still fully passes, with the attempt recorded."""
-    flag = tmp_path / "crashed-once"
+    """Every worker of the fleet dying mid-job (fork-injected: one exits with
+    an error, the other takes the SIGKILL of a kill from outside) is respawned
+    and its job retried: the batch still fully passes, attempts recorded."""
+    deaths = {"a": lambda: os._exit(1), "b": lambda: os.kill(os.getpid(), signal.SIGKILL)}
 
     def injector(job):
-        if job.label == "poison" and not flag.exists():
+        flag = tmp_path / job.label
+        if not flag.exists():
             flag.touch()
-            os._exit(1)
+            deaths[job.label]()
 
     monkeypatch.setattr(worker_mod, "_FAULT_INJECTOR", injector)
     config = ServiceConfig(
-        num_shards=1, worker_mode="process", max_attempts=3, retry_backoff=0.01
+        num_shards=2, worker_mode="process", max_attempts=3, retry_backoff=0.01
     )
+    jobs = [KernelJob("vecadd", size=64, label="a"), KernelJob("saxpy", size=64, label="b")]
     with ServiceClient(config) as client:
-        result = client.run_job(KernelJob("vecadd", size=64, label="poison"))
+        pids = client.worker_pids()
+        results = client.run_jobs(jobs)
         stats = client.stats()
-    assert result.ok
-    assert result.attempts == 2  # crashed once, succeeded on retry
-    assert stats["worker_crashes"] == 1
-    assert stats["respawns"] == 1
-    assert stats["retries"] == 1
+        respawned = client.worker_pids()
+    assert all(result.ok for result in results)
+    assert [result.attempts for result in results] == [2, 2]  # crashed once, passed on retry
+    assert stats["worker_crashes"] == stats["respawns"] == stats["retries"] == 2
+    assert not set(pids) & set(respawned)  # each shard's worker was replaced
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="deterministic crash needs fork inheritance")
@@ -419,6 +426,14 @@ def test_session_service_backend_serves_batches():
     payload = first.to_payload()
     assert payload["cache_hits"] == 1
     assert payload["results"][0]["report"]["cycles"] > 0
+
+
+def test_design_space_example_serves_its_sweep(capsys):
+    """``examples/design_space_exploration.py`` serves its sweep as one batch
+    on the default process fleet; its ``main`` asserts every job passed."""
+    example = Path(__file__).resolve().parent.parent / "examples" / "design_space_exploration.py"
+    runpy.run_path(str(example), run_name="__main__")
+    assert "best performance per area" in capsys.readouterr().out
 
 
 def _service_threads():
