@@ -17,13 +17,15 @@ from __future__ import annotations
 import weakref
 from typing import Any
 
+import numpy as np
+
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable, is_global_barrier
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, StepResult, WarpEmulator
 from repro.core.vector_emulator import VectorWarpEmulator
-from repro.core.warp import Warp
+from repro.core.warp import NUM_REGISTERS, Warp
 from repro.arch.csr import CsrFile
 from repro.texture.unit import TextureUnit
 
@@ -43,9 +45,13 @@ class SimtCore(Stateful):
         "tex_unit": CHILD._replace(key="tex_perf"),
     }
     #: Construction-time wiring (vxlint VX007): memory serializes at the
-    #: processor level, the processor backref is topology, and the
-    #: emulator's decode cache derives from memory contents.
-    SNAPSHOT_EXCLUDED = frozenset({"core_id", "config", "memory", "processor", "emulator"})
+    #: processor level, the processor backref is topology, the emulator's
+    #: decode cache and the group plans derive from memory contents, and the
+    #: register stacks serialize through the warps' register files (views).
+    SNAPSHOT_EXCLUDED = frozenset(
+        {"core_id", "config", "memory", "processor", "emulator", "int_stack", "fp_stack",
+         "group_plan_cache"}
+    )
 
     def __init__(
         self,
@@ -62,10 +68,21 @@ class SimtCore(Stateful):
         # (caches, MSHRs, DRAM model) waiting for a full garbage collection.
         self.processor = None if processor is None else weakref.proxy(processor)
         core_cfg = config.core
+        # One register stack per class, uint32[register, warp, thread]: each
+        # warp's file is its [:, warp_id] view, so one register of a run of
+        # adjacent warps is one contiguous block.
+        threads = core_cfg.num_threads
+        shape = (NUM_REGISTERS, core_cfg.num_warps, threads)
+        self.int_stack = np.zeros(shape, dtype=np.uint32)
+        self.fp_stack = np.zeros(shape, dtype=np.uint32)
         self.warps: list[Warp] = [
-            Warp(warp_id, core_cfg.num_threads, ipdom_depth=core_cfg.ipdom_depth)
-            for warp_id in range(core_cfg.num_warps)
+            Warp(w, threads, core_cfg.ipdom_depth, self.int_stack[:, w], self.fp_stack[:, w])
+            for w in range(core_cfg.num_warps)
         ]
+        #: (pc, first warp, warp count) -> lane plan over that run of warps,
+        #: or None when the instruction executes warp by warp (built by the
+        #: vectorized engine; dropped with its decode cache).
+        self.group_plan_cache: dict[tuple[int, int, int], Any] = {}
         self.csr = CsrFile(
             core_id=core_id,
             num_warps=core_cfg.num_warps,

@@ -166,9 +166,12 @@ class VectorProcessor(Processor):
         """Run to completion; returns total warp instructions executed.
 
         Cores and wavefronts are interleaved at instruction granularity
-        exactly like the scalar processor; the instruction limit is checked
-        once per scheduling round (the round length is bounded by
-        ``num_cores * num_warps``).
+        exactly like the scalar processor.  A run of adjacent schedulable
+        full-mask warps at one PC executes as one group plan when the
+        instruction's effects stay inside each warp's registers (so the run
+        at once is the run in round order) and the run fits under
+        ``max_instructions``; the rest executes warp by warp, checking the
+        limit per instruction, so both engines raise at the same one.
 
         ``stop_after_instructions`` pauses at the same scheduling-round
         boundaries as the scalar processor's, so a paused-and-resumed run
@@ -193,19 +196,50 @@ class VectorProcessor(Processor):
                 while True:
                     progressed = False
                     for index, core in enumerate(cores):
-                        build_plan = core.emulator._build_plan
-                        csr = core.csr
+                        warps, csr, groups = core.warps, core.csr, core.group_plan_cache
+                        num_warps = len(warps)
                         retired = 0
                         thread_retired = 0
                         try:
-                            for warp in core.warps:
+                            first = 0
+                            while first < num_warps:
+                                warp = warps[first]
+                                first += 1
                                 if not warp.active or warp.at_barrier or warp._tmask == 0:
                                     continue
                                 pc = warp.pc
+                                if warp.full:
+                                    end = first
+                                    while end < num_warps:
+                                        other = warps[end]
+                                        if (
+                                            other.pc != pc
+                                            or not other.full
+                                            or not other.active
+                                            or other.at_barrier
+                                        ):
+                                            break
+                                        end += 1
+                                    count = end - first + 1
+                                    if count > 1 and executed + count < max_instructions:
+                                        key = (pc, first - 1, count)
+                                        group = groups.get(key)
+                                        if group is None and key not in groups:
+                                            group = core.emulator._build_group_plan(
+                                                pc, first - 1, count
+                                            )
+                                            groups[key] = group
+                                        if group is not None and group():
+                                            thread_retired += count * warp.active_count
+                                            csr.instret += count
+                                            retired += count
+                                            executed += count
+                                            first = end
+                                            continue
                                 cache = warp.plan_cache
                                 plan = cache.get(pc)
                                 if plan is None:
-                                    plan = build_plan(warp, pc)
+                                    plan = core.emulator._build_plan(warp, pc)
                                     cache[pc] = plan
                                 thread_retired += warp.active_count
                                 plan(warp)

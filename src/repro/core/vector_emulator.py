@@ -11,7 +11,9 @@ Execution goes through per-PC *plans*: the first time a warp reaches a PC,
 the instruction is decoded once and specialized into a closure that has the
 operand rows, the immediates and the vector op already bound.  Subsequent
 visits are a dictionary lookup plus one closure call — the per-mnemonic
-handler-table idea of the scalar emulator taken to its limit.
+handler-table idea of the scalar emulator taken to its limit.  The same
+builders bound to a ``(warps, threads)`` register block give a *group plan*:
+one call for a run of adjacent warps at one PC.
 
 Architectural results are bit-identical to the scalar
 :class:`~repro.core.emulator.WarpEmulator` (the differential test in
@@ -23,6 +25,7 @@ reuse the scalar per-mnemonic handlers directly.
 from __future__ import annotations
 
 from collections.abc import Callable
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -48,6 +51,18 @@ Plan = Callable[[Any], None]
 
 #: A timing plan additionally returns ``(taken_branch, request_addresses)``.
 TimingPlan = Callable[[Any], tuple]
+
+
+def _warp_run(core, first: int, count: int) -> SimpleNamespace:
+    """Stands in for a warp when a plan is built for warps ``first ..
+    first+count-1``: its register rows are ``(count, threads)`` blocks of
+    the core's stacks, and numpy broadcasts every lane op over them."""
+    span = slice(first, first + count)
+    regs = SimpleNamespace(
+        int_row=core.int_stack[:, span].__getitem__,
+        fp_row=core.fp_stack[:, span].__getitem__,
+    )
+    return SimpleNamespace(full=True, pc=0, regs=regs)
 
 
 class TimingStep:
@@ -88,7 +103,10 @@ class VectorWarpEmulator(WarpEmulator):
     cross-warp round-robin interleaving of memory accesses in
     :class:`~repro.core.processor.VectorProcessor`'s loop matches the
     scalar engine exactly (kernels like bfs communicate through memory
-    flags and observe that order).
+    flags and observe that order).  A group plan runs one instruction for
+    adjacent warps at one PC; it keeps that order because those warps are
+    consecutive in the round and its instruction (no store, CSR or SIMT
+    control) touches nothing another warp can see.
     """
 
     # -- plan construction -------------------------------------------------------------
@@ -130,6 +148,70 @@ class VectorWarpEmulator(WarpEmulator):
         # CSR access, tmc/wspawn/bar, fence, ecall: reuse the scalar
         # per-mnemonic handlers (rare instructions).
         return self._plan_scalar(warp, pc, instr)
+
+    # -- runs of warps at one PC -------------------------------------------------------
+
+    def invalidate_decode_cache(self) -> None:
+        super().invalidate_decode_cache()
+        self.core.group_plan_cache.clear()
+
+    def _build_group_plan(self, pc: int, first: int, count: int) -> Callable[[], bool] | None:
+        """One plan for the full-mask warps ``first .. first+count-1`` at
+        ``pc``, or None for an instruction that executes warp by warp.
+
+        Grouped are ALU/MUL ops, word loads, the float32 FPU ops and
+        conditional branches: their effects stay in each warp's registers.
+        The plan closes over the warps (never the core), advances their PC
+        and retired count, and returns False, executing nothing, when a
+        word load misses its page.
+        """
+        instr = self.fetch(pc)
+        mnemonic = instr.mnemonic
+        block = _warp_run(self.core, first, count)
+        members = tuple(self.core.warps[first : first + count])
+        if instr.spec.is_branch:
+            return self._group_branch(block, members, pc, instr)
+        if not (
+            mnemonic in ALU_VECTOR_OPS
+            or mnemonic in MUL_VECTOR_OPS
+            or mnemonic in ("lw", "flw")
+            or mnemonic in self._FPU_F32_FULL
+        ):
+            return None
+        plan = self._build_plan(block, pc)
+        next_pc = pc + 4
+
+        def run() -> bool:
+            if plan(block) is False:
+                return False
+            for warp in members:
+                warp.pc = next_pc
+                warp.instructions += 1
+            return True
+
+        return run
+
+    def _group_branch(self, block, members: tuple, pc: int, instr) -> Callable[[], bool]:
+        """Conditional branch over a run of warps: each warp votes along its
+        lanes and, like :meth:`_plan_branch`, follows its first thread."""
+        cmp, lhs, rhs = self._full_compare(instr, block.regs)
+        target = to_uint32(pc + instr.imm)
+        next_pc = pc + 4
+        perf = self.core.perf
+
+        def run() -> bool:
+            decisions = cmp(lhs, rhs)
+            if 0 < np.count_nonzero(decisions) < decisions.size:
+                # Divergent warps hold 0 < lane votes < threads.
+                votes = np.count_nonzero(decisions, axis=1) % decisions.shape[1]
+                if votes.any():
+                    perf.incr("divergent_branches", int(np.count_nonzero(votes)))
+            for warp, taken in zip(members, decisions[:, 0].tolist()):
+                warp.pc = target if taken else next_pc
+                warp.instructions += 1
+            return True
+
+        return run
 
     # -- ALU / MUL / DIV ---------------------------------------------------------------
 
@@ -249,23 +331,14 @@ class VectorWarpEmulator(WarpEmulator):
         (:meth:`_timing_plan_branch`) so there is exactly one compiled
         branch semantics shared by both paths.
         """
-        mnemonic = instr.mnemonic
         rs1_row = warp.regs.int_row(instr.rs1)
         rs2_row = warp.regs.int_row(instr.rs2)
         target = to_uint32(pc + instr.imm)
         next_pc = pc + 4
         perf = self.core.perf
-        # Signed comparisons reinterpret the rows once at build time; the
-        # masked path re-derives the comparator from the generic table.
-        if mnemonic in ("blt", "bge"):
-            full_lhs = rs1_row.view(np.int32)
-            full_rhs = rs2_row.view(np.int32)
-            full_cmp = np.less if mnemonic == "blt" else np.greater_equal
-        else:
-            full_lhs = rs1_row
-            full_rhs = rs2_row
-            full_cmp = BRANCH_VECTOR_OPS[mnemonic]
-        masked_cmp = BRANCH_VECTOR_OPS[mnemonic]
+        full_cmp, full_lhs, full_rhs = self._full_compare(instr, warp.regs)
+        # The masked path re-derives the comparator from the generic table.
+        masked_cmp = BRANCH_VECTOR_OPS[instr.mnemonic]
 
         def run(warp) -> bool:
             if warp.full:
@@ -287,6 +360,17 @@ class VectorWarpEmulator(WarpEmulator):
             return taken
 
         return run
+
+    @staticmethod
+    def _full_compare(instr: DecodedInstruction, regs) -> tuple:
+        """Full-mask comparator and operand rows of a conditional branch;
+        signed comparisons reinterpret the rows once at build time."""
+        rs1_row = regs.int_row(instr.rs1)
+        rs2_row = regs.int_row(instr.rs2)
+        if instr.mnemonic in ("blt", "bge"):
+            cmp = np.less if instr.mnemonic == "blt" else np.greater_equal
+            return cmp, rs1_row.view(np.int32), rs2_row.view(np.int32)
+        return BRANCH_VECTOR_OPS[instr.mnemonic], rs1_row, rs2_row
 
     def _plan_jal(self, warp, pc: int, instr: DecodedInstruction) -> Plan:
         target = to_uint32(pc + instr.imm)
@@ -328,19 +412,16 @@ class VectorWarpEmulator(WarpEmulator):
     # -- floating point ----------------------------------------------------------------
 
     #: Arithmetic FPU ops specialized with prebuilt float32 row views:
-    #: mnemonic -> (wide, full-mask implementation over float32 lanes).
-    #: ``wide`` ops compute through an exact float64 product first.
+    #: mnemonic -> full-mask implementation over float32 lanes ``(a, b, c)``.
+    #: The fused ops compute through an exact float64 product first.
     _FPU_F32_FULL = {
-        "fadd.s": (False, np.add),
-        "fsub.s": (False, np.subtract),
-        "fmul.s": (False, np.multiply),
-        "fmadd.s": (True, lambda a, b, c: np.multiply(a, b, dtype=np.float64) + c),
-        "fmsub.s": (True, lambda a, b, c: np.multiply(a, b, dtype=np.float64) - c),
-        "fnmsub.s": (True, lambda a, b, c: c - np.multiply(a, b, dtype=np.float64)),
-        "fnmadd.s": (
-            True,
-            lambda a, b, c: np.negative(np.multiply(a, b, dtype=np.float64)) - c,
-        ),
+        "fadd.s": lambda a, b, c: a + b,
+        "fsub.s": lambda a, b, c: a - b,
+        "fmul.s": lambda a, b, c: a * b,
+        "fmadd.s": lambda a, b, c: np.multiply(a, b, dtype=np.float64) + c,
+        "fmsub.s": lambda a, b, c: np.multiply(a, b, dtype=np.float64) - c,
+        "fnmsub.s": lambda a, b, c: c - np.multiply(a, b, dtype=np.float64),
+        "fnmadd.s": lambda a, b, c: np.negative(np.multiply(a, b, dtype=np.float64)) - c,
     }
 
     def _plan_fpu(self, warp, pc: int, instr: DecodedInstruction) -> Plan:
@@ -360,32 +441,27 @@ class VectorWarpEmulator(WarpEmulator):
             return run
         rd_row = regs.fp_row(rd) if spec.rd_float else regs.int_row(rd)
 
-        special = self._FPU_F32_FULL.get(mnemonic)
-        if special is not None:
+        fast = self._FPU_F32_FULL.get(mnemonic)
+        if fast is not None:
             from repro.arch.fpu import _round_bits
 
-            wide, fast = special
             lhs32 = rs1_row.view(np.float32)
             rhs32 = rs2_row.view(np.float32)
             acc32 = rs3_row.view(np.float32)
+            rd32 = rd_row.view(np.float32)
 
-            if wide:
-                def run(warp) -> None:
-                    if warp.full:
-                        result = fast(lhs32, rhs32, acc32).astype(np.float32)
-                        rd_row[:] = _round_bits(result)
-                    else:
-                        lanes = warp.lanes
-                        rd_row[lanes] = op(rs1_row[lanes], rs2_row[lanes], rs3_row[lanes])
-                    warp.pc = next_pc
-            else:
-                def run(warp) -> None:
-                    if warp.full:
-                        rd_row[:] = _round_bits(fast(lhs32, rhs32))
-                    else:
-                        lanes = warp.lanes
-                        rd_row[lanes] = op(rs1_row[lanes], rs2_row[lanes], rs3_row[lanes])
-                    warp.pc = next_pc
+            # Full-mask results land in rd directly; the max-reduction is
+            # NaN iff some lane is, and only then are NaNs canonicalized.
+            def run(warp) -> None:
+                if warp.full:
+                    rd32[:] = fast(lhs32, rhs32, acc32)
+                    top = np.maximum.reduce(rd32, axis=None)
+                    if top != top:
+                        rd_row[:] = _round_bits(rd32)
+                else:
+                    lanes = warp.lanes
+                    rd_row[lanes] = op(rs1_row[lanes], rs2_row[lanes], rs3_row[lanes])
+                warp.pc = next_pc
 
             return run
 
@@ -446,7 +522,9 @@ class VectorWarpEmulator(WarpEmulator):
 
         The steady-state full-mask path is one add (the immediate and the
         cached page base fold into a single constant), one OR-reduction
-        validating page residency and alignment at once, and one ``take``.
+        validating page residency and alignment at once, and one ``take`` —
+        over one warp's row or a run of warps' ``(n, threads)`` block; the
+        latter returns False on a miss instead of gathering.
         Keep the residency/alignment test and access accounting in sync
         with :meth:`repro.mem.memory.WordCursor.gather` — this is that
         fast path inlined (measured: the extra call is significant here).
@@ -456,19 +534,27 @@ class VectorWarpEmulator(WarpEmulator):
         cursor = memory.word_cursor()
         # state = [imm - page_start] — rebiased whenever the cursor re-anchors.
         state = [None]
+        grouped = rs1_row.ndim == 2
 
-        def run(warp) -> None:
+        def run(warp) -> bool | None:
             if warp.full:
                 biased = state[0]
                 if biased is not None:
                     relative = rs1_row + biased
-                    packed = int(np.bitwise_or.reduce(relative))
+                    packed = int(np.bitwise_or.reduce(relative, axis=None))
                     if packed < PAGE_SIZE and not (packed & 3):
-                        memory.reads += relative.shape[0]
+                        memory.reads += relative.size
                         if rd_row is not None:
                             rd_row[:] = cursor.words.take(relative >> np.uint32(2))
                         warp.pc = next_pc
-                        return
+                        return None
+                if grouped:
+                    # A run of warps misses as a whole: anchor on its first
+                    # lane's page for next time and report the miss, so the
+                    # warps execute one by one, in order.
+                    cursor._re_anchor(rs1_row[0] + imm)
+                    state[0] = imm - cursor.page_start
+                    return False
                 values = cursor.gather(rs1_row + imm)
                 state[0] = imm - cursor.page_start
                 if rd_row is not None:

@@ -2,13 +2,16 @@
 
 A warp is the unit the scheduler picks every cycle; all of its active
 threads execute the same instruction.  Vortex keeps scalar 32-bit register
-files per thread (Table 1), banked per warp in hardware; here each warp
-owns one numpy array per register class, laid out register-major
-(``uint32[NUM_REGISTERS, num_threads]``) so that one architectural
-register's lane vector — the value of ``x5`` across every thread of the
-warp — is a contiguous row.  The scalar accessors used by the functional
-emulator read single elements; the vectorized emulator
-(:mod:`repro.core.vector_emulator`) operates on whole rows under the thread mask.
+files per thread (Table 1), banked per warp in hardware; here each core
+owns one numpy stack per register class, ``uint32[NUM_REGISTERS, num_warps,
+num_threads]``, and a warp's register file is its ``stack[:, warp_id]``
+view.  One architectural register's lane vector — the value of ``x5``
+across every thread of the warp — is a contiguous row, and the same
+register of warps ``a .. a+n-1`` is one contiguous ``stack[5, a:a+n]``
+block.  The scalar accessors used by the functional emulator read single
+elements; the vectorized emulator (:mod:`repro.core.vector_emulator`)
+operates on whole rows under the thread mask, or on such a block for a run
+of warps at one PC.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ def _restore_bytes(
 
 
 #: One register class as raw little-endian bytes, restored in place
-#: (compiled lane plans hold views of the rows).
+#: (compiled lane plans hold views of the rows, and the file itself is a
+#: view of its core's register stack).
 _BYTES = Codec(lambda regs, array, refs: array.tobytes(), _restore_bytes)
 
 
@@ -59,17 +63,20 @@ class RegisterFile(Stateful):
 
     Storage is register-major: ``int_row(i)`` / ``fp_row(i)`` return the
     32-bit lane vector of one architectural register (a numpy view, shape
-    ``(num_threads,)``).  Row 0 of the integer file is the hardwired zero
+    ``(num_threads,)``).  Inside a core the two files are ``[:, warp_id]``
+    views of the core's ``int_stack``/``fp_stack``; built alone, the file
+    owns its arrays.  Row 0 of the integer file is the hardwired zero
     register: it is never written, so reads of the row are always zero.
     """
 
     STATE = {"_int_regs": _BYTES._replace(key="int"), "_fp_regs": _BYTES._replace(key="fp")}
     SNAPSHOT_EXCLUDED = frozenset({"num_threads"})
 
-    def __init__(self, num_threads: int):
+    def __init__(self, num_threads: int, *views: np.ndarray):
         self.num_threads = num_threads
-        self._int_regs = np.zeros((NUM_REGISTERS, num_threads), dtype=np.uint32)
-        self._fp_regs = np.zeros((NUM_REGISTERS, num_threads), dtype=np.uint32)
+        # ``views``: the (int, fp) arrays to hold the registers in, if given.
+        shape = (2, NUM_REGISTERS, num_threads)
+        self._int_regs, self._fp_regs = views or np.zeros(shape, dtype=np.uint32)
 
     # -- scalar access (functional emulator) ---------------------------------------
 
@@ -140,12 +147,13 @@ class Warp(Stateful):
         }
     )
 
-    def __init__(self, warp_id: int, num_threads: int, ipdom_depth: int = 32):
+    def __init__(self, warp_id: int, num_threads: int, ipdom_depth: int = 32, *views: np.ndarray):
         self.warp_id = warp_id
         self.num_threads = num_threads
         self.pc = 0
         self.active = False
-        self.regs = RegisterFile(num_threads)
+        #: ``views``: this warp's slices of its core's register stacks, if given.
+        self.regs = RegisterFile(num_threads, *views)
         self.ipdom = IpdomStack(depth=ipdom_depth)
         #: set while the warp waits at a barrier; cleared by the barrier table.
         self.at_barrier = False
