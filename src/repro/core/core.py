@@ -46,11 +46,11 @@ class SimtCore(Stateful):
     }
     #: Construction-time wiring (vxlint VX007): memory serializes at the
     #: processor level, the processor backref is topology, the emulator's
-    #: decode cache and the group plans derive from memory contents, and the
-    #: register stacks serialize through the warps' register files (views).
+    #: decode cache, group plans and window caches derive from memory contents,
+    #: and the register stacks serialize through the warps' register files (views).
     SNAPSHOT_EXCLUDED = frozenset(
         {"core_id", "config", "memory", "processor", "emulator", "int_stack", "fp_stack",
-         "group_plan_cache"}
+         "group_plan_cache", "private_pcs", "window_lengths"}
     )
 
     def __init__(
@@ -83,6 +83,11 @@ class SimtCore(Stateful):
         #: or None when the instruction executes warp by warp (built by the
         #: vectorized engine; dropped with its decode cache).
         self.group_plan_cache: dict[tuple[int, int, int], Any] = {}
+        #: pc -> whether its instruction is private to its warp, and a warp
+        #: PC layout -> how many rounds a private window from it last ran
+        #: (the vectorized processor's heuristic; dropped with the decodes).
+        self.private_pcs: dict[int, bool] = {}
+        self.window_lengths: dict[tuple[int, ...], int] = {}
         self.csr = CsrFile(
             core_id=core_id,
             num_warps=core_cfg.num_warps,

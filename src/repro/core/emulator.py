@@ -164,7 +164,7 @@ class WarpEmulator:
         cached = self._decode_cache.get(pc)
         if cached is not None:
             return cached
-        word = self.core.memory.read_word(pc)
+        word = self.core.memory.fetch_word(pc)
         try:
             instr = decode(word)
         except Exception as exc:

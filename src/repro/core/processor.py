@@ -2,7 +2,9 @@
 
 ``Processor`` is the functional (instruction-granular) multi-core model;
 its lane-vectorized subclass ``VectorProcessor`` is the FUNCSIM driver's
-engine, and ``Processor`` the tests' per-thread oracle for it.
+engine, and ``Processor`` the tests' per-thread oracle for it (warps step
+round-robin; ``VectorProcessor`` may run rounds of private code out of that
+order, and rolls back where that would show).
 ``TimingProcessor`` is the cycle-level model used by the SIMX driver.  All
 share the same device memory, support the global (inter-core) barriers
 selected by the MSB of the barrier id, and expose the performance counters
@@ -173,6 +175,12 @@ class VectorProcessor(Processor):
         ``max_instructions``; the rest executes warp by warp, checking the
         limit per instruction, so both engines raise at the same one.
 
+        Where every schedulable warp sits on a private instruction, up to
+        ``WINDOW_ROUNDS`` rounds run as one window out of round order
+        (:meth:`_window`): private instructions of different warps commute,
+        so any order that keeps each warp's own gives the same state.
+        Windows end before any pause boundary and below ``max_instructions``.
+
         ``stop_after_instructions`` pauses at the same scheduling-round
         boundaries as the scalar processor's, so a paused-and-resumed run
         replays the identical interleaving.
@@ -189,13 +197,17 @@ class VectorProcessor(Processor):
         # instruction, exactly like the scalar engine — and the limit is
         # checked per instruction so both engines raise at the same
         # boundary.
-        retired_per_core = [0] * len(cores)
-        threads_per_core = [0] * len(cores)
+        tallies = [[0, 0] for _ in cores]  # per core: warp, thread instructions
         try:
             with np.errstate(all="ignore"):
                 while True:
-                    progressed = False
-                    for index, core in enumerate(cores):
+                    committed = self._window(
+                        executed, max_instructions, stop_after_instructions, tallies
+                    )
+                    executed += committed
+                    progressed = committed > 0
+                    # A committed window stands for its rounds; else one round.
+                    for index, core in enumerate(() if committed else cores):
                         warps, csr, groups = core.warps, core.csr, core.group_plan_cache
                         num_warps = len(warps)
                         retired = 0
@@ -236,13 +248,11 @@ class VectorProcessor(Processor):
                                             executed += count
                                             first = end
                                             continue
-                                cache = warp.plan_cache
-                                plan = cache.get(pc)
-                                if plan is None:
-                                    plan = core.emulator._build_plan(warp, pc)
-                                    cache[pc] = plan
-                                thread_retired += warp.active_count
+                                plan = core.emulator._arch_plan(warp, pc)
+                                # Counted at issue, but only once it retires.
+                                active = warp.active_count
                                 plan(warp)
+                                thread_retired += active
                                 warp.instructions += 1
                                 csr.instret += 1
                                 retired += 1
@@ -257,8 +267,8 @@ class VectorProcessor(Processor):
                         finally:
                             if retired:
                                 progressed = True
-                                retired_per_core[index] += retired
-                                threads_per_core[index] += thread_retired
+                                tallies[index][0] += retired
+                                tallies[index][1] += thread_retired
                     if not progressed:
                         if self.done:
                             break
@@ -271,12 +281,140 @@ class VectorProcessor(Processor):
                     ):
                         break
         finally:
-            for index, core in enumerate(cores):
-                if retired_per_core[index]:
-                    core.perf.incr("instructions", retired_per_core[index])
-                    core.perf.incr("thread_instructions", threads_per_core[index])
+            for core, (retired, thread_retired) in zip(cores, tallies):
+                if retired:
+                    core.perf.incr("instructions", retired)
+                    core.perf.incr("thread_instructions", thread_retired)
         self.perf.incr("instructions", executed)
         return executed
+
+    def _window(
+        self, executed: int, max_instructions: int, stop: int | None, tallies: list
+    ) -> int:
+        """Run the next rounds as one private window if every schedulable
+        warp is on a private instruction; returns the warp instructions it
+        committed (0: none).  Each core's memo, keyed by its warps' PCs,
+        caps the length; a window that fails rolls back (:meth:`_roll_back`)
+        and the memo takes the depth the failing warps reached."""
+        cores = cast("list[VectorSimtCore]", self.cores)
+        keys = [tuple([w.pc if w.schedulable else -1 for w in core.warps]) for core in cores]
+        rounds, scheduled = WINDOW_ROUNDS, 0
+        for core, key in zip(cores, keys):
+            for pc in key:
+                if pc >= 0 and not (core.private_pcs.get(pc) or core.emulator.private(pc)):
+                    return 0
+            scheduled += len(key) - key.count(-1)
+            rounds = min(rounds, core.window_lengths.get(key, WINDOW_ROUNDS))
+        if not scheduled:
+            return 0
+        rounds = min(rounds, (max_instructions - executed - 1) // scheduled)
+        if stop is not None:
+            rounds = min(rounds, -(-(stop - executed) // scheduled))
+        while rounds >= 2:
+            saved = self.memory.reads, self.memory.writes, [
+                (core.int_stack.copy(), core.fp_stack.copy(), dict(core.perf._counters),
+                 [(warp.pc, warp.instructions) for warp in core.warps])
+                for core in cores
+            ]
+            depths = [_private_rounds(core, rounds) for core in cores]
+            if depths.count(None) == len(cores):
+                break
+            self._roll_back(saved)
+            for core, key, depth in zip(cores, keys, depths):
+                if depth is not None:
+                    if len(core.window_lengths) >= WINDOW_MEMO_LIMIT:
+                        core.window_lengths.clear()
+                    core.window_lengths[key] = depth
+                    rounds = min(rounds, depth)
+        else:
+            return 0
+        for tally, core, key in zip(tallies, cores, keys):
+            warps = [warp for warp, pc in zip(core.warps, key) if pc >= 0]
+            core.csr.instret += rounds * len(warps)
+            tally[0] += rounds * len(warps)
+            tally[1] += rounds * sum([warp.active_count for warp in warps])
+        return rounds * scheduled
+
+    def _roll_back(self, saved: tuple) -> None:
+        """Undo a window: restore the memory access counts and each core's
+        register stacks, counters and warp PCs and retired counts."""
+        self.memory.reads, self.memory.writes, cores = saved
+        for core, (int_stack, fp_stack, counters, warps) in zip(self.cores, cores):
+            core.int_stack[...] = int_stack
+            core.fp_stack[...] = fp_stack
+            core.perf._counters.clear()
+            core.perf._counters.update(counters)
+            for warp, (pc, instructions) in zip(core.warps, warps):
+                warp.pc, warp.instructions = pc, instructions
+
+
+#: Rounds one window runs at most; start layouts a core's memo holds.
+WINDOW_ROUNDS = 64
+WINDOW_MEMO_LIMIT = 1024
+
+
+def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
+    """Run ``rounds`` instructions of every schedulable warp of ``core``,
+    lowest PC first, all warps at that PC together (adjacent full-mask runs
+    as one group plan); None when they all ran, else the fewest
+    instructions a warp stopped at a non-private or raising one had run."""
+    groups, private, emulator = core.group_plan_cache, core.private_pcs, core.emulator
+    live = [warp for warp in core.warps if warp.schedulable]
+    targets = [warp.instructions + rounds for warp in core.warps]
+    # ``budget`` never exceeds any live warp's remaining instructions: every
+    # step takes one from it and at most one from each warp.
+    budget = 0
+    pc = -1
+    try:
+        while True:
+            if not budget:
+                live = [warp for warp in live if warp.instructions < targets[warp.warp_id]]
+                if not live:
+                    return None
+                budget = min([targets[warp.warp_id] - warp.instructions for warp in live])
+                together = _warp_runs(live)
+            budget -= 1
+            pcs = [warp.pc for warp in live]
+            pc = min(pcs)
+            if not (private.get(pc) or emulator.private(pc)):
+                break
+            if pcs.count(pc) == len(pcs):
+                runs = together
+            else:
+                runs = _warp_runs([warp for warp, at in zip(live, pcs) if at == pc])
+            for members in runs:
+                # As in a round: a group that misses runs its first warp
+                # alone, and the rest try again as a group.
+                while members:
+                    count = len(members)
+                    if count > 1:
+                        key = (pc, members[0].warp_id, count)
+                        group = groups.get(key)
+                        if group is None and key not in groups:
+                            group = groups[key] = emulator._build_group_plan(*key)
+                        if group is not None and group():
+                            break
+                    warp = members[0]
+                    emulator._arch_plan(warp, pc)(warp)
+                    warp.instructions += 1
+                    members = members[1:]
+    except Exception:  # rolled back: the rerun in round order raises it again
+        pass
+    stopped = [warp for warp in live if warp.pc == pc and warp.instructions < targets[warp.warp_id]]
+    return rounds - max([targets[warp.warp_id] - warp.instructions for warp in stopped])
+
+
+def _warp_runs(warps: list) -> list[list]:
+    """``warps`` (ascending ids) split into maximal runs of adjacent
+    full-mask warps; any other warp is a run of its own."""
+    runs: list[list] = []
+    for warp in warps:
+        last = runs[-1][-1] if runs else None
+        if last is not None and last.full and warp.full and last.warp_id + 1 == warp.warp_id:
+            runs[-1].append(warp)
+        else:
+            runs.append([warp])
+    return runs
 
 
 class TimingProcessor(_GlobalBarrierMixin):

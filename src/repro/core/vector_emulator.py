@@ -38,9 +38,10 @@ from repro.arch.alu import (
 )
 from repro.arch.fpu import FPU_VECTOR_OPS
 from repro.common.bitutils import to_uint32
-from repro.core.emulator import StepResult, WarpEmulator
+from repro.core.emulator import EmulationError, StepResult, WarpEmulator
 from repro.isa.decoder import DecodedInstruction
 from repro.isa.instructions import ExecUnit
+from repro.mem.memory import MemoryAccessError
 
 #: A plan executes one instruction for the warp it was built for (registers,
 #: memory, PC).  It binds that warp's register rows but takes the warp itself
@@ -51,6 +52,12 @@ Plan = Callable[[Any], None]
 
 #: A timing plan additionally returns ``(taken_branch, request_addresses)``.
 TimingPlan = Callable[[Any], tuple]
+
+#: Integer instructions that are private (:meth:`VectorWarpEmulator.private`)
+#: besides branches and loads.
+_PRIVATE_MNEMONICS = frozenset(
+    {"lui", "auipc", "jal", "jalr", *ALU_VECTOR_OPS, *MUL_VECTOR_OPS, *DIV_VECTOR_OPS}
+)
 
 
 def _warp_run(core, first: int, count: int) -> SimpleNamespace:
@@ -99,14 +106,13 @@ def _sext_vec(values: np.ndarray, sign_bit: int) -> np.ndarray:
 class VectorWarpEmulator(WarpEmulator):
     """Executes instructions for the warps of one core, one lane vector at a time.
 
-    Plans execute exactly one instruction — never fused blocks — so the
-    cross-warp round-robin interleaving of memory accesses in
-    :class:`~repro.core.processor.VectorProcessor`'s loop matches the
-    scalar engine exactly (kernels like bfs communicate through memory
-    flags and observe that order).  A group plan runs one instruction for
-    adjacent warps at one PC; it keeps that order because those warps are
-    consecutive in the round and its instruction (no store, CSR or SIMT
-    control) touches nothing another warp can see.
+    Plans execute exactly one instruction — never fused blocks — and a group
+    plan one instruction for adjacent warps at one PC.  Which order they run
+    in is :class:`~repro.core.processor.VectorProcessor`'s business: round
+    order wherever warps can see each other (kernels like bfs communicate
+    through memory flags and observe it), and any order that keeps each
+    warp's own inside a window of :meth:`private` instructions, which
+    commute.
     """
 
     # -- plan construction -------------------------------------------------------------
@@ -153,7 +159,28 @@ class VectorWarpEmulator(WarpEmulator):
 
     def invalidate_decode_cache(self) -> None:
         super().invalidate_decode_cache()
-        self.core.group_plan_cache.clear()
+        core = self.core
+        core.group_plan_cache.clear()
+        core.private_pcs.clear()
+        core.window_lengths.clear()
+
+    def private(self, pc: int) -> bool:
+        """Whether the instruction at ``pc`` is *private* (cached in the
+        core's ``private_pcs``): it writes only its own warp's registers and
+        PC, and reads only those and memory — ALU, MUL/DIV, the vector FPU
+        ops, ``lui``/``auipc``, branches, jumps and loads.  Private
+        instructions of different warps commute while nothing stores."""
+        try:
+            instr = self.fetch(pc)
+        except (EmulationError, MemoryAccessError):
+            private = False  # the in-order step raises it
+        else:
+            spec = instr.spec
+            private = spec.is_branch or spec.is_load or instr.mnemonic in _PRIVATE_MNEMONICS
+            if spec.unit in (ExecUnit.FPU, ExecUnit.FDIV):
+                private = instr.mnemonic in FPU_VECTOR_OPS
+        self.core.private_pcs[pc] = private
+        return private
 
     def _build_group_plan(self, pc: int, first: int, count: int) -> Callable[[], bool] | None:
         """One plan for the full-mask warps ``first .. first+count-1`` at
@@ -163,7 +190,7 @@ class VectorWarpEmulator(WarpEmulator):
         conditional branches: their effects stay in each warp's registers.
         The plan closes over the warps (never the core), advances their PC
         and retired count, and returns False, executing nothing, when a
-        word load misses its page.
+        word load is misaligned (the warps then raise one by one, in order).
         """
         instr = self.fetch(pc)
         mnemonic = instr.mnemonic
@@ -494,8 +521,6 @@ class VectorWarpEmulator(WarpEmulator):
         elif mnemonic in ("lb", "lbu"):
             gather, sign_bit = memory.gather_bytes, 8 if mnemonic == "lb" else 0
         else:
-            from repro.core.emulator import EmulationError
-
             raise EmulationError(f"unhandled load {mnemonic}")
 
         def run(warp) -> None:
@@ -523,8 +548,8 @@ class VectorWarpEmulator(WarpEmulator):
         The steady-state full-mask path is one add (the immediate and the
         cached page base fold into a single constant), one OR-reduction
         validating page residency and alignment at once, and one ``take`` —
-        over one warp's row or a run of warps' ``(n, threads)`` block; the
-        latter returns False on a miss instead of gathering.
+        over one warp's row or a run of warps' ``(n, threads)`` block, which
+        gathers across pages on a miss but returns False instead of raising.
         Keep the residency/alignment test and access accounting in sync
         with :meth:`repro.mem.memory.WordCursor.gather` — this is that
         fast path inlined (measured: the extra call is significant here).
@@ -548,17 +573,17 @@ class VectorWarpEmulator(WarpEmulator):
                             rd_row[:] = cursor.words.take(relative >> np.uint32(2))
                         warp.pc = next_pc
                         return None
+                addresses = rs1_row + imm
                 if grouped:
-                    # A run of warps misses as a whole: anchor on its first
-                    # lane's page for next time and report the miss, so the
-                    # warps execute one by one, in order.
-                    cursor._re_anchor(rs1_row[0] + imm)
-                    state[0] = imm - cursor.page_start
-                    return False
-                values = cursor.gather(rs1_row + imm)
+                    addresses = addresses.ravel()
+                    if int(np.bitwise_or.reduce(addresses)) & 3:
+                        cursor._re_anchor(addresses)
+                        state[0] = imm - cursor.page_start
+                        return False
+                values = cursor.gather(addresses)
                 state[0] = imm - cursor.page_start
                 if rd_row is not None:
-                    rd_row[:] = values
+                    rd_row[:] = values.reshape(rd_row.shape)
             else:
                 values = cursor.gather(rs1_row[warp.lanes] + imm)
                 state[0] = imm - cursor.page_start
@@ -583,8 +608,6 @@ class VectorWarpEmulator(WarpEmulator):
         elif mnemonic == "sb":
             scatter = memory.scatter_bytes
         else:
-            from repro.core.emulator import EmulationError
-
             raise EmulationError(f"unhandled store {mnemonic}")
 
         def run(warp) -> None:
@@ -853,8 +876,6 @@ class VectorWarpEmulator(WarpEmulator):
     def _plan_scalar(self, warp, pc: int, instr: DecodedInstruction) -> Plan:
         handler = self._MNEMONIC_HANDLERS.get(instr.mnemonic)
         if handler is None:
-            from repro.core.emulator import EmulationError
-
             raise EmulationError(f"unhandled instruction {instr.mnemonic}")
         unit = instr.spec.unit
 

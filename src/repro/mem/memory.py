@@ -124,11 +124,17 @@ class MainMemory(Stateful):
 
     def read_word(self, address: int) -> int:
         """Read a little-endian 32-bit word (must be 4-byte aligned)."""
+        word = self.fetch_word(address)
+        self.reads += 1
+        return word
+
+    def fetch_word(self, address: int) -> int:
+        """:meth:`read_word` for instruction decode, which ``reads`` does not
+        count: decodes are cached, and a restored device decodes again."""
         if address & 3:
             raise MemoryAccessError(f"misaligned word read at {address:#x}")
         address = to_uint32(address)
         _, words = self._page(address)
-        self.reads += 1
         return int(words[(address & PAGE_MASK) >> 2])
 
     def write_word(self, address: int, value: int) -> None:

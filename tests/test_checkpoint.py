@@ -165,6 +165,25 @@ class TestDriverCheckpoint:
         assert fresh.driver.done
         assert reports_identical(reference, report)
 
+    @pytest.mark.parametrize(
+        "driver,pause",
+        [("funcsim", {"stop_after_instructions": 500}), ("simx", {"stop_cycle": 900})],
+    )
+    def test_restored_run_ends_in_the_straight_runs_state(self, driver, pause):
+        """Not just the counters: the whole processor state.  A restored
+        device decodes every PC again, and decoding is not a data read, so
+        ``memory.reads`` agrees too."""
+        straight, _, program, _ = _staged_device(driver, kernel="sgemm", size=64)
+        straight.driver.run(program.entry)
+
+        paused, _, program, _ = _staged_device(driver, kernel="sgemm", size=64)
+        paused.driver.run(program.entry, **pause)
+        assert not paused.driver.done
+        fresh = VortexDevice(CFG, driver=driver)
+        fresh.restore(pickle.loads(pickle.dumps(paused.checkpoint())))
+        fresh.driver.run(None, resume=True)
+        assert fresh.driver.processor.snapshot() == straight.driver.processor.snapshot()
+
     @pytest.mark.parametrize("driver", ["simx", "funcsim"])
     def test_snapshot_mutate_restore_rewinds(self, driver):
         device, _, program, _ = _staged_device(driver)
