@@ -1,11 +1,11 @@
 """The functional SIMT core.
 
 ``SimtCore`` composes the warp state, the warp-level emulator, the barrier
-table, the CSR file and the texture unit into a core that can run a kernel
-to completion at instruction granularity (this is what the FUNCSIM driver
-uses, and what the cycle-level TimingCore embeds for its architectural
-state).  Multi-core functional execution is provided by
-:class:`repro.core.processor.Processor`.
+table, the CSR file and the texture unit into a core that executes one warp
+instruction at a time (:meth:`SimtCore.step_warp`, with its counters and
+``instret``).  Which warp steps when is the business of the functional
+processors in :mod:`repro.core.processor`; the cycle-level TimingCore
+embeds the core for its architectural state.
 
 ``VectorSimtCore`` is the same core executing whole-warp lane vectors
 (:class:`~repro.core.vector_emulator.VectorWarpEmulator`): the core both
@@ -23,7 +23,7 @@ from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable, is_global_barrier
-from repro.core.emulator import EmulationError, SimulationLimitExceeded, StepResult, WarpEmulator
+from repro.core.emulator import WarpEmulator
 from repro.core.vector_emulator import VectorWarpEmulator
 from repro.core.warp import NUM_REGISTERS, Warp
 from repro.arch.csr import CsrFile
@@ -169,19 +169,12 @@ class SimtCore(Stateful):
         """True when every wavefront has terminated."""
         return all(not warp.active for warp in self.warps)
 
-    @property
-    def deadlocked(self) -> bool:
-        """True when wavefronts exist but all of them are stalled at barriers."""
-        active = [warp for warp in self.warps if warp.active]
-        return bool(active) and all(warp.at_barrier for warp in active)
-
-    def step_warp(self, warp: Warp) -> StepResult:
+    def step_warp(self, warp: Warp) -> None:
         """Execute one instruction of ``warp`` and update counters."""
         result = self.emulator.step(warp)
         self.perf.incr("instructions")
         self.perf.incr("thread_instructions", result.active_thread_count)
         self.csr.retire(1)
-        return result
 
     def step_warp_timing(self, warp: Warp) -> Any:
         """Execute one instruction of ``warp`` for the cycle-level core.
@@ -190,8 +183,8 @@ class SimtCore(Stateful):
         through the emulator's ``step_timing``: the vectorized emulator runs
         a compiled timing plan and returns a
         :class:`repro.core.vector_emulator.TimingStep`; the per-thread
-        emulator returns its :class:`StepResult`, which exposes the same
-        ``instr``, ``active_thread_count``, ``taken_branch`` and
+        emulator returns its :class:`~repro.core.emulator.StepResult`, which
+        exposes the same ``instr``, ``active_thread_count``, ``taken_branch`` and
         ``request_addresses`` facts.
         """
         step = self.emulator.step_timing(warp)
@@ -200,40 +193,20 @@ class SimtCore(Stateful):
         self.csr.retire(1)
         return step
 
-    def run(self, max_instructions: int = 10_000_000) -> int:
-        """Run until all wavefronts terminate; returns instructions executed.
-
-        Wavefronts are interleaved round-robin at instruction granularity so
-        that intra-core barriers behave as they do in hardware.
-        """
-        executed = 0
-        while not self.done:
-            progressed = False
-            for warp in self.warps:
-                if not warp.schedulable:
-                    continue
-                self.step_warp(warp)
-                executed += 1
-                progressed = True
-                if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        "instructions",
-                        max_instructions,
-                        f"core {self.core_id} exceeded the instruction limit "
-                        f"({max_instructions}); possible runaway kernel",
-                    )
-            if not progressed:
-                if self.deadlocked and self.processor is None:
-                    raise EmulationError(
-                        f"core {self.core_id} deadlocked: all active wavefronts "
-                        "are waiting at barriers"
-                    )
-                break
-        return executed
-
 
 class VectorSimtCore(SimtCore):
     """One Vortex core executing with lane-parallel (vectorized) semantics."""
 
     emulator_cls = VectorWarpEmulator
     emulator: VectorWarpEmulator
+
+    def step_warp(self, warp: Warp) -> None:
+        """Execute one instruction of ``warp`` through its cached lane plan,
+        with the per-thread core's bookkeeping."""
+        active = warp.active_count  # counted at issue, charged once it retires
+        self.emulator._arch_plan(warp, warp.pc)(warp)
+        warp.instructions += 1
+        counters = self.perf._counters
+        counters["instructions"] += 1
+        counters["thread_instructions"] += active
+        self.csr.instret += 1

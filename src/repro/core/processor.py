@@ -2,9 +2,10 @@
 
 ``Processor`` is the functional (instruction-granular) multi-core model;
 its lane-vectorized subclass ``VectorProcessor`` is the FUNCSIM driver's
-engine, and ``Processor`` the tests' per-thread oracle for it (warps step
-round-robin; ``VectorProcessor`` may run rounds of private code out of that
-order, and rolls back where that would show).
+engine, and ``Processor`` the tests' per-thread oracle for it.  Both step
+warps round-robin through one loop, ``Processor._round``; ``VectorProcessor``
+also runs windows of rounds of private code out of that order (same-PC warps
+as one group plan), and rolls back where that would show.
 ``TimingProcessor`` is the cycle-level model used by the SIMX driver.  All
 share the same device memory, support the global (inter-core) barriers
 selected by the MSB of the barrier id, and expose the performance counters
@@ -126,27 +127,34 @@ class Processor(_GlobalBarrierMixin):
             self.reset(entry_pc)
         executed = 0
         while not self.done:
-            progressed = False
-            for core in self.cores:
-                for warp in core.warps:
-                    if not warp.schedulable:
-                        continue
-                    core.step_warp(warp)
-                    executed += 1
-                    progressed = True
-                    if executed >= max_instructions:
-                        raise SimulationLimitExceeded(
-                            "instructions",
-                            max_instructions,
-                            f"processor exceeded the instruction limit ({max_instructions})",
-                        )
-            if not progressed:
-                raise EmulationError(
-                    "processor deadlocked: active wavefronts exist but none can execute"
-                )
+            executed = self._round(executed, max_instructions)
             if stop_after_instructions is not None and executed >= stop_after_instructions:
                 break
         self.perf.incr("instructions", executed)
+        return executed
+
+    def _round(self, executed: int, max_instructions: int) -> int:
+        """One scheduling round: every schedulable warp steps once, in core
+        and warp order, the limit checked per instruction; returns
+        ``executed`` plus the round's instructions."""
+        progressed = False
+        for core in self.cores:
+            for warp in core.warps:
+                if not warp.schedulable:
+                    continue
+                core.step_warp(warp)
+                executed += 1
+                progressed = True
+                if executed >= max_instructions:
+                    raise SimulationLimitExceeded(
+                        "instructions",
+                        max_instructions,
+                        f"processor exceeded the instruction limit ({max_instructions})",
+                    )
+        if not progressed:
+            raise EmulationError(
+                "processor deadlocked: active wavefronts exist but none can execute"
+            )
         return executed
 
     def counters(self) -> dict[str, dict[str, int]]:
@@ -167,130 +175,31 @@ class VectorProcessor(Processor):
     ) -> int:
         """Run to completion; returns total warp instructions executed.
 
-        Cores and wavefronts are interleaved at instruction granularity
-        exactly like the scalar processor.  A run of adjacent schedulable
-        full-mask warps at one PC executes as one group plan when the
-        instruction's effects stay inside each warp's registers (so the run
-        at once is the run in round order) and the run fits under
-        ``max_instructions``; the rest executes warp by warp, checking the
-        limit per instruction, so both engines raise at the same one.
-
         Where every schedulable warp sits on a private instruction, up to
         ``WINDOW_ROUNDS`` rounds run as one window out of round order
         (:meth:`_window`): private instructions of different warps commute,
         so any order that keeps each warp's own gives the same state.
         Windows end before any pause boundary and below ``max_instructions``.
-
-        ``stop_after_instructions`` pauses at the same scheduling-round
-        boundaries as the scalar processor's, so a paused-and-resumed run
-        replays the identical interleaving.
+        Everywhere else the scalar processor's round runs, each warp through
+        its lane plan, so both engines raise at the same instruction and
+        pause at the same round boundaries.
         """
         if entry_pc is not None:
             self.reset(entry_pc)
         executed = 0
-        cores = cast("list[VectorSimtCore]", self.cores)
-        # Performance counters are accumulated in plain ints and flushed
-        # into the perf state once at the end (or on error): nothing
-        # observes them mid-run and the per-instruction increments are
-        # measurable at this loop's throughput.  The instret CSR *is*
-        # guest-visible (csrrs of INSTRET), so it advances per retired
-        # instruction, exactly like the scalar engine — and the limit is
-        # checked per instruction so both engines raise at the same
-        # boundary.
-        tallies = [[0, 0] for _ in cores]  # per core: warp, thread instructions
-        try:
-            with np.errstate(all="ignore"):
-                while True:
-                    committed = self._window(
-                        executed, max_instructions, stop_after_instructions, tallies
-                    )
+        with np.errstate(all="ignore"):
+            while not self.done:
+                committed = self._window(executed, max_instructions, stop_after_instructions)
+                if committed:
                     executed += committed
-                    progressed = committed > 0
-                    # A committed window stands for its rounds; else one round.
-                    for index, core in enumerate(() if committed else cores):
-                        warps, csr, groups = core.warps, core.csr, core.group_plan_cache
-                        num_warps = len(warps)
-                        retired = 0
-                        thread_retired = 0
-                        try:
-                            first = 0
-                            while first < num_warps:
-                                warp = warps[first]
-                                first += 1
-                                if not warp.active or warp.at_barrier or warp._tmask == 0:
-                                    continue
-                                pc = warp.pc
-                                if warp.full:
-                                    end = first
-                                    while end < num_warps:
-                                        other = warps[end]
-                                        if (
-                                            other.pc != pc
-                                            or not other.full
-                                            or not other.active
-                                            or other.at_barrier
-                                        ):
-                                            break
-                                        end += 1
-                                    count = end - first + 1
-                                    if count > 1 and executed + count < max_instructions:
-                                        key = (pc, first - 1, count)
-                                        group = groups.get(key)
-                                        if group is None and key not in groups:
-                                            group = core.emulator._build_group_plan(
-                                                pc, first - 1, count
-                                            )
-                                            groups[key] = group
-                                        if group is not None and group():
-                                            thread_retired += count * warp.active_count
-                                            csr.instret += count
-                                            retired += count
-                                            executed += count
-                                            first = end
-                                            continue
-                                plan = core.emulator._arch_plan(warp, pc)
-                                # Counted at issue, but only once it retires.
-                                active = warp.active_count
-                                plan(warp)
-                                thread_retired += active
-                                warp.instructions += 1
-                                csr.instret += 1
-                                retired += 1
-                                executed += 1
-                                if executed >= max_instructions:
-                                    raise SimulationLimitExceeded(
-                                        "instructions",
-                                        max_instructions,
-                                        "processor exceeded the instruction limit "
-                                        f"({max_instructions})",
-                                    )
-                        finally:
-                            if retired:
-                                progressed = True
-                                tallies[index][0] += retired
-                                tallies[index][1] += thread_retired
-                    if not progressed:
-                        if self.done:
-                            break
-                        raise EmulationError(
-                            "processor deadlocked: active wavefronts exist but none can execute"
-                        )
-                    if (
-                        stop_after_instructions is not None
-                        and executed >= stop_after_instructions
-                    ):
-                        break
-        finally:
-            for core, (retired, thread_retired) in zip(cores, tallies):
-                if retired:
-                    core.perf.incr("instructions", retired)
-                    core.perf.incr("thread_instructions", thread_retired)
+                else:
+                    executed = self._round(executed, max_instructions)
+                if stop_after_instructions is not None and executed >= stop_after_instructions:
+                    break
         self.perf.incr("instructions", executed)
         return executed
 
-    def _window(
-        self, executed: int, max_instructions: int, stop: int | None, tallies: list
-    ) -> int:
+    def _window(self, executed: int, max_instructions: int, stop: int | None) -> int:
         """Run the next rounds as one private window if every schedulable
         warp is on a private instruction; returns the warp instructions it
         committed (0: none).  Each core's memo, keyed by its warps' PCs,
@@ -301,7 +210,7 @@ class VectorProcessor(Processor):
         rounds, scheduled = WINDOW_ROUNDS, 0
         for core, key in zip(cores, keys):
             for pc in key:
-                if pc >= 0 and not (core.private_pcs.get(pc) or core.emulator.private(pc)):
+                if pc >= 0 and not core.emulator.private(pc):
                     return 0
             scheduled += len(key) - key.count(-1)
             rounds = min(rounds, core.window_lengths.get(key, WINDOW_ROUNDS))
@@ -328,11 +237,11 @@ class VectorProcessor(Processor):
                     rounds = min(rounds, depth)
         else:
             return 0
-        for tally, core, key in zip(tallies, cores, keys):
+        for core, key in zip(cores, keys):
             warps = [warp for warp, pc in zip(core.warps, key) if pc >= 0]
             core.csr.instret += rounds * len(warps)
-            tally[0] += rounds * len(warps)
-            tally[1] += rounds * sum([warp.active_count for warp in warps])
+            core.perf.incr("instructions", rounds * len(warps))
+            core.perf.incr("thread_instructions", rounds * sum([w.active_count for w in warps]))
         return rounds * scheduled
 
     def _roll_back(self, saved: tuple) -> None:
@@ -356,8 +265,9 @@ WINDOW_MEMO_LIMIT = 1024
 def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
     """Run ``rounds`` instructions of every schedulable warp of ``core``,
     lowest PC first, all warps at that PC together (adjacent full-mask runs
-    as one group plan); None when they all ran, else the fewest
-    instructions a warp stopped at a non-private or raising one had run."""
+    as one group plan, the only place group plans run); None when they all
+    ran, else the fewest instructions a warp stopped at a non-private or
+    raising one had run."""
     groups, private, emulator = core.group_plan_cache, core.private_pcs, core.emulator
     live = [warp for warp in core.warps if warp.schedulable]
     targets = [warp.instructions + rounds for warp in core.warps]
@@ -376,15 +286,16 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
             budget -= 1
             pcs = [warp.pc for warp in live]
             pc = min(pcs)
-            if not (private.get(pc) or emulator.private(pc)):
+            is_private = private.get(pc)
+            if not (emulator.private(pc) if is_private is None else is_private):
                 break
             if pcs.count(pc) == len(pcs):
                 runs = together
             else:
                 runs = _warp_runs([warp for warp, at in zip(live, pcs) if at == pc])
             for members in runs:
-                # As in a round: a group that misses runs its first warp
-                # alone, and the rest try again as a group.
+                # A group that misses runs its first warp alone, and the
+                # rest try again as a group.
                 while members:
                     count = len(members)
                     if count > 1:

@@ -108,11 +108,12 @@ class VectorWarpEmulator(WarpEmulator):
 
     Plans execute exactly one instruction — never fused blocks — and a group
     plan one instruction for adjacent warps at one PC.  Which order they run
-    in is :class:`~repro.core.processor.VectorProcessor`'s business: round
-    order wherever warps can see each other (kernels like bfs communicate
-    through memory flags and observe it), and any order that keeps each
-    warp's own inside a window of :meth:`private` instructions, which
-    commute.
+    in is :class:`~repro.core.processor.VectorProcessor`'s business: the
+    per-thread oracle's round order, one warp's plan at a time, wherever
+    warps can see each other (kernels like bfs communicate through memory
+    flags and observe it), and any order that keeps each warp's own inside a
+    window of :meth:`private` instructions, which commute — the only place
+    group plans run.
     """
 
     # -- plan construction -------------------------------------------------------------
@@ -170,6 +171,9 @@ class VectorWarpEmulator(WarpEmulator):
         PC, and reads only those and memory — ALU, MUL/DIV, the vector FPU
         ops, ``lui``/``auipc``, branches, jumps and loads.  Private
         instructions of different warps commute while nothing stores."""
+        private = self.core.private_pcs.get(pc)
+        if private is not None:
+            return private
         try:
             instr = self.fetch(pc)
         except (EmulationError, MemoryAccessError):

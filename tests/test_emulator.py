@@ -1,37 +1,35 @@
 """Tests for the warp-level instruction emulator and the functional core.
 
 These tests assemble small programs with the builder DSL, load them into
-device memory and run them on a :class:`SimtCore`, checking architectural
-state afterwards — the same flow the FUNCSIM driver uses.
+device memory and run them on a one-core functional :class:`Processor`,
+checking architectural state afterwards — the same flow the FUNCSIM driver
+uses.
 """
 
 import pytest
 
 from repro.common.bitutils import bits_to_float, to_int32
 from repro.common.config import VortexConfig
-from repro.core.core import SimtCore
-from repro.core.emulator import EmulationError
+from repro.core.emulator import SimulationLimitExceeded
+from repro.core.processor import Processor
 from repro.isa.builder import ProgramBuilder
 from repro.isa.csr import CSR
 from repro.isa.registers import FReg, Reg
-from repro.mem.memory import MainMemory
 
 BASE = 0x8000_0000
 
 
-def make_core(num_warps=4, num_threads=4) -> SimtCore:
-    config = VortexConfig().with_warps_threads(num_warps, num_threads)
-    return SimtCore(core_id=0, config=config, memory=MainMemory(), processor=None)
+def make_processor(num_warps=4, num_threads=4) -> Processor:
+    return Processor(VortexConfig().with_warps_threads(num_warps, num_threads))
 
 
-def run_program(core: SimtCore, build, max_instructions=100_000):
-    """Assemble ``build(asm)`` into memory, reset the core and run it."""
+def run_program(proc: Processor, build, max_instructions=100_000):
+    """Assemble ``build(asm)`` into memory and run it from its entry."""
     asm = ProgramBuilder(base=BASE)
     build(asm)
     program = asm.assemble()
-    core.memory.load_words(program.base, program.words)
-    core.reset(program.entry)
-    core.run(max_instructions=max_instructions)
+    proc.memory.load_words(program.base, program.words)
+    proc.run(program.entry, max_instructions=max_instructions)
     return program
 
 
@@ -44,7 +42,8 @@ def halt(asm):
 
 
 def test_arithmetic_and_memory_roundtrip():
-    core = make_core()
+    proc = make_processor()
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.t0, 21)
@@ -56,13 +55,14 @@ def test_arithmetic_and_memory_roundtrip():
         asm.sw(Reg.t2, 4, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0x1000) == 42
     assert core.memory.read_word(0x1004) == 50
 
 
 def test_branch_loop_and_jal():
-    core = make_core()
+    proc = make_processor()
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.t0, 5)        # counter
@@ -75,12 +75,13 @@ def test_branch_loop_and_jal():
         asm.sw(Reg.t1, 0, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0x2000) == 15
 
 
 def test_function_call_and_return():
-    core = make_core()
+    proc = make_processor()
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.a0, 7)
@@ -92,12 +93,13 @@ def test_function_call_and_return():
         asm.add(Reg.a0, Reg.a0, Reg.a0)
         asm.ret()
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0x3000) == 14
 
 
 def test_float_arithmetic_through_memory():
-    core = make_core()
+    proc = make_processor()
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.a0, 0x4000)
@@ -109,13 +111,14 @@ def test_float_arithmetic_through_memory():
         asm.fsw(FReg.fa3, 4, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert bits_to_float(core.memory.read_word(0x4000)) == pytest.approx(3.75)
     assert bits_to_float(core.memory.read_word(0x4004)) == pytest.approx(3.375)
 
 
 def test_byte_and_half_loads_sign_extend():
-    core = make_core()
+    proc = make_processor()
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.a0, 0x5000)
@@ -131,7 +134,7 @@ def test_byte_and_half_loads_sign_extend():
         asm.sw(Reg.t4, 16, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert to_int32(core.memory.read_word(0x5004)) == -127      # sign-extended 0x81
     assert core.memory.read_word(0x5008) == 0x81
     assert to_int32(core.memory.read_word(0x500C)) == -32639    # 0x8081
@@ -142,7 +145,8 @@ def test_byte_and_half_loads_sign_extend():
 
 
 def test_csr_reads_machine_geometry():
-    core = make_core(num_warps=4, num_threads=4)
+    proc = make_processor(num_warps=4, num_threads=4)
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.a0, 0x6000)
@@ -158,7 +162,7 @@ def test_csr_reads_machine_geometry():
         asm.sw(Reg.t4, 16, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0x6000) == 4
     assert core.memory.read_word(0x6004) == 4
     assert core.memory.read_word(0x6008) == 0
@@ -167,7 +171,8 @@ def test_csr_reads_machine_geometry():
 
 
 def test_tmc_activates_threads_with_per_thread_ids():
-    core = make_core(num_warps=1, num_threads=4)
+    proc = make_processor(num_warps=1, num_threads=4)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -180,12 +185,13 @@ def test_tmc_activates_threads_with_per_thread_ids():
         asm.sw(Reg.t1, 0, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_words(0x7000, 4) == [0, 1, 2, 3]
 
 
 def test_wspawn_launches_other_warps():
-    core = make_core(num_warps=4, num_threads=1)
+    proc = make_processor(num_warps=4, num_threads=1)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_WARPS)
@@ -201,13 +207,14 @@ def test_wspawn_launches_other_warps():
         asm.sw(Reg.t4, 0, Reg.a0)
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_words(0x8000, 4) == [100, 101, 102, 103]
     assert core.perf.get("wspawns") == 1
 
 
 def test_split_join_divergence_both_paths_execute():
-    core = make_core(num_warps=1, num_threads=4)
+    proc = make_processor(num_warps=1, num_threads=4)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -232,13 +239,14 @@ def test_split_join_divergence_both_paths_execute():
         asm.label("endif")
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_words(0x9000, 4) == [1111, 2222, 1111, 2222]
     assert core.perf.get("divergent_splits") == 1
 
 
 def test_uniform_split_skips_untaken_side():
-    core = make_core(num_warps=1, num_threads=4)
+    proc = make_processor(num_warps=1, num_threads=4)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -258,13 +266,14 @@ def test_uniform_split_skips_untaken_side():
         asm.label("endif")
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0xA000) == 7
     assert core.perf.get("uniform_splits") == 1
 
 
 def test_barrier_synchronizes_warps():
-    core = make_core(num_warps=4, num_threads=1)
+    proc = make_processor(num_warps=4, num_threads=1)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_WARPS)
@@ -296,35 +305,37 @@ def test_barrier_synchronizes_warps():
         asm.label("done")
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.memory.read_word(0xB010) == 4
     assert core.perf.get("barrier_stalls") >= 1
 
 
 def test_ecall_halts_the_warp():
-    core = make_core(num_warps=1, num_threads=1)
+    proc = make_processor(num_warps=1, num_threads=1)
+    core = proc.cores[0]
 
     def build(asm):
         asm.li(Reg.t0, 3)
         asm.ecall()
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.done
 
 
 def test_runaway_kernel_hits_instruction_limit():
-    core = make_core(num_warps=1, num_threads=1)
+    proc = make_processor(num_warps=1, num_threads=1)
 
     def build(asm):
         loop = asm.label("forever")
         asm.j(loop)
 
-    with pytest.raises(EmulationError):
-        run_program(core, build, max_instructions=1000)
+    with pytest.raises(SimulationLimitExceeded):
+        run_program(proc, build, max_instructions=1000)
 
 
 def test_divergent_branch_without_split_is_counted():
-    core = make_core(num_warps=1, num_threads=4)
+    proc = make_processor(num_warps=1, num_threads=4)
+    core = proc.cores[0]
 
     def build(asm):
         asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -336,5 +347,5 @@ def test_divergent_branch_without_split_is_counted():
         asm.label("skip")
         halt(asm)
 
-    run_program(core, build)
+    run_program(proc, build)
     assert core.perf.get("divergent_branches") >= 1

@@ -4,7 +4,8 @@ Every kernel in ``repro/kernels`` runs on ``funcsim`` and on the per-thread
 oracle ``funcsimref`` (``tests/conftest.py``) with the same inputs and the
 final architectural state must be bit-identical:
 integer and floating-point registers of every warp of every core, the
-retired-instruction counts, and all of device memory.
+retired-instruction counts, and all of device memory — and so must every
+core's performance counters and ``instret`` CSR.
 """
 
 import numpy as np
@@ -33,10 +34,12 @@ def _architectural_state(driver):
 
 
 def _run_kernel(kernel, driver, config, size):
+    """The report, the architectural state and each core's ``instret``."""
     device = VortexDevice(config, driver=driver)
     run = kernel.run(device, size=size)
     assert run.passed, f"{kernel.name} failed verification on {driver}"
-    return run.report, _architectural_state(device.driver)
+    instret = [core.csr.instret for core in device.driver.processor.cores]
+    return run.report, _architectural_state(device.driver), instret
 
 
 def _run(kernel_name, driver, config, size):
@@ -46,15 +49,17 @@ def _run(kernel_name, driver, config, size):
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 def test_vector_engine_matches_scalar_reference(kernel_name):
     config = VortexConfig()
-    scalar_report, (scalar_warps, scalar_memory) = _run(
+    scalar_report, (scalar_warps, scalar_memory), scalar_instret = _run(
         kernel_name, "funcsimref", config, size=64
     )
-    vector_report, (vector_warps, vector_memory) = _run(
+    vector_report, (vector_warps, vector_memory), vector_instret = _run(
         kernel_name, "funcsim", config, size=64
     )
 
     assert scalar_report.instructions == vector_report.instructions
     assert scalar_report.thread_instructions == vector_report.thread_instructions
+    assert scalar_report.counters == vector_report.counters
+    assert scalar_instret == vector_instret
 
     for scalar_warp, vector_warp in zip(scalar_warps, vector_warps):
         core_id, warp_id = scalar_warp[0], scalar_warp[1]
@@ -75,22 +80,34 @@ def test_vector_engine_matches_scalar_reference(kernel_name):
 def test_vector_engine_matches_scalar_across_geometries(geometry):
     warps, threads = geometry
     config = VortexConfig().with_warps_threads(warps, threads)
-    _, (scalar_warps, scalar_memory) = _run("sgemm", "funcsimref", config, size=36)
-    _, (vector_warps, vector_memory) = _run("sgemm", "funcsim", config, size=36)
+    scalar_report, (scalar_warps, scalar_memory), scalar_instret = _run(
+        "sgemm", "funcsimref", config, size=36
+    )
+    vector_report, (vector_warps, vector_memory), vector_instret = _run(
+        "sgemm", "funcsim", config, size=36
+    )
     for scalar_warp, vector_warp in zip(scalar_warps, vector_warps):
         assert np.array_equal(scalar_warp[2], vector_warp[2])
         assert np.array_equal(scalar_warp[3], vector_warp[3])
     assert scalar_memory == vector_memory
+    assert scalar_report.counters == vector_report.counters
+    assert scalar_instret == vector_instret
 
 
 def test_vector_engine_matches_scalar_multicore():
     config = VortexConfig(num_cores=2)
-    _, (scalar_warps, scalar_memory) = _run("vecadd", "funcsimref", config, size=96)
-    _, (vector_warps, vector_memory) = _run("vecadd", "funcsim", config, size=96)
+    scalar_report, (scalar_warps, scalar_memory), scalar_instret = _run(
+        "vecadd", "funcsimref", config, size=96
+    )
+    vector_report, (vector_warps, vector_memory), vector_instret = _run(
+        "vecadd", "funcsim", config, size=96
+    )
     for scalar_warp, vector_warp in zip(scalar_warps, vector_warps):
         assert np.array_equal(scalar_warp[2], vector_warp[2])
         assert scalar_warp[4] == vector_warp[4]
     assert scalar_memory == vector_memory
+    assert scalar_report.counters == vector_report.counters
+    assert scalar_instret == vector_instret
 
 
 @pytest.mark.parametrize("mode", ["point", "bilinear", "trilinear"])
@@ -101,10 +118,10 @@ def test_texture_kernels_match_scalar_reference(mode, use_hw):
     from repro.kernels.texture import TextureKernel
 
     config = VortexConfig()
-    scalar_report, (scalar_warps, scalar_memory) = _run_kernel(
+    scalar_report, (scalar_warps, scalar_memory), _ = _run_kernel(
         TextureKernel(mode=mode, use_hw=use_hw), "funcsimref", config, size=64
     )
-    vector_report, (vector_warps, vector_memory) = _run_kernel(
+    vector_report, (vector_warps, vector_memory), _ = _run_kernel(
         TextureKernel(mode=mode, use_hw=use_hw), "funcsim", config, size=64
     )
     assert scalar_report.instructions == vector_report.instructions
@@ -140,7 +157,7 @@ def test_tex_executes_as_a_vector_plan_not_scalar_fallback():
 
 def test_vector_engine_agrees_with_simx_instruction_counts():
     config = VortexConfig()
-    vector_report, _ = _run("saxpy", "funcsim", config, size=64)
+    vector_report, _, _ = _run("saxpy", "funcsim", config, size=64)
     device = VortexDevice(config, driver="simx")
     run = KERNELS["saxpy"]().run(device, size=64)
     assert run.passed
@@ -286,19 +303,15 @@ def _state_at_the_limit(driver, budget):
     return warps, device.memory.page_snapshot()
 
 
-def test_instruction_budget_inside_a_group_raises_at_the_oracle_instruction(group_runs):
-    """A budget that ends inside a run of warps at one PC raises at the same
-    instruction as the per-thread oracle: every budget across the first
-    rounds in which warps 1-3 run as one group leaves identical warps
-    (PC, retired count, registers) and memory behind."""
+def test_instruction_budget_raises_at_the_oracle_instruction():
+    """A budget raises at the same instruction as the per-thread oracle:
+    every budget across the first rounds in which warps 1-3 run side by side
+    leaves identical warps (PC, retired count, registers) and memory
+    behind."""
     for budget in range(33, 49):
         assert _state_at_the_limit("funcsim", budget) == _state_at_the_limit(
             "funcsimref", budget
         ), f"budget {budget}"
-    # The last run alone went through three rounds with a 3-warp group.
-    group_runs.clear()
-    _state_at_the_limit("funcsim", 48)
-    assert [count for _, _, count in group_runs] == [3, 3, 3]
 
 
 #: Data the edge-case kernel loads: 16 words (one per thread) straddling the
@@ -311,10 +324,12 @@ _EDGE_WORDS[11] = 0x7F800000
 
 def _edge_case_program():
     """Four warps of four threads meet at one PC and run through the group
-    edge cases: a page-straddling word load (gathered across pages), a NaN in
-    one lane of a float group, branches that diverge inside exactly one warp
-    of a group, a same-PC store of every thread to one address, and warp 3
-    leaving with ``tmc 0`` so the next round's group is three warps long."""
+    edge cases in private loops, so inside windows: a page-straddling word
+    load (gathered across pages), a NaN in one lane of a float group and
+    branches that diverge inside exactly one warp of a group.  Between the
+    loops come a same-PC store of every thread to one address and warp 3
+    leaving with ``tmc 0``, so the second loop's groups are three warps
+    long."""
     from repro.isa.builder import ProgramBuilder
     from repro.isa.csr import CSR
     from repro.isa.registers import FReg, Reg
@@ -370,9 +385,15 @@ def _edge_case_program():
     asm.bne(Reg.t2, Reg.t4, "stay")
     asm.tmc(Reg.zero)
     asm.label("stay")
-    asm.lw(Reg.s4, 0, Reg.a4)
+    # Warps 0-2 run this while warp 3 leaves; then the loop is all private.
+    asm.li(Reg.s0, 2)
+    asm.label("tail")
+    asm.lw(Reg.s6, 0, Reg.a3)
     asm.flw(FReg.ft4, 0, Reg.a3)
     asm.fmul_s(FReg.ft5, FReg.ft4, FReg.ft4)
+    asm.addi(Reg.s0, Reg.s0, -1)
+    asm.bnez(Reg.s0, "tail")
+    asm.lw(Reg.s4, 0, Reg.a4)
     asm.add(Reg.s5, Reg.s4, Reg.a1)
     asm.li(Reg.a6, 0x30000)
     asm.add(Reg.a6, Reg.a6, Reg.a2)
@@ -407,8 +428,9 @@ def test_group_edge_cases_match_the_scalar_reference(group_runs):
     assert ref_counters == vec_counters
     assert vec_counters["core0"]["divergent_branches"] == 2
     assert finished["funcsim"][0][1][0x20000 >> 12][:4] == (15).to_bytes(4, "little")
-    # Each case ran grouped: the 4-warp loop, the 4-warp branches (one warp
-    # diverging), and the three warps left after warp 3's exit.
+    # Each case ran grouped, inside a window: the 4-warp loop, the 4-warp
+    # branches (one warp diverging), and the three warps left after warp 3's
+    # exit.
     assert {("fmadd.s", 0, 4), ("bne", 0, 4), ("sltiu", 0, 4), ("fmul.s", 0, 3)} <= set(
         group_runs
     )

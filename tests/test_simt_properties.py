@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import VortexConfig
-from repro.core.core import SimtCore
+from repro.core.processor import Processor
 from repro.isa.builder import ProgramBuilder
 from repro.isa.csr import CSR
 from repro.isa.registers import Reg
 from repro.kernels import VecAddKernel
-from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
 
 BASE = 0x8000_0000
@@ -32,7 +31,7 @@ def _run_divergence_program(predicates):
     """
     num_threads = len(predicates)
     config = VortexConfig().with_warps_threads(1, num_threads)
-    core = SimtCore(core_id=0, config=config, memory=MainMemory(), processor=None)
+    proc = Processor(config)
 
     asm = ProgramBuilder(base=BASE)
     asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -61,11 +60,10 @@ def _run_divergence_program(predicates):
     asm.tmc(Reg.t6)
     program = asm.assemble()
 
-    core.memory.load_words(program.base, program.words)
-    core.memory.load_words(PRED_ADDR, [1 if p else 0 for p in predicates])
-    core.reset(program.entry)
-    core.run()
-    return core.memory.read_words(RESULT_ADDR, num_threads)
+    proc.memory.load_words(program.base, program.words)
+    proc.memory.load_words(PRED_ADDR, [1 if p else 0 for p in predicates])
+    proc.run(program.entry)
+    return proc.memory.read_words(RESULT_ADDR, num_threads)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,7 +106,7 @@ def test_nested_divergence_three_levels_deep():
     """Nested split/join regions reconverge correctly (IPDOM stack depth 3+)."""
     num_threads = 8
     config = VortexConfig().with_warps_threads(1, num_threads)
-    core = SimtCore(core_id=0, config=config, memory=MainMemory(), processor=None)
+    proc = Processor(config)
 
     asm = ProgramBuilder(base=BASE)
     asm.csr_read(Reg.t0, CSR.NUM_THREADS)
@@ -145,10 +143,9 @@ def test_nested_divergence_three_levels_deep():
     asm.tmc(Reg.t6)
     program = asm.assemble()
 
-    core.memory.load_words(program.base, program.words)
-    core.reset(program.entry)
-    core.run()
-    results = core.memory.read_words(RESULT_ADDR, num_threads)
+    proc.memory.load_words(program.base, program.words)
+    proc.run(program.entry)
+    results = proc.memory.read_words(RESULT_ADDR, num_threads)
     # Each nesting level adds its bit's weight only on the taken side, but the
     # untaken side still explores the deeper levels, so every thread
     # accumulates exactly the bits of its own thread id.
