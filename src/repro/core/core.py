@@ -46,11 +46,11 @@ class SimtCore(Stateful):
     }
     #: Construction-time wiring (vxlint VX007): memory serializes at the
     #: processor level, the processor backref is topology, the emulator's
-    #: decode cache, group plans and window caches derive from memory contents,
+    #: decode cache, blocks and window caches derive from memory contents,
     #: and the register stacks serialize through the warps' register files (views).
     SNAPSHOT_EXCLUDED = frozenset(
         {"core_id", "config", "memory", "processor", "emulator", "int_stack", "fp_stack",
-         "group_plan_cache", "private_pcs", "window_lengths"}
+         "block_cache", "private_pcs", "window_lengths"}
     )
 
     def __init__(
@@ -79,10 +79,10 @@ class SimtCore(Stateful):
             Warp(w, threads, core_cfg.ipdom_depth, self.int_stack[:, w], self.fp_stack[:, w])
             for w in range(core_cfg.num_warps)
         ]
-        #: (pc, first warp, warp count) -> lane plan over that run of warps,
-        #: or None when the instruction executes warp by warp (built by the
-        #: vectorized engine; dropped with its decode cache).
-        self.group_plan_cache: dict[tuple[int, int, int], Any] = {}
+        #: (pc, first warp, warp count) -> block over that run of warps from
+        #: pc, or None when the instruction executes warp by warp (built by
+        #: the vectorized engine; dropped with its decode cache).
+        self.block_cache: dict[tuple[int, int, int], Any] = {}
         #: pc -> whether its instruction is private to its warp, and a warp
         #: PC layout -> how many rounds a private window from it last ran
         #: (the vectorized processor's heuristic; dropped with the decodes).

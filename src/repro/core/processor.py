@@ -5,7 +5,8 @@ its lane-vectorized subclass ``VectorProcessor`` is the FUNCSIM driver's
 engine, and ``Processor`` the tests' per-thread oracle for it.  Both step
 warps round-robin through one loop, ``Processor._round``; ``VectorProcessor``
 also runs windows of rounds of private code out of that order (same-PC warps
-as one group plan), and rolls back where that would show.
+as one block, which runs a whole loop of straight-line code in one call
+when every warp is in it), and rolls back where that would show.
 ``TimingProcessor`` is the cycle-level model used by the SIMX driver.  All
 share the same device memory, support the global (inter-core) barriers
 selected by the MSB of the barrier id, and expose the performance counters
@@ -178,8 +179,10 @@ class VectorProcessor(Processor):
         Where every schedulable warp sits on a private instruction, up to
         ``WINDOW_ROUNDS`` rounds run as one window out of round order
         (:meth:`_window`): private instructions of different warps commute,
-        so any order that keeps each warp's own gives the same state.
-        Windows end before any pause boundary and below ``max_instructions``.
+        so any order that keeps each warp's own gives the same state, and
+        one block call may run all of a core's warps through hundreds of
+        instructions.  Windows end before any pause boundary and below
+        ``max_instructions``.
         Everywhere else the scalar processor's round runs, each warp through
         its lane plan, so both engines raise at the same instruction and
         pause at the same round boundaries.
@@ -202,9 +205,11 @@ class VectorProcessor(Processor):
     def _window(self, executed: int, max_instructions: int, stop: int | None) -> int:
         """Run the next rounds as one private window if every schedulable
         warp is on a private instruction; returns the warp instructions it
-        committed (0: none).  Each core's memo, keyed by its warps' PCs,
-        caps the length; a window that fails rolls back (:meth:`_roll_back`)
-        and the memo takes the depth the failing warps reached."""
+        committed (0: none).  Each core runs its share in blocks
+        (:func:`_private_rounds`).  Each core's memo, keyed by its warps'
+        PCs, caps the length; a window that fails rolls back
+        (:meth:`_roll_back`) and the memo takes the depth the failing warps
+        reached."""
         cores = cast("list[VectorSimtCore]", self.cores)
         keys = [tuple([w.pc if w.schedulable else -1 for w in core.warps]) for core in cores]
         rounds, scheduled = WINDOW_ROUNDS, 0
@@ -257,22 +262,24 @@ class VectorProcessor(Processor):
                 warp.pc, warp.instructions = pc, instructions
 
 
-#: Rounds one window runs at most; start layouts a core's memo holds.
-WINDOW_ROUNDS = 64
+#: Rounds one window runs at most (enough for a whole sgemm 74² task between
+#: its ``split`` and its ``fsw``); start layouts a core's memo holds.
+WINDOW_ROUNDS = 1024
 WINDOW_MEMO_LIMIT = 1024
 
 
 def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
     """Run ``rounds`` instructions of every schedulable warp of ``core``,
     lowest PC first, all warps at that PC together (adjacent full-mask runs
-    as one group plan, the only place group plans run); None when they all
-    ran, else the fewest instructions a warp stopped at a non-private or
-    raising one had run."""
-    groups, private, emulator = core.group_plan_cache, core.private_pcs, core.emulator
+    as one block, the only place blocks run: as many instructions as the
+    budget allows while every live warp is in the run, else one); None when
+    they all ran, else the fewest instructions a warp stopped at a
+    non-private or raising one had run."""
+    blocks, private, emulator = core.block_cache, core.private_pcs, core.emulator
     live = [warp for warp in core.warps if warp.schedulable]
     targets = [warp.instructions + rounds for warp in core.warps]
     # ``budget`` never exceeds any live warp's remaining instructions: every
-    # step takes one from it and at most one from each warp.
+    # step takes as many from it as from the warps that moved least.
     budget = 0
     pc = -1
     try:
@@ -283,7 +290,6 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
                     return None
                 budget = min([targets[warp.warp_id] - warp.instructions for warp in live])
                 together = _warp_runs(live)
-            budget -= 1
             pcs = [warp.pc for warp in live]
             pc = min(pcs)
             is_private = private.get(pc)
@@ -291,24 +297,31 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
                 break
             if pcs.count(pc) == len(pcs):
                 runs = together
+                limit = budget if len(runs) == 1 else 1
             else:
                 runs = _warp_runs([warp for warp, at in zip(live, pcs) if at == pc])
+                limit = 1
+            step = 1
             for members in runs:
-                # A group that misses runs its first warp alone, and the
-                # rest try again as a group.
+                # A block that runs nothing runs its first warp alone, and
+                # the rest try again, one instruction long.
                 while members:
                     count = len(members)
                     if count > 1:
                         key = (pc, members[0].warp_id, count)
-                        group = groups.get(key)
-                        if group is None and key not in groups:
-                            group = groups[key] = emulator._build_group_plan(*key)
-                        if group is not None and group():
-                            break
+                        block = blocks.get(key)
+                        if block is None and key not in blocks:
+                            block = blocks[key] = emulator._build_block(*key)
+                        if block is not None:
+                            step = block[1](limit)
+                            if step:
+                                break
+                            step = limit = 1
                     warp = members[0]
                     emulator._arch_plan(warp, pc)(warp)
                     warp.instructions += 1
                     members = members[1:]
+            budget -= step
     except Exception:  # rolled back: the rerun in round order raises it again
         pass
     stopped = [warp for warp in live if warp.pc == pc and warp.instructions < targets[warp.warp_id]]

@@ -12,8 +12,9 @@ the instruction is decoded once and specialized into a closure that has the
 operand rows, the immediates and the vector op already bound.  Subsequent
 visits are a dictionary lookup plus one closure call — the per-mnemonic
 handler-table idea of the scalar emulator taken to its limit.  The same
-builders bound to a ``(warps, threads)`` register block give a *group plan*:
-one call for a run of adjacent warps at one PC.
+builders bound to a ``(warps, threads)`` register block give a *block*: one
+call that runs a run of adjacent warps at one PC through straight-line
+private code, round a loop that closes on it as often as it is allowed.
 
 Architectural results are bit-identical to the scalar
 :class:`~repro.core.emulator.WarpEmulator` (the differential test in
@@ -53,11 +54,18 @@ Plan = Callable[[Any], None]
 #: A timing plan additionally returns ``(taken_branch, request_addresses)``.
 TimingPlan = Callable[[Any], tuple]
 
+#: A block's ``run(limit)``: executes at most ``limit`` instructions of each
+#: warp of its run and returns how many (:meth:`VectorWarpEmulator._build_block`).
+Block = Callable[[int], int]
+
 #: Integer instructions that are private (:meth:`VectorWarpEmulator.private`)
 #: besides branches and loads.
 _PRIVATE_MNEMONICS = frozenset(
     {"lui", "auipc", "jal", "jalr", *ALU_VECTOR_OPS, *MUL_VECTOR_OPS, *DIV_VECTOR_OPS}
 )
+#: Integer instructions a block (:meth:`VectorWarpEmulator._build_block`)
+#: runs for a run of warps at once, besides the float32 FPU ops.
+_GROUPED_MNEMONICS = frozenset({*ALU_VECTOR_OPS, *MUL_VECTOR_OPS, *DIV_VECTOR_OPS, "lw", "flw"})
 
 
 def _warp_run(core, first: int, count: int) -> SimpleNamespace:
@@ -106,14 +114,16 @@ def _sext_vec(values: np.ndarray, sign_bit: int) -> np.ndarray:
 class VectorWarpEmulator(WarpEmulator):
     """Executes instructions for the warps of one core, one lane vector at a time.
 
-    Plans execute exactly one instruction — never fused blocks — and a group
-    plan one instruction for adjacent warps at one PC.  Which order they run
-    in is :class:`~repro.core.processor.VectorProcessor`'s business: the
-    per-thread oracle's round order, one warp's plan at a time, wherever
-    warps can see each other (kernels like bfs communicate through memory
-    flags and observe it), and any order that keeps each warp's own inside a
-    window of :meth:`private` instructions, which commute — the only place
-    group plans run.
+    A plan executes exactly one instruction of one warp; a block
+    (:meth:`_build_block`) up to a given number of instructions of adjacent
+    warps at one PC, the straight-line code from there plus the branch that
+    ends it, looping while that branch takes them all back.  Which order
+    they run in is :class:`~repro.core.processor.VectorProcessor`'s
+    business: the per-thread oracle's round order, one warp's plan at a
+    time, wherever warps can see each other (kernels like bfs communicate
+    through memory flags and observe it), and any order that keeps each
+    warp's own inside a window of :meth:`private` instructions, which
+    commute — the only place blocks run.
     """
 
     # -- plan construction -------------------------------------------------------------
@@ -161,7 +171,7 @@ class VectorWarpEmulator(WarpEmulator):
     def invalidate_decode_cache(self) -> None:
         super().invalidate_decode_cache()
         core = self.core
-        core.group_plan_cache.clear()
+        core.block_cache.clear()
         core.private_pcs.clear()
         core.window_lengths.clear()
 
@@ -186,63 +196,88 @@ class VectorWarpEmulator(WarpEmulator):
         self.core.private_pcs[pc] = private
         return private
 
-    def _build_group_plan(self, pc: int, first: int, count: int) -> Callable[[], bool] | None:
-        """One plan for the full-mask warps ``first .. first+count-1`` at
-        ``pc``, or None for an instruction that executes warp by warp.
+    def _build_block(self, pc: int, first: int, count: int) -> tuple[int, Block] | None:
+        """A *block* for the full-mask warps ``first .. first+count-1`` at
+        ``pc``, as ``(length, run)``; None when the instruction at ``pc``
+        executes warp by warp.
 
-        Grouped are ALU/MUL ops, word loads, the float32 FPU ops and
-        conditional branches: their effects stay in each warp's registers.
-        The plan closes over the warps (never the core), advances their PC
-        and retired count, and returns False, executing nothing, when a
-        word load is misaligned (the warps then raise one by one, in order).
+        The block is the straight run of grouped instructions from ``pc`` —
+        ALU/MUL/DIV ops, word loads, the float32 FPU ops, whose effects stay
+        in each warp's registers — ending with the conditional branch that
+        follows, if one does.  ``run(limit)`` executes at most ``limit``
+        instructions of every member, going round again while that branch
+        takes every member back to ``pc``, and returns how many it executed:
+        it stops before a misaligned word load (the warps then raise one by
+        one, in order).  It closes over the warps (never the core) and
+        advances their PC and retired count.
         """
-        instr = self.fetch(pc)
-        mnemonic = instr.mnemonic
         block = _warp_run(self.core, first, count)
         members = tuple(self.core.warps[first : first + count])
-        if instr.spec.is_branch:
-            return self._group_branch(block, members, pc, instr)
-        if not (
-            mnemonic in ALU_VECTOR_OPS
-            or mnemonic in MUL_VECTOR_OPS
-            or mnemonic in ("lw", "flw")
-            or mnemonic in self._FPU_F32_FULL
-        ):
+        plans: list[Plan] = []
+        decide: Callable[[], list[bool]] | None = None
+        target = -1
+        end = pc
+        while self.private(end):
+            instr = self.fetch(end)
+            if instr.spec.is_branch:
+                decide = self._group_branch(block, instr)
+                target = to_uint32(end + instr.imm)
+                break
+            mnemonic = instr.mnemonic
+            if not (mnemonic in _GROUPED_MNEMONICS or mnemonic in self._FPU_F32_FULL):
+                break
+            plans.append(self._build_plan(block, end))
+            end += 4
+        straight = len(plans)
+        if decide is None and not straight:
             return None
-        plan = self._build_plan(block, pc)
-        next_pc = pc + 4
+        loops = target == pc
 
-        def run() -> bool:
-            if plan(block) is False:
-                return False
+        def finish(executed: int, next_pc: int) -> int:
             for warp in members:
                 warp.pc = next_pc
-                warp.instructions += 1
-            return True
+                warp.instructions += executed
+            return executed
 
-        return run
+        def run(limit: int) -> int:
+            executed = 0
+            while True:
+                body = plans if limit - executed >= straight else plans[: limit - executed]
+                for plan in body:
+                    if plan(block) is False:
+                        index = body.index(plan)
+                        return finish(executed + index, pc + 4 * index)
+                executed += len(body)
+                if decide is None or executed == limit:
+                    return finish(executed, pc + 4 * len(body))
+                taken = decide()
+                executed += 1
+                if loops and executed < limit and all(taken):
+                    continue
+                for warp, took in zip(members, taken):
+                    warp.pc = target if took else end + 4
+                    warp.instructions += executed
+                return executed
 
-    def _group_branch(self, block, members: tuple, pc: int, instr) -> Callable[[], bool]:
+        return straight + (decide is not None), run
+
+    def _group_branch(self, block, instr) -> Callable[[], list[bool]]:
         """Conditional branch over a run of warps: each warp votes along its
-        lanes and, like :meth:`_plan_branch`, follows its first thread."""
+        lanes and, like :meth:`_plan_branch`, follows its first thread; the
+        closure returns each warp's decision."""
         cmp, lhs, rhs = self._full_compare(instr, block.regs)
-        target = to_uint32(pc + instr.imm)
-        next_pc = pc + 4
         perf = self.core.perf
 
-        def run() -> bool:
+        def decide() -> list[bool]:
             decisions = cmp(lhs, rhs)
             if 0 < np.count_nonzero(decisions) < decisions.size:
                 # Divergent warps hold 0 < lane votes < threads.
                 votes = np.count_nonzero(decisions, axis=1) % decisions.shape[1]
                 if votes.any():
                     perf.incr("divergent_branches", int(np.count_nonzero(votes)))
-            for warp, taken in zip(members, decisions[:, 0].tolist()):
-                warp.pc = target if taken else next_pc
-                warp.instructions += 1
-            return True
+            return decisions[:, 0].tolist()
 
-        return run
+        return decide
 
     # -- ALU / MUL / DIV ---------------------------------------------------------------
 

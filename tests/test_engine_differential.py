@@ -261,30 +261,39 @@ def test_timing_step_facts_match_scalar_step_by_step(kernel_name, geometry):
 # -- runs of warps at one PC execute as one lane plan ----------------------------------------
 
 
+class _BlockRuns(list):
+    """``(mnemonic, first warp, warp count)`` per grouped instruction, plus
+    the number of block calls that executed them."""
+
+    calls = 0
+
+
 @pytest.fixture
 def group_runs(monkeypatch):
-    """Every group plan that executes on ``funcsim``, as ``(mnemonic, first
-    warp, warp count)`` — the run-level counterpart of a per-warp plan."""
+    """Every instruction a block executes on ``funcsim``, as ``(mnemonic,
+    first warp, warp count)`` — the run-level counterpart of a per-warp plan
+    — and (``.calls``) how many block calls executed anything."""
     from repro.core.vector_emulator import VectorWarpEmulator
 
-    ran = []
-    original = VectorWarpEmulator._build_group_plan
+    ran = _BlockRuns()
+    original = VectorWarpEmulator._build_block
 
     def spy(self, pc, first, count):
-        plan = original(self, pc, first, count)
-        if plan is None:
+        built = original(self, pc, first, count)
+        if built is None:
             return None
-        mnemonic = self.fetch(pc).mnemonic
+        length, block = built
+        mnemonics = [self.fetch(pc + 4 * index).mnemonic for index in range(length)]
 
-        def run():
-            executed = plan()
-            if executed:
-                ran.append((mnemonic, first, count))
+        def run(limit):
+            executed = block(limit)
+            ran.extend([(mnemonics[i % length], first, count) for i in range(executed)])
+            ran.calls += executed > 0
             return executed
 
-        return run
+        return length, run
 
-    monkeypatch.setattr(VectorWarpEmulator, "_build_group_plan", spy)
+    monkeypatch.setattr(VectorWarpEmulator, "_build_block", spy)
     return ran
 
 
@@ -439,20 +448,107 @@ def test_group_edge_cases_match_the_scalar_reference(group_runs):
     assert ("lw", 0, 4) in group_runs and ("lw", 0, 3) in group_runs
 
 
+def test_grouped_divisions_match_the_scalar_reference(group_runs):
+    """``div``/``divu``/``rem``/``remu`` run as 4-warp groups, one lane of
+    warp 2 dividing ``INT_MIN`` by -1 and the next one dividing by zero."""
+    from repro.isa.registers import Reg
+
+    asm = _spawned_workers()
+    # lhs = (gid - 8) * 12345, plus INT_MIN for gid 8; rhs = gid - 9.
+    asm.addi(Reg.t4, Reg.a1, -8)
+    asm.seqz(Reg.t5, Reg.t4)
+    asm.slli(Reg.t5, Reg.t5, 31)
+    asm.li(Reg.t6, 12345)
+    asm.mul(Reg.s1, Reg.t4, Reg.t6)
+    asm.add(Reg.s1, Reg.s1, Reg.t5)
+    asm.addi(Reg.s2, Reg.a1, -9)
+    asm.div(Reg.s3, Reg.s1, Reg.s2)
+    asm.divu(Reg.s4, Reg.s1, Reg.s2)
+    asm.rem(Reg.s5, Reg.s1, Reg.s2)
+    asm.remu(Reg.s6, Reg.s1, Reg.s2)
+    asm.slli(Reg.t4, Reg.a1, 4)
+    asm.add(Reg.t4, Reg.t4, Reg.a4)
+    asm.sw(Reg.s3, 0, Reg.t4)
+    asm.sw(Reg.s4, 4, Reg.t4)
+    asm.sw(Reg.s5, 8, Reg.t4)
+    asm.sw(Reg.s6, 12, Reg.t4)
+    asm.tmc(Reg.zero)
+    program = asm.assemble()
+    ref, ref_raised = _rollback_driver("funcsimref", program)
+    vec, vec_raised = _rollback_driver("funcsim", program)
+    assert ref_raised is vec_raised is None
+    assert _full_state(vec) == _full_state(ref)
+    regs = vec.processor.cores[0].warps[2].regs
+    assert [regs.read_int(0, Reg.s3), regs.read_int(1, Reg.s3)] == [0x8000_0000, 0xFFFF_FFFF]
+    assert [regs.read_int(0, Reg.s5), regs.read_int(1, Reg.s5)] == [0, 12345]
+    assert {("div", 0, 4), ("divu", 0, 4), ("rem", 0, 4), ("remu", 0, 4)} <= set(group_runs)
+
+
 def test_sgemm_inner_loop_executes_as_warp_groups(group_runs):
     """On a 4W-4T sgemm the inner loop's instructions run as 4-warp groups
     — warp 0 trails warps 1-3 by two PCs (its ``wspawn`` and ``j``), and
-    private windows let it catch up — and nearly every warp instruction
-    retires inside a group: the engine's speed rests on this, and no
-    wall-clock measurement is needed to see it lost."""
+    private windows let it catch up — nearly every warp instruction retires
+    inside a group, and a block goes round the inner loop many times per
+    call: the engine's speed rests on this, and no wall-clock measurement is
+    needed to see it lost."""
     device = VortexDevice(VortexConfig().with_warps_threads(4, 4), driver="funcsim")
     run = KERNELS["sgemm"]().run(device, size=16 * 16)
     assert run.passed
     grouped = {mnemonic for mnemonic, first, count in group_runs if (first, count) == (0, 4)}
-    assert {"flw", "fmadd.s", "addi", "add", "blt"} <= grouped
-    # 91.6 % measured.
+    assert {"flw", "fmadd.s", "addi", "add", "blt", "divu", "remu"} <= grouped
+    # Every group is a block: 98.6 % of warp instructions in 169 calls
+    # measured.
     in_groups = sum(count for _, _, count in group_runs)
-    assert in_groups >= 0.85 * run.report.instructions
+    assert in_groups >= 0.90 * run.report.instructions
+    assert group_runs.calls <= in_groups / 20
+
+
+def test_a_block_runs_up_to_its_limit_as_the_oracle_steps():
+    """A block over four full-mask warps at a loop's head goes round the
+    loop until ``limit`` or until a warp leaves it (warp ``w`` makes
+    ``10 - w`` trips), and leaves each warp where stepping it that many
+    instructions on the per-thread oracle does: PC, retired count and
+    registers."""
+    from repro.isa.builder import ProgramBuilder
+    from repro.isa.registers import Reg
+    from repro.runtime.registry import create_driver
+
+    asm = ProgramBuilder(base=0x8000_0000)
+    asm.label("loop")
+    asm.addi(Reg.s0, Reg.s0, 1)
+    asm.mul(Reg.s1, Reg.s0, Reg.s0)
+    asm.slli(Reg.t1, Reg.s0, 2)
+    asm.lw(Reg.s2, 0x100, Reg.t1)
+    asm.add(Reg.s3, Reg.s3, Reg.s2)
+    asm.slti(Reg.t0, Reg.s0, 10)
+    asm.bnez(Reg.t0, "loop")
+    asm.tmc(Reg.zero)
+    program = asm.assemble()
+
+    def staged(spec):
+        driver = create_driver(spec, VortexConfig().with_warps_threads(4, 4))
+        driver.memory.load_words(program.base, program.words)
+        driver.memory.load_words(0x100, list(range(1, 128)))
+        (core,) = driver.processor.cores
+        for warp in core.warps:
+            warp.spawn(program.entry, tmask=0xF)
+            warp.regs.broadcast_int(Reg.s0, warp.warp_id)
+        return core
+
+    def warps(core):
+        return [(w.pc, w.instructions, w.regs._int_regs.tobytes()) for w in core.warps]
+
+    for limit in (1, 6, 7, 8, 48, 49, 50, 100):
+        core = staged("funcsim")
+        length, run = core.emulator._build_block(program.entry, 0, 4)
+        assert length == 7
+        executed = run(limit)
+        assert executed == min(limit, 49), f"limit {limit}"
+        ref = staged("funcsimref")
+        for warp in ref.warps:
+            for _ in range(executed):
+                ref.step_warp(warp)
+        assert warps(core) == warps(ref), f"limit {limit}"
 
 
 # -- private windows: rounds run out of order, rolled back where they must not -----------------
@@ -622,11 +718,14 @@ _PRIVATE_OPS = {"addi": True, "slli": True, "add": False, "xor": False, "mul": F
 _PRIVATE_REGS = ["a1", "s1", "s2", "s3", "s4", "s5"]
 
 
-def _private_program(lags, body, special, position):
+def _private_program(lags, body, special, position, misaligned=-1):
     """Warp ``w`` spins ``lags[w]`` extra times, then every warp runs
-    ``body`` (private ALU ops, loads of the shared word and forward branches
-    that may diverge) three times with ``special`` — a store of ``s1`` to
-    the shared word or a ``csrr`` of INSTRET into it — at ``position``."""
+    ``body`` (private ALU ops, loads of the shared word, forward branches
+    that may diverge and backward loops that load a word per trip, 3 to 6
+    trips plus one for odd ``w``) three times with ``special`` — a store of
+    ``s1`` to the shared word or a ``csrr`` of INSTRET into it — at
+    ``position``.  The loops of warp ``misaligned`` step 5 bytes, not 4, so
+    its second trip's load is misaligned."""
     from repro.isa.csr import CSR
     from repro.isa.registers import Reg
 
@@ -638,6 +737,10 @@ def _private_program(lags, body, special, position):
     asm.label("lag")
     asm.addi(Reg.s0, Reg.s0, -1)
     asm.bge(Reg.s0, Reg.zero, "lag")
+    # The loops' load stride: 5 for warp ``misaligned``, else 4.
+    asm.addi(Reg.s10, Reg.t2, -misaligned)
+    asm.seqz(Reg.s10, Reg.s10)
+    asm.addi(Reg.s10, Reg.s10, 4)
     asm.li(Reg.s6, 3)
     asm.label("body")
     for index in range(len(body) + 1):
@@ -656,6 +759,17 @@ def _private_program(lags, body, special, position):
             asm.bltu(rs1, rs2, f"skip{index}")
             asm.addi(rd, rd, imm)
             asm.label(f"skip{index}")
+        elif op == "loop":
+            asm.andi(Reg.s7, Reg.t2, 1)
+            asm.addi(Reg.s7, Reg.s7, 3 + (imm & 3))
+            asm.mv(Reg.s9, Reg.a4)
+            asm.label(f"loop{index}")
+            asm.add(rd, rd, rs1)
+            asm.lw(Reg.s8, 0, Reg.s9)
+            asm.xor(rd, rd, Reg.s8)
+            asm.add(Reg.s9, Reg.s9, Reg.s10)
+            asm.addi(Reg.s7, Reg.s7, -1)
+            asm.bnez(Reg.s7, f"loop{index}")
         elif _PRIVATE_OPS[op]:
             asm.emit(op, rd, rs1, imm & 31 if op == "slli" else imm)
         else:
@@ -670,7 +784,7 @@ def _private_program(lags, body, special, position):
 
 
 _private_op = st.tuples(
-    st.sampled_from([*_PRIVATE_OPS, "lw", "bltu"]),
+    st.sampled_from(["loop", *_PRIVATE_OPS, "lw", "bltu"]),
     st.sampled_from(_PRIVATE_REGS[1:]),
     st.sampled_from(_PRIVATE_REGS),
     st.sampled_from(_PRIVATE_REGS),
@@ -683,14 +797,22 @@ _private_op = st.tuples(
     lags=st.lists(st.integers(0, 3), min_size=4, max_size=4),
     body=st.lists(_private_op, min_size=4, max_size=24),
     special=st.sampled_from(["sw", "csrr"]),
+    misaligned=st.sampled_from([-1, 3, -1, 1, -1, 0, 2]),
     data=st.data(),
 )
-def test_private_programs_match_the_scalar_reference(lags, body, special, data):
+def test_private_programs_match_the_scalar_reference(lags, body, special, misaligned, data):
     """Random private code at random warp lags, with one store or CSR read
-    somewhere in it, ends in the oracle's state on funcsim."""
+    somewhere in it and loops whose exits part the warps, ends in the
+    oracle's state on funcsim — or raises where it does, at a misaligned
+    load inside a loop."""
+    from repro.mem.memory import MemoryAccessError
+
     position = data.draw(st.integers(0, len(body)), label="position")
-    program = _private_program(lags, body, special, position)
+    program = _private_program(lags, body, special, position, misaligned)
     ref, ref_raised = _rollback_driver("funcsimref", program, max_instructions=5_000)
     vec, vec_raised = _rollback_driver("funcsim", program, max_instructions=5_000)
-    assert ref_raised is vec_raised is None
+    # Warp ``misaligned`` reaches the second trip of any loop.
+    looped = any(op == "loop" for op, *_ in body)
+    expected = MemoryAccessError if misaligned >= 0 and looped else None
+    assert ref_raised is vec_raised is expected
     assert _full_state(vec) == _full_state(ref)

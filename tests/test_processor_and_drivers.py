@@ -283,9 +283,9 @@ def test_opencl_unknown_kernel_rejected():
 # -- failures that explain themselves --------------------------------------------------------
 
 
-def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
+def _mismatched_barrier_program():
     """Every wavefront arrives at barrier 3 expecting one arrival more than
-    exist: nothing ever retires again and the watchdog names who waits where."""
+    exist."""
     asm = ProgramBuilder(base=BASE)
     asm.csr_read(Reg.t0, CSR.NUM_WARPS)
     asm.la(Reg.t1, "worker")
@@ -297,7 +297,13 @@ def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
     asm.bar(Reg.t5, Reg.t6)
     asm.li(Reg.t6, 0)
     asm.tmc(Reg.t6)
-    program = asm.assemble()
+    return asm.assemble()
+
+
+def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
+    """Every wavefront arrives at barrier 3 expecting one arrival more than
+    exist: nothing ever retires again and the watchdog names who waits where."""
+    program = _mismatched_barrier_program()
 
     monkeypatch.setattr(TimingProcessor, "NO_PROGRESS_LIMIT", 300)
     processor = TimingProcessor(VortexConfig(memory=MemoryConfig(latency=20, bandwidth=1)))
@@ -316,6 +322,38 @@ def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
     assert core["pending_ifetch"] == core["pending_ops"] == core["pending_mshr"] == 0
     assert set(core["scoreboard_busy"]) == set(range(num_warps))
     assert f"core 0 warps {waiting} at barrier 3 ({num_warps}/{num_warps + 1})" in str(stalled)
+
+
+def test_mismatched_barrier_count_deadlocks_funcsim_as_the_oracle():
+    """On the functional drivers the same kernel is a deadlock the round
+    loop reports: ``funcsim`` raises it where the per-thread oracle does,
+    with the same counters and warp PCs — no window or block spins on the
+    barrier."""
+    from repro.runtime.registry import create_driver
+
+    program = _mismatched_barrier_program()
+    outcomes = []
+    for spec in ("funcsimref", "funcsim"):
+        driver = create_driver(spec, VortexConfig())
+        driver.memory.load_words(program.base, program.words)
+        with pytest.raises(EmulationError, match="processor deadlocked") as excinfo:
+            driver.run(program.entry)
+        assert type(excinfo.value) is EmulationError
+        cores = driver.processor.cores
+        outcomes.append(
+            (
+                str(excinfo.value),
+                driver.processor.counters(),
+                [core.csr.instret for core in cores],
+                [
+                    (warp.pc, warp.instructions, warp.at_barrier)
+                    for core in cores
+                    for warp in core.warps
+                ],
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert all(at_barrier for _, _, at_barrier in outcomes[1][3])
 
 
 @pytest.mark.parametrize("driver", ["simx", "funcsim"])
