@@ -48,8 +48,10 @@ from repro.mem.memory import MemoryAccessError
 #: memory, PC).  It binds that warp's register rows but takes the warp itself
 #: as its argument: a closure over the warp, cached in the warp's own
 #: ``plan_cache``, is a reference cycle that keeps a dropped device (and its
-#: ``MainMemory``) alive until a full garbage collection.
-Plan = Callable[[Any], None]
+#: ``MainMemory``) alive until a full garbage collection.  Branch and ``join``
+#: plans return the taken decision and ``tex`` plans the texel address trace
+#: (what the timing plans pass on); the others return None.
+Plan = Callable[[Any], Any]
 
 #: A timing plan additionally returns ``(taken_branch, request_addresses)``.
 TimingPlan = Callable[[Any], tuple]
@@ -692,7 +694,10 @@ class VectorWarpEmulator(WarpEmulator):
 
     def _plan_tex(self, warp, pc: int, instr: DecodedInstruction) -> Plan:
         """Whole-warp ``tex``: the active lanes' (u, v, lod) operand rows go
-        through the texture unit's vectorized sampler in one shot.
+        through the texture unit's vectorized sampler in one shot.  The plan
+        returns the de-duplicated texel address trace, which the timing plan
+        hands to the cycle-level core (see
+        :meth:`TextureUnit.sample_warp_vector`).
 
         Texture state is CSR-programmed and mutable between executions, so
         the plan binds only the operand rows; the CSR block snapshot is
@@ -715,19 +720,22 @@ class VectorWarpEmulator(WarpEmulator):
         stage = instr.tex_stage
         next_pc = pc + 4
 
-        def run(warp) -> None:
+        def run(warp) -> list[int]:
             if warp.full:
-                colors = tex_unit.sample_warp_vector(csr, stage, u_row, v_row, lod_row)
+                colors, unique = tex_unit.sample_warp_vector(
+                    csr, stage, u_row, v_row, lod_row
+                )
                 if rd_row is not None:
                     rd_row[:] = colors
             else:
                 lanes = warp.lanes
-                colors = tex_unit.sample_warp_vector(
+                colors, unique = tex_unit.sample_warp_vector(
                     csr, stage, u_row[lanes], v_row[lanes], lod_row[lanes]
                 )
                 if rd_row is not None:
                     rd_row[lanes] = colors
             warp.pc = next_pc
+            return unique
 
         return run
 
@@ -813,8 +821,8 @@ class VectorWarpEmulator(WarpEmulator):
             run = self._timing_plan_memory(warp, pc, instr)
         elif mnemonic in ("jal", "jalr"):
             run = self._timing_plan_taken(warp, pc)
-        elif mnemonic == "tex" and self.core.tex_unit is not None:
-            run = self._timing_plan_tex(warp, pc, instr)
+        elif mnemonic == "tex":
+            run = self._timing_plan_tex(warp, pc)
         else:
             run = self._timing_plan_default(warp, pc)
         return (instr, run)
@@ -876,37 +884,13 @@ class VectorWarpEmulator(WarpEmulator):
 
         return run
 
-    def _timing_plan_tex(self, warp, pc: int, instr: DecodedInstruction) -> TimingPlan:
-        """Whole-warp ``tex`` with the de-duplicated texel address trace the
-        timing core turns into cache requests (see
-        :meth:`TextureUnit.sample_warp_vector_trace`)."""
-        core = self.core
-        tex_unit = core.tex_unit
-        csr = core.csr
-        regs = warp.regs
-        u_row = regs.fp_row(instr.rs1)
-        v_row = regs.fp_row(instr.rs2)
-        lod_row = regs.fp_row(instr.rs3)
-        rd_row = regs.int_row(instr.rd) if instr.rd else None
-        stage = instr.tex_stage
-        next_pc = pc + 4
+    def _timing_plan_tex(self, warp, pc: int) -> TimingPlan:
+        """Whole-warp ``tex``: the architectural plan returns the texel
+        address trace the timing core turns into cache requests."""
+        arch_plan = self._arch_plan(warp, pc)
 
         def run(warp) -> tuple:
-            if warp.full:
-                colors, unique = tex_unit.sample_warp_vector_trace(
-                    csr, stage, u_row, v_row, lod_row
-                )
-                if rd_row is not None:
-                    rd_row[:] = colors
-            else:
-                lanes = warp.lanes
-                colors, unique = tex_unit.sample_warp_vector_trace(
-                    csr, stage, u_row[lanes], v_row[lanes], lod_row[lanes]
-                )
-                if rd_row is not None:
-                    rd_row[lanes] = colors
-            warp.pc = next_pc
-            return False, unique
+            return False, arch_plan(warp)
 
         return run
 

@@ -208,7 +208,6 @@ class TextureSampler:
         u,
         v,
         lod=0,
-        with_addresses: bool = False,
         with_lane_addresses: bool = False,
     ):
         """Batched :meth:`sample`: one packed RGBA8 word per ``(u, v, lod)``.
@@ -220,11 +219,6 @@ class TextureSampler:
         operations, and every word is bit-identical to the scalar
         :meth:`sample` of the same coordinates.
 
-        With ``with_addresses`` the return value is ``(colors, addresses)``
-        where ``addresses`` is the flat int64 array of every generated texel
-        address (4 per sample and mip level, duplicates included) — what
-        the texture unit's de-duplication stage counts.
-
         With ``with_lane_addresses`` the return value is ``(colors, lanes)``
         where ``lanes`` is an int64 array of shape ``(N, 4)`` (point and
         bilinear) or ``(N, 8)`` (trilinear: the fine level's quad followed by
@@ -233,13 +227,10 @@ class TextureSampler:
         the scalar warp path generates them, which is what the cycle-level
         texture timing path de-duplicates into its cache request trace.
         """
-        if with_addresses and with_lane_addresses:
-            raise ValueError("with_addresses and with_lane_addresses are mutually exclusive")
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
         count = u.shape[0]
         out = np.empty(count, dtype=np.uint32)
-        address_planes = [] if with_addresses else None
         lane_addresses = None
         if count:
             if state.filter_mode == TexFilter.TRILINEAR:
@@ -253,9 +244,7 @@ class TextureSampler:
                 fine_out = (
                     np.empty((count, 4), dtype=np.int64) if with_lane_addresses else None
                 )
-                fine = self.level_channels_many(
-                    state, u, v, level0, address_planes, address_out=fine_out
-                )
+                fine = self.level_channels_many(state, u, v, level0, address_out=fine_out)
                 # Lanes whose LOD is pinned at the coarsest level have a
                 # zero blend fraction: skip their second fetch entirely
                 # (same early-out, and the same fetch counts, as the
@@ -271,12 +260,7 @@ class TextureSampler:
                         else None
                     )
                     coarse = self.level_channels_many(
-                        state,
-                        u[blend],
-                        v[blend],
-                        level1[blend],
-                        address_planes,
-                        address_out=blend_addresses,
+                        state, u[blend], v[blend], level1[blend], address_out=blend_addresses
                     )
                     if coarse_out is not None:
                         coarse_out[blend] = blend_addresses
@@ -298,20 +282,13 @@ class TextureSampler:
                 if with_lane_addresses:
                     lane_addresses = np.empty((count, 4), dtype=np.int64)
                 channels = self.level_channels_many(
-                    state, u, v, lods, address_planes, address_out=lane_addresses
+                    state, u, v, lods, address_out=lane_addresses
                 )
                 out[:] = pack_rgba8_many(channels)
         if with_lane_addresses:
             if lane_addresses is None:
                 lane_addresses = np.empty((0, 4), dtype=np.int64)
             return out, lane_addresses
-        if with_addresses:
-            flat = (
-                np.concatenate(address_planes)
-                if address_planes
-                else np.empty(0, dtype=np.int64)
-            )
-            return out, flat
         return out
 
     def level_channels_many(
@@ -320,17 +297,15 @@ class TextureSampler:
         u: np.ndarray,
         v: np.ndarray,
         levels: np.ndarray,
-        address_planes=None,
         address_out=None,
     ) -> np.ndarray:
         """Filter each sample's mip level into ``(N, 4)`` byte channels.
 
         ``levels`` is a clamped int64 level per sample; the batch is grouped
         by unique level so each level runs one vectorized address-gen /
-        gather / decode / blend pass.  When ``address_planes`` is a list,
-        every generated address plane is appended to it (flattened).  When
-        ``address_out`` is an ``(N, 4)`` int64 array, each sample's quad
-        addresses are scattered into its row (sample-major order).
+        gather / decode / blend pass.  When ``address_out`` is an ``(N, 4)``
+        int64 array, each sample's quad addresses are scattered into its row
+        (sample-major order).
         """
         out = np.empty((u.shape[0], 4), dtype=np.uint32)
         for level in np.unique(levels):
@@ -348,8 +323,6 @@ class TextureSampler:
             )
             texels = self.read_texels_many(state, addresses)
             out[selected] = blend_quads(texels, blend_u, blend_v)
-            if address_planes is not None:
-                address_planes.append(addresses.ravel())
             if address_out is not None:
                 address_out[selected] = addresses
         return out

@@ -135,69 +135,29 @@ class TextureUnit(Stateful):
         u_bits: np.ndarray,
         v_bits: np.ndarray,
         lod_bits: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, list[int]]:
         """Vectorized :meth:`sample_warp` over the active lanes of a warp.
 
         The operands are uint32 arrays of raw register bits (one entry per
-        active lane).  Returns one packed RGBA8 word per lane, bit-identical
-        to the scalar warp path, and charges the same perf counters
-        (requests, total and de-duplicated texel fetches).
+        active lane).  Returns ``(colors, unique_addresses)``: one packed
+        RGBA8 word per lane, bit-identical to the scalar warp path, and each
+        distinct texel address in first-seen order under the scalar warp
+        traversal (thread-major, fine level before coarse) — exactly the
+        trace :meth:`sample_warp` hands the cycle-level core, so the
+        vectorized timing path charges an identical cache request sequence.
+        Charges the same perf counters (requests, total and de-duplicated
+        texel fetches).
         """
         state = self.state_for(csr_file, stage)
         self.perf.incr("requests")
         if int(u_bits.shape[0]) == 0:
-            return np.empty(0, dtype=np.uint32)
-        u, v, lods = self._warp_coordinates(state, u_bits, v_bits, lod_bits)
-        colors, addresses = self.sampler.sample_many(
-            state, u, v, lods, with_addresses=True
-        )
-        self.perf.incr("texel_fetches", int(addresses.shape[0]))
-        self.perf.incr("unique_fetches", int(np.unique(addresses).shape[0]))
-        return colors
-
-    @staticmethod
-    def _warp_coordinates(
-        state: TextureState,
-        u_bits: np.ndarray,
-        v_bits: np.ndarray,
-        lod_bits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Convert raw register lane vectors into sampler operands.
-
-        One place owns the bit-view/float64 conversion and the
-        trilinear-vs-integer LOD interpretation so the plain warp sampler
-        and the traced timing variant cannot drift apart.
-        """
+            return np.empty(0, dtype=np.uint32), []
         u = np.ascontiguousarray(u_bits).view(np.float32).astype(np.float64)
         v = np.ascontiguousarray(v_bits).view(np.float32).astype(np.float64)
         if state.filter_mode == TexFilter.TRILINEAR:
             lods = _float_lods_from_bits_many(np.ascontiguousarray(lod_bits), state)
         else:
             lods = _lods_from_bits_many(np.ascontiguousarray(lod_bits), state)
-        return u, v, lods
-
-    def sample_warp_vector_trace(
-        self,
-        csr_file,
-        stage: int,
-        u_bits: np.ndarray,
-        v_bits: np.ndarray,
-        lod_bits: np.ndarray,
-    ) -> tuple[np.ndarray, list[int]]:
-        """:meth:`sample_warp_vector` plus the de-duplicated address trace.
-
-        Returns ``(colors, unique_addresses)`` where ``unique_addresses``
-        lists each distinct texel address in first-seen order under the
-        scalar warp traversal (thread-major, fine level before coarse) —
-        exactly the trace :meth:`sample_warp` hands the cycle-level core, so
-        the vectorized timing path charges an identical cache request
-        sequence.
-        """
-        state = self.state_for(csr_file, stage)
-        self.perf.incr("requests")
-        if int(u_bits.shape[0]) == 0:
-            return np.empty(0, dtype=np.uint32), []
-        u, v, lods = self._warp_coordinates(state, u_bits, v_bits, lod_bits)
         colors, lane_addresses = self.sampler.sample_many(
             state, u, v, lods, with_lane_addresses=True
         )

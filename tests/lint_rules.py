@@ -1,12 +1,13 @@
-"""The vxlint rules: simulator invariants the test suite cannot see.
+"""vxlint: the simulator invariants the rest of tier-1 cannot see.
 
-A rule belongs here only while its defect class passes the tier-1 suite:
-plant the defect in real modules and run the tests without this package's
-own.  Defects the tests already fail on (impure fast-forward probes,
-misspelled counter keys, unguarded trace emission) get no rule, and
-neither does per-call allocation on hot paths, which the benchmark
-measures.  What is left are defects that are invisible inside one process
-on one numpy:
+Three AST rules over ``src/``, run by ``tests/test_analysis_rules.py``
+(``TestRepoIsClean`` is the gate).  A rule belongs here only while its
+defect class passes the rest of the suite: plant the defect in real
+modules and run the tests without ``test_analysis_rules.py``.  Defects the
+tests already fail on (impure fast-forward probes, misspelled counter
+keys, unguarded trace emission) get no rule, and neither does per-call
+allocation on hot paths, which the benchmark measures.  What is left are
+defects that are invisible inside one process on one numpy:
 
 * **VX001 determinism** — the timing/functional simulators must be pure
   functions of (program, config): no wall-clock, no RNG, no ``id()``-keyed
@@ -26,14 +27,97 @@ on one numpy:
   and every ``STATE`` key must be assigned.  State a checkpoint silently
   drops makes a restored run diverge only where a later step reads it,
   which a restart test at one pause point may never reach.
+
+Each rule is scoped to module prefixes, so e.g. the determinism rule never
+fires on the kernel generators (which seed RNGs deliberately).  There is
+no suppression comment and no baseline: a finding is fixed, or the rule's
+scope says why the module is not simulator code.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from pathlib import Path
 
-from repro.analysis.framework import Finding, ModuleInfo, Rule, register_rule
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location.
+
+    ``symbol`` is the enclosing ``Class.function`` qualname and ``detail``
+    a rule-chosen discriminator (e.g. the offending import).
+    """
+
+    rule: str
+    path: str
+    line: int
+    symbol: str
+    detail: str
+    message: str
+
+
+class ModuleInfo:
+    """One parsed python module presented to the rules."""
+
+    def __init__(self, path: str, module: str, source: str):
+        self.path = path
+        self.module = module
+        self.tree = ast.parse(source, filename=path)
+
+    def in_scope(self, prefixes: Sequence[str]) -> bool:
+        return any(
+            self.module == prefix or self.module.startswith(prefix + ".")
+            for prefix in prefixes
+        )
+
+
+def finding(
+    rule, module: ModuleInfo, node: ast.AST, symbol: str, detail: str, message: str
+) -> Finding:
+    """A :class:`Finding` of ``rule`` at ``node``'s line of ``module``."""
+    return Finding(rule.id, module.path, getattr(node, "lineno", 0), symbol, detail, message)
+
+
+def module_name_for(path: Path) -> str:
+    """Dotted module name for ``path`` (``.../src/repro/cache/cache.py`` →
+    ``repro.cache.cache``), falling back to the stem when no package root
+    is recognizable."""
+    parts = list(path.with_suffix("").parts)
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1 :]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else path.stem
+
+
+def load_modules(paths: Iterable[Path]) -> list[ModuleInfo]:
+    """Parse every ``.py`` file under ``paths`` into :class:`ModuleInfo`."""
+    modules: list[ModuleInfo] = []
+    for root in paths:
+        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+        for file in files:
+            if "__pycache__" in file.parts:
+                continue
+            source = file.read_text(encoding="utf-8")
+            modules.append(ModuleInfo(str(file), module_name_for(file), source))
+    return modules
+
+
+def run_rules(modules: Sequence[ModuleInfo], rules: Sequence | None = None) -> list[Finding]:
+    """Run ``rules`` (default: :data:`RULES`) over ``modules``; the findings
+    come back sorted by location."""
+    findings = [
+        found
+        for rule in (RULES if rules is None else rules)
+        for module in modules
+        if module.in_scope(rule.scope)
+        for found in rule.check(module)
+    ]
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings
+
 
 # ---------------------------------------------------------------------------
 # Shared AST helpers
@@ -153,12 +237,10 @@ _BANNED_MODULES = {"time", "random", "secrets", "uuid"}
 SIMULATOR_SCOPE = ("repro.core", "repro.cache", "repro.mem")
 
 
-@register_rule
-class DeterminismRule(Rule):
+class DeterminismRule:
     """VX001: no wall-clock, RNG, ``id()`` keying or unsorted-set iteration."""
 
     id = "VX001"
-    title = "determinism"
     scope = SIMULATOR_SCOPE
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -168,7 +250,8 @@ class DeterminismRule(Rule):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
                     if root in _BANNED_MODULES:
-                        yield self.finding(
+                        yield finding(
+                            self,
                             module,
                             node,
                             enclosing_symbol(module, node),
@@ -179,7 +262,8 @@ class DeterminismRule(Rule):
             elif isinstance(node, ast.ImportFrom):
                 root = (node.module or "").split(".")[0]
                 if root in _BANNED_MODULES:
-                    yield self.finding(
+                    yield finding(
+                        self,
                         module,
                         node,
                         enclosing_symbol(module, node),
@@ -192,7 +276,8 @@ class DeterminismRule(Rule):
                 if name is not None:
                     root = name.split(".")[0]
                     if root in ("time", "random") and "." in name:
-                        yield self.finding(
+                        yield finding(
+                            self,
                             module,
                             node,
                             enclosing_symbol(module, node),
@@ -200,7 +285,8 @@ class DeterminismRule(Rule):
                             f"nondeterministic call `{name}()` in simulator code",
                         )
                     elif name == "id" and len(node.args) == 1:
-                        yield self.finding(
+                        yield finding(
+                            self,
                             module,
                             node,
                             enclosing_symbol(module, node),
@@ -211,7 +297,8 @@ class DeterminismRule(Rule):
                     elif name in ("list", "tuple") and len(node.args) == 1:
                         target = _unsorted_set(node.args[0], set_symbols)
                         if target is not None:
-                            yield self.finding(
+                            yield finding(
+                                self,
                                 module,
                                 node,
                                 enclosing_symbol(module, node),
@@ -224,7 +311,8 @@ class DeterminismRule(Rule):
                 iter_expr = node.iter
                 target = _unsorted_set(iter_expr, set_symbols)
                 if target is not None:
-                    yield self.finding(
+                    yield finding(
+                        self,
                         module,
                         iter_expr,
                         enclosing_symbol(module, iter_expr),
@@ -293,12 +381,10 @@ def _annotation_is_ndarray(annotation: ast.AST | None) -> bool:
     return name is not None and name.rsplit(".", 1)[-1] == "ndarray"
 
 
-@register_rule
-class DtypeDisciplineRule(Rule):
+class DtypeDisciplineRule:
     """VX005: no bare-int arithmetic into lane vectors; explicit constructor dtypes."""
 
     id = "VX005"
-    title = "dtype-discipline"
     scope = ("repro.arch", "repro.core.vector_emulator", "repro.core.processor", "repro.mem")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -339,7 +425,8 @@ class DtypeDisciplineRule(Rule):
         positional_dtype_index = _POSITIONAL_DTYPE.get(leaf)
         if positional_dtype_index is not None and len(node.args) > positional_dtype_index:
             return
-        yield self.finding(
+        yield finding(
+            self,
             module,
             node,
             enclosing_symbol(module, node),
@@ -370,7 +457,8 @@ class DtypeDisciplineRule(Rule):
                 and not isinstance(scalar_side.value, bool)
             ):
                 op = type(node.op).__name__
-                yield self.finding(
+                yield finding(
+                    self,
                     module,
                     node,
                     qualname,
@@ -425,12 +513,10 @@ def _self_assignments(node: ast.ClassDef) -> dict[str, ast.AST]:
     return sites
 
 
-@register_rule
-class SnapshotCoverageRule(Rule):
+class SnapshotCoverageRule:
     """VX007: assigned state is declared in ``STATE`` or ``SNAPSHOT_EXCLUDED``."""
 
     id = "VX007"
-    title = "state-declaration"
     scope = STATE_SCOPE
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -442,7 +528,8 @@ class SnapshotCoverageRule(Rule):
             state = _class_literal(node, "STATE")
             if state is None:
                 if assigned and component not in SNAPSHOT_EXEMPT:
-                    yield self.finding(
+                    yield finding(
+                        self,
                         module,
                         node,
                         node.name,
@@ -455,7 +542,8 @@ class SnapshotCoverageRule(Rule):
             declared = state | (_class_literal(node, "SNAPSHOT_EXCLUDED") or set())
             for attr, site in assigned.items():
                 if attr not in declared:
-                    yield self.finding(
+                    yield finding(
+                        self,
                         module,
                         site,
                         f"{node.name}.{attr}",
@@ -465,10 +553,15 @@ class SnapshotCoverageRule(Rule):
                         "restored run would diverge",
                     )
             for attr in sorted(state - assigned.keys()):
-                yield self.finding(
+                yield finding(
+                    self,
                     module,
                     node,
                     f"{node.name}.{attr}",
                     f"stale:{component}.{attr}",
                     f"STATE of `{component}` lists `{attr}`, which the class never assigns",
                 )
+
+
+#: The rules the repo gate runs.
+RULES = (DeterminismRule(), DtypeDisciplineRule(), SnapshotCoverageRule())

@@ -1,10 +1,11 @@
-"""Tests for the vxlint static-analysis suite (``repro.analysis``).
+"""Tests for the vxlint rules (``lint_rules``) and the lint gate over ``src``.
 
 Every rule gets a bad fixture (must fire) and a good fixture (must stay
 quiet).  The defects the rest of tier-1 passes with, planted into real
 modules, are fixtures too (``test_seeded_defect_in_real_source_fails``):
-lint is the only check that keeps them out.  A final gate test runs the
-analysis over ``src``.
+lint is the only check that keeps them out, and they run through the
+gate's own rule list, so a rule missing from ``RULES`` fails its seeds.
+``TestRepoIsClean`` runs that list over ``src``.
 """
 
 from __future__ import annotations
@@ -12,19 +13,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-
-from repro.analysis.framework import (
-    Finding,
-    ModuleInfo,
-    load_modules,
-    module_name_for,
-    registered_rules,
-    run_rules,
-)
-from repro.analysis.rules import (
+from lint_rules import (
+    RULES,
     DeterminismRule,
     DtypeDisciplineRule,
+    Finding,
+    ModuleInfo,
     SnapshotCoverageRule,
+    load_modules,
+    module_name_for,
+    run_rules,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -323,13 +321,14 @@ REAL_SOURCE_SEEDS = [
 
 @pytest.mark.parametrize("rule,relative,old,new,detail", REAL_SOURCE_SEEDS)
 def test_seeded_defect_in_real_source_fails(rule, relative, old, new, detail):
-    """Planting the defect in the real module fails lint with the expected
-    finding (the unmodified tree is clean: TestRepoIsClean)."""
+    """Planting the defect in the real module fails the gate's rule list
+    with the expected finding (the unmodified tree is clean:
+    TestRepoIsClean)."""
     path = REPO_ROOT / "src" / "repro" / relative
     source = path.read_text(encoding="utf-8")
     assert source.count(old) == 1
     info = ModuleInfo(str(path), module_name_for(path), source.replace(old, new))
-    assert detail in {f.detail for f in run_rules([info], rules=[rule()])}
+    assert (rule.id, detail) in {(f.rule, f.detail) for f in run_rules([info])}
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +352,12 @@ def unmatched_scopes(rules, modules) -> list[tuple[str, str]]:
 
 class TestRepoIsClean:
     def test_vxlint_clean(self, repo_modules):
-        findings = run_rules(repo_modules)
-        assert findings == [], "\n" + "\n".join(f.render() for f in findings)
+        assert run_rules(repo_modules) == []
 
     def test_every_scope_prefix_matches_a_module(self, repo_modules):
         """A prefix that matches nothing (misspelt, or naming a module that
         moved) silently stops its rule from checking that code."""
-        assert unmatched_scopes(registered_rules(), repo_modules) == []
+        assert unmatched_scopes(RULES, repo_modules) == []
         misspelt = DtypeDisciplineRule()
         misspelt.scope = ("repro.arch", "repro.core.vector_emulater")
         assert unmatched_scopes([misspelt], repo_modules) == [
@@ -368,4 +366,4 @@ class TestRepoIsClean:
 
     def test_module_name_for_src_anchor(self):
         assert module_name_for(Path("src/repro/cache/cache.py")) == "repro.cache.cache"
-        assert module_name_for(Path("src/repro/analysis/__init__.py")) == "repro.analysis"
+        assert module_name_for(Path("src/repro/cache/__init__.py")) == "repro.cache"

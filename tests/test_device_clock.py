@@ -5,10 +5,10 @@ import ast
 from pathlib import Path
 
 import pytest
+from lint_rules import iter_functions
 from test_golden_counters import MixedSharedGlobalKernel, _small
 
 import repro
-from repro.analysis.rules import iter_functions
 from repro.common.config import MemoryConfig, VortexConfig
 from repro.core.processor import TimingProcessor
 from repro.isa.builder import ProgramBuilder

@@ -327,16 +327,12 @@ def test_trilinear_fractional_lods_match_scalar_sampler():
 
 
 def test_trilinear_warp_paths_match_and_count_fetches():
-    """sample_warp and sample_warp_vector agree on colors and perf counters
-    for a trilinear-filtered stage: two quads (8 fetches) per thread, except
+    """sample_warp and sample_warp_vector agree on colors, perf counters and
+    the de-duplicated texel address trace (order included: it is the cache
+    request sequence the timing core charges).  A bilinear stage fetches
+    one quad (4) per thread; a trilinear stage two quads (8), except
     threads whose LOD pins at the coarsest level, which skip the second
     fetch (4) on both paths."""
-    unit_scalar, csr, _ = _configured_unit()
-    memory = unit_scalar.sampler.memory
-    unit_vector = TextureUnit(memory)
-    csr.write(tex_csr(0, TexCSR.FILTER), int(TexFilter.TRILINEAR))
-    csr.write(tex_csr(0, TexCSR.MIPOFF, 1), 8 * 8 * 4)
-    memory.write_bytes(0x2000 + 8 * 8 * 4, bytes(4 * 4 * 4))  # black 4x4 mip 1
     rng = np.random.default_rng(21)
     us = rng.uniform(0, 1, 4).astype(np.float32)
     vs = rng.uniform(0, 1, 4).astype(np.float32)
@@ -345,16 +341,28 @@ def test_trilinear_warp_paths_match_and_count_fetches():
         (float_to_bits(float(u)), float_to_bits(float(v)), float_to_bits(float(lod)))
         for u, v, lod in zip(us, vs, ls)
     ]
-    scalar = unit_scalar.sample_warp(csr, 0, operands)
-    vector = unit_vector.sample_warp_vector(
-        csr, 0, us.view(np.uint32), vs.view(np.uint32), ls.view(np.uint32)
-    )
-    assert list(vector) == scalar.colors
-    # lods 0.0/0.5/1.0 blend two levels (8 fetches each); 5.0 clamps to the
-    # coarsest level of the 8x8 chain (3) and skips the second quad (4).
-    assert scalar.total_addresses == 8 + 8 + 8 + 4
-    assert unit_vector.perf.get("texel_fetches") == scalar.total_addresses
-    assert unit_vector.perf.get("unique_fetches") == len(scalar.unique_addresses)
+    # Bilinear: one quad each.  Trilinear: lods 0.0/0.5/1.0 blend two levels
+    # (8 fetches each); 5.0 clamps to the coarsest level of the 8x8 chain
+    # (3) and skips the second quad (4).
+    for filter_mode, fetches in (
+        (TexFilter.BILINEAR, 4 * 4),
+        (TexFilter.TRILINEAR, 8 + 8 + 8 + 4),
+    ):
+        unit_scalar, csr, _ = _configured_unit()
+        memory = unit_scalar.sampler.memory
+        unit_vector = TextureUnit(memory)
+        csr.write(tex_csr(0, TexCSR.FILTER), int(filter_mode))
+        csr.write(tex_csr(0, TexCSR.MIPOFF, 1), 8 * 8 * 4)
+        memory.write_bytes(0x2000 + 8 * 8 * 4, bytes(4 * 4 * 4))  # black 4x4 mip 1
+        scalar = unit_scalar.sample_warp(csr, 0, operands)
+        colors, unique = unit_vector.sample_warp_vector(
+            csr, 0, us.view(np.uint32), vs.view(np.uint32), ls.view(np.uint32)
+        )
+        assert list(colors) == scalar.colors
+        assert unique == scalar.unique_addresses
+        assert scalar.total_addresses == fetches
+        assert unit_vector.perf.get("texel_fetches") == scalar.total_addresses
+        assert unit_vector.perf.get("unique_fetches") == len(scalar.unique_addresses)
 
 
 def test_oversized_float_lods_clamp_to_the_coarsest_level():
@@ -377,7 +385,7 @@ def test_oversized_float_lods_clamp_to_the_coarsest_level():
             scalar = unit_scalar.sample_warp(csr, 0, [operand])
             bits = np.array([float_to_bits(0.5)], dtype=np.uint32)
             lod_bits = np.array([float_to_bits(lod)], dtype=np.uint32)
-            vector = unit_vector.sample_warp_vector(csr, 0, bits, bits, lod_bits)
+            vector, _ = unit_vector.sample_warp_vector(csr, 0, bits, bits, lod_bits)
             assert scalar.colors[0] == blue, (filter_csr, lod)
             assert int(vector[0]) == blue, (filter_csr, lod)
 
