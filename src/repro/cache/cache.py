@@ -149,15 +149,16 @@ class RequestGroup:
 
 
 class Receipt:
-    """One pass's ``charges`` (tallies as :meth:`NonBlockingCache._charge`
-    unpacks them), its accepts ``taken`` — ``(group, index, lanes, hit)`` for
-    a read from the head of a run left longer, now ``group.to_send[index]``,
+    """One pass's ``charges`` (tallies as :meth:`NonBlockingCache._charge` unpacks
+    them), trace ``events`` (``[kind, payload, count]``), accepts ``taken`` —
+    ``(group, index, lanes, hit, tail)`` for a read from the head of a run left
+    longer, now ``group.to_send[index]``, its conflicting rest ``events[tail]``,
     else None — and, once kept for a repeat, ``tally`` and port map ``accepts``."""
 
-    __slots__ = ("charges", "taken", "tally", "accepts")
+    __slots__ = ("charges", "events", "taken", "tally", "accepts")
 
     def __init__(self) -> None:
-        self.charges, self.taken = [], []
+        self.charges, self.events, self.taken = [], [], []
 
 
 class NonBlockingCache(Stateful):
@@ -238,9 +239,10 @@ class NonBlockingCache(Stateful):
 
     def _trace_attempts(
         self, kind: str, line: int, bank_id: int, is_write: bool, count: int = 1,
-        merge: bool = False,
+        merge: bool = False, cycle: int | None = None,
     ) -> None:
-        """Emit ``count`` per-attempt events of one outcome.
+        """Emit ``count`` per-attempt events of one outcome (at ``cycle``, by
+        default now), kept in the open :class:`Receipt` too.
 
         Tracing-on only: every caller guards on ``self.trace``.  One event
         per lane, exactly as a lane-by-lane pass would emit them; the lanes
@@ -248,8 +250,11 @@ class NonBlockingCache(Stateful):
         """
         payload = self.trace_payload(line, bank_id, is_write, merge)
         self.trace.emit(
-            self.clock.now, self.trace_core, NO_WARP, self.trace_channel, kind, payload, count
+            self.clock.now if cycle is None else cycle, self.trace_core, NO_WARP,
+            self.trace_channel, kind, payload, count,
         )
+        if self.receipt is not None:
+            self.receipt.events.append([kind, payload, count])
 
     def trace_payload(
         self, line: int, bank_id: int, is_write: bool | None, merge: bool = False
@@ -403,6 +408,7 @@ class NonBlockingCache(Stateful):
         """Tracing-on ``note_blocked_writes``: lane by lane, so the levels
         below emit a lane's events before this level's ``refusal`` — the
         order a chain of :meth:`send` calls has."""
+        # Traced only: tests/test_cache_hierarchy.py pins that cross-level order.
         for address in addresses:
             self.lower.note_blocked_writes([(address,)])
             self._trace_attempts("refusal", line, bank_id, True)
@@ -625,7 +631,9 @@ class NonBlockingCache(Stateful):
                         done += room
                     if receipt is not None:  # None: an accept no repeat can redo
                         head = not is_write and done == room and lanes > 2 * room
-                        receipt.taken.append((group, len(refused), room, hit) if head else None)
+                        receipt.taken.append(
+                            (group, len(refused), room, hit, len(receipt.events)) if head else None
+                        )
                     taken += room
                     budget -= room
                     ports_left -= room
@@ -665,11 +673,13 @@ class NonBlockingCache(Stateful):
         the same (the requester's call): each run takes its lanes again through
         :meth:`_take`, the port map returns, and the tally is charged with
         ``attempts``/``bank_conflicts`` less the lanes taken (shorter conflicting
-        tails), ``memq_stalls`` handed down.  False once a run keeps ≤ its take."""
+        tails, in the events too), ``memq_stalls`` handed down; the events are
+        emitted again now.  False once a run keeps ≤ its take."""
         banks = self.banks
+        events = receipt.events
         taken = 0
         again = True
-        for group, index, lanes, hit in receipt.taken:
+        for group, index, lanes, hit, tail in receipt.taken:
             run = group.to_send[index]
             addresses = run[0]
             self._take(banks[run[2]], run[1], addresses[:lanes], group.tag, hit)
@@ -677,6 +687,8 @@ class NonBlockingCache(Stateful):
             group.outstanding += lanes
             taken += lanes
             again = again and len(addresses) > 2 * lanes
+            if events:
+                events[tail][2] -= lanes
         tally = receipt.tally
         tally[0] -= taken
         tally[1] -= taken
@@ -684,17 +696,23 @@ class NonBlockingCache(Stateful):
         self._charge(tally)
         if tally[3]:
             self.lower.note_skipped_refusal(tally[3])
+        if events:
+            emit, now = self.trace.emit, self.clock.now
+            for kind, payload, count in events:
+                emit(now, self.trace_core, NO_WARP, self.trace_channel, kind, payload, count)
         return again
 
-    def charge_blocked_writes(self, bank_lanes: list[int], line_lanes: dict[int, int]) -> bool:
-        """Charge write-throughs, ``bank_lanes[bank]`` per bank and
-        ``line_lanes[line]`` per line, what :meth:`send_batch` charges them
-        while ``lower.blocked(True)`` holds: a conflict where the bank has no
-        port for the lane's line, else a lower refusal handed down as a
-        count.  False, charging nothing, where that is not exact: traced, an
-        unblocked lower, or a lower port that needs the addresses."""
+    def charge_blocked_writes(
+        self, bank_lanes: list[int], line_lanes: dict[int, int], runs: list[tuple[Any, ...]]
+    ) -> bool:
+        """Charge (and trace) write-through ``runs``, ``bank_lanes[bank]`` lanes per
+        bank and ``line_lanes[line]`` per line, what :meth:`send_batch` does while
+        ``lower.blocked(True)`` holds: a conflict where the bank has no port for
+        the lane's line, else a lower refusal handed down as a count.  False,
+        charging nothing, where that is not exact: an unblocked lower, or a
+        lower port that needs the addresses."""
         lower = self.lower
-        if self.trace is not None or lower is None or not lower.blocked(True):
+        if lower is None or not lower.blocked(True):
             return False
         lanes = sum(bank_lanes)
         conflicts = 0
@@ -706,7 +724,22 @@ class NonBlockingCache(Stateful):
         if refusals and not lower.note_blocked_write_count(refusals):
             return False
         self._charge((lanes, conflicts, 0, refusals, 0, 0, 0, 0, 0))
+        if self.trace is not None:
+            self.trace_blocked_writes(runs, self.clock.now)
         return True
+
+    def trace_blocked_writes(self, runs: list[tuple[Any, ...]], cycle: int) -> None:
+        """Emit at ``cycle`` the events :meth:`send_batch` traces for the
+        write-through ``runs`` while ``lower.blocked(True)`` holds: per run,
+        ``conflict`` where its bank has no port for its line, else ``refusal``."""
+        accepts = self._accepts_this_cycle
+        for addresses, line, bank_id, *_ in runs:
+            accepted = accepts.get(bank_id)
+            free = accepted is None or (accepted[0] == line and accepted[1] < self._num_ports)
+            self._trace_attempts(
+                "refusal" if free else "conflict", line, bank_id, True, len(addresses),
+                cycle=cycle,
+            )
 
     # -- back-end: fills and responses -------------------------------------------------------
 

@@ -79,8 +79,9 @@ class _CachePort(LowerPort):
         return is_write and lower is not None and lower.blocked(True)
 
     def note_blocked_write_count(self, lanes: int) -> bool:
-        # Exact while every bank port is free (and nobody watches): each lane
-        # would have been refused by the level below, which is charged in turn.
+        # Exact while every bank port is free: each lane would have been
+        # refused by the level below, which is charged in turn.  A traced
+        # level needs the addresses, since its events name each lane's line.
         cache = self.lower_cache
         if cache._accepts_this_cycle or cache.trace is not None:
             return False
@@ -312,13 +313,15 @@ class MemorySubsystem(Stateful):
     def skip_idle(self, cycles: int) -> None:
         """Check the jump of ``cycles`` idle cycles the clock just made.
 
-        No level has state to advance in a provably idle window, but
-        :meth:`NonBlockingCache.tick` pops exactly the current cycle's due
-        bucket, so a jump past a due response would strand it: that is a
+        The one state a provably idle window moves is each level's bank-port
+        map, which every skipped tick would have cleared, so it is cleared
+        here.  :meth:`NonBlockingCache.tick` pops exactly the current cycle's
+        due bucket, so a jump past a due response would strand it: that is a
         caller bug and fails here, not as a hang at ``max_cycles``.
         """
         now = self.clock.now
         for cache in self._levels:
+            cache._accepts_this_cycle.clear()
             due = cache.next_response_cycle()
             if due is not None and due <= now:
                 from repro.core.emulator import EmulationError  # cache sits below core

@@ -26,7 +26,6 @@ class CacheConfig:
     num_ports: int = 1
     mshr_size: int = 8
     hit_latency: int = 2
-    write_through: bool = True
 
     def __post_init__(self) -> None:
         if self.line_size & (self.line_size - 1):
@@ -69,13 +68,8 @@ class TextureConfig:
     """Texture unit configuration (section 4.2)."""
 
     enabled: bool = True
-    num_states: int = 2
     address_latency: int = 1
     sampler_latency: int = 2
-
-    def __post_init__(self) -> None:
-        if self.num_states < 1:
-            raise ValueError("at least one texture state is required")
 
 
 #: Wavefront scheduler policies the cycle-level core can be configured with.
@@ -103,7 +97,6 @@ class CoreConfig:
     ipdom_depth: int = 32
     fpu_latency: int = 4
     fdiv_latency: int = 16
-    fsqrt_latency: int = 16
     imul_latency: int = 3
     idiv_latency: int = 16
     shared_mem_size: int = 8 * 1024

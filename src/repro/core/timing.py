@@ -258,11 +258,10 @@ class TimingCore(Stateful):
         self._dcache_line_size = self.dcache.config.line_size
         self._dcache_num_banks = self.dcache.config.num_banks
         self._icache_line_size = config.icache.line_size
-        # The drain repeat: the DRAM behind the D$ (None under an L2 or with
-        # tracing on: never armed), an epoch of the queues a drain reads, and
-        # the ``(key, receipt)`` memo.
-        untraced = trace is None and self.dcache.trace is None
-        self._dram = getattr(self.dcache.lower, "dram", None) if untraced else None
+        # The drain repeat: the DRAM behind the D$ (None under an L2: never
+        # armed), an epoch of the queues a drain reads, and the
+        # ``(key, receipt)`` memo.
+        self._dram = getattr(self.dcache.lower, "dram", None)
         self._drain_epoch = 0
         self._repeat: tuple[tuple[int, int, bool], Receipt] | None = None
         # Derived from the queues: the pending ops with a scratchpad run (the
@@ -612,7 +611,7 @@ class TimingCore(Stateful):
             # A pass the blocked lower port refuses whole is charged from the
             # tallies; the queue it would rebuild comes back unchanged.
             if self._store_smem_lanes or not self.dcache.charge_blocked_writes(
-                self._store_bank_lanes, self._store_line_lanes
+                self._store_bank_lanes, self._store_line_lanes, self._store_queue
             ):
                 stores = RequestGroup(self._store_queue)
                 self._send_batch_segments(stores, budget, True)
@@ -624,13 +623,13 @@ class TimingCore(Stateful):
             self._arm_repeat(receipt, start, budget)
 
     def _arm_repeat(self, receipt: Receipt, start: tuple[int, int, bool], budget: int) -> None:
-        """The arming rule for an untraced, DRAM-attached D$: keep the pass just
-        made if it started with no D$ port taken and no scratchpad lane
-        pending, leaving no ifetch; the D$ epoch and DRAM queue length
-        (``start``) held — only counted refusals went below; the loads left
-        ``budget`` (no run was cut short); something was charged (an idle
-        pass is cheaper than its repeat); and every accept was a read hit or
-        merge a repeat can redo (so no write-through)."""
+        """The arming rule for a DRAM-attached D$, traced or not: keep the pass
+        just made, trace events included, if it started with no D$ port taken
+        and no scratchpad lane pending, leaving no ifetch; the D$ epoch and
+        DRAM queue length (``start``) held — only counted refusals went below;
+        the loads left ``budget`` (no run was cut short); something was
+        charged (an idle pass is cheaper than its repeat); and every accept
+        was a read hit or merge a repeat can redo (so no write-through)."""
         dcache = self.dcache
         epoch, queued, clean = start
         if (
@@ -949,8 +948,10 @@ class TimingCore(Stateful):
 
         With tracing on, a synthesized ``core/skip`` marker stamps the
         window and the per-cycle scheduler/refusal events are emitted
-        exactly as the ticked path would have — ``expand_skips`` on the
-        resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
+        exactly as the ticked path would have — the refusals through the
+        drain's own :meth:`NonBlockingCache.trace_blocked_writes`, over port
+        maps the memory subsystem's skip left empty — so ``expand_skips`` on
+        the resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
         for bit.
         """
         base = self.clock.now - cycles
@@ -970,7 +971,8 @@ class TimingCore(Stateful):
             self.dcache.perf.incr("memq_stalls", refusals)
             self.dcache.lower.note_skipped_refusal(refusals)
             if self.dcache.trace is not None:
-                self._trace_skip_refusals(base, cycles)
+                for offset in range(cycles):
+                    self.dcache.trace_blocked_writes(self._store_queue, base + 1 + offset)
         self._sync_scheduler_masks()
         scheduler = self.scheduler
         if scheduler.active_mask & ~scheduler.stalled_mask & ~scheduler.barrier_mask:
@@ -999,29 +1001,6 @@ class TimingCore(Stateful):
                         base + 1 + offset, self.core_id, NO_WARP, "scheduler", "idle",
                         payload,
                     )
-
-    def _trace_skip_refusals(self, base: int, cycles: int) -> None:
-        """Replay the per-attempt refusal events of a store-refusal storm.
-
-        The counter math above stays bulk; these events mirror what the
-        ticked drain would emit — every queued lane attempts once per cycle
-        and is refused by the full lower queue (never a bank conflict, per
-        the storm argument in :meth:`skip_idle`).
-        """
-        dcache = self.dcache
-        dtrace = dcache.trace
-        if dtrace is None:  # pragma: no cover - checked by the caller
-            return
-        channel = dcache.trace_channel
-        core = dcache.trace_core
-        payloads = [
-            (len(addresses), dcache.trace_payload(line, bank, True))
-            for addresses, line, bank, _to_smem in self._store_queue
-        ]
-        for offset in range(cycles):
-            cycle = base + 1 + offset
-            for lanes, payload in payloads:
-                dtrace.emit(cycle, core, NO_WARP, channel, "refusal", payload, lanes)
 
     def stall_forensics(self) -> dict:
         """What this core waits on (per-core payload of ``SimulationStalled``)."""

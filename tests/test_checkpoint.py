@@ -446,6 +446,23 @@ class TestPausePointProperty:
         assert fresh.checkpoint() == envelope
         assert reports_identical(reference, fresh.driver.run(None, resume=True))
 
+    def test_a_pause_point_checkpoints_alike_in_one_chunk_or_two(self):
+        """The retry-wall saxpy reaches these cycles by fast-forward.  Every
+        skipped tick frees the bank ports, so whether the last tick before a
+        pause point came in this chunk or the last, the port maps agree."""
+        config = VortexConfig(
+            dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=1),
+            memory=MemoryConfig(latency=800, bandwidth=4),
+        ).with_warps_threads(8, 32)
+        for stop in range(337, 1300, 137):
+            straight, _, program, _ = _staged_device("simx", "saxpy", 512, config)
+            straight.launch_chunk(stop, program.entry)
+            chunked, _, program, _ = _staged_device("simx", "saxpy", 512, config)
+            chunked.launch_chunk(200, program.entry)
+            chunked.launch_chunk(stop - 200, resume=True)
+            snapshots = [device.driver.processor.snapshot() for device in (straight, chunked)]
+            assert pickle.dumps(snapshots[0]) == pickle.dumps(snapshots[1]), stop
+
     @given(stop=st.integers(min_value=1, max_value=400))
     @settings(max_examples=10, deadline=None)
     def test_funcsim_any_pause_round_is_invisible(self, stop):

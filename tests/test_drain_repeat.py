@@ -6,10 +6,14 @@ reference goes through the same drain, so it cannot catch a wrong repeat;
 the reference here is the same core with arming switched off, plugged in
 through the ``core_cls`` seam the ``simxref`` oracle uses.  Both must agree
 in cycles, every counter (scratchpads included) and ``processor.snapshot()``
-— at the end of a run and at pause points inside repeat windows.
+— at the end of a run and at pause points inside repeat windows — and,
+traced, in every byte of the JSONL trace.  Tracing chooses no drain path:
+a traced run makes the untraced run's passes, repeats and tally charges.
 """
 
 from __future__ import annotations
+
+import filecmp
 
 import pytest
 from test_golden_counters import SCENARIOS, _retry_wall
@@ -37,7 +41,9 @@ class NeverArmedDriver(SimxDriver):
     processor_cls = NeverArmedProcessor
 
 
-register_driver("simxnorepeat", NeverArmedDriver, options=())
+register_driver(
+    "simxnorepeat", NeverArmedDriver, options=("trace", "trace_file", "trace_channels")
+)
 
 
 def _staged(driver, kernel_factory, size, config):
@@ -62,17 +68,21 @@ def _state(device):
     )
 
 
-def _count_repeats(device):
-    """Count ``repeat`` calls on every data cache of ``device``."""
-    counts = [0]
+def _count_drain_calls(device):
+    """Count the ``send_batch`` passes, ``repeat`` calls and tally charges
+    that answered True on every data cache of ``device``."""
+    counts = {"send_batch": 0, "repeat": 0, "charge_blocked_writes": 0}
     for cache in device.driver.processor.memsys.dcaches:
-        repeat = cache.repeat
+        for name in counts:
+            method = getattr(cache, name)
 
-        def counted(receipt, repeat=repeat):
-            counts[0] += 1
-            return repeat(receipt)
+            def counted(*args, name=name, method=method):
+                answer = method(*args)
+                # Every pass and repeat counts; a tally charge where it charged.
+                counts[name] += answer if name == "charge_blocked_writes" else 1
+                return answer
 
-        cache.repeat = counted
+            setattr(cache, name, counted)
     return counts
 
 
@@ -80,29 +90,57 @@ def _count_repeats(device):
 def test_golden_scenario_equals_never_armed(name):
     kernel_factory, size, config = SCENARIOS[name]
     armed = VortexDevice(config, driver="simx")
-    repeats = _count_repeats(armed)
+    calls = _count_drain_calls(armed)
     never = VortexDevice(config, driver="simxnorepeat")
     for device in (armed, never):
         assert kernel_factory().run(device, size=size).passed
     assert _state(armed) == _state(never)
     assert armed.driver.processor.snapshot() == never.driver.processor.snapshot()
     # Every DRAM-attached D$ here repeats; under an L2 it never arms.
-    assert (repeats[0] > 0) == (config.enable_l2 is False), repeats[0]
+    assert (calls["repeat"] > 0) == (config.enable_l2 is False), calls
 
 
 def test_relaunch_equals_never_armed():
     """A second launch on the same device: warm caches, a new clock window."""
     config = _retry_wall()
     armed = VortexDevice(config, driver="simx")
-    repeats = _count_repeats(armed)
+    calls = _count_drain_calls(armed)
     never = VortexDevice(config, driver="simxnorepeat")
     for _launch in range(2):
         for device in (armed, never):
             assert KERNELS["sgemm"]().run(device, size=16 * 16).passed
         assert _state(armed) == _state(never)
         assert armed.driver.processor.snapshot() == never.driver.processor.snapshot()
-        launched, repeats[0] = repeats[0], 0
+        launched, calls["repeat"] = calls["repeat"], 0
         assert launched > 0
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_traced_drain_is_the_untraced_drain(name, tmp_path):
+    """Tracing takes the untraced drain path, and the repeat re-emits exactly
+    the events its passes would have: the armed and never-armed cores write
+    the same trace file, byte for byte."""
+    kernel_factory, size, config = SCENARIOS[name]
+    # Under an L2 the repeat never arms: the never-armed core is this core.
+    drivers = ("simx",) if config.enable_l2 else ("simx", "simxnorepeat")
+    files = [tmp_path / f"{driver}.jsonl" for driver in drivers]
+    calls = []
+    for spec in ("simx", *(f"{d}:trace=jsonl,trace_file={f}" for d, f in zip(drivers, files))):
+        device = VortexDevice(config, driver=spec)
+        calls.append(_count_drain_calls(device))
+        assert kernel_factory().run(device, size=size).passed
+    untraced, traced = calls[:2]
+    if config.enable_l2:
+        # A traced L2 names each refused lane's line, so the D$ tally charge
+        # declines behind it and the per-run pass runs instead.
+        assert untraced["repeat"] == traced["repeat"] == traced["charge_blocked_writes"] == 0
+        assert untraced["send_batch"] + untraced["charge_blocked_writes"] == traced["send_batch"]
+    else:
+        assert untraced == traced, name
+        assert untraced["repeat"] > 0
+        assert filecmp.cmp(*files, shallow=False)
+    for path in files:
+        path.unlink()  # up to a GB each
 
 
 @pytest.mark.parametrize("kernel,size", [("saxpy", 512), ("sgemm", 16 * 16)])

@@ -26,6 +26,8 @@ from repro.core.timing import _lanes_of, _PendingMemOp
 from repro.kernels import KERNELS
 from repro.mem.dram import MemRequest
 from repro.runtime.device import VortexDevice
+from repro.trace.bus import TraceBus
+from repro.trace.sinks import MemorySink
 
 from test_cache_hierarchy import forward_lane_by_lane
 from test_processor_and_drivers import _global_barrier_program
@@ -149,20 +151,23 @@ def _tallies(core) -> tuple:
     return core._store_smem_lanes, list(core._store_bank_lanes), dict(core._store_line_lanes)
 
 
-def _blocked_drain(geometry, l2_busy, stores, loads, shortcut):
+def _blocked_drain(geometry, l2_busy, stores, loads, shortcut, traced=False):
     """One drain of a store queue over ``stores`` against a full DRAM queue,
     behind a load op over ``loads`` (warm lines: its hits take bank ports
     first).  ``l2_busy`` has another request hold an L2 port, which a count
     cannot be charged past.  Returns the processor, what it observably did
-    and what each tally charge answered (``shortcut=False``: the twin, in
-    which every charge declines and the per-run pass runs)."""
+    (with ``traced``, the drain's trace events too) and what each tally
+    charge answered (``shortcut=False``: the twin, in which every charge
+    declines and the per-run pass runs)."""
     banks, ports, l2 = geometry
     config = replace(
         VortexConfig().with_warps_threads(4, 16).with_cache_hierarchy(enable_l2=l2),
         dcache=CacheConfig(size=4 * 1024, line_size=64, num_banks=banks, num_ports=ports),
         memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
     )
-    processor = TimingProcessor(config)
+    sink = MemorySink()
+    bus = TraceBus([sink]) if traced else None
+    processor = TimingProcessor(config, trace=bus)
     core, memsys = processor.cores[0], processor.memsys
     dcache = core.dcache
     for address in loads:
@@ -178,14 +183,20 @@ def _blocked_drain(geometry, l2_busy, stores, loads, shortcut):
     core._recount_stores()
     answers = []
 
-    def charge(bank_lanes, line_lanes, real=dcache.charge_blocked_writes):
-        answers.append(shortcut and real(bank_lanes, line_lanes))
+    def charge(*args, real=dcache.charge_blocked_writes):
+        answers.append(shortcut and real(*args))
         return answers[-1]
 
     dcache.charge_blocked_writes = charge
+    if traced:
+        bus.flush()
+    setup_events = len(sink.events)  # the scene's fills and sends
     core._drain_requests()
     op = core._pending_ops[0]
     queues = (_lanes_of(core._store_queue), _lanes_of(op.to_send), op.outstanding)
+    if traced:
+        bus.flush()
+        queues += (sink.events[setup_events:],)
     return processor, (memsys.counters(), queues), answers
 
 
@@ -194,20 +205,25 @@ _word_addresses = st.tuples(st.integers(0, 7), st.integers(0, 15)).map(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     geometry=st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4]), st.booleans()),
     l2_busy=st.booleans(),
     stores=st.lists(_word_addresses, min_size=1, max_size=24),
     loads=st.lists(_word_addresses, max_size=8),
+    traced=st.booleans(),
 )
-def test_tally_charge_equals_the_per_run_pass(geometry, l2_busy, stores, loads):
+def test_tally_charge_equals_the_per_run_pass(geometry, l2_busy, stores, loads, traced):
+    """Traced too: the tally charge emits, run by run, the events the
+    per-run pass emits lane by lane."""
     l2_busy = l2_busy and geometry[2]
-    processor, observed, answers = _blocked_drain(geometry, l2_busy, stores, loads, True)
-    _, twin, twin_answers = _blocked_drain(geometry, l2_busy, stores, loads, False)
-    assert observed == twin  # every level's counters, both queues, lane by lane
+    processor, observed, answers = _blocked_drain(geometry, l2_busy, stores, loads, True, traced)
+    _, twin, twin_answers = _blocked_drain(geometry, l2_busy, stores, loads, False, traced)
+    assert observed == twin  # every level's counters, both queues (and events), lane by lane
     assert twin_answers == [False]
-    if not l2_busy:  # behind the DRAM port, or an L2 with every port free
+    # Behind the DRAM port, or an untraced L2 with every port free (a traced
+    # L2's events name each refused lane's line, so it declines a count).
+    if not l2_busy and not (traced and geometry[2]):
         assert answers == [True]
 
     core = processor.cores[0]
@@ -217,3 +233,4 @@ def test_tally_charge_equals_the_per_run_pass(geometry, l2_busy, stores, loads):
     fresh = TimingProcessor(processor.config)
     fresh.restore(processor.snapshot())
     assert _tallies(fresh.cores[0]) == kept
+
