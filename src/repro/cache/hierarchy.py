@@ -94,12 +94,22 @@ class _CachePort(LowerPort):
     def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
         if self.note_blocked_write_count(sum(map(len, runs))):
             return
+        cache = self.lower_cache
+        line_size, num_banks = self.line_size, cache.config.num_banks
+        if not cache._accepts_this_cycle:
+            # Every bank has a port: each lane is handed down, then refused
+            # here, the order of a chain of ``send`` calls.
+            for address in [address for addresses in runs for address in addresses]:
+                cache.lower.note_blocked_writes([(address,)])
+                cache._charge((1, 0, 0, 1, 0, 0, 0, 0, 0))
+                if cache.trace is not None:
+                    line = address // line_size
+                    cache._trace_attempts("refusal", line, line % num_banks, True)
+            return
         # Otherwise the lower cache's batch path — held to a loop of ``send``
         # calls by tests/test_cache.py — finds its own lower blocked and
         # charges every address as ``request_write`` would have: a bank
         # conflict, or a refusal handed on down; it accepts none.
-        cache = self.lower_cache
-        line_size, num_banks = self.line_size, cache.config.num_banks
         requests = [
             ((address,), address // line_size, address // line_size % num_banks)
             for addresses in runs

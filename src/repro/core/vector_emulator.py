@@ -14,7 +14,10 @@ visits are a dictionary lookup plus one closure call — the per-mnemonic
 handler-table idea of the scalar emulator taken to its limit.  The same
 builders bound to a ``(warps, threads)`` register block give a *block*: one
 call that runs a run of adjacent warps at one PC through straight-line
-private code, round a loop that closes on it as often as it is allowed.
+private code, round a loop that closes on it as often as it is allowed —
+whole trips of a counted loop as one *trip summary*: induction registers in
+closed form, every trip's loads in one gather, and only the loop-carried
+accumulators stepped trip by trip.
 
 Architectural results are bit-identical to the scalar
 :class:`~repro.core.emulator.WarpEmulator` (the differential test in
@@ -37,7 +40,7 @@ from repro.arch.alu import (
     DIV_VECTOR_OPS,
     MUL_VECTOR_OPS,
 )
-from repro.arch.fpu import FPU_VECTOR_OPS
+from repro.arch.fpu import FPU_VECTOR_OPS, _round_bits
 from repro.common.bitutils import to_uint32
 from repro.core.emulator import EmulationError, StepResult, WarpEmulator
 from repro.isa.decoder import DecodedInstruction
@@ -212,10 +215,25 @@ class VectorWarpEmulator(WarpEmulator):
         it stops before a misaligned word load (the warps then raise one by
         one, in order).  It closes over the warps (never the core) and
         advances their PC and retired count.
+
+        A loop's ``run`` first tries its *trip summary* (:meth:`_trip_summary`):
+        the trips in which every lane of every member takes the branch back,
+        all but the last that fit in ``limit``, as whole-loop array ops.  It
+        takes bodies whose registers read before written are *induction*
+        registers (one ``addi r, r, c`` or ``add r, r, s``, ``s`` invariant:
+        closed form) or *recurrences* (an ``add`` or float32 FPU op on its own
+        destination, read by nothing else: stepped per trip over operands
+        computed once), closed by a branch of a growing induction register
+        against an invariant one.  Loads gather every trip or none: a
+        misaligned address or a non-resident page leaves the call to the
+        per-trip loop, which raises and allocates where the oracle does.  NaN
+        is absorbing in these ops and canonicalisation maps every NaN to one
+        pattern, so it runs once, after the last trip.
         """
         block = _warp_run(self.core, first, count)
         members = tuple(self.core.warps[first : first + count])
         plans: list[Plan] = []
+        body: list[DecodedInstruction] = []
         decide: Callable[[], list[bool]] | None = None
         target = -1
         end = pc
@@ -229,11 +247,13 @@ class VectorWarpEmulator(WarpEmulator):
             if not (mnemonic in _GROUPED_MNEMONICS or mnemonic in self._FPU_F32_FULL):
                 break
             plans.append(self._build_plan(block, end))
+            body.append(instr)
             end += 4
         straight = len(plans)
         if decide is None and not straight:
             return None
         loops = target == pc
+        summary = self._trip_summary(block, body, self.fetch(end)) if loops else None
 
         def finish(executed: int, next_pc: int) -> int:
             for warp in members:
@@ -242,7 +262,7 @@ class VectorWarpEmulator(WarpEmulator):
             return executed
 
         def run(limit: int) -> int:
-            executed = 0
+            executed = 0 if summary is None else (straight + 1) * summary(limit)
             while True:
                 body = plans if limit - executed >= straight else plans[: limit - executed]
                 for plan in body:
@@ -262,6 +282,138 @@ class VectorWarpEmulator(WarpEmulator):
                 return executed
 
         return straight + (decide is not None), run
+
+    def _trip_summary(
+        self, block, body: list[DecodedInstruction], branch: DecodedInstruction
+    ) -> Callable[[int], int] | None:
+        """``summary(limit)`` of the loop ``body`` + ``branch`` (the rules are
+        :meth:`_build_block`'s) or None; it returns the trips it ran."""
+        def reads(instr: DecodedInstruction) -> list[int]:
+            # x0..x31 are registers 0..31, f0..f31 are 32..63.
+            spec, form = instr.spec, instr.spec.fmt.value
+            count = 1 if spec.is_load or form == "I" else 2 + (form == "R4")
+            fields = ("rs1", "rs2", "rs3")[:count]
+            return [getattr(instr, f) + 32 * getattr(spec, f + "_float") for f in fields]
+
+        dests = [instr.rd + 32 * instr.spec.rd_float for instr in body]
+        sources = [reads(instr) for instr in body]
+        lhs, rhs = reads(branch)
+        rows = {
+            r: block.regs.fp_row(r - 32) if r >= 32 else block.regs.int_row(r)
+            for r in sorted({*dests, *sum(sources, []), lhs, rhs})
+        }
+        where = {rd: pos for pos, rd in enumerate(dests) if rd}
+        if len(where) < len(dests) - dests.count(0):
+            return None  # a register written twice
+        induction: dict[int, tuple[int, Any]] = {}  # register -> (position, step)
+        recurrent: set[int] = set()
+        ops = []  # what the summary computes, in body order
+        for pos, (instr, rd, srcs) in enumerate(zip(body, dests, sources)):
+            rest = [s for s in srcs if s != rd]
+            if rd and rd in srcs:  # it reads what it writes
+                if instr.mnemonic == "addi":
+                    induction[rd] = pos, np.uint32(to_uint32(instr.imm))
+                elif instr.mnemonic == "add" and rest and rest[0] not in where:
+                    induction[rd] = pos, rows[rest[0]]
+                elif instr.mnemonic in self._FPU_F32_FULL or (instr.mnemonic == "add" and rest):
+                    recurrent.add(rd)
+                else:
+                    return None
+            if rd not in induction and (rd or instr.spec.is_load):
+                ops.append((pos, instr.mnemonic, rd, srcs, np.uint32(to_uint32(instr.imm))))
+        for pos, srcs in enumerate(sources):
+            for s in srcs:
+                w = where.get(s, -1)
+                if w >= 0 and s not in induction and (w != pos if s in recurrent else w >= pos):
+                    return None  # read before it is written, or a recurrence read
+        mnemonic, left = branch.mnemonic, lhs in induction
+        ind, bound = (lhs, rhs) if left else (rhs, lhs)
+        branches = ("blt", "bltu", "bge", "bgeu", "bne")
+        if mnemonic not in branches or ind not in induction or bound in where:
+            return None
+        int_ops = {**ALU_VECTOR_OPS, **MUL_VECTOR_OPS, **DIV_VECTOR_OPS}
+        memory, length = self.core.memory, len(body) + 1
+        signed = np.int32 if mnemonic in ("blt", "bge") else np.uint32
+        low, high = (-(1 << 31), (1 << 31) - 1) if signed is np.int32 else (0, (1 << 32) - 1)
+
+        def summary(limit: int) -> int:
+            if limit < 2 * length:
+                return 0
+            stride = np.asarray(induction[ind][1], np.uint32).view(np.int32).astype(np.int64)
+            if (stride <= 0).any():
+                return 0
+            start, end = (rows[r].view(signed).astype(np.int64) for r in (ind, bound))
+            if mnemonic in ("blt", "bltu"):
+                lower, upper = (low, end - 1) if left else (end + 1, high)
+            elif mnemonic in ("bge", "bgeu"):
+                lower, upper = (end, high) if left else (low, end)
+            else:  # bne: until the induction lands on the bound, if it does
+                exact = (start < end) & ((end - start) % stride == 0)
+                lower, upper = low, np.where(exact, end - 1, high)
+            taken = np.where(start + stride >= lower, (upper - start) // stride, 0)
+            trips = min(int(taken.min()), limit // length - 1)
+            if trips < 1:
+                return 0
+            counts = np.arange(trips, dtype=np.uint32)[:, None, None]
+            shape = (trips, *rows[ind].shape)
+            values, last = {}, {}  # per-trip values; final values
+
+            def value(r: int, pos: int) -> np.ndarray:
+                if r in induction:
+                    w, c = induction[r]
+                    return rows[r] + c * (counts + np.uint32(pos > w))
+                return values.get(r, rows[r])
+
+            reads_before = memory.reads
+            for pos, op, rd, srcs, imm in ops:
+                if op in ("lw", "flw"):
+                    addresses = np.broadcast_to(value(srcs[0], pos) + imm, shape).ravel()
+                    pages = set(np.unique(addresses >> 12).tolist())
+                    if int(np.bitwise_or.reduce(addresses)) & 3 or pages - memory._pages.keys():
+                        memory.reads = reads_before
+                        return 0
+                    result = memory.gather_words(addresses).reshape(shape)
+                elif rd in recurrent and op == "add":  # the sum of the other operand
+                    every = np.broadcast_to(value(srcs[srcs[0] == rd], pos), shape)
+                    last[rd] = rows[rd] + np.add.reduce(every, 0, np.uint32)
+                    continue
+                elif op in self._FPU_F32_FULL:
+                    fast = self._FPU_F32_FULL[op]
+                    args = [  # None: the accumulator; a third operand unread unless fused
+                        None if s == rd and rd in recurrent
+                        else np.broadcast_to(value(s, pos).view(np.float32), shape)
+                        for s in (*srcs, rd)[:3]
+                    ]
+                    if rd in recurrent:
+                        acc = rows[rd].view(np.float32).copy()
+                        if len(srcs) == 3 and rd not in srcs[:2]:
+                            # The addend only: all float64 products, then the plan's add.
+                            product = np.multiply(args[0], args[1], dtype=np.float64)
+                            if op in ("fnmsub.s", "fnmadd.s"):
+                                np.negative(product, out=product)
+                            tail = np.subtract if op in ("fmsub.s", "fnmadd.s") else np.add
+                            for trip in product:
+                                tail(trip, acc, out=acc)
+                        else:
+                            for trip in range(trips):
+                                acc[...] = fast(*[acc if a is None else a[trip] for a in args])
+                        last[rd] = _round_bits(acc)
+                        continue
+                    result = np.asarray(fast(*args), dtype=np.float32).view(np.uint32)
+                    last[rd] = _round_bits(result[-1].view(np.float32))
+                else:
+                    rhs = imm if len(srcs) == 1 else value(srcs[1], pos)
+                    result = np.asarray(int_ops[op](value(srcs[0], pos), rhs), dtype=np.uint32)
+                    result = np.broadcast_to(result, shape)
+                if rd:
+                    values[rd] = result
+                    last.setdefault(rd, result[-1])
+            last.update({r: rows[r] + c * np.uint32(trips) for r, (_, c) in induction.items()})
+            for r, final in last.items():
+                rows[r][...] = final
+            return trips
+
+        return summary
 
     def _group_branch(self, block, instr) -> Callable[[], list[bool]]:
         """Conditional branch over a run of warps: each warp votes along its
@@ -511,8 +663,6 @@ class VectorWarpEmulator(WarpEmulator):
 
         fast = self._FPU_F32_FULL.get(mnemonic)
         if fast is not None:
-            from repro.arch.fpu import _round_bits
-
             lhs32 = rs1_row.view(np.float32)
             rhs32 = rs2_row.view(np.float32)
             acc32 = rs3_row.view(np.float32)
