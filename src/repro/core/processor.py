@@ -6,7 +6,7 @@ engine, and ``Processor`` the tests' per-thread oracle for it.  Both step
 warps round-robin through one loop, ``Processor._round``; ``VectorProcessor``
 also runs windows of rounds of private code out of that order (same-PC warps
 as one block, which runs a whole loop of straight-line code in one call
-when every warp is in it), and rolls back where that would show.
+when no other run shares its PC), and rolls back where that would show.
 ``TimingProcessor`` is the cycle-level model used by the SIMX driver.  All
 share the same device memory, support the global (inter-core) barriers
 selected by the MSB of the barrier id, and expose the performance counters
@@ -181,7 +181,9 @@ class VectorProcessor(Processor):
         (:meth:`_window`): private instructions of different warps commute,
         so any order that keeps each warp's own gives the same state, and
         one block call may run all of a core's warps through hundreds of
-        instructions.  Windows end before any pause boundary and below
+        instructions.  ``split``/``join`` count as private while they leave
+        every thread mask unchanged, so on sgemm one window runs a whole
+        task.  Windows end before any pause boundary and below
         ``max_instructions``.
         Everywhere else the scalar processor's round runs, each warp through
         its lane plan, so both engines raise at the same instruction and
@@ -207,9 +209,14 @@ class VectorProcessor(Processor):
         warp is on a private instruction; returns the warp instructions it
         committed (0: none).  Each core runs its share in blocks
         (:func:`_private_rounds`).  Each core's memo, keyed by its warps'
-        PCs, caps the length; a window that fails rolls back
-        (:meth:`_roll_back`) and the memo takes the depth the failing warps
-        reached."""
+        PCs, caps the length; a window that fails — at a non-private
+        instruction, a ``split``/``join`` that would change a thread mask,
+        or an exception — rolls back (:meth:`_roll_back`: the journal holds
+        registers, counters, access counts, and each warp's PC, retired
+        count, IPDOM entries and ``max_occupancy``) and the memo takes the
+        depth the failing warps reached.  No mask changes inside a window,
+        so its thread instructions are its rounds times each warp's active
+        lanes."""
         cores = cast("list[VectorSimtCore]", self.cores)
         keys = [tuple([w.pc if w.schedulable else -1 for w in core.warps]) for core in cores]
         rounds, scheduled = WINDOW_ROUNDS, 0
@@ -227,7 +234,8 @@ class VectorProcessor(Processor):
         while rounds >= 2:
             saved = self.memory.reads, self.memory.writes, [
                 (core.int_stack.copy(), core.fp_stack.copy(), dict(core.perf._counters),
-                 [(warp.pc, warp.instructions) for warp in core.warps])
+                 [(warp.pc, warp.instructions, warp.ipdom._entries.copy(),
+                   warp.ipdom.max_occupancy) for warp in core.warps])
                 for core in cores
             ]
             depths = [_private_rounds(core, rounds) for core in cores]
@@ -251,30 +259,40 @@ class VectorProcessor(Processor):
 
     def _roll_back(self, saved: tuple) -> None:
         """Undo a window: restore the memory access counts and each core's
-        register stacks, counters and warp PCs and retired counts."""
+        register stacks and counters, and every warp's PC, retired count,
+        IPDOM entries and ``max_occupancy`` (no thread mask changes in a
+        window)."""
         self.memory.reads, self.memory.writes, cores = saved
         for core, (int_stack, fp_stack, counters, warps) in zip(self.cores, cores):
             core.int_stack[...] = int_stack
             core.fp_stack[...] = fp_stack
             core.perf._counters.clear()
             core.perf._counters.update(counters)
-            for warp, (pc, instructions) in zip(core.warps, warps):
+            for warp, (pc, instructions, entries, occupancy) in zip(core.warps, warps):
                 warp.pc, warp.instructions = pc, instructions
+                warp.ipdom._entries[:] = entries
+                warp.ipdom.max_occupancy = occupancy
 
 
-#: Rounds one window runs at most (enough for a whole sgemm 74² task between
-#: its ``split`` and its ``fsw``); start layouts a core's memo holds.
+#: Rounds one window runs at most (enough for a whole sgemm 74² task, from
+#: the ``ret`` after one ``fsw`` to the next); start layouts a core's memo
+#: holds.
 WINDOW_ROUNDS = 1024
 WINDOW_MEMO_LIMIT = 1024
 
 
 def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
-    """Run ``rounds`` instructions of every schedulable warp of ``core``,
-    lowest PC first, all warps at that PC together (adjacent full-mask runs
-    as one block, the only place blocks run: as many instructions as the
-    budget allows while every live warp is in the run, else one); None when
-    they all ran, else the fewest instructions a warp stopped at a
-    non-private or raising one had run."""
+    """Run ``rounds`` instructions of every schedulable warp of ``core``;
+    None when they all ran, else the fewest instructions a warp stopped at
+    a non-private or raising instruction had run (a ``split`` or ``join``
+    that would change a thread mask raises here: see
+    :attr:`~repro.core.vector_emulator.VectorWarpEmulator.windowed`).
+
+    All warps at one PC go together, adjacent full-mask runs as one block
+    (the only place blocks run).  Where the live warps sit at different
+    PCs, stragglers regroup first: the PC the fewest warps hold goes next,
+    the lowest of those on a tie.  A lone run at that PC executes as many
+    instructions as the budget allows, several runs one each."""
     blocks, private, emulator = core.block_cache, core.private_pcs, core.emulator
     live = [warp for warp in core.warps if warp.schedulable]
     targets = [warp.instructions + rounds for warp in core.warps]
@@ -282,6 +300,7 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
     # step takes as many from it as from the warps that moved least.
     budget = 0
     pc = -1
+    emulator.windowed = True
     try:
         while True:
             if not budget:
@@ -292,15 +311,17 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
                 together = _warp_runs(live)
             pcs = [warp.pc for warp in live]
             pc = min(pcs)
+            held = pcs.count(pc)
+            if held == len(pcs):
+                runs = together
+            else:
+                if held > 1:  # one warp is the fewest any PC holds
+                    pc = min(sorted(set(pcs)), key=pcs.count)
+                runs = _warp_runs([warp for warp, at in zip(live, pcs) if at == pc])
+            limit = budget if len(runs) == 1 else 1
             is_private = private.get(pc)
             if not (emulator.private(pc) if is_private is None else is_private):
                 break
-            if pcs.count(pc) == len(pcs):
-                runs = together
-                limit = budget if len(runs) == 1 else 1
-            else:
-                runs = _warp_runs([warp for warp, at in zip(live, pcs) if at == pc])
-                limit = 1
             step = 1
             for members in runs:
                 # A block that runs nothing runs its first warp alone, and
@@ -322,8 +343,10 @@ def _private_rounds(core: VectorSimtCore, rounds: int) -> int | None:
                     warp.instructions += 1
                     members = members[1:]
             budget -= step
-    except Exception:  # rolled back: the rerun in round order raises it again
+    except Exception:  # rolled back: the rerun in round order runs or raises it
         pass
+    finally:
+        emulator.windowed = False
     stopped = [warp for warp in live if warp.pc == pc and warp.instructions < targets[warp.warp_id]]
     return rounds - max([targets[warp.warp_id] - warp.instructions for warp in stopped])
 

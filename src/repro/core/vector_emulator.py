@@ -43,6 +43,7 @@ from repro.arch.alu import (
 from repro.arch.fpu import FPU_VECTOR_OPS, _round_bits
 from repro.common.bitutils import to_uint32
 from repro.core.emulator import EmulationError, StepResult, WarpEmulator
+from repro.core.ipdom import IpdomEntry
 from repro.isa.decoder import DecodedInstruction
 from repro.isa.instructions import ExecUnit
 from repro.mem.memory import MemoryAccessError
@@ -66,7 +67,8 @@ Block = Callable[[int], int]
 #: Integer instructions that are private (:meth:`VectorWarpEmulator.private`)
 #: besides branches and loads.
 _PRIVATE_MNEMONICS = frozenset(
-    {"lui", "auipc", "jal", "jalr", *ALU_VECTOR_OPS, *MUL_VECTOR_OPS, *DIV_VECTOR_OPS}
+    {"lui", "auipc", "jal", "jalr", "split", "join",
+     *ALU_VECTOR_OPS, *MUL_VECTOR_OPS, *DIV_VECTOR_OPS}
 )
 #: Integer instructions a block (:meth:`VectorWarpEmulator._build_block`)
 #: runs for a run of warps at once, besides the float32 FPU ops.
@@ -180,12 +182,21 @@ class VectorWarpEmulator(WarpEmulator):
         core.private_pcs.clear()
         core.window_lengths.clear()
 
+    #: Set while :func:`~repro.core.processor._private_rounds` runs a window:
+    #: a ``split`` or ``join`` that would change its warp's thread mask then
+    #: raises before any effect, so the window ends where it stands.
+    windowed = False
+
     def private(self, pc: int) -> bool:
         """Whether the instruction at ``pc`` is *private* (cached in the
-        core's ``private_pcs``): it writes only its own warp's registers and
-        PC, and reads only those and memory — ALU, MUL/DIV, the vector FPU
-        ops, ``lui``/``auipc``, branches, jumps and loads.  Private
-        instructions of different warps commute while nothing stores."""
+        core's ``private_pcs``): it writes only its own warp's registers,
+        PC and IPDOM stack, and reads only those and memory — ALU, MUL/DIV,
+        the vector FPU ops, ``lui``/``auipc``, branches, jumps, loads, and
+        ``split``/``join`` as long as they leave the thread mask unchanged
+        (a ``split`` uniform over the warp's active lanes, a ``join`` that
+        pops a fall-through entry of the current mask; see
+        :attr:`windowed`).  Private instructions of different warps commute
+        while nothing stores."""
         private = self.core.private_pcs.get(pc)
         if private is not None:
             return private
@@ -208,13 +219,17 @@ class VectorWarpEmulator(WarpEmulator):
 
         The block is the straight run of grouped instructions from ``pc`` —
         ALU/MUL/DIV ops, word loads, the float32 FPU ops, whose effects stay
-        in each warp's registers — ending with the conditional branch that
-        follows, if one does.  ``run(limit)`` executes at most ``limit``
-        instructions of every member, going round again while that branch
-        takes every member back to ``pc``, and returns how many it executed:
-        it stops before a misaligned word load (the warps then raise one by
-        one, in order).  It closes over the warps (never the core) and
-        advances their PC and retired count.
+        in each warp's registers, and ``split``/``join`` where they leave
+        every mask unchanged (:meth:`_group_ipdom`) — ending with the
+        conditional branch or ``jal`` that follows, if one does (``jal``
+        writes ``rd`` of every member, then jumps).  ``run(limit)`` executes
+        at most ``limit`` instructions of every member, going round again
+        while that branch takes every member back to ``pc``, and returns how
+        many it executed: it stops before a misaligned word load (the warps
+        then raise one by one, in order) and before a ``split``/``join``
+        that would change a mask (the window then ends there).  It closes
+        over the warps (never the core) and advances their PC and retired
+        count.
 
         A loop's ``run`` first tries its *trip summary* (:meth:`_trip_summary`):
         the trips in which every lane of every member takes the branch back,
@@ -224,8 +239,10 @@ class VectorWarpEmulator(WarpEmulator):
         closed form) or *recurrences* (an ``add`` or float32 FPU op on its own
         destination, read by nothing else: stepped per trip over operands
         computed once), closed by a branch of a growing induction register
-        against an invariant one.  Loads gather every trip or none: a
-        misaligned address or a non-resident page leaves the call to the
+        against an invariant one, and no ``split``/``join``.  A load gathers
+        every trip from the page span between its lowest and highest
+        address, or none: a misaligned address, a non-resident page in the
+        span or a span of more pages than addresses leaves the call to the
         per-trip loop, which raises and allocates where the oracle does.  NaN
         is absorbing in these ops and canonicalisation maps every NaN to one
         pattern, so it runs once, after the last trip.
@@ -239,21 +256,28 @@ class VectorWarpEmulator(WarpEmulator):
         end = pc
         while self.private(end):
             instr = self.fetch(end)
-            if instr.spec.is_branch:
-                decide = self._group_branch(block, instr)
+            mnemonic = instr.mnemonic
+            if instr.spec.is_branch or mnemonic == "jal":
+                decide = self._group_jump(block, instr, end)
                 target = to_uint32(end + instr.imm)
                 break
-            mnemonic = instr.mnemonic
-            if not (mnemonic in _GROUPED_MNEMONICS or mnemonic in self._FPU_F32_FULL):
+            if mnemonic in ("split", "join"):
+                plans.append(self._group_ipdom(block, members, instr))
+            elif mnemonic in _GROUPED_MNEMONICS or mnemonic in self._FPU_F32_FULL:
+                plans.append(self._build_plan(block, end))
+            else:
                 break
-            plans.append(self._build_plan(block, end))
             body.append(instr)
             end += 4
         straight = len(plans)
         if decide is None and not straight:
             return None
         loops = target == pc
-        summary = self._trip_summary(block, body, self.fetch(end)) if loops else None
+        summary = None
+        # A summary steps no IPDOM stack: such loops run trip by trip.
+        ipdom = any([i.spec.unit is ExecUnit.SFU for i in body])
+        if loops and instr.spec.is_branch and not ipdom:
+            summary = self._trip_summary(block, body, instr)
 
         def finish(executed: int, next_pc: int) -> int:
             for warp in members:
@@ -364,15 +388,20 @@ class VectorWarpEmulator(WarpEmulator):
                     return rows[r] + c * (counts + np.uint32(pos > w))
                 return values.get(r, rows[r])
 
-            reads_before = memory.reads
+            reads_before, pages = memory.reads, memory._pages
             for pos, op, rd, srcs, imm in ops:
                 if op in ("lw", "flw"):
-                    addresses = np.broadcast_to(value(srcs[0], pos) + imm, shape).ravel()
-                    pages = set(np.unique(addresses >> 12).tolist())
-                    if int(np.bitwise_or.reduce(addresses)) & 3 or pages - memory._pages.keys():
+                    # One gather from the pages that span the addresses.
+                    addresses = np.broadcast_to(value(srcs[0], pos) + imm, shape)
+                    first = int(addresses.min()) >> 12
+                    span = range(first, (int(addresses.max()) >> 12) + 1)
+                    if (len(span) > addresses.size or not all(p in pages for p in span)
+                            or int(np.bitwise_or.reduce(addresses, axis=None)) & 3):
                         memory.reads = reads_before
                         return 0
-                    result = memory.gather_words(addresses).reshape(shape)
+                    words = np.concatenate([pages[p][1] for p in span])
+                    result = words[(addresses - np.uint32(first << 12)) >> np.uint32(2)]
+                    memory.reads += addresses.size
                 elif rd in recurrent and op == "add":  # the sum of the other operand
                     every = np.broadcast_to(value(srcs[srcs[0] == rd], pos), shape)
                     last[rd] = rows[rd] + np.add.reduce(every, 0, np.uint32)
@@ -415,10 +444,22 @@ class VectorWarpEmulator(WarpEmulator):
 
         return summary
 
-    def _group_branch(self, block, instr) -> Callable[[], list[bool]]:
-        """Conditional branch over a run of warps: each warp votes along its
-        lanes and, like :meth:`_plan_branch`, follows its first thread; the
-        closure returns each warp's decision."""
+    def _group_jump(self, block, instr, pc: int) -> Callable[[], list[bool]]:
+        """Conditional branch or ``jal`` over a run of warps: for a branch,
+        each warp votes along its lanes and, like :meth:`_plan_branch`,
+        follows its first thread; ``jal`` writes ``rd`` of every warp and is
+        taken.  The closure returns each warp's decision."""
+        if instr.mnemonic == "jal":
+            taken = [True] * block.regs.int_row(0).shape[0]
+            link = block.regs.int_row(instr.rd) if instr.rd else None
+            return_address = np.uint32(to_uint32(pc + 4))
+
+            def jump() -> list[bool]:
+                if link is not None:
+                    link[...] = return_address
+                return taken
+
+            return jump
         cmp, lhs, rhs = self._full_compare(instr, block.regs)
         perf = self.core.perf
 
@@ -432,6 +473,44 @@ class VectorWarpEmulator(WarpEmulator):
             return decisions[:, 0].tolist()
 
         return decide
+
+    def _group_ipdom(self, block, members: tuple, instr: DecodedInstruction) -> Plan:
+        """``split`` or ``join`` over a run of full-mask warps, only where it
+        leaves every mask unchanged: a ``split`` whose predicate is uniform
+        along each warp's lanes pushes a fall-through entry of the full mask
+        on every stack, a ``join`` pops one from every stack.  Every member
+        is checked before any push or pop; the plan returns False, having
+        done nothing, where one fails (and before the core's first split,
+        which runs in round order: see :meth:`_plan_split`)."""
+        stacks = [warp.ipdom for warp in members]
+        keeps = IpdomEntry(members[0].full_mask)
+        counters = self.core.perf._counters
+        if instr.mnemonic == "join":
+
+            def join(_) -> bool | None:
+                for stack in stacks:
+                    if not stack or stack.peek() != keeps:
+                        return False
+                for stack in stacks:
+                    stack.pop()
+                return None
+
+            return join
+        predicate = block.regs.int_row(instr.rs1)
+        threads = predicate.shape[1]
+
+        def split(_) -> bool | None:
+            votes = np.count_nonzero(predicate, axis=1)
+            if (votes % threads).any() or "uniform_splits" not in counters:
+                return False
+            if any([len(stack) >= stack.depth for stack in stacks]):
+                return False  # the overflow raises warp by warp
+            for stack in stacks:
+                stack.push(keeps.tmask)
+            counters["uniform_splits"] += len(stacks)
+            return None
+
+        return split
 
     # -- ALU / MUL / DIV ---------------------------------------------------------------
 
@@ -902,6 +981,11 @@ class VectorWarpEmulator(WarpEmulator):
             taken_mask = int((np.left_shift(np.int64(1), lanes.astype(np.int64))[predicates]).sum())
             original = warp.tmask
             not_taken_mask = original & ~taken_mask
+            # In a window the first split of the core runs in round order:
+            # a window creates at most one counter key (the checkpoint keeps
+            # their order).
+            if self.windowed and (taken_mask and not_taken_mask or "uniform_splits" not in perf):
+                raise EmulationError("a window ends before a split that changes the mask")
             warp.ipdom.push(original, pc=None)
             if taken_mask and not_taken_mask:
                 warp.ipdom.push(not_taken_mask, pc=next_pc)
@@ -919,6 +1003,8 @@ class VectorWarpEmulator(WarpEmulator):
         next_pc = pc + 4
 
         def run(warp) -> bool:
+            if self.windowed and warp.ipdom.peek() != IpdomEntry(warp.tmask):
+                raise EmulationError("a window ends before a join that changes the mask")
             entry = warp.ipdom.pop()
             warp.set_tmask(entry.tmask)
             if entry.is_fallthrough:

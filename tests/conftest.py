@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,108 @@ class RefFuncSimDriver(FuncSimDriver):
 
 register_driver("simxref", RefSimxDriver, options=("trace", "trace_file", "trace_channels"))
 register_driver("funcsimref", RefFuncSimDriver, options=())
+
+
+# -- what funcsim's fast paths did -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockCall:
+    """One call of a ``funcsim`` block: its warps, ``limit`` and length (body
+    plus closing jump), the instructions it ran per warp, and the whole
+    trips its trip summary ran first (None: the block has no summary)."""
+
+    warps: int
+    limit: int
+    length: int
+    executed: int
+    trips: int | None
+
+
+@dataclass
+class FuncsimSpy:
+    """Every block call of a ``funcsim`` run (:class:`BlockCall`), how many
+    loop bodies got a trip summary (``built``), and the warp instructions
+    ``Processor._round`` retired, by mnemonic (``rounds``)."""
+
+    calls: list[BlockCall] = field(default_factory=list)
+    built: int = 0
+    rounds: Counter = field(default_factory=Counter)
+
+    @property
+    def summaries(self) -> list[BlockCall]:
+        """The calls of blocks that have a trip summary."""
+        return [call for call in self.calls if call.trips is not None]
+
+    @property
+    def trips(self) -> int:
+        """Whole trips summarised, over every summary call."""
+        return sum([call.trips for call in self.summaries])
+
+    @property
+    def declines(self) -> int:
+        """Summary calls that ran nothing because ``limit`` held fewer than
+        two trips."""
+        return sum([not call.trips and call.limit < 2 * call.length for call in self.summaries])
+
+    @property
+    def by_limit(self) -> Counter:
+        """Block calls by ``limit``."""
+        return Counter([call.limit for call in self.calls])
+
+
+@pytest.fixture
+def funcsim_spy(monkeypatch) -> FuncsimSpy:
+    """Records what ``funcsim`` ran where (:class:`FuncsimSpy`): wraps
+    ``VectorWarpEmulator._build_block`` and ``_trip_summary`` (every block
+    and summary built during the test) and ``VectorSimtCore.step_warp``
+    (which only ``Processor._round`` calls on ``funcsim``)."""
+    from repro.core.core import VectorSimtCore
+    from repro.core.vector_emulator import VectorWarpEmulator
+
+    spy = FuncsimSpy()
+    build_block, trip_summary = VectorWarpEmulator._build_block, VectorWarpEmulator._trip_summary
+    step_warp = VectorSimtCore.step_warp
+    last: list[int | None] = [None]  # trips of the summary the current block call ran
+
+    def spy_summary(self, block, body, branch):
+        summary = trip_summary(self, block, body, branch)
+        if summary is None:
+            return None
+        spy.built += 1
+
+        def run(limit):
+            last[0] = summary(limit)
+            return last[0]
+
+        return run
+
+    def spy_block(self, pc, first, count):
+        built = build_block(self, pc, first, count)
+        if built is None:
+            return None
+        length, block = built
+
+        def run(limit):
+            last[0] = None
+            executed = block(limit)
+            spy.calls.append(BlockCall(count, limit, length, executed, last[0]))
+            return executed
+
+        return length, run
+
+    def spy_step(self, warp):
+        try:
+            mnemonic = self.emulator.fetch(warp.pc).mnemonic
+        except Exception:  # the step raises it
+            mnemonic = None
+        spy.rounds[mnemonic] += 1
+        step_warp(self, warp)
+
+    monkeypatch.setattr(VectorWarpEmulator, "_trip_summary", spy_summary)
+    monkeypatch.setattr(VectorWarpEmulator, "_build_block", spy_block)
+    monkeypatch.setattr(VectorSimtCore, "step_warp", spy_step)
+    return spy
 
 
 @pytest.fixture

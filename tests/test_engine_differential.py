@@ -503,71 +503,28 @@ def test_sgemm_inner_loop_executes_as_warp_groups(group_runs):
     assert group_runs.calls <= in_groups / 20
 
 
-class _Summaries(list):
-    """``(members, trips summarised, instructions run per warp, body length)``
-    per call of a loop block that has a trip summary."""
-
-    built = 0
-
-
-@pytest.fixture
-def summaries(monkeypatch):
-    """Every call of a ``funcsim`` loop block with a trip summary
-    (:class:`_Summaries`), and how many loop bodies got one (``built``)."""
-    from repro.core.vector_emulator import VectorWarpEmulator
-
-    calls = _Summaries()
-    trip_summary = VectorWarpEmulator._trip_summary
-    build_block = VectorWarpEmulator._build_block
-    state = {"built": False, "trips": 0}
-
-    def spy_summary(self, block, body, branch):
-        summary = trip_summary(self, block, body, branch)
-        state["built"] = summary is not None
-        if summary is None:
-            return None
-        calls.built += 1
-
-        def run(limit):
-            state["trips"] = summary(limit)
-            return state["trips"]
-
-        return run
-
-    def spy_block(self, pc, first, count):
-        state["built"] = False
-        built = build_block(self, pc, first, count)
-        if built is None or not state["built"]:
-            return built
-        length, block = built
-
-        def run(limit):
-            state["trips"] = 0
-            executed = block(limit)
-            calls.append((count, state["trips"], executed, length))
-            return executed
-
-        return length, run
-
-    monkeypatch.setattr(VectorWarpEmulator, "_trip_summary", spy_summary)
-    monkeypatch.setattr(VectorWarpEmulator, "_build_block", spy_block)
-    return calls
-
-
-def test_sgemm_inner_loop_runs_as_trip_summaries(summaries):
+def test_sgemm_inner_loop_runs_as_trip_summaries(funcsim_spy):
     """On a 4W-4T sgemm 48² the trip summary retires ≥ 95 % of the inner
     loop's warp trips (at most 47 of every 48: a call leaves the last trip
     to the per-trip path) — 96.5 % measured — and the per-trip path runs at
-    most two trips per block call."""
+    most two trips per block call.  ``split``, ``join`` and ``jal`` run in
+    windows, so each task is one window and ``Processor._round`` retires at
+    most half of the 4,655 warp instructions it retired when they ended
+    windows (1,779 measured: the ``fsw``, the ``ret`` and ``join`` after it,
+    and the boot code)."""
     n = 48
     device = VortexDevice(VortexConfig().with_warps_threads(4, 4), driver="funcsim")
     assert KERNELS["sgemm"]().run(device, size=n * n).passed
     # Tasks per thread x trips per task x warps.
     trips = n * n // 16 * n * 4
-    assert summaries.built >= 1
-    assert sum(count * summarised for count, summarised, _, _ in summaries) >= 0.95 * trips
-    for _, summarised, executed, length in summaries:
-        assert -(-(executed - summarised * length) // length) <= 2
+    assert funcsim_spy.built >= 1
+    assert sum([call.warps * call.trips for call in funcsim_spy.summaries]) >= 0.95 * trips
+    for call in funcsim_spy.summaries:
+        assert -(-(call.executed - call.trips * call.length) // call.length) <= 2
+    assert sum(funcsim_spy.rounds.values()) <= 4655 // 2
+    assert {"split", "jal"}.isdisjoint(
+        mnemonic for mnemonic, count in funcsim_spy.rounds.items() if count > 3
+    )
 
 
 def test_a_declined_trip_summary_allocates_no_page():
@@ -621,7 +578,7 @@ def test_a_declined_trip_summary_allocates_no_page():
     assert (0x9000_0000 >> 12) + 2 not in driver.memory._pages
 
 
-def test_a_block_runs_up_to_its_limit_as_the_oracle_steps(summaries):
+def test_a_block_runs_up_to_its_limit_as_the_oracle_steps(funcsim_spy):
     """A block over four full-mask warps at a loop's head goes round the
     loop until ``limit`` or until a warp leaves it (warp ``w`` makes
     ``10 - w`` trips), and leaves each warp where stepping it that many
@@ -669,7 +626,8 @@ def test_a_block_runs_up_to_its_limit_as_the_oracle_steps(summaries):
             executed = run(limit)
             assert executed == min(limit, 49), f"limit {limit}"
             if closing == "blt":  # whole trips up to the last before the first exit
-                assert summaries[-1][1] == max(0, min(7, limit // 7) - 1), f"limit {limit}"
+                trips = max(0, min(7, limit // 7) - 1)
+                assert funcsim_spy.calls[-1].trips == trips, f"limit {limit}"
             ref = staged("funcsimref")
             for warp in ref.warps:
                 for _ in range(executed):
@@ -837,6 +795,90 @@ def test_rolled_back_windows_match_the_scalar_reference(windows):
         assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"budget {budget}"
 
 
+def _split_program():
+    """Four warps (warp 0 two PCs behind) through ``split``/``join`` that
+    windows run and roll back.  First a branch that diverges on warp 0
+    alone, right before the core's first ``split``: round order counts
+    that ``split`` (warps 1-3) before the divergent branch (warp 0), a
+    window that regroups warp 0 first would not.  Then six trips of a loop
+    whose body pushes a uniform, a per-warp (``t2 < 2``) and a uniform
+    ``split`` and then reads INSTRET — so windows roll back past the pushes
+    of a new ``max_occupancy`` — and pops them; 40 trips of a loop whose
+    body is a uniform ``split``/``join`` region (a looping block, but no
+    trip summary: it would skip the pushes and pops); then a lane-divergent
+    ``split`` whose taken half re-enables every thread with ``tmc``, so a
+    full-mask warp reaches a ``join`` whose entry is not a fall-through (it
+    changes the mask and redirects)."""
+    from repro.isa.csr import CSR
+    from repro.isa.registers import Reg
+
+    asm = _spawned_workers()
+    asm.seqz(Reg.s8, Reg.t2)
+    asm.and_(Reg.s9, Reg.t3, Reg.s8)
+    asm.li(Reg.s11, 1)
+    asm.bnez(Reg.s9, "first")
+    asm.label("first")
+    asm.split(Reg.s11)
+    asm.join()
+    asm.li(Reg.s4, 6)
+    asm.label("outer")
+    asm.split(Reg.s11)
+    asm.slti(Reg.s10, Reg.t2, 2)
+    asm.split(Reg.s10)
+    asm.addi(Reg.s1, Reg.s1, 5)
+    asm.mul(Reg.s2, Reg.s1, Reg.a1)
+    asm.split(Reg.s11)
+    asm.csr_read(Reg.s3, CSR.INSTRET)
+    for _ in range(3):
+        asm.join()
+    asm.addi(Reg.s0, Reg.s0, 1)
+    asm.blt(Reg.s0, Reg.s4, "outer")
+    asm.li(Reg.s4, 46)
+    asm.label("inner")
+    asm.split(Reg.s11)
+    asm.addi(Reg.s1, Reg.s1, 3)
+    asm.join()
+    asm.addi(Reg.s0, Reg.s0, 1)
+    asm.blt(Reg.s0, Reg.s4, "inner")
+    asm.andi(Reg.s9, Reg.t3, 1)
+    asm.split(Reg.s9)
+    asm.csr_read(Reg.t0, CSR.NUM_THREADS)
+    asm.tmc(Reg.t0)
+    asm.addi(Reg.s5, Reg.s5, 1)
+    asm.addi(Reg.s6, Reg.s6, 7)
+    asm.join()
+    asm.addi(Reg.s7, Reg.s7, 1)
+    asm.tmc(Reg.zero)
+    return asm.assemble()
+
+
+def test_split_and_join_in_windows_match_the_scalar_reference(windows, funcsim_spy):
+    """Windows commit and roll back across uniform ``split``/``join`` (each
+    rollback restores IPDOM entries and ``max_occupancy``: the ``windows``
+    spy compares the snapshot), a loop through them runs as one block over
+    all four warps, windows stop before the ``join`` that changes a mask,
+    and funcsim ends and pauses in the oracle's state, checkpoint bytes
+    included."""
+    import pickle
+
+    program = _split_program()
+    ref, _ = _rollback_driver("funcsimref", program)
+    vec, _ = _rollback_driver("funcsim", program)
+    assert _full_state(vec) == _full_state(ref)
+    assert windows["committed"] >= 1 and windows["rolled_back"] >= 1
+    assert [w.ipdom.max_occupancy for w in vec.processor.cores[0].warps] == [3] * 4
+    assert funcsim_spy.built == 0
+    assert any([call.warps == 4 and call.executed >= 10 * call.length
+                for call in funcsim_spy.calls])
+    total = ref.processor.cores[0].perf.get("instructions")
+    for stop in range(3, total, 11):
+        pair = [_rollback_driver(spec, program, stop_after_instructions=stop)
+                for spec in ("funcsimref", "funcsim")]
+        assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
+        snapshots = [pickle.dumps(driver.processor.snapshot()) for driver, _ in pair]
+        assert snapshots[0] == snapshots[1], f"pause {stop}"
+
+
 #: Private instructions for :func:`_private_program`: mnemonic -> whether it
 #: takes an immediate.  ``a4`` holds the shared word's address, ``a1`` the
 #: thread id.
@@ -844,17 +886,34 @@ _PRIVATE_OPS = {"addi": True, "slli": True, "add": False, "xor": False, "mul": F
 _PRIVATE_REGS = ["a1", "s1", "s2", "s3", "s4", "s5"]
 
 
-def _private_program(lags, body, special, position, misaligned=-1):
+#: ``split`` predicates of :func:`_private_program`, by ``imm % 3``: one
+#: value for the whole run, one per warp (from ``t2``, the warp id), one per
+#: lane (from ``t3``, the thread id).
+_SPLIT_PREDICATES = ("uniform", "per-warp", "per-lane")
+
+
+def _private_program(lags, body, special, position, misaligned=-1, regions=()):
     """Warp ``w`` spins ``lags[w]`` extra times, then every warp runs
     ``body`` (private ALU ops, loads of the shared word, forward branches
-    that may diverge and backward loops that load a word per trip, 3 to 6
-    trips plus one for odd ``w``) three times with ``special`` — a store of
+    that may diverge, backward loops that load a word per trip, 3 to 6
+    trips plus one for odd ``w``, and forward ``jal ra`` calls of a
+    function that ends in ``ret``) three times with ``special`` — a store of
     ``s1`` to the shared word or a ``csrr`` of INSTRET into it — at
-    ``position``.  The loops of warp ``misaligned`` step 5 bytes, not 4, so
-    its second trip's load is misaligned."""
+    ``position``.  ``regions`` (at most 3 ``(first, last, kind)``) become
+    nested ``split``/``join`` pairs: level ``i`` opens before body op
+    ``first`` of the ``i``-th lowest, and closes before op ``last`` (or at
+    the end) but never before the region inside it does; its predicate is
+    of the :data:`_SPLIT_PREDICATES` kind ``kind % 3``.  The loops of warp
+    ``misaligned`` step 5 bytes, not 4, so its second trip's load is
+    misaligned."""
     from repro.isa.csr import CSR
     from repro.isa.registers import Reg
 
+    opens = sorted([min(first, len(body)) for first, _, _ in regions])
+    closes = [0] * len(regions)
+    for level in reversed(range(len(regions))):  # innermost first: it bounds the rest
+        inner = closes[level + 1] if level + 1 < len(regions) else opens[-1]
+        closes[level] = max(inner, min(regions[level][1], len(body)))
     asm = _spawned_workers()
     asm.la(Reg.t0, "lags")
     asm.slli(Reg.t1, Reg.t2, 2)
@@ -869,12 +928,26 @@ def _private_program(lags, body, special, position, misaligned=-1):
     asm.addi(Reg.s10, Reg.s10, 4)
     asm.li(Reg.s6, 3)
     asm.label("body")
+    functions = []
     for index in range(len(body) + 1):
         if index == position:
             if special == "sw":
                 asm.sw(Reg.s1, 0, Reg.a4)
             else:
                 asm.csr_read(Reg.s1, CSR.INSTRET)
+        for level, first in enumerate(opens):
+            if first == index:
+                kind, imm = _SPLIT_PREDICATES[regions[level][2] % 3], regions[level][2]
+                if kind == "uniform":
+                    asm.li(Reg.s11, imm & 1)
+                elif kind == "per-warp":
+                    asm.slti(Reg.s11, Reg.t2, imm & 3)
+                else:
+                    asm.andi(Reg.s11, Reg.t3, 1 + (imm & 1))
+                asm.split(Reg.s11)
+        for last in reversed(closes):
+            if last == index:
+                asm.join()
         if index == len(body):
             break
         op, rd, rs1, rs2, imm = body[index]
@@ -896,6 +969,9 @@ def _private_program(lags, body, special, position, misaligned=-1):
             asm.add(Reg.s9, Reg.s9, Reg.s10)
             asm.addi(Reg.s7, Reg.s7, -1)
             asm.bnez(Reg.s7, f"loop{index}")
+        elif op == "call":
+            asm.call(f"function{index}")
+            functions.append((index, rd, imm))
         elif _PRIVATE_OPS[op]:
             asm.emit(op, rd, rs1, imm & 31 if op == "slli" else imm)
         else:
@@ -903,6 +979,10 @@ def _private_program(lags, body, special, position, misaligned=-1):
     asm.addi(Reg.s6, Reg.s6, -1)
     asm.bnez(Reg.s6, "body")
     asm.tmc(Reg.zero)
+    for index, rd, imm in functions:
+        asm.label(f"function{index}")
+        asm.addi(rd, rd, imm)
+        asm.ret()
     asm.label("lags")
     for lag in lags:
         asm.word(lag)
@@ -910,7 +990,7 @@ def _private_program(lags, body, special, position, misaligned=-1):
 
 
 _private_op = st.tuples(
-    st.sampled_from(["loop", *_PRIVATE_OPS, "lw", "bltu"]),
+    st.sampled_from(["loop", *_PRIVATE_OPS, "lw", "bltu", "call"]),
     st.sampled_from(_PRIVATE_REGS[1:]),
     st.sampled_from(_PRIVATE_REGS),
     st.sampled_from(_PRIVATE_REGS),
@@ -918,30 +998,45 @@ _private_op = st.tuples(
 )
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     lags=st.lists(st.integers(0, 3), min_size=4, max_size=4),
     body=st.lists(_private_op, min_size=4, max_size=24),
     special=st.sampled_from(["sw", "csrr"]),
     misaligned=st.sampled_from([-1, 3, -1, 1, -1, 0, 2]),
+    regions=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24), st.integers(0, 5)),
+                     max_size=3),
     data=st.data(),
 )
-def test_private_programs_match_the_scalar_reference(lags, body, special, misaligned, data):
+def test_private_programs_match_the_scalar_reference(
+    lags, body, special, misaligned, regions, data
+):
     """Random private code at random warp lags, with one store or CSR read
-    somewhere in it and loops whose exits part the warps, ends in the
+    somewhere in it, loops whose exits part the warps, calls, and nested
+    ``split``/``join`` regions that keep or change thread masks, ends in the
     oracle's state on funcsim — or raises where it does, at a misaligned
-    load inside a loop."""
+    load inside a loop — and pauses in it, checkpoint bytes included."""
+    import pickle
+
     from repro.mem.memory import MemoryAccessError
 
     position = data.draw(st.integers(0, len(body)), label="position")
-    program = _private_program(lags, body, special, position, misaligned)
-    ref, ref_raised = _rollback_driver("funcsimref", program, max_instructions=5_000)
-    vec, vec_raised = _rollback_driver("funcsim", program, max_instructions=5_000)
+    program = _private_program(lags, body, special, position, misaligned, regions)
+    ref, ref_raised = _rollback_driver("funcsimref", program, max_instructions=20_000)
+    vec, vec_raised = _rollback_driver("funcsim", program, max_instructions=20_000)
     # Warp ``misaligned`` reaches the second trip of any loop.
     looped = any(op == "loop" for op, *_ in body)
     expected = MemoryAccessError if misaligned >= 0 and looped else None
     assert ref_raised is vec_raised is expected
     assert _full_state(vec) == _full_state(ref)
+    total = ref.processor.cores[0].perf.get("instructions")
+    stop = data.draw(st.integers(1, total), label="stop")
+    pair = [_rollback_driver(spec, program, stop_after_instructions=stop)
+            for spec in ("funcsimref", "funcsim")]
+    assert pair[0][1] is pair[1][1], f"pause {stop}"
+    assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
+    snapshots = [pickle.dumps(driver.processor.snapshot()) for driver, _ in pair]
+    assert snapshots[0] == snapshots[1], f"pause {stop}"
 
 
 # -- counted loops: whole trips summarised, held to the per-thread oracle ---------------------
@@ -1114,3 +1209,21 @@ def test_counted_loops_match_the_scalar_reference(seed):
         assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
         snapshots = [pickle.dumps(driver.processor.snapshot()) for driver, _ in pair]
         assert snapshots[0] == snapshots[1], f"pause {stop}"
+
+
+def test_counted_loops_keep_their_trip_summaries(funcsim_spy):
+    """Where warps leave a counted loop at different trips, the ones still
+    in it regroup and keep the window's budget: over the funcsim runs of
+    the 30 programs above (whole, then paused twice), at most 48 summary
+    calls decline for a ``limit`` under two trips — 145 when the lowest PC
+    always went first and every call at split PCs got ``limit`` 1, 24
+    measured — and at least 823 trips are summarised (893 measured)."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        program = _counted_loop_program(_loop_case(rng), seed)
+        driver, _ = _rollback_driver("funcsim", program, max_instructions=20_000)
+        total = driver.processor.cores[0].perf.get("instructions")
+        for stop in rng.integers(1, total + 1, 2).tolist():
+            _rollback_driver("funcsim", program, stop_after_instructions=stop)
+    assert funcsim_spy.declines <= 48
+    assert funcsim_spy.trips >= 823
