@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.common.bitutils import to_uint32
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, Stateful
@@ -26,6 +27,7 @@ from repro.core.barrier import PARTICIPANTS, BarrierTable, is_global_barrier
 from repro.core.emulator import WarpEmulator
 from repro.core.vector_emulator import VectorWarpEmulator
 from repro.core.warp import NUM_REGISTERS, Warp
+from repro.isa.instructions import ExecUnit
 from repro.arch.csr import CsrFile
 from repro.texture.unit import TextureUnit
 
@@ -176,22 +178,15 @@ class SimtCore(Stateful):
         self.perf.incr("thread_instructions", result.active_thread_count)
         self.csr.retire(1)
 
-    def step_warp_timing(self, warp: Warp) -> Any:
-        """Execute one instruction of ``warp`` for the cycle-level core.
-
-        Same bookkeeping as :meth:`step_warp` (per-core counters, ``instret``)
-        through the emulator's ``step_timing``: the vectorized emulator runs
-        a compiled timing plan and returns a
-        :class:`repro.core.vector_emulator.TimingStep`; the per-thread
-        emulator returns its :class:`~repro.core.emulator.StepResult`, which
-        exposes the same ``instr``, ``active_thread_count``, ``taken_branch`` and
-        ``request_addresses`` facts.
-        """
-        step = self.emulator.step_timing(warp)
-        self.perf.incr("instructions")
-        self.perf.incr("thread_instructions", step.active_thread_count)
+    def step_warp_timing(self, warp: Warp) -> tuple[bool, list[int] | None]:
+        """Execute one instruction of ``warp`` for the cycle-level core and
+        return ``(taken, addresses)``: whether the front end must redirect,
+        and the per-request memory addresses in issue order (empty or None
+        when there are none).  The timing core counts the issue in its own
+        counters; only ``instret`` advances here."""
+        result = self.emulator.step(warp)
         self.csr.retire(1)
-        return step
+        return result.taken_branch, result.request_addresses
 
 
 class VectorSimtCore(SimtCore):
@@ -210,3 +205,30 @@ class VectorSimtCore(SimtCore):
         counters["instructions"] += 1
         counters["thread_instructions"] += active
         self.csr.instret += 1
+
+    def step_warp_timing(self, warp: Warp) -> tuple[bool, list[int] | None]:
+        """:meth:`SimtCore.step_warp_timing` through the warp's cached lane
+        plan.  A load or store reads its lanes' byte addresses before the
+        plan commits (a load may overwrite its base register; the word fast
+        paths work on page offsets and never build them), ``tex`` returns
+        the plan's texel trace, a branch or ``join`` the plan's decision."""
+        emulator = self.emulator
+        pc = warp.pc
+        plan = emulator._arch_plan(warp, pc)
+        instr = emulator.fetch(pc)
+        spec = instr.spec
+        taken = False
+        if spec.is_load or spec.is_store:
+            base = warp.regs.int_row(instr.rs1)
+            if not warp.full:
+                base = base[warp.lanes]
+            addresses = (base + np.uint32(to_uint32(instr.imm))).tolist()
+            plan(warp)
+        elif spec.unit == ExecUnit.TEX:
+            addresses = plan(warp)
+        else:
+            taken = plan(warp) is True or spec.is_jump
+            addresses = None
+        warp.instructions += 1
+        self.csr.instret += 1
+        return taken, addresses

@@ -124,10 +124,9 @@ class StepResult:
     def request_addresses(self) -> list[int]:
         """The per-request memory addresses, in issue order.
 
-        This is the interface the cycle-level core charges cache traffic
-        from; the vectorized timing step
-        (:class:`repro.core.vector_emulator.TimingStep`) exposes the same
-        attribute without materializing ``MemAccess`` records.
+        What :meth:`SimtCore.step_warp_timing` hands the cycle-level core
+        to charge cache traffic from; the lane-plan core reads the same
+        addresses off the register rows without ``MemAccess`` records.
         """
         return [access.address for access in self.mem_accesses]
 
@@ -177,7 +176,6 @@ class WarpEmulator:
         self._decode_cache.clear()
         for warp in getattr(self.core, "warps", ()):
             warp.plan_cache.clear()
-            warp.timing_plan_cache.clear()
 
     # -- execution --------------------------------------------------------------------
 
@@ -202,10 +200,6 @@ class WarpEmulator:
         warp.pc = result.next_pc
         warp.instructions += 1
         return result
-
-    #: What :meth:`SimtCore.step_warp_timing` calls: a ``StepResult`` already
-    #: carries every fact the cycle-level core charges from.
-    step_timing = step
 
     # -- operand helpers ----------------------------------------------------------------
 

@@ -128,10 +128,12 @@ class TimingCore(Stateful):
     """Cycle-level model of one Vortex core.
 
     The embedded functional core ``func`` executes each issued instruction
-    as a whole-warp lane plan (:meth:`VectorWarpEmulator.step_timing`); the
-    timing model — scheduler, scoreboard, latencies, caches, MSHRs — charges
-    only the per-instruction facts of the returned step, so any
-    :class:`SimtCore` whose ``step_warp_timing`` reports the same facts
+    through the warp's cached lane plan
+    (:meth:`VectorSimtCore.step_warp_timing`), the same plan ``funcsim``
+    runs.  The timing model — scheduler, scoreboard, latencies, caches,
+    MSHRs — charges the decoded instruction, the active lanes at issue and
+    the ``(taken, addresses)`` pair the step returns, so any
+    :class:`SimtCore` whose ``step_warp_timing`` returns the same pair
     yields bit-identical cycles, IPC and performance counters (the tests'
     per-thread oracle is one).
     """
@@ -758,10 +760,12 @@ class TimingCore(Stateful):
             return
 
         pc = warp.pc
-        result = self.func.step_warp_timing(warp)
+        instr = self.func.emulator.fetch(pc)
+        active = warp.active_count
+        taken, addresses = self.func.step_warp_timing(warp)
         counters = self._counters
         counters["instructions"] += 1
-        counters["thread_instructions"] += result.active_thread_count
+        counters["thread_instructions"] += active
         self._warp_ready_cycle[warp.warp_id] = self.clock.now + 1
         self.scheduler.note_issued(warp.warp_id)
         trace = self.trace
@@ -770,22 +774,23 @@ class TimingCore(Stateful):
                 self.clock.now, self.core_id, warp.warp_id, "scheduler", "issue",
                 self._pc_payload(pc),
             )
-        self._charge_timing(warp, result)
+        self._charge_timing(warp, instr, taken, addresses)
 
-    def _charge_timing(self, warp: Any, result: Any) -> None:
-        """Charge one executed instruction from the ``instr``, ``taken_branch``
-        and ``request_addresses`` of the step ``func.step_warp_timing`` returned
-        (a :class:`~repro.core.vector_emulator.TimingStep`)."""
-        spec = result.instr.spec
+    def _charge_timing(
+        self, warp: Any, instr: Any, taken: bool, addresses: list[int] | None
+    ) -> None:
+        """Charge one executed instruction ``instr`` from the ``(taken,
+        addresses)`` pair ``func.step_warp_timing`` returned."""
+        spec = instr.spec
         unit = spec.unit
 
         # A plain issue moves no scheduler-mask input (``cycle + 1`` is never
         # in the future on a later tick).  A redirect stalls the warp, and
         # every instruction that can change ``active``/``at_barrier`` — its
         # own or, through ``wspawn``/``bar``, a sibling's — is SFU.
-        if result.taken_branch or unit == ExecUnit.SFU:
+        if taken or unit == ExecUnit.SFU:
             self._masks_valid_until = 0
-        if result.taken_branch:
+        if taken:
             self._warp_ready_cycle[warp.warp_id] = self.clock.now + 1 + BRANCH_PENALTY
             self._counters["taken_branches"] += 1
             trace = self.trace
@@ -796,27 +801,26 @@ class TimingCore(Stateful):
                 )
 
         if unit in (ExecUnit.LSU, ExecUnit.TEX):
-            self._charge_memory(warp, result)
+            self._charge_memory(warp, instr, addresses)
             return
 
         latency = self._unit_latency.get(unit, 1)
         if spec.writes_rd and latency > 1:
-            self.scoreboard.reserve(warp.warp_id, result.instr.rd, spec.rd_float)
+            self.scoreboard.reserve(warp.warp_id, instr.rd, spec.rd_float)
             trace = self.trace
-            if trace is not None and (result.instr.rd != 0 or spec.rd_float):
+            if trace is not None and (instr.rd != 0 or spec.rd_float):
                 trace.emit(
                     self.clock.now, self.core_id, warp.warp_id, "scoreboard", "acquire",
-                    self._register_payload(result.instr.rd, spec.rd_float),
+                    self._register_payload(instr.rd, spec.rd_float),
                 )
             self._writebacks.append(
-                (self.clock.now + latency, warp.warp_id, result.instr.rd, spec.rd_float)
+                (self.clock.now + latency, warp.warp_id, instr.rd, spec.rd_float)
             )
 
-    def _charge_memory(self, warp: Any, result: Any) -> None:
+    def _charge_memory(self, warp: Any, instr: Any, addresses: list[int]) -> None:
         self._drain_epoch += 1  # the request queues move
-        spec = result.instr.spec
+        spec = instr.spec
         is_store = spec.is_store
-        addresses = result.request_addresses or []
         to_send = self._request_entries(addresses)
         if to_send:
             self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
@@ -829,7 +833,7 @@ class TimingCore(Stateful):
         op = _PendingMemOp(
             op_id=self._next_op_id,
             warp_id=warp.warp_id,
-            rd=result.instr.rd,
+            rd=instr.rd,
             rd_float=spec.rd_float,
             writes_rd=spec.writes_rd,
             kind="tex" if spec.unit == ExecUnit.TEX else "load",

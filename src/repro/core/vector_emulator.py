@@ -11,19 +11,21 @@ Execution goes through per-PC *plans*: the first time a warp reaches a PC,
 the instruction is decoded once and specialized into a closure that has the
 operand rows, the immediates and the vector op already bound.  Subsequent
 visits are a dictionary lookup plus one closure call — the per-mnemonic
-handler-table idea of the scalar emulator taken to its limit.  The same
-builders bound to a ``(warps, threads)`` register block give a *block*: one
-call that runs a run of adjacent warps at one PC through straight-line
-private code, round a loop that closes on it as often as it is allowed —
-whole trips of a counted loop as one *trip summary*: induction registers in
-closed form, every trip's loads in one gather, and only the loop-carried
-accumulators stepped trip by trip.
+handler-table idea of the scalar emulator taken to its limit.  Both drivers
+run that one cached plan: ``funcsim`` from its rounds, the cycle-level SIMX
+core through :meth:`~repro.core.core.VectorSimtCore.step_warp_timing`.
+The same builders bound to a ``(warps, threads)`` register block give a
+*block*: one call that runs a run of adjacent warps at one PC through
+straight-line private code, round a loop that closes on it as often as it
+is allowed — whole trips of a counted loop as one *trip summary*: induction
+registers in closed form, every trip's loads in one gather, and only the
+loop-carried accumulators stepped trip by trip.
 
 Architectural results are bit-identical to the scalar
 :class:`~repro.core.emulator.WarpEmulator` (the differential test in
 ``tests/test_engine_differential.py`` holds both engines to that); rare
-instructions (CSR access, barriers, ``tmc``/``wspawn``, texture fetches)
-reuse the scalar per-mnemonic handlers directly.
+instructions (CSR access, barriers, ``tmc``/``wspawn``) reuse the scalar
+per-mnemonic handlers directly.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ from repro.mem.memory import MemoryAccessError
 #: ``plan_cache``, is a reference cycle that keeps a dropped device (and its
 #: ``MainMemory``) alive until a full garbage collection.  Branch and ``join``
 #: plans return the taken decision and ``tex`` plans the texel address trace
-#: (what the timing plans pass on); the others return None.
+#: (what :meth:`VectorSimtCore.step_warp_timing` passes on to the cycle-level
+#: core); the others return None.
 Plan = Callable[[Any], Any]
-
-#: A timing plan additionally returns ``(taken_branch, request_addresses)``.
-TimingPlan = Callable[[Any], tuple]
 
 #: A block's ``run(limit)``: executes at most ``limit`` instructions of each
 #: warp of its run and returns how many (:meth:`VectorWarpEmulator._build_block`).
@@ -85,31 +85,6 @@ def _warp_run(core, first: int, count: int) -> SimpleNamespace:
         fp_row=core.fp_stack[:, span].__getitem__,
     )
     return SimpleNamespace(full=True, pc=0, regs=regs)
-
-
-class TimingStep:
-    """What the cycle-level core needs to know about one lane-plan execution.
-
-    The lightweight counterpart of :class:`~repro.core.emulator.StepResult`:
-    the decoded instruction (unit, destination, latency class), the number of
-    active lanes at issue, whether the front end must redirect, and — for
-    LSU/TEX instructions — the per-request memory addresses in the exact
-    order the scalar emulator would have produced them.
-    """
-
-    __slots__ = ("instr", "active_thread_count", "taken_branch", "request_addresses")
-
-    def __init__(
-        self,
-        instr: DecodedInstruction,
-        active_thread_count: int,
-        taken_branch: bool,
-        request_addresses,
-    ):
-        self.instr = instr
-        self.active_thread_count = active_thread_count
-        self.taken_branch = taken_branch
-        self.request_addresses = request_addresses
 
 
 def _sext_vec(values: np.ndarray, sign_bit: int) -> np.ndarray:
@@ -626,9 +601,9 @@ class VectorWarpEmulator(WarpEmulator):
         """Conditional branch plan.
 
         The closure returns the taken decision — ignored by the functional
-        execution loop, consumed by the timing wrapper
-        (:meth:`_timing_plan_branch`) so there is exactly one compiled
-        branch semantics shared by both paths.
+        execution loop, passed on to the cycle-level core by
+        :meth:`VectorSimtCore.step_warp_timing`, so both drivers run one
+        compiled branch semantics.
         """
         rs1_row = warp.regs.int_row(instr.rs1)
         rs2_row = warp.regs.int_row(instr.rs2)
@@ -924,8 +899,8 @@ class VectorWarpEmulator(WarpEmulator):
     def _plan_tex(self, warp, pc: int, instr: DecodedInstruction) -> Plan:
         """Whole-warp ``tex``: the active lanes' (u, v, lod) operand rows go
         through the texture unit's vectorized sampler in one shot.  The plan
-        returns the de-duplicated texel address trace, which the timing plan
-        hands to the cycle-level core (see
+        returns the de-duplicated texel address trace, which
+        :meth:`VectorSimtCore.step_warp_timing` hands to the cycle-level core (see
         :meth:`TextureUnit.sample_warp_vector`).
 
         Texture state is CSR-programmed and mutable between executions, so
@@ -1015,120 +990,17 @@ class VectorWarpEmulator(WarpEmulator):
 
         return run
 
-    # -- timing plans (cycle-level SIMX core) -------------------------------------------
+    # -- the per-PC plan cache ---------------------------------------------------------
 
     def _arch_plan(self, warp, pc: int) -> Plan:
-        """The (cached) architectural plan for ``warp`` at ``pc``."""
+        """The (cached) architectural plan for ``warp`` at ``pc``: what both
+        drivers run outside blocks, one plan per warp and PC."""
         cache = warp.plan_cache
         plan = cache.get(pc)
         if plan is None:
             plan = self._build_plan(warp, pc)
             cache[pc] = plan
         return plan
-
-    def step_timing(self, warp) -> TimingStep:
-        """Execute the next instruction of ``warp`` through its timing plan.
-
-        The architectural effects are exactly those of :meth:`step` (the
-        timing plans reuse the compiled lane plans); the returned
-        :class:`TimingStep` carries the issue facts the cycle-level core
-        charges latencies and cache traffic from, in the same order and with
-        the same values as the scalar :class:`~repro.core.emulator.StepResult`.
-        """
-        pc = warp.pc
-        cache = warp.timing_plan_cache
-        entry = cache.get(pc)
-        if entry is None:
-            entry = self._build_timing_plan(warp, pc)
-            cache[pc] = entry
-        instr, run = entry
-        active = warp.active_count
-        taken, addresses = run(warp)
-        warp.instructions += 1
-        return TimingStep(instr, active, taken, addresses)
-
-    def _build_timing_plan(self, warp, pc: int):
-        instr = self.fetch(pc)
-        spec = instr.spec
-        mnemonic = instr.mnemonic
-        if spec.is_branch or mnemonic == "join":
-            run = self._timing_plan_redirecting(warp, pc)
-        elif spec.is_load or spec.is_store:
-            run = self._timing_plan_memory(warp, pc, instr)
-        elif mnemonic in ("jal", "jalr"):
-            run = self._timing_plan_taken(warp, pc)
-        elif mnemonic == "tex":
-            run = self._timing_plan_tex(warp, pc)
-        else:
-            run = self._timing_plan_default(warp, pc)
-        return (instr, run)
-
-    def _timing_plan_default(self, warp, pc: int) -> TimingPlan:
-        """Wrap the architectural plan of a non-redirecting, non-memory
-        instruction (ALU/MUL/DIV/FPU, CSR, SIMT control, scalar fallbacks)."""
-        arch_plan = self._arch_plan(warp, pc)
-
-        def run(warp) -> tuple:
-            arch_plan(warp)
-            return False, None
-
-        return run
-
-    def _timing_plan_taken(self, warp, pc: int) -> TimingPlan:
-        """``jal``/``jalr``: the architectural plan plus an unconditional
-        front-end redirect (the scalar emulator always flags them taken)."""
-        arch_plan = self._arch_plan(warp, pc)
-
-        def run(warp) -> tuple:
-            arch_plan(warp)
-            return True, None
-
-        return run
-
-    def _timing_plan_redirecting(self, warp, pc: int) -> TimingPlan:
-        """Branch/``join``: wrap the (shared, cached) architectural plan,
-        whose closure already returns the taken decision."""
-        arch_plan = self._arch_plan(warp, pc)
-
-        def run(warp) -> tuple:
-            return arch_plan(warp), None
-
-        return run
-
-    def _timing_plan_memory(self, warp, pc: int, instr: DecodedInstruction) -> TimingPlan:
-        """Load/store: capture the active lanes' byte addresses (thread
-        order, uint32 wraparound — identical to the scalar per-thread trace)
-        before the architectural plan commits the accesses.
-
-        The address vector is computed here *in addition to* whatever the
-        architectural plan computes internally: the word-load/store fast
-        paths work on page-relative offsets and never materialize absolute
-        addresses, so sharing would mean slowing the functional engine's
-        hottest path to feed the timing model.  One extra lane-vector add
-        per memory instruction is the cheaper side of that trade."""
-        arch_plan = self._arch_plan(warp, pc)
-        rs1_row = warp.regs.int_row(instr.rs1)
-        imm = np.uint32(to_uint32(instr.imm))
-
-        def run(warp) -> tuple:
-            if warp.full:
-                addresses = (rs1_row + imm).tolist()
-            else:
-                addresses = (rs1_row[warp.lanes] + imm).tolist()
-            arch_plan(warp)
-            return False, addresses
-
-        return run
-
-    def _timing_plan_tex(self, warp, pc: int) -> TimingPlan:
-        """Whole-warp ``tex``: the architectural plan returns the texel
-        address trace the timing core turns into cache requests."""
-        arch_plan = self._arch_plan(warp, pc)
-
-        def run(warp) -> tuple:
-            return False, arch_plan(warp)
-
-        return run
 
     # -- scalar fallback ---------------------------------------------------------------
 

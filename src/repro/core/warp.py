@@ -132,7 +132,7 @@ class Warp(Stateful):
         "ipdom": CHILD,
     }
     #: Identity/geometry, the mask-derived fields and the property's storage,
-    #: and the plan caches — pure functions of program bytes and mask value,
+    #: and the plan cache — pure functions of program bytes and mask value,
     #: dropped with the core's decode cache after a restore (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset(
         {
@@ -143,7 +143,6 @@ class Warp(Stateful):
             "lanes",
             "_tmask",
             "plan_cache",
-            "timing_plan_cache",
         }
     )
 
@@ -162,10 +161,6 @@ class Warp(Stateful):
         #: per-PC execution plans built by the vectorized engine (cleared on
         #: decode-cache invalidation); a plan executes one instruction.
         self.plan_cache: dict[int, Callable[[Warp], None]] = {}
-        #: per-PC timing plans built by the vectorized cycle-level engine
-        #: (architectural plan + the per-instruction facts the timing model
-        #: charges); cleared together with :attr:`plan_cache`.
-        self.timing_plan_cache: dict[int, object] = {}
         self.tmask = 0
 
     # -- thread mask helpers -----------------------------------------------------

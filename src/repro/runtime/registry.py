@@ -83,9 +83,6 @@ class DriverSpec:
             return self.simulator
         return self.simulator + ":" + ",".join(f"{k}={v}" for k, v in self.options)
 
-    def describe(self) -> str:
-        return self.driver_name
-
 
 class UnknownDriverOptionError(ValueError):
     """A driver spec carried an option its simulator does not declare.

@@ -481,10 +481,9 @@ STATE_SCOPE = ("repro.core", "repro.cache", "repro.mem", "repro.arch.csr", "repr
 #: Stateful classes in the scope legitimately outside the checkpoint.  Each
 #: is either construction-time wiring rebuilt by ``__init__`` (the hierarchy
 #: ports), a transient helper that never lives across a pause boundary (the
-#: memory word cursor, the per-instruction warp emulator facade, the
-#: per-instruction timing step a lane plan returns, a one-call request
-#: group, a pass receipt — only a drain memo, which restore drops, keeps
-#: one), or an exception type.
+#: memory word cursor, the per-instruction warp emulator facade, a one-call
+#: request group, a pass receipt — only a drain memo, which restore drops,
+#: keeps one), or an exception type.
 SNAPSHOT_EXEMPT = frozenset(
     {
         "repro.cache.cache.Receipt",
@@ -494,7 +493,6 @@ SNAPSHOT_EXEMPT = frozenset(
         "repro.core.emulator.SimulationLimitExceeded",
         "repro.core.emulator.SimulationStalled",
         "repro.core.emulator.WarpEmulator",
-        "repro.core.vector_emulator.TimingStep",
         "repro.mem.memory.WordCursor",
     }
 )

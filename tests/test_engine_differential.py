@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import VortexConfig
+from repro.isa.builder import ProgramBuilder
+from repro.isa.registers import Reg
 from repro.kernels import KERNELS
+from repro.kernels.base import Kernel
 from repro.runtime.device import VortexDevice
 
 
@@ -195,15 +198,138 @@ def test_instret_csr_is_live_under_the_vector_engine():
     assert observed["funcsim"] == 3  # three instructions retired before the read
 
 
+# -- sub-word loads and stores ---------------------------------------------------------------
+
+
+class SubwordKernel(Kernel):
+    """Task ``i`` stores ``v = 37 i + 100`` to byte ``i`` (``sb``) and
+    ``257 v`` to half ``i`` (``sh``), loads both back with ``lb``, ``lbu``,
+    ``lh`` and ``lhu`` (most values set the sign bit), and writes their sum
+    to word ``i``; then odd tasks alone, under a ``split`` on ``i & 1`` (the
+    lane's parity), overwrite both with ``v + 0x55`` and add its ``lb``.
+    Every lane has its own byte and half, so a warp's sub-word requests
+    share words and lines.  The byte array's address is loaded into the
+    load's own base register.
+
+    Argument block: ``num_tasks, bytes, halves, out``.
+    """
+
+    name = "subword"
+
+    def emit_body(self, asm: ProgramBuilder) -> None:
+        asm.addi(Reg.t0, Reg.a1, 4)
+        asm.lw(Reg.t0, 0, Reg.t0)  # a load that overwrites its base register
+        asm.add(Reg.t0, Reg.t0, Reg.a0)  # &bytes[i]
+        asm.lw(Reg.t1, 8, Reg.a1)
+        asm.slli(Reg.t2, Reg.a0, 1)
+        asm.add(Reg.t1, Reg.t1, Reg.t2)  # &halves[i]
+        asm.li(Reg.t2, 37)
+        asm.mul(Reg.t3, Reg.a0, Reg.t2)
+        asm.addi(Reg.t3, Reg.t3, 100)  # v
+        asm.slli(Reg.t4, Reg.t3, 8)
+        asm.add(Reg.t4, Reg.t4, Reg.t3)  # 257 v
+        asm.sb(Reg.t3, 0, Reg.t0)
+        asm.sh(Reg.t4, 0, Reg.t1)
+        asm.lb(Reg.t5, 0, Reg.t0)
+        asm.lbu(Reg.t6, 0, Reg.t0)
+        asm.lh(Reg.a2, 0, Reg.t1)
+        asm.lhu(Reg.a3, 0, Reg.t1)
+        asm.add(Reg.a4, Reg.t5, Reg.t6)
+        asm.add(Reg.a4, Reg.a4, Reg.a2)
+        asm.add(Reg.a4, Reg.a4, Reg.a3)
+        # The runtime's if-shape: the taken lanes' join hands over to the rest.
+        asm.andi(Reg.a5, Reg.a0, 1)
+        asm.split(Reg.a5)
+        asm.beqz(Reg.a5, "subword_even")
+        asm.addi(Reg.a6, Reg.t3, 0x55)
+        asm.sb(Reg.a6, 0, Reg.t0)
+        asm.sh(Reg.a6, 0, Reg.t1)
+        asm.lb(Reg.a7, 0, Reg.t0)
+        asm.add(Reg.a4, Reg.a4, Reg.a7)
+        asm.join()
+        asm.j("subword_store")
+        asm.label("subword_even")
+        asm.join()
+        asm.label("subword_store")
+        asm.lw(Reg.t2, 12, Reg.a1)
+        asm.slli(Reg.t5, Reg.a0, 2)
+        asm.add(Reg.t2, Reg.t2, Reg.t5)
+        asm.sw(Reg.a4, 0, Reg.t2)
+        asm.ret()
+
+    #: Element types of the byte, half and output arrays.
+    dtypes = (np.uint8, np.uint16, np.uint32)
+
+    def setup(self, device: VortexDevice, size: int) -> dict:
+        buffers = [device.alloc_array(np.zeros(size, dtype=dtype)) for dtype in self.dtypes]
+        self.write_args(device, [size, *(buffer.address for buffer in buffers)])
+        return {"buffers": buffers, "size": size}
+
+    def verify(self, device: VortexDevice, context: dict) -> bool:
+        def signed(values, bits):
+            return values - ((values >> (bits - 1)) & 1) * (1 << bits)
+
+        size = context["size"]
+        tasks = np.arange(size, dtype=np.int64)
+        odd = tasks % 2 == 1
+        value = tasks * 37 + 100
+        late = value + 0x55
+        byte, half = value & 0xFF, (value * 257) & 0xFFFF
+        total = signed(byte, 8) + byte + signed(half, 16) + half
+        total += np.where(odd, signed(late & 0xFF, 8), 0)
+        expected = (
+            np.where(odd, late & 0xFF, byte),
+            np.where(odd, late & 0xFFFF, half),
+            total & 0xFFFF_FFFF,
+        )
+        return all(
+            np.array_equal(buffer.read(dtype, size), want.astype(dtype))
+            for buffer, want, dtype in zip(context["buffers"], expected, self.dtypes)
+        )
+
+
+def _subword_run(driver, config):
+    """The sub-word kernel's report, registers, memory and ``instret`` on ``driver``."""
+    device = VortexDevice(config, driver=driver)
+    run = SubwordKernel().run(device, size=36)
+    assert run.passed, f"subword failed verification on {driver}"
+    warps, pages = _architectural_state(device.driver)
+    registers = [(core, warp, x.tobytes(), f.tobytes(), n) for core, warp, x, f, n in warps]
+    cores = [getattr(core, "func", core) for core in device.driver.processor.cores]
+    return run.report, registers, pages, [core.csr.instret for core in cores]
+
+
+@pytest.mark.parametrize("geometry", [(4, 4), (2, 8)], ids=["4W-4T", "2W-8T"])
+@pytest.mark.parametrize(
+    "drivers", [("funcsimref", "funcsim"), ("simxref", "simx")], ids=["funcsim", "simx"]
+)
+def test_subword_memory_ops_match_the_scalar_reference(drivers, geometry):
+    """``sb``/``sh``/``lb``/``lbu``/``lh``/``lhu`` on per-lane bytes and
+    halves, inside and outside a lane-divergent ``split``: the lane-plan
+    driver ends in the oracle's registers, memory, ``instret``, cycles and
+    counters."""
+    from repro.runtime.jobs import diff_execution_reports
+
+    config = VortexConfig().with_warps_threads(*geometry)
+    (reference, *expected), (report, *state) = (_subword_run(d, config) for d in drivers)
+    assert diff_execution_reports(reference, report) == []
+    assert state == expected
+
+
 # -- step-level oracle: every instruction's timing facts, named by PC -------------------------
 
-#: Kernel -> problem size; ``tex`` is the hardware-texture kernel, bfs diverges (split/join).
-STEP_ORACLE_KERNELS = {"vecadd": 64, "saxpy": 64, "sgemm": 36, "bfs": 32, "sfilter": 36, "tex": 64}
+#: Kernel -> problem size; ``tex`` is the hardware-texture kernel, bfs diverges
+#: (split/join), ``subword`` is :class:`SubwordKernel`.
+STEP_ORACLE_KERNELS = {
+    "vecadd": 64, "saxpy": 64, "sgemm": 36, "bfs": 32, "sfilter": 36, "tex": 64, "subword": 36,
+}
 
 
 def _step_oracle_kernel(name):
     from repro.kernels.texture import hardware_texture_kernel
 
+    if name == "subword":
+        return SubwordKernel()
     return hardware_texture_kernel("bilinear") if name == "tex" else KERNELS[name]()
 
 
@@ -222,11 +348,12 @@ def _staged_core(kernel_name, driver, config):
 @pytest.mark.parametrize("geometry", [(4, 4), (2, 8)], ids=["4W-4T", "2W-8T"])
 @pytest.mark.parametrize("kernel_name", list(STEP_ORACLE_KERNELS))
 def test_timing_step_facts_match_scalar_step_by_step(kernel_name, geometry):
-    """The facts ``TimingCore`` charges from — instruction, active lanes,
-    redirect, request addresses — agree with the per-thread emulator after
-    *every* instruction of a lockstep run (same round-robin warp order,
-    separate memory images), so a disagreement names its PC instead of
-    surfacing as a counter total thousands of cycles later."""
+    """What ``TimingCore`` charges from — the ``(taken, addresses)`` pair
+    ``step_warp_timing`` returns and the active lanes at issue — agrees
+    with the per-thread emulator after *every* instruction of a lockstep
+    run (same round-robin warp order, separate memory images), so a
+    disagreement names its PC instead of surfacing as a counter total
+    thousands of cycles later."""
     config = VortexConfig().with_warps_threads(*geometry)
     staged = [_staged_core(kernel_name, driver, config) for driver in ("funcsimref", "funcsim")]
     (_, _, _, scalar_core), (_, _, _, vector_core) = staged
@@ -239,17 +366,15 @@ def test_timing_step_facts_match_scalar_step_by_step(kernel_name, geometry):
                 if not scalar_warp.schedulable:
                     continue
                 pc = scalar_warp.pc
-                expected = scalar_core.step_warp_timing(scalar_warp)
-                step = vector_core.step_warp_timing(vector_warp)
-                where = f"{kernel_name} step {steps} warp {scalar_warp.warp_id} pc {pc:#x}"
-                assert step.instr == expected.instr, where
-                where += f" ({expected.instr.mnemonic})"
-                assert step.active_thread_count == expected.active_thread_count, where
-                assert bool(step.taken_branch) == bool(expected.taken_branch), where
-                requested = step.request_addresses
-                assert [int(a) for a in (requested if requested is not None else ())] == list(
-                    expected.request_addresses
-                ), where
+                mnemonic = scalar_core.emulator.fetch(pc).mnemonic
+                warp_id = scalar_warp.warp_id
+                where = f"{kernel_name} step {steps} warp {warp_id} pc {pc:#x} ({mnemonic})"
+                assert vector_warp.pc == pc, where
+                assert vector_warp.active_count == scalar_warp.active_count, where
+                expected_taken, expected_addresses = scalar_core.step_warp_timing(scalar_warp)
+                taken, addresses = vector_core.step_warp_timing(vector_warp)
+                assert taken is expected_taken, where
+                assert [int(a) for a in addresses or ()] == expected_addresses, where
                 steps += 1
                 progressed = True
             assert progressed, f"{kernel_name}: deadlock after {steps} steps"

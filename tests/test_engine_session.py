@@ -203,19 +203,19 @@ def test_upload_program_invalidates_driver_decode_caches():
 
 
 def test_upload_program_invalidates_timing_plan_caches():
-    """The vectorized SIMX core compiles per-PC timing plans; a new program
-    image at the same base must drop them (and the hazard-register cache)."""
+    """SIMX keeps three per-PC caches: each warp's lane plans, the timing
+    core's hazard registers and the decodes; a new program image at the
+    same base must drop all three."""
     device = VortexDevice(VortexConfig(), driver="simx")
     program = _constant_store_program(7)
     device.upload_program(program)
     device.launch(program.entry)
     core = device.driver.processor.cores[0]
     assert core.func.emulator._decode_cache
-    assert any(warp.timing_plan_cache for warp in core.func.warps)
+    assert any(warp.plan_cache for warp in core.func.warps)
     assert core._registers_by_pc
     device.upload_program(_constant_store_program(8))
     assert not core.func.emulator._decode_cache
-    assert all(not warp.timing_plan_cache for warp in core.func.warps)
     assert all(not warp.plan_cache for warp in core.func.warps)
     assert not core._registers_by_pc
 

@@ -58,6 +58,28 @@ def test_reference_driver_runs_the_per_thread_emulator():
         assert type(VortexDevice(driver=driver).driver.processor) is processor_cls
 
 
+def test_simx_issues_through_lane_plans(monkeypatch):
+    """The oracle is bit-identical, so no differential notices ``simx``
+    stepping the per-thread emulator: with ``WarpEmulator.step`` broken, a
+    ``simx`` launch of a kernel with branches, loads/stores and ``tex``
+    still passes, and a ``simxref`` launch reaches ``step``."""
+    from repro.core.emulator import WarpEmulator
+
+    stepped = []
+
+    def step(self, warp):
+        stepped.append(warp.pc)
+        raise RuntimeError("the per-thread step ran")
+
+    monkeypatch.setattr(WarpEmulator, "step", step)
+    kernel = hardware_texture_kernel("bilinear")
+    assert kernel.run(VortexDevice(_fig_config(), driver="simx"), size=8 * 8).passed
+    assert stepped == []
+    with pytest.raises(RuntimeError, match="per-thread step"):
+        kernel.run(VortexDevice(_fig_config(), driver="simxref"), size=8 * 8)
+    assert stepped
+
+
 # -- Figure 14: core design-space points ------------------------------------------------
 
 
