@@ -113,6 +113,10 @@ class SimtCore(Stateful):
         self.warps[0].spawn(entry_pc, tmask=1)
         self.emulator.invalidate_decode_cache()
 
+    def invalidate_caches(self) -> None:
+        """Drop decode-derived caches (a new program image was loaded)."""
+        self.emulator.invalidate_decode_cache()
+
     # -- checkpoint/restore --------------------------------------------------------------
 
     def _encode_participant(self, warp: Warp) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 from repro.cache.hierarchy import MemorySubsystem
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
-from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, CHILDREN, VALUE, Codec, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable
 from repro.core.core import SimtCore, VectorSimtCore
@@ -31,13 +30,63 @@ from repro.core.timing import TimingCore
 from repro.mem.memory import MainMemory
 
 
-class _GlobalBarrierMixin(Stateful):
-    """Global-barrier bookkeeping shared by both processor models."""
+#: Budgets a launch gets when its options set none: the cycle-level model
+#: bounds cycles, the functional one (which keeps no time) instructions.
+DEFAULT_MAX_CYCLES = 20_000_000
+DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 
-    #: Provided by the concrete processor (the mixin rebinds barrier
-    #: participants to these cores' warps on restore).
-    cores: list[Any]
-    _global_barriers: BarrierTable
+
+class _LaunchedProcessor(Stateful):
+    """What both processor models share: cores over one device memory, the
+    global barriers, and the launch marks.
+
+    :meth:`reset` records the marks (the device-lifetime retired totals
+    when a launch starts), so ``total_instructions``, the instruction
+    budget and ``pause_at`` count from the start of the launch however it
+    was paused, resumed or restored.  ``progress`` is the unit of
+    ``pause_at``: cycles on the cycle-level model, warp instructions on the
+    functional one.
+    """
+
+    STATE = {
+        "_launch_instructions": VALUE,
+        "_launch_thread_instructions": VALUE,
+        "memory": CHILD,
+        "cores": CHILDREN,
+        "_global_barriers": PARTICIPANTS,
+    }
+    #: Configuration identity; fixed at construction (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config"})
+
+    def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
+        self.config = config or VortexConfig()
+        self.memory = memory or MainMemory()
+        self.cores: list[Any] = [self._new_core(core_id) for core_id in range(self.config.num_cores)]
+        self._launch_instructions = self._launch_thread_instructions = 0
+        self._global_barriers = BarrierTable(16)
+
+    def _new_core(self, core_id: int) -> Any:
+        raise NotImplementedError
+
+    def reset(self, entry_pc: int) -> None:
+        """Reset every core; each starts warp 0 / thread 0 at ``entry_pc``."""
+        for core in self.cores:
+            core.reset(entry_pc)
+        # Plus what the last launch retired: the device-lifetime totals again.
+        self._launch_instructions += self.total_instructions
+        self._launch_thread_instructions += self.total_thread_instructions
+
+    @property
+    def total_instructions(self) -> int:
+        """Warp-instructions this launch retired."""
+        retired = sum([core.perf._counters.get("instructions", 0) for core in self.cores])
+        return retired - self._launch_instructions
+
+    @property
+    def total_thread_instructions(self) -> int:
+        """Thread-instructions this launch retired across all cores."""
+        retired = sum(core.perf.get("thread_instructions") for core in self.cores)
+        return retired - self._launch_thread_instructions
 
     def global_barrier_arrive(self, core: Any, warp: Any, barrier_id: int, count: int) -> bool:
         """Register ``warp`` of ``core`` at a global barrier.
@@ -72,35 +121,19 @@ def _restore_clock(processor: Any, now: int, clock: DeviceClock, refs: object) -
 _CLOCK = Codec(lambda processor, clock, refs: clock.now, _restore_clock, "now")
 
 
-class Processor(_GlobalBarrierMixin):
+class Processor(_LaunchedProcessor):
     """Functional multi-core processor, stepping one thread at a time."""
 
     #: Core model to instantiate; :class:`VectorProcessor` substitutes the vectorized one.
     core_cls = SimtCore
 
-    STATE = {
-        "memory": CHILD,
-        "cores": CHILDREN,
-        "_global_barriers": PARTICIPANTS,
-        "perf": CHILD,
-    }
-    #: Configuration identity; fixed at construction (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config"})
+    #: The functional model keeps no time: a launch takes no cycles, and
+    #: ``pause_at`` counts warp instructions.
+    cycle = 0
+    progress = _LaunchedProcessor.total_instructions
 
-    def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
-        self.config = config or VortexConfig()
-        self.memory = memory or MainMemory()
-        self.cores: list[SimtCore] = [
-            self.core_cls(core_id, self.config, self.memory, processor=self)
-            for core_id in range(self.config.num_cores)
-        ]
-        self.perf = PerfCounters("processor")
-        self._global_barriers = BarrierTable(16)
-
-    def reset(self, entry_pc: int) -> None:
-        """Reset every core; each starts warp 0 / thread 0 at ``entry_pc``."""
-        for core in self.cores:
-            core.reset(entry_pc)
+    def _new_core(self, core_id: int) -> SimtCore:
+        return self.core_cls(core_id, self.config, self.memory, processor=self)
 
     @property
     def done(self) -> bool:
@@ -109,30 +142,41 @@ class Processor(_GlobalBarrierMixin):
     def run(
         self,
         entry_pc: int | None = None,
-        max_instructions: int = 50_000_000,
-        stop_after_instructions: int | None = None,
+        *,
+        max_cycles: int | None = None,
+        max_instructions: int | None = None,
+        pause_at: int | None = None,
     ) -> int:
-        """Run to completion; returns total instructions executed.
+        """Run to completion; returns the warp instructions the launch retired.
 
         Cores and wavefronts are interleaved at instruction granularity so
         that inter-core (global) barriers make forward progress.
+        ``max_instructions`` (default :data:`DEFAULT_MAX_INSTRUCTIONS`)
+        bounds the warp instructions the launch retires; ``max_cycles`` is
+        ignored, as the functional model keeps no time.
 
-        ``stop_after_instructions`` pauses the run at the first scheduling
-        *round* boundary at which at least that many instructions have been
-        executed (by this call).  Stopping mid-round would change where the
-        interleaving resumes, so the round always completes; a paused run is
-        continued with another ``run()`` call (no ``entry_pc``) and is
-        bit-identical to an uninterrupted one.
+        ``pause_at`` pauses the run at the first scheduling *round* boundary
+        at which the launch has retired at least that many instructions.
+        Stopping mid-round would change where the interleaving resumes, so
+        the round always completes; a paused run is continued with another
+        ``run()`` call (no ``entry_pc``) and is bit-identical to an
+        uninterrupted one.
         """
         if entry_pc is not None:
             self.reset(entry_pc)
-        executed = 0
-        while not self.done:
-            executed = self._round(executed, max_instructions)
-            if stop_after_instructions is not None and executed >= stop_after_instructions:
-                break
-        self.perf.incr("instructions", executed)
+        limit = max_instructions or DEFAULT_MAX_INSTRUCTIONS
+        executed = self.total_instructions
+        # Lane plans produce IEEE invalid/overflow conditions inside masked
+        # numpy expressions (the scalar reference silences them per operation).
+        with np.errstate(all="ignore"):
+            while not self.done and (pause_at is None or executed < pause_at):
+                executed = self._advance(executed, limit, pause_at)
         return executed
+
+    def _advance(self, executed: int, max_instructions: int, pause_at: int | None) -> int:
+        """Run the next stretch of the launch; returns ``executed`` plus the
+        instructions it retired.  Here: one round."""
+        return self._round(executed, max_instructions)
 
     def _round(self, executed: int, max_instructions: int) -> int:
         """One scheduling round: every schedulable warp steps once, in core
@@ -168,15 +212,8 @@ class VectorProcessor(Processor):
 
     core_cls = VectorSimtCore
 
-    def run(
-        self,
-        entry_pc: int | None = None,
-        max_instructions: int = 50_000_000,
-        stop_after_instructions: int | None = None,
-    ) -> int:
-        """Run to completion; returns total warp instructions executed.
-
-        Where every schedulable warp sits on a private instruction, up to
+    def _advance(self, executed: int, max_instructions: int, pause_at: int | None) -> int:
+        """Where every schedulable warp sits on a private instruction, up to
         ``WINDOW_ROUNDS`` rounds run as one window out of round order
         (:meth:`_window`): private instructions of different warps commute,
         so any order that keeps each warp's own gives the same state, and
@@ -189,20 +226,8 @@ class VectorProcessor(Processor):
         its lane plan, so both engines raise at the same instruction and
         pause at the same round boundaries.
         """
-        if entry_pc is not None:
-            self.reset(entry_pc)
-        executed = 0
-        with np.errstate(all="ignore"):
-            while not self.done:
-                committed = self._window(executed, max_instructions, stop_after_instructions)
-                if committed:
-                    executed += committed
-                else:
-                    executed = self._round(executed, max_instructions)
-                if stop_after_instructions is not None and executed >= stop_after_instructions:
-                    break
-        self.perf.incr("instructions", executed)
-        return executed
+        committed = self._window(executed, max_instructions, pause_at)
+        return executed + committed if committed else self._round(executed, max_instructions)
 
     def _window(self, executed: int, max_instructions: int, stop: int | None) -> int:
         """Run the next rounds as one private window if every schedulable
@@ -364,7 +389,7 @@ def _warp_runs(warps: list) -> list[list]:
     return runs
 
 
-class TimingProcessor(_GlobalBarrierMixin):
+class TimingProcessor(_LaunchedProcessor):
     """Cycle-level multi-core processor (the SIMX driver's engine).
 
     The only writer (:meth:`tick`, :meth:`_skip_idle`, :meth:`restore`) of
@@ -383,12 +408,8 @@ class TimingProcessor(_GlobalBarrierMixin):
     STATE = {
         "clock": _CLOCK,
         "launch_start": VALUE,
-        "_launch_instructions": VALUE,
-        "_launch_thread_instructions": VALUE,
-        "memory": CHILD,
         "memsys": CHILD,
-        "cores": CHILDREN,
-        "_global_barriers": PARTICIPANTS,
+        **_LaunchedProcessor.STATE,
     }
     #: Configuration identity and the trace bus; fixed at construction
     #: (vxlint VX007).
@@ -400,39 +421,34 @@ class TimingProcessor(_GlobalBarrierMixin):
         memory: MainMemory | None = None,
         trace: Any = None,
     ):
-        self.config = config or VortexConfig()
-        self.memory = memory or MainMemory()
+        config = config or VortexConfig()
         self.clock = DeviceClock()
-        self.memsys = MemorySubsystem(self.config, self.clock)
+        self.memsys = MemorySubsystem(config, self.clock)
         #: Observability bus (:class:`~repro.trace.bus.TraceBus` or None):
         #: threaded into every core and memory level at construction.
         self.trace = trace
         self.memsys.attach_trace(trace)
-        self.cores: list[TimingCore] = [
-            self.core_cls(
-                core_id, self.config, self.memory, self.memsys, processor=self, trace=trace
-            )
-            for core_id in range(self.config.num_cores)
-        ]
-        #: Where the launch started: clock and retired totals at :meth:`reset`.
+        #: Where the launch started on the clock (:meth:`reset`).
         self.launch_start = 0
-        self._launch_instructions = self._launch_thread_instructions = 0
-        self._global_barriers = BarrierTable(16)
+        super().__init__(config, memory)
+
+    def _new_core(self, core_id: int) -> TimingCore:
+        return self.core_cls(
+            core_id, self.config, self.memory, self.memsys, processor=self, trace=self.trace
+        )
 
     def reset(self, entry_pc: int) -> None:
         """Reset every core; a launch starts at the current clock reading."""
-        for core in self.cores:
-            core.reset(entry_pc)
-        # Plus what the last launch retired: the device-lifetime totals again.
-        self._launch_instructions += self.total_instructions
-        self._launch_thread_instructions += self.total_thread_instructions
+        super().reset(entry_pc)
         self.launch_start = self.clock.now
 
     @property
     def cycle(self) -> int:
         """Cycles into the current launch: the unit of :meth:`run`'s result,
-        ``stop_cycle``, ``max_cycles`` and ``SimulationStalled.cycle``."""
+        ``pause_at``, ``max_cycles`` and ``SimulationStalled.cycle``."""
         return self.clock.now - self.launch_start
+
+    progress = cycle
 
     @property
     def done(self) -> bool:
@@ -464,14 +480,16 @@ class TimingProcessor(_GlobalBarrierMixin):
     def run(
         self,
         entry_pc: int | None = None,
-        max_cycles: int = 20_000_000,
+        *,
+        max_cycles: int | None = None,
         max_instructions: int | None = None,
-        stop_cycle: int | None = None,
+        pause_at: int | None = None,
     ) -> int:
         """Run to completion; returns the launch's elapsed cycle count (both
-        budgets and ``stop_cycle`` count from the start of the launch too).
+        budgets and ``pause_at`` count from the start of the launch too;
+        ``max_cycles`` defaults to :data:`DEFAULT_MAX_CYCLES`).
 
-        ``stop_cycle`` pauses the run once ``cycle`` reaches that value (a
+        ``pause_at`` pauses the run once ``cycle`` reaches that value (a
         cycle boundary, so every in-flight transaction is at a well-defined
         point).  A paused run is continued with another ``run()`` call (no
         ``entry_pc``); the only per-run state not carried over is the
@@ -480,6 +498,7 @@ class TimingProcessor(_GlobalBarrierMixin):
         """
         if entry_pc is not None:
             self.reset(entry_pc)
+        max_cycles = max_cycles or DEFAULT_MAX_CYCLES
         # Each ticked cycle reads done / retired / cycle from these, not the properties.
         cores, clock, memsys = self.cores, self.clock, self.memsys
         counters = [core._counters for core in cores]
@@ -492,7 +511,7 @@ class TimingProcessor(_GlobalBarrierMixin):
         with np.errstate(all="ignore"):
             # Core 0 alone first: it has work left on almost every tick.
             while not (cores[0].done and all(core.done for core in cores) and not memsys.busy):
-                if stop_cycle is not None and clock.now - start >= stop_cycle:
+                if pause_at is not None and clock.now - start >= pause_at:
                     break
                 instructions_before = retired
                 self.tick()
@@ -532,11 +551,11 @@ class TimingProcessor(_GlobalBarrierMixin):
                 # runs instead of ticking through them (bit-identical to a
                 # ``tick()`` loop in cycles, counters and expanded traces).
                 skip = self._idle_cycles_to_skip(max_cycles - cycle)
-                if skip and stop_cycle is not None:
+                if skip and pause_at is not None:
                     # Never jump past the requested pause point: the
                     # skipped cycles are provably idle either way, so
                     # capping changes nothing but where the run stops.
-                    skip = min(skip, stop_cycle - cycle)
+                    skip = min(skip, pause_at - cycle)
                 if skip > 0:
                     self._skip_idle(skip)
                     # Mirror the per-tick watchdog bookkeeping above: a
@@ -591,18 +610,6 @@ class TimingProcessor(_GlobalBarrierMixin):
             core.skip_idle(cycles)
 
     # -- metrics -------------------------------------------------------------------------
-
-    @property
-    def total_instructions(self) -> int:
-        """Warp-instructions this launch retired."""
-        retired = sum([core.perf._counters.get("instructions", 0) for core in self.cores])
-        return retired - self._launch_instructions
-
-    @property
-    def total_thread_instructions(self) -> int:
-        """Thread-instructions this launch retired across all cores."""
-        retired = sum(core.perf.get("thread_instructions") for core in self.cores)
-        return retired - self._launch_thread_instructions
 
     @property
     def ipc(self) -> float:

@@ -2,11 +2,11 @@
 of Figure 8.
 
 * :mod:`repro.runtime.driver` — the command processor (AFU) model: MMIO
-  registers, DMA transfers between host and device memory, kernel launch.
+  registers, DMA transfers between host and device memory, kernel launch;
+  and the one simulation driver under it (``FuncSimDriver``, functional).
 * :mod:`repro.runtime.buffer` — device memory allocation and typed buffers.
-* :mod:`repro.runtime.simx` / :mod:`repro.runtime.funcsim` — the two
-  simulation drivers (cycle-level and functional) behind a common API,
-  mirroring the paper's SIMX and RTLSIM/ASE drivers.
+* :mod:`repro.runtime.simx` — ``SimxDriver``, the same driver over the
+  cycle-level model plus the trace bus, mirroring the paper's SIMX driver.
 * :mod:`repro.runtime.device` — ``VortexDevice``, the public facade
   applications use (upload a program, allocate buffers, launch, read back).
 * :mod:`repro.runtime.registry` — the spec-based driver registry
@@ -19,8 +19,7 @@ of Figure 8.
 
 from repro.runtime.buffer import BufferAllocator, DeviceBuffer
 from repro.runtime.device import VortexDevice, ExecutionReport
-from repro.runtime.driver import CommandProcessor, DriverError
-from repro.runtime.funcsim import FuncSimDriver
+from repro.runtime.driver import CommandProcessor, DriverError, FuncSimDriver
 from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import (
     DriverSpec,

@@ -30,7 +30,9 @@ from repro.common.config import VortexConfig
 #: policy state (``last_lines``/``current_line``/``hazard_mask``).
 #: Format 3: one device clock — the processor payload holds ``now`` and the
 #: launch marks; per-component ``cycle`` keys and ``cycles`` counters are gone.
-SNAPSHOT_FORMAT = 3
+#: Format 4: one driver — the funcsim envelope's state is ``{"processor"}``
+#: alone, whose payload holds the launch marks (and no ``perf``).
+SNAPSHOT_FORMAT = 4
 
 
 @runtime_checkable

@@ -217,20 +217,18 @@ class VortexDevice:
     ) -> ExecutionReport:
         """Launch (or resume) the kernel and pause after ``units`` of progress.
 
-        ``units`` is in the driver's natural progress unit — cycles on the
-        cycle-level driver, instructions on the functional one (the only
-        place that tells the families apart).  ``self.driver.done`` says
-        whether the kernel finished inside the chunk; a paused (or
-        checkpoint-restored) launch continues with ``resume=True``.
+        ``units`` is in the driver's progress unit — cycles on the
+        cycle-level driver, retired warp instructions on the functional one
+        — and must be at least 1.  ``self.driver.done`` says whether the
+        kernel finished inside the chunk; a paused (or checkpoint-restored)
+        launch continues with ``resume=True``.
         """
+        if units < 1:
+            raise ValueError(f"units must be at least 1, got {units}")
         if not resume:
             entry_pc = self._entry_pc(entry_pc, options)
-        processor = self.driver.processor
-        if hasattr(processor, "cycle"):
-            stop = {"stop_cycle": (processor.cycle if resume else 0) + units}
-        else:
-            stop = {"stop_after_instructions": units}
-        return self.driver.run(entry_pc, options=options, resume=resume, **stop)
+        pause_at = (self.driver.processor.progress if resume else 0) + units
+        return self.driver.run(entry_pc, options=options, pause_at=pause_at, resume=resume)
 
     def launch_resumable(
         self,
@@ -247,10 +245,9 @@ class VortexDevice:
         the kernel finishes; after each paused chunk ``checkpoint_sink`` (if
         given) receives the :meth:`checkpoint` envelope.  The report is
         bit-identical to an uninterrupted :meth:`launch`'s, with
-        ``wall_seconds`` summed over the chunks.
+        ``wall_seconds`` summed over the chunks.  ``checkpoint_every`` below
+        1 raises :class:`ValueError`, as ``units`` does.
         """
-        if checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
         wall_seconds = 0.0
         while True:
             report = self.launch_chunk(checkpoint_every, entry_pc, options, resume=resume)

@@ -1,23 +1,37 @@
-"""The command processor (AFU) and PCIe driver model.
+"""The command processor (AFU) and PCIe driver model, and the simulation
+driver underneath it.
 
 On the FPGA platform the host talks to Vortex through OPAE: it DMAs data
 into a shared staging area, the AFU copies it into the board's local
 memory, MMIO registers start the kernel, and results travel back the same
 way (paper sections 4.1 and 5.1).  This module models that protocol: MMIO
 registers, bounded-bandwidth DMA transfers with byte accounting, and the
-launch/complete handshake.  The simulation drivers sit underneath it, so an
-application using :class:`VortexDevice` exercises the same host/device
+launch/complete handshake.  The simulation driver sits underneath it, so
+an application using :class:`VortexDevice` exercises the same host/device
 protocol regardless of which simulator executes the kernel.
+
+:class:`SimulationDriver` is that driver: one processor model over device
+memory with one launch lifecycle (run, pause, resume, checkpoint, report).
+:class:`FuncSimDriver` runs the functional model (mirroring the paper's
+RTLSIM/ASE functional paths: fast execution that validates kernels and
+produces reference outputs); :class:`~repro.runtime.simx.SimxDriver` the
+cycle-level one.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Any
 
+from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
+from repro.core.processor import VectorProcessor
 from repro.mem.memory import MainMemory
-from repro.runtime.launch import LaunchOptions
+from repro.runtime.checkpoint import make_envelope, open_envelope
+from repro.runtime.launch import LaunchOptions, resolve_options
+from repro.runtime.report import ExecutionReport
 
 
 class DriverError(Exception):
@@ -147,3 +161,119 @@ class CommandProcessor:
         self.mmio_write(int(Mmio.INSTR_COUNT), report.instructions)
         self.perf.incr("launches")
         return report
+
+
+class SimulationDriver:
+    """Runs kernels on one processor model (``processor_cls``) over device memory.
+
+    A subclass names the backend (``name``, and ``engine`` in reports) and
+    picks the model; ``processor_cls`` is also the seam the tests'
+    per-thread oracles plug into.  The processor keeps the launch marks, so
+    budgets and the pause point count from the launch start however a
+    launch is paused, resumed or restored, on every model.
+    """
+
+    name: str
+    engine: str
+    processor_cls: Any
+
+    def __init__(self, config: VortexConfig | None = None, memory: MainMemory | None = None):
+        self.config = config or VortexConfig()
+        self.memory = memory if memory is not None else MainMemory()
+        self.processor = self._new_processor()
+
+    def _new_processor(self) -> Any:
+        return self.processor_cls(self.config, self.memory)
+
+    def invalidate_decode_caches(self) -> None:
+        """Drop all cached decodes/plans (a new program image was loaded)."""
+        for core in self.processor.cores:
+            core.invalidate_caches()
+
+    # -- checkpoint/restore ------------------------------------------------------------
+
+    @property
+    def done(self) -> bool:
+        """True when the current launch has run to completion (and drained)."""
+        return self.processor.done
+
+    def checkpoint(self) -> dict:
+        """A versioned envelope holding the full simulation state.
+
+        Taken where a run pauses — a cycle boundary on the cycle-level
+        model, a round boundary on the functional one — so a restored run
+        continues counter-identically.
+        """
+        return make_envelope(
+            kind=self.name,
+            config=self.config,
+            state={"processor": self.processor.snapshot()},
+        )
+
+    def restore(self, envelope: dict) -> None:
+        """Restore a :meth:`checkpoint` envelope (validates format + config)."""
+        state = open_envelope(
+            envelope, kind=self.name, config=self.config, keys=("processor",)
+        )
+        self.processor.restore(state["processor"])
+
+    def run(
+        self,
+        entry_pc: int | None,
+        options: LaunchOptions | None = None,
+        *,
+        pause_at: int | None = None,
+        resume: bool = False,
+    ) -> ExecutionReport:
+        """Execute the kernel at ``entry_pc`` to completion.
+
+        ``options`` is the uniform :class:`LaunchOptions` record:
+        ``max_instructions`` bounds the retired warp instructions on every
+        model and ``max_cycles`` the cycles on the cycle-level one; both
+        raise the typed :class:`~repro.core.emulator.SimulationLimitExceeded`.
+
+        ``pause_at`` pauses the launch once its progress reaches that many
+        units — cycles on the cycle-level model, retired warp instructions
+        (at a round boundary) on the functional one.  ``resume=True``
+        continues a paused (or checkpoint-restored) launch instead of
+        resetting.  Budgets, ``pause_at`` and the report count from the
+        launch start, whatever ran on the device before, so a chunked run
+        raises and reports exactly what the uninterrupted run would.
+        """
+        options = resolve_options(options)
+        start = time.perf_counter()
+        self._advance(None if resume else entry_pc, options, pause_at)
+        wall_seconds = time.perf_counter() - start
+        processor = self.processor
+        return ExecutionReport(
+            driver=self.name,
+            cycles=processor.cycle,
+            instructions=processor.total_instructions,
+            thread_instructions=processor.total_thread_instructions,
+            counters=processor.counters(),
+            wall_seconds=wall_seconds,
+            engine=self.engine,
+        )
+
+    def _advance(self, entry_pc: int | None, options: LaunchOptions, pause_at: int | None) -> None:
+        self.processor.run(
+            entry_pc,
+            max_cycles=options.max_cycles,
+            max_instructions=options.max_instructions,
+            pause_at=pause_at,
+        )
+
+
+class FuncSimDriver(SimulationDriver):
+    """Runs kernels on the functional multi-core processor (no timing).
+
+    Kernels execute on :class:`~repro.core.processor.VectorProcessor`: each
+    warp instruction runs over all active lanes as a handful of numpy
+    operations.  The per-thread :class:`~repro.core.processor.Processor` it
+    subclasses is the oracle the differential tests hold it bit-identical to
+    (registers, memory, retired-instruction counts).
+    """
+
+    name = "funcsim"
+    engine = "vector"
+    processor_cls = VectorProcessor

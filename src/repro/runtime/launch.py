@@ -12,7 +12,8 @@ talking to; a driver takes its budgets from it and from nowhere else:
   AFU's ``ARG_ADDRESS`` MMIO register,
 * ``entry_pc`` — overrides the uploaded program's entry point.
 
-Exceeding a budget raises the usual typed
+Both budgets count from the launch start, however the launch is paused,
+resumed or restored; exceeding one raises the usual typed
 :class:`~repro.core.emulator.SimulationLimitExceeded`.
 """
 

@@ -214,7 +214,7 @@ def create_driver(
 def _register_builtin_drivers() -> None:
     # Imported here (not at module top) so the registry stays importable
     # from the driver modules themselves without a cycle.
-    from repro.runtime.funcsim import FuncSimDriver
+    from repro.runtime.driver import FuncSimDriver
     from repro.runtime.simx import SimxDriver
 
     register_driver("simx", SimxDriver, options=("trace", "trace_file", "trace_channels"))

@@ -8,19 +8,16 @@ bank-utilization and texture-acceleration experiments).
 
 from __future__ import annotations
 
-import time
+from typing import Any
 
 from repro.common.config import VortexConfig
-from repro.core.processor import TimingProcessor
+# DEFAULT_MAX_CYCLES: the cycle budget of a launch whose options set none.
+from repro.core.processor import DEFAULT_MAX_CYCLES as DEFAULT_MAX_CYCLES, TimingProcessor
 from repro.mem.memory import MainMemory
-from repro.runtime.checkpoint import make_envelope, open_envelope
-from repro.runtime.launch import LaunchOptions, resolve_options
-from repro.runtime.report import ExecutionReport
+from repro.runtime.driver import SimulationDriver
+from repro.runtime.launch import LaunchOptions
 from repro.trace.bus import TraceBus, TraceSink
 from repro.trace.sinks import CsvSink, JsonlSink, MemorySink, VcdSink
-
-#: Default cycle budget when ``options`` sets none.
-DEFAULT_MAX_CYCLES = 20_000_000
 
 #: ``trace=`` spec-option values and the sinks they build (``"mem"`` keeps
 #: the events in ``driver.trace_sink.events`` for in-process analysis).
@@ -42,7 +39,7 @@ def _build_trace_sink(mode: str, trace_file: str | None) -> TraceSink:
     return JsonlSink(trace_file)
 
 
-class SimxDriver:
+class SimxDriver(SimulationDriver):
     """Runs kernels on the cycle-level multi-core processor.
 
     Issued warp instructions execute through the vectorized emulator's
@@ -64,7 +61,7 @@ class SimxDriver:
     """
 
     name = "simx"
-    #: Processor model to instantiate; the tests' per-thread oracle substitutes its own.
+    engine = "timing-vector"
     processor_cls = TimingProcessor
 
     def __init__(
@@ -75,8 +72,6 @@ class SimxDriver:
         trace_file: str | None = None,
         trace_channels: str | None = None,
     ):
-        self.config = config or VortexConfig()
-        self.memory = memory if memory is not None else MainMemory()
         if trace not in TRACE_MODES:
             raise ValueError(f"unknown trace mode {trace!r} (use one of {TRACE_MODES})")
         self.trace_sink: TraceSink | None = None
@@ -87,86 +82,20 @@ class SimxDriver:
             self.trace_bus = TraceBus([self.trace_sink], channels=channels)
         elif trace_file is not None or trace_channels is not None:
             raise ValueError("trace_file/trace_channels require a trace= mode")
-        self.processor = self.processor_cls(self.config, self.memory, trace=self.trace_bus)
+        super().__init__(config, memory)
 
-    def invalidate_decode_caches(self) -> None:
-        """Drop all cached decodes/plans (a new program image was loaded)."""
-        for core in self.processor.cores:
-            core.invalidate_caches()
+    def _new_processor(self) -> Any:
+        return self.processor_cls(self.config, self.memory, trace=self.trace_bus)
 
-    # -- checkpoint/restore ------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        """True when the current launch has run to completion (and drained)."""
-        return self.processor.done
-
-    def checkpoint(self) -> dict:
-        """A versioned envelope holding the full simulation state.
-
-        Taken at a cycle boundary, so every in-flight cache/DRAM transaction
-        is at a well-defined point; a restored run continues cycle- and
-        counter-identically.
-        """
-        return make_envelope(
-            kind=self.name,
-            config=self.config,
-            state={"processor": self.processor.snapshot()},
-        )
-
-    def restore(self, envelope: dict) -> None:
-        """Restore a :meth:`checkpoint` envelope (validates format + config)."""
-        state = open_envelope(
-            envelope, kind=self.name, config=self.config, keys=("processor",)
-        )
-        self.processor.restore(state["processor"])
-
-    def run(
-        self,
-        entry_pc: int | None,
-        options: LaunchOptions | None = None,
-        *,
-        stop_cycle: int | None = None,
-        resume: bool = False,
-    ) -> ExecutionReport:
-        """Execute the kernel at ``entry_pc`` to completion.
-
-        ``options`` is the uniform :class:`LaunchOptions` record:
-        ``max_cycles`` bounds the cycles and ``max_instructions`` the retired
-        warp instructions; both budgets raise the typed
-        :class:`~repro.core.emulator.SimulationLimitExceeded`.
-
-        ``stop_cycle`` pauses the simulation at that cycle boundary;
-        ``resume=True`` continues a paused (or checkpoint-restored) launch
-        instead of resetting.  The cycle counter and every performance
-        counter carry across pauses, so a chunked run reports exactly what
-        the uninterrupted run would.
-        """
-        options = resolve_options(options)
-        start = time.perf_counter()
+    def _advance(self, entry_pc: int | None, options: LaunchOptions, pause_at: int | None) -> None:
         try:
-            cycles = self.processor.run(
-                None if resume else entry_pc,
-                max_cycles=options.max_cycles or DEFAULT_MAX_CYCLES,
-                max_instructions=options.max_instructions,
-                stop_cycle=stop_cycle,
-            )
+            super()._advance(entry_pc, options, pause_at)
         finally:
             # Paused or raising too: a failing run's last events explain it.
             if self.trace_bus is not None:
                 self.trace_bus.flush()
-        wall_seconds = time.perf_counter() - start
         if self.trace_bus is not None and self.processor.done:
             # Close file sinks once the launch has fully drained (VCD encodes
             # on close); a relaunch reopens them for append and the VCD is
             # re-encoded whole, so one file holds every launch.
             self.trace_bus.close()
-        return ExecutionReport(
-            driver=self.name,
-            cycles=cycles,
-            instructions=self.processor.total_instructions,
-            thread_instructions=self.processor.total_thread_instructions,
-            counters=self.processor.counters(),
-            wall_seconds=wall_seconds,
-            engine="timing-vector",
-        )

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.core.core import SimtCore
@@ -15,9 +16,19 @@ from repro.core.timing import TimingCore
 from repro.kernels import KERNELS
 from repro.mem.memory import MainMemory
 from repro.runtime.device import VortexDevice
-from repro.runtime.funcsim import FuncSimDriver
+from repro.runtime.driver import FuncSimDriver
 from repro.runtime.registry import register_driver
 from repro.runtime.simx import SimxDriver
+
+# -- Hypothesis profiles -------------------------------------------------------------------
+# ``--hypothesis-profile=mutant`` for a seeded-defect run: a failing example
+# is reported as drawn, not shrunk.  Shrinking reruns the per-thread oracle
+# for every candidate program, which under a broken engine takes minutes.
+# The default profile, and each test's own ``@settings``, stay as they are.
+settings.register_profile(
+    "mutant", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+)
+
 
 # -- the per-thread oracle -----------------------------------------------------------------
 # The scalar emulator classes the vector engine subclasses, wired into the

@@ -10,6 +10,7 @@ gate's own rule list, so a rule missing from ``RULES`` fails its seeds.
 
 from __future__ import annotations
 
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -363,6 +364,22 @@ class TestRepoIsClean:
         assert unmatched_scopes([misspelt], repo_modules) == [
             ("VX005", "repro.core.vector_emulater")
         ]
+
+    def test_mypy_overrides_name_modules_under_src(self):
+        """mypy runs only in CI, so nothing local notices an override that
+        names a module which moved or was deleted (it then types nothing)."""
+        config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+        src = REPO_ROOT / "src"
+        stale = []
+        for override in config["tool"]["mypy"]["overrides"]:
+            for module in override["module"]:
+                path = src / module.removesuffix(".*").replace(".", "/")
+                found = (path / "__init__.py").is_file()
+                if not module.endswith(".*"):
+                    found = found or path.with_suffix(".py").is_file()
+                if not found:
+                    stale.append(module)
+        assert stale == []
 
     def test_module_name_for_src_anchor(self):
         assert module_name_for(Path("src/repro/cache/cache.py")) == "repro.cache.cache"

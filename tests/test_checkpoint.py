@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.emulator import SimulationLimitExceeded
 from repro.common.config import (
     SCHEDULER_POLICIES,
     CacheConfig,
@@ -40,6 +41,7 @@ from repro.runtime.checkpoint import (
     open_envelope,
 )
 from repro.runtime.device import VortexDevice
+from repro.runtime.launch import LaunchOptions
 from repro.service import ServiceClient, ServiceConfig
 from repro.service.worker import InlineWorker
 
@@ -75,9 +77,10 @@ class TestEnvelope:
 
     def test_version_mismatch_raises(self):
         envelope = make_envelope(kind="simx", config=CFG, state={})
-        # A newer build's format, and format 2 (per-component clocks), which
-        # this build replaced without a compatibility shim.
-        for version in (SNAPSHOT_FORMAT + 1, 2):
+        # A newer build's format, format 3 (funcsim launch marks in the
+        # driver) and format 2 (per-component clocks), which this build
+        # replaced without a compatibility shim.
+        for version in (SNAPSHOT_FORMAT + 1, 3, 2):
             envelope["format"] = version
             with pytest.raises(SnapshotVersionError, match=f"format {version} is not"):
                 open_envelope(envelope, kind="simx", config=CFG)
@@ -153,9 +156,9 @@ class TestDriverCheckpoint:
 
         paused, kernel_obj, program, _ = _staged_device(driver)
         if driver == "simx":
-            paused.driver.run(program.entry, stop_cycle=300)
+            paused.driver.run(program.entry, pause_at=300)
         else:
-            paused.driver.run(program.entry, stop_after_instructions=150)
+            paused.driver.run(program.entry, pause_at=150)
         assert not paused.driver.done
         envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
 
@@ -167,7 +170,7 @@ class TestDriverCheckpoint:
 
     @pytest.mark.parametrize(
         "driver,pause",
-        [("funcsim", {"stop_after_instructions": 500}), ("simx", {"stop_cycle": 900})],
+        [("funcsim", {"pause_at": 500}), ("simx", {"pause_at": 900})],
     )
     def test_restored_run_ends_in_the_straight_runs_state(self, driver, pause):
         """Not just the counters: the whole processor state.  A restored
@@ -414,7 +417,7 @@ class TestPausePointProperty:
         reference = straight.driver.run(program.entry)
 
         paused, _, program, _ = _staged_device("simx")
-        paused.driver.run(program.entry, stop_cycle=stop)
+        paused.driver.run(program.entry, pause_at=stop)
         envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
         fresh = VortexDevice(CFG, driver="simx")
         fresh.restore(envelope)
@@ -433,12 +436,12 @@ class TestPausePointProperty:
 
         paused, _, program, _ = _staged_device("simx", "saxpy", 32, config)
         processor = paused.driver.processor
-        paused.driver.run(program.entry, stop_cycle=1)
+        paused.driver.run(program.entry, pause_at=1)
         while not (
             all(core._store_queue for core in processor.cores)
             and not processor.memsys.dram.can_accept
         ):
-            paused.driver.run(None, stop_cycle=processor.cycle + 1, resume=True)
+            paused.driver.run(None, pause_at=processor.cycle + 1, resume=True)
         assert not paused.driver.done
         envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
         fresh = VortexDevice(config, driver="simx")
@@ -470,12 +473,58 @@ class TestPausePointProperty:
         reference = straight.driver.run(program.entry)
 
         paused, _, program, _ = _staged_device("funcsim")
-        paused.driver.run(program.entry, stop_after_instructions=stop)
+        paused.driver.run(program.entry, pause_at=stop)
         envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
         fresh = VortexDevice(CFG, driver="funcsim")
         fresh.restore(envelope)
         report = fresh.driver.run(None, resume=True)
         assert reports_identical(reference, report)
+
+
+# ---------------------------------------------------------------------------
+# Budgets and pause points count from the launch start
+
+
+@pytest.mark.parametrize("driver", ["funcsim", "simx"])
+def test_a_budget_raises_at_one_retired_count_however_the_launch_runs(driver):
+    """vecadd 256 at 4W-4T retires 1,637 warp instructions.  A smaller
+    budget raises at the same retired count whether the launch runs
+    straight or in checkpointed chunks, and a restart leg raises what the
+    straight job does — the budget counts from the launch start, not from
+    the last resume."""
+    config = VortexConfig().with_warps_threads(4, 4)
+    options = LaunchOptions(max_instructions=818)
+    retired = []
+    for launch in (
+        lambda device: device.launch(options=options),
+        lambda device: device.launch_resumable(options=options, checkpoint_every=50),
+    ):
+        device, *_ = _staged_device(driver, "vecadd", 256, config)
+        with pytest.raises(SimulationLimitExceeded) as raised:
+            launch(device)
+        assert (raised.value.kind, raised.value.limit) == ("instructions", 818)
+        retired.append(device.driver.processor.counters()["core0"]["instructions"])
+    assert retired[0] == retired[1] >= 818
+
+    job = KernelJob(
+        kernel="vecadd", config=config, driver=driver, size=256,
+        options=LaunchOptions(max_instructions=1_400),
+    )
+    straight = execute_job(job)
+    restarted = execute_job(replace(job, restart_midpoint=True))
+    assert straight.error_type == restarted.error_type == "SimulationLimitExceeded"
+    assert restarted.error == straight.error
+
+
+@pytest.mark.parametrize("driver", ["funcsim", "simx"])
+def test_a_chunk_of_no_units_is_refused(driver):
+    device, _, program, _ = _staged_device(driver)
+    for units in (0, -1):
+        with pytest.raises(ValueError, match="units must be at least 1"):
+            device.launch_chunk(units, program.entry)
+        with pytest.raises(ValueError, match="units must be at least 1"):
+            device.launch_resumable(program.entry, checkpoint_every=units)
+    assert device.driver.processor.total_instructions == 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +548,7 @@ def test_scheduler_policy_state_survives_a_checkpoint(kernel, size, config, poli
     reference = straight.driver.run(program.entry)
 
     paused, _, program, _ = _staged_device("simx", kernel, size, config)
-    paused.driver.run(program.entry, stop_cycle=reference.cycles // 2)
+    paused.driver.run(program.entry, pause_at=reference.cycles // 2)
     envelope = pickle.loads(pickle.dumps(paused.checkpoint()))
     fresh = VortexDevice(config, driver="simx")
     fresh.restore(envelope)

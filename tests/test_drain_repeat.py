@@ -159,8 +159,8 @@ def test_snapshots_inside_repeat_windows_equal_never_armed(kernel, size):
     stop, entry = 0, program.entry
     while entry is not None or not armed.driver.done:
         stop += 97
-        armed.driver.run(entry, stop_cycle=stop, resume=entry is None)
-        never.driver.run(entry, stop_cycle=stop, resume=entry is None)
+        armed.driver.run(entry, pause_at=stop, resume=entry is None)
+        never.driver.run(entry, pause_at=stop, resume=entry is None)
         entry = None
         if core._repeat is not None and len(inside) < 4:
             inside.append(stop)

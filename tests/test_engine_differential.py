@@ -911,7 +911,7 @@ def test_rolled_back_windows_match_the_scalar_reference(windows):
     ]
     total = ref.processor.cores[0].perf.get("instructions")
     for stop in range(5, total, 29):
-        pair = [_rollback_driver(spec, stop_after_instructions=stop) for spec in ("funcsimref", "funcsim")]
+        pair = [_rollback_driver(spec, pause_at=stop) for spec in ("funcsimref", "funcsim")]
         assert [raised for _, raised in pair] == [None, None], f"pause {stop}"
         assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
     for budget in range(40, total, 83):
@@ -997,7 +997,7 @@ def test_split_and_join_in_windows_match_the_scalar_reference(windows, funcsim_s
                 for call in funcsim_spy.calls])
     total = ref.processor.cores[0].perf.get("instructions")
     for stop in range(3, total, 11):
-        pair = [_rollback_driver(spec, program, stop_after_instructions=stop)
+        pair = [_rollback_driver(spec, program, pause_at=stop)
                 for spec in ("funcsimref", "funcsim")]
         assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
         snapshots = [pickle.dumps(driver.processor.snapshot()) for driver, _ in pair]
@@ -1156,7 +1156,7 @@ def test_private_programs_match_the_scalar_reference(
     assert _full_state(vec) == _full_state(ref)
     total = ref.processor.cores[0].perf.get("instructions")
     stop = data.draw(st.integers(1, total), label="stop")
-    pair = [_rollback_driver(spec, program, stop_after_instructions=stop)
+    pair = [_rollback_driver(spec, program, pause_at=stop)
             for spec in ("funcsimref", "funcsim")]
     assert pair[0][1] is pair[1][1], f"pause {stop}"
     assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
@@ -1328,7 +1328,7 @@ def test_counted_loops_match_the_scalar_reference(seed):
     assert _full_state(vec) == _full_state(ref)
     total = ref.processor.cores[0].perf.get("instructions")
     for stop in rng.integers(1, total + 1, 2).tolist():
-        pair = [_rollback_driver(spec, program, stop_after_instructions=stop)
+        pair = [_rollback_driver(spec, program, pause_at=stop)
                 for spec in ("funcsimref", "funcsim")]
         assert pair[0][1] is pair[1][1], f"pause {stop}"
         assert _full_state(pair[1][0]) == _full_state(pair[0][0]), f"pause {stop}"
@@ -1349,6 +1349,6 @@ def test_counted_loops_keep_their_trip_summaries(funcsim_spy):
         driver, _ = _rollback_driver("funcsim", program, max_instructions=20_000)
         total = driver.processor.cores[0].perf.get("instructions")
         for stop in rng.integers(1, total + 1, 2).tolist():
-            _rollback_driver("funcsim", program, stop_after_instructions=stop)
+            _rollback_driver("funcsim", program, pause_at=stop)
     assert funcsim_spy.declines <= 48
     assert funcsim_spy.trips >= 823

@@ -17,7 +17,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.registers import Reg
 from repro.kernels import VecAddKernel
 from repro.runtime.device import VortexDevice
-from repro.runtime.funcsim import FuncSimDriver
+from repro.runtime.driver import FuncSimDriver
 from repro.runtime.jobs import BatchReport, KernelJob, diff_execution_reports, execute_job
 from repro.runtime.launch import LaunchOptions
 from repro.runtime.registry import ExecutionEngine, create_driver

@@ -198,7 +198,7 @@ def test_instance_constructed_driver_shares_device_memory(driver_cls):
     used to simulate on different memory than the AFU DMAs into — uploads
     and readbacks silently missed the simulation.  The device now adopts
     the driver's memory."""
-    from repro.runtime.funcsim import FuncSimDriver
+    from repro.runtime.driver import FuncSimDriver
     from repro.runtime.simx import SimxDriver
 
     cls = SimxDriver if driver_cls == "simx" else FuncSimDriver
