@@ -36,7 +36,7 @@ from repro.runtime.report import ExecutionReport
 __version__ = "1.0.0"
 
 #: Service-layer exports resolved lazily so importing :mod:`repro` does not
-#: pull in the asyncio/multiprocessing serving stack.
+#: pull in the multiprocessing serving stack.
 _SERVICE_EXPORTS = ("SimulationService", "ServiceConfig", "ServiceClient")
 
 

@@ -45,13 +45,21 @@ class SimulationLimitExceeded(EmulationError):
     Shared by the functional drivers (``max_instructions``) and the
     cycle-level SIMX driver (``max_cycles``) so callers can catch one typed
     error regardless of the engine.  ``kind`` is ``"instructions"`` or
-    ``"cycles"``; ``limit`` is the configured bound.
+    ``"cycles"``; ``limit`` is the configured bound.  Where the launch
+    stopped: ``instructions``, the warp instructions retired since the
+    launch start, and ``cycle``, the launch cycle (0 on the functional
+    model, which keeps no time).  The message names all four.
     """
 
-    def __init__(self, kind: str, limit: int, message: str | None = None):
+    def __init__(self, kind: str, limit: int, instructions: int, cycle: int):
         self.kind = kind
         self.limit = limit
-        super().__init__(message or f"simulation exceeded the {kind} limit ({limit})")
+        self.instructions = instructions
+        self.cycle = cycle
+        super().__init__(
+            f"simulation exceeded the {kind} limit ({limit}) at cycle {cycle}, "
+            f"{instructions} warp instructions retired"
+        )
 
 
 class SimulationStalled(EmulationError):

@@ -191,11 +191,7 @@ class Processor(_LaunchedProcessor):
                 executed += 1
                 progressed = True
                 if executed >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        "instructions",
-                        max_instructions,
-                        f"processor exceeded the instruction limit ({max_instructions})",
-                    )
+                    raise SimulationLimitExceeded("instructions", max_instructions, executed, 0)
         if not progressed:
             raise EmulationError(
                 "processor deadlocked: active wavefronts exist but none can execute"
@@ -408,6 +404,7 @@ class TimingProcessor(_LaunchedProcessor):
     STATE = {
         "clock": _CLOCK,
         "launch_start": VALUE,
+        "_idle_streak": VALUE,
         "memsys": CHILD,
         **_LaunchedProcessor.STATE,
     }
@@ -430,6 +427,9 @@ class TimingProcessor(_LaunchedProcessor):
         self.memsys.attach_trace(trace)
         #: Where the launch started on the clock (:meth:`reset`).
         self.launch_start = 0
+        #: The watchdog's no-progress streak: cycles in a row that retired
+        #: nothing with no memory traffic, carried across pauses.
+        self._idle_streak = 0
         super().__init__(config, memory)
 
     def _new_core(self, core_id: int) -> TimingCore:
@@ -441,6 +441,7 @@ class TimingProcessor(_LaunchedProcessor):
         """Reset every core; a launch starts at the current clock reading."""
         super().reset(entry_pc)
         self.launch_start = self.clock.now
+        self._idle_streak = 0
 
     @property
     def cycle(self) -> int:
@@ -492,9 +493,7 @@ class TimingProcessor(_LaunchedProcessor):
         ``pause_at`` pauses the run once ``cycle`` reaches that value (a
         cycle boundary, so every in-flight transaction is at a well-defined
         point).  A paused run is continued with another ``run()`` call (no
-        ``entry_pc``); the only per-run state not carried over is the
-        deadlock watchdog's no-progress streak, which restarts at zero —
-        counter-neutral, it can only delay the watchdog exception.
+        ``entry_pc``).
         """
         if entry_pc is not None:
             self.reset(entry_pc)
@@ -503,7 +502,7 @@ class TimingProcessor(_LaunchedProcessor):
         cores, clock, memsys = self.cores, self.clock, self.memsys
         counters = [core._counters for core in cores]
         start, base = self.launch_start, self._launch_instructions
-        idle_cycles = 0
+        idle_cycles = self._idle_streak
         retired = self.total_instructions
         # Lane-plan execution legitimately produces IEEE invalid/overflow
         # conditions inside masked numpy expressions (the scalar reference
@@ -518,19 +517,13 @@ class TimingProcessor(_LaunchedProcessor):
                 retired = sum([c.get("instructions", 0) for c in counters]) - base
                 cycle = clock.now - start
                 if cycle >= max_cycles:
-                    raise SimulationLimitExceeded(
-                        "cycles",
-                        max_cycles,
-                        f"timing simulation exceeded {max_cycles} cycles",
-                    )
+                    raise SimulationLimitExceeded("cycles", max_cycles, retired, cycle)
                 # ``>=`` mirrors the functional Processor's budget semantics,
                 # so LaunchOptions(max_instructions=N) behaves identically on
                 # both driver families.
                 if max_instructions is not None and retired >= max_instructions:
                     raise SimulationLimitExceeded(
-                        "instructions",
-                        max_instructions,
-                        f"timing simulation exceeded {max_instructions} warp instructions",
+                        "instructions", max_instructions, retired, cycle
                     )
                 # Deadlock watchdog: no instruction retired for a long stretch while
                 # cores still have active wavefronts and no memory traffic is pending.
@@ -566,6 +559,7 @@ class TimingProcessor(_LaunchedProcessor):
                         idle_cycles += skip
                     else:
                         idle_cycles = 0
+        self._idle_streak = idle_cycles
         return self.cycle
 
     # -- fast-forward ---------------------------------------------------------------------

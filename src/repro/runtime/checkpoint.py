@@ -32,7 +32,9 @@ from repro.common.config import VortexConfig
 #: launch marks; per-component ``cycle`` keys and ``cycles`` counters are gone.
 #: Format 4: one driver — the funcsim envelope's state is ``{"processor"}``
 #: alone, whose payload holds the launch marks (and no ``perf``).
-SNAPSHOT_FORMAT = 4
+#: Format 5: the cycle-level processor payload holds the deadlock
+#: watchdog's no-progress streak (``_idle_streak``).
+SNAPSHOT_FORMAT = 5
 
 
 @runtime_checkable

@@ -17,8 +17,8 @@ the driver spec and the launch options — that the service layer caches and
 dedups on.  :func:`diff_execution_reports` compares two results down to
 every performance counter (the identity tests' comparator).
 
-This module imports neither asyncio nor multiprocessing, so ``import
-repro`` stays light.
+This module imports no part of the serving stack (threads, queues,
+multiprocessing), so ``import repro`` stays light.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Simulation-as-a-service: async job server + content-addressed cache.
+"""Simulation-as-a-service: a blocking job server + content-addressed cache.
 
 Public surface:
 
-* :class:`SimulationService` / :class:`ServiceConfig` — the asyncio serving
-  core (worker fleet pulling from one bounded queue, retries, result cache).
-* :class:`ServiceClient` — the blocking facade scripts use (``run_batch``, ``run_jobs``).
+* :class:`SimulationService` / :class:`ServiceConfig` — the serving core
+  (one consumer thread per worker shard, all pulling from one queue;
+  retries; the result cache, consulted in the caller's thread).
+* :class:`ServiceClient` — the client scripts use (``run_batch``, ``run_jobs``).
 * :class:`ResultCache` / :class:`CacheStats` — the content-addressed cache.
 """
 

@@ -15,15 +15,15 @@ verification failures (``passed=False`` with no error — rerunning cannot
 change the answer).  Errored results are never stored, so a transient
 infrastructure failure can never poison the cache.
 
-Accounting is explicit — :meth:`lookup` and :meth:`store` do not count
-anything themselves; the server calls the ``note_*`` hooks so an inflight
-dedup is not double-counted as a miss.
+Accounting is explicit — :meth:`lookup` does not count anything itself;
+the server counts hits, misses and dedups, so an inflight dedup is not
+double-counted as a miss.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.runtime.jobs import JobResult, KernelJob
@@ -81,33 +81,13 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
 
-    def note_hit(self) -> None:
-        self.hits += 1
-
-    def note_miss(self) -> None:
-        self.misses += 1
-
-    def note_dedup(self) -> None:
-        self.inflight_dedup += 1
-
-    def note_uncacheable(self) -> None:
-        self.uncacheable += 1
-
     @property
     def hit_rate(self) -> float:
         served = self.hits + self.misses + self.inflight_dedup
         return self.hits / served if served else 0.0
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "inflight_dedup": self.inflight_dedup,
-            "uncacheable": self.uncacheable,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class ResultCache:

@@ -1,21 +1,17 @@
-"""Synchronous client facade over :class:`~repro.service.server.SimulationService`.
+"""The blocking client of :class:`~repro.service.server.SimulationService`.
 
-Scripts are synchronous; the service is asyncio.  :class:`ServiceClient`
-bridges the two by owning a background event-loop thread: the service lives
-entirely on that loop, and the client's blocking methods marshal work onto
-it with ``asyncio.run_coroutine_threadsafe``.  One client = one worker
-fleet + one result cache; callers that share a client share both.  The
-fleet's worker processes live until :meth:`ServiceClient.close` — use the
-client as a context manager.  ``ServiceConfig(num_shards=1,
-worker_mode="inline")`` serves batches serially in this process.
+One client = one worker fleet + one result cache; callers that share a
+client share both.  Every method blocks its caller; a batch of cache hits
+is served in the caller's thread.  The fleet's worker processes live until
+:meth:`ServiceClient.close` — use the client as a context manager.
+``ServiceConfig(num_shards=1, worker_mode="inline")`` serves batches
+serially in this process.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.runtime.jobs import BatchReport, JobResult, KernelJob
@@ -23,36 +19,17 @@ from repro.service.server import ServiceConfig, SimulationService
 
 
 class ServiceClient:
-    """Blocking facade over a :class:`SimulationService` on a background loop."""
+    """A started :class:`SimulationService` fleet, with batch reports."""
 
     def __init__(self, config: ServiceConfig | None = None):
         self._service = SimulationService(config)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        self._closed = False
-        try:
-            self._call(self._service.start)
-        except BaseException:
-            # A fleet that fails to come up must not leave its loop thread
-            # or the workers already started running.
-            self.close()
-            raise
-
-    def _call(self, factory: Callable[..., Any], *args: Any) -> Any:
-        # The coroutine is created only after the closed check, so a call on
-        # a closed client raises without leaking a never-awaited coroutine.
-        if self._closed:
-            raise RuntimeError("ServiceClient is closed")
-        return asyncio.run_coroutine_threadsafe(factory(*args), self._loop).result()
+        self._service.start()
 
     # -- serving ------------------------------------------------------------------------
 
     def run_jobs(self, jobs: list[KernelJob]) -> list[JobResult]:
         """Serve a batch (blocking), results in submission order."""
-        return list(self._call(self._service.run_batch, list(jobs)))
+        return self._service.run_batch(list(jobs))
 
     def run_job(self, job: KernelJob) -> JobResult:
         """Serve one job (blocking)."""
@@ -88,16 +65,8 @@ class ServiceClient:
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the fleet and the background loop (idempotent)."""
-        if self._closed:
-            return
-        try:
-            self._call(self._service.close)
-        finally:
-            self._closed = True
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
+        """Shut down the fleet (idempotent); serving afterwards raises."""
+        self._service.close()
 
     def __enter__(self) -> ServiceClient:
         return self

@@ -1,22 +1,25 @@
-"""The asyncio simulation service: shared-queue dispatch, retries, result cache.
+"""The simulation service: shared-queue dispatch, retries, result cache.
 
 :class:`SimulationService` is the serving core behind every
-:class:`~repro.service.client.ServiceClient` batch.  A submitted
-:class:`~repro.runtime.jobs.KernelJob` flows through four stages:
+:class:`~repro.service.client.ServiceClient` batch.  It is plain threads:
+:meth:`~SimulationService.start` builds one worker and one consumer thread
+per shard, and :meth:`~SimulationService.run_batch` blocks its caller.  A
+submitted :class:`~repro.runtime.jobs.KernelJob` flows through four stages:
 
 1. **Identity** — :meth:`KernelJob.cache_key` computes the job's canonical
    content hash (program bytes + config + spec + options).  Jobs
    whose key cannot be computed (unknown kernel) are uncacheable and go
    straight to a worker, which reports the deterministic failure.
-2. **Cache / dedup** — a key already completed is served from the
-   content-addressed :class:`~repro.service.cache.ResultCache`
-   (bit-identical payload replay); a key currently *in flight* awaits the
-   existing execution instead of enqueueing a duplicate.
-3. **Dispatch + backpressure** — the job enters the one bounded
-   ``asyncio.Queue`` every shard's consumer pulls from, so the next free
-   worker takes it, as in a process pool.  When the queue is full,
-   ``submit`` *blocks* — backpressure propagates to the client instead of
-   buffering unboundedly.
+2. **Cache / dedup** — in the caller's thread: a key already completed is
+   served from the content-addressed
+   :class:`~repro.service.cache.ResultCache` (bit-identical payload
+   replay), so a batch of hits never reaches a consumer; a key currently
+   *in flight* waits on the existing execution's future instead of
+   enqueueing a duplicate.
+3. **Dispatch** — the job enters the one unbounded queue every shard's
+   consumer pulls from, so the next free worker takes it, as in a process
+   pool.  A blocking batch is already a list in the caller's memory, so a
+   bound on the queue would buffer nothing less.
 4. **Execution + retry** — the consumer runs the job on its shard's worker
    with a per-job timeout.  Infrastructure failures
    (:class:`~repro.service.worker.WorkerCrash`,
@@ -25,12 +28,17 @@
    failures (the worker answered with an error) are returned immediately —
    retrying cannot change a deterministic outcome, and they are never
    cached, so a failure cannot poison the cache either.
+
+One lock guards the in-flight map, the result cache and the statistics.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass
+import queue
+import threading
+import time
+from concurrent.futures import Future
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.runtime.jobs import JobResult, KernelJob
@@ -50,9 +58,6 @@ class ServiceConfig:
 
     #: Worker shards (= processes = max jobs simulating concurrently).
     num_shards: int = 4
-    #: Bound of the one job queue all shards pull from; a full queue blocks
-    #: ``submit``.
-    queue_depth: int = 16
     #: Per-job wall-clock budget in seconds (the worker is killed past it).
     job_timeout: float | None = 120.0
     #: Total execution attempts per job (1 first try + retries).
@@ -67,8 +72,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.worker_mode not in ("process", "inline", "auto"):
@@ -88,31 +91,31 @@ class ServiceStats:
     deterministic_failures: int = 0
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "submitted": self.submitted,
-            "executed": self.executed,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "timeouts": self.timeouts,
-            "respawns": self.respawns,
-            "deterministic_failures": self.deterministic_failures,
-        }
+        return asdict(self)
 
 
 @dataclass
 class _Shard:
-    """One worker and the consumer task feeding it from the shared queue."""
+    """One worker; its consumer thread replaces it on a respawn."""
 
     worker: ProcessWorker | InlineWorker
-    consumer: asyncio.Task[None] | None = None
+
+
+def _error_result(job: KernelJob, exc: BaseException, attempts: int) -> JobResult:
+    return JobResult(
+        job=job,
+        error=f"{type(exc).__name__}: {exc}",
+        error_type=type(exc).__name__,
+        attempts=attempts,
+    )
 
 
 class SimulationService:
-    """Async job server over a worker fleet, with a content-addressed result cache.
+    """Job server over a worker fleet, with a content-addressed result cache.
 
-    Lifecycle: ``await start()`` brings up the worker fleet, then
-    :meth:`submit` / :meth:`run_batch` serve jobs until ``await close()``.
-    Also usable as an async context manager.
+    Lifecycle: :meth:`start` brings up the worker fleet, then
+    :meth:`run_batch` serves jobs until :meth:`close`.  Also usable as a
+    context manager.  A closed service does not start again.
     """
 
     def __init__(self, config: ServiceConfig | None = None):
@@ -120,48 +123,66 @@ class SimulationService:
         self.cache = ResultCache(max_entries=self.config.cache_entries)
         self.stats = ServiceStats()
         self._shards: list[_Shard] = []
-        self._queue: asyncio.Queue[
-            tuple[KernelJob, str | None, asyncio.Future[JobResult]]
-        ] | None = None
-        self._inflight: dict[str, asyncio.Future[JobResult]] = {}
-        self._started = False
+        self._consumers: list[threading.Thread] = []
+        #: Queued ``(job, key, future)``; ``None`` stops the consumer that takes it.
+        self._queue: queue.SimpleQueue[
+            tuple[KernelJob, str | None, Future[JobResult]] | None
+        ] = queue.SimpleQueue()
+        self._inflight: dict[str, Future[JobResult]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._started:
+    def start(self) -> None:
+        """Build one worker and one consumer thread per shard (idempotent).
+
+        A fleet that fails to come up stops what it started before the
+        error propagates.
+        """
+        if self._closed:
+            raise RuntimeError("SimulationService is closed")
+        if self._shards:
             return
-        loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        for _ in range(self.config.num_shards):
-            worker = await loop.run_in_executor(None, create_worker, self.config.worker_mode)
-            shard = _Shard(worker=worker)
-            shard.consumer = asyncio.ensure_future(self._consume(shard))
-            self._shards.append(shard)
-        self._started = True
+        try:
+            for _ in range(self.config.num_shards):
+                shard = _Shard(create_worker(self.config.worker_mode))
+                self._shards.append(shard)
+                consumer = threading.Thread(
+                    target=self._consume, args=(shard,), name="repro-service", daemon=True
+                )
+                consumer.start()
+                self._consumers.append(consumer)
+        except BaseException:
+            self.close()
+            raise
 
-    async def close(self) -> None:
-        for shard in self._shards:
-            if shard.consumer is not None:
-                shard.consumer.cancel()
-        for shard in self._shards:
-            if shard.consumer is not None:
-                try:
-                    await shard.consumer
-                except asyncio.CancelledError:
-                    pass
-        loop = asyncio.get_running_loop()
-        for shard in self._shards:
-            await loop.run_in_executor(None, shard.worker.stop)
+    def close(self) -> None:
+        """Stop the workers, then join the consumers (idempotent).
+
+        Nothing is retried once the service is closed: a job whose worker
+        stops under it ends as an error result.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            workers = [shard.worker for shard in self._shards]
+        for _ in self._consumers:
+            self._queue.put(None)
+        for worker in workers:
+            worker.stop()
+        for consumer in self._consumers:
+            consumer.join()
         self._shards = []
-        self._started = False
+        self._consumers = []
 
-    async def __aenter__(self) -> SimulationService:
-        await self.start()
+    def __enter__(self) -> SimulationService:
+        self.start()
         return self
 
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     @property
     def num_shards(self) -> int:
@@ -172,8 +193,9 @@ class SimulationService:
         return [shard.worker.pid for shard in self._shards]
 
     def stats_payload(self) -> dict[str, Any]:
-        payload = self.stats.to_payload()
-        payload["cache"] = self.cache.stats.to_payload()
+        with self._lock:
+            payload = self.stats.to_payload()
+            payload["cache"] = self.cache.stats.to_payload()
         payload["num_shards"] = self.num_shards
         return payload
 
@@ -187,34 +209,47 @@ class SimulationService:
         except Exception:
             return None
 
-    async def submit(self, job: KernelJob) -> JobResult:
-        """Serve one job: cache hit, inflight dedup, or enqueue + await.
+    def run_batch(self, jobs: list[KernelJob]) -> list[JobResult]:
+        """Serve a batch (blocking), results in submission order.
 
-        Blocks (asynchronously) while the job queue is full — this is the
-        backpressure bound.
+        Every job is submitted before any is waited on, so the shards run
+        the batch's misses concurrently.
         """
-        if not self._started:
-            await self.start()
-        self.stats.submitted += 1
-        key = self._job_key(job)
-        if key is None:
-            self.cache.stats.note_uncacheable()
-            return await self._enqueue(job, None)
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            self.cache.stats.note_hit()
-            return cached.to_result(job)
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.cache.stats.note_dedup()
-            primary = await asyncio.shield(inflight)
-            return self._replay_for(primary, job)
-        self.cache.stats.note_miss()
-        return await self._enqueue(job, key)
+        if self._closed or not self._shards:
+            raise RuntimeError("SimulationService is not running")
+        submitted = [self._submit(job) for job in jobs]
+        results: list[JobResult] = []
+        for job, (outcome, follower) in zip(jobs, submitted):
+            if isinstance(outcome, Future):
+                outcome = outcome.result()
+                if follower:
+                    outcome = self._replay_for(outcome, job)
+            results.append(outcome)
+        return results
 
-    async def run_batch(self, jobs: list[KernelJob]) -> list[JobResult]:
-        """Serve a batch concurrently, results in submission order."""
-        return list(await asyncio.gather(*(self.submit(job) for job in jobs)))
+    def _submit(self, job: KernelJob) -> tuple[JobResult | Future[JobResult], bool]:
+        """A cache hit's result, or the future to wait on and whether it is
+        another job's execution (an inflight dedup)."""
+        key = self._job_key(job)
+        with self._lock:
+            self.stats.submitted += 1
+            if key is not None:
+                cached = self.cache.lookup(key)
+                if cached is not None:
+                    self.cache.stats.hits += 1
+                    return cached.to_result(job), False
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    self.cache.stats.inflight_dedup += 1
+                    return inflight, True
+            future: Future[JobResult] = Future()
+            if key is None:
+                self.cache.stats.uncacheable += 1
+            else:
+                self.cache.stats.misses += 1
+                self._inflight[key] = future
+        self._queue.put((job, key, future))
+        return future, False
 
     def _replay_for(self, primary: JobResult, job: KernelJob) -> JobResult:
         """A dedup follower's result: the primary's outcome for *this* job."""
@@ -230,88 +265,60 @@ class SimulationService:
             )
         return CachedResult.from_result(primary).to_result(job)
 
-    async def _enqueue(self, job: KernelJob, key: str | None) -> JobResult:
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[JobResult] = loop.create_future()
-        if key is not None:
-            self._inflight[key] = future
-        assert self._queue is not None
-        try:
-            await self._queue.put((job, key, future))
-        except BaseException:
-            if key is not None and self._inflight.get(key) is future:
-                del self._inflight[key]
-            raise
-        try:
-            return await asyncio.shield(future)
-        finally:
-            if key is not None and self._inflight.get(key) is future:
-                del self._inflight[key]
-
     # -- execution ----------------------------------------------------------------------
 
-    async def _consume(self, shard: _Shard) -> None:
-        """Shard consumer: take the next queued job, one at a time, with retries."""
-        assert self._queue is not None
-        while True:
-            job, key, future = await self._queue.get()
+    def _consume(self, shard: _Shard) -> None:
+        """Shard consumer: run queued jobs one at a time until told to stop."""
+        while (item := self._queue.get()) is not None:
+            job, key, future = item
             try:
-                result = await self._execute_with_retry(shard, job)
-            except asyncio.CancelledError:
-                if not future.done():
-                    future.cancel()
-                raise
-            except Exception as exc:  # defensive: consumer must never die
-                result = JobResult(
-                    job=job,
-                    error=f"{type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__,
-                )
+                result = self._execute_with_retry(shard, job)
+            except Exception as exc:  # defensive: a consumer must never die
+                result = _error_result(job, exc, attempts=1)
+            # Only deterministic outcomes (success or a verification
+            # failure) enter the cache; errors never do.
+            entry = None
             if key is not None and result.error is None:
-                # Only deterministic outcomes (success or a verification
-                # failure) enter the cache; errors never do.
-                self.cache.store(key, CachedResult.from_result(result))
-            if not future.done():
-                future.set_result(result)
-            self._queue.task_done()
+                entry = CachedResult.from_result(result)
+            with self._lock:
+                if key is not None:
+                    del self._inflight[key]
+                if entry is not None:
+                    self.cache.store(key, entry)
+            future.set_result(result)
 
-    async def _execute_with_retry(self, shard: _Shard, job: KernelJob) -> JobResult:
-        loop = asyncio.get_running_loop()
-        last_error: Exception | None = None
-        for attempt in range(1, self.config.max_attempts + 1):
+    def _count(self, field: str) -> None:
+        with self._lock:
+            setattr(self.stats, field, getattr(self.stats, field) + 1)
+
+    def _execute_with_retry(self, shard: _Shard, job: KernelJob) -> JobResult:
+        attempt = 1
+        while True:
             try:
-                result = await loop.run_in_executor(
-                    None, shard.worker.request, job, self.config.job_timeout
-                )
+                result = shard.worker.request(job, self.config.job_timeout)
             except (WorkerCrash, JobTimeout) as exc:
-                last_error = exc
-                if isinstance(exc, JobTimeout):
-                    self.stats.timeouts += 1
-                else:
-                    self.stats.worker_crashes += 1
-                await self._respawn(shard)
-                if attempt < self.config.max_attempts:
-                    self.stats.retries += 1
-                    await asyncio.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
+                self._count("timeouts" if isinstance(exc, JobTimeout) else "worker_crashes")
+                if not self._respawn(shard) or attempt == self.config.max_attempts:
+                    return _error_result(job, exc, attempt)
+                self._count("retries")
+                time.sleep(self.config.retry_backoff * 2 ** (attempt - 1))
+                attempt += 1
                 continue
-            self.stats.executed += 1
+            self._count("executed")
             result.attempts = attempt
             if result.error is not None:
-                self.stats.deterministic_failures += 1
+                self._count("deterministic_failures")
             return result
-        assert last_error is not None
-        return JobResult(
-            job=job,
-            error=f"{type(last_error).__name__}: {last_error}",
-            error_type=type(last_error).__name__,
-            attempts=self.config.max_attempts,
-        )
 
-    async def _respawn(self, shard: _Shard) -> None:
-        """Replace a dead/killed worker with a fresh one."""
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, shard.worker.terminate)
-        shard.worker = await loop.run_in_executor(
-            None, create_worker, self.config.worker_mode
-        )
-        self.stats.respawns += 1
+    def _respawn(self, shard: _Shard) -> bool:
+        """Replace a dead/killed worker with a fresh one; False (and no
+        worker left running) once the service is closing."""
+        shard.worker.terminate()
+        worker = create_worker(self.config.worker_mode)
+        with self._lock:
+            if not self._closed:
+                shard.worker = worker
+                self.stats.respawns += 1
+                return True
+        worker.stop()
+        return False

@@ -93,7 +93,7 @@ class ProcessWorker:
         self._process = ctx.Process(target=worker_main, args=(child_conn,), daemon=True)
         with warnings.catch_warnings():
             # Python 3.12 warns on fork()ing a process that has threads (the
-            # service client's event-loop thread).  The worker only runs
+            # service's consumer threads).  The worker only runs
             # self-contained simulation code off a pipe, so the fork is safe.
             warnings.simplefilter("ignore", DeprecationWarning)
             self._process.start()

@@ -77,10 +77,10 @@ class TestEnvelope:
 
     def test_version_mismatch_raises(self):
         envelope = make_envelope(kind="simx", config=CFG, state={})
-        # A newer build's format, format 3 (funcsim launch marks in the
-        # driver) and format 2 (per-component clocks), which this build
-        # replaced without a compatibility shim.
-        for version in (SNAPSHOT_FORMAT + 1, 3, 2):
+        # A newer build's format, format 4 (no watchdog streak), format 3
+        # (funcsim launch marks in the driver) and format 2 (per-component
+        # clocks), which this build replaced without a compatibility shim.
+        for version in (SNAPSHOT_FORMAT + 1, 4, 3, 2):
             envelope["format"] = version
             with pytest.raises(SnapshotVersionError, match=f"format {version} is not"):
                 open_envelope(envelope, kind="simx", config=CFG)
@@ -491,10 +491,11 @@ def test_a_budget_raises_at_one_retired_count_however_the_launch_runs(driver):
     budget raises at the same retired count whether the launch runs
     straight or in checkpointed chunks, and a restart leg raises what the
     straight job does — the budget counts from the launch start, not from
-    the last resume."""
+    the last resume.  Every leg's error says where the launch stopped: the
+    retired count and the launch cycle (0 on funcsim)."""
     config = VortexConfig().with_warps_threads(4, 4)
     options = LaunchOptions(max_instructions=818)
-    retired = []
+    stops = []
     for launch in (
         lambda device: device.launch(options=options),
         lambda device: device.launch_resumable(options=options, checkpoint_every=50),
@@ -502,18 +503,27 @@ def test_a_budget_raises_at_one_retired_count_however_the_launch_runs(driver):
         device, *_ = _staged_device(driver, "vecadd", 256, config)
         with pytest.raises(SimulationLimitExceeded) as raised:
             launch(device)
-        assert (raised.value.kind, raised.value.limit) == ("instructions", 818)
-        retired.append(device.driver.processor.counters()["core0"]["instructions"])
-    assert retired[0] == retired[1] >= 818
+        stop = raised.value
+        processor = device.driver.processor
+        assert stop.instructions == processor.counters()["core0"]["instructions"] >= 818
+        assert stop.cycle == processor.cycle and (stop.cycle > 0) == (driver == "simx")
+        stops.append((stop.kind, stop.limit, stop.instructions, stop.cycle, str(stop)))
+    assert stops[0] == stops[1]
+    assert stops[0][:2] == ("instructions", 818)
 
     job = KernelJob(
         kernel="vecadd", config=config, driver=driver, size=256,
         options=LaunchOptions(max_instructions=1_400),
     )
-    straight = execute_job(job)
-    restarted = execute_job(replace(job, restart_midpoint=True))
-    assert straight.error_type == restarted.error_type == "SimulationLimitExceeded"
-    assert restarted.error == straight.error
+    device, *_ = _staged_device(driver, "vecadd", 256, config)
+    with pytest.raises(SimulationLimitExceeded) as raised:
+        device.launch(options=job.options)
+    stop = raised.value
+    assert stop.instructions >= 1_400 and (stop.cycle > 0) == (driver == "simx")
+    for result in (execute_job(job), execute_job(replace(job, restart_midpoint=True))):
+        assert result.error_type == "SimulationLimitExceeded"
+        assert result.error == f"SimulationLimitExceeded: {stop}"
+        assert f"at cycle {stop.cycle}, {stop.instructions} warp instructions" in result.error
 
 
 @pytest.mark.parametrize("driver", ["funcsim", "simx"])

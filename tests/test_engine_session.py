@@ -42,7 +42,9 @@ def test_drivers_implement_the_engine_protocol(driver_cls):
 def test_import_repro_stays_light():
     """``import repro`` (the job records included) loads no serving stack —
     asyncio and multiprocessing would cost every script start-up time and
-    memory — and the dissolved ``repro.engine`` package is gone."""
+    memory — the dissolved ``repro.engine`` package is gone, and the
+    serving stack itself runs on threads: ``import repro.service`` loads no
+    asyncio."""
     code = (
         "import sys, repro\n"
         "heavy = sorted({'asyncio', 'multiprocessing', 'repro.service'} & set(sys.modules))\n"
@@ -53,6 +55,8 @@ def test_import_repro_stays_light():
         "    pass\n"
         "else:\n"
         "    raise AssertionError('repro.engine still imports')\n"
+        "import repro.service\n"
+        "assert 'asyncio' not in sys.modules, 'repro.service loads asyncio'\n"
     )
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

@@ -2,6 +2,7 @@
 the command processor (AFU) and the device facade."""
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.kernels import SaxpyKernel, VecAddKernel
 from repro.runtime.buffer import AllocationError, BufferAllocator
 from repro.runtime.device import VortexDevice
 from repro.runtime.driver import DriverError, Mmio, Status
+from repro.runtime.launch import LaunchOptions
 from repro.runtime.opencl import Context, Program
 
 BASE = 0x8000_0000
@@ -322,6 +324,36 @@ def test_mismatched_barrier_count_raises_simulation_stalled(monkeypatch):
     assert core["pending_ifetch"] == core["pending_ops"] == core["pending_mshr"] == 0
     assert set(core["scoreboard_busy"]) == set(range(num_warps))
     assert f"core 0 warps {waiting} at barrier 3 ({num_warps}/{num_warps + 1})" in str(stalled)
+
+
+def test_the_watchdog_streak_survives_a_pause(monkeypatch):
+    """A hung kernel stalls at the same cycle whether it launches straight,
+    in chunks far shorter than the watchdog window, or restored from a
+    mid-stall checkpoint: the no-progress streak is processor state."""
+    program = _mismatched_barrier_program()
+    monkeypatch.setattr(TimingProcessor, "NO_PROGRESS_LIMIT", 300)
+    config = VortexConfig(memory=MemoryConfig(latency=20, bandwidth=1))
+    options = LaunchOptions(max_cycles=20_000)
+
+    def restored(device):
+        device.launch_chunk(200, program.entry, options)
+        fresh = VortexDevice(config, driver="simx")
+        fresh.restore(pickle.loads(pickle.dumps(device.checkpoint())))
+        fresh.launch_resumable(options=options, checkpoint_every=50, resume=True)
+
+    stalls = []
+    for launch in (
+        lambda device: device.launch(program.entry, options=options),
+        lambda device: device.launch_resumable(program.entry, options, checkpoint_every=50),
+        restored,
+    ):
+        device = VortexDevice(config, driver="simx")
+        device.upload_program(program)
+        with pytest.raises(SimulationStalled) as excinfo:
+            launch(device)
+        stalls.append((excinfo.value.cycle, str(excinfo.value)))
+    assert stalls[0][0] < 1_000
+    assert stalls == [stalls[0]] * 3
 
 
 def test_mismatched_barrier_count_deadlocks_funcsim_as_the_oracle():

@@ -1,17 +1,18 @@
 """Tests for the simulation service: canonical job identity, the
 content-addressed result cache, the worker fleet and its failure
-paths (crash retry, timeout, backpressure), and ``ServiceClient.run_batch``."""
+paths (crash retry, timeout), and ``ServiceClient.run_batch``."""
 
-import asyncio
 import dataclasses
 import multiprocessing
 import os
 import pickle
 import runpy
 import signal
+import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -248,7 +249,39 @@ def test_service_caches_verification_failures():
     assert served.cached and not served.passed and served.error is None
 
 
-# -- backpressure ------------------------------------------------------------------------
+def test_a_batch_of_cache_hits_never_reaches_the_shard_queue(monkeypatch):
+    """Hits are served in the caller's thread: with the shard queue's ``put``
+    raising, a replayed batch still comes back whole, every lookup runs in
+    the calling thread and no worker runs."""
+    jobs = [KernelJob("vecadd", size=64), KernelJob("saxpy", size=64)]
+
+    def refuse(item):
+        raise AssertionError("a job reached the shard queue")
+
+    with ServiceClient(INLINE) as client:
+        service = client._service
+        cold = client.run_jobs(jobs)
+        served = [shard.worker.jobs_served for shard in service._shards]
+        shared, lookup, threads = service._queue, service.cache.lookup, []
+
+        def lookup_here(key):
+            threads.append(threading.get_ident())
+            return lookup(key)
+
+        monkeypatch.setattr(service, "_queue", SimpleNamespace(get=shared.get, put=refuse))
+        monkeypatch.setattr(service.cache, "lookup", lookup_here)
+        warm = client.run_jobs(jobs)
+        with pytest.raises(AssertionError, match="shard queue"):
+            client.run_job(KernelJob("no-such-kernel"))  # uncacheable: enqueued
+        monkeypatch.setattr(service, "_queue", shared)
+        assert [shard.worker.jobs_served for shard in service._shards] == served
+        assert client.stats()["cache"]["hits"] == 2
+    assert threads == [threading.get_ident()] * 2
+    assert all(r.ok and r.cached for r in warm)
+    assert [w.report.to_payload() for w in warm] == [c.report.to_payload() for c in cold]
+
+
+# -- the shared queue --------------------------------------------------------------------
 
 
 class _SlowWorker:
@@ -274,50 +307,52 @@ class _SlowWorker:
         pass
 
 
-def test_submission_blocks_at_the_backpressure_bound():
-    """With queue_depth=1, a third concurrent submit must block in
-    ``queue.put`` (not enqueue) until the worker frees a slot."""
-
-    async def scenario():
-        async with SimulationService(
-            ServiceConfig(num_shards=1, queue_depth=1, worker_mode="inline")
-        ) as service:
-            worker = service._shards[0].worker = _SlowWorker(delay=0.25)
-            jobs = [KernelJob("vecadd", size=size) for size in (8, 16, 24)]
-            tasks = []
-            for job in jobs:
-                tasks.append(asyncio.ensure_future(service.submit(job)))
-                await asyncio.sleep(0.05)
-            # Job 1 is executing, job 2 fills the one queue slot; job 3's
-            # put() is blocked by backpressure and has not enqueued.
-            assert worker.started == [jobs[0]]
-            assert service._queue.full() and service._queue.qsize() == 1
-            results = await asyncio.gather(*tasks)
-            assert worker.started == jobs
-            assert service._queue.empty()
-            assert all(r.passed for r in results)
-
-    asyncio.run(scenario())
-
-
 def test_free_workers_share_jobs_that_hash_to_one_shard():
     """Every consumer pulls from one queue: four jobs whose keys would all
     route to shard 0 under ``int(key[:8], 16) % 2`` still spread 2 + 2."""
     candidates = (KernelJob("vecadd", size=size) for size in range(8, 4096, 8))
     jobs = [job for job in candidates if int(job.cache_key()[:8], 16) % 2 == 0][:4]
 
-    async def scenario():
-        async with SimulationService(
-            ServiceConfig(num_shards=2, worker_mode="inline")
-        ) as service:
-            workers = [_SlowWorker(delay=0.2) for _ in service._shards]
+    with SimulationService(ServiceConfig(num_shards=2, worker_mode="inline")) as service:
+        workers = [_SlowWorker(delay=0.2) for _ in service._shards]
+        for shard, worker in zip(service._shards, workers):
+            shard.worker = worker
+        results = service.run_batch(jobs)
+    assert all(r.passed for r in results)
+    assert [worker.jobs_served for worker in workers] == [2, 2]
+
+
+def test_concurrent_batches_lose_no_update():
+    """Three calling threads and four shard consumers share the in-flight
+    map, the cache and the statistics; with the interpreter switching
+    threads every microsecond, every count still adds up."""
+    jobs = [KernelJob("vecadd", size=size) for size in range(8, 8 * 41, 8)]
+    batches = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SimulationService(ServiceConfig(num_shards=4, worker_mode="inline")) as service:
+            workers = [_SlowWorker(delay=0.0) for _ in service._shards]
             for shard, worker in zip(service._shards, workers):
                 shard.worker = worker
-            results = await service.run_batch(jobs)
-        assert all(r.passed for r in results)
-        assert [worker.jobs_served for worker in workers] == [2, 2]
-
-    asyncio.run(scenario())
+            callers = [
+                threading.Thread(target=lambda: batches.append(service.run_batch(jobs)))
+                for _ in range(3)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            stats = service.stats_payload()
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(batches) == 3
+    assert all(result.passed for batch in batches for result in batch)
+    cache = stats["cache"]
+    assert stats["submitted"] == cache["hits"] + cache["misses"] + cache["inflight_dedup"] == 120
+    assert sum(worker.jobs_served for worker in workers) == stats["executed"] == 40
+    assert cache["misses"] == cache["stores"] == 40
 
 
 # -- process workers: crash retry + timeout ----------------------------------------------
@@ -443,7 +478,7 @@ def _service_threads():
 @pytest.mark.skipif(not HAS_FORK, reason="needs worker processes")
 def test_fleet_start_failure_leaks_no_worker_or_loop_thread(monkeypatch):
     """A fleet whose second worker cannot start stops the first worker and
-    its event-loop thread before the error reaches the caller."""
+    its consumer thread before the error reaches the caller."""
     real_create = server_mod.create_worker
     calls = []
 
