@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterable
+from itertools import groupby
 from operator import itemgetter
 from typing import Any
 
@@ -89,6 +90,9 @@ class LowerPort:
     accept more traffic this cycle.
     """
 
+    #: The cache level behind this port (None: the port is the bottom, DRAM).
+    lower_cache: NonBlockingCache | None = None
+
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
         raise NotImplementedError
 
@@ -105,7 +109,7 @@ class LowerPort:
         write-blocked when its own lower port is — while a fill may hit
         there, so a cache level never blocks reads.  A blocked port is not
         asked: the cache's batch path skips the call and hands what it
-        skipped to :meth:`note_skipped_refusal` / :meth:`note_blocked_writes`,
+        skipped to :meth:`note_skipped_refusal` / :meth:`refuse_writes`,
         because the refusal-side counters below must still advance per attempt.
         """
         return False
@@ -115,18 +119,81 @@ class LowerPort:
         that reach this port's full queue would have."""
         raise NotImplementedError
 
-    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
-        """Charge (and trace) what ``request_write`` would have for every
-        address of ``runs``, in order, while ``blocked(True)`` holds — at
-        every level the request would have visited.  Default: all of them
-        reach this port's full queue."""
-        self.note_skipped_refusal(sum(map(len, runs)))
+    def refuse_writes(
+        self, cache: NonBlockingCache, runs: Iterable[tuple[int, ...]], lanes: int, cycle: int
+    ) -> None:
+        """The one rule for the write-throughs ``cache`` did not ask this port
+        for because it was ``blocked(True)``: ``runs``, tuples of addresses on
+        one ``cache`` line in lane order, ``lanes`` of which had a port there.
 
-    def note_blocked_write_count(self, lanes: int) -> bool:
-        """:meth:`note_blocked_writes` from a lane count; False, charging
-        nothing, where the addresses matter (by default they never do)."""
-        self.note_skipped_refusal(lanes)
-        return True
+        A lane's outcome chain from a level down is a ``conflict`` where that
+        level's bank has no port for the lane's line this cycle, which stops
+        it, else the next level's chain, then that level's ``refusal``;
+        DRAM's ``rejected`` at the bottom.  Refused lanes take no port, so a
+        chain is worked out once per distinct line per level and charged as
+        a count.  ``cache`` tops the chain (its counters are its caller's);
+        traced levels append each lane's records at ``cycle``, deepest first.
+        With nothing traced and no port taken below, ``runs`` goes unread.
+        """
+        levels, port = [cache], self
+        while port.lower_cache is not None:
+            levels.append(port.lower_cache)
+            port = port.lower_cache.lower
+        below = levels[1:]
+        bus = next((level.trace for level in below if level.trace is not None), None)
+        ends = [0] * (len(levels) + 1)  # lanes per chain end: a conflict there, or rejected
+        if bus is None and cache.trace is None and not any(
+            level._accepts_this_cycle for level in below
+        ):
+            ends[-1] = lanes  # every chain goes the whole way down:
+            runs = ()  # no line matters
+        sizes = [level._line_size for level in levels]
+        # A run is one line at every level where each lower line holds the upper's.
+        whole = all(size % sizes[0] == 0 for size in sizes)
+
+        def key_of(address: int) -> tuple[int, ...]:
+            return tuple(address // size for size in sizes)
+
+        chains: dict[tuple[int, ...], tuple[int, list[Any]]] = {}
+        for addresses in runs:
+            if whole:
+                segments = [(key_of(addresses[0]), len(addresses))]
+            else:
+                segments = [(key, len(list(same))) for key, same in groupby(addresses, key_of)]
+            for key, count in segments:
+                chain = chains.get(key)
+                if chain is None:
+                    depth = len(levels)
+                    for index, (level, line) in enumerate(zip(levels, key)):
+                        taken = level._accepts_this_cycle.get(line % level._num_banks)
+                        if taken is not None and (
+                            taken[1] >= level._num_ports or taken[0] != line
+                        ):
+                            depth = index
+                            break
+                    records = [
+                        (cycle, level.trace_core, NO_WARP, level.trace_channel,
+                         "conflict" if index == depth else "refusal",
+                         level.trace_payload(line, line % level._num_banks, True))
+                        for index, (level, line) in enumerate(zip(levels[: depth + 1], key))
+                        if level.trace is not None
+                    ][::-1]  # deepest first
+                    chain = chains[key] = (depth, records)
+                depth, records = chain
+                ends[depth] += count
+                if bus is not None:
+                    bus.emit_pattern(records, count)
+                elif records:  # ``cache``'s own alone: through its receipt
+                    line = key[0]
+                    cache._trace_attempts(
+                        records[0][4], line, line % cache._num_banks, True, count, cycle=cycle
+                    )
+        for index, level in enumerate(below, 1):
+            conflicts, refusals = ends[index], sum(ends[index + 1 :])
+            if conflicts + refusals:
+                level._charge((conflicts + refusals, conflicts, 0, refusals, 0, 0, 0, 0, 0))
+        if ends[-1]:
+            port.note_skipped_refusal(ends[-1])
 
     def refusal_horizon(self) -> int | None:
         """Cycle until which (exclusively) every request is provably refused.
@@ -231,9 +298,6 @@ class NonBlockingCache(Stateful):
 
     def line_address(self, address: int) -> int:
         return address // self.config.line_size
-
-    def bank_index(self, address: int) -> int:
-        return self.line_address(address) % self.config.num_banks
 
     # -- front-end: bank selector ----------------------------------------------------------
 
@@ -402,17 +466,6 @@ class NonBlockingCache(Stateful):
         if self.receipt is not None:
             self.receipt.charges.append(tally)
 
-    def _refuse_blocked_writes_traced(
-        self, addresses: tuple[int, ...], line: int, bank_id: int
-    ) -> None:
-        """Tracing-on ``note_blocked_writes``: lane by lane, so the levels
-        below emit a lane's events before this level's ``refusal`` — the
-        order a chain of :meth:`send` calls has."""
-        # Traced only: tests/test_cache_hierarchy.py pins that cross-level order.
-        for address in addresses:
-            self.lower.note_blocked_writes([(address,)])
-            self._trace_attempts("refusal", line, bank_id, True)
-
     def send_batch(self, groups: Iterable[Any], budget: int, is_write: bool) -> int:
         """Present a cycle's outstanding requests in one call.
 
@@ -544,11 +597,12 @@ class NonBlockingCache(Stateful):
                         lower_refuses = lower_full and not hit and mshr.lookup(line) is None
                     if lower_refuses:
                         if is_write:
-                            blocked.append(addresses[done:])
-                            if trace is not None:
-                                self._refuse_blocked_writes_traced(
-                                    addresses[done:], line, bank_id
-                                )
+                            memq_stalls += lanes - done
+                            if trace is None:
+                                blocked.append(addresses[done:])
+                            else:  # its records and the chain's interleave per lane
+                                rest = (addresses[done:],)
+                                lower.refuse_writes(self, rest, lanes - done, cycle)
                         else:
                             skipped += lanes - done
                             if trace is not None:
@@ -655,10 +709,8 @@ class NonBlockingCache(Stateful):
         if skipped:
             memq_stalls += skipped
             lower.note_skipped_refusal(skipped)
-        if blocked:
-            memq_stalls += sum(map(len, blocked))
-            if trace is None:  # traced: already handed over lane by lane
-                lower.note_blocked_writes(blocked)
+        if blocked:  # untraced: handed down once
+            lower.refuse_writes(self, blocked, sum(map(len, blocked)), cycle)
         self._charge(
             (
                 accepted_count + bank_conflicts + mshr_stalls + memq_stalls,
@@ -708,9 +760,8 @@ class NonBlockingCache(Stateful):
         """Charge (and trace) write-through ``runs``, ``bank_lanes[bank]`` lanes per
         bank and ``line_lanes[line]`` per line, what :meth:`send_batch` does while
         ``lower.blocked(True)`` holds: a conflict where the bank has no port for
-        the lane's line, else a lower refusal handed down as a count.  False,
-        charging nothing, where that is not exact: an unblocked lower, or a
-        lower port that needs the addresses."""
+        the lane's line, else a refusal handed to :meth:`LowerPort.refuse_writes`.
+        False, charging nothing, where the lower is not blocked."""
         lower = self.lower
         if lower is None or not lower.blocked(True):
             return False
@@ -720,26 +771,11 @@ class NonBlockingCache(Stateful):
             conflicts += bank_lanes[bank_id]
             if count < self._num_ports:
                 conflicts -= line_lanes.get(line, 0)
-        refusals = lanes - conflicts
-        if refusals and not lower.note_blocked_write_count(refusals):
-            return False
-        self._charge((lanes, conflicts, 0, refusals, 0, 0, 0, 0, 0))
-        if self.trace is not None:
-            self.trace_blocked_writes(runs, self.clock.now)
+        self._charge((lanes, conflicts, 0, lanes - conflicts, 0, 0, 0, 0, 0))
+        if lanes > conflicts or self.trace is not None:
+            refused = (run[0] for run in runs)  # read only where the lanes' lines matter
+            lower.refuse_writes(self, refused, lanes - conflicts, self.clock.now)
         return True
-
-    def trace_blocked_writes(self, runs: list[tuple[Any, ...]], cycle: int) -> None:
-        """Emit at ``cycle`` the events :meth:`send_batch` traces for the
-        write-through ``runs`` while ``lower.blocked(True)`` holds: per run,
-        ``conflict`` where its bank has no port for its line, else ``refusal``."""
-        accepts = self._accepts_this_cycle
-        for addresses, line, bank_id, *_ in runs:
-            accepted = accepts.get(bank_id)
-            free = accepted is None or (accepted[0] == line and accepted[1] < self._num_ports)
-            self._trace_attempts(
-                "refusal" if free else "conflict", line, bank_id, True, len(addresses),
-                cycle=cycle,
-            )
 
     # -- back-end: fills and responses -------------------------------------------------------
 
@@ -781,15 +817,6 @@ class NonBlockingCache(Stateful):
         return [record for _bank_id, record in due]
 
     # -- fast-forward ------------------------------------------------------------------------
-
-    def write_refusal_horizon(self) -> int | None:
-        """Cycle before which every write-through is provably refused.
-
-        A write needs a bank port — free again at the start of every cycle —
-        plus a lower-level accept, so the only cross-cycle refusal guarantee
-        comes from the lower port's shared queue being full.
-        """
-        return None if self.lower is None else self.lower.refusal_horizon()
 
     def next_response_cycle(self) -> int | None:
         """Earliest cycle a response completes (``None`` when idle).

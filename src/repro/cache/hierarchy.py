@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache, RequestGroup
+from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
@@ -61,9 +61,8 @@ class _DramPort(LowerPort):
 class _CachePort(LowerPort):
     """Lower port adapter that forwards traffic into another cache level."""
 
-    def __init__(self, lower_cache: NonBlockingCache, line_size: int):
+    def __init__(self, lower_cache: NonBlockingCache):
         self.lower_cache = lower_cache
-        self.line_size = line_size
 
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
         # ``line_address`` is expressed in the *upper* cache's line units.
@@ -77,45 +76,6 @@ class _CachePort(LowerPort):
         # A write-through needs the level below this cache as well; a fill may hit here.
         lower = self.lower_cache.lower
         return is_write and lower is not None and lower.blocked(True)
-
-    def note_blocked_write_count(self, lanes: int) -> bool:
-        # Exact while every bank port is free: each lane would have been
-        # refused by the level below, which is charged in turn.  A traced
-        # level needs the addresses, since its events name each lane's line.
-        cache = self.lower_cache
-        if cache._accepts_this_cycle or cache.trace is not None:
-            return False
-        if not cache.lower.note_blocked_write_count(lanes):
-            return False
-        cache._counters["attempts"] += lanes
-        cache._counters["memq_stalls"] += lanes
-        return True
-
-    def note_blocked_writes(self, runs: list[tuple[int, ...]]) -> None:
-        if self.note_blocked_write_count(sum(map(len, runs))):
-            return
-        cache = self.lower_cache
-        line_size, num_banks = self.line_size, cache.config.num_banks
-        if not cache._accepts_this_cycle:
-            # Every bank has a port: each lane is handed down, then refused
-            # here, the order of a chain of ``send`` calls.
-            for address in [address for addresses in runs for address in addresses]:
-                cache.lower.note_blocked_writes([(address,)])
-                cache._charge((1, 0, 0, 1, 0, 0, 0, 0, 0))
-                if cache.trace is not None:
-                    line = address // line_size
-                    cache._trace_attempts("refusal", line, line % num_banks, True)
-            return
-        # Otherwise the lower cache's batch path — held to a loop of ``send``
-        # calls by tests/test_cache.py — finds its own lower blocked and
-        # charges every address as ``request_write`` would have: a bank
-        # conflict, or a refusal handed on down; it accepts none.
-        requests = [
-            ((address,), address // line_size, address // line_size % num_banks)
-            for addresses in runs
-            for address in addresses
-        ]
-        cache.send_batch((RequestGroup(requests),), len(requests), True)
 
 
 def _restore_levels(
@@ -166,7 +126,7 @@ class MemorySubsystem(Stateful):
         if config.enable_l3:
             self.l3 = NonBlockingCache("l3", config.l3cache, lower=dram_port)
         below_l2_port = (
-            _CachePort(self.l3, config.l3cache.line_size) if self.l3 is not None else dram_port
+            _CachePort(self.l3) if self.l3 is not None else dram_port
         )
 
         # Optional L2 per cluster.
@@ -185,7 +145,7 @@ class MemorySubsystem(Stateful):
         for core_id in range(config.num_cores):
             cluster = core_id // config.cores_per_cluster
             if self.l2[cluster] is not None:
-                l1_lower: LowerPort = _CachePort(self.l2[cluster], config.l2cache.line_size)
+                l1_lower: LowerPort = _CachePort(self.l2[cluster])
             else:
                 l1_lower = below_l2_port
             self.icaches.append(

@@ -61,6 +61,9 @@ class SimulationLimitExceeded(EmulationError):
             f"{instructions} warp instructions retired"
         )
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.limit, self.instructions, self.cycle)
+
 
 class SimulationStalled(EmulationError):
     """The cycle-level run retired nothing for ``window`` cycles with no
@@ -90,6 +93,9 @@ class SimulationStalled(EmulationError):
             f"timing simulation made no progress for {window} cycles (at cycle {cycle}); "
             f"waiting: {'; '.join(waiting) or 'no wavefront at any barrier'}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.cycle, self.window, self.cores, self.global_barriers)
 
 
 @dataclass

@@ -911,7 +911,7 @@ class TimingCore(Stateful):
             # counter delta that :meth:`skip_idle` replays in bulk, and the
             # queue's release (the DRAM head pop) is already an event in the
             # memory subsystem's scan.
-            horizon = self.dcache.write_refusal_horizon()
+            horizon = self.dcache.lower.refusal_horizon()  # a write needs the level below
             if horizon is None or horizon <= cycle + 1 or self._store_smem_lanes:
                 return cycle + 1  # (a scratchpad store would be accepted)
         result: int | None = None
@@ -953,10 +953,10 @@ class TimingCore(Stateful):
         With tracing on, a synthesized ``core/skip`` marker stamps the
         window and the per-cycle scheduler/refusal events are emitted
         exactly as the ticked path would have — the refusals through the
-        drain's own :meth:`NonBlockingCache.trace_blocked_writes`, over port
-        maps the memory subsystem's skip left empty — so ``expand_skips`` on
-        the resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
-        for bit.
+        drain's own :meth:`~repro.cache.cache.LowerPort.refuse_writes`, one
+        cycle at a time, over port maps the memory subsystem's skip left
+        empty — so ``expand_skips`` on the resulting stream reproduces a
+        cycle-by-cycle ``tick()`` trace bit for bit.
         """
         base = self.clock.now - cycles
         counters = self._counters
@@ -970,13 +970,14 @@ class TimingCore(Stateful):
             # port-free at the start of each fresh cycle and nothing else
             # accepts inside the window, so no entry ever charges a bank
             # conflict — every attempt is a lower-level refusal.
-            refusals = sum(self._store_bank_lanes) * cycles
-            self.dcache.perf.incr("attempts", refusals)
-            self.dcache.perf.incr("memq_stalls", refusals)
-            self.dcache.lower.note_skipped_refusal(refusals)
-            if self.dcache.trace is not None:
-                for offset in range(cycles):
-                    self.dcache.trace_blocked_writes(self._store_queue, base + 1 + offset)
+            dcache = self.dcache
+            lanes = sum(self._store_bank_lanes)
+            dcache.perf.incr("attempts", lanes * cycles)
+            dcache.perf.incr("memq_stalls", lanes * cycles)
+            queue, span = self._store_queue, cycles if trace is None else 1
+            for start in range(base + 1, base + 1 + cycles, span):  # traced: cycle by cycle
+                runs = (run[0] for _cycle in range(span) for run in queue)
+                dcache.lower.refuse_writes(dcache, runs, lanes * span, start)
         self._sync_scheduler_masks()
         scheduler = self.scheduler
         if scheduler.active_mask & ~scheduler.stalled_mask & ~scheduler.barrier_mask:

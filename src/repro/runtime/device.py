@@ -114,6 +114,7 @@ class VortexDevice:
     def launch(
         self,
         entry_pc: int | None = None,
+        *,
         arg_address: int | None = None,
         options: LaunchOptions | None = None,
     ) -> ExecutionReport:

@@ -101,6 +101,9 @@ class UnknownDriverOptionError(ValueError):
             f"valid options: {sorted(valid)}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.simulator, self.option, self.valid)
+
 
 @dataclass(frozen=True)
 class DriverEntry:

@@ -19,8 +19,10 @@ kind, payload)`` — :class:`TraceEvent`'s field order — joins a pending list
 that every sink receives (``write_batch``) and encodes once it holds
 :attr:`TraceBus.FLUSH_EVENTS` records and on ``flush()``/``close()``.  A run
 of ``n`` identical events is one ``emit(..., count=n)``: the one record tuple
-appended ``n`` times.  So read a sink only after a flush — ``SimxDriver.run``
-flushes in a ``finally`` on every return, code that ticks a
+appended ``n`` times; ``n`` repetitions of a sequence of records (one per
+cache level a refused lane visits) are one ``emit_pattern``.  So read a
+sink only after a flush — ``SimxDriver.run`` flushes in a ``finally`` on
+every return, code that ticks a
 ``TimingProcessor`` by hand calls ``bus.flush()`` first (``events_emitted``
 counts pending records too) — and never mutate a payload after emitting it:
 call sites share one payload object between events, encoded once per batch.
@@ -101,6 +103,14 @@ class TraceBus:
             pending.append(record)
         else:
             pending += [record] * count
+        if len(pending) >= self.FLUSH_EVENTS:
+            self.flush()
+
+    def emit_pattern(self, records: list[TraceRecord], count: int = 1) -> None:
+        """Record ``count`` repetitions of ``records``, built by the caller on
+        channels it :meth:`wants`: lanes that emit the same events, in one append."""
+        pending = self._pending
+        pending += records * count
         if len(pending) >= self.FLUSH_EVENTS:
             self.flush()
 

@@ -41,6 +41,10 @@ class TraceFormatError(ValueError):
         super().__init__(f"{source}:{line}: {message}")
         self.source, self.line, self.text = source, line, text
 
+    def __reduce__(self):
+        message = str(self)[len(f"{self.source}:{self.line}: ") :]
+        return type(self), (self.source, self.line, message, self.text)
+
 
 class TraceHeaderError(TraceFormatError):
     """The version header (or CSV column row, or VCD ``$comment``) is damaged."""
@@ -53,6 +57,9 @@ class TraceVersionError(TraceFormatError):
         message = f"unsupported trace version {found} (expected {TRACE_VERSION})"
         super().__init__(source, line, message)
         self.found, self.expected = found, TRACE_VERSION
+
+    def __reduce__(self):
+        return type(self), (self.source, self.line, self.found)
 
 
 class TraceRecordError(TraceFormatError):

@@ -343,13 +343,14 @@ class _ScriptedLower(LowerPort):
         return True
 
 
-class _StickyQueueLower:
+class _StickyQueueLower(LowerPort):
     """Bounded shared queue: refuses once full, for the rest of the cycle.
 
     Mirrors the DRAM port contract: ``blocked`` promises that every further
     request this cycle is refused (and says so before the first one is
-    asked), and ``note_skipped_refusal`` / ``note_blocked_writes`` charge
-    exactly what the skipped calls would have (here: the ``rejected`` tally).
+    asked), and ``note_skipped_refusal`` — which ``LowerPort.refuse_writes``
+    calls at the bottom of every write-through chain — charges exactly what
+    the skipped calls would have (here: the ``rejected`` tally).
     """
 
     def __init__(self, capacity):
@@ -375,9 +376,6 @@ class _StickyQueueLower:
 
     def blocked(self, is_write):
         return len(self.queue) >= self.capacity
-
-    def note_blocked_writes(self, runs):
-        self.rejected += sum(len(addresses) for addresses in runs)
 
     def drain(self):
         released, self.queue = self.queue, []

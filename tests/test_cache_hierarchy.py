@@ -1,6 +1,11 @@
 """Integration tests for the cache hierarchy (L1 / optional L2 / DRAM)."""
 
+from contextlib import ExitStack
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import LowerPort
 from repro.cache.hierarchy import MemorySubsystem, _CachePort, _DramPort
@@ -8,7 +13,7 @@ from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.trace.bus import TraceBus
 from repro.trace.sinks import MemorySink
 
-from test_cache import send_runs
+from test_cache import _runs_for, send_runs
 
 
 def _drain(tick, memsys, dcache, max_cycles=500):
@@ -121,17 +126,22 @@ def forward_lane_by_lane(monkeypatch):
         monkeypatch.setattr(port, "blocked", LowerPort.blocked)
 
 
-def _blocked_store_cycle(tick, l3: bool, traced: bool):
+def _blocked_store_cycle(tick, l3: bool, traced: bool, lower_line: int = 64):
     """One cycle of a store storm behind L2 (+L3) with the DRAM queue full,
     in which core 1's read hit has already taken L2 bank 0's only port.
 
-    Core 0 then presents five store lanes: two on L2 bank 0 (another line),
-    two on bank 1, one on bank 2.  Returns the subsystem and its events.
+    Core 0 then presents five store lanes in three D$ runs.  With 64-byte
+    L2/L3 lines: two on L2 bank 0 (another line), two on bank 1, one on
+    bank 2.  With 32-byte ones each two-lane run spans two L2 lines: bank 0
+    (conflict) and 1, banks 2 and 3, then bank 0 (conflict).  Returns the
+    subsystem and its events.
     """
     config = VortexConfig(
         num_cores=2,
         enable_l2=True,
         enable_l3=l3,
+        l2cache=CacheConfig(size=128 * 1024, line_size=lower_line, num_banks=4),
+        l3cache=CacheConfig(size=1024 * 1024, line_size=lower_line, num_banks=8),
         memory=MemoryConfig(latency=200, bandwidth=1, request_queue_size=2),
     )
     memsys = MemorySubsystem(config)
@@ -148,9 +158,10 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool):
     tick(memsys)
     assert not memsys.dram.can_accept
     assert dcache1.send(0x100 * 64, tag="hit-in-l2")  # accepted although DRAM is full
+    second = 64 - lower_line + 4  # the second lane sits in the D$ line's last lower line
     storm = [
-        ((0x104 * 64, 0x104 * 64 + 4), 0x104, 0, False),
-        ((0x101 * 64, 0x101 * 64 + 4), 0x101, 1, False),
+        ((0x104 * 64, 0x104 * 64 + second), 0x104, 0, False),
+        ((0x101 * 64, 0x101 * 64 + second), 0x101, 1, False),
         ((0x102 * 64,), 0x102, 2, False),
     ]
     assert send_runs(dcache0, storm, 8, True, None) == (0, storm, 8)
@@ -159,13 +170,18 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool):
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("l3", [False, True], ids=["l2", "l2-l3"])
-def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, monkeypatch, tick):
+@pytest.mark.parametrize(
+    "l3,lower_line", [(False, 64), (True, 64), (True, 32)], ids=["l2", "l2-l3", "l2-l3-32B"]
+)
+def test_blocked_writes_are_charged_at_every_level_as_send_would(
+    l3, lower_line, traced, monkeypatch, tick
+):
     """The lanes a write-blocked lower port is never asked for are charged
     where a lane-by-lane walk refuses them: an L2 bank another request took
     this cycle charges ``bank_conflicts`` there and goes no further, the rest
-    charge ``memq_stalls`` level by level down to DRAM's ``rejected``."""
-    memsys, events = _blocked_store_cycle(tick, l3, traced)
+    charge ``memq_stalls`` level by level down to DRAM's ``rejected`` — per
+    lower line where the lower levels' lines are shorter than the D$'s."""
+    memsys, events = _blocked_store_cycle(tick, l3, traced, lower_line)
     before = {name: dict(counters) for name, counters in memsys.counters().items()}
     l2 = memsys.l2[0].perf
     assert l2.get("bank_conflicts") == 2 and l2.get("memq_stalls") == 3
@@ -175,12 +191,86 @@ def test_blocked_writes_are_charged_at_every_level_as_send_would(l3, traced, mon
         assert memsys.l3.perf.get("memq_stalls") == 3 and "bank_conflicts" not in memsys.l3.perf
 
     forward_lane_by_lane(monkeypatch)
-    twin, twin_events = _blocked_store_cycle(tick, l3, traced)
+    twin, twin_events = _blocked_store_cycle(tick, l3, traced, lower_line)
     assert twin.counters() == before
     assert twin_events == events
     if traced:
         kinds = [(e.channel, e.kind) for e in events if e.payload.get("write")]
         # Per lane the deepest level speaks first, as in a chain of ``send`` calls.
-        last_lane = [("l3", "refusal")] * l3 + [("l2", "refusal"), ("dcache", "refusal")]
-        assert kinds[-len(last_lane):] == last_lane
+        refused = [("l3", "refusal")] * l3 + [("l2", "refusal"), ("dcache", "refusal")]
+        # With 32-byte lower lines the last lane's L2 line is on the taken bank.
+        conflict = [("l2", "conflict"), ("dcache", "refusal")]
+        last = refused if lower_line == 64 else refused + conflict
+        assert kinds[-len(last):] == last
         assert ("l2", "conflict") in kinds
+
+
+def _refused_store_cycle(geometry, l3, taken, stores, traced, lane_by_lane):
+    """``_blocked_store_cycle`` drawn at random: L2/L3 line size, banks and
+    ports from ``geometry``, core 1's reads of the warm ``taken`` addresses
+    holding L2 ports, then core 0's ``stores`` (as D$ runs) against the full
+    DRAM queue.  Every level's counters and (``traced``) its events."""
+    line_size, num_banks, num_ports = geometry
+    lower = {"line_size": line_size, "num_banks": num_banks, "num_ports": num_ports}
+    config = VortexConfig(
+        num_cores=2,
+        enable_l2=True,
+        enable_l3=l3,
+        l2cache=CacheConfig(size=64 * 1024, **lower),
+        l3cache=CacheConfig(size=256 * 1024, **lower),
+        memory=MemoryConfig(latency=20, bandwidth=1, request_queue_size=2),
+    )
+    memsys = MemorySubsystem(config)
+    sink = MemorySink()
+    bus = TraceBus([sink])
+    memsys.attach_trace(bus if traced else None)
+    dcache0, dcache1 = memsys.dcache(0), memsys.dcache(1)
+
+    def tick():
+        memsys.clock.now += 1
+        memsys.tick()
+
+    for address in taken:  # warm in L2 through core 0
+        tick()
+        dcache0.send(address, tag="warm")
+        while memsys.busy:
+            tick()
+    num_banks = dcache0.config.num_banks
+    for address in (0x8000 * 64, 0x8001 * 64):  # one store a cycle fills the DRAM queue
+        tick()
+        assert send_runs(dcache0, _runs_for([address], (), 64, num_banks), 1, True, None)[0]
+    tick()
+    assert not memsys.dram.can_accept
+    for address in taken:
+        dcache1.send(address, tag="hit-in-l2")
+    runs = _runs_for(stores, (), 64, num_banks)
+    with ExitStack() as stack:
+        if lane_by_lane:  # forward_lane_by_lane, for one call
+            for port in (_DramPort, _CachePort):
+                stack.enter_context(mock.patch.object(port, "blocked", LowerPort.blocked))
+        assert send_runs(dcache0, runs, len(stores), True, None)[0] == 0
+    bus.flush()
+    return memsys.counters(), sink.events
+
+
+_lane_addresses = st.integers(0, 31).map(lambda word: 0x4000 + word * 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.tuples(
+        st.sampled_from([16, 32, 64, 128]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2])
+    ),
+    l3=st.booleans(),
+    taken=st.lists(_lane_addresses, max_size=4),
+    stores=st.lists(_lane_addresses, min_size=1, max_size=16),
+    traced=st.booleans(),
+)
+def test_refused_writes_follow_the_lane_by_lane_walk(geometry, l3, taken, stores, traced):
+    """Property: ``LowerPort.refuse_writes`` charges and traces, at every level,
+    what the lane-by-lane walk of ``send`` calls does — for any lower line
+    size against the D$'s 64 bytes, any bank and port count, and L2 ports
+    taken by same- or other-line reads."""
+    bulk = _refused_store_cycle(geometry, l3, taken, stores, traced, False)
+    walk = _refused_store_cycle(geometry, l3, taken, stores, traced, True)
+    assert bulk == walk

@@ -240,6 +240,23 @@ def test_launch_options_entry_pc_override():
     assert device.memory.read_word(0x4000) == 11
 
 
+def test_launch_takes_arg_address_and_options_by_keyword_only():
+    """A positional ``LaunchOptions`` once became the argument address and the
+    launch ran without its budget; now it is a ``TypeError`` before any cycle."""
+    from repro.kernels import KERNELS
+
+    device = VortexDevice(VortexConfig(), driver="simx")
+    kernel = KERNELS["vecadd"]()
+    program = kernel.build_program()
+    device.upload_program(program)
+    kernel.setup(device, 64)
+    with pytest.raises(TypeError):
+        device.launch(program.entry, LaunchOptions(max_cycles=10))
+    with pytest.raises(TypeError):
+        device.launch(program.entry, 0x1000)
+    assert device.driver.processor.cycle == 0
+
+
 def test_launch_options_are_uniform_across_drivers():
     """The same LaunchOptions object is accepted by both driver families."""
     from repro.core.emulator import SimulationLimitExceeded

@@ -2,7 +2,7 @@
 
 ``tests/golden/simx_counters.json`` pins what a run *totals*; a schedule
 change shows there as a different sum with no hint of where it began.
-``tests/golden/trace_digests.json`` pins the JSONL trace stream of two small
+``tests/golden/trace_digests.json`` pins the JSONL trace stream of three small
 runs as one sha256 per 256-cycle window (a few KB, not the 240 MB trace), so
 the failure names the first cycle window that differs and prints the line
 the stream enters it with.  A digest cannot say which line inside a window
@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,19 @@ SCENARIOS = {
         256,
         VortexConfig(
             dcache=_ONE_PORT, memory=MemoryConfig(latency=800, bandwidth=4)
+        ).with_warps_threads(8, 32),
+    ),
+    # A store storm behind L2 and L3 on a 2-entry DRAM queue: write-throughs
+    # refused level by level, bank conflicts at both shared levels (whose
+    # 32-byte lines split each 64-byte D$ run) and per-lane cross-level order.
+    "saxpy_64_2c_8w32t_l2l3_queue2": (
+        "saxpy",
+        64,
+        replace(
+            VortexConfig(num_cores=2).with_cache_hierarchy(enable_l2=True, enable_l3=True),
+            l2cache=CacheConfig(size=16 * 1024, line_size=32, num_banks=2),
+            l3cache=CacheConfig(size=16 * 1024, line_size=32, num_banks=1),
+            memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
         ).with_warps_threads(8, 32),
     ),
 }
