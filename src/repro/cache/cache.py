@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterable
-from itertools import groupby
 from operator import itemgetter
 from typing import Any
 
@@ -129,9 +128,10 @@ class LowerPort:
         A lane's outcome chain from a level down is a ``conflict`` where that
         level's bank has no port for the lane's line this cycle, which stops
         it, else the next level's chain, then that level's ``refusal``;
-        DRAM's ``rejected`` at the bottom.  Refused lanes take no port, so a
-        chain is worked out once per distinct line per level and charged as
-        a count.  ``cache`` tops the chain (its counters are its caller's);
+        DRAM's ``rejected`` at the bottom.  Refused lanes take no port, and a
+        run is one line at every level (each lower line holds whole upper
+        lines), so a chain is worked out once per ``cache`` line and charged
+        as a count.  ``cache`` tops the chain (its counters are its caller's);
         traced levels append each lane's records at ``cycle``, deepest first.
         With nothing traced and no port taken below, ``runs`` goes unread.
         """
@@ -147,47 +147,37 @@ class LowerPort:
         ):
             ends[-1] = lanes  # every chain goes the whole way down:
             runs = ()  # no line matters
-        sizes = [level._line_size for level in levels]
-        # A run is one line at every level where each lower line holds the upper's.
-        whole = all(size % sizes[0] == 0 for size in sizes)
-
-        def key_of(address: int) -> tuple[int, ...]:
-            return tuple(address // size for size in sizes)
-
-        chains: dict[tuple[int, ...], tuple[int, list[Any]]] = {}
+        chains: dict[int, tuple[int, list[Any]]] = {}
         for addresses in runs:
-            if whole:
-                segments = [(key_of(addresses[0]), len(addresses))]
-            else:
-                segments = [(key, len(list(same))) for key, same in groupby(addresses, key_of)]
-            for key, count in segments:
-                chain = chains.get(key)
-                if chain is None:
-                    depth = len(levels)
-                    for index, (level, line) in enumerate(zip(levels, key)):
-                        taken = level._accepts_this_cycle.get(line % level._num_banks)
-                        if taken is not None and (
-                            taken[1] >= level._num_ports or taken[0] != line
-                        ):
-                            depth = index
-                            break
-                    records = [
-                        (cycle, level.trace_core, NO_WARP, level.trace_channel,
-                         "conflict" if index == depth else "refusal",
-                         level.trace_payload(line, line % level._num_banks, True))
-                        for index, (level, line) in enumerate(zip(levels[: depth + 1], key))
-                        if level.trace is not None
-                    ][::-1]  # deepest first
-                    chain = chains[key] = (depth, records)
-                depth, records = chain
-                ends[depth] += count
-                if bus is not None:
-                    bus.emit_pattern(records, count)
-                elif records:  # ``cache``'s own alone: through its receipt
-                    line = key[0]
-                    cache._trace_attempts(
-                        records[0][4], line, line % cache._num_banks, True, count, cycle=cycle
-                    )
+            count = len(addresses)
+            line = addresses[0] // cache._line_size
+            chain = chains.get(line)
+            if chain is None:
+                lines = [addresses[0] // level._line_size for level in levels]
+                depth = len(levels)
+                for index, (level, lower_line) in enumerate(zip(levels, lines)):
+                    taken = level._accepts_this_cycle.get(lower_line % level._num_banks)
+                    if taken is not None and (
+                        taken[1] >= level._num_ports or taken[0] != lower_line
+                    ):
+                        depth = index
+                        break
+                records = [
+                    (cycle, level.trace_core, NO_WARP, level.trace_channel,
+                     "conflict" if index == depth else "refusal",
+                     level.trace_payload(lower_line, lower_line % level._num_banks, True))
+                    for index, (level, lower_line) in enumerate(zip(levels[: depth + 1], lines))
+                    if level.trace is not None
+                ][::-1]  # deepest first
+                chain = chains[line] = (depth, records)
+            depth, records = chain
+            ends[depth] += count
+            if bus is not None:
+                bus.emit_pattern(records, count)
+            elif records:  # ``cache``'s own alone: through its receipt
+                cache._trace_attempts(
+                    records[0][4], line, line % cache._num_banks, True, count, cycle=cycle
+                )
         for index, level in enumerate(below, 1):
             conflicts, refusals = ends[index], sum(ends[index + 1 :])
             if conflicts + refusals:
@@ -259,7 +249,10 @@ class NonBlockingCache(Stateful):
         }
     )
 
-    def __init__(self, name: str, config: CacheConfig, lower: LowerPort | None = None):
+    def __init__(
+        self, name: str, config: CacheConfig, lower: LowerPort | None = None,
+        trace_channel: str = "", trace_core: int = -1,
+    ):
         self.name = name
         self.config = config
         self.lower = lower
@@ -270,8 +263,8 @@ class NonBlockingCache(Stateful):
         # event per request *attempt*, mirroring the refusal/hit/miss counter
         # charged for it, so reconciliation holds by construction.
         self.trace: Any = None
-        self.trace_channel = ""
-        self.trace_core = -1
+        self.trace_channel = trace_channel
+        self.trace_core = trace_core
         self._payloads: dict[tuple[int, int, bool | None, bool], dict[str, Any]] = {}
         # Per-cycle bank selector state: bank -> (first line address, accept count).
         self._accepts_this_cycle: dict[int, tuple[int, int]] = {}

@@ -3,16 +3,18 @@
 Each core owns an instruction cache and a data cache; cores in a cluster
 may share an optional L2, clusters may share an optional L3, and everything
 ultimately reaches the DRAM timing model (paper section 4.1.4 and
-Figure 4).  ``MemorySubsystem`` wires the levels together, forwards fills
-and write-through traffic downward, routes completed fills back upward, and
-hands per-core responses to the timing cores every cycle.
+Figure 4).  Each level below the L1s serves whole lines of the level above
+(``VortexConfig`` refuses a shorter lower line).  ``MemorySubsystem`` wires
+the levels together and ticks the shared ones: a fill request travels down
+tagged ``(cache, line)``, and the response bearing that tag fills ``cache``;
+write-throughs travel untagged.  Each timing core ticks its own L1s.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.cache.cache import CacheResponse, LowerPort, NonBlockingCache
+from repro.cache.cache import LowerPort, NonBlockingCache
 from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
@@ -66,11 +68,11 @@ class _CachePort(LowerPort):
 
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
         # ``line_address`` is expressed in the *upper* cache's line units.
-        byte_address = line_address * cache.config.line_size
-        return self.lower_cache.send(byte_address, False, ("fill", cache, line_address))
+        byte_address = line_address * cache._line_size
+        return self.lower_cache.send(byte_address, False, (cache, line_address))
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
-        return self.lower_cache.send(address, True, ("wt", cache, address))
+        return self.lower_cache.send(address, True, None)
 
     def blocked(self, is_write: bool) -> bool:
         # A write-through needs the level below this cache as well; a fill may hit here.
@@ -110,57 +112,55 @@ class MemorySubsystem(Stateful):
     #: The cache levels first: a hierarchy mismatch is refused before the
     #: DRAM queue changes.
     STATE = {"_levels": _LEVELS, "dram": child_via("_encode_tag", "_decode_tag"), "perf": CHILD}
-    #: Construction-time topology (vxlint VX007): the level references are
-    #: wiring into ``_levels``; the processor serializes the device clock.
-    SNAPSHOT_EXCLUDED = frozenset({"config", "clock", "l2", "l3", "icaches", "dcaches"})
+    #: Construction-time topology (vxlint VX007): the level references and
+    #: ``_shared`` are wiring into ``_levels`` and ``dram``; the processor
+    #: serializes the device clock.
+    SNAPSHOT_EXCLUDED = frozenset(
+        {"config", "clock", "l2", "l3", "icaches", "dcaches", "_shared"}
+    )
 
     def __init__(self, config: VortexConfig, clock: DeviceClock | None = None):
         self.config = config
         self.clock = clock or DeviceClock()
         self.dram = DramModel(config.memory)
         self.perf = PerfCounters("memsys")
-        dram_port = _DramPort(self.dram)
+        below_l2: LowerPort = _DramPort(self.dram)
 
         # Optional L3 shared by all clusters.
         self.l3: NonBlockingCache | None = None
         if config.enable_l3:
-            self.l3 = NonBlockingCache("l3", config.l3cache, lower=dram_port)
-        below_l2_port = (
-            _CachePort(self.l3) if self.l3 is not None else dram_port
-        )
+            self.l3 = NonBlockingCache("l3", config.l3cache, below_l2, "l3")
+            below_l2 = _CachePort(self.l3)
 
         # Optional L2 per cluster.
-        self.l2: list[NonBlockingCache | None] = []
-        for cluster in range(config.num_clusters):
-            if config.enable_l2:
-                self.l2.append(
-                    NonBlockingCache(f"l2_{cluster}", config.l2cache, lower=below_l2_port)
-                )
-            else:
-                self.l2.append(None)
+        self.l2: list[NonBlockingCache | None] = [
+            NonBlockingCache(f"l2_{cluster}", config.l2cache, below_l2, "l2")
+            if config.enable_l2
+            else None
+            for cluster in range(config.num_clusters)
+        ]
+        l2s = [cache for cache in self.l2 if cache is not None]
 
         # Per-core L1 instruction and data caches.
         self.icaches: list[NonBlockingCache] = []
         self.dcaches: list[NonBlockingCache] = []
         for core_id in range(config.num_cores):
-            cluster = core_id // config.cores_per_cluster
-            if self.l2[cluster] is not None:
-                l1_lower: LowerPort = _CachePort(self.l2[cluster])
-            else:
-                l1_lower = below_l2_port
+            l2 = self.l2[core_id // config.cores_per_cluster]
+            l1_lower = below_l2 if l2 is None else _CachePort(l2)
             self.icaches.append(
-                NonBlockingCache(f"icache{core_id}", config.icache, lower=l1_lower)
+                NonBlockingCache(f"icache{core_id}", config.icache, l1_lower, "icache", core_id)
             )
             self.dcaches.append(
-                NonBlockingCache(f"dcache{core_id}", config.dcache, lower=l1_lower)
+                NonBlockingCache(f"dcache{core_id}", config.dcache, l1_lower, "dcache", core_id)
             )
 
+        l3s = [self.l3] if self.l3 is not None else []
+        # The shared levels in tick order, lowest first: a fill reaches its
+        # cache before that cache ticks, within the cycle.
+        self._shared: list[Any] = [self.dram, *l3s, *l2s]
         # Every cache level, flattened once: the fast-forward event scan and
         # bulk skip run over this list every cycle-jump decision.
-        self._levels: list[NonBlockingCache] = list(self.icaches) + list(self.dcaches)
-        self._levels += [cache for cache in self.l2 if cache is not None]
-        if self.l3 is not None:
-            self._levels.append(self.l3)
+        self._levels: list[NonBlockingCache] = [*self.icaches, *self.dcaches, *l2s, *l3s]
         for component in (self.dram, *self._levels):
             component.clock = self.clock  # one device clock, read by every level
 
@@ -173,77 +173,36 @@ class MemorySubsystem(Stateful):
         bus, so a filtered bus keeps the unrelated hot paths on the
         ``trace is None`` fast path.
         """
-        self.dram.trace = trace if trace is not None and trace.wants("dram") else None
-        for core_id, cache in enumerate(self.icaches):
-            cache.trace_channel = "icache"
-            cache.trace_core = core_id
-            cache.trace = trace if trace is not None and trace.wants("icache") else None
-        for core_id, cache in enumerate(self.dcaches):
-            cache.trace_channel = "dcache"
-            cache.trace_core = core_id
-            cache.trace = trace if trace is not None and trace.wants("dcache") else None
-        for l2cache in self.l2:
-            if l2cache is not None:
-                l2cache.trace_channel = "l2"
-                l2cache.trace = trace if trace is not None and trace.wants("l2") else None
-        if self.l3 is not None:
-            self.l3.trace_channel = "l3"
-            self.l3.trace = trace if trace is not None and trace.wants("l3") else None
+        components: list[Any] = [self.dram, *self._levels]
+        for component in components:
+            wanted = trace is not None and trace.wants(component.trace_channel)
+            component.trace = trace if wanted else None
 
     # -- per-cycle operation ---------------------------------------------------------
 
-    def tick(self) -> dict[tuple[str, int], list[CacheResponse]]:
-        """Run every level's share of the current device cycle.
+    def tick(self) -> None:
+        """Run the shared levels' share of the current device cycle.
 
-        Returns the L1 responses grouped by ``("i" | "d", core_id)`` so the
-        timing cores can complete their outstanding operations.
+        DRAM, then L3, then each L2: a response tagged ``(cache, line)``
+        fills ``cache`` before it ticks.  Untagged responses (write-through
+        acknowledgements) need no routing.  Each core ticks its own L1s.
         """
-        # DRAM completes first so its fills can propagate upward this cycle.
-        for response in self.dram.tick():
-            if response.is_write or response.tag is None:
-                continue
-            cache, line_address = response.tag
-            cache.fill(line_address)
-
-        # Lower cache levels tick before upper levels so responses flow upward.
-        if self.l3 is not None:
-            self._route_internal(self.l3.tick(), self.l3)
-        for l2cache in self.l2:
-            if l2cache is not None:
-                self._route_internal(l2cache.tick(), l2cache)
-
-        results: dict[tuple[str, int], list[CacheResponse]] = {}
-        for core_id in range(self.config.num_cores):
-            icache_responses = self.icaches[core_id].tick()
-            dcache_responses = self.dcaches[core_id].tick()
-            if icache_responses:
-                results[("i", core_id)] = icache_responses
-            if dcache_responses:
-                results[("d", core_id)] = dcache_responses
-        return results
-
-    def _route_internal(self, responses: list[CacheResponse], level: NonBlockingCache) -> None:
-        """Route L2/L3 responses back to the caches that requested them."""
-        for response in responses:
-            tag = response.tag
-            if not isinstance(tag, tuple):
-                continue
-            kind = tag[0]
-            if kind == "fill":
-                _, upper_cache, line_address = tag
-                upper_cache.fill(line_address)
-            # Write-through acknowledgements need no routing.
+        for level in self._shared:
+            for response in level.tick():
+                if response.tag is not None:
+                    cache, line_address = response.tag
+                    cache.fill(line_address)
 
     # -- checkpoint/restore ------------------------------------------------------------
 
     def _encode_tag(self, tag: object) -> object:
         """Encode a request tag as plain data (live caches become names).
 
-        Tags are ``None``, ints/strs, or tuples that may embed a live
-        :class:`NonBlockingCache` (DRAM fill tags, L2/L3 ``("fill", ...)`` /
-        ``("wt", ...)`` tags).  Tuples are re-encoded as marker *lists* —
-        unambiguous because no tag contains a list — so the decoder can
-        rebuild the exact tuple shape and rebind caches by name.
+        Tags are ``None``, the timing core's int/str tuples, or the
+        ``(cache, line)`` fill tags of the shared levels and DRAM, which embed
+        a live :class:`NonBlockingCache`.  Tuples are re-encoded as marker
+        *lists* — unambiguous because no tag contains a list — so the decoder
+        can rebuild the exact tuple shape and rebind caches by name.
         """
         if isinstance(tag, tuple):
             return ["tuple", *[self._encode_tag(item) for item in tag]]
@@ -318,12 +277,7 @@ class MemorySubsystem(Stateful):
 
     def counters(self) -> dict[str, dict[str, int]]:
         """Per-component counter snapshot for reports."""
-        summary: dict[str, dict[str, int]] = {"dram": self.dram.perf.as_dict()}
-        for cache in self.icaches + self.dcaches:
-            summary[cache.name] = cache.counters()
-        for cache in self.l2:
-            if cache is not None:
-                summary[cache.name] = cache.counters()
-        if self.l3 is not None:
-            summary[self.l3.name] = self.l3.counters()
-        return summary
+        return {
+            "dram": self.dram.perf.as_dict(),
+            **{cache.name: cache.counters() for cache in self._levels},
+        }

@@ -84,45 +84,21 @@ class SharedMemory(Stateful):
         """True when ``address`` belongs to this core's window."""
         return self.base <= address < self.base + self.size
 
-    def bank_index(self, address: int) -> int:
-        return (address // 4) % self.num_banks
-
-    def send(self, address: int, is_write: bool, tag: Any) -> bool:
-        """Present one access; False means a bank conflict (retry next cycle)."""
-        self.perf.incr("attempts")
-        trace = self.trace
-        now = self.clock.now
-        bank = self.bank_index(address)
-        if self._accepts_this_cycle.get(bank, 0) >= 1:
-            self.perf.incr("bank_conflicts")
-            if trace is not None:
-                trace.emit(now, self.core_id, NO_WARP, "smem", "conflict", self._payloads[bank])
-            return False
-        self._accepts_this_cycle[bank] = 1
-        response = SharedResponse(address=address, is_write=is_write, tag=tag, cycle=0)
-        self._pending.append((now + self.latency, response))
-        self.perf.incr("writes" if is_write else "reads")
-        if trace is not None:
-            trace.emit(
-                now, self.core_id, NO_WARP, "smem", "write" if is_write else "read",
-                self._payloads[bank],
-            )
-        return True
-
     def send_batch(
         self, requests: list[tuple[Any, ...]], budget: int, is_write: bool, tag: Any
     ) -> tuple[int, list[tuple[Any, ...]], int]:
-        """Batched counterpart of :meth:`send` (the timing core's hot path).
+        """Present a cycle's scratchpad lanes in one call (the timing core's path).
 
         ``requests`` holds the timing core's same-line runs
         ``(addresses, ...)``.  The scratchpad's banks are word-interleaved,
         so the lanes *inside* a run spread over the banks and are attempted
-        one by one, strictly in order while ``budget`` lasts; refused lanes
-        stay in the returned retry list (a partly accepted run as a new run
-        of the lanes that were not) without consuming budget, exactly like
-        the per-lane loop.  Returns ``(accepted, refused, budget)`` with
-        counters aggregated and flushed once, bit-identical to per-lane
-        :meth:`send` calls.
+        one by one, strictly in order while ``budget`` lasts; a lane whose
+        bank already took an access this cycle is refused (a bank conflict,
+        retried next cycle) and stays in the returned retry list (a partly
+        accepted run as a new run of the lanes that were not) without
+        consuming budget.  Returns ``(accepted, refused, budget)`` with
+        counters aggregated and flushed once, bit-identical to a per-access
+        loop (``smem_send`` in ``tests/test_cache.py``, the reference).
         """
         accepts = self._accepts_this_cycle
         pending = self._pending

@@ -28,6 +28,9 @@ class CacheConfig:
     hit_latency: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("size", "line_size", "num_banks", "num_ways", "mshr_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"cache {name} must be at least 1")
         if self.line_size & (self.line_size - 1):
             raise ValueError("cache line size must be a power of two")
         if self.num_banks & (self.num_banks - 1):
@@ -61,6 +64,8 @@ class MemoryConfig:
             raise ValueError("memory latency must be at least one cycle")
         if self.bandwidth < 1:
             raise ValueError("memory bandwidth must be at least one response per cycle")
+        if self.request_queue_size < 1:
+            raise ValueError("memory request_queue_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,19 @@ class VortexConfig:
             raise ValueError("at least one cluster is required")
         if self.num_cores % self.num_clusters:
             raise ValueError("cores must divide evenly into clusters")
+        # Each enabled level below the L1s serves whole lines of the level above.
+        above = [("icache", self.icache), ("dcache", self.dcache)]
+        for name, enabled in (("l2cache", self.enable_l2), ("l3cache", self.enable_l3)):
+            if not enabled:
+                continue
+            lower = getattr(self, name)
+            for upper, config in above:
+                if lower.line_size < config.line_size:
+                    raise ValueError(
+                        f"{name}.line_size {lower.line_size} is shorter than the {upper} "
+                        f"line {config.line_size}: a lower line must hold whole upper lines"
+                    )
+            above = [(name, lower)]
 
     # -- convenience accessors -------------------------------------------------
 

@@ -471,12 +471,9 @@ class TimingProcessor(_LaunchedProcessor):
         cycle-by-cycle reference that :meth:`run`'s fast-forward must equal.
         """
         self.clock.now += 1
-        responses = self.memsys.tick()
+        self.memsys.tick()
         for core in self.cores:
-            core.tick(
-                icache_responses=responses.get(("i", core.core_id)),
-                dcache_responses=responses.get(("d", core.core_id)),
-            )
+            core.tick()
 
     def run(
         self,

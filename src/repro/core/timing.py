@@ -401,18 +401,17 @@ class TimingCore(Stateful):
 
     # -- per-cycle operation ----------------------------------------------------------------
 
-    def tick(
-        self,
-        icache_responses: list[CacheResponse] | None = None,
-        dcache_responses: list[CacheResponse] | None = None,
-    ) -> None:
-        """Run the core's device cycle ``clock.now``."""
+    def tick(self) -> None:
+        """Run the core's device cycle ``clock.now``: its I$, D$ and
+        scratchpad tick first (the shared levels below ticked before the core)."""
         if self._writebacks:
             self._process_writebacks()
-        if icache_responses:
-            self._process_icache_responses(icache_responses)
-        if dcache_responses:
-            self._process_dcache_responses(dcache_responses)
+        responses = self.icache.tick()
+        if responses:
+            self._process_icache_responses(responses)
+        responses = self.dcache.tick()
+        if responses:
+            self._process_dcache_responses(responses)
         self._process_smem_responses()
         if self._ifetch_to_send or self._pending_ops or self._store_queue:
             self._drain_requests()

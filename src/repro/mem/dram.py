@@ -80,6 +80,8 @@ class DramModel(Stateful):
     STATE = {"_queue": _QUEUE, "perf": CHILD}
     #: Construction-time timing parameters, and the processor's clock (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock"})
+    #: The channel of its ``response`` events, as a cache's ``trace_channel``.
+    trace_channel = "dram"
 
     def __init__(self, config: MemoryConfig | None = None):
         self.config = config or MemoryConfig()
@@ -134,7 +136,7 @@ class DramModel(Stateful):
                     now,
                     -1,
                     NO_WARP,
-                    "dram",
+                    self.trace_channel,
                     "response",
                     {
                         "address": in_flight.request.address,

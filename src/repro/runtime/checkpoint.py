@@ -34,7 +34,9 @@ from repro.common.config import VortexConfig
 #: alone, whose payload holds the launch marks (and no ``perf``).
 #: Format 5: the cycle-level processor payload holds the deadlock
 #: watchdog's no-progress streak (``_idle_streak``).
-SNAPSHOT_FORMAT = 5
+#: Format 6: one fill tag — a shared level's fill request and the DRAM's
+#: carry ``(cache, line)``, write-throughs ``None`` (in caches, MSHRs, DRAM).
+SNAPSHOT_FORMAT = 6
 
 
 @runtime_checkable

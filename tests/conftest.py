@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, settings
 
+from repro.cache.hierarchy import MemorySubsystem
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.core.core import SimtCore
 from repro.core.processor import Processor, TimingProcessor
@@ -198,14 +199,26 @@ def tick():
     stands in for the processor: ``tick(component)`` advances that clock one
     cycle and returns ``component.tick()``.  ``fills`` are line addresses
     handed to ``component.fill`` where ``MemorySubsystem.tick`` delivers
-    them: after the clock moved, ahead of the level's own tick.
+    them: after the clock moved, ahead of the level's own tick.  A
+    ``MemorySubsystem`` ticks only its shared levels, so the test also ticks
+    every L1 after it, as each core does, and gets their responses keyed
+    ``("i" | "d", core_id)``.
     """
 
     def tick_component(component, fills=()):
         component.clock.now += 1
         for line_address in fills:
             component.fill(line_address)
-        return component.tick()
+        responses = component.tick()
+        if not isinstance(component, MemorySubsystem):
+            return responses
+        l1s = [("i", component.icaches), ("d", component.dcaches)]
+        return {
+            (kind, core_id): got
+            for kind, caches in l1s
+            for core_id, cache in enumerate(caches)
+            if (got := cache.tick())
+        }
 
     return tick_component
 

@@ -9,9 +9,17 @@ from repro.cache.bank import CacheBank
 from repro.cache.cache import LowerPort, NonBlockingCache, RequestGroup
 from repro.cache.hierarchy import MemorySubsystem
 from repro.cache.mshr import Mshr
-from repro.cache.sharedmem import SharedMemory, is_shared_address, shared_mem_window
+from repro.cache.sharedmem import (
+    SharedMemory,
+    SharedResponse,
+    is_shared_address,
+    shared_mem_window,
+)
 from repro.common.config import CacheConfig, VortexConfig
 from repro.core.emulator import EmulationError
+from repro.trace.bus import TraceBus
+from repro.trace.events import NO_WARP
+from repro.trace.sinks import MemorySink
 
 
 # -- MSHR --------------------------------------------------------------------------------
@@ -297,12 +305,33 @@ def test_shared_memory_window_and_membership():
     assert limit - base == 0x1_0000
 
 
+def smem_send(smem: SharedMemory, address: int, is_write: bool, tag) -> bool:
+    """The scratchpad's per-access reference, which ``send_batch`` is held to:
+    one access, charged and traced; False on a bank conflict (retry next cycle)."""
+    smem.perf.incr("attempts")
+    now = smem.clock.now
+    bank = (address // 4) % smem.num_banks
+    payload = smem._payloads[bank]
+    if bank in smem._accepts_this_cycle:
+        smem.perf.incr("bank_conflicts")
+        if smem.trace is not None:
+            smem.trace.emit(now, smem.core_id, NO_WARP, "smem", "conflict", payload)
+        return False
+    smem._accepts_this_cycle[bank] = 1
+    smem._pending.append((now + smem.latency, SharedResponse(address, is_write, tag, 0)))
+    smem.perf.incr("writes" if is_write else "reads")
+    if smem.trace is not None:
+        kind = "write" if is_write else "read"
+        smem.trace.emit(now, smem.core_id, NO_WARP, "smem", kind, payload)
+    return True
+
+
 def test_shared_memory_bank_conflicts_serialize(tick):
     smem = SharedMemory(core_id=0, size=8 * 1024, num_banks=4, latency=1)
     base = smem.base
-    assert smem.send(base + 0, False, "a")
-    assert smem.send(base + 4, False, "b")  # different bank
-    assert not smem.send(base + 16, False, "c")  # bank 0 again -> conflict
+    assert smem_send(smem, base + 0, False, "a")
+    assert smem_send(smem, base + 4, False, "b")  # different bank
+    assert not smem_send(smem, base + 16, False, "c")  # bank 0 again -> conflict
     done = tick(smem)
     assert {resp.tag for resp in done} == {"a", "b"}
     assert smem.perf.get("bank_conflicts") == 1
@@ -879,12 +908,17 @@ def test_skip_idle_past_a_due_response_fails_loudly(tick):
         min_size=1,
         max_size=4,
     ),
+    traced=st.booleans(),
 )
-def test_smem_send_batch_matches_perlane_property(tick, num_banks, rounds):
-    """Property: the scratchpad's batched path matches per-lane ``send`` —
-    its banks are word-interleaved, so the lanes of one run spread over them."""
+def test_smem_send_batch_matches_perlane_property(tick, num_banks, rounds, traced):
+    """Property: the scratchpad's batched path matches per-lane ``smem_send`` —
+    its banks are word-interleaved, so the lanes of one run spread over them —
+    in answers, counters, responses and (``traced``) events."""
     ref = SharedMemory(core_id=0, size=8 * 1024, num_banks=num_banks, latency=1)
     bat = SharedMemory(core_id=0, size=8 * 1024, num_banks=num_banks, latency=1)
+    sinks = [MemorySink(), MemorySink()]
+    if traced:
+        ref.trace, bat.trace = TraceBus([sinks[0]]), TraceBus([sinks[1]])
     for is_write, budget, offsets, split in rounds:
         addresses = [ref.base + off for off in offsets]
         refused = []
@@ -894,7 +928,7 @@ def test_smem_send_batch_matches_perlane_property(tick, num_banks, rounds):
             if remaining <= 0:
                 refused.append(address)
                 continue
-            if ref.send(address, is_write, "t"):
+            if smem_send(ref, address, is_write, "t"):
                 accepted += 1
                 remaining -= 1
             else:
@@ -908,3 +942,7 @@ def test_smem_send_batch_matches_perlane_property(tick, num_banks, rounds):
         ref_done = [(r.address, r.is_write, r.cycle) for r in tick(ref)]
         bat_done = [(r.address, r.is_write, r.cycle) for r in tick(bat)]
         assert ref_done == bat_done
+    if traced:
+        ref.trace.flush()
+        bat.trace.flush()
+    assert sinks[0].events == sinks[1].events

@@ -132,8 +132,8 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool, lower_line: int = 64):
 
     Core 0 then presents five store lanes in three D$ runs.  With 64-byte
     L2/L3 lines: two on L2 bank 0 (another line), two on bank 1, one on
-    bank 2.  With 32-byte ones each two-lane run spans two L2 lines: bank 0
-    (conflict) and 1, banks 2 and 3, then bank 0 (conflict).  Returns the
+    bank 2.  With 128-byte ones, two D$ lines each: two on bank 2, two on
+    the taken line itself (its one port used), one on bank 1.  Returns the
     subsystem and its events.
     """
     config = VortexConfig(
@@ -153,15 +153,14 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool, lower_line: int = 64):
     assert dcache0.send(0x100 * 64, tag="warm")  # line 0x100 now lives in L2 (bank 0)
     while memsys.busy:
         tick(memsys)
-    stores = [((0x200 * 64,), 0x200, 0, False), ((0x201 * 64,), 0x201, 1, False)]
+    stores = [((0x200 * 64,), 0x200, 0, False), ((0x202 * 64,), 0x202, 2, False)]
     assert send_runs(dcache0, stores, 4, True, None)[0] == 2  # fills the DRAM queue
     tick(memsys)
     assert not memsys.dram.can_accept
     assert dcache1.send(0x100 * 64, tag="hit-in-l2")  # accepted although DRAM is full
-    second = 64 - lower_line + 4  # the second lane sits in the D$ line's last lower line
     storm = [
-        ((0x104 * 64, 0x104 * 64 + second), 0x104, 0, False),
-        ((0x101 * 64, 0x101 * 64 + second), 0x101, 1, False),
+        ((0x104 * 64, 0x104 * 64 + 4), 0x104, 0, False),
+        ((0x101 * 64, 0x101 * 64 + 4), 0x101, 1, False),
         ((0x102 * 64,), 0x102, 2, False),
     ]
     assert send_runs(dcache0, storm, 8, True, None) == (0, storm, 8)
@@ -171,7 +170,7 @@ def _blocked_store_cycle(tick, l3: bool, traced: bool, lower_line: int = 64):
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize(
-    "l3,lower_line", [(False, 64), (True, 64), (True, 32)], ids=["l2", "l2-l3", "l2-l3-32B"]
+    "l3,lower_line", [(False, 64), (True, 64), (True, 128)], ids=["l2", "l2-l3", "l2-l3-128"]
 )
 def test_blocked_writes_are_charged_at_every_level_as_send_would(
     l3, lower_line, traced, monkeypatch, tick
@@ -179,8 +178,8 @@ def test_blocked_writes_are_charged_at_every_level_as_send_would(
     """The lanes a write-blocked lower port is never asked for are charged
     where a lane-by-lane walk refuses them: an L2 bank another request took
     this cycle charges ``bank_conflicts`` there and goes no further, the rest
-    charge ``memq_stalls`` level by level down to DRAM's ``rejected`` — per
-    lower line where the lower levels' lines are shorter than the D$'s."""
+    charge ``memq_stalls`` level by level down to DRAM's ``rejected``, for
+    lower lines of one or two D$ lines."""
     memsys, events = _blocked_store_cycle(tick, l3, traced, lower_line)
     before = {name: dict(counters) for name, counters in memsys.counters().items()}
     l2 = memsys.l2[0].perf
@@ -198,10 +197,7 @@ def test_blocked_writes_are_charged_at_every_level_as_send_would(
         kinds = [(e.channel, e.kind) for e in events if e.payload.get("write")]
         # Per lane the deepest level speaks first, as in a chain of ``send`` calls.
         refused = [("l3", "refusal")] * l3 + [("l2", "refusal"), ("dcache", "refusal")]
-        # With 32-byte lower lines the last lane's L2 line is on the taken bank.
-        conflict = [("l2", "conflict"), ("dcache", "refusal")]
-        last = refused if lower_line == 64 else refused + conflict
-        assert kinds[-len(last):] == last
+        assert kinds[-len(refused):] == refused
         assert ("l2", "conflict") in kinds
 
 
@@ -229,6 +225,8 @@ def _refused_store_cycle(geometry, l3, taken, stores, traced, lane_by_lane):
     def tick():
         memsys.clock.now += 1
         memsys.tick()
+        for cache in memsys.icaches + memsys.dcaches:  # as each core ticks its own
+            cache.tick()
 
     for address in taken:  # warm in L2 through core 0
         tick()
@@ -259,7 +257,7 @@ _lane_addresses = st.integers(0, 31).map(lambda word: 0x4000 + word * 8)
 @settings(max_examples=60, deadline=None)
 @given(
     geometry=st.tuples(
-        st.sampled_from([16, 32, 64, 128]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2])
+        st.sampled_from([64, 128, 256]), st.sampled_from([1, 2, 4]), st.sampled_from([1, 2])
     ),
     l3=st.booleans(),
     taken=st.lists(_lane_addresses, max_size=4),
@@ -268,8 +266,8 @@ _lane_addresses = st.integers(0, 31).map(lambda word: 0x4000 + word * 8)
 )
 def test_refused_writes_follow_the_lane_by_lane_walk(geometry, l3, taken, stores, traced):
     """Property: ``LowerPort.refuse_writes`` charges and traces, at every level,
-    what the lane-by-lane walk of ``send`` calls does — for any lower line
-    size against the D$'s 64 bytes, any bank and port count, and L2 ports
+    what the lane-by-lane walk of ``send`` calls does — for lower lines of
+    one to four 64-byte D$ lines, any bank and port count, and L2 ports
     taken by same- or other-line reads."""
     bulk = _refused_store_cycle(geometry, l3, taken, stores, traced, False)
     walk = _refused_store_cycle(geometry, l3, taken, stores, traced, True)

@@ -77,10 +77,11 @@ class TestEnvelope:
 
     def test_version_mismatch_raises(self):
         envelope = make_envelope(kind="simx", config=CFG, state={})
-        # A newer build's format, format 4 (no watchdog streak), format 3
+        # A newer build's format, format 5 (``("fill", …)``/``("wt", …)``
+        # tags), format 4 (no watchdog streak), format 3
         # (funcsim launch marks in the driver) and format 2 (per-component
         # clocks), which this build replaced without a compatibility shim.
-        for version in (SNAPSHOT_FORMAT + 1, 4, 3, 2):
+        for version in (SNAPSHOT_FORMAT + 1, 5, 4, 3, 2):
             envelope["format"] = version
             with pytest.raises(SnapshotVersionError, match=f"format {version} is not"):
                 open_envelope(envelope, kind="simx", config=CFG)

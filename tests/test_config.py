@@ -29,6 +29,60 @@ def test_cache_geometry_validation():
         CacheConfig(num_ports=0)
 
 
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: CacheConfig(num_ways=0), "num_ways"),
+        (lambda: CacheConfig(num_banks=0), "num_banks"),
+        (lambda: CacheConfig(line_size=0), "line_size"),
+        (lambda: CacheConfig(num_ways=-2), "num_ways"),
+        (lambda: CacheConfig(size=0), "size"),
+        (lambda: CacheConfig(mshr_size=0), "mshr_size"),
+        (lambda: MemoryConfig(request_queue_size=0), "request_queue_size"),
+    ],
+    ids=["ways0", "banks0", "line0", "ways-2", "size0", "mshr0", "queue0"],
+)
+def test_degenerate_geometry_is_refused_at_construction(make, field):
+    """A zero or negative count would divide by zero, size a negative set
+    count or stall every request later; it is a ``ValueError`` naming the field."""
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"enable_l2": True, "l2cache": CacheConfig(size=128 * 1024, line_size=32)}, "l2cache"),
+        ({"enable_l3": True, "l3cache": CacheConfig(size=128 * 1024, line_size=32)}, "l3cache"),
+        (
+            {
+                "enable_l2": True,
+                "enable_l3": True,
+                "l2cache": CacheConfig(size=128 * 1024, line_size=128),
+                "l3cache": CacheConfig(size=128 * 1024, line_size=64),
+            },
+            "l3cache",
+        ),
+    ],
+    ids=["l2-below-l1", "l3-below-l1", "l3-below-l2"],
+)
+def test_a_lower_line_shorter_than_the_level_above_is_refused(overrides, field):
+    """Each enabled level below the L1s serves whole lines of the level above."""
+    with pytest.raises(ValueError, match=f"{field}.line_size"):
+        VortexConfig(**overrides)
+
+
+def test_disabled_or_longer_lower_lines_are_accepted():
+    VortexConfig(l2cache=CacheConfig(size=128 * 1024, line_size=32))  # L2 off
+    config = VortexConfig(
+        enable_l2=True,
+        enable_l3=True,
+        l2cache=CacheConfig(size=128 * 1024, line_size=128),
+        l3cache=CacheConfig(size=128 * 1024, line_size=256),
+    )
+    assert config.l3cache.line_size == 256
+
+
 def test_cache_num_sets():
     cache = CacheConfig(size=16 * 1024, line_size=64, num_banks=4, num_ways=2)
     assert cache.num_sets * cache.num_ways * cache.num_banks * cache.line_size == cache.size

@@ -146,9 +146,61 @@ def _smem_counters(processor) -> dict:
     return {f"smem{core.core_id}": core.smem.perf.as_dict() for core in processor.cores}
 
 
+_READS = ("read_hits", "read_misses")
+_WRITES = ("write_hits", "write_misses")
+
+
+def assert_counters_conserved(counters: dict, config: VortexConfig, smem: dict | None = None):
+    """The conservation laws of a finished run's counters, level by level.
+
+    Every cache attempt has one outcome and every accept is one hit or miss;
+    each fill of the levels above is one read the level below accepted, and
+    each write-through they accepted is one write it accepted, down to the
+    DRAM's reads and writes, every one of which was answered.  With ``smem``
+    (kernels without texture loads), each core's load and store lanes are
+    its D$ accepts plus its scratchpad accesses.
+    """
+
+    def total(names, *keys) -> int:
+        return sum(counters[name].get(key, 0) for name in names for key in keys)
+
+    for name in counters:
+        if name.startswith(("icache", "dcache", "l2_", "l3")):
+            outcomes = total([name], "accepted", "bank_conflicts", "mshr_stalls", "memq_stalls")
+            assert total([name], "attempts") == outcomes, f"{name}: attempts"
+            assert total([name], "accepted") == total([name], *_READS, *_WRITES), name
+    per_cluster = config.cores_per_cluster
+    links, bottom = [], []  # (levels above, level below); what the DRAM serves
+    for cluster in range(config.num_clusters):
+        cores = range(cluster * per_cluster, (cluster + 1) * per_cluster)
+        upper = [f"{kind}{core}" for core in cores for kind in ("icache", "dcache")]
+        if config.enable_l2:
+            links.append((upper, f"l2_{cluster}"))
+            upper = [f"l2_{cluster}"]
+        bottom += upper
+    if config.enable_l3:
+        links.append((bottom, "l3"))
+        bottom = ["l3"]
+    for upper, lower in links:
+        assert total(upper, "fills") == total([lower], *_READS), f"{upper} -> {lower}: reads"
+        assert total(upper, *_WRITES) == total([lower], *_WRITES), f"{upper} -> {lower}: writes"
+    assert total(bottom, "fills") == total(["dram"], "reads"), "dram reads"
+    assert total(bottom, *_WRITES) == total(["dram"], "writes"), "dram writes"
+    assert total(["dram"], "reads", "writes") == total(["dram"], "responses"), "dram responses"
+    if smem is None:
+        return
+    for core in range(config.num_cores):
+        accesses = total([f"dcache{core}"], "accepted") + sum(
+            smem[f"smem{core}"].get(key, 0) for key in ("reads", "writes")
+        )
+        assert total([f"core{core}"], "loads", "stores") == accesses, f"core{core}"
+
+
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_default_driver_reproduces_golden_counters(name):
-    assert run_scenario(name) == GOLDEN[name]
+    payload = run_scenario(name)
+    assert payload == GOLDEN[name]
+    assert_counters_conserved(payload["counters"], SCENARIOS[name][2], payload["smem"])
 
 
 def test_mixed_kernel_golden_drives_scratchpad_and_dcache():

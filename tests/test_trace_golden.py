@@ -12,7 +12,13 @@ moved; for that, write the trace at the last good commit and at this one
 Regenerate (only when a timing-model or trace-format change is intended, and
 say so in CHANGES.md)::
 
-    PYTHONPATH=src python tests/test_trace_golden.py
+    PYTHONPATH=src python tests/test_trace_golden.py [NAME ...]
+
+Named scenarios are rerun and every other entry of the golden file is kept
+byte for byte; with no names every scenario is rerun.  Each rerun scenario
+prints whether its digest changed.  A new or reshaped scenario's digest is
+generated on the last good commit (copy this file there), so the change has
+to reproduce it rather than define it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +36,8 @@ from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
 from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 from repro.trace.sinks import JsonlSink
+
+from test_golden_counters import assert_counters_conserved
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "trace_digests.json"
 WINDOW_CYCLES = 256
@@ -54,15 +63,15 @@ SCENARIOS = {
         ).with_warps_threads(8, 32),
     ),
     # A store storm behind L2 and L3 on a 2-entry DRAM queue: write-throughs
-    # refused level by level, bank conflicts at both shared levels (whose
-    # 32-byte lines split each 64-byte D$ run) and per-lane cross-level order.
+    # refused level by level, read and write bank conflicts at both shared
+    # levels (128-byte lines, two D$ lines each) and per-lane cross-level order.
     "saxpy_64_2c_8w32t_l2l3_queue2": (
         "saxpy",
         64,
         replace(
             VortexConfig(num_cores=2).with_cache_hierarchy(enable_l2=True, enable_l3=True),
-            l2cache=CacheConfig(size=16 * 1024, line_size=32, num_banks=2),
-            l3cache=CacheConfig(size=16 * 1024, line_size=32, num_banks=1),
+            l2cache=CacheConfig(size=16 * 1024, line_size=128, num_banks=2),
+            l3cache=CacheConfig(size=16 * 1024, line_size=128, num_banks=1),
             memory=MemoryConfig(latency=60, bandwidth=1, request_queue_size=2),
         ).with_warps_threads(8, 32),
     ),
@@ -124,6 +133,7 @@ def trace_digest(name: str, keep: int | None = None) -> tuple[dict, list[str]]:
     device.driver.trace_bus.sinks[:] = [sink]  # JSONL bytes, hashed instead of written
     run = KERNELS[kernel]().run(device, size=size)
     assert run.passed
+    assert_counters_conserved(run.report.counters, config)
     return {"cycles": run.report.cycles, **sink.digest()}, sink.kept
 
 
@@ -159,11 +169,30 @@ def test_golden_file_covers_every_scenario():
     assert sorted(golden["scenarios"]) == sorted(SCENARIOS)
 
 
-if __name__ == "__main__":
+def regenerate(names: list[str]) -> None:
+    """Rerun ``names`` (every scenario when empty) into the golden file,
+    keeping the other entries as they are; prints whether each changed."""
+    unknown = sorted(set(names) - set(SCENARIOS))
+    if unknown:
+        raise SystemExit(f"unknown scenarios {unknown}; known: {sorted(SCENARIOS)}")
+    scenarios = {}
+    if GOLDEN_PATH.exists():
+        scenarios = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["scenarios"]
+    for name in names or sorted(SCENARIOS):
+        digest = trace_digest(name)[0]
+        print(f"{name}: {'unchanged' if scenarios.get(name) == digest else 'changed'}")
+        scenarios[name] = digest
+    missing = sorted(set(SCENARIOS) - set(scenarios))
+    if missing:
+        raise SystemExit(f"no golden digest for {missing}: name them too")
     payload = {
         "generated_by": "PYTHONPATH=src python tests/test_trace_golden.py",
         "window_cycles": WINDOW_CYCLES,
-        "scenarios": {name: trace_digest(name)[0] for name in sorted(SCENARIOS)},
+        "scenarios": {name: scenarios[name] for name in sorted(SCENARIOS)},
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])
