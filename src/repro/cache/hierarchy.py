@@ -33,7 +33,8 @@ class _DramPort(LowerPort):
         self.dram = dram
 
     def request_fill(self, cache: NonBlockingCache, line_address: int) -> bool:
-        return self._send(line_address, False, (cache, line_address))
+        # The request carries a byte address, as a write-through's does.
+        return self._send(line_address * cache._line_size, False, (cache, line_address))
 
     def request_write(self, cache: NonBlockingCache, address: int) -> bool:
         return self._send(address, True, None)

@@ -38,7 +38,7 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.csr import CSR
 from repro.isa.registers import Reg
 from repro.kernels import KERNELS
-from repro.runtime.device import VortexDevice
+from repro.runtime.device import KERNEL_ARG_PTR_ADDR, VortexDevice
 from repro.trace import __main__ as trace_cli
 from repro.trace.attribution import attribute_stalls, reconcile, summarize
 from repro.trace.bus import TraceBus
@@ -80,6 +80,34 @@ def _traced_run(kernel: str, size: int, spec: str, config: VortexConfig | None =
     assert run.passed
     collected = getattr(device.driver.trace_sink, "events", None)
     return device.driver, list(collected) if collected is not None else None
+
+
+def test_dram_read_responses_carry_line_aligned_byte_addresses():
+    """A fill reaches DRAM as the byte address of its line, the unit a
+    write-through's address has: every read ``response`` of a traced vecadd
+    64 is line-aligned and on a line of the program image, the kernel
+    argument pointer or the allocated heap."""
+    config = _config()
+    device = VortexDevice(config, driver="simx:trace=mem")
+    assert KERNELS["vecadd"]().run(device, size=64).passed
+    program, heap = device.program, device.allocator
+    allocated = [
+        (program.base, program.base + program.size),
+        (KERNEL_ARG_PTR_ADDR, KERNEL_ARG_PTR_ADDR + 4),
+        (heap.base, heap.base + heap.used),
+    ]
+    line = config.dcache.line_size
+    assert config.icache.line_size == line
+    reads = [
+        event.payload["address"]
+        for event in device.driver.trace_sink.events
+        if event.channel == "dram" and event.kind == "response" and not event.payload["write"]
+    ]
+    assert reads
+    for address in reads:
+        assert address % line == 0, hex(address)
+        on_a_buffer = any(low < address + line and address < high for low, high in allocated)
+        assert on_a_buffer, hex(address)
 
 
 # ---------------------------------------------------------------------------
