@@ -187,8 +187,17 @@ class MemorySubsystem(Stateful):
         DRAM, then L3, then each L2: a response tagged ``(cache, line)``
         fills ``cache`` before it ticks.  Untagged responses (write-through
         acknowledgements) need no routing.  Each core ticks its own L1s.
+        A level with nothing due — no DRAM request ready, no cache response
+        due and no port map to clear — is not ticked: its tick would do nothing.
         """
+        now = self.clock.now
+        queue = self.dram._queue
         for level in self._shared:
+            if level is self.dram:
+                if not queue or queue[0].ready_cycle > now:
+                    continue
+            elif not (level._accepts_this_cycle or now in level._due):
+                continue
             for response in level.tick():
                 if response.tag is not None:
                     cache, line_address = response.tag

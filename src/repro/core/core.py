@@ -215,11 +215,12 @@ class VectorSimtCore(SimtCore):
         plan.  A load or store reads its lanes' byte addresses before the
         plan commits (a load may overwrite its base register; the word fast
         paths work on page offsets and never build them), ``tex`` returns
-        the plan's texel trace, a branch or ``join`` the plan's decision."""
+        the plan's texel trace, a branch or ``join`` the plan's decision.
+        The plan and the decode are looked up once each, in their caches."""
         emulator = self.emulator
         pc = warp.pc
-        plan = emulator._arch_plan(warp, pc)
-        instr = emulator.fetch(pc)
+        plan: Any = warp.plan_cache.get(pc) or emulator._arch_plan(warp, pc)
+        instr = emulator._decode_cache.get(pc) or emulator.fetch(pc)
         spec = instr.spec
         taken = False
         if spec.is_load or spec.is_store:

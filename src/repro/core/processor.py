@@ -26,7 +26,7 @@ from repro.common.state import CHILD, CHILDREN, VALUE, Codec, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable
 from repro.core.core import SimtCore, VectorSimtCore
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, SimulationStalled
-from repro.core.timing import TimingCore
+from repro.core.timing import ISSUED, NOT_ISSUED, READY_NEXT, TimingCore
 from repro.mem.memory import MainMemory
 
 
@@ -464,16 +464,23 @@ class TimingProcessor(_LaunchedProcessor):
                 timing_core.invalidate_scheduler_masks()
         return stalled
 
-    def tick(self) -> None:
-        """Advance the whole processor by one cycle.
+    def tick(self) -> int:
+        """Advance the whole processor by one cycle; returns the most any core
+        reported (:data:`~repro.core.timing.READY_NEXT` above
+        :data:`~repro.core.timing.ISSUED` above
+        :data:`~repro.core.timing.NOT_ISSUED`).
 
         ``reset(entry_pc)`` followed by ``while not done: tick()`` is the
         cycle-by-cycle reference that :meth:`run`'s fast-forward must equal.
         """
         self.clock.now += 1
         self.memsys.tick()
+        issued: int | None = NOT_ISSUED
         for core in self.cores:
-            core.tick()
+            state = core.tick()
+            if state > issued:
+                issued = state
+        return issued
 
     def run(
         self,
@@ -495,36 +502,45 @@ class TimingProcessor(_LaunchedProcessor):
         if entry_pc is not None:
             self.reset(entry_pc)
         max_cycles = max_cycles or DEFAULT_MAX_CYCLES
-        # Each ticked cycle reads done / retired / cycle from these, not the properties.
+        # Each ticked cycle reads done / cycle from these, not the properties;
+        # the retired total is read only where an instruction budget is set.
         cores, clock, memsys = self.cores, self.clock, self.memsys
-        counters = [core._counters for core in cores]
-        start, base = self.launch_start, self._launch_instructions
+        start = self.launch_start
         idle_cycles = self._idle_streak
         retired = self.total_instructions
+        issued: int | None = NOT_ISSUED
         # Lane-plan execution legitimately produces IEEE invalid/overflow
         # conditions inside masked numpy expressions (the scalar reference
         # silences them per operation); silence them for the whole run.
         with np.errstate(all="ignore"):
+            # After READY_NEXT a warp is active, so the processor is not done.
             # Core 0 alone first: it has work left on almost every tick.
-            while not (cores[0].done and all(core.done for core in cores) and not memsys.busy):
+            while issued == READY_NEXT or not (
+                cores[0].done and all(core.done for core in cores) and not memsys.busy
+            ):
                 if pause_at is not None and clock.now - start >= pause_at:
                     break
-                instructions_before = retired
-                self.tick()
-                retired = sum([c.get("instructions", 0) for c in counters]) - base
+                issued = self.tick()
+                if issued is None:  # a wrapper dropped the report: count
+                    before, retired = retired, self.total_instructions
+                    issued = ISSUED if retired != before else NOT_ISSUED
                 cycle = clock.now - start
                 if cycle >= max_cycles:
-                    raise SimulationLimitExceeded("cycles", max_cycles, retired, cycle)
+                    raise SimulationLimitExceeded(
+                        "cycles", max_cycles, self.total_instructions, cycle
+                    )
                 # ``>=`` mirrors the functional Processor's budget semantics,
                 # so LaunchOptions(max_instructions=N) behaves identically on
                 # both driver families.
-                if max_instructions is not None and retired >= max_instructions:
-                    raise SimulationLimitExceeded(
-                        "instructions", max_instructions, retired, cycle
-                    )
+                if max_instructions is not None:
+                    retired = self.total_instructions
+                    if retired >= max_instructions:
+                        raise SimulationLimitExceeded(
+                            "instructions", max_instructions, retired, cycle
+                        )
                 # Deadlock watchdog: no instruction retired for a long stretch while
                 # cores still have active wavefronts and no memory traffic is pending.
-                if retired == instructions_before and not memsys.busy:
+                if not issued and not memsys.busy:
                     idle_cycles += 1
                     if idle_cycles > self.NO_PROGRESS_LIMIT:
                         raise SimulationStalled(
@@ -537,6 +553,8 @@ class TimingProcessor(_LaunchedProcessor):
                         )
                 else:
                     idle_cycles = 0
+                if issued == READY_NEXT:
+                    continue  # that core's next event is ``now + 1``: nothing to skip
                 # Event-driven fast-forward: jump over provably idle cycle
                 # runs instead of ticking through them (bit-identical to a
                 # ``tick()`` loop in cycles, counters and expanded traces).

@@ -11,8 +11,10 @@ The scheduler keeps four wavefront masks:
   removed; when the visible mask empties it is refilled from the active
   wavefronts that are neither stalled nor at a barrier.
 
-``policy`` selects which selection policy :meth:`select` implements (the
-design-space axis of :data:`repro.common.config.SCHEDULER_POLICIES`):
+``policy`` selects which selection policy ``select`` is — the policy
+method, bound as an instance attribute at construction so a selection is
+one call (the design-space axis of
+:data:`repro.common.config.SCHEDULER_POLICIES`):
 
 * ``"round-robin"`` — the paper's hierarchical two-level policy above,
 * ``"greedy-then-oldest"`` — keep issuing the last-selected wavefront while
@@ -59,10 +61,10 @@ class WavefrontScheduler(Stateful):
         "_hazard_mask": VALUE,
         "perf": CHILD,
     }
-    #: Construction-time policy wiring (vxlint VX007): ``_select`` is the
-    #: bound policy method, a pure function of ``policy``; ``_counters``
+    #: Construction-time geometry and policy wiring (vxlint VX007): ``select``
+    #: is the bound policy method, a pure function of ``policy``; ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key).
-    SNAPSHOT_EXCLUDED = frozenset({"num_warps", "policy", "_select", "_counters"})
+    SNAPSHOT_EXCLUDED = frozenset({"num_warps", "_all_warps", "policy", "select", "_counters"})
 
     def __init__(self, num_warps: int, policy: str = "round-robin"):
         if policy not in SCHEDULER_POLICIES:
@@ -70,6 +72,7 @@ class WavefrontScheduler(Stateful):
                 f"unknown scheduler policy {policy!r}; available: {sorted(SCHEDULER_POLICIES)}"
             )
         self.num_warps = num_warps
+        self._all_warps = (1 << num_warps) - 1  # the schedulable mask's bound
         self.policy = policy
         self.active_mask = 0
         self.stalled_mask = 0
@@ -89,7 +92,8 @@ class WavefrontScheduler(Stateful):
         self._last_lines: list[int] = [-1] * num_warps
         self._current_line = -1
         self._hazard_mask = 0
-        self._select = {
+        #: Pick the wavefront to fetch this cycle, or ``None`` if none is ready.
+        self.select = {
             "round-robin": self._select_round_robin,
             "greedy-then-oldest": self._select_greedy_then_oldest,
             "loose-round-robin": self._select_loose_round_robin,
@@ -154,19 +158,11 @@ class WavefrontScheduler(Stateful):
 
     # -- selection -------------------------------------------------------------------
 
-    def _schedulable_mask(self) -> int:
-        all_warps = (1 << self.num_warps) - 1
-        return self.active_mask & ~self.stalled_mask & ~self.barrier_mask & all_warps
-
-    def select(self) -> int | None:
-        """Pick the wavefront to fetch this cycle, or ``None`` if none is ready."""
-        return self._select()
-
     def _select_round_robin(self) -> int | None:
         """The hierarchical two-level policy: wavefronts are drained from the
         visible mask one per cycle; when it is empty it is refilled from the
         schedulable wavefronts."""
-        ready = self._schedulable_mask()
+        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
         # Wavefronts that became unschedulable leave the working set.
         visible = self.visible_mask & ready
         if not visible:
@@ -175,21 +171,20 @@ class WavefrontScheduler(Stateful):
                 self._counters["idle_cycles"] += 1
                 return None
             self._counters["refills"] += 1
-        # Round-robin starting after the last selected wavefront.
+        # Round-robin: the first visible wavefront from ``start`` on, wrapping.
         start = 0 if self._last_selected is None else (self._last_selected + 1) % self.num_warps
-        for offset in range(self.num_warps):
-            warp_id = (start + offset) % self.num_warps
-            if (visible >> warp_id) & 1:
-                self.visible_mask = visible & ~(1 << warp_id)
-                self._last_selected = warp_id
-                self._counters["selections"] += 1
-                return warp_id
-        return None  # pragma: no cover - unreachable, mask was non-zero
+        ahead = visible >> start
+        first = ahead or visible
+        warp_id = (first & -first).bit_length() - 1 + (start if ahead else 0)
+        self.visible_mask = visible & ~(1 << warp_id)
+        self._last_selected = warp_id
+        self._counters["selections"] += 1
+        return warp_id
 
     def _select_greedy_then_oldest(self) -> int | None:
         """Greedy-then-oldest: stick with the current wavefront until it
         stalls, then switch to the least-recently-issued ready one."""
-        ready = self._schedulable_mask()
+        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
         if not ready:
             self._counters["idle_cycles"] += 1
             return None
@@ -215,18 +210,17 @@ class WavefrontScheduler(Stateful):
     def _select_loose_round_robin(self) -> int | None:
         """Loose round-robin: the next ready wavefront after the last issued
         one, with no two-level visible working set."""
-        ready = self._schedulable_mask()
+        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
         if not ready:
             self._counters["idle_cycles"] += 1
             return None
         start = 0 if self._last_selected is None else (self._last_selected + 1) % self.num_warps
-        for offset in range(self.num_warps):
-            warp_id = (start + offset) % self.num_warps
-            if (ready >> warp_id) & 1:
-                self._last_selected = warp_id
-                self._counters["selections"] += 1
-                return warp_id
-        return None  # pragma: no cover - unreachable, mask was non-zero
+        ahead = ready >> start  # the first ready wavefront from ``start`` on, wrapping
+        first = ahead or ready
+        warp_id = (first & -first).bit_length() - 1 + (start if ahead else 0)
+        self._last_selected = warp_id
+        self._counters["selections"] += 1
+        return warp_id
 
     def _select_cache_locality(self) -> int | None:
         """Cache-locality-aware: least-recently-issued ready wavefront on the
@@ -237,7 +231,7 @@ class WavefrontScheduler(Stateful):
         scoreboard-blocked warps); the line affinity then keeps consecutive
         issues on the same cache line when several warps qualify.
         """
-        ready = self._schedulable_mask()
+        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
         if not ready:
             self._counters["idle_cycles"] += 1
             return None
@@ -274,4 +268,5 @@ class WavefrontScheduler(Stateful):
     @property
     def all_stalled(self) -> bool:
         """True when wavefronts exist but none can be scheduled."""
-        return self.active_mask != 0 and self._schedulable_mask() == 0
+        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
+        return self.active_mask != 0 and ready == 0

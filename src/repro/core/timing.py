@@ -51,6 +51,11 @@ _SCOREBOARD_STALL = {"reason": "scoreboard"}
 #: "No such cycle": the horizon of an empty set of future events.
 _NEVER = 1 << 62
 
+#: What :meth:`TimingCore.tick` reports: no warp issued; a warp issued; a warp
+#: issued an instruction that neither redirects nor is SFU, so it is ready,
+#: active, off any barrier and fetched next cycle (an event at ``now + 1``).
+NOT_ISSUED, ISSUED, READY_NEXT = 0, 1, 2
+
 
 @dataclass
 class _PendingMemOp:
@@ -163,7 +168,7 @@ class TimingCore(Stateful):
     #: Attributes deliberately outside the snapshot (vxlint VX007):
     #: configuration identity, constructor-derived lookup tables, references
     #: owned and serialized by the memory subsystem (``clock``: the
-    #: processor), the per-PC register cache (a pure function of the decode,
+    #: processor), the per-PC issue records (a pure function of the decode,
     #: rebuilt lazily), the ``perf`` alias ``_counters``, the trace payloads, and
     #: what :meth:`after_restore` invalidates or rebuilds (the drain repeat's too).
     SNAPSHOT_EXCLUDED = frozenset(
@@ -182,7 +187,7 @@ class TimingCore(Stateful):
             "_store_smem_lanes",
             "_store_bank_lanes",
             "_store_line_lanes",
-            "_registers_by_pc",
+            "_issue_records",
             "_drain_epoch",
             "_repeat",
             "_dcache_line_size",
@@ -252,9 +257,8 @@ class TimingCore(Stateful):
         # at the last recompute — and whoever moves another input zeroes it
         # (derived, never serialized: reset/restore zero it too).
         self._masks_valid_until = 0
-        # Per-PC cache of the scoreboard mask of the registers the decoded
-        # instruction touches (a function of the decode; dropped with it).
-        self._registers_by_pc: dict[int, int | None] = {}
+        # PC -> issue record (:meth:`_issue_record`; dropped with the decodes).
+        self._issue_records: dict[int, tuple[Any, ...]] = {}
         # Cache geometry prebound for the request precompute and the
         # fast-forward stall probe.
         self._dcache_line_size = self.dcache.config.line_size
@@ -290,13 +294,13 @@ class TimingCore(Stateful):
     def invalidate_caches(self) -> None:
         """Drop decode-derived caches (a new program image was loaded)."""
         self.func.emulator.invalidate_decode_cache()
-        self._registers_by_pc.clear()
+        self._issue_records.clear()
 
     def after_restore(self) -> None:
-        """Drop the per-PC register cache, the mask horizon (the functional
-        core's restore dropped the decode they derive from) and the drain
-        memo; rebuild what is derived from the queues.  A reset ends here too."""
-        self._registers_by_pc.clear()
+        """Drop the issue records, the mask horizon (the functional core's
+        restore dropped the decode they derive from) and the drain memo;
+        rebuild what is derived from the queues.  A reset ends here too."""
+        self._issue_records.clear()
         self._masks_valid_until = 0
         self._drain_epoch += 1
         self._repeat = None
@@ -366,27 +370,16 @@ class TimingCore(Stateful):
         self._masks_valid_until = valid_until
         self.scheduler.set_masks(active_mask, stalled_mask, barrier_mask)
 
-    def _instruction_registers(self, warp: Any) -> int | None:
-        """Scoreboard mask of the registers read/written by the warp's next
-        instruction (for hazard checks); ``None`` when it cannot be fetched.
-
-        The result depends only on the decoded instruction, so it is cached
-        per PC (hazard checks re-run every issue attempt, including stall
-        retries).
-        """
-        pc = warp.pc
-        cached = self._registers_by_pc.get(pc, False)
-        if cached is not False:
-            return cached
-        registers = self._compute_instruction_registers(pc)
-        self._registers_by_pc[pc] = registers
-        return registers
-
-    def _compute_instruction_registers(self, pc: int) -> int | None:
-        try:
-            instr = self.func.emulator.fetch(pc)
-        except Exception:
-            return None
+    def _issue_record(self, pc: int) -> tuple[Any, ...]:
+        """The issue record of the instruction at ``pc``, built on its first
+        issue (or stall probe) and kept per PC until the decodes drop:
+        ``(registers, timed, instr, unit, latency, kind)`` — the scoreboard
+        mask of the registers it reads and writes, whether an untaken issue
+        has a timing effect beyond readying its warp next cycle (memory or
+        ``tex``, SFU, a multi-cycle writeback), the decoded instruction, its
+        unit and latency, and its memory kind (``"load"``, ``"store"``,
+        ``"tex"`` or None).  Raises what the fetch raises."""
+        instr = self.func.emulator.fetch(pc)
         spec = instr.spec
         registers: list[tuple[int, bool]] = []
         if "rs1" in spec.syntax or spec.syntax and spec.syntax[-1] == "mem":
@@ -397,26 +390,45 @@ class TimingCore(Stateful):
             registers.append((instr.rs3, spec.rs3_float))
         if spec.writes_rd:
             registers.append((instr.rd, spec.rd_float))
-        return Scoreboard.mask_of(registers)
+        unit = spec.unit
+        latency = self._unit_latency.get(unit, 1)
+        kind = "tex" if unit == ExecUnit.TEX else None
+        if unit == ExecUnit.LSU:
+            kind = "store" if spec.is_store else "load"
+        timed = kind is not None or unit == ExecUnit.SFU or spec.writes_rd and latency > 1
+        record = (Scoreboard.mask_of(registers), timed, instr, unit, latency, kind)
+        self._issue_records[pc] = record
+        return record
 
     # -- per-cycle operation ----------------------------------------------------------------
 
-    def tick(self) -> None:
+    def tick(self) -> int:
         """Run the core's device cycle ``clock.now``: its I$, D$ and
-        scratchpad tick first (the shared levels below ticked before the core)."""
+        scratchpad tick first (the shared levels below ticked before the
+        core), each only when it has a response due or a port map to clear —
+        all its ``tick()`` does.  Returns :data:`NOT_ISSUED`, :data:`ISSUED`
+        or :data:`READY_NEXT`."""
+        now = self.clock.now
         if self._writebacks:
             self._process_writebacks()
-        responses = self.icache.tick()
-        if responses:
-            self._process_icache_responses(responses)
-        responses = self.dcache.tick()
-        if responses:
-            self._process_dcache_responses(responses)
-        self._process_smem_responses()
+        icache, dcache, smem = self.icache, self.dcache, self.smem
+        if icache._accepts_this_cycle or now in icache._due:
+            for response in icache.tick():  # an ifetch's: ("ifetch", warp, line)
+                _, warp_id, line_address = response.tag
+                self._warm_ilines.add(line_address)
+                if self._pending_ifetch.get(warp_id) == line_address:
+                    del self._pending_ifetch[warp_id]
+                    self._masks_valid_until = 0
+        if dcache._accepts_this_cycle or now in dcache._due:
+            responses = dcache.tick()
+            if responses:
+                self._process_dcache_responses(responses)
+        if smem._accepts_this_cycle or smem._pending:
+            self._process_smem_responses(smem.tick())
         if self._ifetch_to_send or self._pending_ops or self._store_queue:
             self._drain_requests()
 
-        if self.clock.now >= self._masks_valid_until:
+        if now >= self._masks_valid_until:
             self._sync_scheduler_masks()
         warp_id = self.scheduler.select()
         if warp_id is None:
@@ -424,17 +436,16 @@ class TimingCore(Stateful):
             trace = self.trace
             if trace is not None:
                 trace.emit(
-                    self.clock.now, self.core_id, NO_WARP, "scheduler", "idle",
-                    self._trace_mask_payload(),
+                    now, self.core_id, NO_WARP, "scheduler", "idle", self._trace_mask_payload()
                 )
-            return
+            return NOT_ISSUED
         warp = self.func.warps[warp_id]
-        if not warp.schedulable:
+        if not (warp.active and not warp.at_barrier and warp.active_count):  # schedulable
             trace = self.trace
             if trace is not None:
-                trace.emit(self.clock.now, self.core_id, warp_id, "scheduler", "masked")
-            return
-        self._issue(warp)
+                trace.emit(now, self.core_id, warp_id, "scheduler", "masked")
+            return NOT_ISSUED
+        return self._issue(warp)
 
     def _trace_mask_payload(self) -> dict[str, int]:
         """Scheduler-mask payload of an ``idle`` event (tracing-on only)."""
@@ -506,38 +517,22 @@ class TimingCore(Stateful):
                 remaining.append((ready_cycle, warp_id, rd, rd_float))
         self._writebacks = remaining
 
-    def _process_icache_responses(self, responses: list[CacheResponse]) -> None:
-        for response in responses:
-            tag = response.tag
-            if not (isinstance(tag, tuple) and tag and tag[0] == "ifetch"):
-                continue
-            _, warp_id, line_address = tag
-            self._warm_ilines.add(line_address)
-            if self._pending_ifetch.get(warp_id) == line_address:
-                del self._pending_ifetch[warp_id]
-                self._masks_valid_until = 0
-
     def _process_dcache_responses(self, responses: list[CacheResponse]) -> None:
+        """A load's or ``tex``'s responses carry its ``("op", op_id)``; a store's None."""
         for response in responses:
             tag = response.tag
-            if not (isinstance(tag, tuple) and tag and tag[0] == "op"):
-                continue
-            op = self._pending_ops.get(tag[1])
-            if op is None:
-                continue
-            op.outstanding -= len(response.addresses)  # one record per accepted run
-            self._maybe_complete_op(op)
+            op = None if tag is None else self._pending_ops.get(tag[1])
+            if op is not None:
+                op.outstanding -= len(response.addresses)  # one record per accepted run
+                self._maybe_complete_op(op)
 
-    def _process_smem_responses(self) -> None:
-        for response in self.smem.tick():
+    def _process_smem_responses(self, responses: list[Any]) -> None:
+        for response in responses:
             tag = response.tag
-            if not (isinstance(tag, tuple) and tag and tag[0] == "op"):
-                continue
-            op = self._pending_ops.get(tag[1])
-            if op is None:
-                continue
-            op.outstanding -= 1
-            self._maybe_complete_op(op)
+            op = None if tag is None else self._pending_ops.get(tag[1])
+            if op is not None:
+                op.outstanding -= 1
+                self._maybe_complete_op(op)
 
     def _maybe_complete_op(self, op: _PendingMemOp) -> None:
         if op.outstanding > 0 or op.to_send:
@@ -575,10 +570,12 @@ class TimingCore(Stateful):
                 return
             self._repeat = None
         receipt = None
-        if self._dram is not None:
+        dram = self._dram
+        if dram is not None and not (
+            dcache._accepts_this_cycle or self._smem_ops or self._store_smem_lanes
+        ):  # a pass that starts clean records what a repeat needs
             receipt = dcache.receipt = Receipt()
-            clean = not (dcache._accepts_this_cycle or self._smem_ops or self._store_smem_lanes)
-            start = (dcache.epoch, self._dram.pending, clean)
+            start = (dcache.epoch, dram.pending)
         # Instruction-cache fills first (front end priority).
         if self._ifetch_to_send:
             still_waiting: list[tuple[int, int]] = []
@@ -621,22 +618,22 @@ class TimingCore(Stateful):
                     self._recount_stores()
         if receipt is not None:
             dcache.receipt = None
-            self._arm_repeat(receipt, start, budget)
+            if receipt.charges:
+                self._arm_repeat(receipt, start, budget)
 
-    def _arm_repeat(self, receipt: Receipt, start: tuple[int, int, bool], budget: int) -> None:
+    def _arm_repeat(self, receipt: Receipt, start: tuple[int, int], budget: int) -> None:
         """The arming rule for a DRAM-attached D$, traced or not: keep the pass
         just made, trace events included, if it started with no D$ port taken
-        and no scratchpad lane pending, leaving no ifetch; the D$ epoch and
-        DRAM queue length (``start``) held — only counted refusals went below;
-        the loads left ``budget`` (no run was cut short); something was
-        charged (an idle pass is cheaper than its repeat); and every accept
-        was a read hit or merge a repeat can redo (so no write-through)."""
+        and no scratchpad lane pending (only such a pass records a receipt)
+        and something was charged (an idle pass is cheaper than its repeat);
+        it left no ifetch; the D$ epoch and DRAM queue length (``start``)
+        held — only counted refusals went below; the loads left ``budget`` (no
+        run was cut short); and every accept was a read hit or merge a repeat
+        can redo (so no write-through)."""
         dcache = self.dcache
-        epoch, queued, clean = start
+        epoch, queued = start
         if (
-            clean
-            and receipt.charges
-            and not self._ifetch_to_send
+            not self._ifetch_to_send
             and dcache.epoch == epoch
             and budget > 0
             and None not in receipt.taken
@@ -723,65 +720,66 @@ class TimingCore(Stateful):
 
     # -- issue ----------------------------------------------------------------------------------
 
-    def _issue(self, warp: Any) -> None:
+    def _issue(self, warp: Any) -> int:
         # Instruction fetch: cold lines go through the instruction cache.
+        pc, warp_id = warp.pc, warp.warp_id
         line_size = self._icache_line_size
-        iline = warp.pc // line_size
+        iline = pc // line_size
         if iline not in self._warm_ilines:
             trace = self.trace
-            if warp.warp_id not in self._pending_ifetch:
-                self._pending_ifetch[warp.warp_id] = iline
-                self._ifetch_to_send.append((warp.warp_id, iline * line_size))
+            if warp_id not in self._pending_ifetch:
+                self._pending_ifetch[warp_id] = iline
+                self._ifetch_to_send.append((warp_id, iline * line_size))
                 self._masks_valid_until = 0
                 self._counters["ifetch_misses"] += 1
                 if trace is not None:
                     trace.emit(
-                        self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
+                        self.clock.now, self.core_id, warp_id, "scheduler", "stall",
                         _IBUFFER_STALL,
                     )
             elif trace is not None:
                 # Defensive: a warp with an ifetch in flight is mask-stalled
                 # and should not reach here; keep the channel cycle-complete.
-                trace.emit(self.clock.now, self.core_id, warp.warp_id, "scheduler", "masked")
-            return
+                trace.emit(self.clock.now, self.core_id, warp_id, "scheduler", "masked")
+            return NOT_ISSUED
 
-        # Scoreboard hazard check on the registers the instruction touches.
-        registers = self._instruction_registers(warp)
-        if registers is not None and self.scoreboard.any_busy(warp.warp_id, registers):
+        # Scoreboard hazard check on the registers the instruction touches
+        # (``Scoreboard.any_busy``, inlined).
+        record = self._issue_records.get(pc) or self._issue_record(pc)
+        if self.scoreboard._busy[warp_id] & record[0]:
             self._counters["scoreboard_stalls"] += 1
-            self.scheduler.note_hazard(warp.warp_id)
+            self.scheduler.note_hazard(warp_id)
             trace = self.trace
             if trace is not None:
                 trace.emit(
-                    self.clock.now, self.core_id, warp.warp_id, "scheduler", "stall",
+                    self.clock.now, self.core_id, warp_id, "scheduler", "stall",
                     _SCOREBOARD_STALL,
                 )
-            return
+            return NOT_ISSUED
 
-        pc = warp.pc
-        instr = self.func.emulator.fetch(pc)
         active = warp.active_count
         taken, addresses = self.func.step_warp_timing(warp)
         counters = self._counters
         counters["instructions"] += 1
         counters["thread_instructions"] += active
-        self._warp_ready_cycle[warp.warp_id] = self.clock.now + 1
-        self.scheduler.note_issued(warp.warp_id)
+        self._warp_ready_cycle[warp_id] = self.clock.now + 1
+        self.scheduler.note_issued(warp_id)
         trace = self.trace
         if trace is not None:
             trace.emit(
-                self.clock.now, self.core_id, warp.warp_id, "scheduler", "issue",
+                self.clock.now, self.core_id, warp_id, "scheduler", "issue",
                 self._pc_payload(pc),
             )
-        self._charge_timing(warp, instr, taken, addresses)
+        if taken or record[1]:
+            return self._charge_timing(warp, record, taken, addresses)
+        return READY_NEXT  # nothing more to charge (no trace event either)
 
     def _charge_timing(
-        self, warp: Any, instr: Any, taken: bool, addresses: list[int] | None
-    ) -> None:
-        """Charge one executed instruction ``instr`` from the ``(taken,
-        addresses)`` pair ``func.step_warp_timing`` returned."""
-        spec = instr.spec
-        unit = spec.unit
+        self, warp: Any, record: tuple[Any, ...], taken: bool, addresses: list[int] | None
+    ) -> int:
+        """Charge one executed instruction (its :meth:`_issue_record`) from the
+        ``(taken, addresses)`` pair ``func.step_warp_timing`` returned."""
+        _, _, instr, unit, latency, kind = record
 
         # A plain issue moves no scheduler-mask input (``cycle + 1`` is never
         # in the future on a later tick).  A redirect stalls the warp, and
@@ -799,31 +797,27 @@ class TimingCore(Stateful):
                     self._pc_payload(warp.pc),
                 )
 
-        if unit in (ExecUnit.LSU, ExecUnit.TEX):
-            self._charge_memory(warp, instr, addresses)
-            return
-
-        latency = self._unit_latency.get(unit, 1)
-        if spec.writes_rd and latency > 1:
-            self.scoreboard.reserve(warp.warp_id, instr.rd, spec.rd_float)
+        if kind is not None:
+            self._charge_memory(warp, instr, kind, addresses)
+        elif instr.spec.writes_rd and latency > 1:
+            rd, rd_float = instr.rd, instr.spec.rd_float
+            self.scoreboard.reserve(warp.warp_id, rd, rd_float)
             trace = self.trace
-            if trace is not None and (instr.rd != 0 or spec.rd_float):
+            if trace is not None and (rd != 0 or rd_float):
                 trace.emit(
                     self.clock.now, self.core_id, warp.warp_id, "scoreboard", "acquire",
-                    self._register_payload(instr.rd, spec.rd_float),
+                    self._register_payload(rd, rd_float),
                 )
-            self._writebacks.append(
-                (self.clock.now + latency, warp.warp_id, instr.rd, spec.rd_float)
-            )
+            self._writebacks.append((self.clock.now + latency, warp.warp_id, rd, rd_float))
+        return ISSUED if taken or unit == ExecUnit.SFU else READY_NEXT
 
-    def _charge_memory(self, warp: Any, instr: Any, addresses: list[int]) -> None:
+    def _charge_memory(self, warp: Any, instr: Any, kind: str, addresses: list[int]) -> None:
         self._drain_epoch += 1  # the request queues move
         spec = instr.spec
-        is_store = spec.is_store
         to_send = self._request_entries(addresses)
         if to_send:
             self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
-        if is_store:
+        if kind == "store":
             self._store_queue.extend(to_send)
             self._recount_stores()
             self._counters["stores"] += len(addresses)
@@ -835,11 +829,11 @@ class TimingCore(Stateful):
             rd=instr.rd,
             rd_float=spec.rd_float,
             writes_rd=spec.writes_rd,
-            kind="tex" if spec.unit == ExecUnit.TEX else "load",
+            kind=kind,
             to_send=to_send,
         )
         self._next_op_id += 1
-        if spec.unit == ExecUnit.TEX and self.func.tex_unit is not None:
+        if kind == "tex" and self.func.tex_unit is not None:
             op.extra_latency = self.func.tex_unit.issue_latency(len(addresses))
             self._counters["tex_ops"] += 1
         else:
@@ -875,12 +869,16 @@ class TimingCore(Stateful):
         ``scoreboard_stalls`` — a deterministic pattern :meth:`skip_idle`
         can replay in bulk.
         """
-        if not warp.schedulable:
+        pc = warp.pc
+        if not warp.schedulable or pc // self._icache_line_size not in self._warm_ilines:
             return False
-        if warp.pc // self._icache_line_size not in self._warm_ilines:
-            return False
-        registers = self._instruction_registers(warp)
-        return registers is not None and self.scoreboard.any_busy(warp.warp_id, registers)
+        record = self._issue_records.get(pc)
+        if record is None:
+            try:
+                record = self._issue_record(pc)
+            except Exception:
+                return False  # the issue raises: not a stall
+        return self.scoreboard.any_busy(warp.warp_id, record[0])
 
     def next_event_cycle(self) -> int | None:
         """Earliest cycle at which this core does real work (``None`` = idle).

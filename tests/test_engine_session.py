@@ -208,8 +208,8 @@ def test_upload_program_invalidates_driver_decode_caches():
 
 def test_upload_program_invalidates_timing_plan_caches():
     """SIMX keeps three per-PC caches: each warp's lane plans, the timing
-    core's hazard registers and the decodes; a new program image at the
-    same base must drop all three."""
+    core's issue records and the decodes; a new program image at the same
+    base must drop all three."""
     device = VortexDevice(VortexConfig(), driver="simx")
     program = _constant_store_program(7)
     device.upload_program(program)
@@ -217,11 +217,74 @@ def test_upload_program_invalidates_timing_plan_caches():
     core = device.driver.processor.cores[0]
     assert core.func.emulator._decode_cache
     assert any(warp.plan_cache for warp in core.func.warps)
-    assert core._registers_by_pc
+    assert core._issue_records
     device.upload_program(_constant_store_program(8))
     assert not core.func.emulator._decode_cache
     assert all(not warp.plan_cache for warp in core.func.warps)
-    assert not core._registers_by_pc
+    assert not core._issue_records
+
+
+def _one_pc_program(op: str):
+    """The same image but for one PC: ``add t3, t1, t2`` (ALU, one cycle),
+    ``mul t3, t1, t1`` (MUL latency, other source registers) or ``lw t3, 0(t1)``
+    (a load, no ``rs2``).  Every variant loads the line the ``lw`` reads first,
+    so all of them leave the caches holding the same lines."""
+    asm = ProgramBuilder(base=BASE)
+    asm.li(Reg.t1, 0x4000)
+    asm.li(Reg.t2, 3)
+    asm.lw(Reg.t6, 0, Reg.t1)
+    if op == "lw":
+        asm.lw(Reg.t3, 0, Reg.t1)
+    else:
+        asm.emit(op, Reg.t3, Reg.t1, Reg.t1 if op == "mul" else Reg.t2)
+    asm.addi(Reg.t4, Reg.t3, 1)  # waits on a multi-cycle producer of t3
+    asm.sw(Reg.t4, 4, Reg.t1)
+    asm.li(Reg.t5, 0)
+    asm.tmc(Reg.t5)
+    return asm.assemble()
+
+
+def _second_launch(first, second) -> tuple:
+    """``second`` launched on a SIMX device that ran ``first``: its cycles
+    and what it added to every counter (counters run for the device's life)."""
+    device = VortexDevice(VortexConfig(), driver="simx")
+    device.upload_program(first)
+    device.launch(first.entry)
+    before = device.driver.processor.counters()
+    device.upload_program(second)
+    report = device.launch(second.entry)
+    added = {
+        (component, key): value - before[component].get(key, 0)
+        for component, counters in report.counters.items()
+        for key, value in counters.items()
+    }
+    return report.cycles, {key: value for key, value in added.items() if value}
+
+
+@pytest.mark.parametrize("second", ["mul", "lw"])
+def test_no_issue_record_outlives_its_program(second):
+    """A SIMX core keeps one issue record per PC (unit, latency, registers);
+    two programs at one base that differ at one PC must never share it.
+    Run after ``add``'s program, the other one launches as it does after
+    itself; restored from its own checkpoint — taken before that PC issued —
+    into a device that ran ``add``'s, it finishes as the device it came from."""
+    first, program = _one_pc_program("add"), _one_pc_program(second)
+    assert first.base == program.base and len(first.words) == len(program.words)
+    assert sum(a != b for a, b in zip(first.words, program.words)) == 1
+    assert _second_launch(first, program) == _second_launch(program, program)
+
+    source = VortexDevice(VortexConfig(), driver="simx")
+    source.upload_program(program)
+    source.launch_chunk(5, program.entry)  # the first fetch is still in flight
+    envelope = source.checkpoint()
+    expected = source.launch_chunk(1_000_000, resume=True)
+    device = VortexDevice(VortexConfig(), driver="simx")
+    device.upload_program(first)
+    device.launch(first.entry)
+    device.restore(envelope)
+    restored = device.launch_chunk(1_000_000, resume=True)
+    assert source.driver.done and device.driver.done
+    assert (restored.cycles, restored.counters) == (expected.cycles, expected.counters)
 
 
 # -- execution reports -------------------------------------------------------------------
