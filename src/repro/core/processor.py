@@ -475,7 +475,7 @@ class TimingProcessor(_LaunchedProcessor):
         """
         self.clock.now += 1
         self.memsys.tick()
-        issued: int | None = NOT_ISSUED
+        issued = NOT_ISSUED
         for core in self.cores:
             state = core.tick()
             if state > issued:

@@ -24,7 +24,7 @@ from the scheduler, scoreboard, latencies and the cache/memory system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -55,6 +55,18 @@ _NEVER = 1 << 62
 #: issued an instruction that neither redirects nor is SFU, so it is ready,
 #: active, off any barrier and fetched next cycle (an event at ``now + 1``).
 NOT_ISSUED, ISSUED, READY_NEXT = 0, 1, 2
+
+
+class _IssueRecord(NamedTuple):
+    """What the issue stage reads of the instruction at one PC
+    (:meth:`TimingCore._issue_record`)."""
+
+    registers: int  # scoreboard mask of the registers it reads and writes
+    timed: bool  # memory or ``tex``, SFU, or a multi-cycle writeback
+    instr: Any
+    unit: str
+    latency: int
+    kind: str | None  # "load", "store", "tex" or None
 
 
 @dataclass
@@ -258,7 +270,7 @@ class TimingCore(Stateful):
         # (derived, never serialized: reset/restore zero it too).
         self._masks_valid_until = 0
         # PC -> issue record (:meth:`_issue_record`; dropped with the decodes).
-        self._issue_records: dict[int, tuple[Any, ...]] = {}
+        self._issue_records: dict[int, _IssueRecord] = {}
         # Cache geometry prebound for the request precompute and the
         # fast-forward stall probe.
         self._dcache_line_size = self.dcache.config.line_size
@@ -370,15 +382,11 @@ class TimingCore(Stateful):
         self._masks_valid_until = valid_until
         self.scheduler.set_masks(active_mask, stalled_mask, barrier_mask)
 
-    def _issue_record(self, pc: int) -> tuple[Any, ...]:
+    def _issue_record(self, pc: int) -> _IssueRecord:
         """The issue record of the instruction at ``pc``, built on its first
-        issue (or stall probe) and kept per PC until the decodes drop:
-        ``(registers, timed, instr, unit, latency, kind)`` — the scoreboard
-        mask of the registers it reads and writes, whether an untaken issue
-        has a timing effect beyond readying its warp next cycle (memory or
-        ``tex``, SFU, a multi-cycle writeback), the decoded instruction, its
-        unit and latency, and its memory kind (``"load"``, ``"store"``,
-        ``"tex"`` or None).  Raises what the fetch raises."""
+        issue (or stall probe) and kept until the decodes drop.  ``timed``:
+        an untaken issue has a timing effect beyond readying its warp next
+        cycle.  Raises what the fetch raises."""
         instr = self.func.emulator.fetch(pc)
         spec = instr.spec
         registers: list[tuple[int, bool]] = []
@@ -396,7 +404,7 @@ class TimingCore(Stateful):
         if unit == ExecUnit.LSU:
             kind = "store" if spec.is_store else "load"
         timed = kind is not None or unit == ExecUnit.SFU or spec.writes_rd and latency > 1
-        record = (Scoreboard.mask_of(registers), timed, instr, unit, latency, kind)
+        record = _IssueRecord(Scoreboard.mask_of(registers), timed, instr, unit, latency, kind)
         self._issue_records[pc] = record
         return record
 
@@ -746,7 +754,7 @@ class TimingCore(Stateful):
         # Scoreboard hazard check on the registers the instruction touches
         # (``Scoreboard.any_busy``, inlined).
         record = self._issue_records.get(pc) or self._issue_record(pc)
-        if self.scoreboard._busy[warp_id] & record[0]:
+        if self.scoreboard._busy[warp_id] & record.registers:
             self._counters["scoreboard_stalls"] += 1
             self.scheduler.note_hazard(warp_id)
             trace = self.trace
@@ -770,12 +778,12 @@ class TimingCore(Stateful):
                 self.clock.now, self.core_id, warp_id, "scheduler", "issue",
                 self._pc_payload(pc),
             )
-        if taken or record[1]:
+        if taken or record.timed:
             return self._charge_timing(warp, record, taken, addresses)
         return READY_NEXT  # nothing more to charge (no trace event either)
 
     def _charge_timing(
-        self, warp: Any, record: tuple[Any, ...], taken: bool, addresses: list[int] | None
+        self, warp: Any, record: _IssueRecord, taken: bool, addresses: list[int] | None
     ) -> int:
         """Charge one executed instruction (its :meth:`_issue_record`) from the
         ``(taken, addresses)`` pair ``func.step_warp_timing`` returned."""
@@ -878,7 +886,7 @@ class TimingCore(Stateful):
                 record = self._issue_record(pc)
             except Exception:
                 return False  # the issue raises: not a stall
-        return self.scoreboard.any_busy(warp.warp_id, record[0])
+        return self.scoreboard.any_busy(warp.warp_id, record.registers)
 
     def next_event_cycle(self) -> int | None:
         """Earliest cycle at which this core does real work (``None`` = idle).
