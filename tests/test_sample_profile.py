@@ -71,18 +71,18 @@ def test_call_count_per_cycle(tmp_path, monkeypatch, capsys):
 #: after a plain issue, one issue record per PC) these launches made 25.72,
 #: 24.56 and 48.25.
 CALL_BUDGETS = {
-    "vecadd-128-4w4t": ("vecadd", 128, VortexConfig().with_warps_threads(4, 4), 16.81),
+    "vecadd-128-4w4t": ("vecadd", 128, VortexConfig().with_warps_threads(4, 4), 16.96),
     "sgemm-16x16-4w32t-8ports": (
         "sgemm",
         16 * 16,
         VortexConfig().with_warps_threads(4, 32).with_dcache_ports(8),
-        17.00,
+        17.13,
     ),
     "sgemm-8x8-2cores-l2": (
         "sgemm",
         8 * 8,
         VortexConfig(num_cores=2).with_cache_hierarchy(enable_l2=True),
-        32.00,
+        32.31,
     ),
 }
 
