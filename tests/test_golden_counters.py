@@ -123,7 +123,7 @@ SCENARIOS = {
         _retry_wall().with_cache_hierarchy(enable_l2=True, enable_l3=True),
     ),
     "sgemm_2core_barriers": (KERNELS["sgemm"], 8 * 8, _small(num_cores=2)),
-    # 32 lanes take the numpy request precompute, 4 lanes the plain loop.
+    # Scratchpad and global lanes in one warp trace, 32 and 4 lanes wide.
     "mixed_smem_global_4w32t": (MixedSharedGlobalKernel, 256, _small(threads=32)),
     "mixed_smem_global_4w4t": (MixedSharedGlobalKernel, 64, _small()),
 }
