@@ -38,7 +38,7 @@ from typing import Any
 
 from repro.cache.bank import CacheBank
 from repro.cache.mshr import CacheResponse, lane_record, record_lanes
-from repro.common.clock import DeviceClock
+from repro.common.clock import NEVER, DeviceClock
 from repro.common.config import CacheConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, Codec, Stateful
@@ -227,10 +227,12 @@ class NonBlockingCache(Stateful):
     #: ``_num_ports``/``_response_delay`` derive from config and ``_counters``
     #: aliases ``perf._counters`` (serialized under the ``"perf"`` key); the
     #: due bucket travels per bank in ``banks``; the processor serializes the
-    #: device clock; ``epoch``/``receipt`` serve the drain repeat, ``_payloads`` tracing.
+    #: device clock; ``epoch``/``receipt`` serve the drain repeat, ``_payloads`` tracing;
+    #: ``wake`` derives from the port map and the due bucket.
     SNAPSHOT_EXCLUDED = frozenset(
         {
             "name",
+            "wake",
             "_payloads",
             "epoch",
             "receipt",
@@ -271,6 +273,9 @@ class NonBlockingCache(Stateful):
         # The due bucket: ready cycle -> [(bank id, record), ...] in schedule
         # order.  A ``hit_latency=0`` response still arrives on the next tick.
         self._due: defaultdict[int, list[tuple[int, CacheResponse]]] = defaultdict(list)
+        #: No :meth:`tick` before this cycle has work (its callers skip those):
+        #: the earliest due bucket, or the next cycle once a port is taken.
+        self.wake = 0
         self._response_delay = max(config.hit_latency, 1)
         # Hot-path bindings: the send paths run once per request *attempt*
         # (the cycle-level core retries refusals every cycle), so the
@@ -286,6 +291,7 @@ class NonBlockingCache(Stateful):
 
     def after_restore(self) -> None:
         self.epoch += 1
+        self.wake = 0
 
     # -- address helpers ----------------------------------------------------------------
 
@@ -416,6 +422,8 @@ class NonBlockingCache(Stateful):
 
         count = 0 if accepted is None else accepted[1]
         self._accepts_this_cycle[bank_id] = (line, count + 1)
+        if self.wake > now:
+            self.wake = now + 1
         counters["accepted"] += 1
         return True
 
@@ -711,6 +719,8 @@ class NonBlockingCache(Stateful):
                 read_hits, read_misses, write_hits, write_misses, accepted_count,
             )
         )
+        if accepted_count and self.wake > cycle:
+            self.wake = cycle + 1
         return budget
 
     def repeat(self, receipt: Receipt) -> bool:
@@ -738,6 +748,8 @@ class NonBlockingCache(Stateful):
         tally[0] -= taken
         tally[1] -= taken
         self._accepts_this_cycle.update(receipt.accepts)
+        if receipt.accepts and self.wake > self.clock.now:
+            self.wake = self.clock.now + 1
         self._charge(tally)
         if tally[3]:
             self.lower.note_skipped_refusal(tally[3])
@@ -785,6 +797,8 @@ class NonBlockingCache(Stateful):
         for record in self.banks[bank_id].fill(line_address):
             record.cycle = ready = arrived + self._response_delay
             self._due[ready].append((bank_id, record))
+            if ready < self.wake:
+                self.wake = ready
         self.perf.incr("fills")
         if self.trace is not None:
             self.trace.emit(
@@ -803,6 +817,7 @@ class NonBlockingCache(Stateful):
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
         due = self._due.pop(self.clock.now, None)
+        self.wake = min(self._due) if self._due else NEVER
         if due is None:
             return []
         if len(due) > 1:

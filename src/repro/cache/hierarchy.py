@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cache.cache import LowerPort, NonBlockingCache
-from repro.common.clock import DeviceClock
+from repro.common.clock import NEVER, DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, Codec, Stateful, child_via
@@ -187,21 +187,16 @@ class MemorySubsystem(Stateful):
         DRAM, then L3, then each L2: a response tagged ``(cache, line)``
         fills ``cache`` before it ticks.  Untagged responses (write-through
         acknowledgements) need no routing.  Each core ticks its own L1s.
-        A level with nothing due — no DRAM request ready, no cache response
-        due and no port map to clear — is not ticked: its tick would do nothing.
+        A level is ticked only from its ``wake`` cycle on: before it, its
+        tick would do nothing.
         """
         now = self.clock.now
-        queue = self.dram._queue
         for level in self._shared:
-            if level is self.dram:
-                if not queue or queue[0].ready_cycle > now:
-                    continue
-            elif not (level._accepts_this_cycle or now in level._due):
-                continue
-            for response in level.tick():
-                if response.tag is not None:
-                    cache, line_address = response.tag
-                    cache.fill(line_address)
+            if level.wake <= now:
+                for response in level.tick():
+                    if response.tag is not None:
+                        cache, line_address = response.tag
+                        cache.fill(line_address)
 
     # -- checkpoint/restore ------------------------------------------------------------
 
@@ -254,14 +249,15 @@ class MemorySubsystem(Stateful):
 
         The one state a provably idle window moves is each level's bank-port
         map, which every skipped tick would have cleared, so it is cleared
-        here.  :meth:`NonBlockingCache.tick` pops exactly the current cycle's
-        due bucket, so a jump past a due response would strand it: that is a
-        caller bug and fails here, not as a hang at ``max_cycles``.
+        here (each level then wakes at its next response).  A jump past a due
+        response would strand it (:meth:`NonBlockingCache.tick` pops exactly
+        the current cycle's bucket): a caller bug that fails here.
         """
         now = self.clock.now
         for cache in self._levels:
             cache._accepts_this_cycle.clear()
             due = cache.next_response_cycle()
+            cache.wake = NEVER if due is None else due
             if due is not None and due <= now:
                 from repro.core.emulator import EmulationError  # cache sits below core
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.clock import DeviceClock
+from repro.common.clock import NEVER, DeviceClock
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, Codec, Stateful
 from repro.trace.events import NO_WARP
@@ -58,11 +58,11 @@ class SharedMemory(Stateful):
     """Banked scratchpad with single-cycle access and bank-conflict serialization."""
 
     STATE = {"_accepts_this_cycle": COPY, "_pending": _PENDING, "perf": CHILD}
-    #: Construction-time geometry and window, the processor's clock and the
-    #: trace payloads (vxlint VX007).
+    #: Construction-time geometry and window, the processor's clock, the
+    #: trace payloads and the derived ``wake`` (vxlint VX007).
     SNAPSHOT_EXCLUDED = frozenset(
         {"core_id", "size", "num_banks", "latency", "base", "limit", "trace", "clock",
-         "_payloads"}
+         "_payloads", "wake"}
     )
 
     def __init__(self, core_id: int, size: int, num_banks: int = 4, latency: int = 1):
@@ -79,6 +79,10 @@ class SharedMemory(Stateful):
         self._payloads = [{"bank": bank} for bank in range(num_banks)]
         self._accepts_this_cycle: dict[int, int] = {}
         self._pending: list[tuple[int, SharedResponse]] = []
+        self.wake = 0  # no tick before it has work: next cycle while a port or access is held
+
+    def after_restore(self) -> None:
+        self.wake = 0
 
     def contains(self, address: int) -> bool:
         """True when ``address`` belongs to this core's window."""
@@ -159,6 +163,8 @@ class SharedMemory(Stateful):
             counters["bank_conflicts"] += bank_conflicts
         if accepted_count:
             counters["writes" if is_write else "reads"] += accepted_count
+            if self.wake > cycle:
+                self.wake = cycle + 1
         return accepted_count, refused, budget
 
     def tick(self) -> list[SharedResponse]:
@@ -166,6 +172,7 @@ class SharedMemory(Stateful):
         if self._accepts_this_cycle:
             self._accepts_this_cycle.clear()
         if not self._pending:
+            self.wake = NEVER
             return []
         now = self.clock.now
         ready = [resp for ready_cycle, resp in self._pending if ready_cycle <= now]
@@ -177,6 +184,7 @@ class SharedMemory(Stateful):
             ]
             for resp in ready:
                 resp.cycle = now
+        self.wake = now + 1 if self._pending else NEVER
         return ready
 
     # -- fast-forward ------------------------------------------------------------------

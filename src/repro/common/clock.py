@@ -11,6 +11,9 @@ hand advances (the ``tick`` fixture of the test suite).
 
 from __future__ import annotations
 
+#: "No such cycle": the ``wake`` of a memory level with nothing scheduled.
+NEVER = 1 << 62
+
 
 class DeviceClock:
     """One monotonically increasing cycle count, ``now``."""

@@ -26,7 +26,7 @@ from repro.common.state import CHILD, CHILDREN, VALUE, Codec, Stateful
 from repro.core.barrier import PARTICIPANTS, BarrierTable
 from repro.core.core import SimtCore, VectorSimtCore
 from repro.core.emulator import EmulationError, SimulationLimitExceeded, SimulationStalled
-from repro.core.timing import ISSUED, NOT_ISSUED, READY_NEXT, TimingCore
+from repro.core.timing import NOT_ISSUED, READY_NEXT, TimingCore
 from repro.mem.memory import MainMemory
 
 
@@ -408,9 +408,9 @@ class TimingProcessor(_LaunchedProcessor):
         "memsys": CHILD,
         **_LaunchedProcessor.STATE,
     }
-    #: Configuration identity and the trace bus; fixed at construction
-    #: (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "trace"})
+    #: Configuration identity and the trace bus, fixed at construction, and
+    #: the last tick's issue report, which only :meth:`run` reads (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "_issued"})
 
     def __init__(
         self,
@@ -430,6 +430,8 @@ class TimingProcessor(_LaunchedProcessor):
         #: The watchdog's no-progress streak: cycles in a row that retired
         #: nothing with no memory traffic, carried across pauses.
         self._idle_streak = 0
+        #: The most any core reported on the last :meth:`tick`.
+        self._issued = NOT_ISSUED
         super().__init__(config, memory)
 
     def _new_core(self, core_id: int) -> TimingCore:
@@ -464,11 +466,9 @@ class TimingProcessor(_LaunchedProcessor):
                 timing_core.invalidate_scheduler_masks()
         return stalled
 
-    def tick(self) -> int:
-        """Advance the whole processor by one cycle; returns the most any core
-        reported (:data:`~repro.core.timing.READY_NEXT` above
-        :data:`~repro.core.timing.ISSUED` above
-        :data:`~repro.core.timing.NOT_ISSUED`).
+    def tick(self) -> None:
+        """Advance the whole processor by one cycle; ``_issued`` keeps the most
+        any core reported (``READY_NEXT`` > ``ISSUED`` > ``NOT_ISSUED``).
 
         ``reset(entry_pc)`` followed by ``while not done: tick()`` is the
         cycle-by-cycle reference that :meth:`run`'s fast-forward must equal.
@@ -480,7 +480,7 @@ class TimingProcessor(_LaunchedProcessor):
             state = core.tick()
             if state > issued:
                 issued = state
-        return issued
+        self._issued = issued
 
     def run(
         self,
@@ -502,13 +502,11 @@ class TimingProcessor(_LaunchedProcessor):
         if entry_pc is not None:
             self.reset(entry_pc)
         max_cycles = max_cycles or DEFAULT_MAX_CYCLES
-        # Each ticked cycle reads done / cycle from these, not the properties;
-        # the retired total is read only where an instruction budget is set.
+        # Each ticked cycle reads done / cycle from these, not the properties.
         cores, clock, memsys = self.cores, self.clock, self.memsys
         start = self.launch_start
         idle_cycles = self._idle_streak
-        retired = self.total_instructions
-        issued: int | None = NOT_ISSUED
+        issued = NOT_ISSUED
         # Lane-plan execution legitimately produces IEEE invalid/overflow
         # conditions inside masked numpy expressions (the scalar reference
         # silences them per operation); silence them for the whole run.
@@ -520,15 +518,12 @@ class TimingProcessor(_LaunchedProcessor):
             ):
                 if pause_at is not None and clock.now - start >= pause_at:
                     break
-                issued = self.tick()
-                if issued is None:  # a wrapper dropped the report: count
-                    before, retired = retired, self.total_instructions
-                    issued = ISSUED if retired != before else NOT_ISSUED
+                self.tick()
+                issued = self._issued
                 cycle = clock.now - start
                 if cycle >= max_cycles:
-                    raise SimulationLimitExceeded(
-                        "cycles", max_cycles, self.total_instructions, cycle
-                    )
+                    retired = self.total_instructions
+                    raise SimulationLimitExceeded("cycles", max_cycles, retired, cycle)
                 # ``>=`` mirrors the functional Processor's budget semantics,
                 # so LaunchOptions(max_instructions=N) behaves identically on
                 # both driver families.

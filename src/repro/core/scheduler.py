@@ -158,6 +158,10 @@ class WavefrontScheduler(Stateful):
 
     # -- selection -------------------------------------------------------------------
 
+    def _schedulable_mask(self) -> int:
+        """Schedulable wavefronts (each policy inlines it: one call a select)."""
+        return self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
+
     def _select_round_robin(self) -> int | None:
         """The hierarchical two-level policy: wavefronts are drained from the
         visible mask one per cycle; when it is empty it is refilled from the
@@ -268,5 +272,4 @@ class WavefrontScheduler(Stateful):
     @property
     def all_stalled(self) -> bool:
         """True when wavefronts exist but none can be scheduled."""
-        ready = self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps
-        return self.active_mask != 0 and ready == 0
+        return self.active_mask != 0 and self._schedulable_mask() == 0

@@ -28,6 +28,7 @@ from typing import Any, NamedTuple
 
 from repro.cache.cache import CacheResponse, NonBlockingCache, Receipt, RequestGroup
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
+from repro.common.clock import NEVER
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, COPY, SORTED_SET, VALUE, Codec, Stateful
@@ -46,9 +47,6 @@ BRANCH_PENALTY = 2
 _IBUFFER_STALL = {"reason": "ibuffer"}
 _SCOREBOARD_STALL = {"reason": "scoreboard"}
 
-#: "No such cycle": the horizon of an empty set of future events.
-_NEVER = 1 << 62
-
 #: What :meth:`TimingCore.tick` reports: no warp issued; a warp issued; a warp
 #: issued an instruction that neither redirects nor is SFU, so it is ready,
 #: active, off any barrier and fetched next cycle (an event at ``now + 1``).
@@ -56,8 +54,7 @@ NOT_ISSUED, ISSUED, READY_NEXT = 0, 1, 2
 
 
 class _IssueRecord(NamedTuple):
-    """What the issue stage reads of the instruction at one PC
-    (:meth:`TimingCore._issue_record`)."""
+    """What the issue stage reads of the instruction at one PC."""
 
     registers: int  # scoreboard mask of the registers it reads and writes
     timed: bool  # memory or ``tex``, SFU, or a multi-cycle writeback
@@ -361,7 +358,7 @@ class TimingCore(Stateful):
         """Recompute the three scheduler masks and the cycle they hold until."""
         active_mask = stalled_mask = barrier_mask = 0
         cycle = self.clock.now
-        valid_until = _NEVER
+        valid_until = NEVER
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch
         for warp in self.func.warps:
@@ -409,27 +406,25 @@ class TimingCore(Stateful):
     # -- per-cycle operation ----------------------------------------------------------------
 
     def tick(self) -> int:
-        """Run the core's device cycle ``clock.now``: its I$, D$ and
-        scratchpad tick first (the shared levels below ticked before the
-        core), each only when it has a response due or a port map to clear —
-        all its ``tick()`` does.  Returns :data:`NOT_ISSUED`, :data:`ISSUED`
-        or :data:`READY_NEXT`."""
+        """Run the core's device cycle ``clock.now``: its I$, D$ and scratchpad
+        tick first, each from its ``wake`` cycle on (the shared levels below
+        ticked before the core).  Returns ``NOT_ISSUED``/``ISSUED``/``READY_NEXT``."""
         now = self.clock.now
         if self._writebacks:
             self._process_writebacks()
         icache, dcache, smem = self.icache, self.dcache, self.smem
-        if icache._accepts_this_cycle or now in icache._due:
+        if icache.wake <= now:
             for response in icache.tick():  # an ifetch's: ("ifetch", warp, line)
                 _, warp_id, line_address = response.tag
                 self._warm_ilines.add(line_address)
                 if self._pending_ifetch.get(warp_id) == line_address:
                     del self._pending_ifetch[warp_id]
                     self._masks_valid_until = 0
-        if dcache._accepts_this_cycle or now in dcache._due:
+        if dcache.wake <= now:
             responses = dcache.tick()
             if responses:
                 self._process_dcache_responses(responses)
-        if smem._accepts_this_cycle or smem._pending:
+        if smem.wake <= now:
             self._process_smem_responses(smem.tick())
         if self._ifetch_to_send or self._pending_ops or self._store_queue:
             self._drain_requests()
@@ -685,11 +680,9 @@ class TimingCore(Stateful):
 
         A run is a maximal stretch of consecutive lanes on one cache line
         (and one destination: data cache or scratchpad window); lane order
-        is kept, so flattening the runs gives ``addresses`` back.  Runs once
-        per memory instruction (not per retry attempt), as a plain loop: up
-        to 32 lanes it beats numpy's per-call overhead (1.8–4.8 µs against
-        ~7.5 µs for 8–32 lanes on a 2-CPU host).  Every field stays a Python
-        int, so dict keys, tags and snapshots never see numpy scalars.
+        is kept, so flattening the runs gives ``addresses`` back.  A plain
+        loop (up to 32 lanes it beats numpy's per-call overhead) keeps every
+        field a Python int, so dict keys, tags and snapshots see no numpy scalars.
         """
         line_size = self._dcache_line_size
         num_banks = self._dcache_num_banks

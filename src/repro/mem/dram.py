@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.clock import DeviceClock
+from repro.common.clock import NEVER, DeviceClock
 from repro.common.config import MemoryConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, Codec, Stateful
@@ -78,8 +78,9 @@ class DramModel(Stateful):
     """Fixed-latency, bandwidth-limited memory device."""
 
     STATE = {"_queue": _QUEUE, "perf": CHILD}
-    #: Construction-time timing parameters, and the processor's clock (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock"})
+    #: Construction-time timing parameters, the processor's clock and ``wake``,
+    #: the queue head's ready cycle (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock", "wake"})
     #: The channel of its ``response`` events, as a cache's ``trace_channel``.
     trace_channel = "dram"
 
@@ -87,12 +88,16 @@ class DramModel(Stateful):
         self.config = config or MemoryConfig()
         self.clock = DeviceClock()  # private until the memory subsystem installs the device's
         self._queue: deque[_InFlight] = deque()
+        self.wake = 0  # no tick before it has work: the head request's ready cycle
         self.perf = PerfCounters("dram")
         # Observability (attached by MemorySubsystem.attach_trace): one
         # ``dram`` event per completed response.  Rejections are deliberately
         # *not* traced — the fast-forward skips provably-refused retry storms,
         # and its replayed event stream must match the ticked one exactly.
         self.trace: Any = None
+
+    def after_restore(self) -> None:
+        self.wake = 0
 
     # -- request side -----------------------------------------------------------------
 
@@ -107,6 +112,8 @@ class DramModel(Stateful):
             self.perf.incr("rejected")
             return False
         request.issue_cycle = now = self.clock.now
+        if not self._queue:
+            self.wake = now + self.config.latency
         self._queue.append(_InFlight(request=request, ready_cycle=now + self.config.latency))
         self.perf.incr("writes" if request.is_write else "reads")
         return True
@@ -147,6 +154,7 @@ class DramModel(Stateful):
             budget -= 1
         if self._queue and self._queue[0].ready_cycle <= now and budget == 0:
             self.perf.incr("bandwidth_stalls")
+        self.wake = self._queue[0].ready_cycle if self._queue else NEVER
         return responses
 
     # -- fast-forward ------------------------------------------------------------------

@@ -9,7 +9,9 @@ here to the forms they replaced, kept as test-side oracles:
   lower port reports itself ``blocked``) against lower ports that forward
   lane by lane, on every counter of every level and on the event streams;
 * a write-blocked store queue charged from its lane tallies against the
-  per-run pass over the queue, and the tallies against a recount.
+  per-run pass over the queue, and the tallies against a recount;
+* memory levels ticked only from their ``wake`` cycle on against every
+  level ticked on every cycle.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.trace.bus import TraceBus
 from repro.trace.sinks import MemorySink
 
 from test_cache_hierarchy import forward_lane_by_lane
+from test_golden_counters import MixedSharedGlobalKernel, _smem_counters
 from test_processor_and_drivers import _global_barrier_program
 from test_trace import _local_barrier_program
 
@@ -231,3 +234,58 @@ def test_tally_charge_equals_the_per_run_pass(geometry, l2_busy, stores, loads, 
     fresh.restore(processor.snapshot())
     assert _tallies(fresh.cores[0]) == kept
 
+
+
+# -- quiet levels: ticked from their wake cycle on == ticked every cycle --------------------
+
+
+def _wake_run(kernel, size: int, config: VortexConfig, trace_file, every_cycle: bool):
+    """One traced launch; with ``every_cycle`` each level's ``wake`` is reset
+    before every processor tick, so DRAM, every cache and every scratchpad
+    tick on every ticked cycle."""
+    device = VortexDevice(config, driver=f"simx:trace=jsonl,trace_file={trace_file}")
+    processor = device.driver.processor
+    if every_cycle:
+        memsys = processor.memsys
+        levels = [memsys.dram, *memsys._levels, *(core.smem for core in processor.cores)]
+
+        def tick(real=processor.tick):
+            for level in levels:
+                level.wake = 0
+            real()
+
+        processor.tick = tick
+    run = kernel().run(device, size=size)
+    assert run.passed
+    return (
+        run.report.cycles,
+        processor.counters(),
+        _smem_counters(processor),
+        processor.snapshot(),
+        trace_file.read_bytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel,size,config",
+    [
+        (
+            MixedSharedGlobalKernel, 64,
+            VortexConfig(memory=MemoryConfig(latency=40, bandwidth=1))
+            .with_cache_hierarchy(enable_l2=True, enable_l3=True),
+        ),
+        (
+            KERNELS["sgemm"], 8 * 8,
+            VortexConfig(num_cores=2, memory=MemoryConfig(latency=30, bandwidth=1))
+            .with_cache_hierarchy(enable_l2=True),
+        ),
+    ],
+    ids=["smem-l2-l3", "sgemm-2c-l2"],
+)
+def test_levels_ticked_from_their_wake_equal_every_cycle(kernel, size, config, tmp_path):
+    kept = _wake_run(kernel, size, config, tmp_path / "kept.jsonl", every_cycle=False)
+    every = _wake_run(kernel, size, config, tmp_path / "every.jsonl", every_cycle=True)
+    if kernel is MixedSharedGlobalKernel:
+        assert kept[2]["smem0"]["reads"] > 0  # the scratchpad took part
+    assert kept[1]["l2_0"]["accepted"] > 0
+    assert kept == every
