@@ -32,7 +32,7 @@ overcommitted.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Container, Iterable
 from operator import itemgetter
 from typing import Any
 
@@ -135,6 +135,10 @@ class LowerPort:
         traced levels append each lane's records at ``cycle``, deepest first.
         With nothing traced and no port taken below, ``runs`` goes unread.
         """
+        if self.lower_cache is None and cache.trace is None:  # DRAM refuses every lane
+            if lanes:
+                self.note_skipped_refusal(lanes)
+            return
         levels, port = [cache], self
         while port.lower_cache is not None:
             levels.append(port.lower_cache)
@@ -184,15 +188,6 @@ class LowerPort:
                 level._charge((conflicts + refusals, conflicts, 0, refusals, 0, 0, 0, 0, 0))
         if ends[-1]:
             port.note_skipped_refusal(ends[-1])
-
-    def refusal_horizon(self) -> int | None:
-        """Cycle until which (exclusively) every request is provably refused.
-
-        ``None`` means no guarantee.  Only a full shared queue can promise
-        one: it refuses everything until its next in-order release, which
-        lets the fast-forward treat a retry storm as event-free.
-        """
-        return None
 
 
 class RequestGroup:
@@ -430,7 +425,7 @@ class NonBlockingCache(Stateful):
     def _take(
         self, bank: CacheBank, line: int, addresses: tuple[int, ...], tag: Any, hit: bool
     ) -> bool:
-        """The read accept of :meth:`send`, :meth:`send_batch` and :meth:`repeat`:
+        """The read accept of :meth:`send` and :meth:`send_batch`:
         one record for a run's lanes, touched and scheduled on a hit, else parked
         in the MSHR (False: a new entry found it full).  Counters: the caller's."""
         record = CacheResponse(addresses, False, tag, self.clock.now, hit)
@@ -467,7 +462,10 @@ class NonBlockingCache(Stateful):
         if self.receipt is not None:
             self.receipt.charges.append(tally)
 
-    def send_batch(self, groups: Iterable[Any], budget: int, is_write: bool) -> int:
+    def send_batch(
+        self, groups: Iterable[Any], budget: int, is_write: bool,
+        tallies: tuple[list[int], dict[int, int]] | None = None,
+    ) -> int:
         """Present a cycle's outstanding requests in one call.
 
         ``groups`` are :class:`RequestGroup`-shaped, oldest first.  Each
@@ -510,6 +508,10 @@ class NonBlockingCache(Stateful):
         and one call per group to it with property tests).  A recorded
         :class:`Receipt` takes the tally and the run accepts :meth:`repeat`
         needs.
+
+        ``tallies``, the lanes per bank and per line of a lone write group
+        (kept so), stop the walk where the lower blocks again: the runs not
+        walked come back untouched, charged by :meth:`_blocked_writes`.
         """
         accepts = self._accepts_this_cycle
         banks = self.banks
@@ -543,6 +545,16 @@ class NonBlockingCache(Stateful):
             for index, run in enumerate(requests):
                 if budget <= 0:
                     refused.extend(requests[index:])
+                    break
+                if tallies is not None and lower_full:
+                    rest = requests[index:]
+                    lanes, conflicts = self._blocked_writes(*tallies, refused)
+                    bank_conflicts += conflicts
+                    memq_stalls += lanes - conflicts
+                    if lanes > conflicts or trace is not None:
+                        refusals = (run[0] for run in rest)  # read where lines matter
+                        lower.refuse_writes(self, refusals, lanes - conflicts, cycle)
+                    refused.extend(rest)
                     break
                 if full_banks >= num_banks:
                     # Every bank has all its ports taken and refusals mutate
@@ -699,6 +711,12 @@ class NonBlockingCache(Stateful):
                     refused.append(run)  # goes back as it came
                 elif taken < lanes:
                     refused.append((kept + addresses[done:],) + run[1:])
+                if taken and tallies is not None:
+                    bank_lanes, line_lanes = tallies
+                    bank_lanes[bank_id] -= taken
+                    line_lanes[line] -= taken
+                    if not line_lanes[line]:
+                        del line_lanes[line]
                 group_accepted += taken
             group.to_send = refused
             group.outstanding += group_accepted
@@ -723,40 +741,69 @@ class NonBlockingCache(Stateful):
             self.wake = cycle + 1
         return budget
 
-    def repeat(self, receipt: Receipt) -> bool:
-        """Redo the pass that filled ``receipt`` in a cycle whose pass would read
-        the same (the requester's call): each run takes its lanes again through
-        :meth:`_take`, the port map returns, and the tally is charged with
-        ``attempts``/``bank_conflicts`` less the lanes taken (shorter conflicting
-        tails, in the events too), ``memq_stalls`` handed down; the events are
-        emitted again now.  False once a run keeps ≤ its take."""
-        banks = self.banks
-        events = receipt.events
-        taken = 0
+    def repeat(self, receipt: Receipt, times: int = 1) -> bool:
+        """Redo the pass that filled ``receipt`` in each of the ``times`` cycles
+        up to now, whose passes would read the same (the requester's call):
+        each run takes its lanes again, the port map returns, and the tally is
+        charged with ``attempts``/``bank_conflicts`` less the lanes taken
+        (shorter conflicting tails, in the events too), ``memq_stalls`` handed
+        down; the events are emitted again.  False once a run keeps ≤ its take.
+        Of a hit's records only those answered after now are built (the rest
+        the requester already counted down); a merge parks one per cycle."""
+        now = self.clock.now
+        first = now - times + 1
+        delay = self._response_delay
+        answered = max(first, now - delay + 1)  # a hit taken from here on
+        banks, due = self.banks, self._due
+        taken = receipt.taken
+        merges = []
+        lanes_taken = 0
         again = True
-        for group, index, lanes, hit, tail in receipt.taken:
+        for group, index, lanes, hit, _tail in taken:
             run = group.to_send[index]
-            addresses = run[0]
-            self._take(banks[run[2]], run[1], addresses[:lanes], group.tag, hit)
-            group.to_send[index] = (addresses[lanes:],) + run[1:]
-            group.outstanding += lanes
-            taken += lanes
-            again = again and len(addresses) > 2 * lanes
-            if events:
-                events[tail][2] -= lanes
-        tally = receipt.tally
-        tally[0] -= taken
-        tally[1] -= taken
+            addresses, line, bank_id = run[0], run[1], run[2]
+            if hit:
+                banks[bank_id].touch(line, lanes * times)
+                for cycle in range(answered, now + 1):
+                    offset = (cycle - first) * lanes
+                    record = CacheResponse(
+                        addresses[offset : offset + lanes], False, group.tag, cycle, True
+                    )
+                    record.cycle = ready = cycle + delay
+                    due[ready].append((bank_id, record))
+                group.outstanding += lanes * (now + 1 - answered)
+            else:
+                merges.append((addresses, line, banks[bank_id].mshr, group.tag, lanes))
+                group.outstanding += lanes * times
+            group.to_send[index] = (addresses[lanes * times :],) + run[1:]
+            lanes_taken += lanes
+            again = again and len(addresses) > (times + 1) * lanes
+        for offset in range(times if merges else 0):  # cycle by cycle: heads may share an entry
+            for addresses, line, mshr, tag, lanes in merges:
+                lanes_now = addresses[offset * lanes : (offset + 1) * lanes]
+                record = CacheResponse(lanes_now, False, tag, first + offset, False)
+                mshr.allocate(line, record, lanes)
+        events = receipt.events
+        tally = charged = receipt.tally
+        tally[0] -= lanes_taken * times
+        tally[1] -= lanes_taken * times
+        if times > 1:  # each earlier repeat's conflicting tails ``lanes_taken`` longer
+            charged = [count * times for count in tally]
+            charged[0] += lanes_taken * times * (times - 1) // 2
+            charged[1] += lanes_taken * times * (times - 1) // 2
         self._accepts_this_cycle.update(receipt.accepts)
-        if receipt.accepts and self.wake > self.clock.now:
-            self.wake = self.clock.now + 1
-        self._charge(tally)
+        if receipt.accepts and self.wake > now:
+            self.wake = now + 1
+        self._charge(charged)
         if tally[3]:
-            self.lower.note_skipped_refusal(tally[3])
+            self.lower.note_skipped_refusal(tally[3] * times)
         if events:
-            emit, now = self.trace.emit, self.clock.now
-            for kind, payload, count in events:
-                emit(now, self.trace_core, NO_WARP, self.trace_channel, kind, payload, count)
+            emit, core, channel = self.trace.emit, self.trace_core, self.trace_channel
+            for cycle in range(first, now + 1):
+                for _group, _index, lanes, _hit, tail in taken:
+                    events[tail][2] -= lanes
+                for kind, payload, count in events:
+                    emit(cycle, core, NO_WARP, channel, kind, payload, count)
         return again
 
     def charge_blocked_writes(
@@ -764,23 +811,38 @@ class NonBlockingCache(Stateful):
     ) -> bool:
         """Charge (and trace) write-through ``runs``, ``bank_lanes[bank]`` lanes per
         bank and ``line_lanes[line]`` per line, what :meth:`send_batch` does while
-        ``lower.blocked(True)`` holds: a conflict where the bank has no port for
-        the lane's line, else a refusal handed to :meth:`LowerPort.refuse_writes`.
-        False, charging nothing, where the lower is not blocked."""
+        ``lower.blocked(True)`` holds: :meth:`_blocked_writes`' rule.  False,
+        charging nothing, where the lower is not blocked."""
         lower = self.lower
         if lower is None or not lower.blocked(True):
             return False
-        lanes = sum(bank_lanes)
-        conflicts = 0
-        for bank_id, (line, count) in self._accepts_this_cycle.items():
-            conflicts += bank_lanes[bank_id]
-            if count < self._num_ports:
-                conflicts -= line_lanes.get(line, 0)
+        lanes, conflicts = self._blocked_writes(bank_lanes, line_lanes)
         self._charge((lanes, conflicts, 0, lanes - conflicts, 0, 0, 0, 0, 0))
         if lanes > conflicts or self.trace is not None:
             refused = (run[0] for run in runs)  # read only where the lanes' lines matter
             lower.refuse_writes(self, refused, lanes - conflicts, self.clock.now)
         return True
+
+    def _blocked_writes(
+        self, bank_lanes: list[int], line_lanes: dict[int, int], queued: Iterable[Any] = ()
+    ) -> tuple[int, int]:
+        """``(lanes, conflicts)`` of the write-throughs a blocked lower is not
+        asked for, from their tallies less the ``queued`` runs (already charged):
+        a conflict where the lane's bank has no port for its line this cycle."""
+        accepts = self._accepts_this_cycle
+        num_ports = self._num_ports
+        lanes = sum(bank_lanes)
+        conflicts = 0
+        for bank_id, (line, count) in accepts.items():
+            conflicts += bank_lanes[bank_id]
+            if count < num_ports:
+                conflicts -= line_lanes.get(line, 0)
+        for addresses, line, bank_id, *_ in queued:
+            lanes -= len(addresses)
+            taken = accepts.get(bank_id)
+            if taken is not None and (taken[1] >= num_ports or taken[0] != line):
+                conflicts -= len(addresses)
+        return lanes, conflicts
 
     # -- back-end: fills and responses -------------------------------------------------------
 
@@ -826,14 +888,35 @@ class NonBlockingCache(Stateful):
 
     # -- fast-forward ------------------------------------------------------------------------
 
-    def next_response_cycle(self) -> int | None:
-        """Earliest cycle a response completes (``None`` when idle).
+    def next_response_cycle(self, passing: Container[Any] = ()) -> int | None:
+        """Earliest cycle a response completes (``None`` when idle), passing over
+        the records whose tag is in ``passing``.
 
         Outstanding misses are *not* events here: their fills live in the
         lower level's queue (DRAM or the next cache's due bucket) and are
         reported by that level.
         """
-        return min(self._due, default=None)
+        if not passing:
+            return min(self._due, default=None)
+        return min(
+            (
+                ready for ready, records in self._due.items()
+                if any(record.tag not in passing for _bank_id, record in records)
+            ),
+            default=None,
+        )
+
+    def skip_idle(self, replayed: bool = False) -> list[CacheResponse]:
+        """The fast-forward's jump: clear the port map, wake at the next response,
+        and (``replayed``: a drain repeat's window) pop what fell due inside."""
+        self._accepts_this_cycle.clear()
+        records = []
+        if replayed:
+            now = self.clock.now
+            for ready in [ready for ready in self._due if ready <= now]:
+                records += [record for _bank_id, record in self._due.pop(ready)]
+        self.wake = min(self._due, default=NEVER)
+        return records
 
     # -- statistics -------------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cache.cache import LowerPort, NonBlockingCache
-from repro.common.clock import NEVER, DeviceClock
+from repro.common.clock import DeviceClock
 from repro.common.config import VortexConfig
 from repro.common.perf import PerfCounters
 from repro.common.state import CHILD, Codec, Stateful, child_via
@@ -40,7 +40,7 @@ class _DramPort(LowerPort):
         return self._send(address, True, None)
 
     def _send(self, address: int, is_write: bool, tag: Any) -> bool:
-        if not self.dram.can_accept:  # a full queue is not asked: no request is built
+        if not self.dram.room:  # a full queue is not asked: no request is built
             self.note_skipped_refusal()
             return False
         return self.dram.send(MemRequest(address=address, is_write=is_write, tag=tag))
@@ -49,16 +49,7 @@ class _DramPort(LowerPort):
         self.dram.perf.incr("rejected", count)
 
     def blocked(self, is_write: bool) -> bool:
-        return not self.dram.can_accept
-
-    def refusal_horizon(self) -> int | None:
-        # A full DRAM queue pops nothing before its head's ready cycle, and
-        # it only refills during core drains — so refusal is guaranteed for
-        # every cycle strictly before that head release.
-        dram = self.dram
-        if dram.can_accept:
-            return None
-        return dram.next_event_cycle()
+        return not self.dram.room
 
 
 class _CachePort(LowerPort):
@@ -159,8 +150,8 @@ class MemorySubsystem(Stateful):
         # The shared levels in tick order, lowest first: a fill reaches its
         # cache before that cache ticks, within the cycle.
         self._shared: list[Any] = [self.dram, *l3s, *l2s]
-        # Every cache level, flattened once: the fast-forward event scan and
-        # bulk skip run over this list every cycle-jump decision.
+        # Every cache level, flattened once (the fast-forward's stranded-response
+        # check, counters, checkpoints).
         self._levels: list[NonBlockingCache] = [*self.icaches, *self.dcaches, *l2s, *l3s]
         for component in (self.dram, *self._levels):
             component.clock = self.clock  # one device clock, read by every level
@@ -229,16 +220,16 @@ class MemorySubsystem(Stateful):
     # -- fast-forward ------------------------------------------------------------------
 
     def next_event_cycle(self) -> int | None:
-        """Earliest cycle any memory-side state changes (``None`` = fully idle).
+        """Earliest cycle the shared levels' state changes (``None`` = idle).
 
-        Every in-flight request is visible either as a scheduled bank
-        response at some cache level or as a DRAM queue entry (misses park
-        in an MSHR *and* occupy the lower level's queue), so the minimum
-        over those two families bounds the next fill, replay or response
-        anywhere in the hierarchy.
+        Every in-flight request below the L1s is visible either as a
+        scheduled bank response at a shared cache level or as a DRAM queue
+        entry (misses park in an MSHR *and* occupy the lower level's queue),
+        so the minimum over those two families bounds the next fill, replay
+        or response below the cores; each core reports its own L1s.
         """
         result = self.dram.next_event_cycle()
-        for cache in self._levels:
+        for cache in self._shared[1:]:
             ready = cache.next_response_cycle()
             if ready is not None and (result is None or ready < result):
                 result = ready
@@ -247,17 +238,18 @@ class MemorySubsystem(Stateful):
     def skip_idle(self, cycles: int) -> None:
         """Check the jump of ``cycles`` idle cycles the clock just made.
 
-        The one state a provably idle window moves is each level's bank-port
-        map, which every skipped tick would have cleared, so it is cleared
-        here (each level then wakes at its next response).  A jump past a due
-        response would strand it (:meth:`NonBlockingCache.tick` pops exactly
-        the current cycle's bucket): a caller bug that fails here.
+        Each core has already taken its L1s through the jump; the shared
+        levels' bank-port maps, which every skipped tick would have cleared,
+        are cleared here (each level then wakes at its next response).  A
+        jump past a due response would strand it (:meth:`NonBlockingCache.tick`
+        pops exactly the current cycle's bucket): a caller bug that fails
+        here, at every level.
         """
         now = self.clock.now
+        for cache in self._shared[1:]:
+            cache.skip_idle()
         for cache in self._levels:
-            cache._accepts_this_cycle.clear()
             due = cache.next_response_cycle()
-            cache.wake = NEVER if due is None else due
             if due is not None and due <= now:
                 from repro.core.emulator import EmulationError  # cache sits below core
 

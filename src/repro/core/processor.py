@@ -607,11 +607,21 @@ class TimingProcessor(_LaunchedProcessor):
         return skip if skip > 0 else 0
 
     def _skip_idle(self, cycles: int) -> None:
-        """Advance the whole processor ``cycles`` idle cycles in one jump."""
+        """Advance the whole processor ``cycles`` idle cycles in one jump (the
+        cores take their L1s through it before the memory subsystem checks
+        every level)."""
         self.clock.now += cycles
+        bus = self.trace
+        if bus is not None and any(core._replayed_repeat() for core in self.cores):
+            # A ticked run emits every cycle of a window only drain repeats
+            # skip, unmarked and cycle by cycle across the cores.
+            with bus.in_cycle_order():
+                for core in self.cores:
+                    core.skip_idle(cycles, marked=False)
+        else:
+            for core in self.cores:
+                core.skip_idle(cycles)
         self.memsys.skip_idle(cycles)
-        for core in self.cores:
-            core.skip_idle(cycles)
 
     # -- metrics -------------------------------------------------------------------------
 

@@ -158,6 +158,27 @@ class WavefrontScheduler(Stateful):
 
     # -- selection -------------------------------------------------------------------
 
+    def stalls_ahead(self, ready: int, stalls: int) -> int:
+        """How many selects in a row pick a wavefront of ``stalls`` while the
+        schedulable mask stays ``ready`` (with one outside ``stalls``), worked
+        out without selecting; 0 under the policies other than round-robin
+        (loose round-robin picks as a visible set drained and refilled would)."""
+        two_level = self.policy == "round-robin"
+        if not two_level and self.policy != "loose-round-robin":
+            return 0
+        visible = self.visible_mask & ready if two_level else 0
+        last, picks = self._last_selected, 0
+        while True:
+            visible = visible or ready
+            start = 0 if last is None else (last + 1) % self.num_warps
+            ahead = visible >> start
+            first = ahead or visible
+            last = (first & -first).bit_length() - 1 + (start if ahead else 0)
+            if not (stalls >> last) & 1:
+                return picks
+            visible &= ~(1 << last)
+            picks += 1
+
     def _schedulable_mask(self) -> int:
         """Schedulable wavefronts (each policy inlines it: one call a select)."""
         return self.active_mask & ~(self.stalled_mask | self.barrier_mask) & self._all_warps

@@ -24,7 +24,7 @@ from the scheduler, scoreboard, latencies and the cache/memory system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, ClassVar, NamedTuple
 
 from repro.cache.cache import CacheResponse, NonBlockingCache, Receipt, RequestGroup
 from repro.cache.sharedmem import SHARED_MEM_BASE, SharedMemory
@@ -84,9 +84,16 @@ class _PendingMemOp:
     to_send: list[tuple[Any, ...]] = field(default_factory=list)
     outstanding: int = 0
     extra_latency: int = 0
+    #: The tag the op's responses come back with.
+    tag: tuple[str, int] = field(init=False)
 
-    #: The request tag the op's responses come back with.
-    tag = property(lambda op: ("op", op.op_id))
+    #: The fields travel in the core's ``_PENDING_OPS`` codec, all but the
+    #: derived ``tag`` (vxlint VX007).
+    STATE: ClassVar[dict[str, Codec]] = {}
+    SNAPSHOT_EXCLUDED: ClassVar[frozenset[str]] = frozenset({"tag"})
+
+    def __post_init__(self) -> None:
+        self.tag = ("op", self.op_id)
 
 
 def _lanes_of(runs: list[tuple[Any, ...]]) -> list[list[Any]]:
@@ -121,13 +128,16 @@ _STORE_QUEUE = Codec(
     lambda core, runs, refs: _lanes_of(runs),
     lambda core, lanes, runs, refs: _runs_of(core, lanes),
 )
+def _op_payload(op: _PendingMemOp) -> dict:
+    payload = {**vars(op), "to_send": _lanes_of(op.to_send)}
+    del payload["tag"]
+    return payload
+
+
 #: Waiting loads as an ordered list: op ids are allocated monotonically, so
 #: list order reproduces the oldest-first drain order exactly.
 _PENDING_OPS = Codec(
-    lambda core, ops, refs: [
-        {**vars(op), "to_send": _lanes_of(op.to_send)} for op in ops.values()
-    ],
-    _restore_pending_ops,
+    lambda core, ops, refs: [_op_payload(op) for op in ops.values()], _restore_pending_ops
 )
 #: A list of tuples, as lists.
 _ROWS = Codec(
@@ -318,18 +328,24 @@ class TimingCore(Stateful):
 
     def _recount_stores(self) -> None:
         """Count the store queue's lanes: to the scratchpad, and to the data
-        cache per bank and per line."""
+        cache per bank and per line (the store paths keep them so)."""
         self._store_smem_lanes = 0
-        self._store_bank_lanes = bank_lanes = [0] * self._dcache_num_banks
+        self._store_bank_lanes = [0] * self._dcache_num_banks
         self._store_line_lanes: dict[int, int] = {}
-        line_lanes = self._store_line_lanes
-        for addresses, line, bank, to_smem in self._store_queue:
-            lanes = len(addresses)
+        self._tally_stores(self._store_queue)
+
+    def _tally_stores(self, runs: list[tuple[Any, ...]], sign: int = 1) -> None:
+        """Add (``sign`` -1: take away) the lanes of store ``runs``."""
+        bank_lanes, line_lanes = self._store_bank_lanes, self._store_line_lanes
+        for addresses, line, bank, to_smem in runs:
+            lanes = sign * len(addresses)
             if to_smem:
                 self._store_smem_lanes += lanes
             else:
                 bank_lanes[bank] += lanes
                 line_lanes[line] = line_lanes.get(line, 0) + lanes
+                if not line_lanes[line]:
+                    del line_lanes[line]
 
     # -- helpers -------------------------------------------------------------------------
 
@@ -562,7 +578,7 @@ class TimingCore(Stateful):
         if memo is not None:
             key, receipt = memo
             if (
-                key == (dcache.epoch, self._drain_epoch, self._dram.can_accept)
+                key == (dcache.epoch, self._drain_epoch, self._dram.room > 0)
                 and not self._ifetch_to_send
                 and not dcache._accepts_this_cycle
             ):
@@ -576,7 +592,7 @@ class TimingCore(Stateful):
             dcache._accepts_this_cycle or self._smem_ops or self._store_smem_lanes
         ):  # a pass that starts clean records what a repeat needs
             receipt = dcache.receipt = Receipt()
-            start = (dcache.epoch, dram.pending)
+            start = (dcache.epoch, dram.room)
         # Instruction-cache fills first (front end priority).
         if self._ifetch_to_send:
             still_waiting: list[tuple[int, int]] = []
@@ -608,15 +624,19 @@ class TimingCore(Stateful):
                 budget = self.dcache.send_batch(batch, budget, False)
         if budget > 0 and self._store_queue:
             # A pass the blocked lower port refuses whole is charged from the
-            # tallies; the queue it would rebuild comes back unchanged.
-            if self._store_smem_lanes or not self.dcache.charge_blocked_writes(
-                self._store_bank_lanes, self._store_line_lanes, self._store_queue
-            ):
-                stores = RequestGroup(self._store_queue)
-                self._send_batch_segments(stores, budget, True)
+            # tallies; one that finds room walks until the lower blocks again.
+            queue, tallies = self._store_queue, (self._store_bank_lanes, self._store_line_lanes)
+            if self._store_smem_lanes or not dcache.charge_blocked_writes(*tallies, queue):
+                stores = RequestGroup(queue)
+                if self._store_smem_lanes:
+                    self._send_batch_segments(stores, budget, True)
+                    if stores.outstanding:
+                        self._tally_stores(queue, -1)
+                        self._tally_stores(stores.to_send)
+                else:
+                    dcache.send_batch((stores,), budget, True, tallies)
                 if stores.outstanding:  # else every lane is back, in order
                     self._store_queue = stores.to_send
-                    self._recount_stores()
         if receipt is not None:
             dcache.receipt = None
             if receipt.charges:
@@ -627,22 +647,22 @@ class TimingCore(Stateful):
         just made, trace events included, if it started with no D$ port taken
         and no scratchpad lane pending (only such a pass records a receipt)
         and something was charged (an idle pass is cheaper than its repeat);
-        it left no ifetch; the D$ epoch and DRAM queue length (``start``)
-        held — only counted refusals went below; the loads left ``budget`` (no
-        run was cut short); and every accept was a read hit or merge a repeat
-        can redo (so no write-through)."""
+        it left no ifetch; the D$ epoch and DRAM room (``start``) held — only
+        counted refusals went below; the loads left ``budget`` (no run was
+        cut short); and every accept was a read hit or merge a repeat can
+        redo (so no write-through)."""
         dcache = self.dcache
-        epoch, queued = start
+        epoch, room = start
         if (
             not self._ifetch_to_send
             and dcache.epoch == epoch
             and budget > 0
             and None not in receipt.taken
-            and self._dram.pending == queued
+            and self._dram.room == room
         ):
             receipt.tally = [sum(counts) for counts in zip(*receipt.charges)]
             receipt.accepts = dict(dcache._accepts_this_cycle)
-            self._repeat = ((epoch, self._drain_epoch, self._dram.can_accept), receipt)
+            self._repeat = ((epoch, self._drain_epoch, room > 0), receipt)
 
     def _send_batch_segments(self, group: Any, budget: int, is_write: bool) -> int:
         """Send a request group through the per-destination batch paths, one
@@ -809,7 +829,7 @@ class TimingCore(Stateful):
             self.scheduler.note_memory_issue(warp.warp_id, to_send[0][1])
         if kind == "store":
             self._store_queue.extend(to_send)
-            self._recount_stores()
+            self._tally_stores(to_send)
             self._counters["stores"] += len(addresses)
             return
 
@@ -847,125 +867,157 @@ class TimingCore(Stateful):
 
     # -- fast-forward -----------------------------------------------------------------------------
 
-    def _warp_would_stall(self, warp: Any) -> bool:
-        """True when issuing ``warp`` now would only charge a scoreboard stall.
-
-        Mirrors the front half of :meth:`_issue`: the wavefront must be
-        func-schedulable (a selected all-masked warp does nothing — and
-        charges nothing), its instruction line must be warm (a cold line
-        starts an ifetch — a state change) and the hazard check must hit (a
-        miss executes the instruction).  While this holds and nothing else
-        changes, each tick selects the warp and increments
-        ``scoreboard_stalls`` — a deterministic pattern :meth:`skip_idle`
-        can replay in bulk.
-        """
-        pc = warp.pc
-        if not warp.schedulable or pc // self._icache_line_size not in self._warm_ilines:
+    def _sends_pending(self) -> bool:
+        """A drain would send or retry, and it is no pure refusal storm (only
+        data-cache stores queued, the DRAM queue full)."""
+        for op in self._pending_ops.values():
+            if op.to_send:
+                return True
+        if not self._store_queue:
             return False
-        record = self._issue_records.get(pc)
-        if record is None:
-            try:
-                record = self._issue_record(pc)
-            except Exception:
-                return False  # the issue raises: not a stall
-        return self.scoreboard.any_busy(warp.warp_id, record.registers)
+        dram = self._dram  # (a scratchpad store would be accepted)
+        return dram is None or dram.room > 0 or self._store_smem_lanes > 0
+
+    def _replayed_repeat(self) -> Receipt | None:
+        """The receipt of the live drain memo the fast-forward replays, where
+        no other rule skips the sends; else None."""
+        memo = self._repeat
+        if memo is None or not self._sends_pending():
+            return None
+        key, receipt = memo
+        live = key == (self.dcache.epoch, self._drain_epoch, self._dram.room > 0)
+        return receipt if live else None
 
     def next_event_cycle(self) -> int | None:
         """Earliest cycle at which this core does real work (``None`` = idle).
 
         Used by the processor's event-driven fast-forward: when every core
         and the memory subsystem report an event strictly beyond cycle
-        ``C + 1``, the cycles in between are provably stall ticks.  Any
-        pending send forces an event next cycle (retry attempts increment
-        perf counters every tick), and a schedulable warp that would
-        actually issue likewise executes next cycle.  A schedulable warp
-        that would merely charge a scoreboard stall is *not* an event: its
-        unblocking writeback/response is, and until then each tick's
-        select-and-stall is replayed exactly by :meth:`skip_idle`.
+        ``C + 1``, :meth:`skip_idle` replays the cycles in between.  A warp
+        that would issue is an event; one whose issue would only stall is
+        not (its writeback or response is), nor are the core's I$ and D$
+        responses.  Pending sends are an event next cycle (retries charge
+        counters and may be accepted) except in a pure refusal storm (see
+        :meth:`_sends_pending`; its end is the DRAM release) and an armed
+        drain repeat (:meth:`_replayed_repeat`).  A repeat runs until a D$
+        response would complete an op (one with nothing left to send), the
+        memo ends, or the scheduler picks a warp that issues; a DRAM release,
+        the other end, moves the memo's key.
         """
         cycle = self.clock.now
         if self._ifetch_to_send:
             return cycle + 1
-        for op in self._pending_ops.values():
-            if op.to_send:
+        receipt = None
+        if self._sends_pending():
+            memo = self._repeat  # live as :meth:`_replayed_repeat` reads it, without the call
+            if memo is None or memo[0] != (
+                self.dcache.epoch, self._drain_epoch, self._dram.room > 0
+            ):
                 return cycle + 1
-        if self._store_queue:
-            # Pending stores normally force an event next cycle (every retry
-            # attempt charges counters *and* may be accepted).  The exception
-            # is a pure refusal storm: all entries target the data cache and
-            # its lower queue is provably full until some later cycle — then
-            # each tick's drain refuses the whole queue with a constant
-            # counter delta that :meth:`skip_idle` replays in bulk, and the
-            # queue's release (the DRAM head pop) is already an event in the
-            # memory subsystem's scan.
-            horizon = self.dcache.lower.refusal_horizon()  # a write needs the level below
-            if horizon is None or horizon <= cycle + 1 or self._store_smem_lanes:
-                return cycle + 1  # (a scratchpad store would be accepted)
-        result: int | None = None
+            receipt = memo[1]
+        # Writebacks, responses and the repeat's end first: cheaper than the warps.
+        soon, result = cycle + 1, None
+        for ready, _warp_id, _rd, _rd_float in self._writebacks:
+            if ready <= soon:
+                return soon
+            if result is None or ready < result:
+                result = ready
+        if receipt is None:
+            due = self.dcache.next_response_cycle()
+        else:  # the first D$ answer that can complete an op, and the repeats left
+            counting = {op.tag for op in self._pending_ops.values() if op.to_send}
+            counting.add(None)  # a store's
+            due = self.dcache.next_response_cycle(counting)
+            for group, index, lanes, _hit, _tail in receipt.taken:
+                end = soon + (len(group.to_send[index][0]) - 1) // lanes
+                if result is None or end < result:
+                    result = end
+        for ready in (due, self.icache.next_response_cycle(), self.smem.next_response_cycle()):
+            if ready is not None and (result is None or ready < result):
+                result = ready
+        if result is not None and result <= soon:
+            return soon
         ready_cycles = self._warp_ready_cycle
         pending_ifetch = self._pending_ifetch
+        records, warm, busy = self._issue_records, self._warm_ilines, self.scoreboard._busy
+        ready = stalls = 0  # schedulable wavefronts, and those a select only stalls
         for warp in self.func.warps:
             if not warp.active or warp.at_barrier or warp.warp_id in pending_ifetch:
                 continue
             wake = ready_cycles[warp.warp_id]
             if wake <= cycle:
-                if not self._warp_would_stall(warp):
+                # Its issue only stalls where a lane is on, the line is warm
+                # (else an ifetch starts) and the hazard check hits (else it
+                # executes, or raises).
+                bit, pc, record = 1 << warp.warp_id, warp.pc, None
+                ready |= bit
+                if warp.active_count and pc // self._icache_line_size in warm:
+                    record = records.get(pc)
+                    if record is None:
+                        try:
+                            record = self._issue_record(pc)
+                        except Exception:
+                            pass
+                if record is not None and busy[warp.warp_id] & record.registers:
+                    stalls |= bit
+                elif receipt is None:
                     return cycle + 1
                 continue
             if result is None or wake < result:
                 result = wake
-        for ready, _warp_id, _rd, _rd_float in self._writebacks:
-            wake = ready if ready > cycle else cycle + 1
-            if result is None or wake < result:
-                result = wake
-        smem_ready = self.smem.next_response_cycle()
-        if smem_ready is not None:
-            wake = smem_ready if smem_ready > cycle else cycle + 1
-            if result is None or wake < result:
-                result = wake
+        if ready != stalls:  # a repeat window ends where a wavefront that issues is picked
+            picked = cycle + 1 + self.scheduler.stalls_ahead(ready, stalls)
+            if result is None or picked < result:
+                result = picked
         return result
 
-    def skip_idle(self, cycles: int) -> None:
-        """Advance ``cycles`` provably event-free cycles in one jump.
+    def skip_idle(self, cycles: int, marked: bool = True) -> None:
+        """Advance ``cycles`` cycles :meth:`next_event_cycle` found replayable
+        in one jump; the processor has already moved the clock past them.
 
-        Equivalent to ``cycles`` ticks in which nothing is sent and nothing
-        completes; the processor has already moved the clock past them.  The
-        scheduler interaction of each skipped tick is replayed for real: if
-        any wavefront is schedulable it is — provably, per
-        :meth:`next_event_cycle` — scoreboard-blocked, so every tick selects
-        one wavefront (mutating the policy's selection state exactly as a
-        ticked run would) and charges one ``scoreboard_stalls``; otherwise
-        every tick is a scheduler-idle cycle.
+        The L1s leave it with cleared port maps, except where the drain
+        repeat is replayed (``NonBlockingCache.repeat``, all ``cycles`` at
+        once; the D$ responses due inside only count ``outstanding`` down).
+        A pure refusal storm charges each cycle's whole-queue refusal.  Each
+        skipped tick's select is replayed for real: if any wavefront is
+        schedulable, every tick picks one whose issue stalls (the policy's
+        state moves as in a ticked run) and charges ``scoreboard_stalls``;
+        otherwise every tick is a scheduler-idle cycle.
 
-        With tracing on, a synthesized ``core/skip`` marker stamps the
-        window and the per-cycle scheduler/refusal events are emitted
-        exactly as the ticked path would have — the refusals through the
-        drain's own :meth:`~repro.cache.cache.LowerPort.refuse_writes`, one
-        cycle at a time, over port maps the memory subsystem's skip left
-        empty — so ``expand_skips`` on the resulting stream reproduces a
-        cycle-by-cycle ``tick()`` trace bit for bit.
+        With tracing on, a synthesized ``core/skip`` marker stamps the window
+        (where ``marked``: a window only the drain repeat skips has none) and
+        the per-cycle drain and scheduler events are emitted exactly as the
+        ticked path would have — refusals through the drain's own
+        :meth:`~repro.cache.cache.LowerPort.refuse_writes`, one cycle at a
+        time, over the port maps the jump left empty — so ``expand_skips`` on
+        the resulting stream reproduces a cycle-by-cycle ``tick()`` trace bit
+        for bit.
         """
         base = self.clock.now - cycles
         counters = self._counters
         trace = self.trace
-        if trace is not None:
+        if trace is not None and marked:
             trace.emit(base + 1, self.core_id, NO_WARP, "core", "skip", {"cycles": cycles})
-        if self._store_queue:
-            # Pending stores only survive into a skip as a pure refusal storm
-            # (per :meth:`next_event_cycle`): every skipped tick re-attempts
-            # the whole queue against a provably full lower queue.  Banks are
-            # port-free at the start of each fresh cycle and nothing else
-            # accepts inside the window, so no entry ever charges a bank
-            # conflict — every attempt is a lower-level refusal.
-            dcache = self.dcache
+        receipt = self._replayed_repeat()
+        dcache = self.dcache
+        self.icache.skip_idle()
+        responses = dcache.skip_idle(receipt is not None)
+        if receipt is not None:
+            self._process_dcache_responses(responses)
+            if not dcache.repeat(receipt, cycles):
+                self._repeat = None
+        elif self._store_queue:
+            # Banks are port-free at the start of each fresh cycle and nothing
+            # else accepts inside the window, so every attempt is a refusal.
             lanes = sum(self._store_bank_lanes)
-            dcache.perf.incr("attempts", lanes * cycles)
-            dcache.perf.incr("memq_stalls", lanes * cycles)
+            dcache._counters["attempts"] += lanes * cycles
+            dcache._counters["memq_stalls"] += lanes * cycles
             queue, span = self._store_queue, cycles if trace is None else 1
             for start in range(base + 1, base + 1 + cycles, span):  # traced: cycle by cycle
                 runs = (run[0] for _cycle in range(span) for run in queue)
                 dcache.lower.refuse_writes(dcache, runs, lanes * span, start)
-        self._sync_scheduler_masks()
+        if self.clock.now >= self._masks_valid_until:
+            self._sync_scheduler_masks()
         scheduler = self.scheduler
         if scheduler.active_mask & ~scheduler.stalled_mask & ~scheduler.barrier_mask:
             select = scheduler.select

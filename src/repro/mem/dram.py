@@ -78,9 +78,10 @@ class DramModel(Stateful):
     """Fixed-latency, bandwidth-limited memory device."""
 
     STATE = {"_queue": _QUEUE, "perf": CHILD}
-    #: Construction-time timing parameters, the processor's clock and ``wake``,
-    #: the queue head's ready cycle (vxlint VX007).
-    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock", "wake"})
+    #: Construction-time timing parameters, the processor's clock, ``wake``
+    #: (the queue head's ready cycle) and ``room`` (the queue's free slots)
+    #: (vxlint VX007).
+    SNAPSHOT_EXCLUDED = frozenset({"config", "trace", "clock", "wake", "room"})
     #: The channel of its ``response`` events, as a cache's ``trace_channel``.
     trace_channel = "dram"
 
@@ -89,32 +90,38 @@ class DramModel(Stateful):
         self.clock = DeviceClock()  # private until the memory subsystem installs the device's
         self._queue: deque[_InFlight] = deque()
         self.wake = 0  # no tick before it has work: the head request's ready cycle
+        #: Free request-queue slots: what the caches' drains read of DRAM.
+        self.room = self.config.request_queue_size
         self.perf = PerfCounters("dram")
         # Observability (attached by MemorySubsystem.attach_trace): one
         # ``dram`` event per completed response.  Rejections are deliberately
-        # *not* traced — the fast-forward skips provably-refused retry storms,
-        # and its replayed event stream must match the ticked one exactly.
+        # *not* traced: a refusal changes nothing here, and the caches above
+        # charge refusals of a full queue as counts (tally charges, drain
+        # repeats, the fast-forward's replays), so a traced and an untraced
+        # run take the same paths.
         self.trace: Any = None
 
     def after_restore(self) -> None:
         self.wake = 0
+        self.room = self.config.request_queue_size - len(self._queue)
 
     # -- request side -----------------------------------------------------------------
 
     @property
     def can_accept(self) -> bool:
         """True when the request queue has room this cycle."""
-        return len(self._queue) < self.config.request_queue_size
+        return self.room > 0
 
     def send(self, request: MemRequest) -> bool:
         """Queue a request; returns False when the queue is full."""
-        if not self.can_accept:
+        if not self.room:
             self.perf.incr("rejected")
             return False
         request.issue_cycle = now = self.clock.now
         if not self._queue:
             self.wake = now + self.config.latency
         self._queue.append(_InFlight(request=request, ready_cycle=now + self.config.latency))
+        self.room -= 1
         self.perf.incr("writes" if request.is_write else "reads")
         return True
 
@@ -155,6 +162,7 @@ class DramModel(Stateful):
         if self._queue and self._queue[0].ready_cycle <= now and budget == 0:
             self.perf.incr("bandwidth_stalls")
         self.wake = self._queue[0].ready_cycle if self._queue else NEVER
+        self.room += self.config.bandwidth - budget
         return responses
 
     # -- fast-forward ------------------------------------------------------------------

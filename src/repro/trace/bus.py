@@ -30,8 +30,12 @@ call sites share one payload object between events, encoded once per batch.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Protocol
 
+from repro.common.clock import NEVER
 from repro.trace.events import CHANNELS, TraceRecord
 
 
@@ -71,6 +75,7 @@ class TraceBus:
         )
         self._pending: list[TraceRecord] = []
         self._flushed = 0
+        self._flush_at = self.FLUSH_EVENTS
 
     @property
     def events_emitted(self) -> int:
@@ -103,7 +108,7 @@ class TraceBus:
             pending.append(record)
         else:
             pending += [record] * count
-        if len(pending) >= self.FLUSH_EVENTS:
+        if len(pending) >= self._flush_at:
             self.flush()
 
     def emit_pattern(self, records: list[TraceRecord], count: int = 1) -> None:
@@ -111,8 +116,22 @@ class TraceBus:
         channels it :meth:`wants`: lanes that emit the same events, in one append."""
         pending = self._pending
         pending += records * count
-        if len(pending) >= self.FLUSH_EVENTS:
+        if len(pending) >= self._flush_at:
             self.flush()
+
+    @contextmanager
+    def in_cycle_order(self) -> Iterator[None]:
+        """Hold what is emitted inside, then sort it by cycle (stably): emitters
+        that replay one window in turn, each cycle by cycle, leave the order
+        in which ticking through the window emits."""
+        mark, self._flush_at = len(self._pending), NEVER
+        try:
+            yield
+        finally:
+            self._flush_at = self.FLUSH_EVENTS
+            self._pending[mark:] = sorted(self._pending[mark:], key=itemgetter(0))
+            if len(self._pending) >= self._flush_at:
+                self.flush()
 
     def flush(self) -> None:
         """Hand the pending records to every sink (one batch each)."""

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import LowerPort
+from repro.cache.cache import LowerPort, RequestGroup
 from repro.cache.hierarchy import MemorySubsystem, _CachePort, _DramPort
 from repro.common.config import CacheConfig, MemoryConfig, VortexConfig
+from repro.mem.dram import MemRequest
 from repro.trace.bus import TraceBus
 from repro.trace.sinks import MemorySink
 
@@ -271,4 +272,77 @@ def test_refused_writes_follow_the_lane_by_lane_walk(geometry, l3, taken, stores
     taken by same- or other-line reads."""
     bulk = _refused_store_cycle(geometry, l3, taken, stores, traced, False)
     walk = _refused_store_cycle(geometry, l3, taken, stores, traced, True)
+    assert bulk == walk
+
+
+# -- a store pass that finds room walks only until the lower blocks again --------------------
+
+
+def _tallies_of(runs):
+    """Lanes per bank and per line of D$ runs, as the timing core keeps them."""
+    bank_lanes, line_lanes = [0] * 4, {}
+    for addresses, line, bank, _ in runs:
+        bank_lanes[bank] += len(addresses)
+        line_lanes[line] = line_lanes.get(line, 0) + len(addresses)
+    return bank_lanes, line_lanes
+
+
+def _store_pass(geometry, l2, queued, taken, stores, budget, traced, lane_by_lane):
+    """One store pass over ``stores`` (as D$ runs, with their tallies) after
+    reads of the warm ``taken`` addresses took D$ ports, against a DRAM queue
+    of ``geometry``'s size already holding ``queued`` requests.  Every level's
+    counters, the group and tallies it leaves, and (``traced``) its events."""
+    queue_size, num_ports = geometry
+    config = VortexConfig(
+        enable_l2=l2,
+        dcache=CacheConfig(size=16 * 1024, num_banks=4, num_ports=num_ports),
+        memory=MemoryConfig(latency=20, bandwidth=1, request_queue_size=queue_size),
+    )
+    memsys = MemorySubsystem(config)
+    dcache = memsys.dcache(0)
+    for address in taken:
+        dcache.fill(address // 64)
+    memsys.clock.now += 1
+    for _ in range(min(queued, queue_size)):
+        memsys.dram.send(MemRequest(address=0, is_write=True))
+    sink = MemorySink()
+    bus = TraceBus([sink])
+    memsys.attach_trace(bus if traced else None)
+    for address in taken:
+        dcache.send(address, tag="hit")
+    group = RequestGroup(_runs_for(stores, (), 64, 4))
+    tallies = _tallies_of(group.to_send)
+    with ExitStack() as stack:
+        if lane_by_lane:  # forward_lane_by_lane, for one call
+            for port in (_DramPort, _CachePort):
+                stack.enter_context(mock.patch.object(port, "blocked", LowerPort.blocked))
+        left = dcache.send_batch((group,), budget, True, tallies)
+    assert tallies == _tallies_of(group.to_send)  # kept by subtraction
+    bus.flush()
+    return memsys.counters(), group.to_send, group.outstanding, left, sink.events
+
+
+_store_addresses = st.integers(0, 63).map(lambda word: 0x4000 + word * 8)  # 8 lines, 4 banks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.tuples(st.integers(1, 4), st.sampled_from([1, 2])),
+    l2=st.booleans(),
+    queued=st.integers(0, 4),
+    taken=st.lists(_store_addresses, max_size=3),
+    stores=st.lists(_store_addresses, min_size=1, max_size=24),
+    budget=st.integers(1, 32),
+    traced=st.booleans(),
+)
+def test_store_pass_stops_where_the_lower_blocks(
+    geometry, l2, queued, taken, stores, budget, traced
+):
+    """Property: a store pass with the queue's tallies walks until the lower
+    blocks again and charges the runs it did not walk from the tallies less
+    the walked runs still queued — what the lane-by-lane walk of ``send``
+    calls charges, traces and leaves queued, behind DRAM or an L2, with
+    DRAM queues of one to four entries, room or none, and ports taken."""
+    bulk = _store_pass(geometry, l2, queued, taken, stores, budget, traced, False)
+    walk = _store_pass(geometry, l2, queued, taken, stores, budget, traced, True)
     assert bulk == walk

@@ -14,7 +14,10 @@ a traced run makes the untraced run's passes, repeats and tally charges.
 from __future__ import annotations
 
 import filecmp
+import hashlib
+import io
 
+import numpy as np
 import pytest
 from test_golden_counters import SCENARIOS, _retry_wall
 
@@ -24,6 +27,7 @@ from repro.kernels import KERNELS
 from repro.runtime.device import VortexDevice
 from repro.runtime.registry import register_driver
 from repro.runtime.simx import SimxDriver
+from repro.trace.sinks import JsonlSink
 
 
 class NeverArmedCore(TimingCore):
@@ -169,8 +173,9 @@ def test_snapshots_inside_repeat_windows_equal_never_armed(kernel, size):
 
 
 def test_store_storm_repeats_most_drains():
-    """On the retry-wall saxpy, most drains repeat: at least three drains
-    for every ``send_batch`` call the armed core makes."""
+    """On the retry-wall saxpy, most drains repeat: at least three drains —
+    ticked, or repeats the fast-forward replays — for every ``send_batch``
+    call the armed core makes."""
     device, program, kernel, context = _staged("simx", KERNELS["saxpy"], 512, _retry_wall())
     core = device.driver.processor.cores[0]
     calls = {"drains": 0, "send_batch": 0}
@@ -182,8 +187,149 @@ def test_store_storm_repeats_most_drains():
 
         return counted
 
+    def replaying(receipt, times=1, repeat=core.dcache.repeat):
+        calls["drains"] += replayed[0] * times  # a ticked repeat's drain counts itself
+        return repeat(receipt, times)
+
+    def skipping(cycles, skip_idle=core.skip_idle):
+        replayed[0] = 1
+        skip_idle(cycles)
+        replayed[0] = 0
+
+    replayed = [0]
     core._drain_requests = counting("drains", core._drain_requests)
     core.dcache.send_batch = counting("send_batch", core.dcache.send_batch)
+    core.dcache.repeat = replaying
+    core.skip_idle = skipping
     device.driver.run(program.entry)
     assert kernel.verify(device, context)
     assert calls["drains"] >= 3 * calls["send_batch"] > 0, calls
+
+
+# -- replayed repeat windows ---------------------------------------------------------------
+
+
+class ExpandedDigest:
+    """The JSONL bytes of ``expand_skips`` on a stream, kept as one sha256 per
+    ``(cycle, core)`` — the groups it sorts the stream into, each in emission
+    order — so a long trace is compared without holding it."""
+
+    def __init__(self):
+        self._text = io.StringIO()
+        self._jsonl = JsonlSink(self._text)
+        self.groups: dict = {}
+
+    def write_batch(self, records) -> None:
+        self._text.seek(0)
+        self._text.truncate()
+        self._jsonl.write_batch(records)
+        for record, line in zip(records, self._text.getvalue().splitlines(keepends=True)):
+            if record[3:5] != ("core", "skip"):
+                group = self.groups.get(record[:2]) or self.groups.setdefault(
+                    record[:2], hashlib.sha256()
+                )
+                group.update(line.encode("utf-8"))
+
+    def close(self) -> None:
+        return None
+
+    def digest(self) -> dict:
+        return {group: sha256.hexdigest() for group, sha256 in self.groups.items()}
+
+
+def _replayed_windows(device) -> list[tuple[int, int]]:
+    """Record the ``(first, last)`` launch cycles of every window in which the
+    fast-forward replays a drain repeat."""
+    processor = device.driver.processor
+    windows = []
+    for core in processor.cores:
+
+        def skipping(cycles, marked=True, core=core, skip_idle=core.skip_idle):
+            if core._replayed_repeat() is not None:
+                windows.append((processor.cycle - cycles + 1, processor.cycle))
+            skip_idle(cycles, marked)
+
+        core.skip_idle = skipping
+    return windows
+
+
+def _count_ticks(device) -> list[int]:
+    ticks = [0]
+
+    def counted(tick=device.driver.processor.tick):
+        ticks[0] += 1
+        tick()
+
+    device.driver.processor.tick = counted
+    return ticks
+
+
+def _tick_to(device, entry, cycle=None) -> None:
+    """Advance the launch by ``tick()`` alone to ``cycle`` (None: its end)."""
+    processor = device.driver.processor
+    if entry is not None:
+        processor.reset(entry)
+    with np.errstate(all="ignore"):  # as TimingProcessor.run does for lane plans
+        while not processor.done and (cycle is None or processor.cycle < cycle):
+            processor.tick()
+
+
+@pytest.mark.parametrize("kernel,size", [("saxpy", 512), ("sgemm", 16 * 16)])
+def test_replayed_repeat_windows_equal_the_tick_loop(kernel, size):
+    """The fast-forward replays a window of drain repeats in one step.
+    ``run()`` must equal the ``tick()`` loop and the never-armed core in cycles
+    and every counter and in ``processor.snapshot()`` at pause points that cut
+    replayed windows; traced, ``run()`` must equal the ``tick()`` loop in the
+    JSONL bytes after ``expand_skips``."""
+    config = _retry_wall()
+    factory = KERNELS[kernel]
+    armed, program, _, _ = _staged("simx", factory, size, config)
+    windows = _replayed_windows(armed)
+    ticks = _count_ticks(armed)
+    armed.driver.run(program.entry)
+    never, _, _, _ = _staged("simxnorepeat", factory, size, config)
+    never_ticks = _count_ticks(never)
+    never.driver.run(program.entry)
+    assert _state(armed) == _state(never)
+    assert len(windows) > 10, windows
+    if kernel == "saxpy":
+        assert 2 * ticks[0] <= never_ticks[0], (ticks, never_ticks)
+
+    # Pause in the middle of the four longest windows, then run to the end.
+    longest = sorted(windows, key=lambda window: window[0] - window[1])[:4]
+    pauses = sorted((first + last) // 2 for first, last in longest)
+    staged = [_staged(driver, factory, size, config) for driver in ("simx", "simxnorepeat")]
+    ticked, _, ticked_kernel, ticked_context = _staged("simx", factory, size, config)
+    entry = program.entry
+    for pause in [*pauses, None]:
+        for device, *_ in staged:
+            device.driver.run(entry, pause_at=pause, resume=entry is None)
+        _tick_to(ticked, entry, pause)
+        entry = None
+        payloads = [device.driver.processor.snapshot() for device, *_ in staged]
+        assert payloads[0] == payloads[1], pause
+        expected = ticked.driver.processor.snapshot()
+        del expected["idle_streak"], payloads[0]["idle_streak"]  # run()'s watchdog alone
+        assert payloads[0] == expected, pause
+    assert ticked_kernel.verify(ticked, ticked_context)
+    for device, _, staged_kernel, context in staged:
+        assert staged_kernel.verify(device, context)
+        assert _state(device) == _state(ticked) == _state(armed)
+
+    # Traced, up to the middle of the longest window: replayed windows emit
+    # every cycle's events, unmarked.  (Against the never-armed core the whole
+    # traced runs are compared byte for byte above.)
+    stop = (longest[0][0] + longest[0][1]) // 2
+    digests = []
+    for ticking in (False, True):
+        device, program, _, _ = _staged("simx:trace=mem", factory, size, config)
+        sink = ExpandedDigest()
+        device.driver.trace_bus.sinks[:] = [sink]
+        if ticking:
+            _tick_to(device, program.entry, stop)
+            device.driver.trace_bus.flush()
+        else:
+            device.driver.run(program.entry, pause_at=stop)
+        digests.append(sink.digest())
+    assert digests[0] == digests[1]
+    assert len(digests[0]) > stop // 2  # most cycles emit something
